@@ -212,6 +212,16 @@ def _group_json(G):
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="structa",
@@ -230,7 +240,7 @@ def _build_parser():
             help="seed for randomized checks (env: STRUCTA_SEED)",
         )
         sp.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
+            "--jobs", type=_positive_int, default=1, metavar="N",
             help="run independent checks on N workers",
         )
 

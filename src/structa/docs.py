@@ -99,7 +99,7 @@ def _symbol(v, where: str) -> str:
         raise SchemaError("%s must be a string, got %r" % (where, v))
     try:
         return check_symbol(v)
-    except StructaError as e:
+    except ValueError as e:
         raise SchemaError("%s: %s" % (where, e))
 
 
@@ -405,9 +405,18 @@ def _validate(payload: dict) -> dict:
 # parse and render
 
 
+def _unique_keys(pairs) -> dict:
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [k for k, _ in pairs]
+        dup = sorted({k for k in keys if keys.count(k) > 1})
+        raise SchemaError("duplicate keys %s in one object" % dup)
+    return out
+
+
 def parse_text(text: str) -> StructureDoc:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno)
     if not isinstance(payload, dict):
@@ -422,8 +431,14 @@ def parse(source: str) -> StructureDoc:
     or from a file path."""
     if source.lstrip().startswith("{"):
         return parse_text(source)
-    with open(source, encoding="utf-8") as fh:
-        return parse_text(fh.read())
+    try:
+        with open(source, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ParseError("cannot read %s: %s" % (source, e.strerror or e))
+    except UnicodeDecodeError as e:
+        raise ParseError("%s is not UTF-8 text (byte %d)" % (source, e.start))
+    return parse_text(text)
 
 
 def render(doc: StructureDoc) -> str:

@@ -1,9 +1,10 @@
 """Exact integers and rationals.
 
-Integers are plain arbitrary-precision ints; the successor-automorphism
-construction of addition is verified against them on bounded windows
-rather than used as the runtime representation. Rationals are reduced
-pairs with a cross-multiplication equality and a sign-split order.
+Runtime arithmetic is native: integers are plain arbitrary-precision
+ints and rationals multiply them with ``*``. The successor-automorphism
+construction of addition and the recursion product are what the laws
+verify, on bounded windows, against that native arithmetic. Rationals
+are pairs with a cross-multiplication equality and a sign-split order.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ class IntWindow:
     N: int
     poset: Poset
     succ: FinMap
+    pred: FinMap
 
 
 @lru_cache(maxsize=8)
 def build_discrete(N: int) -> IntWindow:
     """The window [-N, N] with its natural order and the successor map
     on [-N, N-1], checked to be an order embedding onto the shifted
-    window."""
+    window, together with its inverse."""
     if N < 1:
         raise ValueError("the window needs at least -1, 0, 1")
     values = list(range(-N, N + 1))
@@ -56,13 +58,17 @@ def build_discrete(N: int) -> IntWindow:
         for a in range(-N, N)
         for b in range(-N, N)
     ), "successor must be an order embedding"
-    # each interior point is the source of exactly one successor step
-    # and (inside the open interior) the target of exactly one
-    assert all(
-        sum(1 for i in range(-N, N) if succ(_sym(i)) == _sym(j)) == 1
-        for j in range(-N + 1, N + 1)
-    )
-    return IntWindow(N, poset, succ)
+    pred = FinMap(shifted, interior, {y: x for x, y in succ.assign.items()})
+    return IntWindow(N, poset, succ, pred)
+
+
+def _walk(w: IntWindow, x: str, b: int) -> str:
+    """The b-fold composite of successor steps (inverse steps for b < 0)
+    at the point x."""
+    step = w.succ.assign if b >= 0 else w.pred.assign
+    for _ in range(abs(b)):
+        x = step[x]
+    return x
 
 
 def _shift_map(w: IntWindow, b: int) -> FinMap:
@@ -74,25 +80,19 @@ def _shift_map(w: IntWindow, b: int) -> FinMap:
     else:
         dom = FinSet(_sym(i) for i in range(-N - b, N + 1))
     cod = FinSet(_sym(int(x) + b) for x in dom)
-    step = 1 if b >= 0 else -1
-    assign = {}
-    for x in dom:
-        i = int(x)
-        for _ in range(abs(b)):
-            i += step
-        assign[x] = _sym(i)
-    return FinMap(dom, cod, assign)
+    return FinMap(dom, cod, {x: _walk(w, x, b) for x in dom})
 
 
 def int_add(a: ExactInt, b: ExactInt, N: int | None = None) -> ExactInt:
-    """Addition by b-fold successor composition on a verified window."""
+    """Addition by b-fold successor composition on a verified window,
+    evaluated at the one point a: |b| steps along the window's successor
+    map, or its inverse for negative b. Runtime code adds natively; this
+    is the construction the integer laws check against ``+``."""
     if N is None:
         N = abs(a) + abs(b) + 1
     if abs(a) > N or abs(b) > N or abs(a + b) > N:
         raise WindowOverflow("operands escape the window", witness=(a, b, N))
-    w = build_discrete(N)
-    shift = _shift_map(w, b)
-    out = int(shift(_sym(a)))
+    out = int(_walk(build_discrete(N), _sym(a), b))
     assert out == a + b
     return out
 
@@ -109,19 +109,19 @@ def int_group_check(N: int) -> LawReport:
         "shifting by zero is the identity on the window",
         shifts[0] == FinMap.identity(w.poset.carrier),
     )
+    # the laws below compose the shift maps' own assignments, read once
+    # into int tables; the window's order is read the same way
+    t = {b: {int(x): int(y) for x, y in m.assign.items()} for b, m in shifts.items()}
+    le = {(int(x), int(y)) for x, y in w.poset.pairs}
     ok_inv = all(
-        all(shifts[-b](shifts[b](x)) == x for x in shifts[b].dom if shifts[b](x) in shifts[-b].dom)
+        all(t[-b][y] == x for x, y in t[b].items() if y in t[-b])
         for b in range(-half, half + 1)
     )
     r.add("int-inverse", "shifting by -b undoes shifting by b", ok_inv)
     ok_comm = all(
-        shifts[b](shifts[a](x)) == shifts[a](shifts[b](x))
+        _commute(t[a], t[b], a, b, N)
         for a in range(-half, half + 1)
         for b in range(-half, half + 1)
-        for x in w.poset.carrier
-        if all(
-            abs(int(x) + d) <= N for d in (a, b, a + b)
-        )
     )
     r.add(
         "int-commutative",
@@ -129,25 +129,17 @@ def int_group_check(N: int) -> LawReport:
         ok_comm,
     )
     ok_assoc = all(
-        int(shifts[c](_sym(int(shifts[b](_sym(int(shifts[a](x)))))))) == int(x) + a + b + c
+        _stack(t[a], t[b], t[c], a, b, c, N)
         for a in range(-half // 2 + 1, half // 2 + 1) if half >= 2
         for b in range(-half // 2 + 1, half // 2 + 1)
         for c in range(-half // 2 + 1, half // 2 + 1)
-        for x in w.poset.carrier
-        if abs(int(x) + a) <= N and abs(int(x) + a + b) <= N and abs(int(x) + a + b + c) <= N
-        and _sym(int(x)) in shifts[a].dom
-        and _sym(int(x) + a) in shifts[b].dom
-        and _sym(int(x) + a + b) in shifts[c].dom
     )
     r.add("int-associative", "stacked shifts add their offsets", ok_assoc)
     # a natural comparison +a → +b exists exactly when a ≤ b:
     # componentwise, x+a ≤ x+b on the common domain
     ok_nat = all(
         (a <= b)
-        == all(
-            w.poset.le(shifts[a](x), shifts[b](x))
-            for x in shifts[a].dom.inter(shifts[b].dom)
-        )
+        == all((t[a][x], t[b][x]) in le for x in t[a] if x in t[b])
         for a in range(-half, half + 1)
         for b in range(-half, half + 1)
     )
@@ -155,9 +147,39 @@ def int_group_check(N: int) -> LawReport:
     return r
 
 
+# Inner loops of int_group_check: x ranges over the whole window [-N, N]
+# under the law's guards, with the shift tables of one pair or triple of
+# offsets bound once.
+
+
+def _commute(ta: dict, tb: dict, a: int, b: int, N: int) -> bool:
+    """+a and +b commute at every x where x+a, x+b and x+a+b stay in the
+    window."""
+    return all(
+        tb[ta[x]] == ta[tb[x]]
+        for x in range(-N, N + 1)
+        if -N <= x + a <= N and -N <= x + b <= N and -N <= x + a + b <= N
+    )
+
+
+def _stack(ta: dict, tb: dict, tc: dict, a: int, b: int, c: int, N: int) -> bool:
+    """+a, then +b, then +c moves x by a+b+c wherever each step is
+    defined."""
+    return all(
+        tc[tb[ta[x]]] == x + a + b + c
+        for x in range(-N, N + 1)
+        if -N <= x + a <= N and -N <= x + a + b <= N and -N <= x + a + b + c <= N
+        and x in ta
+        and x + a in tb
+        and x + a + b in tc
+    )
+
+
 def int_mul(a: ExactInt, b: ExactInt) -> ExactInt:
     """Product by the recursion a·(x+1) = a·x + a (and the x-1 branch
-    for negative multipliers), cross-checked against direct product."""
+    for negative multipliers), cross-checked against direct product.
+    This is the construction the integer laws verify; runtime code,
+    rational arithmetic included, multiplies natively."""
     acc = 0
     x = 0
     while x != b:
@@ -198,7 +220,7 @@ class RatClass:
 
 
 def rat_eq(p: Rat, q: Rat) -> bool:
-    return int_mul(p.num, q.den) == int_mul(q.num, p.den)
+    return p.num * q.den == q.num * p.den
 
 
 def _gcd_oracle(a: int, b: int) -> int:
@@ -225,13 +247,11 @@ def rat_canon(p: Rat) -> RatClass:
 
 
 def rat_mul(p: Rat, q: Rat) -> Rat:
-    return Rat(int_mul(p.num, q.num), int_mul(p.den, q.den))
+    return Rat(p.num * q.num, p.den * q.den)
 
 
 def rat_add(p: Rat, q: Rat) -> Rat:
-    return Rat(
-        int_mul(p.num, q.den) + int_mul(q.num, p.den), int_mul(p.den, q.den)
-    )
+    return Rat(p.num * q.den + q.num * p.den, p.den * q.den)
 
 
 def rat_neg(p: Rat) -> Rat:
@@ -248,10 +268,9 @@ def rat_le(p: Rat, q: Rat) -> bool:
     """Order by cross multiplication, with the sign of the denominator
     product deciding the direction of the comparison."""
     a, c, b, d = p.num, p.den, q.num, q.den
-    cd = int_mul(c, d)
-    if cd > 0:
-        return int_mul(a, d) <= int_mul(b, c)
-    return int_mul(b, c) <= int_mul(a, d)
+    if c * d > 0:
+        return a * d <= b * c
+    return b * c <= a * d
 
 
 def embed_int(a: ExactInt) -> Rat:
@@ -266,20 +285,24 @@ def dual_order_checks(N: int) -> LawReport:
     neg_den = lambda p: Rat(p.num, -p.den)
     neg_num = lambda p: Rat(-p.num, p.den)
     neg_both = lambda p: Rat(-p.num, -p.den)
+    # each grid point with its image, built once rather than once per pair
+    den_flip = [(p, neg_den(p)) for p in grid]
+    num_flip = [(p, neg_num(p)) for p in grid]
+    both_flip = [(p, neg_both(p)) for p in grid]
     r.add(
         "dual-den-reverses",
         "negating the denominator reverses the order",
-        all(rat_le(p, q) == rat_le(neg_den(q), neg_den(p)) for p in grid for q in grid),
+        all(rat_le(p, q) == rat_le(fq, fp) for p, fp in den_flip for q, fq in den_flip),
     )
     r.add(
         "dual-num-reverses",
         "negating the numerator reverses the order",
-        all(rat_le(p, q) == rat_le(neg_num(q), neg_num(p)) for p in grid for q in grid),
+        all(rat_le(p, q) == rat_le(fq, fp) for p, fp in num_flip for q, fq in num_flip),
     )
     r.add(
         "dual-both-preserves",
         "negating both preserves the order",
-        all(rat_le(p, q) == rat_le(neg_both(p), neg_both(q)) for p in grid for q in grid),
+        all(rat_le(p, q) == rat_le(fp, fq) for p, fp in both_flip for q, fq in both_flip),
     )
     r.add(
         "dual-involution",

@@ -74,6 +74,35 @@ class TestExitCodes:
         assert code == 1
         assert "normal" in err
 
+    def test_bad_symbol_is_two(self):
+        code, out, err = run_cli(["check", '{"kind": "set", "elements": ["a b"]}'])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_duplicate_key_is_two(self):
+        doc = '{"kind": "set", "elements": ["a"], "kind": "set"}'
+        code, _, err = run_cli(["check", doc])
+        assert code == 2
+        assert "duplicate keys" in err
+
+    def test_missing_file_is_two(self, tmp_path):
+        code, out, err = run_cli(["check", str(tmp_path / "absent.json")])
+        assert (code, out) == (2, "")
+        assert "cannot read" in err and err.count("\n") == 1
+
+    def test_non_utf8_file_is_two(self, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe{\"kind\": \"set\"}")
+        code, out, err = run_cli(["check", str(path)])
+        assert (code, out) == (2, "")
+        assert "not UTF-8" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_jobs_below_one_is_usage_error(self, jobs):
+        code, out, err = run_cli(["check", "--jobs", jobs, fx("group_z2.json")])
+        assert (code, out) == (2, "")
+        assert "--jobs" in err
+
     def test_guard_exceeded_is_two_and_names_bound(self, tmp_path):
         doc = '{"kind": "rational-window", "window": 50, "den": 2}'
         tmp = tmp_path / "big_window.json"

@@ -84,6 +84,29 @@ class TestParse:
         with pytest.raises(SchemaError, match="wants keys"):
             parse_text('{"kind": "set", "items": ["a"]}')
 
+    def test_bad_symbol_is_schema_error(self):
+        for bad in ('["a b"]', '[""]', '["a\\tb"]'):
+            with pytest.raises(SchemaError, match="without whitespace"):
+                parse_text('{"kind": "set", "elements": %s}' % bad)
+
+    def test_duplicate_keys_rejected(self):
+        with pytest.raises(SchemaError, match=r"duplicate keys \['kind'\]"):
+            parse_text('{"kind": "set", "elements": ["a"], "kind": "set"}')
+        # nested documents are objects too
+        g = '{"kind": "group", "carrier": ["e"], "table": [["e", "e", "e"]]}'
+        g2 = g[:-1] + ', "carrier": ["e"]}'
+        with pytest.raises(SchemaError, match="duplicate keys"):
+            parse_text('{"kind": "hom", "src": %s, "tgt": %s, "map": [["e", "e"]]}' % (g, g2))
+        assert parse_text('{"kind": "hom", "src": %s, "tgt": %s, "map": [["e", "e"]]}' % (g, g))
+
+    def test_unreadable_source_is_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read"):
+            parse(str(tmp_path / "absent.json"))
+        latin = tmp_path / "latin1.json"
+        latin.write_bytes(b'{"kind": "set", "elements": ["\xe9"]}')
+        with pytest.raises(ParseError, match="not UTF-8"):
+            parse(str(latin))
+
     def test_nattrans_wants_parallel_functors(self):
         f = json.loads(
             (fixtures_dir() / "functor_id_chain2.json").read_text()

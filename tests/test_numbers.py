@@ -6,12 +6,18 @@ rational identities, and exhaustive divisor search for gcd.
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from structa.core import classify
+import structa
+from structa import numbers
+from structa.core import FinMap, classify
 from structa.errors import WindowOverflow, ZeroDenominator
 from structa.numbers import (
     Rat,
@@ -85,6 +91,38 @@ class TestIntAdd:
             a = rng.randint(-100, 100)
             b = rng.randint(-100, 100)
             assert int_add(a, b, N=201) == a + b
+
+    def test_group_laws_read_the_shift_maps(self, monkeypatch):
+        # +1 sends 0 to 2 instead of 1; laws that composed offsets
+        # arithmetically instead of the maps would not notice
+        real = numbers._shift_map
+
+        def off_by_one(w, b):
+            m = real(w, b)
+            if b != 1:
+                return m
+            return FinMap(m.dom, m.cod, {**m.assign, "0": "2"})
+
+        monkeypatch.setattr(numbers, "_shift_map", off_by_one)
+        rep = int_group_check(8)
+        failed = {c.law for c in rep.checks if not c.passed}
+        assert {"int-inverse", "int-commutative", "int-associative"} <= failed
+        assert rep["int-unit"].passed
+
+
+def test_check_output_is_the_same_under_optimize():
+    fixture = Path(structa.__file__).parent / "fixtures" / "ratwindow_small.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(structa.__file__).parents[1]))
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "structa.cli", "check", str(fixture)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert "0 failed" in outs[0]
 
 
 class TestIntMul:
