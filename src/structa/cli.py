@@ -301,8 +301,12 @@ def _cmd_derive(ns, out) -> int:
     doc = run_derive(parse(ns.file), ns.op, ns.args)
     text = render(doc)
     if ns.output:
-        with open(ns.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(ns.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print("error: cannot write %s: %s" % (ns.output, e.strerror or e), file=sys.stderr)
+            return 2
     else:
         out.write(text)
     return 0

@@ -5,6 +5,13 @@ duplicate-free collection of symbols; a ``FinMap`` is a total function
 between two such sets. Everything is immutable and compared
 extensionally: two maps are equal when domain, codomain and assignment
 coincide.
+
+Public constructors validate: ``FinSet(...)`` checks every symbol and
+``FinMap(...)`` checks totality and codomain membership. Sets derived
+inside the library (intersections, differences, unions of sets, subsets,
+images, preimages, fibers, bounds) are built from members of sets and
+values of maps that were validated when those were built, so they skip
+the symbol check and the sort through ``FinSet._ordered``.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ Symbol = str
 
 
 def check_symbol(s) -> str:
-    if not isinstance(s, str) or not s or any(ch.isspace() for ch in s):
+    # str.split() splits on exactly the characters for which isspace()
+    # holds, so this accepts the nonempty strings without whitespace
+    if not (isinstance(s, str) and s.split() == [s]):
         raise ValueError("symbol must be a nonempty token without whitespace: %r" % (s,))
     return s
 
@@ -40,6 +49,17 @@ class FinSet:
     def __init__(self, elements=()):
         elems = sorted({check_symbol(e) for e in elements})
         object.__setattr__(self, "elements", tuple(elems))
+
+    @classmethod
+    def _ordered(cls, elems: tuple) -> "FinSet":
+        """The set whose canonical element tuple is ``elems``, unchecked.
+
+        The caller guarantees that ``elems`` is a tuple, sorted, without
+        duplicates, and made only of checked symbols: members of a
+        ``FinSet`` or values of a ``FinMap``."""
+        s = object.__new__(cls)
+        _set_elements(s, elems)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("FinSet is immutable")
@@ -60,6 +80,10 @@ class FinSet:
         return hash(self.elements)
 
     def __le__(self, other):
+        if isinstance(other, FinSet):
+            if len(self.elements) > len(other.elements):
+                return False
+            return set(other.elements).issuperset(self.elements)
         return all(x in other for x in self)
 
     def __lt__(self, other):
@@ -69,13 +93,17 @@ class FinSet:
         return "FinSet(%s)" % (list(self.elements),)
 
     def union(self, other):
+        if isinstance(other, FinSet):
+            return FinSet._ordered(tuple(sorted(set(self.elements).union(other.elements))))
         return FinSet(self.elements + tuple(other))
 
     def inter(self, other):
-        return FinSet(x for x in self if x in other)
+        keep = set(other.elements) if isinstance(other, FinSet) else other
+        return FinSet._ordered(tuple([x for x in self.elements if x in keep]))
 
     def diff(self, other):
-        return FinSet(x for x in self if x not in other)
+        drop = set(other.elements) if isinstance(other, FinSet) else other
+        return FinSet._ordered(tuple([x for x in self.elements if x not in drop]))
 
     def complement_in(self, carrier):
         if not self <= carrier:
@@ -86,15 +114,24 @@ class FinSet:
         """All subsets, in canonical (size-free, lexicographic mask) order."""
         for r in range(len(self.elements) + 1):
             for combo in itertools.combinations(self.elements, r):
-                yield FinSet(combo)
+                yield FinSet._ordered(combo)
 
     def name(self) -> str:
         """A single symbol naming this set; used for derived carriers."""
         return "{%s}" % ",".join(self.elements)
 
 
+# writes the slot directly, past FinSet.__setattr__, which refuses all writes
+_set_elements = FinSet.elements.__set__
+
+
 def finset(*elements) -> FinSet:
     return FinSet(elements)
+
+
+def _join(sets) -> FinSet:
+    """The union of a family of ``FinSet``s, built from their members."""
+    return FinSet._ordered(tuple(sorted({x for s in sets for x in s.elements})))
 
 
 class FinMap:
@@ -154,12 +191,14 @@ class FinMap:
             subset = self.dom
         elif not subset <= self.dom:
             raise CarrierMismatch("image argument not a subset of the domain")
-        return FinSet(self.assign[x] for x in subset)
+        return FinSet._ordered(tuple(sorted({self.assign[x] for x in subset})))
 
     def preimage(self, subset: FinSet) -> FinSet:
         if not subset <= self.cod:
             raise CarrierMismatch("preimage argument not a subset of the codomain")
-        return FinSet(x for x in self.dom if self.assign[x] in subset)
+        hit = set(subset.elements)
+        assign = self.assign
+        return FinSet._ordered(tuple([x for x in self.dom.elements if assign[x] in hit]))
 
     def restrict(self, subset: FinSet) -> "FinMap":
         if not subset <= self.dom:
@@ -210,15 +249,16 @@ def compose(g: FinMap, f: FinMap, strict: bool = True) -> FinMap:
                 "cod(f) != dom(g)", witness=(tuple(f.cod), tuple(g.dom))
             )
         return FinMap(f.dom, g.cod, {x: g.assign[f.assign[x]] for x in f.dom})
-    hits = f.image().inter(g.dom)
-    d = FinSet(x for x in f.dom if f.assign[x] in hits)
+    d = FinSet._ordered(tuple(x for x in f.dom.elements if f.assign[x] in g.assign))
     return FinMap(d, g.cod, {x: g.assign[f.assign[x]] for x in d})
 
 
 def classify(f: FinMap) -> dict:
-    fibers = {z: f.preimage(finset(z)) for z in f.cod}
-    monic = all(len(b) <= 1 for b in fibers.values())
-    onto = all(len(b) >= 1 for b in fibers.values())
+    # every fiber has at most one point iff no two points share a value;
+    # every fiber is nonempty iff the values, which lie in cod, fill it
+    hit = len(set(f.assign.values()))
+    monic = hit == len(f.dom)
+    onto = hit == len(f.cod)
     return {"monic": monic, "onto": onto, "bijective": monic and onto}
 
 
@@ -238,9 +278,10 @@ def right_inverse(f: FinMap) -> FinMap:
     """r with f∘r = id; preimage representatives are chosen least-first."""
     if not classify(f)["onto"]:
         raise NotOnto("no right inverse: map is not onto")
-    return FinMap(
-        f.cod, f.dom, {z: min(f.preimage(finset(z))) for z in f.cod}
-    )
+    least = {}
+    for x in f.dom.elements:  # ascending, so the first point of a fiber is its least
+        least.setdefault(f.assign[x], x)
+    return FinMap(f.cod, f.dom, {z: least[z] for z in f.cod})
 
 
 def inverse(f: FinMap) -> FinMap:
@@ -252,7 +293,7 @@ def inverse(f: FinMap) -> FinMap:
 def fiber(f: FinMap, z: Symbol) -> FinSet:
     if z not in f.cod:
         raise CarrierMismatch("fiber point outside the codomain", witness=(z,))
-    return f.preimage(finset(z))
+    return FinSet._ordered(tuple(x for x in f.dom.elements if f.assign[x] == z))
 
 
 def fiber_partition(f: FinMap) -> Partition:
@@ -296,11 +337,11 @@ def image_calculus(f: FinMap, A: FinSet, B: FinSet, families=()) -> LawReport:
         if not (over_dom or over_cod):
             raise CarrierMismatch("family members must share a carrier of f")
         if over_dom:
-            union = FinSet(x for m in members for x in m)
+            union = _join(members)
             inter = f.dom
             for m in members:
                 inter = inter.inter(m)
-            im_union = FinSet(y for m in members for y in f.image(m))
+            im_union = _join(f.image(m) for m in members)
             im_inter = f.cod
             for m in members:
                 im_inter = im_inter.inter(f.image(m))
@@ -310,11 +351,11 @@ def image_calculus(f: FinMap, A: FinSet, B: FinSet, families=()) -> LawReport:
                 if c["monic"]:
                     r.add("img-inter-monic", "monic: f(⋂X) = ⋂fX", f.image(inter) == im_inter)
         if over_cod:
-            union = FinSet(y for m in members for y in m)
+            union = _join(members)
             inter = f.cod
             for m in members:
                 inter = inter.inter(m)
-            pre_union = FinSet(x for m in members for x in f.preimage(m))
+            pre_union = _join(f.preimage(m) for m in members)
             pre_inter = f.dom
             for m in members:
                 pre_inter = pre_inter.inter(f.preimage(m))
@@ -336,7 +377,7 @@ def fiber_union_check(f: FinMap, A: FinSet, B: FinSet) -> LawReport:
     the fibers of B. Fibers are only meaningful for image points, so
     points of B outside Im f reduce the claim to one direction."""
     r = LawReport("fiber-union")
-    fibers_of_B = FinSet(x for z in B for x in fiber(f, z))
+    fibers_of_B = _join(fiber(f, z) for z in B)
     lhs = f.image(A) == B
     rhs = A == fibers_of_B
     if classify(f)["monic"] and B <= f.image():
@@ -398,7 +439,7 @@ def endo_analyze(f: FinMap, max_steps: int | None = None) -> EndoReport:
         raise CompositionMismatch("endo analysis needs dom = cod")
     if max_steps is None:
         max_steps = max(1, len(f.dom))
-    inv = FinSet(x for x in f.dom if f.assign[x] == x)
+    inv = FinSet._ordered(tuple(x for x in f.dom.elements if f.assign[x] == x))
     once = f.image() <= inv
     iterates = []
     g = f
@@ -460,7 +501,7 @@ def select(family, rule=min) -> FinMap:
         if len(m) == 0:
             raise EmptyMember("cannot select from an empty member")
     dom = FinSet(m.name() for m in members)
-    cod = FinSet(x for m in members for x in m)
+    cod = _join(members)
     by_name = {m.name(): m for m in members}
     return FinMap(dom, cod, {n: rule(by_name[n].elements) for n in dom})
 

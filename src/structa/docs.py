@@ -16,6 +16,7 @@ category, generated filter, topology from a base, ...).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import FinMap, FinSet, check_symbol, classify, compose
@@ -50,7 +51,11 @@ class StructureDoc:
     body: tuple  # canonical (key, json-value) pairs, hashable
 
     def __getitem__(self, key):
-        return dict(self.body)[key]
+        # a document has a handful of keys: a scan beats building a dict
+        for k, v in self.body:
+            if k == key:
+                return v
+        raise KeyError(key)
 
     def payload(self) -> dict:
         return {"kind": self.kind, **{k: _thaw(v) for k, v in self.body}}
@@ -107,7 +112,7 @@ def _symbol_list(v, where: str) -> list:
     if not isinstance(v, list):
         raise SchemaError("%s must be an array of strings" % where)
     out = [_symbol(x, where) for x in v]
-    dup = sorted({x for x in out if out.count(x) > 1})
+    dup = sorted(x for x, n in Counter(out).items() if n > 1)
     if dup:
         raise SchemaError("%s has duplicate entries %s" % (where, dup))
     return sorted(out)

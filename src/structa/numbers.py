@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import FinMap, FinSet, classify
-from .errors import WindowOverflow, ZeroDenominator
+from .errors import BadStructure, WindowOverflow, ZeroDenominator
 from .order import Poset
 from .report import LawReport
 
@@ -51,13 +51,16 @@ def build_discrete(N: int) -> IntWindow:
     interior = FinSet(_sym(i) for i in range(-N, N))
     shifted = FinSet(_sym(i) for i in range(-N + 1, N + 1))
     succ = FinMap(interior, shifted, {_sym(i): _sym(i + 1) for i in range(-N, N)})
-    flags = classify(succ)
-    assert flags["bijective"], "successor must be a bijection onto the shifted window"
-    assert all(
-        poset.le(_sym(a + 1), _sym(b + 1)) == poset.le(_sym(a), _sym(b))
-        for a in range(-N, N)
-        for b in range(-N, N)
-    ), "successor must be an order embedding"
+    if not classify(succ)["bijective"]:
+        raise BadStructure("successor must be a bijection onto the shifted window")
+    # syms[i + N] names i; a pair (a, b) of the interior is ordered as its
+    # successor pair (a + 1, b + 1) is
+    syms = [_sym(i) for i in values]
+    pairs = poset.pairs
+    for x, sx in zip(syms, syms[1:]):
+        for y, sy in zip(syms, syms[1:]):
+            if ((sx, sy) in pairs) != ((x, y) in pairs):
+                raise BadStructure("successor must be an order embedding", witness=(x, y))
     pred = FinMap(shifted, interior, {y: x for x, y in succ.assign.items()})
     return IntWindow(N, poset, succ, pred)
 

@@ -108,10 +108,16 @@ class Poset:
         return Poset(self.carrier, {(y, x) for x, y in self.pairs}, validate=False)
 
     def upper_bounds(self, A: FinSet) -> FinSet:
-        return FinSet(u for u in self.carrier if all(self.le(a, u) for a in A))
+        pairs = self.pairs
+        return FinSet._ordered(
+            tuple(u for u in self.carrier.elements if all((a, u) in pairs for a in A))
+        )
 
     def lower_bounds(self, A: FinSet) -> FinSet:
-        return FinSet(l for l in self.carrier if all(self.le(l, a) for a in A))
+        pairs = self.pairs
+        return FinSet._ordered(
+            tuple(l for l in self.carrier.elements if all((l, a) in pairs for a in A))
+        )
 
     def max_of(self, A: FinSet):
         for m in A:

@@ -179,6 +179,15 @@ class TestDerive:
         assert doc.kind == "group"
         assert len(doc["carrier"]) == 2
 
+    def test_unwritable_output_is_two(self, tmp_path):
+        target = tmp_path / "missing-dir" / "x.json"
+        code, out, err = run_cli(
+            ["derive", "opposite", fx("category_z3.json"), "-o", str(target)]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert not target.parent.exists()
+
 
 class TestFormats:
     def test_formats_prints_schema_and_catalogue(self):

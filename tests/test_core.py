@@ -1,13 +1,21 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import structa
 from structa.core import (
     EndoReport,
     FinMap,
     FinSet,
     all_maps,
+    check_symbol,
     classify,
     compose,
     decompose,
@@ -34,6 +42,7 @@ from structa.errors import (
     NotMonic,
     NotOnto,
 )
+from structa.order import Poset
 
 ABC = finset("a", "b", "c")
 XYZ = finset("x", "y", "z")
@@ -370,3 +379,131 @@ class TestSelect:
         for z in f.cod:
             assert r.assign[z] == sel.assign[fiber(f, z).name()]
         assert compose(f, r) == FinMap.identity(f.cod)
+
+
+# ---------------------------------------------------------------------------
+# Derived sets are built unchecked from validated members (FinSet._ordered).
+# Each must equal what the validating constructor, or the old definition,
+# gives on the same inputs: the same element tuple, equality and hash.
+
+# mixed case, digits and non-ASCII, so the canonical order is not alphabetical
+ALPHABET = ["a", "b", "c", "d", "B", "Z", "10", "9", "é", "{a,b}"]
+PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+symbol_sets = st.sets(st.sampled_from(ALPHABET)).map(FinSet)
+
+
+def same_set(got, want):
+    assert got.elements == want.elements
+    assert got == want and hash(got) == hash(want)
+
+
+@st.composite
+def maps(draw):
+    dom = draw(symbol_sets)
+    cod = draw(symbol_sets.filter(lambda c: len(c) > 0 or len(dom) == 0))
+    values = draw(st.lists(st.sampled_from(cod.elements or ("?",)),
+                           min_size=len(dom), max_size=len(dom)))
+    return FinMap(dom, cod, dict(zip(dom.elements, values)))
+
+
+@st.composite
+def posets(draw):
+    # the reflexive-transitive closure of pairs that go up a random ranking
+    carrier = draw(symbol_sets)
+    ranked = draw(st.permutations(carrier.elements))
+    up = draw(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9))))
+    le = {(x, x) for x in ranked}
+    le |= {(ranked[i], ranked[j]) for i, j in up if i < j < len(ranked)}
+    while True:
+        more = {(x, z) for x, y in le for y2, z in le if y == y2} - le
+        if not more:
+            return Poset(carrier, le)
+        le |= more
+
+
+class TestDerivedSets:
+    @PROPERTY
+    @given(symbol_sets, symbol_sets)
+    def test_set_algebra_matches_validating_path(self, A, B):
+        same_set(A.inter(B), FinSet(x for x in A.elements if x in B.elements))
+        same_set(A.diff(B), FinSet(x for x in A.elements if x not in B.elements))
+        same_set(A.union(B), FinSet(A.elements + B.elements))
+        same_set(A.union(list(B)), FinSet(A.elements + B.elements))
+        assert (A <= B) == all(x in B.elements for x in A.elements)
+
+    @PROPERTY
+    @given(symbol_sets)
+    def test_subsets_match_validating_path(self, A):
+        subs = list(A.subsets())
+        want = [FinSet(c) for r in range(len(A) + 1)
+                for c in itertools.combinations(A.elements, r)]
+        assert len(subs) == 2 ** len(A)
+        for got, w in zip(subs, want):
+            same_set(got, w)
+
+    @PROPERTY
+    @given(maps(), st.data())
+    def test_image_preimage_match_validating_path(self, f, data):
+        A = FinSet(data.draw(st.sets(st.sampled_from(f.dom.elements or ("?",)))) & set(f.dom))
+        B = FinSet(data.draw(st.sets(st.sampled_from(f.cod.elements or ("?",)))) & set(f.cod))
+        same_set(f.image(A), FinSet(f.assign[x] for x in A.elements))
+        same_set(f.image(), FinSet(f.assign.values()))
+        same_set(f.preimage(B), FinSet(x for x in f.dom.elements if f.assign[x] in B.elements))
+
+    @PROPERTY
+    @given(maps())
+    def test_classify_matches_fiber_definition(self, f):
+        fibers = {z: f.preimage(finset(z)) for z in f.cod}
+        monic = all(len(b) <= 1 for b in fibers.values())
+        onto = all(len(b) >= 1 for b in fibers.values())
+        assert classify(f) == {"monic": monic, "onto": onto, "bijective": monic and onto}
+        for z in f.cod:
+            same_set(fiber(f, z), FinSet(x for x in f.dom.elements if f.assign[x] == z))
+
+    @PROPERTY
+    @given(posets(), st.data())
+    def test_bounds_match_validating_path(self, P, data):
+        A = FinSet(data.draw(st.sets(st.sampled_from(P.carrier.elements or ("?",))))
+                   & set(P.carrier))
+        same_set(P.upper_bounds(A),
+                 FinSet(u for u in P.carrier if all(P.le(a, u) for a in A)))
+        same_set(P.lower_bounds(A),
+                 FinSet(l for l in P.carrier if all(P.le(l, a) for a in A)))
+
+
+class TestPublicValidation:
+    BAD = ["", "a b", "a\tb", "\u2003", 7, None, ("a",)]
+
+    def test_finset_rejects_bad_symbols(self):
+        for bad in self.BAD:
+            with pytest.raises(ValueError, match="without whitespace"):
+                FinSet(["ok", bad])
+
+    def test_finset_rejects_bad_symbols_under_optimize(self):
+        code = (
+            "from structa.core import FinSet\n"
+            "for bad in %r:\n"
+            "    try:\n"
+            "        FinSet(['ok', bad])\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit('accepted %%r' %% (bad,))\n" % (self.BAD,)
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(structa.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_check_symbol_agrees_with_isspace_on_every_code_point(self):
+        disagree = []
+        for cp in range(0x110000):
+            ch = chr(cp)
+            try:
+                check_symbol("a" + ch + "b")
+                accepted = True
+            except ValueError:
+                accepted = False
+            if accepted == ch.isspace():
+                disagree.append(cp)
+        assert disagree == []

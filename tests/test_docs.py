@@ -80,6 +80,12 @@ class TestParse:
         with pytest.raises(SchemaError, match="duplicate"):
             parse_text('{"kind": "set", "elements": ["a", "a"]}')
 
+    def test_duplicate_elements_message(self):
+        doc = '{"kind": "set", "elements": ["c", "b", "a", "c", "b", "c", "d"]}'
+        with pytest.raises(SchemaError) as err:
+            parse_text(doc)
+        assert str(err.value) == "elements has duplicate entries ['b', 'c']"
+
     def test_wrong_key_set(self):
         with pytest.raises(SchemaError, match="wants keys"):
             parse_text('{"kind": "set", "items": ["a"]}')

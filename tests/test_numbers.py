@@ -18,7 +18,7 @@ import pytest
 import structa
 from structa import numbers
 from structa.core import FinMap, classify
-from structa.errors import WindowOverflow, ZeroDenominator
+from structa.errors import BadStructure, WindowOverflow, ZeroDenominator
 from structa.numbers import (
     Rat,
     _gcd_oracle,
@@ -61,6 +61,23 @@ class TestDiscrete:
     def test_window_precondition(self):
         with pytest.raises(ValueError):
             build_discrete(0)
+
+    def test_broken_order_is_rejected(self, monkeypatch):
+        # drop 0 <= 1: -1 <= 0 still holds, so the successor no longer
+        # embeds the order; the window's own axiom scan is skipped
+        real = numbers.Poset
+
+        def broken(carrier, le, validate=True):
+            return real(carrier, set(le) - {("0", "1")}, validate=False)
+
+        monkeypatch.setattr(numbers, "Poset", broken)
+        build_discrete.cache_clear()
+        try:
+            with pytest.raises(BadStructure, match="order embedding") as err:
+                build_discrete(3)
+            assert err.value.witness == ("-1", "0")
+        finally:
+            build_discrete.cache_clear()
 
 
 class TestIntAdd:
