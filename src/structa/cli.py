@@ -78,7 +78,7 @@ Derive operations (structa derive <op> <file> [args]):
 def _law_catalogue():
     """Every law id with its statement, collected from representative
     reports of each module."""
-    from .core import FinMap, FinSet, finset, image_calculus, fiber_union_check
+    from .core import FinMap, finset, image_calculus, fiber_union_check
     from .category import (
         check_category,
         check_contravariant,
@@ -229,16 +229,12 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    # each subcommand registers only the flags it reads, except --jobs,
+    # which every subcommand accepts (derive and formats ignore it)
+    def json_flag(sp):
         sp.add_argument("--json", action="store_true", help="emit JSON reports")
-        sp.add_argument(
-            "--max-size", type=int, default=None, metavar="N",
-            help="override enumeration guards",
-        )
-        sp.add_argument(
-            "--seed", type=int, default=None, metavar="N",
-            help="seed for randomized checks (env: STRUCTA_SEED)",
-        )
+
+    def jobs_flag(sp):
         sp.add_argument(
             "--jobs", type=_positive_int, default=1, metavar="N",
             help="run independent checks on N workers",
@@ -246,21 +242,32 @@ def _build_parser():
 
     ck = sub.add_parser("check", help="run a document's law suite")
     ck.add_argument("files", nargs="+", metavar="FILE")
-    common(ck)
+    json_flag(ck)
+    ck.add_argument(
+        "--max-size", type=int, default=None, metavar="N",
+        help="override enumeration guards",
+    )
+    jobs_flag(ck)
 
     dv = sub.add_parser("derive", help="compute a new document")
     dv.add_argument("op", metavar="OP")
     dv.add_argument("file", metavar="FILE")
     dv.add_argument("args", nargs="*", metavar="ARG")
     dv.add_argument("-o", "--output", default=None, metavar="OUT")
-    common(dv)
+    jobs_flag(dv)
 
     st = sub.add_parser("suite", help="run a named acceptance bundle")
     st.add_argument("name", metavar="NAME")
-    common(st)
+    json_flag(st)
+    st.add_argument(
+        "--seed", type=int, default=None, metavar="N",
+        help="seed for randomized checks (env: STRUCTA_SEED)",
+    )
+    jobs_flag(st)
 
     fm = sub.add_parser("formats", help="print the document schema")
-    common(fm)
+    json_flag(fm)
+    jobs_flag(fm)
     return p
 
 
@@ -315,9 +322,7 @@ def _cmd_derive(ns, out) -> int:
 def _cmd_suite(ns, out) -> int:
     from .suites import run_suite
 
-    rep = run_suite(
-        ns.name, seed=_seed_from(ns), max_size=ns.max_size, jobs=ns.jobs
-    )
+    rep = run_suite(ns.name, seed=_seed_from(ns), jobs=ns.jobs)
     _emit_report(ns.name, rep, ns.json, out)
     return 0 if rep.passed else 1
 

@@ -148,8 +148,10 @@ class FinMap:
                 "assignment must be defined for exactly the domain",
                 witness=tuple(sorted(missing | extra)),
             )
+        values = set(cod.elements)
         for x, y in assign.items():
-            if y not in cod:
+            # elements are str; the type test keeps unhashable values out of the set lookup
+            if not isinstance(y, str) or y not in values:
                 raise CarrierMismatch("value outside the codomain", witness=(x, y))
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)

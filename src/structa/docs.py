@@ -19,7 +19,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import FinMap, FinSet, check_symbol, classify, compose
+from .core import FinMap, FinSet, check_symbol, classify
 from .errors import ParseError, SchemaError, StructaError, TooLarge
 from .report import LawReport
 
@@ -129,7 +129,7 @@ def _tuple_list(v, n: int, where: str) -> list:
     return out
 
 
-def _declared(x, declared, where: str):
+def _declared(x, declared: set, where: str):
     if x not in declared:
         raise SchemaError("undeclared symbol %r in %s" % (x, where))
     return x
@@ -137,11 +137,12 @@ def _declared(x, declared, where: str):
 
 def _total_table(rows, left, right, values, where: str) -> list:
     """Rows [a, b, v] with (a, b) covering left x right exactly once."""
+    left_set, right_set, value_set = set(left), set(right), set(values)
     seen = {}
     for a, b, v in rows:
-        _declared(a, left, where)
-        _declared(b, right, where)
-        _declared(v, values, where)
+        _declared(a, left_set, where)
+        _declared(b, right_set, where)
+        _declared(v, value_set, where)
         if (a, b) in seen:
             raise SchemaError("%s defines the cell (%s, %s) twice" % (where, a, b))
         seen[(a, b)] = v
@@ -156,10 +157,11 @@ def _total_table(rows, left, right, values, where: str) -> list:
 
 def _total_pairs(rows, keys, values, where: str) -> list:
     """Rows [k, v] with k covering ``keys`` exactly once."""
+    key_set, value_set = set(keys), set(values)
     seen = {}
     for k, v in rows:
-        _declared(k, keys, where)
-        _declared(v, values, where)
+        _declared(k, key_set, where)
+        _declared(v, value_set, where)
         if k in seen:
             raise SchemaError("%s assigns %r twice" % (where, k))
         seen[k] = v
@@ -172,13 +174,14 @@ def _total_pairs(rows, keys, values, where: str) -> list:
 def _subset_list(v, carrier, where: str) -> list:
     if not isinstance(v, list):
         raise SchemaError("%s must be an array of subsets" % where)
+    declared = set(carrier)
     out = []
     for sub in v:
         if not isinstance(sub, list):
             raise SchemaError("%s members must be arrays of strings" % where)
         members = [_symbol(x, where) for x in sub]
         for x in members:
-            _declared(x, carrier, where)
+            _declared(x, declared, where)
         if len(set(members)) != len(members):
             raise SchemaError("%s member lists elements twice" % where)
         out.append(sorted(members))
@@ -215,9 +218,10 @@ def _v_poset(body):
     _want_keys(body, "poset", {"carrier", "le"})
     carrier = _symbol_list(body["carrier"], "carrier")
     rows = _tuple_list(body["le"], 2, "le")
+    declared = set(carrier)
     for x, y in rows:
-        _declared(x, carrier, "le")
-        _declared(y, carrier, "le")
+        _declared(x, declared, "le")
+        _declared(y, declared, "le")
     pairs = sorted([x, y] for x, y in {(x, y) for x, y in rows})
     return {"carrier": carrier, "le": pairs}
 
@@ -236,10 +240,11 @@ def _v_category(body):
     _want_keys(body, "category", {"objects", "arrows", "identity", "comp"})
     objects = _symbol_list(body["objects"], "objects")
     arrows = _tuple_list(body["arrows"], 3, "arrows")
+    declared = set(objects)
     names = []
     for n, s, t in arrows:
-        _declared(s, objects, "arrows")
-        _declared(t, objects, "arrows")
+        _declared(s, declared, "arrows")
+        _declared(t, declared, "arrows")
         names.append(n)
     if len(set(names)) != len(names):
         dup = sorted({n for n in names if names.count(n) > 1})
@@ -248,11 +253,12 @@ def _v_category(body):
         _tuple_list(body["identity"], 2, "identity"), objects, names, "identity"
     )
     comp_rows = _tuple_list(body["comp"], 3, "comp")
+    declared = set(names)
     seen = set()
     for g, f, v in comp_rows:
-        _declared(g, names, "comp")
-        _declared(f, names, "comp")
-        _declared(v, names, "comp")
+        _declared(g, declared, "comp")
+        _declared(f, declared, "comp")
+        _declared(v, declared, "comp")
         if (g, f) in seen:
             raise SchemaError("comp defines the cell (%s, %s) twice" % (g, f))
         seen.add((g, f))
@@ -594,23 +600,6 @@ _BUILDERS = {
 # library structures -> documents
 
 
-def doc_set(A: FinSet) -> StructureDoc:
-    return parse_text(json.dumps({"kind": "set", "elements": list(A.elements)}))
-
-
-def doc_map(f: FinMap) -> StructureDoc:
-    return parse_text(
-        json.dumps(
-            {
-                "kind": "map",
-                "dom": list(f.dom.elements),
-                "cod": list(f.cod.elements),
-                "map": [[x, y] for x, y in f.assign.items()],
-            }
-        )
-    )
-
-
 def doc_poset(P) -> StructureDoc:
     return parse_text(
         json.dumps(
@@ -653,33 +642,6 @@ def doc_category(C) -> StructureDoc:
     )
 
 
-def doc_functor(F) -> StructureDoc:
-    return parse_text(
-        json.dumps(
-            {
-                "kind": "functor",
-                "src": doc_category(F.src).payload(),
-                "tgt": doc_category(F.tgt).payload(),
-                "on_obj": [[k, v] for k, v in sorted(F.on_obj.items())],
-                "on_arr": [[k, v] for k, v in sorted(F.on_arr.items())],
-            }
-        )
-    )
-
-
-def doc_nattrans(n) -> StructureDoc:
-    return parse_text(
-        json.dumps(
-            {
-                "kind": "nattrans",
-                "f": doc_functor(n.F).payload(),
-                "g": doc_functor(n.G).payload(),
-                "component": [[k, v] for k, v in sorted(n.component.items())],
-            }
-        )
-    )
-
-
 def doc_hom(h) -> StructureDoc:
     return parse_text(
         json.dumps(
@@ -688,21 +650,6 @@ def doc_hom(h) -> StructureDoc:
                 "src": doc_group(h.src).payload(),
                 "tgt": doc_group(h.tgt).payload(),
                 "map": [[x, y] for x, y in h.map.assign.items()],
-            }
-        )
-    )
-
-
-def doc_action(A) -> StructureDoc:
-    return parse_text(
-        json.dumps(
-            {
-                "kind": "action",
-                "group": doc_group(A.group).payload(),
-                "carrier": list(A.carrier.elements),
-                "act": [
-                    [g, x, A.act[g](x)] for g in A.group.carrier for x in A.carrier
-                ],
             }
         )
     )

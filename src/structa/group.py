@@ -17,6 +17,7 @@ from .errors import (
     CarrierMismatch,
     IllDefinedQuotient,
     NotAGroup,
+    NotBijective,
     NotAction,
     NotHomomorphism,
     NotNormal,
@@ -217,7 +218,10 @@ def symmetric_group_3() -> tuple:
 
 
 def subgroup_check(G: FinGroup, H: FinSet) -> Subgroup:
-    """All three subgroup criteria, asserted to agree."""
+    """A nonempty subset containing the unit, closed under products and
+    inverses. On failure the witness is a pair (a, b) with ab⁻¹ outside
+    H. The groups suite's ``grp-criteria`` law checks this criterion
+    against the division and restricted-table criteria."""
     if not H <= G.carrier:
         raise CarrierMismatch("subset outside the group")
     if len(H) == 0:
@@ -227,11 +231,6 @@ def subgroup_check(G: FinGroup, H: FinSet) -> Subgroup:
         and all(G.op[(a, b)] in H for a in H for b in H)
         and all(G.inv[a] in H for a in H)
     )
-    crit_hh_inv = all(G.op[(a, G.inv[b])] in H for a in H for b in H)
-    crit_sq_inv = all(G.op[(a, b)] in H for a in H for b in H) and all(
-        G.inv[a] in H for a in H
-    )
-    assert crit_full == crit_hh_inv == crit_sq_inv, "subgroup criteria must agree"
     if not crit_full:
         bad = next(
             (a, b)
@@ -249,10 +248,7 @@ def cyclic_subgroup(G: FinGroup, a) -> Subgroup:
     while x not in members:
         members.add(x)
         x = G.op[(x, a)]
-    sub = subgroup_check(G, FinSet(members))
-    gen = as_group(sub)
-    assert gen.is_abelian(), "a cyclic subgroup must be abelian"
-    return sub
+    return subgroup_check(G, FinSet(members))
 
 
 def as_group(H: Subgroup) -> FinGroup:
@@ -261,7 +257,7 @@ def as_group(H: Subgroup) -> FinGroup:
 
 
 def cosets(G: FinGroup, H: Subgroup, side: str = "right") -> Partition:
-    """Right cosets Hx (or left xH), verified equinumerous with H."""
+    """Right cosets Hx (or left xH)."""
     blocks = set()
     for x in G.carrier:
         if side == "right":
@@ -270,27 +266,16 @@ def cosets(G: FinGroup, H: Subgroup, side: str = "right") -> Partition:
             blocks.add(FinSet(G.op[(x, h)] for h in H.members))
         else:
             raise ValueError("side must be 'right' or 'left'")
-    part = Partition(G.carrier, tuple(sorted(blocks, key=lambda b: b.elements)))
-    assert all(len(b) == len(H.members) for b in part.blocks)
-    assert H.members in part.blocks
-    return part
+    return Partition(G.carrier, tuple(sorted(blocks, key=lambda b: b.elements)))
 
 
 def is_normal(G: FinGroup, N: Subgroup) -> bool:
-    """Three normality criteria, asserted to agree."""
-    conj_in = all(
+    """Closed under conjugation: xnx⁻¹ lies in N for every x and n. The
+    groups suite's ``grp-criteria`` law checks this criterion against
+    coset equality and conjugate-set equality."""
+    return all(
         G.op[(G.op[(x, n)], G.inv[x])] in N.members for x in G.carrier for n in N.members
     )
-    conj_eq = all(
-        FinSet(G.op[(G.op[(x, n)], G.inv[x])] for n in N.members) == N.members
-        for x in G.carrier
-    )
-    sides = all(
-        FinSet(G.op[(x, n)] for n in N.members) == FinSet(G.op[(n, x)] for n in N.members)
-        for x in G.carrier
-    )
-    assert conj_in == conj_eq == sides, "normality criteria must agree"
-    return conj_in
 
 
 def quotient(G: FinGroup, N: Subgroup) -> FinGroup:
@@ -315,10 +300,7 @@ def quotient(G: FinGroup, N: Subgroup) -> FinGroup:
                     witness=(names[A], names[B]),
                 )
             table[(names[A], names[B])] = names[products.pop()]
-    Q = check_group(table, FinSet(names.values()))
-    if G.is_abelian():
-        assert Q.is_abelian()
-    return Q
+    return check_group(table, FinSet(names.values()))
 
 
 def commutator(G: FinGroup, a, b):
@@ -330,9 +312,7 @@ def center(G: FinGroup) -> Subgroup:
     members = FinSet(
         a for a in G.carrier if all(commutator(G, a, b) == G.unit for b in G.carrier)
     )
-    sub = subgroup_check(G, members)
-    assert is_normal(G, sub), "a central subgroup is normal"
-    return sub
+    return subgroup_check(G, members)
 
 
 def commutant(G: FinGroup) -> Subgroup:
@@ -347,11 +327,8 @@ def commutant(G: FinGroup) -> Subgroup:
             if p not in members:
                 members.add(p)
                 changed = True
-    # inverse closure is implied; closing anyway must not grow the set
-    assert all(G.inv[a] in members for a in members)
-    sub = subgroup_check(G, FinSet(members))
-    assert is_normal(G, sub), "the commutant is normal"
-    return sub
+    # inverse closure is implied in a finite group
+    return subgroup_check(G, FinSet(members))
 
 
 def abelianization_check(G: FinGroup, N: Subgroup) -> LawReport:
@@ -384,17 +361,12 @@ def hom_check(src: FinGroup, tgt: FinGroup, f: FinMap) -> GroupHom:
     )
     if bad is not None:
         raise NotHomomorphism("f(ab) != f(a)f(b)", witness=bad)
-    # derived: unit to unit, inverses to inverses
-    assert f(src.unit) == tgt.unit
-    assert all(f(src.inv[a]) == tgt.inv[f(a)] for a in src.carrier)
     return GroupHom(src, tgt, f)
 
 
 def kernel(h: GroupHom) -> Subgroup:
     members = FinSet(a for a in h.src.carrier if h.map(a) == h.tgt.unit)
-    sub = subgroup_check(h.src, members)
-    assert is_normal(h.src, sub), "a kernel is normal"
-    return sub
+    return subgroup_check(h.src, members)
 
 
 def image_subgroup(h: GroupHom) -> Subgroup:
@@ -441,21 +413,16 @@ def transfer_check(h: GroupHom, H: FinSet) -> LawReport:
 
 
 def first_iso(h: GroupHom) -> GroupHom:
-    """The induced isomorphism from G/ker h onto Im h."""
+    """The induced homomorphism from G/ker h to Im h, sending each coset
+    to the value of h at one of its members. The groups suite's
+    ``grp-first-iso`` law checks that it is a bijection through which h
+    factors."""
     ker = kernel(h)
     Q = quotient(h.src, ker)
     img = as_group(image_subgroup(h))
     part = cosets(h.src, ker, "right")
-    assign = {}
-    for b in part.blocks:
-        values = {h.map(x) for x in b}
-        assert len(values) == 1, "h must be constant on each coset"
-        assign[b.name()] = values.pop()
-    phi = FinMap(Q.carrier, img.carrier, assign)
-    iso = hom_check(Q, img, phi)
-    assert classify(phi)["bijective"]
-    assert len(h.src.carrier) == len(ker.members) * len(img.carrier)
-    return iso
+    assign = {b.name(): h.map(b.elements[0]) for b in part.blocks}
+    return hom_check(Q, img, FinMap(Q.carrier, img.carrier, assign))
 
 
 def conjugation_map(G: FinGroup, x) -> FinMap:
@@ -484,9 +451,6 @@ def automorphisms(G: FinGroup, guard: int = 8) -> list:
 def inner_automorphisms(G: FinGroup) -> tuple:
     """The group of conjugation maps and the epimorphism x ↦ (a ↦ xax⁻¹)."""
     conj = {x: conjugation_map(G, x) for x in G.carrier}
-    for f in conj.values():
-        assert classify(f)["bijective"]
-        assert all(f(G.op[(a, b)]) == G.op[(f(a), f(b))] for a in G.carrier for b in G.carrier)
     names = {x: _perm_name(conj[x].assign) for x in G.carrier}
     inn_names = FinSet(names.values())
     by_name = {names[x]: conj[x] for x in G.carrier}
@@ -497,10 +461,7 @@ def inner_automorphisms(G: FinGroup) -> tuple:
     }
     inn = check_group(table, inn_names)
     onto = FinMap(G.carrier, inn_names, {x: names[x] for x in G.carrier})
-    h = hom_check(G, inn, onto)
-    assert classify(onto)["onto"]
-    assert kernel(h).members == center(G).members
-    return inn, h
+    return inn, hom_check(G, inn, onto)
 
 
 def inner_normal_in_aut(G: FinGroup, guard: int = 8) -> bool:
@@ -560,8 +521,9 @@ def is_transitive(A: GroupAction) -> bool:
 
 
 def coset_action(G: FinGroup, H: Subgroup) -> GroupAction:
-    """G acting on its left cosets xH by translation; verified transitive,
-    with the fixed-coset and nucleus identities."""
+    """G acting on its left cosets xH by translation. The actions suite
+    checks its action laws, transitivity, and the fixed-coset and
+    nucleus identities."""
     part = cosets(G, H, "left")
     names = {b: b.name() for b in part.blocks}
     carrier = FinSet(names.values())
@@ -573,20 +535,7 @@ def coset_action(G: FinGroup, H: Subgroup) -> GroupAction:
             target = part.block_of(G.op[(g, x)])
             assign[names[b]] = names[target]
         act[g] = FinMap(carrier, carrier, assign)
-    A = GroupAction(G, carrier, act)
-    rep = action_check(A)
-    assert rep.passed
-    assert is_transitive(A)
-    h_name = FinSet(H.members).name()
-    assert all((A.apply(x, h_name) == h_name) == (x in H.members) for x in G.carrier)
-    nul = action_nucleus(A)
-    conj_core = G.carrier
-    for x in G.carrier:
-        conj_core = conj_core.inter(
-            FinSet(G.op[(G.op[(x, h)], G.inv[x])] for h in H.members)
-        )
-    assert nul == conj_core, "nucleus must be the intersection of conjugates of H"
-    return A
+    return GroupAction(G, carrier, act)
 
 
 def stabilizer(A: GroupAction, a) -> Subgroup:
@@ -651,9 +600,16 @@ def regular_action(G: FinGroup) -> GroupAction:
 
 
 def cayley(G: FinGroup) -> GroupHom:
-    """An isomorphism onto a transformation group of the carrier."""
+    """An isomorphism onto a transformation group of the carrier.
+    Permutations are named from the carrier's symbols, so two elements
+    whose permutations get the same name raise ``NotBijective``."""
     A = regular_action(G)
     names = {g: _perm_name(A.act[g].assign) for g in G.carrier}
+    owner = {}
+    for g in G.carrier:
+        prev = owner.setdefault(names[g], g)
+        if prev != g:
+            raise NotBijective("two elements get the same permutation name", witness=(prev, g))
     img_names = FinSet(names.values())
     by_name = {names[g]: A.act[g] for g in G.carrier}
     table = {
@@ -662,10 +618,7 @@ def cayley(G: FinGroup) -> GroupHom:
         for q in img_names
     }
     img = check_group(table, img_names)
-    f = FinMap(G.carrier, img_names, names)
-    h = hom_check(G, img, f)
-    assert classify(f)["bijective"]
-    return h
+    return hom_check(G, img, FinMap(G.carrier, img_names, names))
 
 
 def zp_field(p: int) -> dict:

@@ -311,19 +311,14 @@ def bounds(P: Poset, A: FinSet) -> dict:
 
 
 def is_directed(P: Poset, A: FinSet) -> bool:
-    """Pairwise criterion, cross-checked against the finite-subset one."""
+    """Every pair of members has an upper bound in A. On a finite set this
+    is the same as every nonempty subset having one; the order tests
+    check the two criteria against each other."""
     if len(A) == 0:
         raise EmptySubset("directedness is defined for nonempty subsets")
-    pairwise = all(
+    return all(
         any(P.le(x, z) and P.le(y, z) for z in A) for x in A for y in A
     )
-    by_subsets = all(
-        any(all(P.le(s, z) for s in sub) for z in A)
-        for sub in A.subsets()
-        if len(sub) > 0
-    )
-    assert pairwise == by_subsets, "directedness criteria must agree"
-    return pairwise
 
 
 def extend_chain(P: Poset, chain) -> "TotalChain":

@@ -157,13 +157,7 @@ def closure_from_closed(carrier: FinSet, C: Family) -> ClosureOp:
         A: inter_of((D for D in C.members if A <= D), carrier)
         for A in carrier.subsets()
     }
-    op = ClosureOp(carrier, table)
-    rep = closure_laws(op)
-    assert rep.passed, rep.render_text()
-    assert op.closed_sets().members == C.members, (
-        "the closed sets of the induced closure must be the input family"
-    )
-    return op
+    return ClosureOp(carrier, table)
 
 
 @dataclass(frozen=True)
@@ -190,25 +184,13 @@ def check_topology(carrier: FinSet, opens: Family) -> Topology:
     )
     if bad is not None:
         raise BadStructure("opens are not intersection closed", witness=bad)
-    # arbitrary unions: on a finite carrier, subfamily unions reduce to
-    # pairwise ones; spot-verify the reduction
-    if len(carrier) <= 3:
-        assert all(
-            union_of(combo) in ms
-            for k in range(len(ms) + 1)
-            for combo in itertools.combinations(sorted(ms, key=lambda s: s.elements), k)
-        )
+    # on a finite carrier, unions of subfamilies reduce to pairwise ones
     return Topology(carrier, opens)
 
 
 def open_duality(T: Topology) -> Family:
-    """The closed sets; complementation is checked in both directions."""
-    closed = Family(T.carrier, [s.complement_in(T.carrier) for s in T.opens.members])
-    assert all(
-        (s in T.opens.members) == (s.complement_in(T.carrier) in closed.members)
-        for s in T.carrier.subsets()
-    )
-    return closed
+    """The closed sets: complements of the opens."""
+    return Family(T.carrier, [s.complement_in(T.carrier) for s in T.opens.members])
 
 
 def neighborhoods(T: Topology, x) -> Family:

@@ -789,3 +789,176 @@ class TestArrowCategory:
     def test_common_range_required(self):
         with pytest.raises(Mismatch):
             arrow_category(identity_functor(C2), identity_functor(C3))
+
+
+# Theorems about the library's constructions, checked over a catalogue of
+# categories (the constructions compute one definition each; these are
+# the reference checks).
+
+
+def catalogue():
+    from structa.suites import _seed_categories, _yoneda_corpus
+
+    return [C for _, C in _seed_categories() + _yoneda_corpus()] + [two_object_groupoid()]
+
+
+def small_catalogue():
+    return [C for C in catalogue() if len(C.arrow_names) <= 6]
+
+
+class TestConstructionTheorems:
+    def test_yoneda_corpus_categories_pass_the_laws(self):
+        from structa.suites import _yoneda_corpus
+
+        for name, C in _yoneda_corpus():
+            assert check_category(C).passed, name
+
+    def test_invertible_arrows_cancel_and_have_one_inverse(self):
+        for C in catalogue():
+            for f in C.arrow_names:
+                a, b = C.src[f], C.tgt[f]
+                flags = arrow_classify(C, f)
+                left = {g for g in C.hom(b, a) if C.comp[(g, f)] == C.identity[a]}
+                right = {g for g in C.hom(b, a) if C.comp[(f, g)] == C.identity[b]}
+                assert not flags["left_invertible"] or flags["left_cancellable"]
+                assert not flags["right_invertible"] or flags["right_cancellable"]
+                if flags["iso"]:
+                    assert len(left) == 1 and left == right
+
+    def test_isomorphism_of_objects_is_an_equivalence(self):
+        for C in catalogue():
+            iso = {
+                (a, b)
+                for a in C.objects
+                for b in C.objects
+                if any(arrow_classify(C, f)["iso"] for f in C.hom(a, b))
+            }
+            assert all((a, a) in iso for a in C.objects)
+            assert all((b, a) in iso for (a, b) in iso)
+            assert all((a, c) in iso for (a, b) in iso for (b2, c) in iso if b == b2)
+            part = iso_classes(C)
+            assert all(
+                ((a, b) in iso) == (part.block_of(a) == part.block_of(b))
+                for a in C.objects
+                for b in C.objects
+            )
+
+    def test_functors_preserve_isomorphisms(self):
+        cats = small_catalogue()
+        for C in cats:
+            isos = [n for n in C.arrow_names if arrow_classify(C, n)["iso"]]
+            for D in cats:
+                for F in enumerate_functors(C, D):
+                    assert all(arrow_classify(D, F.on_arr[n])["iso"] for n in isos)
+
+    def test_bridges_into_thin_categories_are_natural(self):
+        D = from_poset(diamond_poset())
+        for C in (C2, C3, from_poset(diamond_poset())):
+            functors = enumerate_functors(C, D)
+            for F in functors:
+                for G in functors:
+                    objs = sorted(C.objects)
+                    choices = [D.hom(F.on_obj[x], G.on_obj[x]) for x in objs]
+                    for values in itertools.product(*choices):
+                        flags = bridge_check(dict(zip(objs, values)), F, G)
+                        assert flags["is_bridge"] and flags["is_natural"]
+
+    def test_vertical_and_horizontal_composites_are_natural(self):
+        grids = TestHorizontalComposition().grids
+        for (C, D, E) in [(C2, C2, C2), (C2, C2, C3), (C2, C3, C2)]:
+            vert_cd, vert_de = grids(C, D, E)
+            for sigma, tau in vert_cd:
+                assert check_nat(vcompose(sigma, tau)).passed
+            for beta, alpha in vert_de:
+                assert check_nat(vcompose(beta, alpha)).passed
+            nats_cd = functor_category(C, D).meta["nats"].values()
+            nats_de = functor_category(D, E).meta["nats"].values()
+            for alpha in nats_de:
+                for tau in nats_cd:
+                    out = hcompose(alpha, tau)
+                    assert check_nat(out).passed
+                    # the second defining formula: K τ_x ∘ α_{Fx}
+                    K = alpha.G
+                    assert all(
+                        out.component[x]
+                        == K.tgt.compose(K.on_arr[tau.component[x]], alpha.component[tau.F.on_obj[x]])
+                        for x in tau.F.src.objects
+                    )
+
+    def test_decomposed_bifunctor_recomposes(self):
+        Cop = opposite_cat(C2)
+        G = identity_functor(C2)
+        for F in enumerate_functors(Cop, C2):
+            B = functor_to_bifunctor(common_range_product(F, G), C2, C2)
+            p, q = bifunctor_decompose(B)
+            recomposed = BifunctorData(
+                B.src1,
+                B.src2,
+                B.tgt,
+                {k: "(%s,%s)" % (p.on_obj[k], q.on_obj[k]) for k in B.on_obj},
+                {k: "(%s,%s)" % (p.on_arr[k], q.on_arr[k]) for k in B.on_arr},
+            )
+            assert recomposed == B
+
+    def test_assembled_functor_restricts_to_the_families(self):
+        for C in (C2, C3):
+            Cop = opposite_cat(C)
+            Rfam = {x: hom_functors(C, x)[0] for x in C.objects}
+            Lfam = {}
+            for y in C.objects:
+                _, Ry = hom_functors(C, y)
+                Lfam[y] = SetRepr(Cop, dict(Ry.on_obj), dict(Ry.on_arr), variance="co")
+            out = assemble_functor(Cop, C, Lfam, Rfam)
+            for x in Cop.objects:
+                assert all(
+                    out.on_arr["(%s,%s)" % (Cop.identity[x], g)] == Rfam[x].on_arr[g]
+                    for g in C.arrow_names
+                )
+            for y in C.objects:
+                assert all(
+                    out.on_arr["(%s,%s)" % (f, C.identity[y])] == Lfam[y].on_arr[f]
+                    for f in Cop.arrow_names
+                )
+
+    def test_yoneda_inverse_round_trips(self):
+        from structa.suites import _yoneda_round_trip
+
+        for C in (C3, Z2, Z3, two_object_groupoid()):
+            for a in C.objects:
+                for x in C.objects:
+                    F, _ = hom_functors(C, x)
+                    assert _yoneda_round_trip(C, a, F, yoneda(C, a, F))
+
+    def test_yoneda_round_trip_rejects_a_wrong_phi(self):
+        from structa.suites import _yoneda_round_trip
+
+        F, _ = hom_functors(Z3, "pt")
+        res = yoneda(Z3, "pt", F)
+        phi = res["phi"]
+        shift = {"g0": "g1", "g1": "g2", "g2": "g0"}
+        wrong = FinMap(phi.dom, phi.cod, {n: shift[phi(n)] for n in phi.dom})
+        assert not _yoneda_round_trip(Z3, "pt", F, {**res, "phi": wrong})
+
+    def test_cayley_embeddings_are_bijective(self):
+        from structa.core import classify
+        from structa.group import enumerate_groups
+
+        for n in range(1, 7):
+            for G in enumerate_groups(n):
+                assert classify(cayley(G).map)["bijective"]
+
+    def test_representations_are_linked_by_exactly_one_isomorphism(self):
+        C = two_object_groupoid()
+        La, _ = hom_functors(C, "a")
+        reps = [("a", identity_nat(La)), ("b", dagger(C, "u"))]
+        for x, beta in reps:
+            for y, gamma in reps:
+                links = [
+                    f
+                    for f in C.hom(x, y)
+                    if {c: compose(beta.component[c], dagger(C, f).component[c]) for c in C.objects}
+                    == dict(gamma.component)
+                ]
+                assert len(links) == 1
+                assert arrow_classify(C, links[0])["iso"]
+                assert compare_representations(C, La, (x, beta), (y, gamma)) == links[0]

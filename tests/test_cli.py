@@ -217,3 +217,39 @@ class TestSeeds:
         b = run_cli(["suite", "interchange"])
         assert a == b
         assert a[0] == 0
+
+
+class TestFlagsWhereRead:
+    """Each subcommand takes only the flags it reads (plus --jobs)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "sigma", "--max-size", "3"],
+            ["derive", "opposite", "category_z3.json", "--seed", "1"],
+            ["derive", "opposite", "category_z3.json", "--json"],
+            ["derive", "opposite", "category_z3.json", "--max-size", "3"],
+            ["check", "group_z4.json", "--seed", "1"],
+            ["formats", "--seed", "1"],
+            ["formats", "--max-size", "3"],
+        ],
+    )
+    def test_unread_flag_is_a_usage_error(self, argv):
+        argv = [fx(a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["derive", "--jobs", "2", "opposite", "category_z3.json"],
+            ["check", "--jobs", "2", "--max-size", "5", "--json", "group_z4.json"],
+            ["suite", "sigma", "--jobs", "2", "--seed", "1", "--json"],
+            ["formats", "--jobs", "2", "--json"],
+        ],
+    )
+    def test_read_flags_and_jobs_are_accepted(self, argv):
+        argv = [fx(a) if a.endswith(".json") else a for a in argv]
+        code, _, err = run_cli(argv)
+        assert code == 0, err

@@ -83,6 +83,14 @@ class TestFinMap:
         with pytest.raises(CarrierMismatch):
             FinMap(ABC, XYZ, {"a": "x", "b": "y", "c": "w"})
 
+    @pytest.mark.parametrize("bad", ["w", 1, None, ("x",), ["x"], {"x": 1}, {"x"}])
+    def test_value_outside_codomain_names_it(self, bad):
+        # unhashable values too: the error is CarrierMismatch, never TypeError
+        with pytest.raises(CarrierMismatch) as err:
+            FinMap(ABC, XYZ, {"a": "x", "b": bad, "c": "z"})
+        assert str(err.value) == "value outside the codomain"
+        assert err.value.witness == ("b", bad)
+
     def test_extensional_equality(self):
         f = FinMap(ABC, XYZ, {"a": "x", "b": "y", "c": "z"})
         g = FinMap(ABC, XYZ, {"c": "z", "a": "x", "b": "y"})

@@ -76,6 +76,53 @@ class TestParse:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"kind": "map", "dom": ["a"], "cod": ["b"], "map": [["a", "z"]]}, "map"),
+            ({"kind": "map", "dom": ["a"], "cod": ["b"], "map": [["z", "b"]]}, "map"),
+            (
+                {"kind": "group", "carrier": ["e"], "table": [["e", "e", "z"]]},
+                "table",
+            ),
+            ({"kind": "family", "carrier": ["a"], "members": [["a", "z"]]}, "members"),
+            (
+                {
+                    "kind": "category",
+                    "objects": ["x"],
+                    "arrows": [["1x", "x", "z"]],
+                    "identity": [["x", "1x"]],
+                    "comp": [["1x", "1x", "1x"]],
+                },
+                "arrows",
+            ),
+            (
+                {
+                    "kind": "category",
+                    "objects": ["x"],
+                    "arrows": [["1x", "x", "x"]],
+                    "identity": [["x", "1x"]],
+                    "comp": [["1x", "1x", "z"]],
+                },
+                "comp",
+            ),
+            (
+                {
+                    "kind": "category",
+                    "objects": ["x"],
+                    "arrows": [["1x", "x", "x"]],
+                    "identity": [["x", "z"]],
+                    "comp": [["1x", "1x", "1x"]],
+                },
+                "identity",
+            ),
+        ],
+    )
+    def test_undeclared_symbol_message(self, doc, where):
+        with pytest.raises(SchemaError) as err:
+            parse_text(json.dumps(doc))
+        assert str(err.value) == "undeclared symbol 'z' in %s" % where
+
     def test_duplicate_elements_rejected(self):
         with pytest.raises(SchemaError, match="duplicate"):
             parse_text('{"kind": "set", "elements": ["a", "a"]}')

@@ -9,9 +9,11 @@ import itertools
 import pytest
 
 from structa.core import FinMap, FinSet, classify, compose, finset
+from structa import group
 from structa.errors import (
     IllDefinedQuotient,
     NotAGroup,
+    NotBijective,
     NotHomomorphism,
     NotNormal,
     NotSubgroup,
@@ -498,3 +500,116 @@ class TestEnumeration:
     def test_enumeration_guard(self):
         with pytest.raises(TooLarge):
             enumerate_groups(7)
+
+
+# Theorems about the library's constructions, checked over the catalogue
+# of groups of order at most 6 (the constructions compute one definition
+# each; these are the reference checks).
+
+
+def catalog(max_order=6):
+    return [G for n in range(1, max_order + 1) for G in enumerate_groups(n)]
+
+
+def all_subgroups(G):
+    out = []
+    for sub in G.carrier.subsets():
+        try:
+            out.append(subgroup_check(G, sub))
+        except NotSubgroup:
+            pass
+    return out
+
+
+def conjugates(G, H, x):
+    return FinSet(G.op[(G.op[(x, h)], G.inv[x])] for h in H.members)
+
+
+class TestConstructionTheorems:
+    def test_cyclic_subgroups_are_abelian(self):
+        for G in catalog():
+            for a in G.carrier:
+                assert as_group(cyclic_subgroup(G, a)).is_abelian()
+
+    def test_cosets_are_equinumerous_with_the_subgroup(self):
+        for G in catalog():
+            for H in all_subgroups(G):
+                for side in ("left", "right"):
+                    part = cosets(G, H, side)
+                    assert all(len(b) == len(H.members) for b in part.blocks)
+                    assert H.members in part.blocks
+
+    def test_quotients_of_abelian_groups_are_abelian(self):
+        for G in catalog():
+            if not G.is_abelian():
+                continue
+            for H in all_subgroups(G):
+                assert quotient(G, H).is_abelian()
+
+    def test_center_commutant_and_kernels_are_normal(self):
+        for G in catalog():
+            assert is_normal(G, center(G))
+            comm = commutant(G)
+            assert is_normal(G, comm)
+            assert all(G.inv[a] in comm.members for a in comm.members)
+        for G in catalog(4):
+            for H in catalog(4):
+                for h in enumerate_homs(G, H):
+                    assert is_normal(G, kernel(h))
+
+    def test_homs_send_unit_and_inverses_along(self):
+        for G in catalog(4):
+            for H in catalog(4):
+                for h in enumerate_homs(G, H):
+                    assert h.map(G.unit) == H.unit
+                    assert all(h.map(G.inv[a]) == H.inv[h.map(a)] for a in G.carrier)
+
+    def test_first_iso_is_a_bijection_through_which_h_factors(self):
+        for G in catalog(4):
+            for H in catalog(4):
+                for h in enumerate_homs(G, H):
+                    ker = kernel(h)
+                    iso = first_iso(h)
+                    assert classify(iso.map)["bijective"]
+                    assert G.order() == len(ker.members) * len(iso.tgt.carrier)
+                    for b in cosets(G, ker).blocks:
+                        assert {h.map(x) for x in b} == {iso.map(b.name())}
+
+    def test_inner_automorphisms_and_the_center(self):
+        for G in catalog():
+            inn, h = inner_automorphisms(G)
+            for x in G.carrier:
+                f = group.conjugation_map(G, x)
+                assert classify(f)["bijective"]
+                hom_check(G, G, f)
+            assert classify(h.map)["onto"]
+            assert kernel(h).members == center(G).members
+
+    def test_coset_actions_are_transitive_with_the_nucleus_as_core(self):
+        for G in catalog():
+            for H in all_subgroups(G):
+                A = coset_action(G, H)
+                assert action_check(A).passed
+                assert is_transitive(A)
+                h_name = H.members.name()
+                assert all(
+                    (A.apply(x, h_name) == h_name) == (x in H.members) for x in G.carrier
+                )
+                core = G.carrier
+                for x in G.carrier:
+                    core = core.inter(conjugates(G, H, x))
+                assert action_nucleus(A) == core
+
+    def test_permutation_names_decode(self):
+        from structa.suites import _perm_of_name
+
+        S3, perms = s3()
+        for name in S3.carrier:
+            assert _perm_of_name(name) == perms[name].assign
+
+    def test_cayley_rejects_colliding_permutation_names(self, monkeypatch):
+        G = cyclic_group(3)
+        monkeypatch.setattr(group, "_perm_name", lambda assign: "(same)")
+        with pytest.raises(NotBijective) as err:
+            cayley(G)
+        assert err.value.witness == ("g0", "g1")

@@ -203,6 +203,16 @@ class TestRatEquality:
                 f = Fraction(a, c)
                 assert (rep.num, rep.den) == (f.numerator, f.denominator)
 
+    def test_canon_gives_the_reduced_class_invariant(self):
+        for a in range(-12, 13):
+            for c in range(-12, 13):
+                if c == 0:
+                    continue
+                p = Rat(a, c)
+                rep = rat_canon(p).rep
+                assert rep.den > 0 and math.gcd(rep.num, rep.den) == 1
+                assert rat_eq(rep, p)
+
     def test_canon_idempotent_and_respects_eq(self):
         rats = [Rat(a, c) for a in range(-5, 6) for c in range(-5, 6) if c != 0]
         for p in rats:

@@ -1,0 +1,64 @@
+"""Verdicts do not depend on interpreter flags.
+
+The library states no ``assert``: every check it makes is an explicit
+test that ``python -O`` keeps. Oracles: the AST of each module, and the
+plain interpreter's output for the same command.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import structa
+
+PACKAGE = Path(structa.__file__).parent
+ENV = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+
+# runs `structa check` on every fixture in one interpreter and prints,
+# per fixture, the exit code, stdout and stderr
+CHECK_EACH = """
+import contextlib, io, sys
+from structa import cli
+from structa.suites import fixtures_dir
+root = fixtures_dir()
+for path in sorted(root.glob("*.json")) + sorted(root.glob("bad/*.json")):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", str(path)])
+    sys.stdout.write("## %s %d\\n%s--\\n%s" % (path.name, code, out.getvalue(), err.getvalue()))
+"""
+
+
+def run(flags, args):
+    return subprocess.run(
+        [sys.executable, *flags, *args],
+        capture_output=True, text=True, env=ENV, timeout=300,
+    )
+
+
+def test_library_has_no_assert_statements():
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("name", ["sigma", "groups", "topology"])
+def test_suite_output_is_the_same_under_optimize(name):
+    plain, opt = (run(flags, ["-m", "structa.cli", "suite", name]) for flags in ([], ["-O"]))
+    assert plain.returncode == 0, plain.stderr
+    assert (opt.returncode, opt.stdout) == (plain.returncode, plain.stdout)
+
+
+def test_check_output_on_every_fixture_is_the_same_under_optimize():
+    plain, opt = (run(flags, ["-c", CHECK_EACH]) for flags in ([], ["-O"]))
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout.count("## ") == len(list(PACKAGE.glob("fixtures/**/*.json")))
+    assert (opt.returncode, opt.stdout) == (plain.returncode, plain.stdout)

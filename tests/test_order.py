@@ -184,6 +184,20 @@ class TestDirected:
         with pytest.raises(EmptySubset):
             is_directed(CHAIN3, finset())
 
+    def test_pairwise_criterion_matches_finite_subsets(self):
+        # reference: every nonempty finite subset has an upper bound in A
+        for n in range(1, 5):
+            for P in enumerate_posets(FinSet("p%d" % i for i in range(n))):
+                for A in P.carrier.subsets():
+                    if len(A) == 0:
+                        continue
+                    by_subsets = all(
+                        any(all(P.le(s, z) for s in sub) for z in A)
+                        for sub in A.subsets()
+                        if len(sub) > 0
+                    )
+                    assert is_directed(P, A) == by_subsets
+
 
 class TestChainsAndZorn:
     def test_maximal_chain_unchanged(self):

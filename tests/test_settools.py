@@ -18,6 +18,7 @@ from structa.errors import (
     MeetingConditionFailed,
     TooLarge,
 )
+from structa import settools
 from structa.order import Poset
 from structa.settools import (
     Family,
@@ -45,6 +46,7 @@ from structa.settools import (
     refinement,
     refinement_laws,
     set_law_suite,
+    sigma_by_partitions,
     sigma_generate,
     ultrafilter_suite,
     union_of,
@@ -426,3 +428,71 @@ class TestDegenerateConstructors:
         net = FinMap(carrier, finset("x", "y"), {"a": "x", "b": "y"})
         with pytest.raises(Degenerate):
             elementary_filter(net, chain)
+
+
+class TestSigmaReference:
+    """``sigma_generate`` (closure iteration) against the partition
+    intersection in ``sigma_by_partitions``."""
+
+    def test_closure_matches_partitions_up_to_three_points(self):
+        for carrier in (finset(), finset("a"), finset("a", "b"), finset("a", "b", "c")):
+            for B in all_families(carrier):
+                assert sigma_generate(carrier, B) == sigma_by_partitions(carrier, B)
+
+    def test_closure_matches_partitions_on_four_points(self):
+        carrier = finset("a", "b", "c", "d")
+        rng = random.Random(4)
+        subs = list(carrier.subsets())
+        for _ in range(40):
+            B = Family(carrier, rng.sample(subs, rng.randint(0, 4)))
+            assert sigma_generate(carrier, B) == sigma_by_partitions(carrier, B)
+
+    def test_suite_law_fails_when_closure_drops_a_member(self, monkeypatch):
+        from structa.suites import run_suite
+
+        real = settools.sigma_generate
+
+        def drop_one(carrier, B, guard=4):
+            out = real(carrier, B, guard)
+            return Family(carrier, sorted(out, key=lambda s: s.elements)[1:])
+
+        monkeypatch.setattr(settools, "sigma_generate", drop_one)
+        rep = run_suite("sigma")
+        assert not rep["sg-all-families"].passed
+
+
+class TestFilterTheorems:
+    def test_generated_filters_are_filters(self):
+        for carrier in (finset("a"), finset("a", "b"), finset("a", "b", "c")):
+            for fam in all_families(carrier):
+                if is_filter_base(fam):
+                    assert is_filter(generate_filter(fam))
+
+    def test_filter_ops_decomposition(self):
+        for carrier in (finset("a", "b"), finset("a", "b", "c")):
+            for fam in all_families(carrier):
+                out = filter_ops(carrier, fam)
+                if not out["base"]:
+                    continue
+                gen = out["generated"]
+                union = set()
+                for p in out["principal_decomposition"].values():
+                    union |= p.members
+                assert union == gen.members
+                assert is_filter_base(gen)  # downward directed
+                if out["filter"]:
+                    assert gen.members == fam.members
+
+    def test_transport_keeps_bases(self):
+        dom, cod = finset("a", "b", "c"), finset("x", "y")
+        bases_dom = [B for B in all_families(dom) if is_filter_base(B)]
+        bases_cod = [B for B in all_families(cod) if is_filter_base(B)]
+        for f in all_maps_between(dom, cod):
+            for B in bases_dom:
+                assert is_filter_base(filter_transport(f, B, "forward"))
+            for B in bases_cod:
+                try:
+                    out = filter_transport(f, B, "backward")
+                except MeetingConditionFailed:
+                    continue
+                assert is_filter_base(out)

@@ -266,3 +266,40 @@ class TestBases:
         assert not point_base_check(
             T, "a", Family(T.carrier, [finset("b")])
         )
+
+
+class TestConstructionTheorems:
+    """Facts the constructions rely on, checked over every topology on up
+    to three points (four for the closure construction)."""
+
+    CARRIERS = [finset("a"), finset("a", "b"), finset("a", "b", "c")]
+
+    def test_opens_are_closed_under_all_unions(self):
+        for carrier in self.CARRIERS:
+            for fam in enumerate_topologies(carrier):
+                ms = check_topology(carrier, fam).opens.members
+                ordered = sorted(ms, key=lambda s: s.elements)
+                assert all(
+                    union_of(combo) in ms
+                    for k in range(len(ms) + 1)
+                    for combo in itertools.combinations(ordered, k)
+                )
+
+    def test_open_duality_complements_both_ways(self):
+        for carrier in self.CARRIERS:
+            for fam in enumerate_topologies(carrier):
+                T = check_topology(carrier, fam)
+                closed = open_duality(T)
+                assert all(
+                    (s in T.opens.members) == (s.complement_in(carrier) in closed.members)
+                    for s in carrier.subsets()
+                )
+
+    def test_closure_from_closed_sets_obeys_the_laws(self):
+        for carrier in self.CARRIERS + [finset("a", "b", "c", "d")]:
+            for fam in enumerate_topologies(carrier):
+                closed = open_duality(check_topology(carrier, fam))
+                op = closure_from_closed(carrier, closed)
+                rep = closure_laws(op)
+                assert rep.passed, rep.render_text()
+                assert op.closed_sets().members == closed.members
