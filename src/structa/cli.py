@@ -27,7 +27,7 @@ structa document format
 A document is one JSON object (UTF-8) with a "kind" key and a fixed,
 kind-specific key set. Building blocks:
 
-  symbols   non-empty strings
+  symbols   non-empty strings without whitespace
   set       array of distinct symbols, e.g. ["a", "b"]
   subset    array of distinct symbols drawn from a declared carrier
   pairs     array of [key, value] symbol pairs; total over its key set

@@ -23,65 +23,20 @@ from .core import FinMap, FinSet, check_symbol, classify
 from .errors import ParseError, SchemaError, StructaError, TooLarge
 from .report import LawReport
 
-KINDS = (
-    "set",
-    "map",
-    "poset",
-    "semilattice",
-    "category",
-    "functor",
-    "nattrans",
-    "group",
-    "hom",
-    "action",
-    "family",
-    "filterbase",
-    "closure",
-    "topology",
-    "base",
-    "rational-window",
-)
-
-
 @dataclass(frozen=True)
 class StructureDoc:
-    """A parsed, canonicalized document: a kind and its payload tables."""
+    """A parsed document: the canonical payload ``_validate`` returns,
+    plain JSON data with its ``kind`` key. Nested documents are payload
+    dicts of the same form."""
 
-    kind: str
-    body: tuple  # canonical (key, json-value) pairs, hashable
+    payload: dict
+
+    @property
+    def kind(self) -> str:
+        return self.payload["kind"]
 
     def __getitem__(self, key):
-        # a document has a handful of keys: a scan beats building a dict
-        for k, v in self.body:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-    def payload(self) -> dict:
-        return {"kind": self.kind, **{k: _thaw(v) for k, v in self.body}}
-
-
-def _freeze(v):
-    if isinstance(v, list):
-        return tuple(_freeze(x) for x in v)
-    if isinstance(v, dict):
-        return tuple(sorted((k, _freeze(x)) for k, x in v.items()))
-    return v
-
-
-def _thaw(v):
-    if isinstance(v, tuple):
-        if v and all(
-            isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str) for p in v
-        ) and _looks_like_doc(v):
-            return {k: _thaw(x) for k, x in v}
-        return [_thaw(x) for x in v]
-    return v
-
-
-def _looks_like_doc(pairs) -> bool:
-    keys = [p[0] for p in pairs]
-    return "kind" in keys
+        return self.payload[key]
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +293,10 @@ def _v_action(body):
 
 
 def _v_subset_family(body, kind):
-    _want_keys(body, kind, {"carrier", "members"})
-    carrier = _symbol_list(body["carrier"], "carrier")
     key = "opens" if kind == "topology" else "members"
-    return {"carrier": carrier, "members": _subset_list(body["members"], carrier, key)}
-
-
-def _v_topology(body):
-    _want_keys(body, "topology", {"carrier", "opens"})
+    _want_keys(body, kind, {"carrier", key})
     carrier = _symbol_list(body["carrier"], "carrier")
-    return {"carrier": carrier, "opens": _subset_list(body["opens"], carrier, "opens")}
+    return {"carrier": carrier, key: _subset_list(body[key], carrier, key)}
 
 
 def _v_closure(body):
@@ -399,10 +348,13 @@ _VALIDATORS = {
     "family": lambda b: _v_subset_family(b, "family"),
     "filterbase": lambda b: _v_subset_family(b, "filterbase"),
     "closure": _v_closure,
-    "topology": _v_topology,
+    "topology": lambda b: _v_subset_family(b, "topology"),
     "base": lambda b: _v_subset_family(b, "base"),
     "rational-window": _v_rational_window,
 }
+
+
+KINDS = tuple(_VALIDATORS)
 
 
 def _validate(payload: dict) -> dict:
@@ -430,11 +382,13 @@ def parse_text(text: str) -> StructureDoc:
         payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno)
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply")
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ParseError("an integer has too many digits")
     if not isinstance(payload, dict):
         raise SchemaError("a document must be a JSON object with a 'kind' key")
-    canon = _validate(payload)
-    kind = canon.pop("kind")
-    return StructureDoc(kind, _freeze(canon))
+    return StructureDoc(_validate(payload))
 
 
 def parse(source: str) -> StructureDoc:
@@ -453,7 +407,7 @@ def parse(source: str) -> StructureDoc:
 
 
 def render(doc: StructureDoc) -> str:
-    return json.dumps(doc.payload(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(doc.payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +462,8 @@ def _b_functor(doc):
     from .category import FunctorData
 
     return FunctorData(
-        _b_category(_as_doc(doc["src"])),
-        _b_category(_as_doc(doc["tgt"])),
+        _b_category(doc["src"]),
+        _b_category(doc["tgt"]),
         {k: v for k, v in doc["on_obj"]},
         {k: v for k, v in doc["on_arr"]},
     )
@@ -519,25 +473,30 @@ def _b_nattrans(doc):
     from .category import NatTransData
 
     return NatTransData(
-        _b_functor(_as_doc(doc["f"])),
-        _b_functor(_as_doc(doc["g"])),
+        _b_functor(doc["f"]),
+        _b_functor(doc["g"]),
         {k: v for k, v in doc["component"]},
     )
 
 
 def _b_hom(doc):
+    return _hom(doc, _b_group(doc["src"]), _b_group(doc["tgt"]))
+
+
+def _hom(doc, src, tgt):
     from .group import GroupHom
 
-    src = _b_group(_as_doc(doc["src"]))
-    tgt = _b_group(_as_doc(doc["tgt"]))
     f = FinMap(src.carrier, tgt.carrier, {k: v for k, v in doc["map"]})
     return GroupHom(src, tgt, f)
 
 
 def _b_action(doc):
+    return _action(doc, _b_group(doc["group"]))
+
+
+def _action(doc, G):
     from .group import GroupAction
 
-    G = _b_group(_as_doc(doc["group"]))
     carrier = FinSet(doc["carrier"])
     table = {(g, x): y for g, x, y in doc["act"]}
     act = {
@@ -570,12 +529,6 @@ def _b_topology(doc):
     return check_topology(carrier, Family(carrier, [FinSet(m) for m in doc["opens"]]))
 
 
-def _as_doc(frozen_body) -> StructureDoc:
-    pairs = dict(frozen_body)
-    kind = pairs.pop("kind")
-    return StructureDoc(kind, tuple(sorted(pairs.items())))
-
-
 _BUILDERS = {
     "set": _b_set,
     "map": _b_map,
@@ -601,27 +554,19 @@ _BUILDERS = {
 
 
 def doc_poset(P) -> StructureDoc:
-    return parse_text(
-        json.dumps(
-            {
-                "kind": "poset",
-                "carrier": list(P.carrier.elements),
-                "le": [[x, y] for x, y in sorted(P.pairs)],
-            }
-        )
-    )
+    return StructureDoc(_validate({
+        "kind": "poset",
+        "carrier": list(P.carrier.elements),
+        "le": [[x, y] for x, y in P.pairs],
+    }))
 
 
 def doc_table(kind: str, table: dict, carrier: FinSet) -> StructureDoc:
-    return parse_text(
-        json.dumps(
-            {
-                "kind": kind,
-                "carrier": list(carrier.elements),
-                "table": [[a, b, v] for (a, b), v in sorted(table.items())],
-            }
-        )
-    )
+    return StructureDoc(_validate({
+        "kind": kind,
+        "carrier": list(carrier.elements),
+        "table": [[a, b, v] for (a, b), v in table.items()],
+    }))
 
 
 def doc_group(G) -> StructureDoc:
@@ -629,60 +574,39 @@ def doc_group(G) -> StructureDoc:
 
 
 def doc_category(C) -> StructureDoc:
-    return parse_text(
-        json.dumps(
-            {
-                "kind": "category",
-                "objects": list(C.objects.elements),
-                "arrows": [list(a) for a in C.arrows],
-                "identity": [[x, n] for x, n in sorted(C.identity.items())],
-                "comp": [[g, f, v] for (g, f), v in sorted(C.comp.items())],
-            }
-        )
-    )
+    return StructureDoc(_validate({
+        "kind": "category",
+        "objects": list(C.objects.elements),
+        "arrows": [list(a) for a in C.arrows],
+        "identity": [[x, n] for x, n in C.identity.items()],
+        "comp": [[g, f, v] for (g, f), v in C.comp.items()],
+    }))
 
 
 def doc_hom(h) -> StructureDoc:
-    return parse_text(
-        json.dumps(
-            {
-                "kind": "hom",
-                "src": doc_group(h.src).payload(),
-                "tgt": doc_group(h.tgt).payload(),
-                "map": [[x, y] for x, y in h.map.assign.items()],
-            }
-        )
-    )
+    return StructureDoc(_validate({
+        "kind": "hom",
+        "src": doc_group(h.src).payload,
+        "tgt": doc_group(h.tgt).payload,
+        "map": [[x, y] for x, y in h.map.assign.items()],
+    }))
 
 
 def doc_subsets(kind: str, carrier: FinSet, members) -> StructureDoc:
     key = "opens" if kind == "topology" else "members"
-    return parse_text(
-        json.dumps(
-            {
-                "kind": kind,
-                "carrier": list(carrier.elements),
-                key: sorted(list(m.elements) for m in members),
-            }
-        )
-    )
+    return StructureDoc(_validate({
+        "kind": kind,
+        "carrier": list(carrier.elements),
+        key: [list(m.elements) for m in members],
+    }))
 
 
 def doc_closure(op) -> StructureDoc:
-    return parse_text(
-        json.dumps(
-            {
-                "kind": "closure",
-                "carrier": list(op.carrier.elements),
-                "table": [
-                    [list(a.elements), list(b.elements)]
-                    for a, b in sorted(
-                        op.table.items(), key=lambda kv: kv[0].elements
-                    )
-                ],
-            }
-        )
-    )
+    return StructureDoc(_validate({
+        "kind": "closure",
+        "carrier": list(op.carrier.elements),
+        "table": [[list(a.elements), list(b.elements)] for a, b in op.table.items()],
+    }))
 
 
 # ---------------------------------------------------------------------------
@@ -781,15 +705,16 @@ def _ck_group(doc, max_size):
 
 
 def _ck_hom(doc, max_size):
-    from .group import group_axioms
+    from .group import assemble_group, group_axioms
 
     r = LawReport("hom")
-    src_doc, tgt_doc = _as_doc(doc["src"]), _as_doc(doc["tgt"])
-    r.merge(group_axioms(_table(src_doc), FinSet(src_doc["carrier"])))
-    r.merge(group_axioms(_table(tgt_doc), FinSet(tgt_doc["carrier"])))
+    groups = [(_table(doc[k]), FinSet(doc[k]["carrier"])) for k in ("src", "tgt")]
+    for table, carrier in groups:
+        r.merge(group_axioms(table, carrier))
     if not r.passed:
         return r
-    h = _b_hom(doc)
+    src, tgt = (assemble_group(table, carrier) for table, carrier in groups)
+    h = _hom(doc, src, tgt)
     bad = next(
         (
             (a, b)
@@ -805,14 +730,14 @@ def _ck_hom(doc, max_size):
 
 
 def _ck_action(doc, max_size):
-    from .group import action_check, group_axioms
+    from .group import action_check, assemble_group, group_axioms
 
     r = LawReport("action")
-    g_doc = _as_doc(doc["group"])
-    r.merge(group_axioms(_table(g_doc), FinSet(g_doc["carrier"])))
+    table, carrier = _table(doc["group"]), FinSet(doc["group"]["carrier"])
+    r.merge(group_axioms(table, carrier))
     if not r.passed:
         return r
-    r.merge(action_check(_b_action(doc)))
+    r.merge(action_check(_action(doc, assemble_group(table, carrier))))
     return r
 
 

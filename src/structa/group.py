@@ -161,6 +161,12 @@ def check_group(table, carrier: FinSet) -> FinGroup:
     if not rep.passed:
         c = rep.failures[0]
         raise NotAGroup("group axiom failed: %s" % c.law, witness=c.witness)
+    return assemble_group(table, carrier)
+
+
+def assemble_group(table, carrier: FinSet) -> FinGroup:
+    """The group of a table whose ``group_axioms`` report passed: it
+    looks up the unit and the inverses, and checks nothing."""
     xs = carrier.elements
     unit = next(e for e in xs if all(table[(e, a)] == a == table[(a, e)] for a in xs))
     inv = {a: next(b for b in xs if table[(a, b)] == unit) for a in xs}

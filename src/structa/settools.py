@@ -473,10 +473,13 @@ def generate_filter(base: Family) -> Family:
         raise EmptyMemberInBase("a base member is empty", witness=(bad.name(),))
     if not is_filter_base(base):
         bad = next(
-            (f.name(), g.name())
-            for f in base.members
-            for g in base.members
-            if not any(h <= f.inter(g) for h in base.members)
+            (
+                (f.name(), g.name())
+                for f in base.members
+                for g in base.members
+                if not any(h <= f.inter(g) for h in base.members)
+            ),
+            None,  # the family has no members
         )
         raise EmptyMemberInBase("family is not a filter base", witness=bad)
     members = {

@@ -592,6 +592,31 @@ class TestHorizontalComposition:
                 total += 1
         assert total >= 1000
 
+    @pytest.mark.parametrize(
+        "C, D, E",
+        [(Z2, Z2, Z2), (Z2, Z3, Z3), (Z3, Z3, Z3), (Z3, Z2, Z2)],
+        ids=["Z2-Z2-Z2", "Z2-Z3-Z3", "Z3-Z3-Z3", "Z3-Z2-Z2"],
+    )
+    def test_formulas_agree_on_non_thin_categories(self, C, D, E):
+        # one-object categories have distinct parallel arrows, so dropping
+        # either factor of a formula changes a component
+        from structa.suites import _hcompose_formulas_agree
+
+        vert_cd, vert_de = self.grids(C, D, E)
+        assert any(
+            tau.component[x] != D.identity[tau.F.on_obj[x]]
+            for _, tau in vert_cd
+            for x in C.objects
+        )
+        for sigma, tau in vert_cd:
+            for beta, alpha in vert_de:
+                for a, t in (
+                    (vcompose(beta, alpha), vcompose(sigma, tau)),
+                    (beta, sigma),
+                    (alpha, tau),
+                ):
+                    assert _hcompose_formulas_agree(a, t)
+
     def test_composition_functor(self):
         cf = composition_functor(C2, C2, C2)
         assert check_functor(cf).passed

@@ -10,6 +10,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structa import cli
 from structa.suites import fixtures_dir
@@ -97,6 +99,21 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "not UTF-8" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100000,  # nested past the interpreter's recursion limit
+            '{"kind": "rational-window", "window": %s, "den": 1}' % ("9" * 5000),
+        ],
+        ids=["deep-nesting", "5000-digit-integer"],
+    )
+    def test_unreadable_json_is_two(self, tmp_path, text):
+        path = tmp_path / "hostile.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["check", str(path)])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
     def test_jobs_below_one_is_usage_error(self, jobs):
         code, out, err = run_cli(["check", "--jobs", jobs, fx("group_z2.json")])
@@ -112,6 +129,31 @@ class TestExitCodes:
         assert "size bound" in err
         code, _, _ = run_cli(["check", "--max-size", "60", str(tmp)])
         assert code == 0
+
+
+# every fixture, and each with a few bytes spliced in
+FIXTURE_BYTES = [p.read_bytes() for p in sorted(fixtures_dir().glob("**/*.json"))]
+PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def spliced_fixtures(draw):
+    data = draw(st.sampled_from(FIXTURE_BYTES))
+    i = draw(st.integers(0, len(data)))
+    j = draw(st.integers(i, min(len(data), i + 8)))
+    return data[:i] + draw(st.binary(max_size=8)) + data[j:]
+
+
+class TestArbitraryBytes:
+    @PROPERTY
+    @given(st.one_of(st.binary(max_size=64), spliced_fixtures()))
+    def test_check_keeps_the_exit_code_contract(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("bytes") / "doc.json"
+        path.write_bytes(data)
+        code, _, err = run_cli(["check", str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.count("\n") == 1
 
 
 class TestDeterminism:
@@ -178,6 +220,30 @@ class TestDerive:
         doc = parse_text(target.read_text(encoding="utf-8"))
         assert doc.kind == "group"
         assert len(doc["carrier"]) == 2
+
+    def test_symbol_named_kind_round_trips(self, tmp_path):
+        from structa.docs import parse_text, render
+
+        # the identity pairs table has a key named "kind"
+        text = render(parse_text(json.dumps({
+            "kind": "category",
+            "objects": ["kind", "x"],
+            "arrows": [["1k", "kind", "kind"], ["1x", "x", "x"], ["f", "kind", "x"]],
+            "identity": [["kind", "1k"], ["x", "1x"]],
+            "comp": [["1k", "1k", "1k"], ["1x", "1x", "1x"], ["f", "1k", "f"],
+                     ["1x", "f", "f"]],
+        })))
+        assert render(parse_text(text)) == text
+        doc = tmp_path / "kind.json"
+        doc.write_text(text, encoding="utf-8")
+        assert run_cli(["check", str(doc)])[0] == 0
+        code, out, _ = run_cli(["derive", "opposite", str(doc)])
+        assert code == 0
+        assert render(parse_text(out)) == out
+        assert '"kind",' in out
+        opposite = tmp_path / "opposite.json"
+        opposite.write_text(out, encoding="utf-8")
+        assert run_cli(["check", str(opposite)])[0] == 0
 
     def test_unwritable_output_is_two(self, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"

@@ -2,15 +2,21 @@
 
 Oracles: the module-level law suites each kind dispatches to, direct
 structural comparison for derive outputs, and the render∘parse fixpoint
-over the shipped corpus.
+over the shipped corpus, over generated documents of every kind and
+over the derive outputs of both.
 """
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structa.core import FinMap, FinSet, finset
 from structa.docs import (
+    DERIVE_OPS,
+    KINDS,
     StructureDoc,
     doc_category,
     doc_group,
@@ -22,7 +28,7 @@ from structa.docs import (
     run_derive,
     to_structure,
 )
-from structa.errors import NotNormal, ParseError, SchemaError, TooLarge
+from structa.errors import NotNormal, ParseError, SchemaError, StructaError, TooLarge
 from structa.suites import fixtures_dir
 
 CORPUS = sorted(fixtures_dir().glob("*.json"))
@@ -203,7 +209,7 @@ class TestRoundTrip:
         messy = '{"elements": ["c", "b", "a"], "kind": "set"}'
         doc = parse_text(messy)
         assert render(doc) == render(parse_text(render(doc)))
-        assert doc["elements"] == ("a", "b", "c")
+        assert doc["elements"] == ["a", "b", "c"]
 
 
 class TestCheck:
@@ -306,6 +312,11 @@ class TestDerive:
         assert len(h.tgt.carrier) == 4
         assert h.map.image() == h.tgt.carrier
 
+    def test_filter_of_an_empty_family_fails(self):
+        doc = parse_text('{"kind": "filterbase", "carrier": ["a"], "members": []}')
+        with pytest.raises(StructaError, match="not a filter base"):
+            run_derive(doc, "filter")
+
     def test_unknown_op(self):
         with pytest.raises(SchemaError, match="unknown derive op"):
             run_derive(parse(corpus("group_z2")), "frobnicate")
@@ -347,3 +358,185 @@ class TestStructures:
         b = parse_text('{"kind": "set", "elements": ["a", "b"]}')
         assert a == b
         assert isinstance(a, StructureDoc)
+
+
+# ---------------------------------------------------------------------------
+# generated documents
+#
+# Symbols include the document keys, "kind" first among them: a symbol
+# spelled like a key must stay a symbol through parse and render.
+
+SYMBOLS = ["kind", "map", "carrier", "src", "a", "b", "é", "10"]
+PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+def symbols(min_size=0, max_size=3):
+    return st.lists(st.sampled_from(SYMBOLS), min_size=min_size, max_size=max_size,
+                    unique=True)
+
+
+@st.composite
+def total(draw, keys, values):
+    """One row [*key, value] per key, with values drawn from ``values``."""
+    return [list(k) + [draw(st.sampled_from(values))] for k in keys]
+
+
+@st.composite
+def subset_lists(draw, carrier):
+    member = st.lists(st.sampled_from(carrier), unique=True) if carrier else st.just([])
+    return draw(st.lists(member, max_size=4, unique_by=frozenset))
+
+
+@st.composite
+def op_tables(draw, kind, min_size=0):
+    carrier = draw(symbols(min_size))
+    table = draw(total(itertools.product(carrier, carrier), carrier))
+    return {"kind": kind, "carrier": carrier, "table": table}
+
+
+@st.composite
+def categories(draw):
+    objects = draw(symbols(1))
+    names = draw(symbols(1))
+    arrows = [[n, draw(st.sampled_from(objects)), draw(st.sampled_from(objects))]
+              for n in names]
+    cells = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                          unique=True))
+    return {
+        "kind": "category",
+        "objects": objects,
+        "arrows": arrows,
+        "identity": draw(total([[x] for x in objects], names)),
+        "comp": draw(total(cells, names)),
+    }
+
+
+@st.composite
+def functors(draw, src=None, tgt=None):
+    src = src or draw(categories())
+    tgt = tgt or draw(categories())
+    tgt_arrows = [n for n, _, _ in tgt["arrows"]]
+    return {
+        "kind": "functor",
+        "src": src,
+        "tgt": tgt,
+        "on_obj": draw(total([[x] for x in src["objects"]], tgt["objects"])),
+        "on_arr": draw(total([[n] for n, _, _ in src["arrows"]], tgt_arrows)),
+    }
+
+
+@st.composite
+def payloads(draw):
+    """A schema-valid document payload of any kind; its laws may fail."""
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "set":
+        return {"kind": kind, "elements": draw(symbols())}
+    if kind == "map":
+        dom, cod = draw(symbols()), draw(symbols(1))
+        return {"kind": kind, "dom": dom, "cod": cod,
+                "map": draw(total([[x] for x in dom], cod))}
+    if kind == "hom":
+        src, tgt = draw(op_tables("group")), draw(op_tables("group", 1))
+        return {"kind": kind, "src": src, "tgt": tgt,
+                "map": draw(total([[x] for x in src["carrier"]], tgt["carrier"]))}
+    if kind == "poset":
+        carrier = draw(symbols(1))
+        pair = st.lists(st.sampled_from(carrier), min_size=2, max_size=2)
+        return {"kind": kind, "carrier": carrier, "le": draw(st.lists(pair, max_size=6))}
+    if kind in ("semilattice", "group"):
+        return draw(op_tables(kind))
+    if kind == "category":
+        return draw(categories())
+    if kind == "functor":
+        return draw(functors())
+    if kind == "nattrans":
+        src, tgt = draw(categories()), draw(categories())
+        tgt_arrows = [n for n, _, _ in tgt["arrows"]]
+        return {
+            "kind": kind,
+            "f": draw(functors(src, tgt)),
+            "g": draw(functors(src, tgt)),
+            "component": draw(total([[x] for x in src["objects"]], tgt_arrows)),
+        }
+    if kind == "action":
+        group = draw(op_tables("group", 1))
+        points = draw(symbols(1))
+        act = draw(total(itertools.product(group["carrier"], points), points))
+        return {"kind": kind, "group": group, "carrier": points, "act": act}
+    if kind == "closure":
+        carrier = draw(symbols())
+        cells = [[list(c)] for n in range(len(carrier) + 1)
+                 for c in itertools.combinations(carrier, n)]
+        values = [draw(st.lists(st.sampled_from(carrier), unique=True)) if carrier else []
+                  for _ in cells]
+        return {"kind": kind, "carrier": carrier,
+                "table": [k + [v] for k, v in zip(cells, values)]}
+    if kind == "rational-window":
+        return {"kind": kind, "window": draw(st.integers(1, 10**30)),
+                "den": draw(st.integers(1, 10**30))}
+    carrier = draw(symbols())
+    key = "opens" if kind == "topology" else "members"
+    return {"kind": kind, "carrier": carrier, key: draw(subset_lists(carrier))}
+
+
+def relabel(payload, names):
+    """The payload with each symbol renamed through ``names``."""
+    if isinstance(payload, dict):
+        return {k: v if k == "kind" else relabel(v, names) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [relabel(x, names) for x in payload]
+    return names[payload] if isinstance(payload, str) else payload
+
+
+def symbols_of(payload):
+    if isinstance(payload, dict):
+        return set().union(*(symbols_of(v) for k, v in payload.items() if k != "kind"))
+    if isinstance(payload, list):
+        return set().union(*(symbols_of(x) for x in payload))
+    return {payload} if isinstance(payload, str) else set()
+
+
+@st.composite
+def relabelled_corpus(draw):
+    """A shipped document, its laws intact, renamed into SYMBOLS first."""
+    payload = json.loads(draw(st.sampled_from(CORPUS)).read_text(encoding="utf-8"))
+    old = sorted(symbols_of(payload))
+    new = draw(st.permutations(SYMBOLS)) + ["s%d" % i for i in range(len(old))]
+    return relabel(payload, dict(zip(old, new)))
+
+
+def assert_fixpoint(doc):
+    text = render(doc)
+    again = parse_text(text)
+    assert again == doc
+    assert render(again) == text
+
+
+def derived(doc):
+    """Each derive output the document admits; quotients take the whole
+    group, which is always normal."""
+    for op, (kind, _) in sorted(DERIVE_OPS.items()):
+        if doc.kind == kind:
+            try:
+                yield run_derive(doc, op, doc["carrier"] if op == "quotient" else ())
+            except StructaError:  # the input's laws fail, or a size guard
+                pass
+
+
+class TestGeneratedRoundTrip:
+    @PROPERTY
+    @given(payloads())
+    def test_render_parse_fixpoint(self, payload):
+        doc = parse_text(json.dumps(payload))
+        assert doc.kind == payload["kind"]
+        assert_fixpoint(doc)
+        for out in derived(doc):
+            assert_fixpoint(out)
+
+    @PROPERTY
+    @given(relabelled_corpus())
+    def test_relabelled_corpus_round_trips_and_derives(self, payload):
+        doc = parse_text(json.dumps(payload))
+        assert_fixpoint(doc)
+        for out in derived(doc):
+            assert_fixpoint(out)
