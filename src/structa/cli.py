@@ -27,7 +27,7 @@ structa document format
 A document is one JSON object (UTF-8) with a "kind" key and a fixed,
 kind-specific key set. Building blocks:
 
-  symbols   non-empty strings without whitespace
+  symbols   non-empty strings without whitespace or lone surrogates
   set       array of distinct symbols, e.g. ["a", "b"]
   subset    array of distinct symbols drawn from a declared carrier
   pairs     array of [key, value] symbol pairs; total over its key set
@@ -287,19 +287,32 @@ def _emit_report(name: str, report: LawReport, as_json: bool, out):
 
 
 def _cmd_check(ns, out) -> int:
-    from .docs import parse, run_check
+    """Check each file in order. A file that cannot be checked gets one
+    stderr line naming it; the others still report, and the exit code
+    is the worst one."""
+    from .docs import is_literal, parse, run_check
 
     def one(path):
-        return run_check(parse(path), max_size=ns.max_size)
+        try:
+            return run_check(parse(path), max_size=ns.max_size)
+        except StructaError as e:
+            return e
+
+    def emit(results):
+        code = 0
+        for path, res in zip(ns.files, results):
+            if isinstance(res, StructaError):
+                out.flush()  # keep stdout and stderr in file order when merged
+                code = max(code, _report_error(res, None if is_literal(path) else path))
+            else:
+                _emit_report(path, res, ns.json, out)
+                code = max(code, 0 if res.passed else 1)
+        return code
 
     if ns.jobs > 1:
         with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
-            reports = list(pool.map(one, ns.files))
-    else:
-        reports = [one(p) for p in ns.files]
-    for path, rep in zip(ns.files, reports):
-        _emit_report(path, rep, ns.json, out)
-    return 0 if all(r.passed for r in reports) else 1
+            return emit(pool.map(one, ns.files))
+    return emit(map(one, ns.files))
 
 
 def _cmd_derive(ns, out) -> int:
@@ -350,6 +363,23 @@ _COMMANDS = {
 }
 
 
+def _report_error(e: StructaError, path=None) -> int:
+    """Print one stderr line for e, prefixed with the file it concerns
+    if given, and return its exit code."""
+    prefix = "%s: " % path if path is not None else ""
+    if isinstance(e, ParseError):
+        where = ""
+        if e.line is not None:
+            where = " (line %s, column %s)" % (e.line, e.column)
+        print("parse error: %s%s%s" % (prefix, e, where), file=sys.stderr)
+        return 2
+    if isinstance(e, (SchemaError, TooLarge)):
+        print("error: %s%s" % (prefix, e), file=sys.stderr)
+        return 2
+    print("failed: %s%s" % (prefix, e), file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -358,18 +388,8 @@ def main(argv=None) -> int:
         return 2 if e.code else 0
     try:
         return _COMMANDS[ns.command](ns, sys.stdout)
-    except ParseError as e:
-        where = ""
-        if e.line is not None:
-            where = " (line %s, column %s)" % (e.line, e.column)
-        print("parse error: %s%s" % (e, where), file=sys.stderr)
-        return 2
-    except (SchemaError, TooLarge) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
     except StructaError as e:
-        print("failed: %s" % e, file=sys.stderr)
-        return 1
+        return _report_error(e)
 
 
 if __name__ == "__main__":

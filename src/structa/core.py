@@ -38,6 +38,12 @@ def check_symbol(s) -> str:
     # holds, so this accepts the nonempty strings without whitespace
     if not (isinstance(s, str) and s.split() == [s]):
         raise ValueError("symbol must be a nonempty token without whitespace: %r" % (s,))
+    # a lone surrogate (JSON "\ud800") has no UTF-8 encoding, so no output could name it
+    if not s.isascii():
+        try:
+            s.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("symbol is not UTF-8 encodable: %r" % (s,)) from None
     return s
 
 

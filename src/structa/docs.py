@@ -391,10 +391,15 @@ def parse_text(text: str) -> StructureDoc:
     return StructureDoc(_validate(payload))
 
 
+def is_literal(source: str) -> bool:
+    """Whether ``parse`` reads source as document text, not as a path."""
+    return source.lstrip().startswith("{")
+
+
 def parse(source: str) -> StructureDoc:
     """Parse a document from literal text (anything starting with '{')
     or from a file path."""
-    if source.lstrip().startswith("{"):
+    if is_literal(source):
         return parse_text(source)
     try:
         with open(source, encoding="utf-8") as fh:

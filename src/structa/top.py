@@ -61,7 +61,14 @@ def discrete_closure(carrier: FinSet) -> ClosureOp:
 def closure_laws(op: ClosureOp) -> LawReport:
     """The lenient law set shared by both constructions: empty set,
     extensivity, monotonicity, idempotence, and the closed-family
-    theorems."""
+    theorems.
+
+    ``clx-closed-inter`` scans pairs of closed sets only. That decides
+    closure under every non-empty finite intersection: if the closed
+    sets are closed under meeting two of them, then by induction on k,
+    a1 ∩ … ∩ ak = (a1 ∩ … ∩ ak-1) ∩ ak is closed for every k ≥ 1. So the
+    verdict equals that of the scan over all combinations, which the
+    tests keep as a reference."""
     r = LawReport("closure-laws")
     subs = list(op.carrier.subsets())
     r.add("clx-empty", "the empty set is closed", op(FinSet()) == FinSet())
@@ -80,23 +87,13 @@ def closure_laws(op: ClosureOp) -> LawReport:
     bad = next(((A.name(),) for A in subs if op(op(A)) != op(A)), None)
     r.add("clx-idempotent", "closing twice adds nothing", bad is None, bad)
     closed = op.closed_sets()
+    ms = list(closed)
     bad = next(
-        (
-            (a.name(), b.name())
-            for a in closed.members
-            for b in closed.members
-            if a.union(b) not in closed.members
-        ),
+        ((a.name(), b.name()) for a in ms for b in ms if a.union(b) not in closed.members),
         None,
     )
     r.add("clx-closed-union", "finite unions of closed sets are closed", bad is None, bad)
-    inter_ok = all(
-        inter_of(combo, op.carrier) in closed.members
-        for k in range(1, len(closed.members) + 1)
-        for combo in itertools.combinations(sorted(closed.members, key=lambda s: s.elements), k)
-    ) if len(op.carrier) <= 4 else all(
-        a.inter(b) in closed.members for a in closed.members for b in closed.members
-    )
+    inter_ok = all(a.inter(b) in closed.members for a in ms for b in ms)
     r.add("clx-closed-inter", "intersections of closed sets are closed", inter_ok)
     return r
 
@@ -131,24 +128,15 @@ def closure_from_closed(carrier: FinSet, C: Family) -> ClosureOp:
         raise CarrierMismatch("closed family lives over a different carrier")
     if FinSet() not in C.members or carrier not in C.members:
         raise NotClosedFamily("the empty set and the carrier must be closed")
+    ms = list(C)
     bad = next(
-        (
-            (a.name(), b.name())
-            for a in C.members
-            for b in C.members
-            if a.inter(b) not in C.members
-        ),
+        ((a.name(), b.name()) for a in ms for b in ms if a.inter(b) not in C.members),
         None,
     )
     if bad is not None:
         raise NotClosedFamily("family is not intersection closed", witness=bad)
     bad = next(
-        (
-            (a.name(), b.name())
-            for a in C.members
-            for b in C.members
-            if a.union(b) not in C.members
-        ),
+        ((a.name(), b.name()) for a in ms for b in ms if a.union(b) not in C.members),
         None,
     )
     if bad is not None:
@@ -169,17 +157,17 @@ class Topology:
 def check_topology(carrier: FinSet, opens: Family) -> Topology:
     if opens.carrier != carrier:
         raise CarrierMismatch("open family lives over a different carrier")
-    ms = opens.members
-    if FinSet() not in ms or carrier not in ms:
+    if FinSet() not in opens or carrier not in opens:
         raise BadStructure("the empty set and the carrier must be open")
+    ms = list(opens)
     bad = next(
-        ((a.name(), b.name()) for a in ms for b in ms if a.union(b) not in ms),
+        ((a.name(), b.name()) for a in ms for b in ms if a.union(b) not in opens.members),
         None,
     )
     if bad is not None:
         raise BadStructure("opens are not union closed", witness=bad)
     bad = next(
-        ((a.name(), b.name()) for a in ms for b in ms if a.inter(b) not in ms),
+        ((a.name(), b.name()) for a in ms for b in ms if a.inter(b) not in opens.members),
         None,
     )
     if bad is not None:

@@ -7,6 +7,9 @@ and JSON well-formedness of machine reports.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -175,6 +178,91 @@ class TestDeterminism:
         b = run_cli(["suite", "sigma", "--jobs", "8"])
         assert a == b
         assert a[0] == 0
+
+
+class TestSeveralFiles:
+    def test_bad_file_does_not_hide_good_reports(self):
+        good, bad = fx("group_z4.json"), fx("bad/missing_cell.json")
+        alone = run_cli(["check", good])
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(["check", "--jobs", jobs, good, bad])
+            assert code == 2
+            assert out == alone[1]
+            assert err == (
+                "error: %s: table is not total: missing the cell (a, a)\n" % bad
+            )
+
+    def test_each_bad_file_gets_one_named_line_in_order(self):
+        files = [fx("bad/parse_error.json"), fx("category_neg_assoc_1.json"),
+                 fx("bad/missing_cell.json"), fx("group_z2.json")]
+        code, out, err = run_cli(["check", "--jobs", "3", *files])
+        assert code == 2
+        assert [line.split(": ")[1] for line in err.splitlines()] == [files[0], files[2]]
+        assert err.startswith("parse error: ")
+        assert out.index(files[1]) < out.index(files[3])
+
+    def test_law_failure_with_good_files_is_one(self):
+        code, _, err = run_cli(["check", fx("group_z2.json"), fx("category_neg_assoc_1.json")])
+        assert (code, err) == (1, "")
+
+    def test_literal_document_keeps_its_line(self):
+        doc = '{"kind": "set", "elements": ["a b"]}'
+        code, _, err = run_cli(["check", fx("group_z2.json"), doc])
+        assert code == 2
+        assert err == (
+            "error: elements: symbol must be a nonempty token without whitespace: 'a b'\n"
+        )
+
+
+def run_real(args, **env):
+    """The command line in a fresh interpreter, with a real stdout."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONIOENCODING="utf-8", **env)
+    return subprocess.run([sys.executable, "-m", "structa.cli", *args],
+                          capture_output=True, env=env, timeout=300)
+
+
+class TestRealStreams:
+    LONE_SURROGATE = (
+        '{"kind":"category","objects":["\\ud800"],"arrows":[["i","\\ud800","\\ud800"]],'
+        '"identity":[["\\ud800","i"]],"comp":[["i","i","i"]]}'
+    )
+
+    def test_lone_surrogate_symbol_is_a_schema_error(self):
+        proc = run_real(["derive", "opposite", self.LONE_SURROGATE])
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+        assert b"UTF-8" in proc.stderr
+
+    def test_derive_writes_non_ascii_symbols(self):
+        doc = self.LONE_SURROGATE.replace("\\ud800", "\u00e9")
+        proc = run_real(["derive", "opposite", doc])
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert '"\u00e9"'.encode("utf-8") in proc.stdout
+
+    # opens {t0,t1} and {t0,t2} meet in {t0}, which is not open; the
+    # closure sends {a,b} to {a,b,c}, so {a} ∪ {b} is not closed
+    HASH_DOCS = [
+        '{"kind": "topology", "carrier": ["t0", "t1", "t2"], '
+        '"opens": [["t0", "t2"], ["t0", "t1", "t2"], ["t0", "t1"], []]}',
+        json.dumps({"kind": "closure", "carrier": ["a", "b", "c"], "table": [
+            [s, ["a", "b", "c"] if s == ["a", "b"] else s]
+            for s in ([], ["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"],
+                      ["a", "b", "c"])
+        ]}),
+    ]
+
+    def test_witnesses_do_not_depend_on_the_hash_seed(self):
+        args = ["check", *self.HASH_DOCS,
+                *(str(p) for p in sorted(fixtures_dir().glob("**/*.json")))]
+        runs = {seed: run_real(args, PYTHONHASHSEED=str(seed)) for seed in range(6)}
+        first = runs[0]
+        assert first.returncode == 2
+        assert b"witness=('{t0,t1}', '{t0,t2}')" in first.stdout
+        assert b"witness=('{a}', '{b}')" in first.stdout
+        for seed, proc in runs.items():
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                first.returncode, first.stdout, first.stderr), seed
 
 
 class TestJsonOutput:

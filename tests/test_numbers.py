@@ -19,6 +19,7 @@ import structa
 from structa import numbers
 from structa.core import FinMap, classify
 from structa.errors import BadStructure, WindowOverflow, ZeroDenominator
+from structa.order import check_order
 from structa.numbers import (
     Rat,
     _gcd_oracle,
@@ -62,15 +63,22 @@ class TestDiscrete:
         with pytest.raises(ValueError):
             build_discrete(0)
 
+    def test_window_order_passes_check_order(self):
+        # the window builds its order unchecked; this is the check
+        for N in range(1, 13):
+            P = build_discrete(N).poset
+            rep = check_order(P.carrier, P.pairs)
+            assert rep.passed, (N, rep.failures)
+
     def test_broken_order_is_rejected(self, monkeypatch):
         # drop 0 <= 1: -1 <= 0 still holds, so the successor no longer
-        # embeds the order; the window's own axiom scan is skipped
-        real = numbers.Poset
+        # embeds the order
+        real = numbers.Poset._trusted
 
-        def broken(carrier, le, validate=True):
-            return real(carrier, set(le) - {("0", "1")}, validate=False)
+        def broken(carrier, le):
+            return real(carrier, set(le) - {("0", "1")})
 
-        monkeypatch.setattr(numbers, "Poset", broken)
+        monkeypatch.setattr(numbers.Poset, "_trusted", broken)
         build_discrete.cache_clear()
         try:
             with pytest.raises(BadStructure, match="order embedding") as err:

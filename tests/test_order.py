@@ -14,6 +14,7 @@ from structa.errors import (
     UnboundedChain,
 )
 from structa.order import (
+    LatticeTables,
     Poset,
     antichain_poset,
     bounds,
@@ -214,6 +215,25 @@ class TestChainsAndZorn:
         with pytest.raises(UnboundedChain):
             zorn_maximal(empty)
 
+    def test_zorn_precondition_matches_the_chain_scan(self):
+        # reference: the precondition as stated, scanned over every subset
+        for n in range(5):
+            for P in enumerate_posets(FinSet("p%d" % i for i in range(n))):
+                unbounded = next(
+                    (
+                        tuple(sub)
+                        for sub in P.carrier.subsets()
+                        if P.is_chain(sub) and len(P.upper_bounds(sub)) == 0
+                    ),
+                    None,
+                )
+                try:
+                    zorn_maximal(P)
+                    raised = None
+                except UnboundedChain as e:
+                    raised = e.witness
+                assert raised == unbounded, P
+
     def test_zorn_exhaustive_small(self):
         carrier = finset("a", "b", "c", "d")
         for P in enumerate_posets(carrier):
@@ -249,6 +269,22 @@ class TestLattices:
 
     def test_laws_on_diamond(self):
         assert lattice_laws(lattice_from_poset(DIAMOND)).passed
+
+    @pytest.mark.parametrize(
+        "P",
+        [CHAIN3, PW2, chain_poset("012345"), powerset_poset(finset("a", "b", "c"))],
+        ids=["chain3", "powerset2", "chain6", "powerset3"],
+    )
+    def test_laws_on_named_lattices(self, P):
+        rep = lattice_laws(lattice_from_poset(P))
+        assert rep.passed, rep.failures
+
+    def test_finite_sup_is_evaluated_above_four_points(self):
+        lt = lattice_from_poset(chain_poset("01234"))
+        join = dict(lt.join)
+        join[("1", "2")] = "3"
+        rep = lattice_laws(LatticeTables(lt.poset, join, lt.meet))
+        assert not rep["lat-finite-sup"].passed
 
 
 class TestSemilattices:

@@ -17,7 +17,7 @@ from structa.errors import (
     NotCovering,
     TooLarge,
 )
-from structa.settools import Family, union_of
+from structa.settools import Family, inter_of, union_of
 from structa.top import (
     ClosureOp,
     Topology,
@@ -45,6 +45,48 @@ def all_closure_tables(carrier):
     subs = list(carrier.subsets())
     for values in itertools.product(subs, repeat=len(subs)):
         yield ClosureOp(carrier, dict(zip(subs, values)))
+
+
+def closure_with_closed_sets(carrier, fam):
+    """A closure table whose fixed points are exactly the sets in fam."""
+    table = {
+        A: A if A in fam else (carrier if A != carrier else FinSet())
+        for A in carrier.subsets()
+    }
+    return ClosureOp(carrier, table)
+
+
+def closed_under_all_intersections(op):
+    """Reference for clx-closed-inter: every non-empty combination."""
+    closed = op.closed_sets()
+    ms = list(closed)
+    return all(
+        inter_of(combo, op.carrier) in closed
+        for k in range(1, len(ms) + 1)
+        for combo in itertools.combinations(ms, k)
+    )
+
+
+class TestClosedIntersectionReference:
+    def test_every_family_on_three_points(self):
+        carrier = finset("a", "b", "c")
+        subs = list(carrier.subsets())
+        for k in range(len(subs) + 1):
+            for fam in itertools.combinations(subs, k):
+                op = closure_with_closed_sets(carrier, set(fam))
+                assert op.closed_sets().members == frozenset(fam)
+                got = closure_laws(op)["clx-closed-inter"].passed
+                assert got == closed_under_all_intersections(op), fam
+
+    def test_every_table_on_two_points(self):
+        for op in all_closure_tables(finset("a", "b")):
+            got = closure_laws(op)["clx-closed-inter"].passed
+            assert got == closed_under_all_intersections(op)
+
+    def test_discrete_four_points(self):
+        op = discrete_closure(finset("a", "b", "c", "d"))
+        assert closure_laws(op)["clx-closed-inter"].passed
+        assert closed_under_all_intersections(op)
 
 
 class TestStrictClosure:
