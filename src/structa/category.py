@@ -119,13 +119,6 @@ class FinCat:
         except KeyError:
             raise CompositionMismatch("composition table misses a composable pair", witness=(g, f))
 
-    def is_thin(self) -> bool:
-        """At most one arrow per ordered pair of objects (all arrows
-        non-discernible)."""
-        return all(
-            len(self.hom(a, b)) <= 1 for a in self.objects for b in self.objects
-        )
-
 
 def arrow_equality_classes(C: FinCat) -> tuple:
     """Observational equality classes: parallel f, g are the same arrow

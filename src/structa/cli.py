@@ -5,8 +5,10 @@ new document from an old one, ``suite`` runs a named acceptance bundle,
 and ``formats`` prints the document schema and the law catalogue.
 
 Exit codes: 0 when every check passes, 1 on a failed law, 2 on usage,
-syntax, or schema errors. Output is deterministic: byte-identical across
-runs and across ``--jobs`` settings.
+syntax, or schema errors. Output is UTF-8 whatever the locale, and
+deterministic: byte-identical across runs. Checks run serially; every
+subcommand accepts ``--jobs N`` for compatibility, and N changes neither
+the work done nor the output.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ParseError, SchemaError, StructaError, TooLarge
 from .report import LawReport
@@ -133,7 +134,7 @@ def _law_catalogue():
         discrete_closure,
         neighborhood_laws,
     )
-    from .docs import parse_text, run_check
+    from .docs import doc_hom, parse_text, run_check
 
     ab = finset("a", "b")
     f = FinMap(ab, ab, {"a": "b", "b": "a"})
@@ -188,28 +189,13 @@ def _law_catalogue():
         neighborhood_laws(check_topology(ab, Family(ab, [finset(), finset("a"), ab]))),
         base_ops(ab, Family(ab, [finset("a"), finset("b")]))["criterion"],
         run_check(parse_text('{"kind": "set", "elements": ["a"]}')),
-        run_check(
-            parse_text(
-                '{"kind": "hom", "src": %s, "tgt": %s, "map": [["g0", "g0"], ["g1", "g1"]]}'
-                % (_group_json(Z2), _group_json(Z2))
-            )
-        ),
+        run_check(doc_hom(hom_check(Z2, Z2, FinMap.identity(Z2.carrier)))),
     ]
     seen = {}
     for rep in reports:
         for c in rep.checks:
             seen.setdefault(c.law, c.statement)
     return dict(sorted(seen.items()))
-
-
-def _group_json(G):
-    return json.dumps(
-        {
-            "kind": "group",
-            "carrier": list(G.carrier.elements),
-            "table": [[a, b, v] for (a, b), v in sorted(G.op.items())],
-        }
-    )
 
 
 def _positive_int(text: str) -> int:
@@ -230,14 +216,15 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     # each subcommand registers only the flags it reads, except --jobs,
-    # which every subcommand accepts (derive and formats ignore it)
+    # which every subcommand accepts and ignores
     def json_flag(sp):
         sp.add_argument("--json", action="store_true", help="emit JSON reports")
 
     def jobs_flag(sp):
         sp.add_argument(
             "--jobs", type=_positive_int, default=1, metavar="N",
-            help="run independent checks on N workers",
+            help="accepted for compatibility; checks run serially, and N "
+            "changes neither the work done nor the output",
         )
 
     ck = sub.add_parser("check", help="run a document's law suite")
@@ -292,27 +279,17 @@ def _cmd_check(ns, out) -> int:
     is the worst one."""
     from .docs import is_literal, parse, run_check
 
-    def one(path):
+    code = 0
+    for path in ns.files:
         try:
-            return run_check(parse(path), max_size=ns.max_size)
+            rep = run_check(parse(path), max_size=ns.max_size)
         except StructaError as e:
-            return e
-
-    def emit(results):
-        code = 0
-        for path, res in zip(ns.files, results):
-            if isinstance(res, StructaError):
-                out.flush()  # keep stdout and stderr in file order when merged
-                code = max(code, _report_error(res, None if is_literal(path) else path))
-            else:
-                _emit_report(path, res, ns.json, out)
-                code = max(code, 0 if res.passed else 1)
-        return code
-
-    if ns.jobs > 1:
-        with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
-            return emit(pool.map(one, ns.files))
-    return emit(map(one, ns.files))
+            out.flush()  # keep stdout and stderr in file order when merged
+            code = max(code, _report_error(e, None if is_literal(path) else path))
+            continue
+        _emit_report(path, rep, ns.json, out)
+        code = max(code, 0 if rep.passed else 1)
+    return code
 
 
 def _cmd_derive(ns, out) -> int:
@@ -335,7 +312,7 @@ def _cmd_derive(ns, out) -> int:
 def _cmd_suite(ns, out) -> int:
     from .suites import run_suite
 
-    rep = run_suite(ns.name, seed=_seed_from(ns), jobs=ns.jobs)
+    rep = run_suite(ns.name, seed=_seed_from(ns))
     _emit_report(ns.name, rep, ns.json, out)
     return 0 if rep.passed else 1
 
@@ -380,7 +357,18 @@ def _report_error(e: StructaError, path=None) -> int:
     return 1
 
 
+def _utf8(stream):
+    """Make a text stream write UTF-8, as documents are, whatever the
+    locale. A stream without ``reconfigure``, such as a StringIO, holds
+    text and is left alone."""
+    reconfigure = getattr(stream, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(encoding="utf-8", errors=stream.errors)
+
+
 def main(argv=None) -> int:
+    _utf8(sys.stdout)
+    _utf8(sys.stderr)
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

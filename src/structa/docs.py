@@ -618,33 +618,47 @@ def doc_closure(op) -> StructureDoc:
 # check dispatch
 
 
-def _guard(doc: StructureDoc, size: int, bound: int, what: str):
-    if size > bound:
-        raise TooLarge(
-            "%s document exceeds the size bound (%d > %d); raise --max-size"
-            % (what, size, bound),
-            witness=(size, bound),
-        )
+# the enumeration guards per kind: (document key, default bound), applied
+# in order; --max-size replaces every default. A key's size is its length
+# (a carrier) or its value (an integer).
+_GUARDS = {
+    "family": (("carrier", 4),),
+    "filterbase": (("carrier", 5),),
+    "closure": (("carrier", 4),),
+    "topology": (("carrier", 5),),
+    "base": (("carrier", 5),),
+    "rational-window": (("window", 40), ("den", 6)),
+}
 
 
 def run_check(doc: StructureDoc, max_size: int | None = None) -> LawReport:
-    """The law suite of the document's kind, as a report."""
-    return _CHECKERS[doc.kind](doc, max_size)
+    """The law suite of the document's kind, as a report. Raises
+    TooLarge first if the document exceeds one of its kind's guards."""
+    for key, default in _GUARDS.get(doc.kind, ()):
+        size = doc[key] if isinstance(doc[key], int) else len(doc[key])
+        bound = max_size or default
+        if size > bound:
+            raise TooLarge(
+                "%s document exceeds the size bound (%d > %d); raise --max-size"
+                % (doc.kind, size, bound),
+                witness=(size, bound),
+            )
+    return _CHECKERS[doc.kind](doc)
 
 
-def _ck_set(doc, max_size):
+def _ck_set(doc):
     A = _b_set(doc)
     r = LawReport("set")
     r.add("set-elements", "elements are distinct well-formed symbols", True)
     r.add(
         "set-subset-count",
         "a finite set has 2^n subsets",
-        len(list(A.subsets())) == 2 ** len(A) if len(A) <= (max_size or 10) else True,
+        len(list(A.subsets())) == 2 ** len(A) if len(A) <= 10 else True,
     )
     return r
 
 
-def _ck_map(doc, max_size):
+def _ck_map(doc):
     f = _b_map(doc)
     r = LawReport("map")
     flags = classify(f)
@@ -660,7 +674,7 @@ def _ck_map(doc, max_size):
     return r
 
 
-def _ck_poset(doc, max_size):
+def _ck_poset(doc):
     from .order import check_order
 
     rep = check_order(FinSet(doc["carrier"]), {(x, y) for x, y in doc["le"]})
@@ -669,19 +683,19 @@ def _ck_poset(doc, max_size):
     return out
 
 
-def _ck_semilattice(doc, max_size):
+def _ck_semilattice(doc):
     from .order import semilattice_report
 
     return semilattice_report(_table(doc), FinSet(doc["carrier"]))
 
 
-def _ck_category(doc, max_size):
+def _ck_category(doc):
     from .category import check_category
 
     return check_category(_b_category(doc))
 
 
-def _ck_functor(doc, max_size):
+def _ck_functor(doc):
     from .category import check_category, check_functor
 
     F = _b_functor(doc)
@@ -692,7 +706,7 @@ def _ck_functor(doc, max_size):
     return r
 
 
-def _ck_nattrans(doc, max_size):
+def _ck_nattrans(doc):
     from .category import check_functor, check_nat
 
     n = _b_nattrans(doc)
@@ -703,13 +717,13 @@ def _ck_nattrans(doc, max_size):
     return r
 
 
-def _ck_group(doc, max_size):
+def _ck_group(doc):
     from .group import group_axioms
 
     return group_axioms(_table(doc), FinSet(doc["carrier"]))
 
 
-def _ck_hom(doc, max_size):
+def _ck_hom(doc):
     from .group import assemble_group, group_axioms
 
     r = LawReport("hom")
@@ -734,7 +748,7 @@ def _ck_hom(doc, max_size):
     return r
 
 
-def _ck_action(doc, max_size):
+def _ck_action(doc):
     from .group import action_check, assemble_group, group_axioms
 
     r = LawReport("action")
@@ -746,13 +760,13 @@ def _ck_action(doc, max_size):
     return r
 
 
-def _ck_family(doc, max_size):
+def _ck_family(doc):
     from .settools import is_sigma_algebra, sigma_generate
 
     fam = _b_family(doc)
-    _guard(doc, len(fam.carrier), max_size or 4, "family")
     r = LawReport("family")
-    sigma = sigma_generate(fam.carrier, fam, guard=max_size or 4)
+    # run_check has bounded the carrier already
+    sigma = sigma_generate(fam.carrier, fam, guard=len(fam.carrier))
     r.add("fam-sigma-extends", "the generated sigma-algebra contains the family",
           fam.members <= sigma.members)
     r.add("fam-sigma-fixed", "the generated sigma-algebra is a fixed point",
@@ -760,11 +774,10 @@ def _ck_family(doc, max_size):
     return r
 
 
-def _ck_filterbase(doc, max_size):
+def _ck_filterbase(doc):
     from .settools import generate_filter, is_filter, is_filter_base
 
     fam = _b_family(doc)
-    _guard(doc, len(fam.carrier), max_size or 5, "filterbase")
     r = LawReport("filterbase")
     base_ok = is_filter_base(fam)
     r.add("fb-base", "pairwise intersections swallow a member", base_ok)
@@ -776,18 +789,16 @@ def _ck_filterbase(doc, max_size):
     return r
 
 
-def _ck_closure(doc, max_size):
+def _ck_closure(doc):
     from .top import closure_laws
 
-    _guard(doc, len(doc["carrier"]), max_size or 4, "closure")
     return closure_laws(_b_closure(doc))
 
 
-def _ck_topology(doc, max_size):
+def _ck_topology(doc):
     from .settools import Family
     from .top import check_topology, neighborhood_laws
 
-    _guard(doc, len(doc["carrier"]), max_size or 5, "topology")
     carrier = FinSet(doc["carrier"])
     fam = Family(carrier, [FinSet(m) for m in doc["opens"]])
     r = LawReport("topology")
@@ -802,11 +813,10 @@ def _ck_topology(doc, max_size):
     return r
 
 
-def _ck_base(doc, max_size):
+def _ck_base(doc):
     from .top import base_ops
 
     fam = _b_family(doc)
-    _guard(doc, len(fam.carrier), max_size or 5, "base")
     r = LawReport("base")
     try:
         out = base_ops(fam.carrier, fam)
@@ -819,16 +829,13 @@ def _ck_base(doc, max_size):
     return r
 
 
-def _ck_rational_window(doc, max_size):
+def _ck_rational_window(doc):
     from .numbers import dual_order_checks, embedding_check, int_group_check
 
-    window, den = doc["window"], doc["den"]
-    _guard(doc, window, max_size or 40, "rational-window")
-    _guard(doc, den, max_size or 6, "rational-window")
     r = LawReport("rational-window")
-    r.merge(int_group_check(window))
-    r.merge(dual_order_checks(den))
-    r.merge(embedding_check(den))
+    r.merge(int_group_check(doc["window"]))
+    r.merge(dual_order_checks(doc["den"]))
+    r.merge(embedding_check(doc["den"]))
     return r
 
 

@@ -146,11 +146,6 @@ class Poset:
     def is_chain(self, A) -> bool:
         return all(self.comparable(x, y) for x, y in itertools.combinations(list(A), 2))
 
-    def maximal_elements(self) -> FinSet:
-        return FinSet(
-            x for x in self.carrier if all(not (self.le(x, y) and x != y) for y in self.carrier)
-        )
-
     def sort_chain(self, A) -> tuple:
         elems = list(A)
         if not self.is_chain(elems):
@@ -162,15 +157,6 @@ class Poset:
             out.append(m)
             remaining.remove(m)
         return tuple(out)
-
-    def hasse(self) -> list:
-        """Covering pairs, for report rendering only."""
-        strict = {(x, y) for x, y in self.pairs if x != y}
-        return sorted(
-            (x, y)
-            for x, y in strict
-            if not any((x, z) in strict and (z, y) in strict for z in self.carrier)
-        )
 
 
 def chain_poset(labels) -> Poset:

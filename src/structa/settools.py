@@ -472,11 +472,12 @@ def generate_filter(base: Family) -> Family:
         bad = next(s for s in base.members if len(s) == 0)
         raise EmptyMemberInBase("a base member is empty", witness=(bad.name(),))
     if not is_filter_base(base):
+        # the witness search iterates the base in canonical order
         bad = next(
             (
                 (f.name(), g.name())
-                for f in base.members
-                for g in base.members
+                for f in base
+                for g in base
                 if not any(h <= f.inter(g) for h in base.members)
             ),
             None,  # the family has no members
@@ -723,7 +724,7 @@ def filter_transport(f: FinMap, fam: Family, direction: str = "forward") -> Fami
         if fam.carrier != f.cod:
             raise CarrierMismatch("base lives over the wrong carrier")
         im = f.image()
-        for B in fam.members:
+        for B in fam:  # canonical order, so the witness is the least
             if not B.inter(im):
                 raise MeetingConditionFailed(
                     "a member misses the image", witness=(B.name(),)

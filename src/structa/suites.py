@@ -1,8 +1,8 @@
 """Named acceptance bundles.
 
 Each suite is a list of independent units; a unit returns a LawReport.
-Units may run concurrently (``jobs``), but reports are merged in unit
-order, so output is identical whatever the worker count. Randomized
+Units run serially and their reports are merged in unit order; an error
+raised inside a unit becomes a failed check of that unit. Randomized
 suites take a ``seed`` and are deterministic for a fixed seed.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .core import FinMap, FinSet, all_maps, compose, decompose, finset
@@ -22,15 +21,16 @@ def fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"
 
 
-def _run_units(name: str, units, jobs: int = 1) -> LawReport:
+def _run_units(name: str, units) -> LawReport:
+    """Run the units in order and merge their reports. A unit that
+    raises a StructaError gets one failed ``unit-error`` check with the
+    error as its witness, and the remaining units still run."""
     r = LawReport(name)
-    if jobs <= 1:
-        parts = [u() for u in units]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda u: u(), units))
-    for part in parts:
-        r.merge(part)
+    for u in units:
+        try:
+            r.merge(u())
+        except StructaError as e:
+            r.add("unit-error", "the unit ran without a structure error", False, (str(e),))
     return r
 
 
@@ -38,11 +38,12 @@ def _run_units(name: str, units, jobs: int = 1) -> LawReport:
 # 1. function calculus
 
 
-def suite_functions(seed=0, jobs=1) -> LawReport:
+def suite_functions(seed=0) -> LawReport:
     from .core import fiber_union_check, image_calculus
 
     doms = [FinSet("a%d" % i for i in range(m)) for m in range(4)]
     cods = [FinSet("b%d" % i for i in range(n)) for n in range(4)]
+    volumes = []  # per unit: the individual checks performed
 
     def unit_for(dom, cod):
         def unit():
@@ -93,6 +94,7 @@ def suite_functions(seed=0, jobs=1) -> LawReport:
                                     ("img-fam3", c.law, c.witness)
                                     for c in rep.failures
                                 )
+            volumes.append(checks)
             out = LawReport("functions[%d,%d]" % (len(dom), len(cod)))
             out.add(
                 "fn-laws-%d-%d" % (len(dom), len(cod)),
@@ -106,10 +108,8 @@ def suite_functions(seed=0, jobs=1) -> LawReport:
         return unit
 
     units = [unit_for(d, c) for d in doms for c in cods]
-    r = _run_units("suite-functions", units, jobs)
-    total = sum(
-        int(c.statement.split("(")[-1].split(" ")[0]) for c in r.checks
-    )
+    r = _run_units("suite-functions", units)
+    total = sum(volumes)
     r.add(
         "fn-volume",
         "the exhaustive scan performed at least 100000 individual checks",
@@ -176,7 +176,7 @@ def _poset_on_arr(C, D, on_obj):
     }
 
 
-def suite_categories(seed=0, jobs=1) -> LawReport:
+def suite_categories(seed=0) -> LawReport:
     from .category import check_category
     from .docs import parse, run_check
 
@@ -210,7 +210,7 @@ def suite_categories(seed=0, jobs=1) -> LawReport:
         )
         return out
 
-    return _run_units("suite-categories", [positives, negatives], jobs)
+    return _run_units("suite-categories", [positives, negatives])
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def _hcompose_formulas_agree(alpha, tau) -> bool:
     )
 
 
-def suite_interchange(seed=0, jobs=1) -> LawReport:
+def suite_interchange(seed=0) -> LawReport:
     from .category import from_poset, functor_category, interchange_check, vcompose
     from .order import chain_poset
 
@@ -286,7 +286,7 @@ def suite_interchange(seed=0, jobs=1) -> LawReport:
         unit_for(C, D, E, seed * 1000 + i)
         for i, (C, D, E) in enumerate([(C2, C2, C2), (C2, C2, C3), (C2, C3, C2)])
     ]
-    r = _run_units("suite-interchange", units, jobs)
+    r = _run_units("suite-interchange", units)
     r.add(
         "ic-volume",
         "at least 1000 grids were sampled and both defining formulas of "
@@ -387,7 +387,7 @@ def _yoneda_round_trip(C, a, F, res) -> bool:
     return True
 
 
-def suite_yoneda(seed=0, jobs=1) -> LawReport:
+def suite_yoneda(seed=0) -> LawReport:
     from .category import hom_functors, yoneda, yoneda_embedding
 
     def unit_for(name, C):
@@ -420,14 +420,14 @@ def suite_yoneda(seed=0, jobs=1) -> LawReport:
         return unit
 
     units = [unit_for(name, C) for name, C in _yoneda_corpus()]
-    return _run_units("suite-yoneda", units, jobs)
+    return _run_units("suite-yoneda", units)
 
 
 # ---------------------------------------------------------------------------
 # 5. integers
 
 
-def suite_integers(seed=0, jobs=1) -> LawReport:
+def suite_integers(seed=0) -> LawReport:
     from .numbers import _shift_map, _sym, build_discrete, int_add, int_mul
 
     def exhaustive():
@@ -512,16 +512,14 @@ def suite_integers(seed=0, jobs=1) -> LawReport:
         )
         return out
 
-    return _run_units(
-        "suite-integers", [exhaustive, randomized, products, laws], jobs
-    )
+    return _run_units("suite-integers", [exhaustive, randomized, products, laws])
 
 
 # ---------------------------------------------------------------------------
 # 6. rationals
 
 
-def suite_rationals(seed=0, jobs=1) -> LawReport:
+def suite_rationals(seed=0) -> LawReport:
     from .numbers import (
         Rat,
         embed_int,
@@ -649,7 +647,6 @@ def suite_rationals(seed=0, jobs=1) -> LawReport:
     return _run_units(
         "suite-rationals",
         [order_laws, additive_group, multiplicative_group, embedding],
-        jobs,
     )
 
 
@@ -657,7 +654,7 @@ def suite_rationals(seed=0, jobs=1) -> LawReport:
 # 7. lattices
 
 
-def suite_lattices(seed=0, jobs=1) -> LawReport:
+def suite_lattices(seed=0) -> LawReport:
     from .order import (
         enumerate_posets,
         lattice_from_poset,
@@ -714,14 +711,14 @@ def suite_lattices(seed=0, jobs=1) -> LawReport:
 
         return unit
 
-    return _run_units("suite-lattices", [unit_for(n) for n in (1, 2, 3, 4)], jobs)
+    return _run_units("suite-lattices", [unit_for(n) for n in (1, 2, 3, 4)])
 
 
 # ---------------------------------------------------------------------------
 # 8. Zorn
 
 
-def suite_zorn(seed=0, jobs=1) -> LawReport:
+def suite_zorn(seed=0) -> LawReport:
     from .order import enumerate_posets, extend_chain, zorn_maximal
 
     def unit_for(n):
@@ -757,14 +754,14 @@ def suite_zorn(seed=0, jobs=1) -> LawReport:
 
         return unit
 
-    return _run_units("suite-zorn", [unit_for(n) for n in (1, 2, 3, 4, 5)], jobs)
+    return _run_units("suite-zorn", [unit_for(n) for n in (1, 2, 3, 4, 5)])
 
 
 # ---------------------------------------------------------------------------
 # 9. groups
 
 
-def suite_groups(seed=0, jobs=1) -> LawReport:
+def suite_groups(seed=0) -> LawReport:
     from .core import classify
     from .group import (
         abelianization_check,
@@ -921,16 +918,14 @@ def suite_groups(seed=0, jobs=1) -> LawReport:
         )
         return out
 
-    return _run_units(
-        "suite-groups", [catalog_criteria, first_iso_sweep, s3_facts], jobs
-    )
+    return _run_units("suite-groups", [catalog_criteria, first_iso_sweep, s3_facts])
 
 
 # ---------------------------------------------------------------------------
 # 10. actions
 
 
-def suite_actions(seed=0, jobs=1) -> LawReport:
+def suite_actions(seed=0) -> LawReport:
     from .group import (
         action_check,
         action_nucleus,
@@ -1028,7 +1023,7 @@ def suite_actions(seed=0, jobs=1) -> LawReport:
         )
         return out
 
-    return _run_units("suite-actions", [coset_shapes, stabilizers], jobs)
+    return _run_units("suite-actions", [coset_shapes, stabilizers])
 
 
 def _perm_of_name(name: str) -> dict:
@@ -1045,7 +1040,7 @@ def _perm_of_name(name: str) -> dict:
 # 11. filters
 
 
-def suite_filters(seed=0, jobs=1) -> LawReport:
+def suite_filters(seed=0) -> LawReport:
     from .settools import (
         enumerate_filters,
         generate_filter,
@@ -1083,16 +1078,14 @@ def suite_filters(seed=0, jobs=1) -> LawReport:
 
         return unit
 
-    return _run_units(
-        "suite-filters", [unit_for(n) for n in (1, 2, 3, 4)], jobs
-    )
+    return _run_units("suite-filters", [unit_for(n) for n in (1, 2, 3, 4)])
 
 
 # ---------------------------------------------------------------------------
 # 12. sigma-algebras
 
 
-def suite_sigma(seed=0, jobs=1) -> LawReport:
+def suite_sigma(seed=0) -> LawReport:
     from .settools import Family, sigma_by_partitions, sigma_generate
 
     def unit():
@@ -1115,14 +1108,14 @@ def suite_sigma(seed=0, jobs=1) -> LawReport:
         )
         return out
 
-    return _run_units("suite-sigma", [unit], jobs)
+    return _run_units("suite-sigma", [unit])
 
 
 # ---------------------------------------------------------------------------
 # 13. topology
 
 
-def suite_topology(seed=0, jobs=1) -> LawReport:
+def suite_topology(seed=0) -> LawReport:
     from .settools import Family
     from .top import (
         ClosureOp,
@@ -1212,16 +1205,14 @@ def suite_topology(seed=0, jobs=1) -> LawReport:
         )
         return out
 
-    return _run_units(
-        "suite-topology", [count_and_equivalence, strict_closure], jobs
-    )
+    return _run_units("suite-topology", [count_and_equivalence, strict_closure])
 
 
 # ---------------------------------------------------------------------------
 # 14. cli
 
 
-def suite_cli(seed=0, jobs=1) -> LawReport:
+def suite_cli(seed=0) -> LawReport:
     import contextlib
     import io
 
@@ -1292,7 +1283,7 @@ def suite_cli(seed=0, jobs=1) -> LawReport:
         )
         return out
 
-    return _run_units("suite-cli", [roundtrip, determinism, exit_codes], jobs)
+    return _run_units("suite-cli", [roundtrip, determinism, exit_codes])
 
 
 SUITES = {
@@ -1314,8 +1305,10 @@ SUITES = {
 
 
 def run_suite(name: str, seed=0, jobs=1) -> LawReport:
+    """Run the named suite. ``jobs`` is accepted and ignored: suites run
+    serially, and the parameter stays only because perfbench passes it."""
     if name not in SUITES:
         from .errors import SchemaError
 
         raise SchemaError("unknown suite %r; known: %s" % (name, sorted(SUITES)))
-    return SUITES[name](seed=seed, jobs=jobs)
+    return SUITES[name](seed=seed)

@@ -217,7 +217,7 @@ class TestSeveralFiles:
 def run_real(args, **env):
     """The command line in a fresh interpreter, with a real stdout."""
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONIOENCODING="utf-8", **env)
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONIOENCODING": "utf-8", **env}
     return subprocess.run([sys.executable, "-m", "structa.cli", *args],
                           capture_output=True, env=env, timeout=300)
 
@@ -239,6 +239,20 @@ class TestRealStreams:
         proc = run_real(["derive", "opposite", doc])
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert '"\u00e9"'.encode("utf-8") in proc.stdout
+
+    def test_output_is_utf8_whatever_the_locale(self):
+        doc = self.LONE_SURROGATE.replace("\\ud800", "\u00e9")
+        utf8 = run_real(["derive", "opposite", doc])
+        ascii_ = run_real(["derive", "opposite", doc], PYTHONIOENCODING="ascii")
+        assert (ascii_.returncode, ascii_.stdout, ascii_.stderr) == (0, utf8.stdout, b"")
+
+    def test_failing_witness_is_written_whatever_the_locale(self):
+        doc = json.dumps({"kind": "poset", "carrier": ["a", "\u00e9"],
+                          "le": [["a", "a"], ["a", "\u00e9"], ["\u00e9", "a"], ["\u00e9", "\u00e9"]]})
+        proc = run_real(["check", doc], PYTHONIOENCODING="ascii")
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        assert "FAIL  antisym".encode("utf-8") in proc.stdout
+        assert "'\u00e9'".encode("utf-8") in proc.stdout
 
     # opens {t0,t1} and {t0,t2} meet in {t0}, which is not open; the
     # closure sends {a,b} to {a,b,c}, so {a} ∪ {b} is not closed
@@ -263,6 +277,26 @@ class TestRealStreams:
         for seed, proc in runs.items():
             assert (proc.returncode, proc.stdout, proc.stderr) == (
                 first.returncode, first.stdout, first.stderr), seed
+
+
+class TestUnitErrors:
+    def test_error_inside_a_unit_is_a_fail_line(self, monkeypatch):
+        from structa import category
+        from structa.category import NatTransData, compose_functors
+
+        def alpha_only(alpha, tau):
+            # (α∘τ)_x = α_{Gx}: not composable where α_{Gx} ∘ J τ_x would be
+            return NatTransData(
+                compose_functors(alpha.F, tau.F), compose_functors(alpha.G, tau.G),
+                {x: alpha.component[tau.G.on_obj[x]] for x in tau.F.src.objects},
+            )
+
+        monkeypatch.setattr(category, "hcompose", alpha_only)
+        code, out, err = run_cli(["suite", "interchange"])
+        assert (code, err) == (1, "")
+        lines = [line.split()[:2] for line in out.splitlines() if "FAIL" in line]
+        assert lines == [["FAIL", "ic-volume"]] + [["FAIL", "unit-error"]] * 3
+        assert "witness=('arrows are not composable',)" in out
 
 
 class TestJsonOutput:
@@ -356,6 +390,11 @@ class TestFormats:
     def test_formats_matches_shipped_docs(self):
         root = Path(__file__).resolve().parents[1]
         assert (root / "docs" / "format.md").read_text(encoding="utf-8") == cli.FORMAT_SPEC
+
+    def test_catalogue_holds_the_document_laws(self):
+        laws = json.loads(run_cli(["formats", "--json"])[1])["laws"]
+        for law in ("set-elements", "set-subset-count", "hom-mult", "hom-unit"):
+            assert law in laws
 
     def test_formats_json(self):
         code, out, _ = run_cli(["formats", "--json"])

@@ -244,6 +244,51 @@ class TestCheck:
         # a raised guard admits the document
         assert run_check(doc, max_size=60).passed
 
+    @staticmethod
+    def points(n):
+        return ["p%d" % i for i in range(n)]
+
+    # one document per guarded kind, one past its default bound
+    GUARDED = {
+        "family": (lambda pts: {"members": [pts[:1]]}, 4),
+        "filterbase": (lambda pts: {"members": [pts[:1]]}, 5),
+        "closure": (lambda pts: {"table": [
+            [list(S), list(S)] for k in range(len(pts) + 1)
+            for S in itertools.combinations(pts, k)
+        ]}, 4),
+        "topology": (lambda pts: {"opens": [[], pts]}, 5),
+        "base": (lambda pts: {"members": [[p] for p in pts]}, 5),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GUARDED))
+    def test_each_kind_has_its_own_guard(self, kind):
+        keys, bound = self.GUARDED[kind]
+        pts = self.points(bound + 1)
+        doc = parse_text(json.dumps({"kind": kind, "carrier": pts, **keys(pts)}))
+        with pytest.raises(TooLarge) as e:
+            run_check(doc)
+        assert str(e.value) == (
+            "%s document exceeds the size bound (%d > %d); raise --max-size"
+            % (kind, bound + 1, bound)
+        )
+        assert e.value.witness == (bound + 1, bound)
+        with pytest.raises(TooLarge):
+            run_check(doc, max_size=bound)
+        assert run_check(doc, max_size=bound + 1).passed
+
+    @pytest.mark.parametrize("window, den, size, bound", [(41, 7, 41, 40), (1, 7, 7, 6)])
+    def test_rational_window_guards_window_then_den(self, window, den, size, bound):
+        doc = parse_text(json.dumps({"kind": "rational-window", "window": window, "den": den}))
+        with pytest.raises(TooLarge) as e:
+            run_check(doc)
+        assert e.value.witness == (size, bound)
+        assert run_check(doc, max_size=size).passed
+
+    def test_set_check_ignores_the_guard(self):
+        doc = parse_text(json.dumps({"kind": "set", "elements": self.points(11)}))
+        assert run_check(doc).passed
+        assert run_check(doc, max_size=1).passed
+
 
 class TestDerive:
     def test_quotient_s3_by_rotations(self):

@@ -6,7 +6,11 @@ counting for sigma-algebras.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +285,29 @@ class TestFilters:
         carrier = finset("a", "b")
         with pytest.raises(EmptyMemberInBase):
             generate_filter(Family(carrier, [FinSet(), carrier]))
+
+    def test_witnesses_do_not_depend_on_the_hash_seed(self):
+        # {a,b} and {a,c} meet in {a}, which holds no member; {y} and {z}
+        # both miss the image {x} of the constant map
+        code = (
+            "from structa.core import FinMap, finset\n"
+            "from structa.settools import family, filter_transport, generate_filter\n"
+            "base = family(finset('a', 'b', 'c', 'd'), ['a', 'b'], ['c', 'd'], ['a', 'c'], ['b', 'd'])\n"
+            "xyz = finset('x', 'y', 'z')\n"
+            "f = FinMap.constant(finset('a'), xyz, 'x')\n"
+            "for run in (lambda: generate_filter(base),\n"
+            "            lambda: filter_transport(f, family(xyz, ['z'], ['y'], ['x']), 'backward')):\n"
+            "    try:\n"
+            "        run()\n"
+            "    except Exception as e:\n"
+            "        print(e.witness)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        for seed in range(6):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed))
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, env=env, timeout=60)
+            assert (proc.stdout, proc.stderr) == ("('{a,b}', '{a,c}')\n('{y}',)\n", ""), seed
 
     def test_filter_count_two_points(self):
         carrier = finset("a", "b")
