@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FinMap, FinSet, Partition, check_symbol, classify, compose, finset
+from .core import FinMap, FinSet, Partition, check_symbol, classify, compose, finset, two_sided_unit
 from .errors import (
     BadStructure,
     CarrierMismatch,
@@ -248,14 +248,7 @@ def from_group(table, carrier: FinSet | None = None) -> FinCat:
         carrier, op, unit = G.carrier, G.op, G.unit
     else:
         op = dict(table)
-        unit = next(
-            (
-                e
-                for e in carrier
-                if all(op[(e, x)] == x and op[(x, e)] == x for x in carrier)
-            ),
-            None,
-        )
+        unit = two_sided_unit(op, carrier)
         if unit is None:
             raise BadStructure("the table has no two-sided unit")
     obj = "pt"
@@ -1425,22 +1418,15 @@ def cayley(G) -> "GroupHom":
     """Cayley's theorem through the hom functor of the one-object
     category: L_e sends each element to left translation, and those
     translations form an isomorphic transformation group."""
-    from .group import _perm_name, check_group, hom_check
+    from .group import _perm_name, hom_check, permutation_group
 
     C = from_group(G)
     obj = next(iter(C.objects))
     L, _ = hom_functors(C, obj)
     perms = {g: L.on_arr[g] for g in G.carrier}
     names = {g: _perm_name(perms[g].assign) for g in G.carrier}
-    img_names = FinSet(names.values())
-    by_name = {names[g]: perms[g] for g in G.carrier}
-    table = {
-        (p, q): _perm_name(compose(by_name[p], by_name[q]).assign)
-        for p in img_names
-        for q in img_names
-    }
-    img = check_group(table, img_names)
-    return hom_check(G, img, FinMap(G.carrier, img_names, names))
+    img = permutation_group({names[g]: perms[g] for g in G.carrier})
+    return hom_check(G, img, FinMap(G.carrier, img.carrier, names))
 
 
 def compare_representations(C: FinCat, F: SetRepr, rep1, rep2):

@@ -431,6 +431,24 @@ def fold(op, seq):
     return acc, tuple(partials)
 
 
+def associativity_witness(op, xs):
+    """The first triple (a, b, c) of ``xs``, in the order of ``xs``, with
+    (ab)c != a(bc) in the pair-keyed table ``op``, or None."""
+    for a in xs:
+        for b in xs:
+            ab = op[(a, b)]
+            for c in xs:
+                if op[(ab, c)] != op[(a, op[(b, c)])]:
+                    return (a, b, c)
+    return None
+
+
+def two_sided_unit(op, xs):
+    """The first e of ``xs`` with ea = a = ae for every a of ``xs`` in the
+    pair-keyed table ``op``, or None."""
+    return next((e for e in xs if all(op[(e, a)] == a == op[(a, e)] for a in xs)), None)
+
+
 def iterate(f: FinMap, n: int) -> FinMap:
     if f.dom != f.cod:
         raise CompositionMismatch("iteration needs an endofunction")

@@ -12,7 +12,17 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FinMap, FinSet, Partition, classify, compose, finset
+from .core import (
+    FinMap,
+    FinSet,
+    Partition,
+    all_maps,
+    associativity_witness,
+    classify,
+    compose,
+    finset,
+    two_sided_unit,
+)
 from .errors import (
     CarrierMismatch,
     IllDefinedQuotient,
@@ -102,18 +112,9 @@ def group_axioms(table, carrier: FinSet) -> LawReport:
     r.add("grp-closed", "products stay in the carrier", escape is None, escape)
     if escape is not None:
         return r
-    assoc = next(
-        (
-            (a, b, c)
-            for a in xs
-            for b in xs
-            for c in xs
-            if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]
-        ),
-        None,
-    )
+    assoc = associativity_witness(table, xs)
     r.add("grp-assoc", "(ab)c = a(bc)", assoc is None, assoc)
-    unit = next((e for e in xs if all(table[(e, a)] == a == table[(a, e)] for a in xs)), None)
+    unit = two_sided_unit(table, xs)
     r.add("grp-unit", "a two-sided unit exists", unit is not None)
     if unit is None or assoc is not None:
         return r
@@ -168,7 +169,7 @@ def assemble_group(table, carrier: FinSet) -> FinGroup:
     """The group of a table whose ``group_axioms`` report passed: it
     looks up the unit and the inverses, and checks nothing."""
     xs = carrier.elements
-    unit = next(e for e in xs if all(table[(e, a)] == a == table[(a, e)] for a in xs))
+    unit = two_sided_unit(table, xs)
     inv = {a: next(b for b in xs if table[(a, b)] == unit) for a in xs}
     return FinGroup(carrier, table, unit, inv)
 
@@ -206,17 +207,23 @@ def _perm_name(assign: dict) -> str:
     return "(%s)" % ",".join("%s>%s" % (k, v) for k, v in sorted(assign.items()))
 
 
+def permutation_group(by_name: dict) -> FinGroup:
+    """The group of the permutations ``by_name`` (name → FinMap) under
+    composition: the product pq is p∘q, named by ``_perm_name``."""
+    names = FinSet(by_name)
+    table = {
+        (p, q): _perm_name(compose(by_name[p], by_name[q]).assign) for p in names for q in names
+    }
+    return check_group(table, names)
+
+
 def bijection_group(carrier: FinSet) -> tuple:
     """The group of all bijections of a set, with a name → FinMap registry."""
     perms = {}
     for values in itertools.permutations(carrier.elements):
         f = FinMap(carrier, carrier, dict(zip(carrier.elements, values)))
         perms[_perm_name(f.assign)] = f
-    names = FinSet(perms)
-    table = {
-        (p, q): _perm_name(compose(perms[p], perms[q]).assign) for p in names for q in names
-    }
-    return check_group(table, names), perms
+    return permutation_group(perms), perms
 
 
 def symmetric_group_3() -> tuple:
@@ -275,23 +282,29 @@ def cosets(G: FinGroup, H: Subgroup, side: str = "right") -> Partition:
     return Partition(G.carrier, tuple(sorted(blocks, key=lambda b: b.elements)))
 
 
-def is_normal(G: FinGroup, N: Subgroup) -> bool:
-    """Closed under conjugation: xnx⁻¹ lies in N for every x and n. The
-    groups suite's ``grp-criteria`` law checks this criterion against
-    coset equality and conjugate-set equality."""
-    return all(
-        G.op[(G.op[(x, n)], G.inv[x])] in N.members for x in G.carrier for n in N.members
-    )
-
-
-def quotient(G: FinGroup, N: Subgroup) -> FinGroup:
-    if not is_normal(G, N):
-        bad = next(
+def normality_witness(G: FinGroup, N: Subgroup):
+    """The first (x, n), x in G and n in N, with xnx⁻¹ outside N, or None."""
+    return next(
+        (
             (x, n)
             for x in G.carrier
             for n in N.members
             if G.op[(G.op[(x, n)], G.inv[x])] not in N.members
-        )
+        ),
+        None,
+    )
+
+
+def is_normal(G: FinGroup, N: Subgroup) -> bool:
+    """Closed under conjugation: xnx⁻¹ lies in N for every x and n. The
+    groups suite's ``grp-criteria`` law checks this criterion against
+    coset equality and conjugate-set equality."""
+    return normality_witness(G, N) is None
+
+
+def quotient(G: FinGroup, N: Subgroup) -> FinGroup:
+    bad = normality_witness(G, N)
+    if bad is not None:
         raise NotNormal("subgroup is not normal", witness=bad)
     part = cosets(G, N, "right")
     names = {b: b.name() for b in part.blocks}
@@ -353,10 +366,10 @@ def abelianization_check(G: FinGroup, N: Subgroup) -> LawReport:
     return r
 
 
-def hom_check(src: FinGroup, tgt: FinGroup, f: FinMap) -> GroupHom:
-    if f.dom != src.carrier or f.cod != tgt.carrier:
-        raise CarrierMismatch("map does not connect the group carriers")
-    bad = next(
+def hom_witness(src: FinGroup, tgt: FinGroup, f: FinMap):
+    """The first (a, b) of the carrier of ``src`` with f(ab) != f(a)f(b),
+    or None."""
+    return next(
         (
             (a, b)
             for a in src.carrier
@@ -365,6 +378,12 @@ def hom_check(src: FinGroup, tgt: FinGroup, f: FinMap) -> GroupHom:
         ),
         None,
     )
+
+
+def hom_check(src: FinGroup, tgt: FinGroup, f: FinMap) -> GroupHom:
+    if f.dom != src.carrier or f.cod != tgt.carrier:
+        raise CarrierMismatch("map does not connect the group carriers")
+    bad = hom_witness(src, tgt, f)
     if bad is not None:
         raise NotHomomorphism("f(ab) != f(a)f(b)", witness=bad)
     return GroupHom(src, tgt, f)
@@ -447,9 +466,7 @@ def automorphisms(G: FinGroup, guard: int = 8) -> list:
         f = FinMap(
             G.carrier, G.carrier, {G.unit: G.unit, **dict(zip(rest, values))}
         )
-        if all(
-            f(G.op[(a, b)]) == G.op[(f(a), f(b))] for a in G.carrier for b in G.carrier
-        ):
+        if hom_witness(G, G, f) is None:
             out.append(f)
     return out
 
@@ -458,29 +475,14 @@ def inner_automorphisms(G: FinGroup) -> tuple:
     """The group of conjugation maps and the epimorphism x ↦ (a ↦ xax⁻¹)."""
     conj = {x: conjugation_map(G, x) for x in G.carrier}
     names = {x: _perm_name(conj[x].assign) for x in G.carrier}
-    inn_names = FinSet(names.values())
-    by_name = {names[x]: conj[x] for x in G.carrier}
-    table = {
-        (p, q): _perm_name(compose(by_name[p], by_name[q]).assign)
-        for p in inn_names
-        for q in inn_names
-    }
-    inn = check_group(table, inn_names)
-    onto = FinMap(G.carrier, inn_names, {x: names[x] for x in G.carrier})
+    inn = permutation_group({names[x]: conj[x] for x in G.carrier})
+    onto = FinMap(G.carrier, inn.carrier, {x: names[x] for x in G.carrier})
     return inn, hom_check(G, inn, onto)
 
 
 def inner_normal_in_aut(G: FinGroup, guard: int = 8) -> bool:
     """Inn(G) is a normal subgroup of the full automorphism group."""
-    auts = automorphisms(G, guard)
-    names = {_perm_name(f.assign): f for f in auts}
-    carrier = FinSet(names)
-    table = {
-        (p, q): _perm_name(compose(names[p], names[q]).assign)
-        for p in carrier
-        for q in carrier
-    }
-    aut = check_group(table, carrier)
+    aut = permutation_group({_perm_name(f.assign): f for f in automorphisms(G, guard)})
     inn_members = FinSet(_perm_name(conjugation_map(G, x).assign) for x in G.carrier)
     return is_normal(aut, subgroup_check(aut, inn_members))
 
@@ -616,15 +618,8 @@ def cayley(G: FinGroup) -> GroupHom:
         prev = owner.setdefault(names[g], g)
         if prev != g:
             raise NotBijective("two elements get the same permutation name", witness=(prev, g))
-    img_names = FinSet(names.values())
-    by_name = {names[g]: A.act[g] for g in G.carrier}
-    table = {
-        (p, q): _perm_name(compose(by_name[p], by_name[q]).assign)
-        for p in img_names
-        for q in img_names
-    }
-    img = check_group(table, img_names)
-    return hom_check(G, img, FinMap(G.carrier, img_names, names))
+    img = permutation_group({names[g]: A.act[g] for g in G.carrier})
+    return hom_check(G, img, FinMap(G.carrier, img.carrier, names))
 
 
 def zp_field(p: int) -> dict:
@@ -673,9 +668,7 @@ def linear_space_check(field: dict, V: FinGroup, act: dict) -> LawReport:
     # homomorphism formulation
     nonzero = [a for a in K if a != zero]
     hom_auto = all(
-        classify(act[a])["bijective"]
-        and all(act[a](V.op[(u, v)]) == V.op[(act[a](u), act[a](v))] for u in V.carrier for v in V.carrier)
-        for a in nonzero
+        classify(act[a])["bijective"] and hom_witness(V, V, act[a]) is None for a in nonzero
     )
     hom_comp = all(
         act[mulK[(a, b)]] == compose(act[a], act[b]) for a in nonzero for b in nonzero
@@ -689,12 +682,7 @@ def linear_space_check(field: dict, V: FinGroup, act: dict) -> LawReport:
     hom_form = hom_auto and hom_comp and hom_additive and act[one] == FinMap.identity(V.carrier)
     r.add("ls-hom-form", "scalar action is an additive hom into Aut(V)", hom_form)
     # four-axiom formulation
-    ax1 = all(
-        act[a](V.op[(u, v)]) == V.op[(act[a](u), act[a](v))]
-        for a in K
-        for u in V.carrier
-        for v in V.carrier
-    )
+    ax1 = all(hom_witness(V, V, act[a]) is None for a in K)
     ax2 = hom_additive
     ax3 = act[one] == FinMap.identity(V.carrier)
     ax4 = all(
@@ -715,31 +703,24 @@ def enumerate_groups(n: int) -> tuple:
     if n > 6:
         raise TooLarge("table enumeration capped at order 6", witness=(n,))
     names = ["g%d" % i for i in range(n)]
+    xs = range(n)
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        table[0][i] = i
-        table[i][0] = i
+    # cells are filled in row order, so a cell reads only filled cells
+    table = {**{(0, i): i for i in xs}, **{(i, 0): i for i in xs}}
     found = []
 
     def place(k):
         if k == len(cells):
-            if _is_associative(table, n):
-                found.append([row[:] for row in table])
+            if associativity_witness(table, xs) is None:
+                found.append(dict(table))
             return
         i, j = cells[k]
-        row_vals = {table[i][c] for c in range(j)}
-        col_vals = {table[r][j] for r in range(i)}
-        for v in range(n):
-            if v in row_vals or v in col_vals:
-                continue
-            table[i][j] = v
-            place(k + 1)
-            table[i][j] = None
+        used = {table[(i, c)] for c in range(j)} | {table[(r, j)] for r in range(i)}
+        for v in xs:
+            if v not in used:
+                table[(i, j)] = v
+                place(k + 1)
 
-    for i in range(1, n):
-        for j in range(1, n):
-            table[i][j] = None
     place(0)
     reps = []
     for t in found:
@@ -747,29 +728,16 @@ def enumerate_groups(n: int) -> tuple:
             reps.append(t)
     out = []
     for t in reps:
-        op = {
-            (names[i], names[j]): names[t[i][j]] for i in range(n) for j in range(n)
-        }
+        op = {(names[i], names[j]): names[t[(i, j)]] for i in xs for j in xs}
         out.append(check_group(op, FinSet(names)))
     return tuple(out)
-
-
-def _is_associative(t, n):
-    for a in range(n):
-        for b in range(n):
-            ab = t[a][b]
-            row_a = t[a]
-            for c in range(n):
-                if t[ab][c] != row_a[t[b][c]]:
-                    return False
-    return True
 
 
 def _tables_isomorphic(t1, t2, n):
     for perm in itertools.permutations(range(1, n)):
         p = (0,) + perm
         if all(
-            p[t1[a][b]] == t2[p[a]][p[b]] for a in range(n) for b in range(n)
+            p[t1[(a, b)]] == t2[(p[a], p[b])] for a in range(n) for b in range(n)
         ):
             return True
     return False
@@ -777,12 +745,6 @@ def _tables_isomorphic(t1, t2, n):
 
 def enumerate_homs(G: FinGroup, H: FinGroup):
     """All homomorphisms G → H by exhaustive map search."""
-    from .core import all_maps
-
     for f in all_maps(G.carrier, H.carrier):
-        if f(G.unit) != H.unit:
-            continue
-        if all(
-            f(G.op[(a, b)]) == H.op[(f(a), f(b))] for a in G.carrier for b in G.carrier
-        ):
+        if f(G.unit) == H.unit and hom_witness(G, H, f) is None:
             yield GroupHom(G, H, f)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FinMap, FinSet, all_maps, classify, finset
+from .core import FinMap, FinSet, all_maps, associativity_witness, classify, finset
 from .errors import (
     BadStructure,
     CarrierMismatch,
@@ -27,20 +27,21 @@ from .report import LawReport
 def check_order(carrier: FinSet, rel) -> LawReport:
     """Classify a pair relation: preorder, partial order, natural order."""
     rel = set(rel)
+    pairs = sorted(rel)  # scanned in order, so each witness is the least
     r = LawReport("order-axioms")
-    for x, y in rel:
+    for x, y in pairs:
         if x not in carrier or y not in carrier:
             raise CarrierMismatch("relation pair outside the carrier", witness=(x, y))
     refl = next(((x,) for x in carrier if (x, x) not in rel), None)
     r.add("refl", "x ≤ x for all x", refl is None, refl)
     antisym = next(
-        ((x, y) for x, y in rel if x != y and (y, x) in rel), None
+        ((x, y) for x, y in pairs if x != y and (y, x) in rel), None
     )
     r.add("antisym", "x ≤ y and y ≤ x imply x = y", antisym is None, antisym)
     trans = next(
         (
             (x, y, z)
-            for (x, y) in sorted(rel)
+            for (x, y) in pairs
             for z in carrier
             if (y, z) in rel and (x, z) not in rel
         ),
@@ -388,13 +389,7 @@ def lattice_laws(lt: LatticeTables) -> LawReport:
     r.add(
         "lat-assoc",
         "∨ and ∧ are associative",
-        all(
-            join[(join[(x, y)], z)] == join[(x, join[(y, z)])]
-            and meet[(meet[(x, y)], z)] == meet[(x, meet[(y, z)])]
-            for x in xs
-            for y in xs
-            for z in xs
-        ),
+        associativity_witness(join, xs) is None and associativity_witness(meet, xs) is None,
     )
     r.add(
         "lat-idem",
@@ -444,16 +439,7 @@ def semilattice_report(table, carrier: FinSet) -> LawReport:
                 raise CarrierMismatch("operation table missing a cell", witness=(x, y))
     comm = next(((x, y) for x in xs for y in xs if table[(x, y)] != table[(y, x)]), None)
     r.add("semi-comm", "x⋄y = y⋄x", comm is None, comm)
-    assoc = next(
-        (
-            (x, y, z)
-            for x in xs
-            for y in xs
-            for z in xs
-            if table[(table[(x, y)], z)] != table[(x, table[(y, z)])]
-        ),
-        None,
-    )
+    assoc = associativity_witness(table, xs)
     r.add("semi-assoc", "(x⋄y)⋄z = x⋄(y⋄z)", assoc is None, assoc)
     idem = next(((x,) for x in xs if table[(x, x)] != x), None)
     r.add("semi-idem", "x⋄x = x", idem is None, idem)

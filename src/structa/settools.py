@@ -71,6 +71,24 @@ def inter_of(fam, carrier: FinSet) -> FinSet:
     return out
 
 
+def closure_witness(fam: Family, op):
+    """The first pair (a, b) of members, in canonical order, whose
+    ``op(a, b)`` is not a member, as names; None when the family is closed
+    under ``op``. ``op`` is ``FinSet.union`` or ``FinSet.inter``: both are
+    commutative and idempotent, so the first such pair has a before b, and
+    only those pairs are scanned."""
+    ms = list(fam)
+    return next(
+        (
+            (a.name(), b.name())
+            for i, a in enumerate(ms)
+            for b in ms[i + 1 :]
+            if op(a, b) not in fam.members
+        ),
+        None,
+    )
+
+
 def power_map(f: FinMap) -> FinMap:
     """The arrow function of the power functor: subsets map to images."""
     dom = FinSet(a.name() for a in f.dom.subsets())
@@ -392,7 +410,7 @@ def is_sigma_algebra(fam: Family) -> bool:
     return (
         fam.carrier in ms
         and all(s.complement_in(fam.carrier) in ms for s in ms)
-        and all(a.union(b) in ms for a in ms for b in ms)
+        and closure_witness(fam, FinSet.union) is None
     )
 
 
@@ -446,24 +464,36 @@ def sigma_by_partitions(carrier: FinSet, B: Family) -> Family:
     return Family(carrier, inter)
 
 
+def filter_base_witness(fam: Family):
+    """The first pair (f, g) of members, in canonical order, such that no
+    member lies inside f ∩ g, as names; None when there is none."""
+    ms = list(fam)
+    return next(
+        (
+            (f.name(), g.name())
+            for f in ms
+            for g in ms
+            if not any(h <= f.inter(g) for h in ms)
+        ),
+        None,
+    )
+
+
 def is_filter_base(fam: Family) -> bool:
     ms = fam.members
     if not ms or any(len(s) == 0 for s in ms):
         return False
-    return all(
-        any(h <= f.inter(g) for h in ms) for f in ms for g in ms
-    )
+    return filter_base_witness(fam) is None
 
 
 def is_filter(fam: Family) -> bool:
     ms = fam.members
     if not ms or any(len(s) == 0 for s in ms):
         return False
-    inter_closed = all(a.inter(b) in ms for a in ms for b in ms)
     upward = all(
         t in ms for s in ms for t in fam.carrier.subsets() if s <= t
     )
-    return inter_closed and upward
+    return closure_witness(fam, FinSet.inter) is None and upward
 
 
 def generate_filter(base: Family) -> Family:
@@ -471,17 +501,8 @@ def generate_filter(base: Family) -> Family:
     if any(len(s) == 0 for s in base.members):
         bad = next(s for s in base.members if len(s) == 0)
         raise EmptyMemberInBase("a base member is empty", witness=(bad.name(),))
-    if not is_filter_base(base):
-        # the witness search iterates the base in canonical order
-        bad = next(
-            (
-                (f.name(), g.name())
-                for f in base
-                for g in base
-                if not any(h <= f.inter(g) for h in base.members)
-            ),
-            None,  # the family has no members
-        )
+    bad = filter_base_witness(base)
+    if bad is not None or not base.members:
         raise EmptyMemberInBase("family is not a filter base", witness=bad)
     members = {
         t for s in base.members for t in base.carrier.subsets() if s <= t

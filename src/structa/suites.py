@@ -23,14 +23,15 @@ def fixtures_dir() -> Path:
 
 def _run_units(name: str, units) -> LawReport:
     """Run the units in order and merge their reports. A unit that
-    raises a StructaError gets one failed ``unit-error`` check with the
-    error as its witness, and the remaining units still run."""
+    raises a StructaError gets one failed ``unit-error`` check whose
+    witness is the unit's 1-based position and the error, and the
+    remaining units still run."""
     r = LawReport(name)
-    for u in units:
+    for i, u in enumerate(units, start=1):
         try:
             r.merge(u())
         except StructaError as e:
-            r.add("unit-error", "the unit ran without a structure error", False, (str(e),))
+            r.add("unit-error", "the unit ran without a structure error", False, (i, str(e)))
     return r
 
 
@@ -233,11 +234,14 @@ def _hcompose_formulas_agree(alpha, tau) -> bool:
 
 
 def suite_interchange(seed=0) -> LawReport:
-    from .category import from_poset, functor_category, interchange_check, vcompose
+    from .category import from_group, from_poset, functor_category, interchange_check, vcompose
+    from .group import cyclic_group
     from .order import chain_poset
 
     C2 = from_poset(chain_poset(["c0", "c1"]))
     C3 = from_poset(chain_poset(["c0", "c1", "c2"]))
+    # one object, so not thin: the two formulas of hcompose can differ here
+    Z2 = from_group(cyclic_group(2))
 
     def vertical_pairs(FC):
         return [
@@ -284,7 +288,7 @@ def suite_interchange(seed=0) -> LawReport:
 
     units = [
         unit_for(C, D, E, seed * 1000 + i)
-        for i, (C, D, E) in enumerate([(C2, C2, C2), (C2, C2, C3), (C2, C3, C2)])
+        for i, (C, D, E) in enumerate([(C2, C2, C2), (C2, C2, C3), (C2, C3, C2), (Z2, Z2, Z2)])
     ]
     r = _run_units("suite-interchange", units)
     r.add(

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .core import FinSet, finset
 from .errors import BadStructure, CarrierMismatch, NotClosedFamily, NotCovering
 from .report import LawReport
-from .settools import Family, inter_of, union_of
+from .settools import Family, closure_witness, inter_of, union_of
 
 
 class ClosureOp:
@@ -87,13 +87,9 @@ def closure_laws(op: ClosureOp) -> LawReport:
     bad = next(((A.name(),) for A in subs if op(op(A)) != op(A)), None)
     r.add("clx-idempotent", "closing twice adds nothing", bad is None, bad)
     closed = op.closed_sets()
-    ms = list(closed)
-    bad = next(
-        ((a.name(), b.name()) for a in ms for b in ms if a.union(b) not in closed.members),
-        None,
-    )
+    bad = closure_witness(closed, FinSet.union)
     r.add("clx-closed-union", "finite unions of closed sets are closed", bad is None, bad)
-    inter_ok = all(a.inter(b) in closed.members for a in ms for b in ms)
+    inter_ok = closure_witness(closed, FinSet.inter) is None
     r.add("clx-closed-inter", "intersections of closed sets are closed", inter_ok)
     return r
 
@@ -128,17 +124,10 @@ def closure_from_closed(carrier: FinSet, C: Family) -> ClosureOp:
         raise CarrierMismatch("closed family lives over a different carrier")
     if FinSet() not in C.members or carrier not in C.members:
         raise NotClosedFamily("the empty set and the carrier must be closed")
-    ms = list(C)
-    bad = next(
-        ((a.name(), b.name()) for a in ms for b in ms if a.inter(b) not in C.members),
-        None,
-    )
+    bad = closure_witness(C, FinSet.inter)
     if bad is not None:
         raise NotClosedFamily("family is not intersection closed", witness=bad)
-    bad = next(
-        ((a.name(), b.name()) for a in ms for b in ms if a.union(b) not in C.members),
-        None,
-    )
+    bad = closure_witness(C, FinSet.union)
     if bad is not None:
         raise NotClosedFamily("family is not union closed", witness=bad)
     table = {
@@ -159,17 +148,10 @@ def check_topology(carrier: FinSet, opens: Family) -> Topology:
         raise CarrierMismatch("open family lives over a different carrier")
     if FinSet() not in opens or carrier not in opens:
         raise BadStructure("the empty set and the carrier must be open")
-    ms = list(opens)
-    bad = next(
-        ((a.name(), b.name()) for a in ms for b in ms if a.union(b) not in opens.members),
-        None,
-    )
+    bad = closure_witness(opens, FinSet.union)
     if bad is not None:
         raise BadStructure("opens are not union closed", witness=bad)
-    bad = next(
-        ((a.name(), b.name()) for a in ms for b in ms if a.inter(b) not in opens.members),
-        None,
-    )
+    bad = closure_witness(opens, FinSet.inter)
     if bad is not None:
         raise BadStructure("opens are not intersection closed", witness=bad)
     # on a finite carrier, unions of subfamilies reduce to pairwise ones
@@ -314,8 +296,10 @@ def _enumerate_topologies_cached(carrier: FinSet) -> tuple:
     for k in range(len(subs) + 1):
         for combo in itertools.combinations(subs, k):
             fam = Family(carrier, set(combo) | {FinSet(), carrier})
-            ms = fam.members
-            if all(a.union(b) in ms and a.inter(b) in ms for a in ms for b in ms):
+            if (
+                closure_witness(fam, FinSet.union) is None
+                and closure_witness(fam, FinSet.inter) is None
+            ):
                 out.append(fam)
     return tuple(out)
 

@@ -2,14 +2,18 @@
 
 Every criterion is realized as a named suite (structa.suites); this
 module runs each suite, prints a single line with its verdict, and
-fails the test on any failed check.
+fails the test on any failed check, or on a report that differs from
+its golden file (tests/golden/make.py writes those).
 """
 
 import sys
+from pathlib import Path
 
 import pytest
 
 from structa.suites import SUITES
+
+GOLDEN = Path(__file__).parent / "golden"
 
 CRITERIA = [
     (1, "functions"),
@@ -43,6 +47,8 @@ def test_acceptance_criterion(number, name, capsys):
             file=sys.stderr,
         )
     assert report.passed, report.render_text()
+    golden = (GOLDEN / ("suite-%s.txt" % name)).read_text(encoding="utf-8")
+    assert report.render_text() + "\n" == golden
 
 
 def test_all_criteria_covered():

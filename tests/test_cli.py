@@ -5,6 +5,7 @@ and JSON well-formedness of machine reports.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -18,6 +19,9 @@ from hypothesis import strategies as st
 
 from structa import cli
 from structa.suites import fixtures_dir
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_cli(args):
@@ -214,12 +218,14 @@ class TestSeveralFiles:
         )
 
 
+def real_env(**env):
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONIOENCODING": "utf-8", **env}
+
+
 def run_real(args, **env):
     """The command line in a fresh interpreter, with a real stdout."""
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONIOENCODING": "utf-8", **env}
     return subprocess.run([sys.executable, "-m", "structa.cli", *args],
-                          capture_output=True, env=env, timeout=300)
+                          capture_output=True, env=real_env(**env), timeout=300)
 
 
 class TestRealStreams:
@@ -255,7 +261,8 @@ class TestRealStreams:
         assert "'\u00e9'".encode("utf-8") in proc.stdout
 
     # opens {t0,t1} and {t0,t2} meet in {t0}, which is not open; the
-    # closure sends {a,b} to {a,b,c}, so {a} ∪ {b} is not closed
+    # closure sends {a,b} to {a,b,c}, so {a} ∪ {b} is not closed; the
+    # relation of all nine pairs is not antisymmetric, least at (a, b)
     HASH_DOCS = [
         '{"kind": "topology", "carrier": ["t0", "t1", "t2"], '
         '"opens": [["t0", "t2"], ["t0", "t1", "t2"], ["t0", "t1"], []]}',
@@ -264,6 +271,8 @@ class TestRealStreams:
             for s in ([], ["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"],
                       ["a", "b", "c"])
         ]}),
+        '{"kind":"poset","carrier":["a","b","c"],"le":[["a","b"],["b","a"],["a","a"],'
+        '["b","b"],["c","c"],["b","c"],["c","b"],["a","c"],["c","a"]]}',
     ]
 
     def test_witnesses_do_not_depend_on_the_hash_seed(self):
@@ -274,29 +283,79 @@ class TestRealStreams:
         assert first.returncode == 2
         assert b"witness=('{t0,t1}', '{t0,t2}')" in first.stdout
         assert b"witness=('{a}', '{b}')" in first.stdout
+        assert "imply x = y  witness=('a', 'b')".encode("utf-8") in first.stdout
         for seed, proc in runs.items():
             assert (proc.returncode, proc.stdout, proc.stderr) == (
                 first.returncode, first.stdout, first.stderr), seed
 
+    def test_benchmark_corpora_do_not_depend_on_the_hash_seed(self, tmp_path, monkeypatch):
+        # the two doc-check corpora of the benchmark, written by its own generator
+        spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses look the module up
+        spec.loader.exec_module(gen)
+        files = []
+        for seed in (0, 1):
+            for i, unit in enumerate(gen.check_corpus(seed)):
+                path = tmp_path / ("%d-%03d-%s.json" % (seed, i, unit.name))
+                path.write_text(unit.text, encoding="utf-8")
+                files.append(str(path))
+        assert len(files) == 410
+        # the six runs write to files, not pipes, so none blocks on a full pipe
+        outs = [(tmp_path / ("%d.out" % seed), tmp_path / ("%d.err" % seed)) for seed in range(6)]
+        procs = []
+        for seed, (out, err) in enumerate(outs):
+            with open(out, "wb") as o, open(err, "wb") as e:
+                procs.append(subprocess.Popen(
+                    [sys.executable, "-m", "structa.cli", "check", *files], stdout=o, stderr=e,
+                    env=real_env(PYTHONHASHSEED=str(seed))))
+        runs = [(p.wait(timeout=300), out.read_bytes(), err.read_bytes())
+                for p, (out, err) in zip(procs, outs)]
+        assert runs[0][1].count(b"\n== ") > 300
+        for seed, run in enumerate(runs):
+            assert run == runs[0], seed
+
+
+def alpha_only(alpha, tau):
+    """A wrong horizontal composite, (α∘τ)_x = α_{Gx}: not composable
+    where α_{Gx} ∘ J τ_x would be."""
+    from structa.category import NatTransData, compose_functors
+
+    return NatTransData(
+        compose_functors(alpha.F, tau.F), compose_functors(alpha.G, tau.G),
+        {x: alpha.component[tau.G.on_obj[x]] for x in tau.F.src.objects},
+    )
+
 
 class TestUnitErrors:
+    def fail_lines(self, out):
+        return [line.split()[:2] for line in out.splitlines() if "FAIL" in line]
+
     def test_error_inside_a_unit_is_a_fail_line(self, monkeypatch):
         from structa import category
-        from structa.category import NatTransData, compose_functors
-
-        def alpha_only(alpha, tau):
-            # (α∘τ)_x = α_{Gx}: not composable where α_{Gx} ∘ J τ_x would be
-            return NatTransData(
-                compose_functors(alpha.F, tau.F), compose_functors(alpha.G, tau.G),
-                {x: alpha.component[tau.G.on_obj[x]] for x in tau.F.src.objects},
-            )
 
         monkeypatch.setattr(category, "hcompose", alpha_only)
         code, out, err = run_cli(["suite", "interchange"])
         assert (code, err) == (1, "")
-        lines = [line.split()[:2] for line in out.splitlines() if "FAIL" in line]
-        assert lines == [["FAIL", "ic-volume"]] + [["FAIL", "unit-error"]] * 3
-        assert "witness=('arrows are not composable',)" in out
+        # the fourth unit, interchange[1,1,1], has one object and raises nothing
+        assert self.fail_lines(out) == [["FAIL", "ic-volume"]] + [["FAIL", "unit-error"]] * 3
+        for i in (1, 2, 3):
+            assert "witness=('%d', 'arrows are not composable')" % i in out
+
+    def test_volume_sees_a_wrong_formula_on_a_non_thin_category(self, monkeypatch):
+        from structa import category
+
+        hcompose = category.hcompose
+
+        def wrong_on_one_object(alpha, tau):
+            # only where the wrong formula raises nothing, so every unit samples its grids
+            one = len(tau.F.src.objects) == 1
+            return (alpha_only if one else hcompose)(alpha, tau)
+
+        monkeypatch.setattr(category, "hcompose", wrong_on_one_object)
+        code, out, err = run_cli(["suite", "interchange"])
+        assert (code, err) == (1, "")
+        assert self.fail_lines(out) == [["FAIL", "ic-volume"]]
 
 
 class TestJsonOutput:
@@ -381,6 +440,7 @@ class TestFormats:
     def test_formats_prints_schema_and_catalogue(self):
         code, out, _ = run_cli(["formats"])
         assert code == 0
+        assert out == (GOLDEN / "formats.txt").read_text(encoding="utf-8")
         assert "rational-window" in out
         assert "Law catalogue" in out
         # spot-check a few law ids from different modules
@@ -398,6 +458,7 @@ class TestFormats:
 
     def test_formats_json(self):
         code, out, _ = run_cli(["formats", "--json"])
+        assert out == (GOLDEN / "formats.json").read_text(encoding="utf-8")
         payload = json.loads(out)
         assert payload["schema"] == cli.FORMAT_SPEC
         assert payload["laws"]["grp-unit"]

@@ -15,6 +15,7 @@ from structa.core import (
     FinMap,
     FinSet,
     all_maps,
+    associativity_witness,
     check_symbol,
     classify,
     compose,
@@ -32,6 +33,7 @@ from structa.core import (
     natural_pair_check,
     right_inverse,
     select,
+    two_sided_unit,
 )
 from structa.errors import (
     CarrierMismatch,
@@ -516,3 +518,56 @@ class TestPublicValidation:
             if accepted != (not ch.isspace() and not 0xD800 <= cp <= 0xDFFF):
                 disagree.append(cp)
         assert disagree == []
+
+
+# ---------------------------------------------------------------------------
+# Witness searches over pair-keyed tables. Each returns the first witness
+# in the order of the carrier it is given; the references collect every
+# witness and take the first. The tables obey the law, then one cell is
+# planted with an arbitrary value.
+
+# position-indexed operations on a carrier of n points: each is
+# associative; cyclic and max have the unit at position 0
+LAWFUL_TABLES = {
+    "cyclic": lambda i, j, n: (i + j) % n,
+    "max": lambda i, j, n: max(i, j),
+    "left-zero": lambda i, j, n: i,
+    "constant": lambda i, j, n: 0,
+}
+
+
+@st.composite
+def planted_tables(draw):
+    n = draw(st.integers(1, 4))
+    xs = tuple(draw(st.permutations(["x0", "x1", "x2", "x3"][:n])))
+    law = LAWFUL_TABLES[draw(st.sampled_from(sorted(LAWFUL_TABLES)))]
+    op = {(a, b): xs[law(i, j, n)] for i, a in enumerate(xs) for j, b in enumerate(xs)}
+    op[(draw(st.sampled_from(xs)), draw(st.sampled_from(xs)))] = draw(st.sampled_from(xs))
+    return xs, op
+
+
+def first_non_associative(op, xs):
+    bad = [t for t in itertools.product(xs, repeat=3)
+           if op[(op[(t[0], t[1])], t[2])] != op[(t[0], op[(t[1], t[2])])]]
+    return bad[0] if bad else None
+
+
+def first_unit(op, xs):
+    left = {e for e in xs if all(op[(e, a)] == a for a in xs)}
+    right = {e for e in xs if all(op[(a, e)] == a for a in xs)}
+    units = [e for e in xs if e in left & right]
+    return units[0] if units else None
+
+
+class TestTableWitnesses:
+    @PROPERTY
+    @given(planted_tables())
+    def test_associativity_witness_is_the_first(self, case):
+        xs, op = case
+        assert associativity_witness(op, xs) == first_non_associative(op, xs)
+
+    @PROPERTY
+    @given(planted_tables())
+    def test_two_sided_unit_is_the_first(self, case):
+        xs, op = case
+        assert two_sided_unit(op, xs) == first_unit(op, xs)

@@ -7,6 +7,8 @@ for symmetric groups, and exhaustive searches over small carriers.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structa.core import FinMap, FinSet, classify, compose, finset
 from structa import group
@@ -41,6 +43,7 @@ from structa.group import (
     first_iso,
     group_axioms,
     hom_check,
+    hom_witness,
     image_subgroup,
     inner_automorphisms,
     inner_normal_in_aut,
@@ -49,6 +52,8 @@ from structa.group import (
     kernel,
     klein_four,
     linear_space_check,
+    normality_witness,
+    permutation_group,
     power,
     quotient,
     regular_action,
@@ -59,6 +64,7 @@ from structa.group import (
     transfer_check,
     zp_field,
 )
+from structa.group import Subgroup, _perm_name, conjugation_map
 
 
 def s3():
@@ -613,3 +619,97 @@ class TestConstructionTheorems:
         with pytest.raises(NotBijective) as err:
             cayley(G)
         assert err.value.witness == ("g0", "g1")
+
+
+# ---------------------------------------------------------------------------
+# Witness searches, against references that collect every witness and take
+# the first. The inputs obey the law, then one value or member is planted.
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+CATALOGUE = [cyclic_group(n) for n in (1, 2, 3, 4)] + [klein_four(), s3()[0]]
+
+
+def lawful_homs(G, H):
+    """Homomorphisms G → H built without a hom test: the trivial map, and
+    for G = H the conjugations and, for abelian G, the power maps."""
+    yield {a: H.unit for a in G.carrier}
+    if G is H:
+        yield from (conjugation_map(G, x).assign for x in G.carrier)
+        if G.is_abelian():
+            yield from ({a: power(G, a, k) for a in G.carrier} for k in range(4))
+
+
+@st.composite
+def planted_homs(draw):
+    G, H = draw(st.sampled_from(CATALOGUE)), draw(st.sampled_from(CATALOGUE))
+    assign = dict(draw(st.sampled_from(list(lawful_homs(G, H)))))
+    assign[draw(st.sampled_from(G.carrier.elements))] = draw(st.sampled_from(H.carrier.elements))
+    return G, H, FinMap(G.carrier, H.carrier, assign)
+
+
+def first_non_hom(G, H, f):
+    bad = [(a, b) for a, b in itertools.product(G.carrier, repeat=2)
+           if f(G.op[(a, b)]) != H.op[(f(a), f(b))]]
+    return bad[0] if bad else None
+
+
+@st.composite
+def planted_subgroups(draw):
+    G = draw(st.sampled_from(CATALOGUE))
+    members = set(cyclic_subgroup(G, draw(st.sampled_from(G.carrier.elements))).members)
+    members ^= {draw(st.sampled_from(G.carrier.elements))}
+    return G, Subgroup(G, FinSet(members))
+
+
+def first_non_normal(G, N):
+    bad = [(x, n) for x, n in itertools.product(G.carrier, N.members)
+           if G.op[(G.op[(x, n)], G.inv[x])] not in N.members]
+    return bad[0] if bad else None
+
+
+S3_PERMS = s3()[1]
+
+
+@st.composite
+def planted_perm_sets(draw):
+    # the subgroups of S3 are its cyclic subgroups and S3, which is not abelian
+    S3 = s3()[0]
+    lawful = [cyclic_subgroup(S3, x).members for x in S3.carrier] + [S3.carrier]
+    names = set(draw(st.sampled_from(lawful)))
+    names ^= {draw(st.sampled_from((None,) + S3.carrier.elements))} - {None}
+    return {p: S3_PERMS[p] for p in names}
+
+
+def composite_name(p, q):
+    return _perm_name({x: p.assign[q.assign[x]] for x in q.dom})
+
+
+class TestWitnessSearches:
+    @PROPERTY
+    @given(planted_homs())
+    def test_hom_witness_is_the_first(self, case):
+        G, H, f = case
+        assert hom_witness(G, H, f) == first_non_hom(G, H, f)
+
+    @PROPERTY
+    @given(planted_subgroups())
+    def test_normality_witness_is_the_first(self, case):
+        G, N = case
+        assert normality_witness(G, N) == first_non_normal(G, N)
+        assert is_normal(G, N) == (first_non_normal(G, N) is None)
+
+    @PROPERTY
+    @given(planted_perm_sets())
+    def test_permutation_group_composes_or_names_the_first_escape(self, by_name):
+        products = {(p, q): composite_name(by_name[p], by_name[q])
+                    for p, q in itertools.product(sorted(by_name), repeat=2)}
+        escapes = [pq for pq, r in products.items() if r not in by_name]
+        if not by_name:
+            with pytest.raises(NotAGroup):
+                permutation_group(by_name)
+        elif escapes:
+            with pytest.raises(NotAGroup) as err:
+                permutation_group(by_name)
+            assert err.value.witness == escapes[0]
+        else:
+            assert permutation_group(by_name).op == products

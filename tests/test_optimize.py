@@ -18,17 +18,21 @@ import structa
 PACKAGE = Path(structa.__file__).parent
 ENV = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
 
+GOLDEN = Path(__file__).parent / "golden"
+
 # runs `structa check` on every fixture in one interpreter and prints,
-# per fixture, the exit code, stdout and stderr
+# per fixture, the exit code, stdout and stderr; paths are relative to
+# the fixtures directory, so the output is the same in every checkout
 CHECK_EACH = """
-import contextlib, io, sys
+import contextlib, io, os, sys
 from structa import cli
 from structa.suites import fixtures_dir
 root = fixtures_dir()
+os.chdir(root)
 for path in sorted(root.glob("*.json")) + sorted(root.glob("bad/*.json")):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["check", str(path)])
+        code = cli.main(["check", str(path.relative_to(root))])
     sys.stdout.write("## %s %d\\n%s--\\n%s" % (path.name, code, out.getvalue(), err.getvalue()))
 """
 
@@ -61,4 +65,5 @@ def test_check_output_on_every_fixture_is_the_same_under_optimize():
     plain, opt = (run(flags, ["-c", CHECK_EACH]) for flags in ([], ["-O"]))
     assert plain.returncode == 0, plain.stderr
     assert plain.stdout.count("## ") == len(list(PACKAGE.glob("fixtures/**/*.json")))
+    assert plain.stdout == (GOLDEN / "check-each.txt").read_text(encoding="utf-8")
     assert (opt.returncode, opt.stdout) == (plain.returncode, plain.stdout)

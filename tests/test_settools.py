@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structa.core import FinMap, FinSet, finset
 from structa.errors import (
@@ -26,6 +28,7 @@ from structa import settools
 from structa.order import Poset
 from structa.settools import (
     Family,
+    closure_witness,
     elementary_filter,
     enumerate_filters,
     f_backward,
@@ -33,6 +36,7 @@ from structa.settools import (
     family,
     family_image_laws,
     family_images,
+    filter_base_witness,
     filter_ops,
     filter_transport,
     frechet_base,
@@ -523,3 +527,61 @@ class TestFilterTheorems:
                 except MeetingConditionFailed:
                     continue
                 assert is_filter_base(out)
+
+
+# ---------------------------------------------------------------------------
+# Witness searches over families, against references that collect every
+# witness in canonical member order and take the first. The families obey
+# the law, then one subset is planted: added if absent, removed if present.
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+def lawful_families(carrier):
+    """Families closed under ∪ and ∩ that are also filter bases when
+    non-empty: the principal up-sets and the nested chains."""
+    subs = list(carrier.subsets())
+    yield from ([t for t in subs if s <= t] for s in subs)
+    for order in itertools.permutations(carrier.elements):
+        yield [FinSet(order[:k]) for k in range(len(order) + 1)]
+        yield [FinSet(order[:k]) for k in range(1, len(order) + 1)]
+
+
+@st.composite
+def planted_families(draw):
+    # "é" and "10" sort around the letters, so the canonical order is not alphabetical
+    carrier = FinSet(draw(st.lists(st.sampled_from(["a", "b", "10", "é"]), min_size=1, unique=True)))
+    members = set(draw(st.sampled_from(list(lawful_families(carrier)))))
+    members ^= {draw(st.sampled_from(list(carrier.subsets())))}
+    return Family(carrier, members)
+
+
+def canonical(fam):
+    return sorted(fam.members, key=lambda s: (len(s), s.elements))
+
+
+def first_unclosed(fam, op):
+    bad = [(a.name(), b.name()) for a, b in itertools.product(canonical(fam), repeat=2)
+           if op(a, b) not in fam.members]
+    return bad[0] if bad else None
+
+
+def first_unmet(fam):
+    # no member lies inside f ∩ g: no subset of f ∩ g is a member
+    bad = [(f.name(), g.name()) for f, g in itertools.product(canonical(fam), repeat=2)
+           if not set(f.inter(g).subsets()) & fam.members]
+    return bad[0] if bad else None
+
+
+class TestWitnessSearches:
+    @PROPERTY
+    @given(planted_families(), st.sampled_from([FinSet.union, FinSet.inter]))
+    def test_closure_witness_is_the_first(self, fam, op):
+        assert closure_witness(fam, op) == first_unclosed(fam, op)
+
+    @PROPERTY
+    @given(planted_families())
+    def test_filter_base_witness_is_the_first(self, fam):
+        assert filter_base_witness(fam) == first_unmet(fam)
+        base = bool(fam.members) and FinSet() not in fam.members and first_unmet(fam) is None
+        assert is_filter_base(fam) == base
