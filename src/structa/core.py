@@ -12,6 +12,13 @@ inside the library (intersections, differences, unions of sets, subsets,
 images, preimages, fibers, bounds) are built from members of sets and
 values of maps that were validated when those were built, so they skip
 the symbol check and the sort through ``FinSet._ordered``.
+
+The hot subset laws run on bit masks (Knuth, TAOCP Vol. 4A, §7.1.3).
+A carrier numbers its elements in canonical order, so a subset of it is
+an ``int``: ⊆ is ``a & ~b == 0``, ∩ is ``&`` and ∪ is ``|``. Each set
+builds its element-to-bit index on first use and keeps it for its own
+lifetime; ``mask_of`` and ``set_of`` convert between the two forms, and
+a ``FinSet`` is built only where a witness or a result needs one.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ def check_symbol(s) -> str:
 class FinSet:
     """An ordered, duplicate-free finite set of symbols."""
 
-    __slots__ = ("elements",)
+    __slots__ = ("elements", "_bit")
 
     def __init__(self, elements=()):
         elems = sorted({check_symbol(e) for e in elements})
@@ -77,7 +84,10 @@ class FinSet:
         return len(self.elements)
 
     def __contains__(self, x):
-        return x in self.elements
+        try:
+            return x in self.bits()
+        except TypeError:  # unhashable, so no symbol
+            return False
 
     def __eq__(self, other):
         return isinstance(other, FinSet) and self.elements == other.elements
@@ -89,7 +99,7 @@ class FinSet:
         if isinstance(other, FinSet):
             if len(self.elements) > len(other.elements):
                 return False
-            return set(other.elements).issuperset(self.elements)
+            return all(map(other.bits().__contains__, self.elements))
         return all(x in other for x in self)
 
     def __lt__(self, other):
@@ -117,7 +127,8 @@ class FinSet:
         return carrier.diff(self)
 
     def subsets(self):
-        """All subsets, in canonical (size-free, lexicographic mask) order."""
+        """All subsets in canonical order: by size, then in combination
+        order of the elements (``subset_masks`` gives the same order)."""
         for r in range(len(self.elements) + 1):
             for combo in itertools.combinations(self.elements, r):
                 yield FinSet._ordered(combo)
@@ -126,9 +137,42 @@ class FinSet:
         """A single symbol naming this set; used for derived carriers."""
         return "{%s}" % ",".join(self.elements)
 
+    def bits(self) -> dict:
+        """Each element's bit, 1 << its canonical position, built on first use."""
+        try:
+            return self._bit
+        except AttributeError:
+            bits = {x: 1 << i for i, x in enumerate(self.elements)}
+            _set_bit(self, bits)
+            return bits
 
-# writes the slot directly, past FinSet.__setattr__, which refuses all writes
+
+# write the slots directly, past FinSet.__setattr__, which refuses all writes
 _set_elements = FinSet.elements.__set__
+_set_bit = FinSet._bit.__set__
+
+
+def mask_of(carrier: FinSet, subset: FinSet) -> int | None:
+    """The mask of ``subset`` over ``carrier``, or None when it is not a subset."""
+    bits = carrier.bits()
+    m = 0
+    for x in subset.elements:
+        b = bits.get(x)
+        if b is None:
+            return None
+        m |= b
+    return m
+
+
+def set_of(carrier: FinSet, mask: int) -> FinSet:
+    """The subset of ``carrier`` whose mask is ``mask``."""
+    return FinSet._ordered(tuple([x for x, b in carrier.bits().items() if mask & b]))
+
+
+def subset_masks(carrier: FinSet) -> list:
+    """The masks of ``carrier.subsets()``, in the same order."""
+    bits = list(carrier.bits().values())
+    return [sum(c) for r in range(len(bits) + 1) for c in itertools.combinations(bits, r)]
 
 
 def finset(*elements) -> FinSet:
@@ -141,9 +185,12 @@ def _join(sets) -> FinSet:
 
 
 class FinMap:
-    """A total function between finite sets."""
+    """A total function between finite sets.
 
-    __slots__ = ("dom", "cod", "assign")
+    On masks, the map is the tuple of its points' image bits over ``cod``,
+    in ``dom`` order (``point_masks``), built on first use."""
+
+    __slots__ = ("dom", "cod", "assign", "_points")
 
     def __init__(self, dom: FinSet, cod: FinSet, assign):
         assign = dict(assign)
@@ -194,24 +241,58 @@ class FinMap:
     def constant(cls, dom: FinSet, cod: FinSet, value: Symbol) -> "FinMap":
         return cls(dom, cod, {x: value for x in dom})
 
+    def point_masks(self) -> tuple:
+        """The image bit over ``cod`` of each point of ``dom``, in ``dom`` order."""
+        try:
+            return self._points
+        except AttributeError:
+            points = tuple(map(self.cod.bits().__getitem__, self.assign.values()))
+            _set_points(self, points)
+            return points
+
+    def image_mask(self, m: int) -> int:
+        """The image of the ``dom`` mask ``m``, as a ``cod`` mask."""
+        out = 0
+        for p in self.point_masks():
+            if not m:
+                break
+            if m & 1:
+                out |= p
+            m >>= 1
+        return out
+
+    def preimage_mask(self, m: int) -> int:
+        """The preimage of the ``cod`` mask ``m``, as a ``dom`` mask."""
+        out = 0
+        bit = 1
+        for p in self.point_masks():
+            if p & m:
+                out |= bit
+            bit <<= 1
+        return out
+
     def image(self, subset: FinSet | None = None) -> FinSet:
         if subset is None:
-            subset = self.dom
-        elif not subset <= self.dom:
-            raise CarrierMismatch("image argument not a subset of the domain")
-        return FinSet._ordered(tuple(sorted({self.assign[x] for x in subset})))
+            m = (1 << len(self.dom.elements)) - 1
+        else:
+            m = mask_of(self.dom, subset)
+            if m is None:
+                raise CarrierMismatch("image argument not a subset of the domain")
+        return set_of(self.cod, self.image_mask(m))
 
     def preimage(self, subset: FinSet) -> FinSet:
-        if not subset <= self.cod:
+        m = mask_of(self.cod, subset)
+        if m is None:
             raise CarrierMismatch("preimage argument not a subset of the codomain")
-        hit = set(subset.elements)
-        assign = self.assign
-        return FinSet._ordered(tuple([x for x in self.dom.elements if assign[x] in hit]))
+        return set_of(self.dom, self.preimage_mask(m))
 
     def restrict(self, subset: FinSet) -> "FinMap":
         if not subset <= self.dom:
             raise CarrierMismatch("restriction outside the domain")
         return FinMap(subset, self.cod, {x: self.assign[x] for x in subset})
+
+
+_set_points = FinMap._points.__set__
 
 
 @dataclass(frozen=True)
@@ -264,9 +345,11 @@ def compose(g: FinMap, f: FinMap, strict: bool = True) -> FinMap:
 def classify(f: FinMap) -> dict:
     # every fiber has at most one point iff no two points share a value;
     # every fiber is nonempty iff the values, which lie in cod, fill it
-    hit = len(set(f.assign.values()))
-    monic = hit == len(f.dom)
-    onto = hit == len(f.cod)
+    hit = 0
+    for p in f.point_masks():
+        hit |= p
+    monic = hit.bit_count() == len(f.dom.elements)
+    onto = hit == (1 << len(f.cod.elements)) - 1
     return {"monic": monic, "onto": onto, "bijective": monic and onto}
 
 
@@ -301,7 +384,18 @@ def inverse(f: FinMap) -> FinMap:
 def fiber(f: FinMap, z: Symbol) -> FinSet:
     if z not in f.cod:
         raise CarrierMismatch("fiber point outside the codomain", witness=(z,))
-    return FinSet._ordered(tuple(x for x in f.dom.elements if f.assign[x] == z))
+    return set_of(f.dom, _fiber_mask(f, f.cod.bits()[z]))
+
+
+def _fiber_mask(f: FinMap, z: int) -> int:
+    """The ``dom`` mask of the points whose image bit is exactly ``z``."""
+    out = 0
+    bit = 1
+    for p in f.point_masks():
+        if p == z:
+            out |= bit
+        bit <<= 1
+    return out
 
 
 def fiber_partition(f: FinMap) -> Partition:
@@ -311,71 +405,94 @@ def fiber_partition(f: FinMap) -> Partition:
 
 def image_calculus(f: FinMap, A: FinSet, B: FinSet, families=()) -> LawReport:
     """Evaluate the image/preimage law set for subsets A ⊆ dom, B ⊆ cod
-    and any number of subset families (over dom or cod)."""
-    if not A <= f.dom:
+    and any number of subset families (over dom or cod), on masks. Each
+    law compares two separately computed sides."""
+    a = mask_of(f.dom, A)
+    if a is None:
         raise CarrierMismatch("A must be a subset of the domain")
-    if not B <= f.cod:
+    b = mask_of(f.cod, B)
+    if b is None:
         raise CarrierMismatch("B must be a subset of the codomain")
     r = LawReport("image-calculus")
     c = classify(f)
-    fA = f.image(A)
+    img = f.image_mask
+    pre = f.preimage_mask
+    full_dom = (1 << len(f.dom.elements)) - 1
+    full_cod = (1 << len(f.cod.elements)) - 1
+    fa = img(a)
+    pb = pre(b)
+    fpb = img(pb)
     r.add(
         "img-adjoint",
         "fA ⊆ B iff A ⊆ f⁻¹B",
-        (fA <= B) == (A <= f.preimage(B)),
-        (tuple(A), tuple(B)),
+        (not fa & ~b) == (not a & ~pb),
+        (A.elements, B.elements),
     )
-    r.add("img-unit", "A ⊆ f⁻¹fA", A <= f.preimage(fA), (tuple(A),))
+    pfa = pre(fa)
+    r.add("img-unit", "A ⊆ f⁻¹fA", not a & ~pfa, (A.elements,))
     if c["monic"]:
-        r.add("img-unit-monic", "monic: f⁻¹fA = A", f.preimage(fA) == A, (tuple(A),))
-    r.add("img-counit", "ff⁻¹B ⊆ B", f.image(f.preimage(B)) <= B, (tuple(B),))
+        r.add("img-unit-monic", "monic: f⁻¹fA = A", pfa == a, (A.elements,))
+    r.add("img-counit", "ff⁻¹B ⊆ B", not fpb & ~b, (B.elements,))
     if c["onto"]:
-        r.add("img-counit-onto", "onto: ff⁻¹B = B", f.image(f.preimage(B)) == B, (tuple(B),))
-    restricted = f.restrict(A)
+        r.add("img-counit-onto", "onto: ff⁻¹B = B", fpb == b, (B.elements,))
+    # f|A⁻¹B: the points of A, and only those, whose image lies in B
+    restricted = 0
+    bit = 1
+    for p in f.point_masks():
+        if a & bit and p & b:
+            restricted |= bit
+        bit <<= 1
     r.add(
         "img-restrict",
         "f|A⁻¹B = A ∩ f⁻¹B",
-        restricted.preimage(B) == A.inter(f.preimage(B)),
-        (tuple(A), tuple(B)),
+        restricted == a & pb,
+        (A.elements, B.elements),
     )
     for fam in families:
         members = list(fam)
-        over_dom = all(m <= f.dom for m in members)
-        over_cod = all(m <= f.cod for m in members)
+        dom_masks = [mask_of(f.dom, m) for m in members]
+        cod_masks = [mask_of(f.cod, m) for m in members]
+        over_dom = None not in dom_masks
+        over_cod = None not in cod_masks
         if not (over_dom or over_cod):
             raise CarrierMismatch("family members must share a carrier of f")
         if over_dom:
-            union = _join(members)
-            inter = f.dom
-            for m in members:
-                inter = inter.inter(m)
-            im_union = _join(f.image(m) for m in members)
-            im_inter = f.cod
-            for m in members:
-                im_inter = im_inter.inter(f.image(m))
-            r.add("img-union", "f(⋃X) = ⋃fX", f.image(union) == im_union)
+            union = 0
+            inter = full_dom
+            im_union = 0
+            im_inter = full_cod
+            for m in dom_masks:
+                union |= m
+                inter &= m
+                fm = img(m)
+                im_union |= fm
+                im_inter &= fm
+            r.add("img-union", "f(⋃X) = ⋃fX", img(union) == im_union)
             if members:
-                r.add("img-inter", "f(⋂X) ⊆ ⋂fX", f.image(inter) <= im_inter)
+                f_inter = img(inter)
+                r.add("img-inter", "f(⋂X) ⊆ ⋂fX", not f_inter & ~im_inter)
                 if c["monic"]:
-                    r.add("img-inter-monic", "monic: f(⋂X) = ⋂fX", f.image(inter) == im_inter)
+                    r.add("img-inter-monic", "monic: f(⋂X) = ⋂fX", f_inter == im_inter)
         if over_cod:
-            union = _join(members)
-            inter = f.cod
-            for m in members:
-                inter = inter.inter(m)
-            pre_union = _join(f.preimage(m) for m in members)
-            pre_inter = f.dom
-            for m in members:
-                pre_inter = pre_inter.inter(f.preimage(m))
-            r.add("pre-union", "f⁻¹(⋃Y) = ⋃f⁻¹Y", f.preimage(union) == pre_union)
+            union = 0
+            inter = full_cod
+            pre_union = 0
+            pre_inter = full_dom
+            for m in cod_masks:
+                union |= m
+                inter &= m
+                pm = pre(m)
+                pre_union |= pm
+                pre_inter &= pm
+            r.add("pre-union", "f⁻¹(⋃Y) = ⋃f⁻¹Y", pre(union) == pre_union)
             if members:
-                r.add("pre-inter", "f⁻¹(⋂Y) = ⋂f⁻¹Y", f.preimage(inter) == pre_inter)
+                r.add("pre-inter", "f⁻¹(⋂Y) = ⋂f⁻¹Y", pre(inter) == pre_inter)
             if len(members) >= 2:
-                m0, m1 = members[0], members[1]
+                m0, m1 = cod_masks[0], cod_masks[1]
                 r.add(
                     "pre-diff",
                     "f⁻¹(Y0 − Y1) = f⁻¹Y0 − f⁻¹Y1",
-                    f.preimage(m0.diff(m1)) == f.preimage(m0).diff(f.preimage(m1)),
+                    pre(m0 & ~m1) == pre(m0) & ~pre(m1),
                 )
     return r
 
@@ -385,17 +502,28 @@ def fiber_union_check(f: FinMap, A: FinSet, B: FinSet) -> LawReport:
     the fibers of B. Fibers are only meaningful for image points, so
     points of B outside Im f reduce the claim to one direction."""
     r = LawReport("fiber-union")
-    fibers_of_B = _join(fiber(f, z) for z in B)
-    lhs = f.image(A) == B
-    rhs = A == fibers_of_B
-    if classify(f)["monic"] and B <= f.image():
-        r.add("fib-prop", "monic: fA = B iff A = ⋃ fibers of B", lhs == rhs, (tuple(A), tuple(B)))
+    b = mask_of(f.cod, B)
+    if b is None:
+        z = next(z for z in B.elements if z not in f.cod)
+        raise CarrierMismatch("fiber point outside the codomain", witness=(z,))
+    a = mask_of(f.dom, A)
+    if a is None:
+        raise CarrierMismatch("image argument not a subset of the domain")
+    fibers_of_B = 0
+    for z in f.cod.bits().values():
+        if z & b:
+            fibers_of_B |= _fiber_mask(f, z)
+    fa = f.image_mask(a)
+    lhs = fa == b
+    rhs = a == fibers_of_B
+    if classify(f)["monic"] and not b & ~f.image_mask((1 << len(f.dom.elements)) - 1):
+        r.add("fib-prop", "monic: fA = B iff A = ⋃ fibers of B", lhs == rhs, (A.elements, B.elements))
     else:
         r.add(
             "fib-prop-onedir",
             "fA = B implies A ⊆ ⋃ fibers of B",
-            (not lhs) or A <= fibers_of_B,
-            (tuple(A), tuple(B)),
+            (not lhs) or not a & ~fibers_of_B,
+            (A.elements, B.elements),
         )
     return r
 

@@ -858,17 +858,12 @@ _CHECKERS = {
 
 
 def _d_quotient(doc, args):
-    from .group import check_group, is_normal, quotient, subgroup_check
+    from .group import quotient, subgroup_check
 
     if not args:
         raise SchemaError("quotient needs the subgroup elements as arguments")
     G = _b_group(doc)
-    H = subgroup_check(G, FinSet(args))
-    if not is_normal(G, H):
-        from .errors import NotNormal
-
-        raise NotNormal("the subgroup is not normal", witness=tuple(sorted(args)))
-    return doc_group(quotient(G, H))
+    return doc_group(quotient(G, subgroup_check(G, FinSet(args))))
 
 
 def _d_opposite(doc, args):

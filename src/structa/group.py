@@ -305,7 +305,7 @@ def is_normal(G: FinGroup, N: Subgroup) -> bool:
 def quotient(G: FinGroup, N: Subgroup) -> FinGroup:
     bad = normality_witness(G, N)
     if bad is not None:
-        raise NotNormal("subgroup is not normal", witness=bad)
+        raise NotNormal("the subgroup is not normal", witness=bad)
     part = cosets(G, N, "right")
     names = {b: b.name() for b in part.blocks}
     table = {}

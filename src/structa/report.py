@@ -26,6 +26,10 @@ def _witness_key(w):
     return tuple(str(x) for x in w) if w else ()
 
 
+def _check_key(c):
+    return (c.law, _witness_key(c.witness))
+
+
 @dataclass
 class LawReport:
     suite: str
@@ -45,7 +49,7 @@ class LawReport:
 
     @property
     def failures(self) -> list[Check]:
-        return [c for c in self.sorted_checks() if not c.passed]
+        return sorted((c for c in self.checks if not c.passed), key=_check_key)
 
     def __getitem__(self, law: str) -> Check:
         for c in self.checks:
@@ -67,7 +71,7 @@ class LawReport:
         return self
 
     def sorted_checks(self) -> list[Check]:
-        return sorted(self.checks, key=lambda c: (c.law, _witness_key(c.witness)))
+        return sorted(self.checks, key=_check_key)
 
     def counts(self):
         ok = sum(1 for c in self.checks if c.passed)

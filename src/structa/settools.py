@@ -10,10 +10,11 @@ collection of sets containing the point).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FinMap, FinSet, classify, compose, finset
+from .core import FinMap, FinSet, classify, compose, finset, mask_of, set_of, subset_masks
 from .errors import (
     CarrierMismatch,
     Degenerate,
@@ -71,22 +72,31 @@ def inter_of(fam, carrier: FinSet) -> FinSet:
     return out
 
 
+# the mask form of each set operation a closure witness may be asked about
+_MASK_OPS = {FinSet.union: operator.or_, FinSet.inter: operator.and_}
+
+
+def unclosed_pair(masks, op):
+    """The first pair (i, j), i < j, of positions in ``masks`` such that
+    ``op(masks[i], masks[j])`` is not among ``masks``; None when there is
+    none. ``op`` is ``operator.or_`` or ``operator.and_``."""
+    present = set(masks)
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if op(a, masks[j]) not in present:
+                return i, j
+    return None
+
+
 def closure_witness(fam: Family, op):
     """The first pair (a, b) of members, in canonical order, whose
     ``op(a, b)`` is not a member, as names; None when the family is closed
     under ``op``. ``op`` is ``FinSet.union`` or ``FinSet.inter``: both are
     commutative and idempotent, so the first such pair has a before b, and
-    only those pairs are scanned."""
+    only those pairs are scanned, on member masks."""
     ms = list(fam)
-    return next(
-        (
-            (a.name(), b.name())
-            for i, a in enumerate(ms)
-            for b in ms[i + 1 :]
-            if op(a, b) not in fam.members
-        ),
-        None,
-    )
+    bad = unclosed_pair([mask_of(fam.carrier, m) for m in ms], _MASK_OPS[op])
+    return None if bad is None else (ms[bad[0]].name(), ms[bad[1]].name())
 
 
 def power_map(f: FinMap) -> FinMap:
@@ -468,15 +478,13 @@ def filter_base_witness(fam: Family):
     """The first pair (f, g) of members, in canonical order, such that no
     member lies inside f ∩ g, as names; None when there is none."""
     ms = list(fam)
-    return next(
-        (
-            (f.name(), g.name())
-            for f in ms
-            for g in ms
-            if not any(h <= f.inter(g) for h in ms)
-        ),
-        None,
-    )
+    masks = [mask_of(fam.carrier, m) for m in ms]
+    for i, f in enumerate(masks):
+        for j, g in enumerate(masks):
+            fg = f & g
+            if not any(not h & ~fg for h in masks):
+                return (ms[i].name(), ms[j].name())
+    return None
 
 
 def is_filter_base(fam: Family) -> bool:
@@ -486,14 +494,19 @@ def is_filter_base(fam: Family) -> bool:
     return filter_base_witness(fam) is None
 
 
+def _upward(carrier: FinSet, masks) -> list:
+    """The masks of the subsets of ``carrier`` above some mask in ``masks``,
+    in ``subsets()`` order."""
+    return [t for t in subset_masks(carrier) if any(not s & ~t for s in masks)]
+
+
 def is_filter(fam: Family) -> bool:
     ms = fam.members
     if not ms or any(len(s) == 0 for s in ms):
         return False
-    upward = all(
-        t in ms for s in ms for t in fam.carrier.subsets() if s <= t
-    )
-    return closure_witness(fam, FinSet.inter) is None and upward
+    masks = [mask_of(fam.carrier, m) for m in ms]
+    upward = set(masks).issuperset(_upward(fam.carrier, masks))
+    return upward and unclosed_pair(masks, operator.and_) is None
 
 
 def generate_filter(base: Family) -> Family:
@@ -504,10 +517,9 @@ def generate_filter(base: Family) -> Family:
     bad = filter_base_witness(base)
     if bad is not None or not base.members:
         raise EmptyMemberInBase("family is not a filter base", witness=bad)
-    members = {
-        t for s in base.members for t in base.carrier.subsets() if s <= t
-    }
-    return Family(base.carrier, members)
+    carrier = base.carrier
+    masks = [mask_of(carrier, s) for s in base.members]
+    return Family(carrier, [set_of(carrier, t) for t in _upward(carrier, masks)])
 
 
 def principal_filter(carrier: FinSet, S: FinSet) -> Family:
@@ -521,12 +533,13 @@ def point_filter(carrier: FinSet, x) -> Family:
 def filter_ops(carrier: FinSet, fam: Family) -> dict:
     """Base/filter flags, the generated filter, and the decomposition of
     that filter as a union of principal filters."""
-    base = is_filter_base(fam)
-    filt = is_filter(fam)
-    out = {"base": base, "filter": filt, "generated": None, "principal_decomposition": None}
-    if base:
+    try:
         gen = generate_filter(fam)
-        out["generated"] = gen
+    except EmptyMemberInBase:
+        gen = None
+    out = {"base": gen is not None, "filter": is_filter(fam), "generated": gen,
+           "principal_decomposition": None}
+    if gen is not None:
         out["principal_decomposition"] = {
             F.name(): principal_filter(carrier, F) for F in gen
         }
@@ -537,30 +550,21 @@ def filter_ops(carrier: FinSet, fam: Family) -> dict:
 def _enumerate_filters_cached(carrier: FinSet) -> tuple:
     n = len(carrier)
     if n <= 4:
+        # a family is a mask over the subsets, bit i for subs[i]; the
+        # empty set is subs[0], so a family with bit 0 has an empty member
         subs = list(carrier.subsets())
-        full_idx = {s: i for i, s in enumerate(subs)}
-        ups = [
-            [t for t in subs if s <= t] for s in subs
-        ]
+        masks = subset_masks(carrier)
+        pos = {m: i for i, m in enumerate(masks)}
+        ups = [sum(1 << j for j, t in enumerate(masks) if not s & ~t) for s in masks]
         filters = []
-        for mask in range(1, 2 ** len(subs)):
-            members = [subs[i] for i in range(len(subs)) if mask >> i & 1]
-            if any(len(s) == 0 for s in members):
-                continue
-            ok = True
-            for s in members:
-                for t in ups[full_idx[s]]:
-                    if not mask >> full_idx[t] & 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+        for fmask in range(2, 2 ** len(subs), 2):
+            members = [i for i in range(len(subs)) if fmask >> i & 1]
+            if any(ups[i] & ~fmask for i in members):
                 continue
             if all(
-                mask >> full_idx[a.inter(b)] & 1 for a in members for b in members
+                fmask >> pos[masks[i] & masks[j]] & 1 for i in members for j in members
             ):
-                filters.append(Family(carrier, members))
+                filters.append(Family(carrier, [subs[i] for i in members]))
         return tuple(filters)
     if n == 5:
         # principal representation; the fact that every filter on a

@@ -77,6 +77,19 @@ class TestFinSet:
             finset("a", "b"),
         ]
 
+    def test_subsets_order_three_points(self):
+        # by size, then in combination order; not the mask order of range(2**n)
+        assert list(finset("a", "b", "c").subsets()) == [
+            finset(),
+            finset("a"),
+            finset("b"),
+            finset("c"),
+            finset("a", "b"),
+            finset("a", "c"),
+            finset("b", "c"),
+            finset("a", "b", "c"),
+        ]
+
 
 class TestFinMap:
     def test_totality_enforced(self):
