@@ -9,9 +9,15 @@ The module carries the whole functor calculus: opposites, products,
 bifunctors and their decomposition, bridges and natural
 transformations, vertical/horizontal composition with the interchange
 law, Hom functors, the Yoneda lemma and embedding, representable
-functors, and arrow categories. Set-valued functors (``SetRepr``)
-carry actual ``FinSet``/``FinMap`` data so that Yoneda's bijection is
-computed, never symbolic.
+functors, and arrow categories.
+
+A functor runs into a ``FinCat`` (``FunctorData``) or into finite sets
+(``SetRepr``, or a ``BifunctorData`` with ``tgt=None``), whose values
+are actual ``FinSet``/``FinMap`` data, so that Yoneda's bijection is
+computed, never symbolic. Both targets offer the same methods (``ends``,
+``unit``, ``compose``, ``hom``, ``has_object``, ``has_arrow``), so each
+law is one scan for either target, and for either variance: a
+contravariant functor into D is a functor into D^op.
 """
 
 from __future__ import annotations
@@ -19,7 +25,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FinMap, FinSet, Partition, check_symbol, classify, compose, finset, two_sided_unit
+from .core import (
+    FinMap,
+    FinSet,
+    Partition,
+    all_maps,
+    check_symbol,
+    classify,
+    compose,
+    finset,
+    two_sided_unit,
+)
 from .errors import (
     BadStructure,
     CarrierMismatch,
@@ -119,6 +135,20 @@ class FinCat:
         except KeyError:
             raise CompositionMismatch("composition table misses a composable pair", witness=(g, f))
 
+    def ends(self, m):
+        """(source, target) of the arrow m."""
+        return self.src[m], self.tgt[m]
+
+    def unit(self, x):
+        """The identity arrow of the object x."""
+        return self.identity[x]
+
+    def has_object(self, x) -> bool:
+        return x in self.objects
+
+    def has_arrow(self, m) -> bool:
+        return m in self.src
+
 
 def arrow_equality_classes(C: FinCat) -> tuple:
     """Observational equality classes: parallel f, g are the same arrow
@@ -173,12 +203,10 @@ def check_category(C: FinCat, require_unit: bool = True) -> LawReport:
     )
     r.add("cat-endpoints", "g∘f runs from the source of f to the target of g", bad is None, bad)
     if require_unit:
-        bad = None
-        for x in C.objects:
-            u = C.identity.get(x)
-            if u is None or C.src[u] != x or C.tgt[u] != x:
-                bad = (x,)
-                break
+        bad = next(
+            ((x,) for x in C.objects if x not in C.identity or C.ends(C.identity[x]) != (x, x)),
+            None,
+        )
         if bad is None:
             bad = next(
                 (
@@ -316,6 +344,131 @@ def iso_classes(C: FinCat) -> Partition:
 
 
 # ---------------------------------------------------------------------------
+# targets and the functor laws
+
+
+class _FiniteSets:
+    """Finite sets as a target category: its objects are ``FinSet``s and
+    its arrows ``FinMap``s. It offers the methods of ``FinCat`` that a
+    functor's target needs, and no product structure."""
+
+    meta = {}
+    unit = staticmethod(FinMap.identity)
+    compose = staticmethod(compose)
+    hom = staticmethod(all_maps)
+
+    @staticmethod
+    def ends(m):
+        return m.dom, m.cod
+
+    @staticmethod
+    def has_object(x) -> bool:
+        return isinstance(x, FinSet)
+
+    @staticmethod
+    def has_arrow(m) -> bool:
+        return isinstance(m, FinMap)
+
+
+_SETS = _FiniteSets()
+
+
+def _target(F):
+    """The target of a ``FunctorData``, ``SetRepr`` or ``BifunctorData``:
+    its ``FinCat``, or ``_SETS`` when it is Set-valued. The only code that
+    reads which kind of target a value has."""
+    if isinstance(F, SetRepr) or F.tgt is None:
+        return _SETS
+    return F.tgt
+
+
+def _functor_into(T, src: FinCat, on_obj: dict, on_arr: dict):
+    """The covariant functor src → T with these components, checked: a
+    ``SetRepr`` into finite sets, a ``FunctorData`` into a ``FinCat``."""
+    if T is _SETS:
+        out = SetRepr(src, on_obj, on_arr)
+        check_set_functor(out).require()
+    else:
+        out = FunctorData(src, T, on_obj, on_arr)
+        check_functor(out).require()
+    return out
+
+
+def _composite(T, g, f):
+    """g∘f in the target T, or None when the pair does not compose."""
+    try:
+        return T.compose(g, f)
+    except CompositionMismatch:
+        return None
+
+
+def _strays(names, assign: dict, inside) -> list:
+    """The source names that ``assign`` misses or sends outside the
+    target, in canonical order, then its keys that are not names."""
+    out = [n for n in names if n not in assign or not inside(assign[n])]
+    return out + sorted((k for k in assign if k not in names), key=str)
+
+
+def _check_total(r: LawReport, law: str, F) -> bool:
+    """Both component functions of F are total into its target; the
+    witness is the first offending name."""
+    C, T = F.src, _target(F)
+    bad = _strays(C.objects, F.on_obj, T.has_object)
+    bad += _strays(C.arrow_names, F.on_arr, T.has_arrow)
+    r.add(law, "both component functions are total", not bad, tuple(bad[:1]))
+    return not bad
+
+
+# by law prefix: the endpoint and unit statements, the id of the
+# composition law and the suffix of its statement
+_FUNCTOR_LAWS = {
+    "fun": ("arrows keep their endpoints under the functor",
+            "unit arrows map to unit arrows", "fun-comp", ""),
+    "cfun": ("arrows swap their endpoints",
+             "unit arrows map to unit arrows", "cfun-anticomp", ""),
+    "sr": ("arrow images connect the right carriers",
+           "unit arrows become identity maps", "sr-comp", " as set maps"),
+}
+
+
+def _scan_functor(r: LawReport, prefix: str, F, contra: bool) -> LawReport:
+    """The endpoint, unit and composition laws of F, whose component
+    functions are total into its target. A contravariant F is a functor
+    into the opposite target: arrows swap their endpoints and compose in
+    the other order. A pair of images that does not compose fails."""
+    ends_stmt, unit_stmt, comp_law, suffix = _FUNCTOR_LAWS[prefix]
+    C, T, on_obj, on_arr = F.src, _target(F), F.on_obj, F.on_arr
+
+    def op(pair):
+        return pair[::-1] if contra else pair
+
+    bad = next(
+        (
+            (n,)
+            for n in C.arrow_names
+            if T.ends(on_arr[n]) != op((on_obj[C.src[n]], on_obj[C.tgt[n]]))
+        ),
+        None,
+    )
+    r.add(prefix + "-endpoints", ends_stmt, bad is None, bad)
+    bad = next(
+        ((x,) for x in C.objects if on_arr[C.identity[x]] != T.unit(on_obj[x])), None
+    )
+    r.add(prefix + "-unit", unit_stmt, bad is None, bad)
+    bad = next(
+        (
+            (g, f)
+            for (g, f), v in sorted(C.comp.items())
+            if _composite(T, *op((on_arr[g], on_arr[f]))) != on_arr[v]
+        ),
+        None,
+    )
+    stmt = "F(g∘f) = F f ∘ F g" if contra else "F(g∘f) = F g ∘ F f"
+    r.add(comp_law, stmt + suffix, bad is None, bad)
+    return r
+
+
+# ---------------------------------------------------------------------------
 # functors
 
 
@@ -342,41 +495,19 @@ def constant_functor(C: FinCat, D: FinCat, obj) -> FunctorData:
 def check_functor(F: FunctorData) -> LawReport:
     r = LawReport("functor")
     C, D = F.src, F.tgt
-    ok = set(F.on_obj) == set(C.objects) and all(
-        y in D.objects for y in F.on_obj.values()
+    r.add(
+        "fun-objects",
+        "the object function lands in the target objects",
+        not _strays(C.objects, F.on_obj, D.has_object),
     )
-    r.add("fun-objects", "the object function lands in the target objects", ok)
-    ok = set(F.on_arr) == set(C.arrow_names) and all(
-        m in D.src for m in F.on_arr.values()
+    r.add(
+        "fun-arrows",
+        "the arrow function lands in the target arrows",
+        not _strays(C.arrow_names, F.on_arr, D.has_arrow),
     )
-    r.add("fun-arrows", "the arrow function lands in the target arrows", ok)
     if not r.passed:
         return r
-    bad = next(
-        (
-            (n,)
-            for n in C.arrow_names
-            if D.src[F.on_arr[n]] != F.on_obj[C.src[n]]
-            or D.tgt[F.on_arr[n]] != F.on_obj[C.tgt[n]]
-        ),
-        None,
-    )
-    r.add("fun-endpoints", "arrows keep their endpoints under the functor", bad is None, bad)
-    bad = next(
-        ((x,) for x in C.objects if F.on_arr[C.identity[x]] != D.identity[F.on_obj[x]]),
-        None,
-    )
-    r.add("fun-unit", "unit arrows map to unit arrows", bad is None, bad)
-    bad = next(
-        (
-            (g, f)
-            for (g, f), v in sorted(C.comp.items())
-            if D.comp.get((F.on_arr[g], F.on_arr[f])) != F.on_arr[v]
-        ),
-        None,
-    )
-    r.add("fun-comp", "F(g∘f) = F g ∘ F f", bad is None, bad)
-    return r
+    return _scan_functor(r, "fun", F, contra=False)
 
 
 def compose_functors(G: FunctorData, F: FunctorData) -> FunctorData:
@@ -504,53 +635,25 @@ def op_universe_check(cats, functors=()) -> LawReport:
 def check_contravariant(F: FunctorData) -> LawReport:
     """The reversed laws: endpoints flip and composition reverses."""
     r = LawReport("contravariant-functor")
-    C, D = F.src, F.tgt
-    ok = set(F.on_obj) == set(C.objects) and set(F.on_arr) == set(C.arrow_names)
-    r.add("cfun-total", "both component functions are total", ok)
-    if not ok:
+    if not _check_total(r, "cfun-total", F):
         return r
-    bad = next(
-        (
-            (n,)
-            for n in C.arrow_names
-            if D.src[F.on_arr[n]] != F.on_obj[C.tgt[n]]
-            or D.tgt[F.on_arr[n]] != F.on_obj[C.src[n]]
-        ),
-        None,
-    )
-    r.add("cfun-endpoints", "arrows swap their endpoints", bad is None, bad)
-    bad = next(
-        ((x,) for x in C.objects if F.on_arr[C.identity[x]] != D.identity[F.on_obj[x]]),
-        None,
-    )
-    r.add("cfun-unit", "unit arrows map to unit arrows", bad is None, bad)
-    bad = next(
-        (
-            (g, f)
-            for (g, f), v in sorted(C.comp.items())
-            if D.comp.get((F.on_arr[f], F.on_arr[g])) != F.on_arr[v]
-        ),
-        None,
-    )
-    r.add("cfun-anticomp", "F(g∘f) = F f ∘ F g", bad is None, bad)
-    return r
+    return _scan_functor(r, "cfun", F, contra=True)
 
 
 def variance_convert(F: FunctorData) -> FunctorData:
     """Swap variance by replacing the target with its opposite. A
     contravariant functor into D becomes covariant into D^op and back;
     the conversion is an involution."""
-    co = check_functor(F).passed
+    co = check_functor(F)
     contra = check_contravariant(F).passed
-    if not co and not contra:
-        bad = check_functor(F).failures[0]
+    if not co.passed and not contra:
         raise VarianceError(
-            "input is neither covariant nor contravariant", witness=bad.witness
+            "input is neither covariant nor contravariant", witness=co.failures[0].witness
         )
     out = FunctorData(F.src, opposite_cat(F.tgt), dict(F.on_obj), dict(F.on_arr))
-    if contra and not co:
+    if contra and not co.passed:
         check_functor(out).require()
-    if co and not contra:
+    if co.passed and not contra:
         check_contravariant(out).require()
     return out
 
@@ -599,15 +702,12 @@ def pair_functor(F: FunctorData, G: FunctorData) -> FunctorData:
     """⟨F, G⟩ : C → D1 × D2 for functors of common domain."""
     if F.src != G.src:
         raise Mismatch("pair functor needs a common source")
-    P = product_cat(F.tgt, G.tgt)
-    out = FunctorData(
+    return _functor_into(
+        product_cat(F.tgt, G.tgt),
         F.src,
-        P,
         {x: _pair_name(F.on_obj[x], G.on_obj[x]) for x in F.src.objects},
         {n: _pair_name(F.on_arr[n], G.on_arr[n]) for n in F.src.arrow_names},
     )
-    check_functor(out).require()
-    return out
 
 
 def unpair_functor(F: FunctorData):
@@ -615,23 +715,16 @@ def unpair_functor(F: FunctorData):
     meta = F.tgt.meta
     if "product_of" not in meta:
         raise NotProduct("target category carries no product structure")
-    D1, D2 = meta["product_of"]
     obj_pairs, arr_pairs = meta["obj_pairs"], meta["arr_pairs"]
-    f = FunctorData(
-        F.src,
-        D1,
-        {x: obj_pairs[F.on_obj[x]][0] for x in F.src.objects},
-        {n: arr_pairs[F.on_arr[n]][0] for n in F.src.arrow_names},
+    return tuple(
+        _functor_into(
+            D,
+            F.src,
+            {x: obj_pairs[F.on_obj[x]][i] for x in F.src.objects},
+            {n: arr_pairs[F.on_arr[n]][i] for n in F.src.arrow_names},
+        )
+        for i, D in enumerate(meta["product_of"])
     )
-    g = FunctorData(
-        F.src,
-        D2,
-        {x: obj_pairs[F.on_obj[x]][1] for x in F.src.objects},
-        {n: arr_pairs[F.on_arr[n]][1] for n in F.src.arrow_names},
-    )
-    check_functor(f).require()
-    check_functor(g).require()
-    return f, g
 
 
 def common_range_product(F: FunctorData, G: FunctorData) -> FunctorData:
@@ -639,23 +732,14 @@ def common_range_product(F: FunctorData, G: FunctorData) -> FunctorData:
     if F.tgt != G.tgt:
         raise Mismatch("common-range product needs a common target")
     src = product_cat(F.src, G.src)
-    tgt = product_cat(F.tgt, G.tgt)
     pairs = src.meta["obj_pairs"]
     arrs = src.meta["arr_pairs"]
-    out = FunctorData(
+    return _functor_into(
+        product_cat(F.tgt, G.tgt),
         src,
-        tgt,
-        {
-            n: _pair_name(F.on_obj[pairs[n][0]], G.on_obj[pairs[n][1]])
-            for n in src.objects
-        },
-        {
-            n: _pair_name(F.on_arr[arrs[n][0]], G.on_arr[arrs[n][1]])
-            for n in src.arrow_names
-        },
+        {n: _pair_name(F.on_obj[pairs[n][0]], G.on_obj[pairs[n][1]]) for n in src.objects},
+        {n: _pair_name(F.on_arr[arrs[n][0]], G.on_arr[arrs[n][1]]) for n in src.arrow_names},
     )
-    check_functor(out).require()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -674,62 +758,9 @@ class SetRepr:
 
 def check_set_functor(S: SetRepr) -> LawReport:
     r = LawReport("set-functor")
-    C = S.src
-    ok = set(S.on_obj) == set(C.objects) and set(S.on_arr) == set(C.arrow_names)
-    r.add("sr-total", "both component functions are total", ok)
-    if not ok:
+    if not _check_total(r, "sr-total", S):
         return r
-    if S.variance == "co":
-        bad = next(
-            (
-                (n,)
-                for n in C.arrow_names
-                if S.on_arr[n].dom != S.on_obj[C.src[n]]
-                or S.on_arr[n].cod != S.on_obj[C.tgt[n]]
-            ),
-            None,
-        )
-    else:
-        bad = next(
-            (
-                (n,)
-                for n in C.arrow_names
-                if S.on_arr[n].dom != S.on_obj[C.tgt[n]]
-                or S.on_arr[n].cod != S.on_obj[C.src[n]]
-            ),
-            None,
-        )
-    r.add("sr-endpoints", "arrow images connect the right carriers", bad is None, bad)
-    bad = next(
-        (
-            (x,)
-            for x in C.objects
-            if S.on_arr[C.identity[x]] != FinMap.identity(S.on_obj[x])
-        ),
-        None,
-    )
-    r.add("sr-unit", "unit arrows become identity maps", bad is None, bad)
-    if S.variance == "co":
-        bad = next(
-            (
-                (g, f)
-                for (g, f), v in sorted(C.comp.items())
-                if compose(S.on_arr[g], S.on_arr[f]) != S.on_arr[v]
-            ),
-            None,
-        )
-        r.add("sr-comp", "F(g∘f) = F g ∘ F f as set maps", bad is None, bad)
-    else:
-        bad = next(
-            (
-                (g, f)
-                for (g, f), v in sorted(C.comp.items())
-                if compose(S.on_arr[f], S.on_arr[g]) != S.on_arr[v]
-            ),
-            None,
-        )
-        r.add("sr-comp", "F(g∘f) = F f ∘ F g as set maps", bad is None, bad)
-    return r
+    return _scan_functor(r, "sr", S, contra=S.variance != "co")
 
 
 # ---------------------------------------------------------------------------
@@ -746,16 +777,17 @@ class NatTransData:
     component: dict
 
 
-def _is_set_valued(F) -> bool:
-    return isinstance(F, SetRepr)
-
-
 def identity_nat(F) -> NatTransData:
-    if _is_set_valued(F):
-        comp = {x: FinMap.identity(F.on_obj[x]) for x in F.src.objects}
-    else:
-        comp = {x: F.tgt.identity[F.on_obj[x]] for x in F.src.objects}
-    return NatTransData(F, F, comp)
+    T = _target(F)
+    return NatTransData(F, F, {x: T.unit(F.on_obj[x]) for x in F.src.objects})
+
+
+def _commutes(T, F, G, tau: dict, f) -> bool:
+    """The naturality square of f: a→b, τ_b ∘ F f = G f ∘ τ_a in the
+    target T. A side that does not compose fails it."""
+    C = F.src
+    lhs = _composite(T, tau[C.tgt[f]], F.on_arr[f])
+    return lhs is not None and lhs == _composite(T, G.on_arr[f], tau[C.src[f]])
 
 
 def bridge_check(tau: dict, F, G) -> dict:
@@ -765,36 +797,16 @@ def bridge_check(tau: dict, F, G) -> dict:
     C = F.src
     if C != G.src:
         raise Mismatch("bridge needs parallel functors")
-    setv = _is_set_valued(F)
     if set(tau) != set(C.objects):
         raise EndpointError("components must be indexed by exactly the objects")
-    if setv:
-        for a, m in tau.items():
-            if not isinstance(m, FinMap):
-                raise EndpointError("component is not a set map", witness=(a,))
-        is_bridge = all(
-            tau[a].dom == F.on_obj[a] and tau[a].cod == G.on_obj[a] for a in C.objects
-        )
-        is_natural = is_bridge and all(
-            compose(tau[C.tgt[f]], F.on_arr[f]) == compose(G.on_arr[f], tau[C.src[f]])
-            for f in C.arrow_names
-        )
-    else:
-        D = F.tgt
-        if D != G.tgt:
-            raise Mismatch("bridge needs parallel functors")
-        for a, m in tau.items():
-            if m not in D.src:
-                raise EndpointError("component is not an arrow of the target", witness=(a, m))
-        is_bridge = all(
-            D.src[tau[a]] == F.on_obj[a] and D.tgt[tau[a]] == G.on_obj[a]
-            for a in C.objects
-        )
-        is_natural = is_bridge and all(
-            D.comp.get((tau[C.tgt[f]], F.on_arr[f]))
-            == D.comp.get((G.on_arr[f], tau[C.src[f]]))
-            for f in C.arrow_names
-        )
+    T = _target(F)
+    if T != _target(G):
+        raise Mismatch("bridge needs parallel functors")
+    for a, m in tau.items():
+        if not T.has_arrow(m):
+            raise EndpointError("component is not an arrow of the target", witness=(a, m))
+    is_bridge = all(T.ends(tau[a]) == (F.on_obj[a], G.on_obj[a]) for a in C.objects)
+    is_natural = is_bridge and all(_commutes(T, F, G, tau, f) for f in C.arrow_names)
     return {"is_bridge": is_bridge, "is_natural": is_natural}
 
 
@@ -839,10 +851,7 @@ def bridge_category(tau: dict, F: FunctorData, G: FunctorData) -> FinCat:
                 )
     cat = FinCat(objects, arrows, identity, comp)
     _require_cat(cat)
-    T = FunctorData(
-        C, cat, dict(tau), {f: "t(%s)" % f for f in C.arrow_names}
-    )
-    check_functor(T).require()
+    T = _functor_into(cat, C, dict(tau), {f: "t(%s)" % f for f in C.arrow_names})
     return FinCat(objects, arrows, identity, comp, meta={"functor": T})
 
 
@@ -850,110 +859,82 @@ def vcompose(sigma: NatTransData, tau: NatTransData) -> NatTransData:
     """σ·τ for τ: F→G, σ: G→H."""
     if sigma.F != tau.G:
         raise Mismatch("vertical composition needs matching middle functor")
-    if _is_set_valued(tau.F):
-        comp = {
-            x: compose(sigma.component[x], tau.component[x])
-            for x in tau.F.src.objects
-        }
-    else:
-        D = tau.F.tgt
-        comp = {
-            x: D.compose(sigma.component[x], tau.component[x])
-            for x in tau.F.src.objects
-        }
+    T = _target(tau.F)
+    comp = {
+        x: T.compose(sigma.component[x], tau.component[x]) for x in tau.F.src.objects
+    }
     return NatTransData(tau.F, sigma.G, comp)
 
 
 def enumerate_nat_trans(F, G) -> list:
-    """All natural transformations F → G, deterministically ordered."""
-    C = F.src
-    if C != G.src:
+    """All natural transformations F → G, deterministically ordered.
+    Components are chosen depth-first in object order, each from the
+    target's hom, which is the order of ``itertools.product`` over the
+    choices; a choice is cut as soon as a naturality square with both
+    corners chosen fails."""
+    C, T = F.src, _target(F)
+    if C != G.src or T != _target(G):
         raise Mismatch("parallel functors required")
     objs = sorted(C.objects)
-    if _is_set_valued(F):
-        from .core import all_maps
-
-        out = []
-
-        def backtrack(i, comp):
-            if i == len(objs):
-                n = NatTransData(F, G, dict(comp))
-                if check_nat(n).passed:
-                    out.append(n)
-                return
-            x = objs[i]
-            for m in all_maps(F.on_obj[x], G.on_obj[x]):
-                comp[x] = m
-                if _nat_partial_ok(F, G, comp):
-                    backtrack(i + 1, comp)
-                del comp[x]
-
-        backtrack(0, {})
-        return out
-    D = F.tgt
-    choices = [D.hom(F.on_obj[x], G.on_obj[x]) for x in objs]
-    out = []
-    for values in itertools.product(*choices):
-        comp = dict(zip(objs, values))
-        n = NatTransData(F, G, comp)
-        if bridge_check(comp, F, G)["is_natural"]:
-            out.append(n)
-    return out
-
-
-def _nat_partial_ok(F, G, comp) -> bool:
-    C = F.src
+    # the squares whose later corner is x, tested once x is chosen
+    closes = {x: [] for x in objs}
     for f in C.arrow_names:
-        a, b = C.src[f], C.tgt[f]
-        if a in comp and b in comp:
-            if compose(comp[b], F.on_arr[f]) != compose(G.on_arr[f], comp[a]):
-                return False
-    return True
+        closes[max(C.src[f], C.tgt[f])].append(f)
+    out = []
+
+    def backtrack(i, comp):
+        if i == len(objs):
+            out.append(NatTransData(F, G, dict(comp)))
+            return
+        x = objs[i]
+        for m in T.hom(F.on_obj[x], G.on_obj[x]):
+            comp[x] = m
+            if all(_commutes(T, F, G, comp, f) for f in closes[x]):
+                backtrack(i + 1, comp)
+            del comp[x]
+
+    backtrack(0, {})
+    return out
 
 
 def functor_category(C: FinCat, D: FinCat) -> FinCat:
     """Cat(C, D): functors as objects, natural transformations as
     arrows, vertical composition as the operation."""
-    funs = enumerate_functors(C, D)
-    funs.sort(key=lambda F: (sorted(F.on_obj.items()), sorted(F.on_arr.items())))
-    fname = {}
-    for i, F in enumerate(funs):
-        fname[i] = "F%d" % i
-    by_fun = {i: funs[i] for i in range(len(funs))}
-    nats = []
-    for i, F in enumerate(funs):
-        for j, G in enumerate(funs):
-            for n in enumerate_nat_trans(F, G):
-                nats.append((i, j, n))
-    nats.sort(key=lambda t: (t[0], t[1], sorted(t[2].component.items())))
-    arrows = []
-    nat_name = {}
-    nat_by_name = {}
-    for k, (i, j, n) in enumerate(nats):
-        name = "t%d" % k
-        arrows.append((name, fname[i], fname[j]))
-        nat_name[(i, j, tuple(sorted(n.component.items())))] = name
-        nat_by_name[name] = n
-    identity = {}
-    for i, F in enumerate(funs):
-        idn = identity_nat(F)
-        identity[fname[i]] = nat_name[(i, i, tuple(sorted(idn.component.items())))]
-    comp = {}
-    for k2, (i2, j2, n2) in enumerate(nats):
-        for k1, (i1, j1, n1) in enumerate(nats):
-            if j1 == i2:
-                v = vcompose(n2, n1)
-                comp[("t%d" % k2, "t%d" % k1)] = nat_name[
-                    (i1, j2, tuple(sorted(v.component.items())))
-                ]
+    funs = sorted(
+        enumerate_functors(C, D),
+        key=lambda F: (sorted(F.on_obj.items()), sorted(F.on_arr.items())),
+    )
+    fname = ["F%d" % i for i in range(len(funs))]
+    nats = sorted(
+        (
+            (i, j, n)
+            for i, F in enumerate(funs)
+            for j, G in enumerate(funs)
+            for n in enumerate_nat_trans(F, G)
+        ),
+        key=lambda t: (t[0], t[1], sorted(t[2].component.items())),
+    )
+
+    def key(i, j, n):
+        return (i, j, tuple(sorted(n.component.items())))
+
+    nat_name = {key(*t): "t%d" % k for k, t in enumerate(nats)}
+    arrows = [("t%d" % k, fname[i], fname[j]) for k, (i, j, _) in enumerate(nats)]
+    identity = {fname[i]: nat_name[key(i, i, identity_nat(F))] for i, F in enumerate(funs)}
+    comp = {
+        ("t%d" % k2, "t%d" % k1): nat_name[key(i1, j2, vcompose(n2, n1))]
+        for k2, (i2, j2, n2) in enumerate(nats)
+        for k1, (i1, j1, n1) in enumerate(nats)
+        if j1 == i2
+    }
     cat = FinCat(
-        FinSet(fname.values()),
+        FinSet(fname),
         arrows,
         identity,
         comp,
         meta={
-            "functors": {fname[i]: by_fun[i] for i in by_fun},
-            "nats": nat_by_name,
+            "functors": dict(zip(fname, funs)),
+            "nats": {"t%d" % k: n for k, (_, _, n) in enumerate(nats)},
             "src": C,
             "tgt": D,
         },
@@ -1004,43 +985,26 @@ def composition_functor(C: FinCat, D: FinCat, E: FinCat) -> FunctorData:
     DE = functor_category(D, E)
     CE = functor_category(C, E)
     P = product_cat(CD, DE)
-    ce_fun_name = {}
-    for name, F in CE.meta["functors"].items():
-        ce_fun_name[(tuple(sorted(F.on_obj.items())), tuple(sorted(F.on_arr.items())))] = name
-    ce_nat_name = {}
-    for name in CE.arrow_names:
-        n = CE.meta["nats"][name]
-        ce_nat_name[
-            (CE.src[name], CE.tgt[name], tuple(sorted(n.component.items())))
-        ] = name
 
-    def fun_of(pair_obj):
-        a, b = P.meta["obj_pairs"][pair_obj]
-        return CD.meta["functors"][a], DE.meta["functors"][b]
+    def fun_key(F):
+        return tuple(sorted(F.on_obj.items())), tuple(sorted(F.on_arr.items()))
 
+    def nat_key(ends, n):
+        return ends, tuple(sorted(n.component.items()))
+
+    ce_fun = {fun_key(F): name for name, F in CE.meta["functors"].items()}
+    ce_nat = {nat_key(CE.ends(name), n): name for name, n in CE.meta["nats"].items()}
     on_obj = {}
     for o in P.objects:
-        F, G = fun_of(o)
-        GF = compose_functors(G, F)
-        on_obj[o] = ce_fun_name[
-            (tuple(sorted(GF.on_obj.items())), tuple(sorted(GF.on_arr.items())))
-        ]
+        a, b = P.meta["obj_pairs"][o]
+        GF = compose_functors(DE.meta["functors"][b], CD.meta["functors"][a])
+        on_obj[o] = ce_fun[fun_key(GF)]
     on_arr = {}
     for n in P.arrow_names:
         t_cd, t_de = P.meta["arr_pairs"][n]
-        tau = CD.meta["nats"][t_cd]
-        alpha = DE.meta["nats"][t_de]
-        h = hcompose(alpha, tau)
-        on_arr[n] = ce_nat_name[
-            (
-                on_obj[P.src[n]],
-                on_obj[P.tgt[n]],
-                tuple(sorted(h.component.items())),
-            )
-        ]
-    out = FunctorData(P, CE, on_obj, on_arr)
-    check_functor(out).require()
-    return out
+        h = hcompose(DE.meta["nats"][t_de], CD.meta["nats"][t_cd])
+        on_arr[n] = ce_nat[nat_key(tuple(on_obj[o] for o in P.ends(n)), h)]
+    return _functor_into(CE, P, on_obj, on_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,7 +1020,8 @@ def hom_functors(C: FinCat, x):
     the contravariant functor a ↦ {a→x} with f ↦ (−∘f)."""
     if x not in C.objects:
         raise CarrierMismatch("unknown object", witness=(x,))
-    L = SetRepr(
+    L = _functor_into(
+        _SETS,
         C,
         {a: hom_set(C, x, a) for a in C.objects},
         {
@@ -1067,7 +1032,6 @@ def hom_functors(C: FinCat, x):
             )
             for f in C.arrow_names
         },
-        variance="co",
     )
     R = SetRepr(
         C,
@@ -1082,7 +1046,6 @@ def hom_functors(C: FinCat, x):
         },
         variance="contra",
     )
-    check_set_functor(L).require()
     check_set_functor(R).require()
     return L, R
 
@@ -1103,25 +1066,8 @@ class BifunctorData:
     on_arr: dict  # (f, g) -> arrow / FinMap
 
 
-def _bf_id(B: BifunctorData, v):
-    if B.tgt is None:
-        return FinMap.identity(v)
-    return B.tgt.identity[v]
-
-
-def _bf_compose(B: BifunctorData, m2, m1):
-    if B.tgt is None:
-        return compose(m2, m1)
-    return B.tgt.compose(m2, m1)
-
-
-def _bf_endpoints(B: BifunctorData, m):
-    if B.tgt is None:
-        return m.dom, m.cod
-    return B.tgt.src[m], B.tgt.tgt[m]
-
-
 def bifunctor_check(B: BifunctorData) -> LawReport:
+    """The bifunctor laws; images that do not compose fail their law."""
     r = LawReport("bifunctor")
     C1, C2 = B.src1, B.src2
     ok = set(B.on_obj) == {(a, b) for a in C1.objects for b in C2.objects} and set(
@@ -1130,60 +1076,55 @@ def bifunctor_check(B: BifunctorData) -> LawReport:
     r.add("bf-total", "object and arrow functions cover all pairs", ok)
     if not ok:
         return r
+    T = _target(B)
     bad = next(
         (
             (a, b)
             for a in C1.objects
             for b in C2.objects
-            if B.on_arr[(C1.identity[a], C2.identity[b])] != _bf_id(B, B.on_obj[(a, b)])
+            if B.on_arr[(C1.identity[a], C2.identity[b])] != T.unit(B.on_obj[(a, b)])
         ),
         None,
     )
     r.add("bf-unit", "B(1a, 1b) is the identity of B(a, b)", bad is None, bad)
-    bad = None
-    for f in C1.arrow_names:
-        for g in C2.arrow_names:
-            dom, cod = _bf_endpoints(B, B.on_arr[(f, g)])
-            if dom != B.on_obj[(C1.tgt[f], C2.src[g])] or cod != B.on_obj[
-                (C1.src[f], C2.tgt[g])
-            ]:
-                bad = (f, g)
-                break
-        if bad:
-            break
+    arrow_pairs = [(f, g) for f in C1.arrow_names for g in C2.arrow_names]
+    bad = next(
+        (
+            (f, g)
+            for f, g in arrow_pairs
+            if T.ends(B.on_arr[(f, g)])
+            != (B.on_obj[(C1.tgt[f], C2.src[g])], B.on_obj[(C1.src[f], C2.tgt[g])])
+        ),
+        None,
+    )
     r.add(
         "bf-endpoints",
         "B(f, g) runs from B(c, b) to B(a, d) for f: a→c, g: b→d",
         bad is None,
         bad,
     )
-    bad = None
-    for (h, f), hf in sorted(C1.comp.items()):
-        for (i, g), ig in sorted(C2.comp.items()):
-            lhs = B.on_arr[(hf, ig)]
-            rhs = _bf_compose(B, B.on_arr[(f, i)], B.on_arr[(h, g)])
-            if lhs != rhs:
-                bad = (h, f, i, g)
-                break
-        if bad:
-            break
+    bad = next(
+        (
+            (h, f, i, g)
+            for (h, f), hf in sorted(C1.comp.items())
+            for (i, g), ig in sorted(C2.comp.items())
+            if B.on_arr[(hf, ig)] != _composite(T, B.on_arr[(f, i)], B.on_arr[(h, g)])
+        ),
+        None,
+    )
     r.add("bf-comp", "B(h∘f, i∘g) = B(f, i) ∘ B(h, g)", bad is None, bad)
-    bad = None
-    for f in C1.arrow_names:
-        for g in C2.arrow_names:
-            a, c = C1.src[f], C1.tgt[f]
-            b, d = C2.src[g], C2.tgt[g]
-            left = _bf_compose(
-                B, B.on_arr[(f, C2.identity[d])], B.on_arr[(C1.identity[c], g)]
-            )
-            right = _bf_compose(
-                B, B.on_arr[(C1.identity[a], g)], B.on_arr[(f, C2.identity[b])]
-            )
-            if left != B.on_arr[(f, g)] or right != B.on_arr[(f, g)]:
-                bad = (f, g)
-                break
-        if bad:
-            break
+
+    def sliced(f, g):
+        """B(f, g) through the slices in either order."""
+        (a, c), (b, d) = C1.ends(f), C2.ends(g)
+        one, two = C1.identity, C2.identity
+        yield _composite(T, B.on_arr[(f, two[d])], B.on_arr[(one[c], g)])
+        yield _composite(T, B.on_arr[(one[a], g)], B.on_arr[(f, two[b])])
+
+    bad = next(
+        ((f, g) for f, g in arrow_pairs if any(m != B.on_arr[(f, g)] for m in sliced(f, g))),
+        None,
+    )
     r.add(
         "bf-slices",
         "B(f, g) factors through the one-sided slices in either order",
@@ -1217,13 +1158,7 @@ def bifunctor_functor_bridge(B: BifunctorData):
     arrs = P.meta["arr_pairs"]
     on_obj = {n: B.on_obj[pairs[n]] for n in P.objects}
     on_arr = {n: B.on_arr[arrs[n]] for n in P.arrow_names}
-    if B.tgt is None:
-        out = SetRepr(P, on_obj, on_arr, variance="co")
-        check_set_functor(out).require()
-    else:
-        out = FunctorData(P, B.tgt, on_obj, on_arr)
-        check_functor(out).require()
-    return out
+    return _functor_into(_target(B), P, on_obj, on_arr)
 
 
 def functor_to_bifunctor(F, C1: FinCat, C2: FinCat) -> BifunctorData:
@@ -1233,10 +1168,10 @@ def functor_to_bifunctor(F, C1: FinCat, C2: FinCat) -> BifunctorData:
     arrs = F.src.meta.get("arr_pairs")
     if pairs is None:
         raise NotProduct("source category carries no product structure")
-    tgt = None if _is_set_valued(F) else F.tgt
+    tgt = _target(F)
     on_obj = {pairs[n]: F.on_obj[n] for n in F.src.objects}
     on_arr = {arrs[n]: F.on_arr[n] for n in F.src.arrow_names}
-    B = BifunctorData(C1, C2, tgt, on_obj, on_arr)
+    B = BifunctorData(C1, C2, None if tgt is _SETS else tgt, on_obj, on_arr)
     bifunctor_check(B).require()
     return B
 
@@ -1244,28 +1179,23 @@ def functor_to_bifunctor(F, C1: FinCat, C2: FinCat) -> BifunctorData:
 def bifunctor_decompose(B: BifunctorData):
     """For a bifunctor into a product D1 × D2: the component bifunctors
     (p, q); pairing them back recovers B."""
-    if B.tgt is None or "product_of" not in B.tgt.meta:
+    meta = _target(B).meta
+    if "product_of" not in meta:
         raise NotProduct("target is not a product category")
-    D1, D2 = B.tgt.meta["product_of"]
-    obj_pairs = B.tgt.meta["obj_pairs"]
-    arr_pairs = B.tgt.meta["arr_pairs"]
-    p = BifunctorData(
-        B.src1,
-        B.src2,
-        D1,
-        {k: obj_pairs[v][0] for k, v in B.on_obj.items()},
-        {k: arr_pairs[v][0] for k, v in B.on_arr.items()},
+    obj_pairs, arr_pairs = meta["obj_pairs"], meta["arr_pairs"]
+    out = tuple(
+        BifunctorData(
+            B.src1,
+            B.src2,
+            D,
+            {k: obj_pairs[v][i] for k, v in B.on_obj.items()},
+            {k: arr_pairs[v][i] for k, v in B.on_arr.items()},
+        )
+        for i, D in enumerate(meta["product_of"])
     )
-    q = BifunctorData(
-        B.src1,
-        B.src2,
-        D2,
-        {k: obj_pairs[v][1] for k, v in B.on_obj.items()},
-        {k: arr_pairs[v][1] for k, v in B.on_arr.items()},
-    )
-    bifunctor_check(p).require()
-    bifunctor_check(q).require()
-    return p, q
+    for p in out:
+        bifunctor_check(p).require()
+    return out
 
 
 def slice_nat(B: BifunctorData, f) -> NatTransData:
@@ -1279,13 +1209,7 @@ def slice_nat(B: BifunctorData, f) -> NatTransData:
     def partial(z):
         on_obj = {y: B.on_obj[(z, y)] for y in C2.objects}
         on_arr = {g: B.on_arr[(C1.identity[z], g)] for g in C2.arrow_names}
-        if B.tgt is None:
-            S = SetRepr(C2, on_obj, on_arr, variance="co")
-            check_set_functor(S).require()
-            return S
-        F = FunctorData(C2, B.tgt, on_obj, on_arr)
-        check_functor(F).require()
-        return F
+        return _functor_into(_target(B), C2, on_obj, on_arr)
 
     Fc, Fa = partial(c), partial(a)
     comps = {y: B.on_arr[(f, C2.identity[y])] for y in C2.objects}
@@ -1328,13 +1252,8 @@ def assemble_functor(C1: FinCat, C2: FinCat, Lfam: dict, Rfam: dict) -> SetRepr:
     on_arr = {}
     for n in P.arrow_names:
         f, g = arrs[n]
-        a = C1.src[f]
-        d = C1.tgt[f]
-        c = C2.tgt[g]
-        on_arr[n] = compose(Lfam[c].on_arr[f], Rfam[a].on_arr[g])
-    out = SetRepr(P, on_obj, on_arr, variance="co")
-    check_set_functor(out).require()
-    return out
+        on_arr[n] = compose(Lfam[C2.tgt[g]].on_arr[f], Rfam[C1.src[f]].on_arr[g])
+    return _functor_into(_SETS, P, on_obj, on_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -1388,13 +1307,8 @@ def yoneda_embedding(C: FinCat) -> LawReport:
         La, _ = hom_functors(C, a)
         for b in C.objects:
             Lb, _ = hom_functors(C, b)
-            daggers = {f: dagger(C, f) for f in C.hom(b, a)}
-            seen = list(daggers.values())
-            if any(
-                seen[i] == seen[j]
-                for i in range(len(seen))
-                for j in range(i + 1, len(seen))
-            ):
+            seen = [dagger(C, f) for f in C.hom(b, a)]
+            if any(s == t for s, t in itertools.combinations(seen, 2)):
                 bad_faithful = bad_faithful or (a, b)
             nat = enumerate_nat_trans(La, Lb)
             if not all(any(n == d for d in seen) for n in nat) or len(nat) != len(seen):

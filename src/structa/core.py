@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    BadStructure,
     CarrierMismatch,
     CompositionMismatch,
     EmptyFold,
@@ -304,14 +305,15 @@ class Partition:
 
     def __post_init__(self):
         seen = []
-        for b in self.blocks:
+        for i, b in enumerate(self.blocks):
             if len(b) == 0:
-                raise ValueError("partition blocks must be nonempty")
+                raise BadStructure("partition blocks must be nonempty", witness=(i,))
             if not b <= self.carrier:
                 raise CarrierMismatch("block outside the carrier")
             seen.extend(b)
         if sorted(seen) != list(self.carrier):
-            raise ValueError("blocks must be disjoint and cover the carrier")
+            bad = next(x for x in self.carrier if seen.count(x) != 1)
+            raise BadStructure("blocks must be disjoint and cover the carrier", witness=(bad,))
 
     def block_of(self, x: Symbol) -> FinSet:
         for b in self.blocks:

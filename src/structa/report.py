@@ -17,10 +17,6 @@ class Check:
     passed: bool
     witness: tuple | None = None
 
-    def __post_init__(self):
-        if not self.passed and self.witness is None:
-            object.__setattr__(self, "witness", ())
-
 
 def _witness_key(w):
     return tuple(str(x) for x in w) if w else ()
@@ -36,8 +32,12 @@ class LawReport:
     checks: list[Check] = field(default_factory=list)
 
     def add(self, law, statement, passed, witness=None):
+        """Record a check. A passed check has no witness; a failed one
+        without a witness gets the empty one."""
         if passed:
             witness = None
+        elif witness is None:
+            witness = ()
         self.checks.append(Check(law, statement, bool(passed), witness))
 
     def merge(self, other: "LawReport"):

@@ -987,3 +987,121 @@ class TestConstructionTheorems:
                 assert len(links) == 1
                 assert arrow_classify(C, links[0])["iso"]
                 assert compare_representations(C, La, (x, beta), (y, gamma)) == links[0]
+
+
+# ---------------------------------------------------------------------------
+# one functor scan for both variances and both targets
+
+
+def small_seeds():
+    from structa.suites import _seed_categories
+
+    return [(name, C) for name, C in _seed_categories() if len(C.objects) <= 3]
+
+
+def plant_bad_arrow(F):
+    """F with the image of its first arrow moved to another target arrow."""
+    n = F.src.arrow_names[0]
+    other = next(m for m in F.tgt.arrow_names if m != F.on_arr[n])
+    return FunctorData(F.src, F.tgt, F.on_obj, {**F.on_arr, n: other})
+
+
+class TestVarianceDuality:
+    """A contravariant functor C → D is a functor C → D^op: both checks
+    must report the same verdicts and witnesses, law by law."""
+
+    PAIRS = {
+        "cfun-endpoints": "fun-endpoints",
+        "cfun-unit": "fun-unit",
+        "cfun-anticomp": "fun-comp",
+    }
+
+    def agree(self, F):
+        co = check_functor(F)
+        contra = check_contravariant(FunctorData(F.src, opposite_cat(F.tgt), F.on_obj, F.on_arr))
+        assert contra["cfun-total"].passed == (co["fun-objects"].passed and co["fun-arrows"].passed)
+        for cl, fl in self.PAIRS.items():
+            got, want = contra[cl], co[fl]
+            assert (got.passed, got.witness) == (want.passed, want.witness), (cl, F)
+
+    def test_seed_functors_and_planted_defects(self):
+        seeds = small_seeds()
+        checked = planted = 0
+        for _, C in seeds:
+            for _, D in seeds:
+                for F in enumerate_functors(C, opposite_cat(D)):
+                    self.agree(F)
+                    checked += 1
+                    if len(D.arrow_names) > 1:
+                        bad = plant_bad_arrow(F)
+                        assert not check_functor(bad).passed
+                        self.agree(bad)
+                        planted += 1
+        assert checked > 1200 and planted > 1000
+
+    def test_value_outside_the_target_fails_totality(self):
+        F = FunctorData(C2, C2, {"a": "a", "b": "b"}, {n: "zzz" for n in C2.arrow_names})
+        assert check_functor(F).failures[0].law == "fun-arrows"
+        c = check_contravariant(F)["cfun-total"]
+        assert (c.passed, c.witness) == (False, ("(a<=a)",))
+        with pytest.raises(VarianceError):
+            variance_convert(F)
+
+    def test_totality_witness_names_a_missing_object(self):
+        F = FunctorData(C2, C2, {"b": "b"}, {n: n for n in C2.arrow_names})
+        assert check_contravariant(F)["cfun-total"].witness == ("a",)
+
+    def test_set_functor_pair_that_does_not_compose_is_a_failure(self):
+        L, _ = hom_functors(C2, "a")
+        S = SetRepr(C2, L.on_obj, {**L.on_arr, "(a<=b)": FinMap.identity(finset("p", "q"))})
+        r = check_set_functor(S)
+        assert {"sr-endpoints", "sr-comp"} <= {c.law for c in r.failures}
+        assert r["sr-comp"].witness == ("(a<=b)", "(a<=a)")
+
+    def test_set_functor_value_that_is_not_a_map_fails_totality(self):
+        L, _ = hom_functors(C2, "a")
+        S = SetRepr(C2, L.on_obj, {**L.on_arr, "(b<=b)": "zzz"})
+        assert check_set_functor(S)["sr-total"].witness == ("(b<=b)",)
+
+
+def test_bifunctor_images_that_do_not_compose_are_failures():
+    B = hom_bifunctor(C2)
+    foreign = FinMap.identity(finset("p", "q"))
+    for k in B.on_arr:
+        r = bifunctor_check(BifunctorData(C2, C2, None, B.on_obj, {**B.on_arr, k: foreign}))
+        assert "bf-endpoints" in {c.law for c in r.failures}, k
+        assert not r["bf-comp"].passed and not r["bf-slices"].passed, k
+
+
+def reference_nat_trans(F, G):
+    """Every choice of components from the target's hom sets, in
+    ``itertools.product`` order, kept when it is natural."""
+    objs = sorted(F.src.objects)
+    choices = [F.tgt.hom(F.on_obj[x], G.on_obj[x]) for x in objs]
+    out = []
+    for values in itertools.product(*choices):
+        comp = dict(zip(objs, values))
+        if bridge_check(comp, F, G)["is_natural"]:
+            out.append(NatTransData(F, G, comp))
+    return out
+
+
+class TestNatTransSearch:
+    def test_functor_category_pairs_match_the_product_reference(self):
+        funs = list(functor_category(C2, C3).meta["functors"].values())
+        for F in funs:
+            for G in funs:
+                assert enumerate_nat_trans(F, G) == reference_nat_trans(F, G)
+
+    def test_group_functor_pairs_match_the_product_reference(self):
+        # S3 is not abelian, so most bridges between these functors are
+        # not natural and the search must cut them
+        G2, (S3, _) = cyclic_group(2), symmetric_group_3()
+        funs = enumerate_functors(from_group(G2), from_group(S3))
+        found = 0
+        for F in funs:
+            for G in funs:
+                got = enumerate_nat_trans(F, G)
+                assert got == reference_nat_trans(F, G)
+                found += len(got)
+        assert 0 < found < len(funs) ** 2 * 6

@@ -507,3 +507,14 @@ class TestFlagsWhereRead:
         argv = [fx(a) if a.endswith(".json") else a for a in argv]
         code, _, err = run_cli(argv)
         assert code == 0, err
+
+
+def test_a_failed_check_without_a_witness_renders_the_empty_one():
+    from structa.report import LawReport
+
+    r = LawReport("s")
+    r.add("law", "statement", False)
+    r.add("ok", "statement", True, ("dropped",))
+    assert [c.witness for c in r.checks] == [(), None]
+    assert "FAIL  law  statement  witness=()" in r.render_text()
+    assert [c.get("witness") for c in r.to_json()["checks"]] == [[], None]

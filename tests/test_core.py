@@ -14,6 +14,7 @@ from structa.core import (
     EndoReport,
     FinMap,
     FinSet,
+    Partition,
     all_maps,
     associativity_witness,
     check_symbol,
@@ -36,6 +37,7 @@ from structa.core import (
     two_sided_unit,
 )
 from structa.errors import (
+    BadStructure,
     CarrierMismatch,
     CompositionMismatch,
     EmptyFold,
@@ -258,6 +260,21 @@ class TestFibers:
             for A in f.dom.subsets():
                 for B in f.cod.subsets():
                     assert fiber_union_check(f, A, B).passed
+
+
+class TestPartition:
+    def test_empty_block_names_its_index(self):
+        with pytest.raises(BadStructure) as e:
+            Partition(finset("a", "b"), (finset("a", "b"), finset()))
+        assert e.value.witness == (1,)
+
+    def test_bad_cover_names_the_first_missing_or_repeated_element(self):
+        with pytest.raises(BadStructure) as e:
+            Partition(finset("a", "b", "c"), (finset("a"), finset("c")))
+        assert e.value.witness == ("b",)
+        with pytest.raises(BadStructure) as e:
+            Partition(finset("a", "b", "c"), (finset("a", "b", "c"), finset("b")))
+        assert e.value.witness == ("b",)
 
 
 class TestDecompose:

@@ -418,3 +418,14 @@ def test_dropping_a_bit_fails_the_laws(monkeypatch, name, bit):
     assert all(rep.passed for rep in _all_reports())
     monkeypatch.setattr(FinMap, name, _drop_bit(getattr(FinMap, name), bit))
     assert not all(rep.passed for rep in _all_reports())
+
+
+def test_a_wrong_image_is_a_failed_unit_not_a_traceback(monkeypatch):
+    # fiber partitions built from the wrong images no longer cover the
+    # domain; each unit that meets one reports a unit-error and the rest run
+    from structa.suites import run_suite
+
+    monkeypatch.setattr(FinMap, "image_mask", _drop_bit(FinMap.image_mask, 2))
+    r = run_suite("functions")
+    assert [c.law for c in r.failures if c.law == "unit-error"]
+    assert "FAIL  unit-error" in r.render_text()

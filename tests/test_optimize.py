@@ -54,7 +54,9 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-@pytest.mark.parametrize("name", ["sigma", "groups", "topology"])
+@pytest.mark.parametrize(
+    "name", ["sigma", "groups", "topology", "categories", "yoneda", "interchange"]
+)
 def test_suite_output_is_the_same_under_optimize(name):
     plain, opt = (run(flags, ["-m", "structa.cli", "suite", name]) for flags in ([], ["-O"]))
     assert plain.returncode == 0, plain.stderr
