@@ -18,6 +18,10 @@ computed, never symbolic. Both targets offer the same methods (``ends``,
 ``unit``, ``compose``, ``hom``, ``has_object``, ``has_arrow``), so each
 law is one scan for either target, and for either variance: a
 contravariant functor into D is a functor into D^op.
+
+One formula gives every hom map: Hom(f, g) is h ↦ g∘h∘f for f: a→c and
+g: b→d. L_x(f) is Hom(1_x, f), R_x(f) is Hom(f, 1_x), the component of
+f† at x is Hom(f, 1_x), and Cayley's translations are L_pt.
 """
 
 from __future__ import annotations
@@ -1015,35 +1019,37 @@ def hom_set(C: FinCat, a, b) -> FinSet:
     return FinSet(C.hom(a, b))
 
 
-def hom_functors(C: FinCat, x):
-    """(L_x, R_x): the covariant functor a ↦ {x→a} with f ↦ (f∘−), and
-    the contravariant functor a ↦ {a→x} with f ↦ (−∘f)."""
+def _hom(C: FinCat, f, g) -> FinMap:
+    """Hom(f, g) for f: a→c and g: b→d: the map h ↦ g∘h∘f from
+    Hom(c, b) to Hom(a, d). The hom functors, the hom bifunctor and f†
+    are all slices of it."""
+    (a, c), (b, d) = C.ends(f), C.ends(g)
+    dom = hom_set(C, c, b)
+    return FinMap(dom, hom_set(C, a, d), {h: C.comp[(C.comp[(g, h)], f)] for h in dom})
+
+
+def _covariant_hom(C: FinCat, x) -> SetRepr:
+    """L_x, checked: a ↦ {x→a}, f ↦ Hom(1_x, f) = (f∘−)."""
     if x not in C.objects:
         raise CarrierMismatch("unknown object", witness=(x,))
-    L = _functor_into(
+    one = C.identity[x]
+    return _functor_into(
         _SETS,
         C,
         {a: hom_set(C, x, a) for a in C.objects},
-        {
-            f: FinMap(
-                hom_set(C, x, C.src[f]),
-                hom_set(C, x, C.tgt[f]),
-                {h: C.comp[(f, h)] for h in C.hom(x, C.src[f])},
-            )
-            for f in C.arrow_names
-        },
+        {f: _hom(C, one, f) for f in C.arrow_names},
     )
+
+
+def hom_functors(C: FinCat, x):
+    """(L_x, R_x): the covariant functor a ↦ {x→a} with f ↦ Hom(1_x, f),
+    and the contravariant functor a ↦ {a→x} with f ↦ Hom(f, 1_x)."""
+    L = _covariant_hom(C, x)
+    one = C.identity[x]
     R = SetRepr(
         C,
         {a: hom_set(C, a, x) for a in C.objects},
-        {
-            f: FinMap(
-                hom_set(C, C.tgt[f], x),
-                hom_set(C, C.src[f], x),
-                {h: C.comp[(h, f)] for h in C.hom(C.tgt[f], x)},
-            )
-            for f in C.arrow_names
-        },
+        {f: _hom(C, f, one) for f in C.arrow_names},
         variance="contra",
     )
     check_set_functor(R).require()
@@ -1135,16 +1141,9 @@ def bifunctor_check(B: BifunctorData) -> LawReport:
 
 
 def hom_bifunctor(C: FinCat) -> BifunctorData:
-    """Hom: C × C → Set, (a, b) ↦ {a→b}, (f, g) ↦ (g ∘ − ∘ f)."""
+    """Hom: C × C → Set, (a, b) ↦ {a→b}, (f, g) ↦ Hom(f, g) = (g ∘ − ∘ f)."""
     on_obj = {(a, b): hom_set(C, a, b) for a in C.objects for b in C.objects}
-    on_arr = {}
-    for f in C.arrow_names:
-        for g in C.arrow_names:
-            dom = on_obj[(C.tgt[f], C.src[g])]
-            cod = on_obj[(C.src[f], C.tgt[g])]
-            on_arr[(f, g)] = FinMap(
-                dom, cod, {h: C.comp[(C.comp[(g, h)], f)] for h in dom}
-            )
+    on_arr = {(f, g): _hom(C, f, g) for f in C.arrow_names for g in C.arrow_names}
     B = BifunctorData(C, C, None, on_obj, on_arr)
     bifunctor_check(B).require()
     return B
@@ -1261,19 +1260,10 @@ def assemble_functor(C1: FinCat, C2: FinCat, Lfam: dict, Rfam: dict) -> SetRepr:
 
 
 def dagger(C: FinCat, f) -> NatTransData:
-    """f†: L_c → L_a for f: a→c, with components h ↦ h∘f."""
-    a, c = C.src[f], C.tgt[f]
-    La, _ = hom_functors(C, a)
-    Lc, _ = hom_functors(C, c)
-    comps = {
-        x: FinMap(
-            hom_set(C, c, x),
-            hom_set(C, a, x),
-            {h: C.comp[(h, f)] for h in C.hom(c, x)},
-        )
-        for x in C.objects
-    }
-    out = NatTransData(Lc, La, comps)
+    """f†: L_c → L_a for f: a→c, with components Hom(f, 1_x) = (−∘f)."""
+    a, c = C.ends(f)
+    La, Lc = _covariant_hom(C, a), _covariant_hom(C, c)
+    out = NatTransData(Lc, La, {x: _hom(C, f, C.identity[x]) for x in C.objects})
     check_nat(out).require()
     return out
 
@@ -1284,8 +1274,7 @@ def yoneda(C: FinCat, a, F: SetRepr) -> dict:
     F a with inverse x ↦ τ_x, where τ_x c(f) = F f(x)."""
     if F.variance != "co":
         raise VarianceError("the Yoneda lemma here takes a covariant functor")
-    La, _ = hom_functors(C, a)
-    nat_set = enumerate_nat_trans(La, F)
+    nat_set = enumerate_nat_trans(_covariant_hom(C, a), F)
     names = FinSet("n%d" % i for i in range(len(nat_set)))
     by_name = {"n%d" % i: n for i, n in enumerate(nat_set)}
     one = C.identity[a]
@@ -1299,19 +1288,22 @@ def yoneda(C: FinCat, a, F: SetRepr) -> dict:
 
 def yoneda_embedding(C: FinCat) -> LawReport:
     """f ↦ f† is a bijection Hom(b, a) → Nat(L_a, L_b) for every pair:
-    the embedding into the functor category is full and faithful."""
+    the embedding into the functor category is full and faithful. Each
+    L_x is built once, and f† is compared with Nat(L_a, L_b) by its
+    components. f† need not be checked natural: distinct f†, as many as
+    Nat(L_a, L_b) and including it, are exactly it, so an unnatural f†
+    fails ``ye-faithful`` or ``ye-full``."""
     r = LawReport("yoneda-embedding")
+    L = {x: _covariant_hom(C, x) for x in C.objects}
     bad_faithful = None
     bad_full = None
     for a in C.objects:
-        La, _ = hom_functors(C, a)
         for b in C.objects:
-            Lb, _ = hom_functors(C, b)
-            seen = [dagger(C, f) for f in C.hom(b, a)]
+            seen = [{x: _hom(C, f, C.identity[x]) for x in C.objects} for f in C.hom(b, a)]
             if any(s == t for s, t in itertools.combinations(seen, 2)):
                 bad_faithful = bad_faithful or (a, b)
-            nat = enumerate_nat_trans(La, Lb)
-            if not all(any(n == d for d in seen) for n in nat) or len(nat) != len(seen):
+            nat = [n.component for n in enumerate_nat_trans(L[a], L[b])]
+            if not all(n in seen for n in nat) or len(nat) != len(seen):
                 bad_full = bad_full or (a, b)
     r.add(
         "ye-faithful",
@@ -1330,17 +1322,13 @@ def yoneda_embedding(C: FinCat) -> LawReport:
 
 def cayley(G) -> "GroupHom":
     """Cayley's theorem through the hom functor of the one-object
-    category: L_e sends each element to left translation, and those
+    category: L_pt sends each element to its left translation, and those
     translations form an isomorphic transformation group."""
-    from .group import _perm_name, hom_check, permutation_group
+    from .group import _permutation_image
 
     C = from_group(G)
-    obj = next(iter(C.objects))
-    L, _ = hom_functors(C, obj)
-    perms = {g: L.on_arr[g] for g in G.carrier}
-    names = {g: _perm_name(perms[g].assign) for g in G.carrier}
-    img = permutation_group({names[g]: perms[g] for g in G.carrier})
-    return hom_check(G, img, FinMap(G.carrier, img.carrier, names))
+    L = _covariant_hom(C, next(iter(C.objects)))
+    return _permutation_image(G, {g: L.on_arr[g] for g in G.carrier})
 
 
 def compare_representations(C: FinCat, F: SetRepr, rep1, rep2):

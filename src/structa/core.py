@@ -287,11 +287,6 @@ class FinMap:
             raise CarrierMismatch("preimage argument not a subset of the codomain")
         return set_of(self.dom, self.preimage_mask(m))
 
-    def restrict(self, subset: FinSet) -> "FinMap":
-        if not subset <= self.dom:
-            raise CarrierMismatch("restriction outside the domain")
-        return FinMap(subset, self.cod, {x: self.assign[x] for x in subset})
-
 
 _set_points = FinMap._points.__set__
 

@@ -65,9 +65,6 @@ class FinGroup:
     def __repr__(self):
         return "FinGroup(%s, unit=%s)" % (list(self.carrier), self.unit)
 
-    def mul(self, a, b):
-        return self.op[(a, b)]
-
     def order(self):
         return len(self.carrier)
 
@@ -607,19 +604,25 @@ def regular_action(G: FinGroup) -> GroupAction:
     return GroupAction(G, G.carrier, act)
 
 
-def cayley(G: FinGroup) -> GroupHom:
-    """An isomorphism onto a transformation group of the carrier.
-    Permutations are named from the carrier's symbols, so two elements
-    whose permutations get the same name raise ``NotBijective``."""
-    A = regular_action(G)
-    names = {g: _perm_name(A.act[g].assign) for g in G.carrier}
+def _permutation_image(G: FinGroup, perms: dict) -> GroupHom:
+    """The isomorphism g ↦ perms[g] onto the group of the permutations
+    ``perms`` (element → FinMap). Permutations are named from the
+    carrier's symbols, so two elements whose permutations get the same
+    name raise ``NotBijective``."""
+    names = {g: _perm_name(perms[g].assign) for g in G.carrier}
     owner = {}
     for g in G.carrier:
         prev = owner.setdefault(names[g], g)
         if prev != g:
             raise NotBijective("two elements get the same permutation name", witness=(prev, g))
-    img = permutation_group({names[g]: A.act[g] for g in G.carrier})
+    img = permutation_group({names[g]: perms[g] for g in G.carrier})
     return hom_check(G, img, FinMap(G.carrier, img.carrier, names))
+
+
+def cayley(G: FinGroup) -> GroupHom:
+    """An isomorphism onto a transformation group of the carrier: each
+    element goes to its left translation."""
+    return _permutation_image(G, regular_action(G).act)
 
 
 def zp_field(p: int) -> dict:

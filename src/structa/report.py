@@ -8,10 +8,10 @@ lexicographically least witness found. Reports render deterministically
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     law: str
     statement: str
     passed: bool

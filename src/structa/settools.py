@@ -50,9 +50,6 @@ class Family:
     def __contains__(self, s):
         return s in self.members
 
-    def names(self):
-        return [s.name() for s in self]
-
 
 def family(carrier: FinSet, *members) -> Family:
     return Family(carrier, [FinSet(m) for m in members])

@@ -371,21 +371,20 @@ def _complete_comp(objects, partial, endpoints):
 def _yoneda_round_trip(C, a, F, res) -> bool:
     """φ from ``yoneda(C, a, F)`` is a bijection onto F a, and the inverse
     x ↦ τ_x, with τ_x c(f) = F f(x), hits exactly the transformation
-    that φ sends to x."""
-    from .category import NatTransData, hom_functors, hom_set
+    that φ sends to x. Every transformation in ``res`` runs from L_a to
+    F, so τ_x is matched by its components."""
+    from .category import hom_set
     from .core import classify
 
     phi, by_name = res["phi"], res["by_name"]
     if not classify(phi)["bijective"]:
         return False
-    La, _ = hom_functors(C, a)
     for x in F.on_obj[a]:
-        comps = {
+        tau_x = {
             c: FinMap(hom_set(C, a, c), F.on_obj[c], {f: F.on_arr[f](x) for f in C.hom(a, c)})
             for c in C.objects
         }
-        tau_x = NatTransData(La, F, comps)
-        match = [name for name, n in by_name.items() if n == tau_x]
+        match = [name for name, n in by_name.items() if n.component == tau_x]
         if len(match) != 1 or phi(match[0]) != x:
             return False
     return True
@@ -399,9 +398,9 @@ def suite_yoneda(seed=0) -> LawReport:
             out = LawReport("yoneda[%s]" % name)
             pairs = 0
             ok = True
+            Ls = [hom_functors(C, x)[0] for x in sorted(C.objects)]
             for a in sorted(C.objects):
-                for x in sorted(C.objects):
-                    L, _ = hom_functors(C, x)
+                for L in Ls:
                     res = yoneda(C, a, L)
                     pairs += 1
                     count_ok = len(res["nat_set"]) == len(L.on_obj[a])
@@ -942,7 +941,7 @@ def suite_actions(seed=0) -> LawReport:
         symmetric_group_3,
     )
 
-    S3, _perms = symmetric_group_3()
+    S3, perms = symmetric_group_3()
 
     def coset_shapes():
         out = LawReport("actions-cosets")
@@ -1007,12 +1006,7 @@ def suite_actions(seed=0) -> LawReport:
         letters = finset("1", "2", "3")
         from .group import GroupAction
 
-        act = {}
-        for g in S3.carrier:
-            # group elements are named by their one-line permutation form
-            perm = _perm_of_name(g)
-            act[g] = FinMap(letters, letters, perm)
-        A = GroupAction(S3, letters, act)
+        A = GroupAction(S3, letters, {g: perms[g] for g in S3.carrier})
         ok = action_check(A).passed
         out.add("act-letters", "the defining action satisfies the action laws", ok)
         sim_ok = True
@@ -1028,16 +1022,6 @@ def suite_actions(seed=0) -> LawReport:
         return out
 
     return _run_units("suite-actions", [coset_shapes, stabilizers])
-
-
-def _perm_of_name(name: str) -> dict:
-    """Decode a permutation name like '(1>2,2>1,3>3)'."""
-    inner = name[name.index("(") + 1 : name.rindex(")")]
-    out = {}
-    for part in inner.split(","):
-        a, b = part.split(">")
-        out[a] = b
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1261,8 +1245,6 @@ def suite_cli(seed=0) -> LawReport:
 
     def exit_codes():
         out = LawReport("cli-exit-codes")
-        import contextlib
-        import io
 
         def run(args):
             buf, err = io.StringIO(), io.StringIO()

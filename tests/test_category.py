@@ -1105,3 +1105,114 @@ class TestNatTransSearch:
                 assert got == reference_nat_trans(F, G)
                 found += len(got)
         assert 0 < found < len(funs) ** 2 * 6
+
+
+# ---------------------------------------------------------------------------
+# one Hom formula, and each hom functor built once per check
+
+
+def reference_hom(C, f, g):
+    """Hom(f, g) for f: a→c and g: b→d, composed through
+    ``FinCat.compose``: h ↦ g∘(h∘f) from Hom(c, b) to Hom(a, d)."""
+    (a, c), (b, d) = C.ends(f), C.ends(g)
+    dom = hom_set(C, c, b)
+    return FinMap(dom, hom_set(C, a, d), {h: C.compose(g, C.compose(h, f)) for h in dom})
+
+
+def hom_corpus():
+    from structa.suites import _yoneda_corpus
+
+    return _yoneda_corpus() + small_seeds()
+
+
+class TestOneHomFormula:
+    def test_hom_functors_are_slices_of_hom(self):
+        for name, C in hom_corpus():
+            for x in C.objects:
+                L, R = hom_functors(C, x)
+                one = C.identity[x]
+                for f in C.arrow_names:
+                    assert L.on_arr[f] == reference_hom(C, one, f), (name, x, f)
+                    assert R.on_arr[f] == reference_hom(C, f, one), (name, x, f)
+
+    def test_hom_bifunctor_and_dagger_are_hom(self):
+        for name, C in hom_corpus():
+            B = hom_bifunctor(C)
+            for (f, g), m in B.on_arr.items():
+                assert m == reference_hom(C, f, g), (name, f, g)
+            for f in C.arrow_names:
+                assert dagger(C, f) == slice_nat(B, f), (name, f)
+
+    def test_cayley_translations_are_the_regular_action(self):
+        from structa.group import enumerate_groups, regular_action
+
+        for n in range(1, 7):
+            for G in enumerate_groups(n):
+                L, _ = hom_functors(from_group(G), "pt")
+                act = regular_action(G).act
+                assert all(L.on_arr[g] == act[g] for g in G.carrier)
+
+    def test_cayley_rejects_colliding_permutation_names(self, monkeypatch):
+        from structa import group
+        from structa.errors import NotBijective
+
+        monkeypatch.setattr(group, "_perm_name", lambda assign: "(same)")
+        with pytest.raises(NotBijective) as err:
+            cayley(cyclic_group(3))
+        assert err.value.witness == ("g0", "g1")
+
+
+class TestHomFunctorsBuiltOnce:
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The set-functor checks made while the test runs."""
+        import structa.category as category
+
+        made = []
+        real = category.check_set_functor
+
+        def counted(S):
+            made.append(S)
+            return real(S)
+
+        monkeypatch.setattr(category, "check_set_functor", counted)
+        return made
+
+    def test_suite_yoneda(self, checks):
+        from structa.suites import run_suite
+
+        assert run_suite("yoneda").passed
+        assert len(checks) <= 150
+
+    def test_embedding_of_the_3_chain(self, checks):
+        assert yoneda_embedding(C3).passed
+        assert len(checks) == 3
+
+
+# the parent's first failing law: L_x of the first object x breaks sr-comp
+NEG_ASSOC_WITNESSES = {
+    1: ("g1", "g1"),
+    2: ("g1", "g1"),
+    3: ("g1", "g1"),
+    4: ("a", "a"),
+    5: ("(1>1,2>3,3>2)", "(1>2,2>1,3>3)"),
+}
+
+
+@pytest.mark.parametrize("i", sorted(NEG_ASSOC_WITNESSES))
+def test_embedding_of_a_non_associative_table_raises(i):
+    import json
+
+    from structa.suites import fixtures_dir
+
+    doc = json.loads((fixtures_dir() / ("category_neg_assoc_%d.json" % i)).read_text())
+    C = FinCat(
+        doc["objects"],
+        [tuple(a) for a in doc["arrows"]],
+        dict(doc["identity"]),
+        {(g, f): v for g, f, v in doc["comp"]},
+    )
+    with pytest.raises(BadStructure) as err:
+        yoneda_embedding(C)
+    assert str(err.value).startswith("set-functor: sr-comp failed")
+    assert err.value.witness == NEG_ASSOC_WITNESSES[i]

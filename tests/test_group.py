@@ -606,13 +606,6 @@ class TestConstructionTheorems:
                     core = core.inter(conjugates(G, H, x))
                 assert action_nucleus(A) == core
 
-    def test_permutation_names_decode(self):
-        from structa.suites import _perm_of_name
-
-        S3, perms = s3()
-        for name in S3.carrier:
-            assert _perm_of_name(name) == perms[name].assign
-
     def test_cayley_rejects_colliding_permutation_names(self, monkeypatch):
         G = cyclic_group(3)
         monkeypatch.setattr(group, "_perm_name", lambda assign: "(same)")

@@ -55,7 +55,8 @@ def test_library_has_no_assert_statements():
 
 
 @pytest.mark.parametrize(
-    "name", ["sigma", "groups", "topology", "categories", "yoneda", "interchange"]
+    "name",
+    ["sigma", "groups", "topology", "categories", "yoneda", "interchange", "functions", "actions"],
 )
 def test_suite_output_is_the_same_under_optimize(name):
     plain, opt = (run(flags, ["-m", "structa.cli", "suite", name]) for flags in ([], ["-O"]))
