@@ -539,6 +539,27 @@ def decompose(f: FinMap):
     return p, bij, incl
 
 
+def generated(seed, unary=(), binary=()) -> set:
+    """The least set that holds ``seed`` and is closed under each ``unary``
+    f(x) and each ``binary`` op(x, y): the closure of an algebraic closure
+    operator (Davey & Priestley, ch. 7). A worklist applies each new
+    member to itself and to every member found so far, in both orders,
+    since a product need not commute."""
+    out = set(seed)
+    todo = list(out)
+    found = []
+    while todo:
+        x = todo.pop()
+        found.append(x)
+        new = [f(x) for f in unary]
+        new += [z for op in binary for y in found for z in (op(x, y), op(y, x))]
+        for z in new:
+            if z not in out:
+                out.add(z)
+                todo.append(z)
+    return out
+
+
 def fold(op, seq):
     """Left fold of a binary table over a nonempty symbol sequence.
 

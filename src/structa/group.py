@@ -21,6 +21,7 @@ from .core import (
     classify,
     compose,
     finset,
+    generated,
     two_sided_unit,
 )
 from .errors import (
@@ -253,12 +254,10 @@ def subgroup_check(G: FinGroup, H: FinSet) -> Subgroup:
 
 
 def cyclic_subgroup(G: FinGroup, a) -> Subgroup:
-    members = {G.unit}
-    x = a
-    while x not in members:
-        members.add(x)
-        x = G.op[(x, a)]
-    return subgroup_check(G, FinSet(members))
+    """The powers of a: {a} closed under products."""
+    if a not in G.carrier:
+        raise CarrierMismatch("element outside the group", witness=(a,))
+    return subgroup_check(G, FinSet(generated([a], binary=[lambda x, y: G.op[(x, y)]])))
 
 
 def as_group(H: Subgroup) -> FinGroup:
@@ -332,19 +331,9 @@ def center(G: FinGroup) -> Subgroup:
 
 
 def commutant(G: FinGroup) -> Subgroup:
-    """The subgroup generated by all commutators (product closure)."""
+    """The subgroup generated by all commutators: their closure under products."""
     gens = {commutator(G, a, b) for a in G.carrier for b in G.carrier}
-    members = set(gens) | {G.unit}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.product(list(members), repeat=2):
-            p = G.op[(a, b)]
-            if p not in members:
-                members.add(p)
-                changed = True
-    # inverse closure is implied in a finite group
-    return subgroup_check(G, FinSet(members))
+    return subgroup_check(G, FinSet(generated(gens, binary=[lambda x, y: G.op[(x, y)]])))
 
 
 def abelianization_check(G: FinGroup, N: Subgroup) -> LawReport:

@@ -27,6 +27,7 @@ from structa.core import (
     fiber_union_check,
     finset,
     fold,
+    generated,
     image_calculus,
     inverse,
     iterate,
@@ -601,3 +602,77 @@ class TestTableWitnesses:
     def test_two_sided_unit_is_the_first(self, case):
         xs, op = case
         assert two_sided_unit(op, xs) == first_unit(op, xs)
+
+
+# ---------------------------------------------------------------------------
+# generated: the worklist closure against the naive loop that applies every
+# operation to every member until a round adds nothing.
+
+
+def naive_closure(seed, unary=(), binary=()):
+    out = set(seed)
+    while True:
+        new = out | {f(x) for f in unary for x in out}
+        new |= {op(x, y) for op in binary for x in out for y in out}
+        if new == out:
+            return out
+        out = new
+
+
+def _symmetric_group(n):
+    from structa.group import bijection_group
+
+    return bijection_group(FinSet(str(i) for i in range(1, n + 1)))[0]
+
+
+SYMMETRIC = {3: _symmetric_group(3), 4: _symmetric_group(4)}
+
+
+def product_of(G):
+    return lambda x, y: G.op[(x, y)]
+
+
+@st.composite
+def symmetric_seeds(draw):
+    G = SYMMETRIC[draw(st.sampled_from([3, 4]))]
+    return G, draw(st.lists(st.sampled_from(G.carrier.elements), max_size=3))
+
+
+@st.composite
+def magmas(draw):
+    # a random table over 0..n-1, as a rule not commutative, with a
+    # unary map, and a seed
+    n = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    unary = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    seed = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    return (lambda x, y: cells[x * n + y]), unary.__getitem__, seed
+
+
+class TestGenerated:
+    @PROPERTY
+    @given(symmetric_seeds())
+    def test_matches_the_naive_closure_in_symmetric_groups(self, case):
+        G, seed = case
+        product = product_of(G)
+        assert generated(seed, binary=[product]) == naive_closure(seed, binary=[product])
+
+    @PROPERTY
+    @given(magmas())
+    def test_matches_the_naive_closure_on_random_tables(self, case):
+        op, f, seed = case
+        assert generated(seed, binary=[op]) == naive_closure(seed, binary=[op])
+        assert generated(seed, [f]) == naive_closure(seed, [f])
+        assert generated(seed, [f], [op]) == naive_closure(seed, [f], [op])
+
+    def test_s3_from_two_transpositions(self):
+        G = SYMMETRIC[3]
+        product = product_of(G)
+        swaps = [p for p in G.carrier if G.op[(p, p)] == G.unit and p != G.unit]
+        assert generated(swaps[:2], binary=[product]) == set(G.carrier)
+        assert generated(swaps[:1], binary=[product]) == {swaps[0], G.unit}
+
+    def test_empty_seed_and_no_operations(self):
+        assert generated([]) == set()
+        assert generated([1, 2]) == {1, 2}
+        assert generated([], [lambda x: x + 1], [max]) == set()

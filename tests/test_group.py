@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from structa.core import FinMap, FinSet, classify, compose, finset
 from structa import group
 from structa.errors import (
+    CarrierMismatch,
     IllDefinedQuotient,
     NotAGroup,
     NotBijective,
@@ -606,6 +607,26 @@ class TestConstructionTheorems:
                     core = core.inter(conjugates(G, H, x))
                 assert action_nucleus(A) == core
 
+    def test_commutant_is_the_least_subgroup_holding_every_commutator(self):
+        for G in catalog():
+            comms = {commutator(G, a, b) for a in G.carrier for b in G.carrier}
+            least = G.carrier
+            for H in all_subgroups(G):
+                if comms <= set(H.members):
+                    least = least.inter(H.members)
+            assert commutant(G).members == least
+
+    def test_cyclic_subgroup_is_the_powers(self):
+        for G in catalog() + [bijection_group(finset("1", "2", "3", "4"))[0]]:
+            for a in G.carrier:
+                powers = FinSet(power(G, a, k) for k in range(G.order()))
+                assert cyclic_subgroup(G, a).members == powers
+
+    def test_cyclic_subgroup_of_an_outside_element(self):
+        with pytest.raises(CarrierMismatch) as err:
+            cyclic_subgroup(cyclic_group(3), "zz")
+        assert err.value.witness == ("zz",)
+
     def test_cayley_rejects_colliding_permutation_names(self, monkeypatch):
         G = cyclic_group(3)
         monkeypatch.setattr(group, "_perm_name", lambda assign: "(same)")
@@ -690,6 +711,30 @@ class TestWitnessSearches:
         G, N = case
         assert normality_witness(G, N) == first_non_normal(G, N)
         assert is_normal(G, N) == (first_non_normal(G, N) is None)
+
+    def test_normality_witness_conjugates_as_x_n_x_inverse(self):
+        # S4 relabelled so that g01 is the 3-cycle 1>2>3>1, g02 the
+        # transposition of 3 and 4, and g03 that of 2 and 4. N is the
+        # stabilizer of 1. g01 normalizes N exactly when g01⁻¹ does, so
+        # both conjugations fail first at x = g01, but at different n:
+        # g01·g02·g01⁻¹ moves 1, while g01⁻¹·g02·g01 fixes it and
+        # g01⁻¹·g03·g01 moves it.
+        pts = finset("1", "2", "3", "4")
+        perms = bijection_group(pts)[1]
+
+        def perm(*images):
+            return group._perm_name(dict(zip(pts.elements, images)))
+
+        first = [perm("1", "2", "3", "4"), perm("2", "3", "1", "4"),
+                 perm("1", "2", "4", "3"), perm("1", "4", "3", "2")]
+        order = first + sorted(p for p in perms if p not in first)
+        name = {p: "g%02d" % i for i, p in enumerate(order)}
+        table = {(name[p], name[q]): name[group._perm_name(compose(perms[p], perms[q]).assign)]
+                 for p in perms for q in perms}
+        G = check_group(table, FinSet(name.values()))
+        N = subgroup_check(G, FinSet(name[p] for p in perms if perms[p]("1") == "1"))
+        assert len(N.members) == 6
+        assert normality_witness(G, N) == ("g01", "g02")
 
     @PROPERTY
     @given(planted_perm_sets())

@@ -499,6 +499,27 @@ class TestFilterTheorems:
                 if is_filter_base(fam):
                     assert is_filter(generate_filter(fam))
 
+    def test_generated_filter_is_the_upward_scan(self):
+        # the sets that hold some base member, on every base over ≤3 points
+        for carrier in (finset("a"), finset("a", "b"), finset("a", "b", "c")):
+            for fam in all_families(carrier):
+                if is_filter_base(fam):
+                    scan = {S for S in carrier.subsets() if any(B <= S for B in fam.members)}
+                    assert generate_filter(fam).members == scan
+
+    def test_is_filter_matches_the_definition(self):
+        for carrier in (finset(), finset("a"), finset("a", "b"), finset("a", "b", "c")):
+            subs = list(carrier.subsets())
+            for fam in all_families(carrier):
+                ms = fam.members
+                want = (
+                    len(ms) > 0
+                    and FinSet() not in ms
+                    and all(T in ms for S in ms for T in subs if S <= T)
+                    and all(S.inter(T) in ms for S in ms for T in ms)
+                )
+                assert is_filter(fam) == want, sorted(S.elements for S in ms)
+
     def test_filter_ops_decomposition(self):
         for carrier in (finset("a", "b"), finset("a", "b", "c")):
             for fam in all_families(carrier):

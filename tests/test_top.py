@@ -236,6 +236,16 @@ class TestNeighborhoods:
         with pytest.raises(CarrierMismatch):
             neighborhoods(sierpinski(), "z")
 
+    def test_matches_the_definition_scan(self):
+        # N is a neighborhood of x when N ⊇ V ∋ x for some open V
+        for carrier in TestConstructionTheorems.CARRIERS:
+            for fam in enumerate_topologies(carrier):
+                T = check_topology(carrier, fam)
+                for x in carrier:
+                    scan = {N for N in carrier.subsets()
+                            if any(x in V and V <= N for V in fam.members)}
+                    assert neighborhoods(T, x).members == scan
+
 
 class TestBases:
     def test_singleton_base_discrete(self):
@@ -301,6 +311,27 @@ class TestBases:
             B = Family(carrier, [s for s in fam.members if len(s) > 0])
             out = base_ops(carrier, B)
             assert out["criterion"].passed, out["criterion"].render_text()
+
+    def test_topology_is_the_least_one_holding_the_family(self):
+        # every family over at most three points: a covering one generates
+        # the intersection of the topologies that contain it
+        for carrier in [finset()] + TestConstructionTheorems.CARRIERS:
+            tops = enumerate_topologies(carrier)
+            subs = list(carrier.subsets())
+            for k in range(len(subs) + 1):
+                for combo in itertools.combinations(subs, k):
+                    B = Family(carrier, combo)
+                    uncovered = [x for x in carrier if not any(x in U for U in combo)]
+                    if uncovered:
+                        with pytest.raises(NotCovering) as err:
+                            base_ops(carrier, B)
+                        assert err.value.witness == (uncovered[0],)
+                        continue
+                    least = set(carrier.subsets())
+                    for T in tops:
+                        if B.members <= T.members:
+                            least &= T.members
+                    assert base_ops(carrier, B)["topology"].opens.members == least
 
     def test_point_base_from_base(self):
         T = sierpinski()
