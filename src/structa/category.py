@@ -6,18 +6,19 @@ checker reports that instead of silently quotienting. Composition
 tables are stored in full, so associativity is a finite scan.
 
 The module carries the whole functor calculus: opposites, products,
-bifunctors and their decomposition, bridges and natural
-transformations, vertical/horizontal composition with the interchange
-law, Hom functors, the Yoneda lemma and embedding, representable
-functors, and arrow categories.
+bridges and natural transformations, vertical/horizontal composition
+with the interchange law, Hom functors, the Yoneda lemma and embedding,
+representable functors, and arrow categories. A bifunctor C1 × C2 → T,
+contravariant in its first slot, is a functor on C1^op × C2 (Mac Lane,
+§II.3), and ``slice_nat`` reads the product structure of its source.
 
 A functor runs into a ``FinCat`` (``FunctorData``) or into finite sets
-(``SetRepr``, or a ``BifunctorData`` with ``tgt=None``), whose values
-are actual ``FinSet``/``FinMap`` data, so that Yoneda's bijection is
-computed, never symbolic. Both targets offer the same methods (``ends``,
-``unit``, ``compose``, ``hom``, ``has_object``, ``has_arrow``), so each
-law is one scan for either target, and for either variance: a
-contravariant functor into D is a functor into D^op.
+(``SetRepr``), whose values are actual ``FinSet``/``FinMap`` data, so
+that Yoneda's bijection is computed, never symbolic. Both targets offer
+the same methods (``ends``, ``unit``, ``compose``, ``hom``,
+``has_object``, ``has_arrow``), so each law is one scan for either
+target, and for either variance: a contravariant functor into D is a
+functor into D^op.
 
 One formula gives every hom map: Hom(f, g) is h ↦ g∘h∘f for f: a→c and
 g: b→d. L_x(f) is Hom(1_x, f), R_x(f) is Hom(f, 1_x), the component of
@@ -378,12 +379,10 @@ _SETS = _FiniteSets()
 
 
 def _target(F):
-    """The target of a ``FunctorData``, ``SetRepr`` or ``BifunctorData``:
-    its ``FinCat``, or ``_SETS`` when it is Set-valued. The only code that
-    reads which kind of target a value has."""
-    if isinstance(F, SetRepr) or F.tgt is None:
-        return _SETS
-    return F.tgt
+    """The target of a ``FunctorData`` or ``SetRepr``: its ``FinCat``, or
+    ``_SETS`` when it is Set-valued. The only code that reads which kind
+    of target a value has."""
+    return _SETS if isinstance(F, SetRepr) else F.tgt
 
 
 def _functor_into(T, src: FinCat, on_obj: dict, on_arr: dict):
@@ -716,7 +715,7 @@ def pair_functor(F: FunctorData, G: FunctorData) -> FunctorData:
 
 def unpair_functor(F: FunctorData):
     """Split a functor into a product category into its components."""
-    meta = F.tgt.meta
+    meta = _target(F).meta
     if "product_of" not in meta:
         raise NotProduct("target category carries no product structure")
     obj_pairs, arr_pairs = meta["obj_pairs"], meta["arr_pairs"]
@@ -1056,163 +1055,46 @@ def hom_functors(C: FinCat, x):
     return L, R
 
 
+def hom_bifunctor(C: FinCat) -> SetRepr:
+    """Hom on C^op × C: (a, b) ↦ {a→b}, (f, g) ↦ Hom(f, g) = (g ∘ − ∘ f).
+    In C^op × C, (h, i)∘(f, g) is (f∘h, i∘g), so the functor laws are the
+    bifunctor laws."""
+    P = product_cat(opposite_cat(C), C)
+    pairs, arrs = P.meta["obj_pairs"], P.meta["arr_pairs"]
+    return _functor_into(
+        _SETS,
+        P,
+        {n: hom_set(C, *pairs[n]) for n in P.objects},
+        {n: _hom(C, *arrs[n]) for n in P.arrow_names},
+    )
+
+
 # ---------------------------------------------------------------------------
-# bifunctors
+# bifunctors: functors on a product category
 
 
-@dataclass(frozen=True)
-class BifunctorData:
-    """Contravariant in the first slot, covariant in the second. When
-    ``tgt`` is None the values are FinSets and FinMaps (Set-valued)."""
-
-    src1: FinCat
-    src2: FinCat
-    tgt: FinCat | None
-    on_obj: dict  # (a, b) -> object / FinSet
-    on_arr: dict  # (f, g) -> arrow / FinMap
-
-
-def bifunctor_check(B: BifunctorData) -> LawReport:
-    """The bifunctor laws; images that do not compose fail their law."""
-    r = LawReport("bifunctor")
-    C1, C2 = B.src1, B.src2
-    ok = set(B.on_obj) == {(a, b) for a in C1.objects for b in C2.objects} and set(
-        B.on_arr
-    ) == {(f, g) for f in C1.arrow_names for g in C2.arrow_names}
-    r.add("bf-total", "object and arrow functions cover all pairs", ok)
-    if not ok:
-        return r
-    T = _target(B)
-    bad = next(
-        (
-            (a, b)
-            for a in C1.objects
-            for b in C2.objects
-            if B.on_arr[(C1.identity[a], C2.identity[b])] != T.unit(B.on_obj[(a, b)])
-        ),
-        None,
-    )
-    r.add("bf-unit", "B(1a, 1b) is the identity of B(a, b)", bad is None, bad)
-    arrow_pairs = [(f, g) for f in C1.arrow_names for g in C2.arrow_names]
-    bad = next(
-        (
-            (f, g)
-            for f, g in arrow_pairs
-            if T.ends(B.on_arr[(f, g)])
-            != (B.on_obj[(C1.tgt[f], C2.src[g])], B.on_obj[(C1.src[f], C2.tgt[g])])
-        ),
-        None,
-    )
-    r.add(
-        "bf-endpoints",
-        "B(f, g) runs from B(c, b) to B(a, d) for f: a→c, g: b→d",
-        bad is None,
-        bad,
-    )
-    bad = next(
-        (
-            (h, f, i, g)
-            for (h, f), hf in sorted(C1.comp.items())
-            for (i, g), ig in sorted(C2.comp.items())
-            if B.on_arr[(hf, ig)] != _composite(T, B.on_arr[(f, i)], B.on_arr[(h, g)])
-        ),
-        None,
-    )
-    r.add("bf-comp", "B(h∘f, i∘g) = B(f, i) ∘ B(h, g)", bad is None, bad)
-
-    def sliced(f, g):
-        """B(f, g) through the slices in either order."""
-        (a, c), (b, d) = C1.ends(f), C2.ends(g)
-        one, two = C1.identity, C2.identity
-        yield _composite(T, B.on_arr[(f, two[d])], B.on_arr[(one[c], g)])
-        yield _composite(T, B.on_arr[(one[a], g)], B.on_arr[(f, two[b])])
-
-    bad = next(
-        ((f, g) for f, g in arrow_pairs if any(m != B.on_arr[(f, g)] for m in sliced(f, g))),
-        None,
-    )
-    r.add(
-        "bf-slices",
-        "B(f, g) factors through the one-sided slices in either order",
-        bad is None,
-        bad,
-    )
-    return r
-
-
-def hom_bifunctor(C: FinCat) -> BifunctorData:
-    """Hom: C × C → Set, (a, b) ↦ {a→b}, (f, g) ↦ Hom(f, g) = (g ∘ − ∘ f)."""
-    on_obj = {(a, b): hom_set(C, a, b) for a in C.objects for b in C.objects}
-    on_arr = {(f, g): _hom(C, f, g) for f in C.arrow_names for g in C.arrow_names}
-    B = BifunctorData(C, C, None, on_obj, on_arr)
-    bifunctor_check(B).require()
-    return B
-
-
-def bifunctor_functor_bridge(B: BifunctorData):
-    """The covariant functor on C1^op × C2 that carries the same data.
-    Returns a SetRepr for Set-valued bifunctors, FunctorData otherwise."""
-    P = product_cat(opposite_cat(B.src1), B.src2)
-    pairs = P.meta["obj_pairs"]
-    arrs = P.meta["arr_pairs"]
-    on_obj = {n: B.on_obj[pairs[n]] for n in P.objects}
-    on_arr = {n: B.on_arr[arrs[n]] for n in P.arrow_names}
-    return _functor_into(_target(B), P, on_obj, on_arr)
-
-
-def functor_to_bifunctor(F, C1: FinCat, C2: FinCat) -> BifunctorData:
-    """Inverse of the bridge: read a functor on C1^op × C2 back as a
-    bifunctor C1 × C2 → target."""
-    pairs = F.src.meta.get("obj_pairs")
-    arrs = F.src.meta.get("arr_pairs")
-    if pairs is None:
-        raise NotProduct("source category carries no product structure")
-    tgt = _target(F)
-    on_obj = {pairs[n]: F.on_obj[n] for n in F.src.objects}
-    on_arr = {arrs[n]: F.on_arr[n] for n in F.src.arrow_names}
-    B = BifunctorData(C1, C2, None if tgt is _SETS else tgt, on_obj, on_arr)
-    bifunctor_check(B).require()
-    return B
-
-
-def bifunctor_decompose(B: BifunctorData):
-    """For a bifunctor into a product D1 × D2: the component bifunctors
-    (p, q); pairing them back recovers B."""
-    meta = _target(B).meta
+def slice_nat(B, f) -> NatTransData:
+    """Slicing a functor B on a product C1 × C2 at f: x→y of C1 gives the
+    natural transformation B(x, −) → B(y, −) with components B(f, 1_z)."""
+    meta = B.src.meta
     if "product_of" not in meta:
-        raise NotProduct("target is not a product category")
-    obj_pairs, arr_pairs = meta["obj_pairs"], meta["arr_pairs"]
-    out = tuple(
-        BifunctorData(
-            B.src1,
-            B.src2,
-            D,
-            {k: obj_pairs[v][i] for k, v in B.on_obj.items()},
-            {k: arr_pairs[v][i] for k, v in B.on_arr.items()},
-        )
-        for i, D in enumerate(meta["product_of"])
-    )
-    for p in out:
-        bifunctor_check(p).require()
-    return out
-
-
-def slice_nat(B: BifunctorData, f) -> NatTransData:
-    """Slicing a bifunctor at f: a→c in the first category gives a
-    natural transformation B_c → B_a with components B(f, 1_x)."""
-    C1, C2 = B.src1, B.src2
+        raise NotProduct("source category carries no product structure")
+    C1, C2 = meta["product_of"]
     if f not in C1.src:
         raise CarrierMismatch("unknown arrow", witness=(f,))
-    a, c = C1.src[f], C1.tgt[f]
 
-    def partial(z):
-        on_obj = {y: B.on_obj[(z, y)] for y in C2.objects}
-        on_arr = {g: B.on_arr[(C1.identity[z], g)] for g in C2.arrow_names}
-        return _functor_into(_target(B), C2, on_obj, on_arr)
+    def partial(x):
+        one = C1.identity[x]
+        return _functor_into(
+            _target(B),
+            C2,
+            {z: B.on_obj[_pair_name(x, z)] for z in C2.objects},
+            {g: B.on_arr[_pair_name(one, g)] for g in C2.arrow_names},
+        )
 
-    Fc, Fa = partial(c), partial(a)
-    comps = {y: B.on_arr[(f, C2.identity[y])] for y in C2.objects}
-    out = NatTransData(Fc, Fa, comps)
+    x, y = C1.ends(f)
+    comps = {z: B.on_arr[_pair_name(f, C2.identity[z])] for z in C2.objects}
+    out = NatTransData(partial(x), partial(y), comps)
     check_nat(out).require()
     return out
 

@@ -241,12 +241,11 @@ def map_classify(f: FinMap, P: Poset, Q: Poset) -> dict:
         "order_bijective": order_bijective,
     }
     # the same map between the dual orders preserves iff it preserved before
+    Pop, Qop = P.opposite(), Q.opposite()
     dual = {
-        "preserving": all(
-            Q.opposite().le(f(x), f(y)) for x, y in pairs if P.opposite().le(x, y)
-        ),
+        "preserving": all(Qop.le(f(x), f(y)) for x, y in pairs if Pop.le(x, y)),
         "order_bijective": bij
-        and all(P.opposite().le(x, y) == Q.opposite().le(f(x), f(y)) for x, y in pairs),
+        and all(Pop.le(x, y) == Qop.le(f(x), f(y)) for x, y in pairs),
     }
     flags["dual"] = dual
     return flags

@@ -1,0 +1,108 @@
+"""Mutation gate: each row breaks one spot of structa on purpose and names
+the test that must then fail.
+
+    python3 tests/mutants.py        (from the root of a checkout)
+
+For every row the script copies ``src/structa`` into a temporary
+directory, replaces the row's source fragment, which must occur exactly
+once in its module, and runs the row's pytest node in a fresh process
+with the copy first on ``PYTHONPATH``. The mutant is killed when the node
+fails. The script prints one line per row and exits 1 when a mutant
+survives, when a fragment is missing or ambiguous, or when the node does
+not run; otherwise it exits 0. It needs only the standard library and
+pytest, and it is not collected by pytest itself.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "structa"
+
+# (module, fragment, replacement, pytest node that must fail)
+MUTANTS = [
+    (
+        "category.py",
+        "{n: _hom(C, *arrs[n]) for n in P.arrow_names}",
+        "{n: _hom(C, *arrs[n][::-1]) for n in P.arrow_names}",
+        "tests/test_category.py::TestOneHomFormula::test_hom_bifunctor_and_dagger_are_hom",
+    ),
+    (
+        "category.py",
+        "NatTransData(partial(x), partial(y), comps)",
+        "NatTransData(partial(y), partial(x), comps)",
+        "tests/test_category.py::TestBifunctor::test_slices_of_a_common_range_product_are_natural",
+    ),
+    (
+        "category.py",
+        "{x: obj_pairs[F.on_obj[x]][i] for x in F.src.objects},\n"
+        "            {n: arr_pairs[F.on_arr[n]][i] for n in F.src.arrow_names},",
+        "{x: obj_pairs[F.on_obj[x]][0] for x in F.src.objects},\n"
+        "            {n: arr_pairs[F.on_arr[n]][0] for n in F.src.arrow_names},",
+        "tests/test_category.py::TestConstructionTheorems::test_decomposed_bifunctor_recomposes",
+    ),
+    (
+        "order.py",
+        "Pop, Qop = P.opposite(), Q.opposite()",
+        "Pop, Qop = P, Q.opposite()",
+        "tests/test_order.py::TestMapClassify::test_dual_flags_classify_the_map_between_the_dual_orders",
+    ),
+    (
+        "group.py",
+        "G.op[(G.op[(x, n)], G.inv[x])]",
+        "G.op[(G.op[(G.inv[x], n)], x)]",
+        "tests/test_group.py::TestWitnessSearches::test_normality_witness_conjugates_as_x_n_x_inverse",
+    ),
+    (
+        "core.py",
+        "for z in (op(x, y), op(y, x))",
+        "for z in (op(x, y),)",
+        "tests/test_core.py::TestGenerated::test_matches_the_naive_closure_on_random_tables",
+    ),
+]
+
+
+def run_mutant(module, fragment, replacement, node) -> str:
+    """'killed', 'SURVIVED', or an error naming what kept the row from running."""
+    text = (SRC / module).read_text(encoding="utf-8")
+    found = text.count(fragment)
+    if found != 1:
+        return "ERROR: fragment found %d times in %s" % (found, module)
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "structa"
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        (copy / module).write_text(text.replace(fragment, replacement), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
+        where = subprocess.run(
+            [sys.executable, "-c", "import structa; print(structa.__file__)"],
+            env=env, capture_output=True, text=True,
+        ).stdout.strip()
+        if not where.startswith(str(copy)):
+            return "ERROR: structa was imported from %r, not from the copy" % where
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", node],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+    if done.returncode == 1:
+        return "killed"
+    if done.returncode == 0:
+        return "SURVIVED"
+    return "ERROR: pytest exited %d\n%s" % (done.returncode, done.stdout[-2000:])
+
+
+def main() -> int:
+    bad = 0
+    for i, (module, fragment, replacement, node) in enumerate(MUTANTS, 1):
+        verdict = run_mutant(module, fragment, replacement, node)
+        bad += verdict != "killed"
+        print("%d. %s: %s -> %s" % (i, module, fragment.split("\n")[0], verdict), flush=True)
+    print("%d of %d mutants killed" % (len(MUTANTS) - bad, len(MUTANTS)))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

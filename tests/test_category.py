@@ -13,7 +13,6 @@ import random
 import pytest
 
 from structa.category import (
-    BifunctorData,
     FinCat,
     FunctorData,
     NatTransData,
@@ -22,9 +21,6 @@ from structa.category import (
     arrow_classify,
     arrow_equality_classes,
     assemble_functor,
-    bifunctor_check,
-    bifunctor_decompose,
-    bifunctor_functor_bridge,
     bridge_category,
     bridge_check,
     cats_isomorphic,
@@ -46,7 +42,6 @@ from structa.category import (
     from_group,
     from_poset,
     functor_category,
-    functor_to_bifunctor,
     hcompose,
     hom_bifunctor,
     hom_functors,
@@ -426,27 +421,64 @@ class TestPairUnpair:
         with pytest.raises(NotProduct):
             unpair_functor(identity_functor(C2))
 
+    def test_set_valued_functor_is_not_a_product(self):
+        for S in (hom_functors(C2, "a")[0], hom_bifunctor(C2)):
+            with pytest.raises(NotProduct):
+                unpair_functor(S)
+
 
 class TestBifunctor:
     def test_hom_bifunctor_passes(self):
         for C in (C2, C3, Z2):
-            assert bifunctor_check(hom_bifunctor(C)).passed
-
-    def test_bridge_roundtrip(self):
-        B = hom_bifunctor(C3)
-        S = bifunctor_functor_bridge(B)
-        assert check_set_functor(S).passed
-        assert functor_to_bifunctor(S, C3, C3) == B
+            assert check_set_functor(hom_bifunctor(C)).passed
 
     def test_common_range_product_as_bifunctor(self):
         Cop = opposite_cat(C2)
         F = enumerate_functors(Cop, C2)[0]
         G = identity_functor(C2)
         crp = common_range_product(F, G)
-        B = functor_to_bifunctor(crp, C2, C2)
-        assert bifunctor_check(B).passed
-        p, q = bifunctor_decompose(B)
-        assert bifunctor_check(p).passed and bifunctor_check(q).passed
+        assert check_functor(crp).passed
+        p, q = unpair_functor(crp)
+        assert check_functor(p).passed and check_functor(q).passed
+
+    def test_each_arrow_factors_through_its_slices(self):
+        # (f, g) = (f, 1_d)∘(1_a, g) = (1_c, g)∘(f, 1_b) for f: a→c, g: b→d
+        def check(B, compose_in_target):
+            A1, A2 = B.src.meta["product_of"]
+            one1, one2 = A1.identity, A2.identity
+            for n, (f, g) in B.src.meta["arr_pairs"].items():
+                (a, c), (b, d) = A1.ends(f), A2.ends(g)
+                first = compose_in_target(
+                    B.on_arr["(%s,%s)" % (f, one2[d])], B.on_arr["(%s,%s)" % (one1[a], g)]
+                )
+                second = compose_in_target(
+                    B.on_arr["(%s,%s)" % (one1[c], g)], B.on_arr["(%s,%s)" % (f, one2[b])]
+                )
+                assert first == B.on_arr[n] == second, n
+
+        for _, C in hom_corpus():
+            check(hom_bifunctor(C), compose)
+        G = identity_functor(C2)
+        for F in enumerate_functors(opposite_cat(C2), C2):
+            crp = common_range_product(F, G)
+            check(crp, crp.tgt.compose)
+
+    def test_slices_of_a_common_range_product_are_natural(self):
+        Cop = opposite_cat(C2)
+        G = identity_functor(C2)
+        for F in enumerate_functors(Cop, C2):
+            crp = common_range_product(F, G)
+            for f in Cop.arrow_names:
+                nt = slice_nat(crp, f)
+                assert check_nat(nt).passed
+                assert nt.F.src == C2 and nt.F.tgt == crp.tgt
+
+    def test_slice_of_a_functor_on_no_product_raises(self):
+        with pytest.raises(NotProduct):
+            slice_nat(identity_functor(C2), C2.arrow_names[0])
+        L, _ = hom_functors(C2, "a")
+        with pytest.raises(NotProduct):
+            slice_nat(L, C2.arrow_names[0])
 
 
 class TestBridges:
@@ -654,8 +686,6 @@ class TestSliceAssemble:
             assert check_nat(slice_nat(B, f)).passed
 
     def test_assemble_reproduces_hom(self):
-        B = hom_bifunctor(C3)
-        S = bifunctor_functor_bridge(B)
         Cop = opposite_cat(C3)
         Rfam = {x: hom_functors(C3, x)[0] for x in C3.objects}
         Lfam = {}
@@ -663,7 +693,7 @@ class TestSliceAssemble:
             _, Ry = hom_functors(C3, y)
             Lfam[y] = SetRepr(Cop, dict(Ry.on_obj), dict(Ry.on_arr), variance="co")
         assembled = assemble_functor(Cop, C3, Lfam, Rfam)
-        assert assembled == S
+        assert assembled == hom_bifunctor(C3)
 
     def test_perturbed_family_rejected(self):
         Cop = opposite_cat(C3)
@@ -914,16 +944,8 @@ class TestConstructionTheorems:
         Cop = opposite_cat(C2)
         G = identity_functor(C2)
         for F in enumerate_functors(Cop, C2):
-            B = functor_to_bifunctor(common_range_product(F, G), C2, C2)
-            p, q = bifunctor_decompose(B)
-            recomposed = BifunctorData(
-                B.src1,
-                B.src2,
-                B.tgt,
-                {k: "(%s,%s)" % (p.on_obj[k], q.on_obj[k]) for k in B.on_obj},
-                {k: "(%s,%s)" % (p.on_arr[k], q.on_arr[k]) for k in B.on_arr},
-            )
-            assert recomposed == B
+            B = common_range_product(F, G)
+            assert pair_functor(*unpair_functor(B)) == B
 
     def test_assembled_functor_restricts_to_the_families(self):
         for C in (C2, C3):
@@ -1068,9 +1090,9 @@ def test_bifunctor_images_that_do_not_compose_are_failures():
     B = hom_bifunctor(C2)
     foreign = FinMap.identity(finset("p", "q"))
     for k in B.on_arr:
-        r = bifunctor_check(BifunctorData(C2, C2, None, B.on_obj, {**B.on_arr, k: foreign}))
-        assert "bf-endpoints" in {c.law for c in r.failures}, k
-        assert not r["bf-comp"].passed and not r["bf-slices"].passed, k
+        r = check_set_functor(SetRepr(B.src, B.on_obj, {**B.on_arr, k: foreign}))
+        assert "sr-endpoints" in {c.law for c in r.failures}, k
+        assert not r["sr-comp"].passed, k
 
 
 def reference_nat_trans(F, G):
@@ -1138,7 +1160,8 @@ class TestOneHomFormula:
     def test_hom_bifunctor_and_dagger_are_hom(self):
         for name, C in hom_corpus():
             B = hom_bifunctor(C)
-            for (f, g), m in B.on_arr.items():
+            for n, m in B.on_arr.items():
+                f, g = B.src.meta["arr_pairs"][n]
                 assert m == reference_hom(C, f, g), (name, f, g)
             for f in C.arrow_names:
                 assert dagger(C, f) == slice_nat(B, f), (name, f)

@@ -112,6 +112,21 @@ class TestMapClassify:
                 flags = map_classify(f, P, P)
                 assert flags["order_bijective"] == flags["dual"]["order_bijective"]
 
+    def test_dual_flags_classify_the_map_between_the_dual_orders(self):
+        posets = [
+            P
+            for n in range(4)
+            for P in enumerate_posets(FinSet("p%d" % i for i in range(n)))
+        ]
+        for P in posets:
+            for Q in posets:
+                for f in all_maps(P.carrier, Q.carrier):
+                    ref = map_classify(f, P.opposite(), Q.opposite())
+                    assert map_classify(f, P, Q)["dual"] == {
+                        "preserving": ref["preserving"],
+                        "order_bijective": ref["order_bijective"],
+                    }
+
 
 class TestGalois:
     def test_identity_adjunction(self):
