@@ -688,12 +688,18 @@ def linear_space_check(field: dict, V: FinGroup, act: dict) -> LawReport:
 
 @lru_cache(maxsize=None)
 def enumerate_groups(n: int) -> tuple:
-    """All groups of order n up to isomorphism, from raw table enumeration.
+    """All groups of order n up to isomorphism, from raw table enumeration;
+    ``()`` for n < 1, since no group has an empty carrier.
 
-    Backtracks over Latin squares with a fixed unit, keeps the associative
-    ones, then dedupes by exhaustive relabeling."""
+    Backtracks over Latin squares with a fixed unit, cutting a branch as
+    soon as a triple whose four products are all filled breaks
+    associativity, then dedupes by exhaustive relabeling. A cut drops only
+    tables that would fail, so the leaves come in the order of a plain
+    Latin-square search that keeps the associative ones."""
     if n > 6:
         raise TooLarge("table enumeration capped at order 6", witness=(n,))
+    if n < 1:
+        return ()
     names = ["g%d" % i for i in range(n)]
     xs = range(n)
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
@@ -711,7 +717,9 @@ def enumerate_groups(n: int) -> tuple:
         for v in xs:
             if v not in used:
                 table[(i, j)] = v
-                place(k + 1)
+                if not _breaks_assoc_at(table, xs, i, j):
+                    place(k + 1)
+                del table[(i, j)]
 
     place(0)
     reps = []
@@ -723,6 +731,30 @@ def enumerate_groups(n: int) -> tuple:
         op = {(names[i], names[j]): names[t[(i, j)]] for i in xs for j in xs}
         out.append(check_group(op, FinSet(names)))
     return tuple(out)
+
+
+def _breaks_assoc_at(t, xs, i, j) -> bool:
+    """Whether the partial table ``t`` has a triple (a, b, c) with cell
+    (i, j) as ab, bc, (ab)c or a(bc), all four products filled, and
+    (ab)c != a(bc). An unfilled cell reads as None, and so does any
+    product of it, since no key holds None."""
+    get = t.get
+    ij = t[(i, j)]
+    for c in xs:
+        if _clash(get((ij, c)), get((i, get((j, c))))):  # (ij)c, i(jc)
+            return True
+        if _clash(get((get((c, i)), j)), get((c, ij))):  # (ci)j, c(ij)
+            return True
+    for (a, b), ab in t.items():
+        if ab == i and _clash(ij, get((a, get((b, j))))):  # (ab)j, a(bj)
+            return True
+        if ab == j and _clash(get((get((i, a)), b)), ij):  # (ia)b, i(ab)
+            return True
+    return False
+
+
+def _clash(left, right) -> bool:
+    return left is not None and right is not None and left != right
 
 
 def _tables_isomorphic(t1, t2, n):

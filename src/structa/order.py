@@ -1,7 +1,9 @@
 """Posets, chains, Galois connections, lattices and completeness.
 
 Orders are stored as explicit pair sets over a finite carrier, so every
-axiom is a direct scan. A Hasse reduction exists only for rendering.
+axiom is a direct scan of the pairs. The chain methods read each
+element's up-set and down-set as masks over the carrier instead, built
+on first use. A Hasse reduction exists only for rendering.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FinMap, FinSet, all_maps, associativity_witness, classify, finset
+from .core import FinMap, FinSet, all_maps, associativity_witness, classify, finset, set_of
 from .errors import (
     BadStructure,
     CarrierMismatch,
@@ -71,7 +73,7 @@ def order_flags(carrier: FinSet, rel) -> dict:
 class Poset:
     """A reflexive, antisymmetric, transitive relation on a finite carrier."""
 
-    __slots__ = ("carrier", "pairs")
+    __slots__ = ("carrier", "pairs", "_updown")
 
     def __init__(self, carrier: FinSet, pairs):
         pairs = frozenset(pairs)
@@ -144,20 +146,45 @@ class Poset:
     def inf(self, A: FinSet):
         return self.max_of(self.lower_bounds(A))
 
+    def _masks(self) -> tuple:
+        """(up, down): each element's up-set and down-set as a mask over
+        ``carrier.bits()``, built on first use."""
+        try:
+            return self._updown
+        except AttributeError:
+            bits = self.carrier.bits()
+            up, down = dict.fromkeys(bits, 0), dict.fromkeys(bits, 0)
+            for x, y in self.pairs:
+                up[x] |= bits[y]
+                down[y] |= bits[x]
+            object.__setattr__(self, "_updown", (up, down))
+            return up, down
+
+    def _chain_mask(self, elems: list):
+        """The mask of ``elems``, or None when they are not a chain: every
+        member's up-set or down-set holds each of them. CarrierMismatch
+        names the first member outside the carrier."""
+        bits = self.carrier.bits()
+        m = 0
+        for x in elems:
+            if x not in bits:
+                raise CarrierMismatch("subset outside the carrier", witness=(x,))
+            m |= bits[x]
+        up, down = self._masks()
+        return m if all((up[x] | down[x]) & m == m for x in elems) else None
+
     def is_chain(self, A) -> bool:
-        return all(self.comparable(x, y) for x, y in itertools.combinations(list(A), 2))
+        return self._chain_mask(list(A)) is not None
 
     def sort_chain(self, A) -> tuple:
+        """The members of the chain ``A`` from least to greatest, each
+        placed by how many members of ``A`` lie at or below it."""
         elems = list(A)
-        if not self.is_chain(elems):
+        m = self._chain_mask(elems)
+        if m is None:
             raise BadStructure("subset is not a chain", witness=tuple(sorted(elems)))
-        out = []
-        remaining = sorted(elems)
-        while remaining:
-            m = next(x for x in remaining if all(self.le(x, y) for y in remaining))
-            out.append(m)
-            remaining.remove(m)
-        return tuple(out)
+        down = self._masks()[1]
+        return tuple(sorted(elems, key=lambda x: (down[x] & m).bit_count()))
 
 
 def chain_poset(labels) -> Poset:
@@ -202,24 +229,57 @@ def subset_of_name(name: str) -> FinSet:
 
 
 def enumerate_posets(carrier: FinSet):
-    """All labeled partial orders on the carrier: one of {<, >, incomparable}
-    per unordered pair, filtered for transitivity."""
+    """All labeled partial orders on the carrier, lazily, in the order of
+    ``itertools.product`` over one of (incomparable, <, >) per pair of
+    ``itertools.combinations``.
+
+    A depth-first search decides one pair at a time. It keeps, per
+    element x, the mask of its up-set so far and the mask of the partners
+    whose pair with x is decided, and cuts a branch once x ≤ y ≤ z with
+    the pair x–z decided and x ≤ z not holding: no order below it is
+    transitive. A leaf is still tested for transitivity in full."""
     elems = carrier.elements
-    pairs2 = list(itertools.combinations(elems, 2))
-    for choice in itertools.product((0, 1, 2), repeat=len(pairs2)):
-        rel = {(x, x) for x in elems}
-        for (x, y), c in zip(pairs2, choice):
-            if c == 1:
-                rel.add((x, y))
-            elif c == 2:
-                rel.add((y, x))
-        if all(
-            (x, z) in rel
-            for (x, y) in rel
-            for z in elems
-            if (y, z) in rel
-        ):
-            yield Poset._trusted(carrier, rel)
+    n = len(elems)
+    pairs2 = list(itertools.combinations(range(n), 2))
+    up = [1 << x for x in range(n)]
+    decided = list(up)
+
+    def reach(x):
+        """Everything above something above x."""
+        r, ux = 0, up[x]
+        while ux:
+            low = ux & -ux
+            r |= up[low.bit_length() - 1]
+            ux ^= low
+        return r
+
+    def grow(k):
+        if k == len(pairs2):
+            if all(reach(x) == up[x] for x in range(n)):
+                yield Poset._trusted(
+                    carrier,
+                    {(elems[x], elems[y]) for x in range(n) for y in range(n) if up[x] >> y & 1},
+                )
+            return
+        x, y = pairs2[k]
+        bx, by = 1 << x, 1 << y
+        # only an element below x or y can gain a broken triple
+        touched = bx | by
+        decided[x] |= by
+        decided[y] |= bx
+        for ux, uy in ((0, 0), (by, 0), (0, bx)):  # incomparable, x < y, y < x
+            up[x] |= ux
+            up[y] |= uy
+            if not any(
+                up[z] & touched and reach(z) & decided[z] & ~up[z] for z in range(n)
+            ):
+                yield from grow(k + 1)
+            up[x] ^= ux
+            up[y] ^= uy
+        decided[x] ^= by
+        decided[y] ^= bx
+
+    yield from grow(0)
 
 
 def map_classify(f: FinMap, P: Poset, Q: Poset) -> dict:
@@ -306,19 +366,20 @@ def is_directed(P: Poset, A: FinSet) -> bool:
 
 
 def extend_chain(P: Poset, chain) -> "TotalChain":
-    """Greedily (lexicographic candidate order) grow a chain until maximal."""
-    elems = set(chain)
-    if not P.is_chain(elems):
+    """Greedily (lexicographic candidate order) grow a chain until maximal.
+
+    A candidate c joins when everything in the chain is comparable with
+    it. The chain only grows, so a candidate refused once stays refused,
+    and one pass over the carrier gives what restarting the scan after
+    each addition would."""
+    m = P._chain_mask(list(chain))
+    if m is None:
         raise BadStructure("input is not a chain")
-    changed = True
-    while changed:
-        changed = False
-        for c in P.carrier:
-            if c not in elems and all(P.comparable(c, x) for x in elems):
-                elems.add(c)
-                changed = True
-                break
-    return TotalChain(P, P.sort_chain(elems))
+    up, down = P._masks()
+    for c, b in P.carrier.bits().items():
+        if (up[c] | down[c]) & m == m:
+            m |= b
+    return TotalChain(P, P.sort_chain(set_of(P.carrier, m)))
 
 
 def zorn_maximal(P: Poset):

@@ -63,6 +63,24 @@ MUTANTS = [
         "for z in (op(x, y),)",
         "tests/test_core.py::TestGenerated::test_matches_the_naive_closure_on_random_tables",
     ),
+    (
+        "group.py",
+        "return left is not None and right is not None and left != right",
+        "return left != right",
+        "tests/test_group.py::TestEnumeration::test_pruned_search_matches_the_filtered_reference",
+    ),
+    (
+        "order.py",
+        "reach(z) & decided[z] & ~up[z]",
+        "reach(z) & ~up[z]",
+        "tests/test_order.py::TestEnumeratePosets::test_pruned_search_matches_the_filtered_reference",
+    ),
+    (
+        "order.py",
+        "if (up[c] | down[c]) & m == m:",
+        "if up[c] & m == m:",
+        "tests/test_order.py::TestChainsAndZorn::test_chain_methods_match_their_pair_definitions",
+    ),
 ]
 
 

@@ -508,6 +508,53 @@ class TestEnumeration:
         with pytest.raises(TooLarge):
             enumerate_groups(7)
 
+    def test_no_group_has_an_empty_carrier(self):
+        assert enumerate_groups(0) == ()
+        assert enumerate_groups(-1) == ()
+
+    def test_pruned_search_matches_the_filtered_reference(self):
+        for n in range(1, 7):
+            got = [(G.carrier, G.op) for G in enumerate_groups(n)]
+            assert got == reference_groups(n), n
+
+
+def reference_groups(n):
+    """The groups of order n as (carrier, op), by the unpruned search:
+    fill every Latin square with a fixed unit, keep the associative ones,
+    and dedupe by relabeling."""
+    names = ["g%d" % i for i in range(n)]
+    xs = range(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    table = {**{(0, i): i for i in xs}, **{(i, 0): i for i in xs}}
+    found = []
+
+    def place(k):
+        if k == len(cells):
+            if all(
+                table[(table[(a, b)], c)] == table[(a, table[(b, c)])]
+                for a in xs
+                for b in xs
+                for c in xs
+            ):
+                found.append(dict(table))
+            return
+        i, j = cells[k]
+        used = {table[(i, c)] for c in range(j)} | {table[(r, j)] for r in range(i)}
+        for v in xs:
+            if v not in used:
+                table[(i, j)] = v
+                place(k + 1)
+
+    place(0)
+    reps = []
+    for t in found:
+        if not any(group._tables_isomorphic(t, r, n) for r in reps):
+            reps.append(t)
+    return [
+        (FinSet(names), {(names[i], names[j]): names[t[(i, j)]] for i in xs for j in xs})
+        for t in reps
+    ]
+
 
 # Theorems about the library's constructions, checked over the catalogue
 # of groups of order at most 6 (the constructions compute one definition

@@ -1,10 +1,12 @@
 import itertools
+import types
 
 import pytest
 
 from structa.core import FinMap, FinSet, all_maps, finset
 from structa.errors import (
     BadStructure,
+    CarrierMismatch,
     EmptySubset,
     NotALattice,
     NotDualPair,
@@ -82,6 +84,31 @@ class TestEnumeratePosets:
         carrier = finset("a", "b", "c")
         for P in enumerate_posets(carrier):
             assert order_flags(carrier, P.pairs)["partial"]
+
+    def test_pruned_search_matches_the_filtered_reference(self):
+        for n in range(6):
+            carrier = FinSet("e%d" % i for i in range(n))
+            assert list(enumerate_posets(carrier)) == list(reference_posets(carrier)), n
+
+    def test_is_a_lazy_generator(self):
+        # a list of all 4,231 posets on 5 points would raise peak memory
+        assert isinstance(enumerate_posets(finset("a", "b")), types.GeneratorType)
+
+
+def reference_posets(carrier):
+    """Every labeled partial order on the carrier by the unpruned search:
+    one of (incomparable, <, >) per pair, filtered for transitivity."""
+    elems = carrier.elements
+    pairs2 = list(itertools.combinations(elems, 2))
+    for choice in itertools.product((0, 1, 2), repeat=len(pairs2)):
+        rel = {(x, x) for x in elems}
+        for (x, y), c in zip(pairs2, choice):
+            if c == 1:
+                rel.add((x, y))
+            elif c == 2:
+                rel.add((y, x))
+        if all((x, z) in rel for (x, y) in rel for z in elems if (y, z) in rel):
+            yield Poset(carrier, rel)
 
 
 class TestMapClassify:
@@ -255,6 +282,30 @@ class TestChainsAndZorn:
             m = zorn_maximal(P)
             assert all(not (P.le(m, y) and m != y) for y in P.carrier)
 
+    def test_chain_methods_match_their_pair_definitions(self):
+        for n in range(5):
+            for P in enumerate_posets(FinSet("p%d" % i for i in range(n))):
+                for sub in P.carrier.subsets():
+                    c = list(sub)
+                    chain = reference_is_chain(P, c)
+                    assert P.is_chain(c) == chain, (P, c)
+                    if not chain:
+                        with pytest.raises(BadStructure):
+                            extend_chain(P, c)
+                        continue
+                    assert P.sort_chain(c) == reference_sort_chain(P, c), (P, c)
+                    assert extend_chain(P, c).elements == reference_extend_chain(P, c), (P, c)
+
+    def test_member_outside_the_carrier(self):
+        for call in (
+            lambda: extend_chain(DIAMOND, ["zz"]),
+            lambda: DIAMOND.sort_chain(["zz"]),
+            lambda: DIAMOND.is_chain(["bot", "zz"]),
+        ):
+            with pytest.raises(CarrierMismatch) as e:
+                call()
+            assert e.value.witness == ("zz",)
+
     def test_extend_chain_is_maximal(self):
         for P in enumerate_posets(finset("a", "b", "c")):
             chain = extend_chain(P, [])
@@ -262,6 +313,34 @@ class TestChainsAndZorn:
             for c in P.carrier:
                 if c not in members:
                     assert not all(P.comparable(c, x) for x in members)
+
+
+def reference_is_chain(P, c):
+    return all((x, y) in P.pairs or (y, x) in P.pairs for x, y in itertools.combinations(c, 2))
+
+
+def reference_sort_chain(P, c):
+    """Repeatedly take the member below all the others that are left."""
+    out, remaining = [], sorted(c)
+    while remaining:
+        m = next(x for x in remaining if all((x, y) in P.pairs for y in remaining))
+        out.append(m)
+        remaining.remove(m)
+    return tuple(out)
+
+
+def reference_extend_chain(P, c):
+    """Add the first comparable candidate in carrier order, then rescan."""
+    elems = set(c)
+    changed = True
+    while changed:
+        changed = False
+        for x in P.carrier:
+            if x not in elems and reference_is_chain(P, list(elems) + [x]):
+                elems.add(x)
+                changed = True
+                break
+    return reference_sort_chain(P, elems)
 
 
 class TestLattices:
