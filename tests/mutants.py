@@ -81,6 +81,31 @@ MUTANTS = [
         "if up[c] & m == m:",
         "tests/test_order.py::TestChainsAndZorn::test_chain_methods_match_their_pair_definitions",
     ),
+    (
+        "numbers.py",
+        "return sum(repeat(a if b > 0 else -a, abs(b)))",
+        "return sum(repeat(a if b > 0 else -a, abs(b) - 1))",
+        "tests/test_numbers.py::TestIntMul::test_matches_the_stepwise_references",
+    ),
+    (
+        "numbers.py",
+        "        if den == 0:\n"
+        "            raise ZeroDenominator(\"a rational needs a nonzero denominator\", witness=(num,))\n",
+        "",
+        "tests/test_numbers.py::TestRatEquality::test_zero_denominator_rejected",
+    ),
+    (
+        "numbers.py",
+        "lo = max(-N, -N - a, -N - a - b, -N - a - b - c)",
+        "lo = max(-N, -N - a, -N - a - b, -N - a - b - c) + 1",
+        "tests/test_numbers.py::TestIntAdd::test_scans_match_the_guarded_references",
+    ),
+    (
+        "numbers.py",
+        "if ((sx, sy) in pairs) != ((x, y) in pairs):",
+        "if False:",
+        "tests/test_numbers.py::TestDiscrete::test_broken_order_is_rejected",
+    ),
 ]
 
 

@@ -4,9 +4,13 @@ Oracles: Python's arbitrary-precision arithmetic, the Fraction type for
 rational identities, and exhaustive divisor search for gcd.
 """
 
+import copy
+import dataclasses
+import functools
 import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -28,6 +32,7 @@ from structa.numbers import (
     embed_int,
     embedding_check,
     int_add,
+    int_add_direct,
     int_group_check,
     int_mul,
     rat_add,
@@ -42,6 +47,55 @@ from structa.numbers import (
 
 def frac(p: Rat) -> Fraction:
     return Fraction(p.num, p.den)
+
+
+def stepwise_int_mul(a, b):
+    """Reference: the recursion a·(x+1) = a·x + a (a·(x-1) = a·x - a for
+    negative b), stepping x from 0 to b one unit at a time."""
+    acc = 0
+    x = 0
+    while x != b:
+        if b > 0:
+            acc = int_add_direct(acc, a)
+            x += 1
+        else:
+            acc = int_add_direct(acc, -a)
+            x -= 1
+    return acc
+
+
+def reference_commute(ta, tb, a, b, N):
+    """Reference: _commute testing every x of [-N, N] against the guards."""
+    return all(
+        tb[ta[x]] == ta[tb[x]]
+        for x in range(-N, N + 1)
+        if -N <= x + a <= N and -N <= x + b <= N and -N <= x + a + b <= N
+    )
+
+
+def reference_stack(ta, tb, tc, a, b, c, N):
+    """Reference: _stack testing every x of [-N, N] against the guards."""
+    return all(
+        tc[tb[ta[x]]] == x + a + b + c
+        for x in range(-N, N + 1)
+        if -N <= x + a <= N and -N <= x + a + b <= N and -N <= x + a + b + c <= N
+        and x in ta
+        and x + a in tb
+        and x + a + b in tc
+    )
+
+
+def outcome(scan, *args):
+    """A scan's verdict, or the exception class a wrong table makes it raise."""
+    try:
+        return scan(*args)
+    except KeyError:
+        return KeyError
+
+
+# reference for Rat's equality, hash and repr: the same two fields as a
+# frozen dataclass named Rat
+DataclassRat = dataclasses.make_dataclass("Rat", [("num", int), ("den", int)], frozen=True)
 
 
 class TestDiscrete:
@@ -134,6 +188,36 @@ class TestIntAdd:
         assert {"int-inverse", "int-commutative", "int-associative"} <= failed
         assert rep["int-unit"].passed
 
+    def test_scans_match_the_guarded_references(self):
+        # every pair and triple of offsets |d| <= N, on the honest shift
+        # tables, and on tables that each hold one wrong value at the low
+        # end of their domain, or each at the high end
+        for N in range(1, 13):
+            w = build_discrete(N)
+            offsets = range(-N, N + 1)
+            honest = {
+                d: {int(x): int(y) for x, y in numbers._shift_map(w, d).assign.items()}
+                for d in offsets
+            }
+            cases = [honest]
+            for end in (min, max):
+                planted = {}
+                for d, t in honest.items():
+                    x = end(t)
+                    planted[d] = {**t, x: t[x] + 1 if t[x] < N else t[x] - 1}
+                cases.append(planted)
+            for t in cases:
+                for a, b in itertools.product(offsets, repeat=2):
+                    args = (t[a], t[b], a, b, N)
+                    assert outcome(numbers._commute, *args) == outcome(
+                        reference_commute, *args
+                    ), (N, a, b)
+                for a, b, c in itertools.product(offsets, repeat=3):
+                    args = (t[a], t[b], t[c], a, b, c, N)
+                    assert outcome(numbers._stack, *args) == outcome(
+                        reference_stack, *args
+                    ), (N, a, b, c)
+
 
 def test_check_output_is_the_same_under_optimize():
     fixture = Path(structa.__file__).parent / "fixtures" / "ratwindow_small.json"
@@ -163,6 +247,13 @@ class TestIntMul:
             for b in range(-8, 9):
                 assert int_mul(a, b) == a * b
 
+    def test_matches_the_stepwise_references(self):
+        for a in range(-30, 31):
+            for b in range(-30, 31):
+                step = a if b > 0 else -a
+                fold = functools.reduce(int_add_direct, itertools.repeat(step, abs(b)), 0)
+                assert int_mul(a, b) == stepwise_int_mul(a, b) == fold, (a, b)
+
     def test_ring_laws_fuzz(self):
         rng = random.Random(11)
         for _ in range(10_000):
@@ -187,6 +278,42 @@ class TestRatEquality:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDenominator):
             Rat(1, 0)
+        with pytest.raises(ZeroDenominator) as err:
+            Rat(3, 0)
+        assert err.value.witness == (3,)
+
+
+class TestRatSemantics:
+    def test_equality_hash_and_repr_match_the_dataclass(self):
+        pairs = [(a, c) for a in range(-3, 4) for c in range(-3, 4) if c != 0]
+        for p in pairs:
+            assert hash(Rat(*p)) == hash(DataclassRat(*p))
+            assert repr(Rat(*p)) == repr(DataclassRat(*p))
+            assert repr(Rat(num=p[0], den=p[1])) == "Rat(num=%d, den=%d)" % p
+            for q in pairs:
+                assert (Rat(*p) == Rat(*q)) == (DataclassRat(*p) == DataclassRat(*q))
+                assert (Rat(*p) != Rat(*q)) == (DataclassRat(*p) != DataclassRat(*q))
+
+    def test_other_classes_are_not_equal(self):
+        assert Rat(1, 2) != (1, 2)
+        assert Rat(1, 2).__eq__((1, 2)) is NotImplemented
+        assert Rat(1, 2) != DataclassRat(1, 2)
+        assert Rat(1, 2) != Fraction(1, 2)
+
+    def test_fields_cannot_change(self):
+        p = Rat(1, 2)
+        for field in ("num", "den", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, field, 5)
+            with pytest.raises(AttributeError):
+                delattr(p, field)
+        assert (p.num, p.den) == (1, 2)
+
+    def test_copies_and_pickles_equal_the_original(self):
+        p = Rat(-3, 4)
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and type(q) is Rat
+        assert copy.deepcopy(rat_canon(Rat(2, -4))) == rat_canon(Rat(-1, 2))
 
     def test_equivalence_laws_exhaustive(self):
         rats = [Rat(a, c) for a in range(-4, 5) for c in range(-4, 5) if c != 0]
