@@ -282,39 +282,6 @@ class TestRatEquality:
             Rat(3, 0)
         assert err.value.witness == (3,)
 
-
-class TestRatSemantics:
-    def test_equality_hash_and_repr_match_the_dataclass(self):
-        pairs = [(a, c) for a in range(-3, 4) for c in range(-3, 4) if c != 0]
-        for p in pairs:
-            assert hash(Rat(*p)) == hash(DataclassRat(*p))
-            assert repr(Rat(*p)) == repr(DataclassRat(*p))
-            assert repr(Rat(num=p[0], den=p[1])) == "Rat(num=%d, den=%d)" % p
-            for q in pairs:
-                assert (Rat(*p) == Rat(*q)) == (DataclassRat(*p) == DataclassRat(*q))
-                assert (Rat(*p) != Rat(*q)) == (DataclassRat(*p) != DataclassRat(*q))
-
-    def test_other_classes_are_not_equal(self):
-        assert Rat(1, 2) != (1, 2)
-        assert Rat(1, 2).__eq__((1, 2)) is NotImplemented
-        assert Rat(1, 2) != DataclassRat(1, 2)
-        assert Rat(1, 2) != Fraction(1, 2)
-
-    def test_fields_cannot_change(self):
-        p = Rat(1, 2)
-        for field in ("num", "den", "other"):
-            with pytest.raises(AttributeError):
-                setattr(p, field, 5)
-            with pytest.raises(AttributeError):
-                delattr(p, field)
-        assert (p.num, p.den) == (1, 2)
-
-    def test_copies_and_pickles_equal_the_original(self):
-        p = Rat(-3, 4)
-        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
-            assert q == p and type(q) is Rat
-        assert copy.deepcopy(rat_canon(Rat(2, -4))) == rat_canon(Rat(-1, 2))
-
     def test_equivalence_laws_exhaustive(self):
         rats = [Rat(a, c) for a in range(-4, 5) for c in range(-4, 5) if c != 0]
         for p in rats:
@@ -367,6 +334,39 @@ class TestRatSemantics:
             a = rng.randint(1, 1000)
             b = rng.randint(1, 1000)
             assert _gcd_oracle(a, b) == math.gcd(a, b)
+
+
+class TestRatSemantics:
+    def test_equality_hash_and_repr_match_the_dataclass(self):
+        pairs = [(a, c) for a in range(-3, 4) for c in range(-3, 4) if c != 0]
+        for p in pairs:
+            assert hash(Rat(*p)) == hash(DataclassRat(*p))
+            assert repr(Rat(*p)) == repr(DataclassRat(*p))
+            assert repr(Rat(num=p[0], den=p[1])) == "Rat(num=%d, den=%d)" % p
+            for q in pairs:
+                assert (Rat(*p) == Rat(*q)) == (DataclassRat(*p) == DataclassRat(*q))
+                assert (Rat(*p) != Rat(*q)) == (DataclassRat(*p) != DataclassRat(*q))
+
+    def test_other_classes_are_not_equal(self):
+        assert Rat(1, 2) != (1, 2)
+        assert Rat(1, 2).__eq__((1, 2)) is NotImplemented
+        assert Rat(1, 2) != DataclassRat(1, 2)
+        assert Rat(1, 2) != Fraction(1, 2)
+
+    def test_fields_cannot_change(self):
+        p = Rat(1, 2)
+        for field in ("num", "den", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, field, 5)
+            with pytest.raises(AttributeError):
+                delattr(p, field)
+        assert (p.num, p.den) == (1, 2)
+
+    def test_copies_and_pickles_equal_the_original(self):
+        p = Rat(-3, 4)
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and type(q) is Rat
+        assert copy.deepcopy(rat_canon(Rat(2, -4))) == rat_canon(Rat(-1, 2))
 
 
 class TestRatArithmetic:
