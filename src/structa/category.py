@@ -17,8 +17,9 @@ A functor runs into a ``FinCat`` (``FunctorData``) or into finite sets
 that Yoneda's bijection is computed, never symbolic. Both targets offer
 the same methods (``ends``, ``unit``, ``compose``, ``hom``,
 ``has_object``, ``has_arrow``), so each law is one scan for either
-target, and for either variance: a contravariant functor into D is a
-functor into D^op.
+target. There is no variance flag: a contravariant functor C → D is a
+functor C → D^op, or C^op → D (Mac Lane, §II.2), and R_x is a
+``SetRepr`` on C^op.
 
 One formula gives every hom map: Hom(f, g) is h ↦ g∘h∘f for f: a→c and
 g: b→d. L_x(f) is Hom(1_x, f), R_x(f) is Hom(f, 1_x), the component of
@@ -94,6 +95,10 @@ class FinCat:
 
     def __setattr__(self, name, value):
         raise AttributeError("FinCat is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return (self.__class__, (self.objects, self.arrows, self.identity, self.comp, self.meta))
 
     def __eq__(self, other):
         return (
@@ -422,34 +427,29 @@ def _check_total(r: LawReport, law: str, F) -> bool:
     return not bad
 
 
-# by law prefix: the endpoint and unit statements, the id of the
-# composition law and the suffix of its statement
+# by law prefix: the endpoint and unit statements, and the id and
+# statement of the composition law (``cfun`` scans into D^op, in D's words)
 _FUNCTOR_LAWS = {
     "fun": ("arrows keep their endpoints under the functor",
-            "unit arrows map to unit arrows", "fun-comp", ""),
+            "unit arrows map to unit arrows", "fun-comp", "F(g∘f) = F g ∘ F f"),
     "cfun": ("arrows swap their endpoints",
-             "unit arrows map to unit arrows", "cfun-anticomp", ""),
+             "unit arrows map to unit arrows", "cfun-anticomp", "F(g∘f) = F f ∘ F g"),
     "sr": ("arrow images connect the right carriers",
-           "unit arrows become identity maps", "sr-comp", " as set maps"),
+           "unit arrows become identity maps", "sr-comp", "F(g∘f) = F g ∘ F f as set maps"),
 }
 
 
-def _scan_functor(r: LawReport, prefix: str, F, contra: bool) -> LawReport:
+def _scan_functor(r: LawReport, prefix: str, F) -> LawReport:
     """The endpoint, unit and composition laws of F, whose component
-    functions are total into its target. A contravariant F is a functor
-    into the opposite target: arrows swap their endpoints and compose in
-    the other order. A pair of images that does not compose fails."""
-    ends_stmt, unit_stmt, comp_law, suffix = _FUNCTOR_LAWS[prefix]
+    functions are total into its target. A pair of images that does not
+    compose fails."""
+    ends_stmt, unit_stmt, comp_law, comp_stmt = _FUNCTOR_LAWS[prefix]
     C, T, on_obj, on_arr = F.src, _target(F), F.on_obj, F.on_arr
-
-    def op(pair):
-        return pair[::-1] if contra else pair
-
     bad = next(
         (
             (n,)
             for n in C.arrow_names
-            if T.ends(on_arr[n]) != op((on_obj[C.src[n]], on_obj[C.tgt[n]]))
+            if T.ends(on_arr[n]) != (on_obj[C.src[n]], on_obj[C.tgt[n]])
         ),
         None,
     )
@@ -462,12 +462,11 @@ def _scan_functor(r: LawReport, prefix: str, F, contra: bool) -> LawReport:
         (
             (g, f)
             for (g, f), v in sorted(C.comp.items())
-            if _composite(T, *op((on_arr[g], on_arr[f]))) != on_arr[v]
+            if _composite(T, on_arr[g], on_arr[f]) != on_arr[v]
         ),
         None,
     )
-    stmt = "F(g∘f) = F f ∘ F g" if contra else "F(g∘f) = F g ∘ F f"
-    r.add(comp_law, stmt + suffix, bad is None, bad)
+    r.add(comp_law, comp_stmt, bad is None, bad)
     return r
 
 
@@ -510,7 +509,7 @@ def check_functor(F: FunctorData) -> LawReport:
     )
     if not r.passed:
         return r
-    return _scan_functor(r, "fun", F, contra=False)
+    return _scan_functor(r, "fun", F)
 
 
 def compose_functors(G: FunctorData, F: FunctorData) -> FunctorData:
@@ -636,29 +635,25 @@ def op_universe_check(cats, functors=()) -> LawReport:
 
 
 def check_contravariant(F: FunctorData) -> LawReport:
-    """The reversed laws: endpoints flip and composition reverses."""
+    """The reversed laws: endpoints flip and composition reverses, that
+    is, the functor laws of F read into the opposite of its target."""
     r = LawReport("contravariant-functor")
     if not _check_total(r, "cfun-total", F):
         return r
-    return _scan_functor(r, "cfun", F, contra=True)
+    return _scan_functor(r, "cfun", FunctorData(F.src, opposite_cat(F.tgt), F.on_obj, F.on_arr))
 
 
 def variance_convert(F: FunctorData) -> FunctorData:
     """Swap variance by replacing the target with its opposite. A
     contravariant functor into D becomes covariant into D^op and back;
-    the conversion is an involution."""
+    the conversion is an involution. The result needs no check of its
+    own: ``check_contravariant`` is ``check_functor`` into the opposite."""
     co = check_functor(F)
-    contra = check_contravariant(F).passed
-    if not co.passed and not contra:
+    if not co.passed and not check_contravariant(F).passed:
         raise VarianceError(
             "input is neither covariant nor contravariant", witness=co.failures[0].witness
         )
-    out = FunctorData(F.src, opposite_cat(F.tgt), dict(F.on_obj), dict(F.on_arr))
-    if contra and not co.passed:
-        check_functor(out).require()
-    if co.passed and not contra:
-        check_contravariant(out).require()
-    return out
+    return FunctorData(F.src, opposite_cat(F.tgt), dict(F.on_obj), dict(F.on_arr))
 
 
 # ---------------------------------------------------------------------------
@@ -756,14 +751,13 @@ class SetRepr:
     src: FinCat
     on_obj: dict  # object -> FinSet
     on_arr: dict  # arrow name -> FinMap
-    variance: str = "co"
 
 
 def check_set_functor(S: SetRepr) -> LawReport:
     r = LawReport("set-functor")
     if not _check_total(r, "sr-total", S):
         return r
-    return _scan_functor(r, "sr", S, contra=S.variance != "co")
+    return _scan_functor(r, "sr", S)
 
 
 # ---------------------------------------------------------------------------
@@ -1041,17 +1035,17 @@ def _covariant_hom(C: FinCat, x) -> SetRepr:
 
 
 def hom_functors(C: FinCat, x):
-    """(L_x, R_x): the covariant functor a ↦ {x→a} with f ↦ Hom(1_x, f),
-    and the contravariant functor a ↦ {a→x} with f ↦ Hom(f, 1_x)."""
+    """(L_x, R_x), checked: L_x on C is a ↦ {x→a} with f ↦ Hom(1_x, f),
+    and R_x, contravariant on C, is the functor on C^op with a ↦ {a→x}
+    and f ↦ Hom(f, 1_x)."""
     L = _covariant_hom(C, x)
     one = C.identity[x]
-    R = SetRepr(
-        C,
+    R = _functor_into(
+        _SETS,
+        opposite_cat(C),
         {a: hom_set(C, a, x) for a in C.objects},
         {f: _hom(C, f, one) for f in C.arrow_names},
-        variance="contra",
     )
-    check_set_functor(R).require()
     return L, R
 
 
@@ -1153,9 +1147,9 @@ def dagger(C: FinCat, f) -> NatTransData:
 def yoneda(C: FinCat, a, F: SetRepr) -> dict:
     """Nat(L_a, F) enumerated exhaustively, with φ(τ) = τ_a(1_a). The
     Yoneda suite's ``yo-count`` laws check that φ is a bijection onto
-    F a with inverse x ↦ τ_x, where τ_x c(f) = F f(x)."""
-    if F.variance != "co":
-        raise VarianceError("the Yoneda lemma here takes a covariant functor")
+    F a with inverse x ↦ τ_x, where τ_x c(f) = F f(x). F must be a
+    functor on C: R_x is one on C^op and raises ``Mismatch`` unless
+    C^op = C."""
     nat_set = enumerate_nat_trans(_covariant_hom(C, a), F)
     names = FinSet("n%d" % i for i in range(len(nat_set)))
     by_name = {"n%d" % i: n for i, n in enumerate(nat_set)}

@@ -78,6 +78,10 @@ class FinSet:
     def __setattr__(self, name, value):
         raise AttributeError("FinSet is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return (self.__class__, (self.elements,))
+
     def __iter__(self):
         return iter(self.elements)
 
@@ -213,6 +217,10 @@ class FinMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("FinMap is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return (self.__class__, (self.dom, self.cod, self.assign))
 
     def __call__(self, x):
         try:
@@ -400,38 +408,68 @@ def fiber_partition(f: FinMap) -> Partition:
     return Partition(f.dom, tuple(sorted(blocks, key=lambda b: b.elements)))
 
 
-def image_calculus(f: FinMap, A: FinSet, B: FinSet, families=()) -> LawReport:
-    """Evaluate the image/preimage law set for subsets A ⊆ dom, B ⊆ cod
-    and any number of subset families (over dom or cod), on masks. Each
-    law compares two separately computed sides."""
-    a = mask_of(f.dom, A)
-    if a is None:
-        raise CarrierMismatch("A must be a subset of the domain")
-    b = mask_of(f.cod, B)
-    if b is None:
-        raise CarrierMismatch("B must be a subset of the codomain")
-    r = LawReport("image-calculus")
-    c = classify(f)
+# law id -> (statement, the subsets among A and B that a failure names)
+_IMAGE_LAWS = {
+    "img-adjoint": ("fA ⊆ B iff A ⊆ f⁻¹B", ("A", "B")),
+    "img-unit": ("A ⊆ f⁻¹fA", ("A",)),
+    "img-unit-monic": ("monic: f⁻¹fA = A", ("A",)),
+    "img-counit": ("ff⁻¹B ⊆ B", ("B",)),
+    "img-counit-onto": ("onto: ff⁻¹B = B", ("B",)),
+    "img-restrict": ("f|A⁻¹B = A ∩ f⁻¹B", ("A", "B")),
+    "img-union": ("f(⋃X) = ⋃fX", ()),
+    "img-inter": ("f(⋂X) ⊆ ⋂fX", ()),
+    "img-inter-monic": ("monic: f(⋂X) = ⋂fX", ()),
+    "pre-union": ("f⁻¹(⋃Y) = ⋃f⁻¹Y", ()),
+    "pre-inter": ("f⁻¹(⋂Y) = ⋂f⁻¹Y", ()),
+    "pre-diff": ("f⁻¹(Y0 − Y1) = f⁻¹Y0 − f⁻¹Y1", ()),
+}
+
+
+def _family_masks(dom: FinSet, cod: FinSet, members) -> tuple:
+    """A family of subsets as (its ``dom`` masks, its ``cod`` masks), with
+    None for a carrier that some member is not a subset of. ``[]`` and
+    ``[∅]`` are over both carriers; a family over neither is refused."""
+    members = list(members)
+    dom_masks = [mask_of(dom, m) for m in members]
+    cod_masks = [mask_of(cod, m) for m in members]
+    over_dom = None not in dom_masks
+    over_cod = None not in cod_masks
+    if not (over_dom or over_cod):
+        raise CarrierMismatch("family members must share a carrier of f")
+    return (dom_masks if over_dom else None), (cod_masks if over_cod else None)
+
+
+def _fold(masks, full: int, h, h_full: int) -> tuple:
+    """⋃ and ⋂ of ``masks`` (over ``full``), and of their images under h (over ``h_full``)."""
+    union, inter, h_union, h_inter = 0, full, 0, h_full
+    for m in masks:
+        union |= m
+        inter &= m
+        hm = h(m)
+        h_union |= hm
+        h_inter &= hm
+    return union, inter, h_union, h_inter
+
+
+def _image_laws(f: FinMap, c: dict, a: int, b: int, families) -> list:
+    """The image/preimage laws of f as (law id, passed) pairs in report
+    order, for the ``dom`` mask a, the ``cod`` mask b and families from
+    ``_family_masks``; ``c`` is ``classify(f)``. Each law compares two
+    separately computed sides. No ``Check`` is built."""
     img = f.image_mask
     pre = f.preimage_mask
     full_dom = (1 << len(f.dom.elements)) - 1
     full_cod = (1 << len(f.cod.elements)) - 1
     fa = img(a)
     pb = pre(b)
-    fpb = img(pb)
-    r.add(
-        "img-adjoint",
-        "fA ⊆ B iff A ⊆ f⁻¹B",
-        (not fa & ~b) == (not a & ~pb),
-        (A.elements, B.elements),
-    )
     pfa = pre(fa)
-    r.add("img-unit", "A ⊆ f⁻¹fA", not a & ~pfa, (A.elements,))
+    fpb = img(pb)
+    laws = [("img-adjoint", (not fa & ~b) == (not a & ~pb)), ("img-unit", not a & ~pfa)]
     if c["monic"]:
-        r.add("img-unit-monic", "monic: f⁻¹fA = A", pfa == a, (A.elements,))
-    r.add("img-counit", "ff⁻¹B ⊆ B", not fpb & ~b, (B.elements,))
+        laws.append(("img-unit-monic", pfa == a))
+    laws.append(("img-counit", not fpb & ~b))
     if c["onto"]:
-        r.add("img-counit-onto", "onto: ff⁻¹B = B", fpb == b, (B.elements,))
+        laws.append(("img-counit-onto", fpb == b))
     # f|A⁻¹B: the points of A, and only those, whose image lies in B
     restricted = 0
     bit = 1
@@ -439,58 +477,44 @@ def image_calculus(f: FinMap, A: FinSet, B: FinSet, families=()) -> LawReport:
         if a & bit and p & b:
             restricted |= bit
         bit <<= 1
-    r.add(
-        "img-restrict",
-        "f|A⁻¹B = A ∩ f⁻¹B",
-        restricted == a & pb,
-        (A.elements, B.elements),
-    )
-    for fam in families:
-        members = list(fam)
-        dom_masks = [mask_of(f.dom, m) for m in members]
-        cod_masks = [mask_of(f.cod, m) for m in members]
-        over_dom = None not in dom_masks
-        over_cod = None not in cod_masks
-        if not (over_dom or over_cod):
-            raise CarrierMismatch("family members must share a carrier of f")
-        if over_dom:
-            union = 0
-            inter = full_dom
-            im_union = 0
-            im_inter = full_cod
-            for m in dom_masks:
-                union |= m
-                inter &= m
-                fm = img(m)
-                im_union |= fm
-                im_inter &= fm
-            r.add("img-union", "f(⋃X) = ⋃fX", img(union) == im_union)
-            if members:
+    laws.append(("img-restrict", restricted == a & pb))
+    for dom_masks, cod_masks in families:
+        if dom_masks is not None:
+            union, inter, im_union, im_inter = _fold(dom_masks, full_dom, img, full_cod)
+            laws.append(("img-union", img(union) == im_union))
+            if dom_masks:
                 f_inter = img(inter)
-                r.add("img-inter", "f(⋂X) ⊆ ⋂fX", not f_inter & ~im_inter)
+                laws.append(("img-inter", not f_inter & ~im_inter))
                 if c["monic"]:
-                    r.add("img-inter-monic", "monic: f(⋂X) = ⋂fX", f_inter == im_inter)
-        if over_cod:
-            union = 0
-            inter = full_cod
-            pre_union = 0
-            pre_inter = full_dom
-            for m in cod_masks:
-                union |= m
-                inter &= m
-                pm = pre(m)
-                pre_union |= pm
-                pre_inter &= pm
-            r.add("pre-union", "f⁻¹(⋃Y) = ⋃f⁻¹Y", pre(union) == pre_union)
-            if members:
-                r.add("pre-inter", "f⁻¹(⋂Y) = ⋂f⁻¹Y", pre(inter) == pre_inter)
-            if len(members) >= 2:
+                    laws.append(("img-inter-monic", f_inter == im_inter))
+        if cod_masks is not None:
+            union, inter, pre_union, pre_inter = _fold(cod_masks, full_cod, pre, full_dom)
+            laws.append(("pre-union", pre(union) == pre_union))
+            if cod_masks:
+                laws.append(("pre-inter", pre(inter) == pre_inter))
+            if len(cod_masks) >= 2:
                 m0, m1 = cod_masks[0], cod_masks[1]
-                r.add(
-                    "pre-diff",
-                    "f⁻¹(Y0 − Y1) = f⁻¹Y0 − f⁻¹Y1",
-                    pre(m0 & ~m1) == pre(m0) & ~pre(m1),
-                )
+                laws.append(("pre-diff", pre(m0 & ~m1) == pre(m0) & ~pre(m1)))
+    return laws
+
+
+def image_calculus(f: FinMap, A: FinSet, B: FinSet, families=()) -> LawReport:
+    """Evaluate the image/preimage law set for subsets A ⊆ dom, B ⊆ cod
+    and any number of subset families (over dom or cod): the verdicts of
+    ``_image_laws`` as a report, each failure named by the witness that
+    ``_IMAGE_LAWS`` gives its law."""
+    a = mask_of(f.dom, A)
+    if a is None:
+        raise CarrierMismatch("A must be a subset of the domain")
+    b = mask_of(f.cod, B)
+    if b is None:
+        raise CarrierMismatch("B must be a subset of the codomain")
+    fams = [_family_masks(f.dom, f.cod, fam) for fam in families]
+    sides = {"A": A.elements, "B": B.elements}
+    r = LawReport("image-calculus")
+    for law, passed in _image_laws(f, classify(f), a, b, fams):
+        statement, names = _IMAGE_LAWS[law]
+        r.add(law, statement, passed, tuple(sides[n] for n in names))
     return r
 
 

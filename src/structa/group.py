@@ -53,6 +53,10 @@ class FinGroup:
     def __setattr__(self, name, value):
         raise AttributeError("FinGroup is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return (self.__class__, (self.carrier, self.op, self.unit, self.inv))
+
     def __eq__(self, other):
         return (
             isinstance(other, FinGroup)
@@ -133,26 +137,24 @@ def group_axioms(table, carrier: FinSet) -> LawReport:
         "(a⁻¹)⁻¹ = a",
         all(inv[inv[a]] == a for a in xs),
     )
-    r.add(
-        "grp-unique-solutions",
-        "ax = b and ya = b have unique solutions",
-        all(
-            sum(1 for x in xs if table[(a, x)] == b) == 1
-            and sum(1 for y in xs if table[(y, a)] == b) == 1
-            for a in xs
-            for b in xs
-        ),
-    )
-    r.add(
-        "grp-cancel",
-        "ab = ac implies b = c, ba = ca implies b = c",
-        all(
-            len({table[(a, b)] for b in xs}) == len(xs)
-            and len({table[(b, a)] for b in xs}) == len(xs)
-            for a in xs
-        ),
-    )
+    latin = _is_latin(table, xs)
+    r.add("grp-unique-solutions", "ax = b and ya = b have unique solutions", latin)
+    r.add("grp-cancel", "ab = ac implies b = c, ba = ca implies b = c", latin)
     return r
+
+
+def _is_latin(table, xs) -> bool:
+    """Each row and each column of the closed table holds len(xs) distinct
+    values: both ``grp-unique-solutions`` and ``grp-cancel``. The table is
+    closed, so x ↦ ax maps the finite carrier into itself, and every b has
+    exactly one solution of ax = b iff that map is onto, iff it is
+    one-to-one, iff row a holds len(xs) distinct values; ya = b and
+    column a likewise."""
+    n = len(xs)
+    return all(
+        len({table[(a, b)] for b in xs}) == n and len({table[(b, a)] for b in xs}) == n
+        for a in xs
+    )
 
 
 def check_group(table, carrier: FinSet) -> FinGroup:

@@ -93,6 +93,10 @@ class Poset:
     def __setattr__(self, name, value):
         raise AttributeError("Poset is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return (self.__class__, (self.carrier, self.pairs))
+
     def __eq__(self, other):
         return (
             isinstance(other, Poset)

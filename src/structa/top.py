@@ -38,6 +38,10 @@ class ClosureOp:
     def __setattr__(self, name, value):
         raise AttributeError("ClosureOp is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return (self.__class__, (self.carrier, self.table))
+
     def __eq__(self, other):
         return (
             isinstance(other, ClosureOp)

@@ -106,6 +106,36 @@ MUTANTS = [
         "if False:",
         "tests/test_numbers.py::TestDiscrete::test_broken_order_is_rejected",
     ),
+    (
+        "core.py",
+        "pre(m0 & ~m1) == pre(m0) & ~pre(m1)",
+        "pre(m1 & ~m0) == pre(m0) & ~pre(m1)",
+        "tests/test_masks.py::TestLawReportsMatchTupleDefinitions::test_image_calculus_exhaustive_two_points",
+    ),
+    (
+        "suites.py",
+        '            scan += [instance("pre-fam", dom, cod, Y) for Y in product(subsB, repeat=2)]\n',
+        "",
+        "tests/test_acceptance.py::test_acceptance_criterion[01-functions]",
+    ),
+    (
+        "category.py",
+        '_scan_functor(r, "cfun", FunctorData(F.src, opposite_cat(F.tgt),',
+        '_scan_functor(r, "cfun", FunctorData(F.src, F.tgt,',
+        "tests/test_category.py::TestVarianceDuality::test_seed_functors_and_planted_defects",
+    ),
+    (
+        "core.py",
+        "return (self.__class__, (self.dom, self.cod, self.assign))",
+        "return (self.__class__, (self.dom, self.cod))",
+        "tests/test_core.py::test_copy_and_pickle_round_trips",
+    ),
+    (
+        "group.py",
+        "len({table[(a, b)] for b in xs}) == n and len({table[(b, a)] for b in xs}) == n",
+        "len({table[(a, b)] for b in xs}) == n",
+        "tests/test_group.py::TestAxioms::test_unique_solutions_and_cancellation_read_one_predicate",
+    ),
 ]
 
 

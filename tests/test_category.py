@@ -690,8 +690,7 @@ class TestSliceAssemble:
         Rfam = {x: hom_functors(C3, x)[0] for x in C3.objects}
         Lfam = {}
         for y in C3.objects:
-            _, Ry = hom_functors(C3, y)
-            Lfam[y] = SetRepr(Cop, dict(Ry.on_obj), dict(Ry.on_arr), variance="co")
+            _, Lfam[y] = hom_functors(C3, y)
         assembled = assemble_functor(Cop, C3, Lfam, Rfam)
         assert assembled == hom_bifunctor(C3)
 
@@ -700,11 +699,10 @@ class TestSliceAssemble:
         Rfam = {x: hom_functors(C3, x)[0] for x in C3.objects}
         Lfam = {}
         for y in C3.objects:
-            _, Ry = hom_functors(C3, y)
-            Lfam[y] = SetRepr(Cop, dict(Ry.on_obj), dict(Ry.on_arr), variance="co")
+            _, Lfam[y] = hom_functors(C3, y)
         bad_obj = dict(Lfam["c"].on_obj)
         bad_obj["a"] = finset("wrong")
-        Lfam["c"] = SetRepr(Cop, bad_obj, dict(Lfam["c"].on_arr), variance="co")
+        Lfam["c"] = SetRepr(Cop, bad_obj, dict(Lfam["c"].on_arr))
         with pytest.raises(IncompatibleFamilies):
             assemble_functor(Cop, C3, Lfam, Rfam)
 
@@ -741,6 +739,17 @@ class TestYoneda:
                     assert all(
                         out["phi"](inv(x)) == x for x in F.on_obj[a]
                     )
+
+    def test_contravariant_hom_functor_is_refused(self):
+        # R_a is a functor on C3^op, and C3^op is not C3
+        _, Ra = hom_functors(C3, "a")
+        with pytest.raises(Mismatch):
+            yoneda(C3, "a", Ra)
+
+    def test_contravariant_hom_functor_lives_on_the_opposite(self):
+        for C in (C2, C3, Z3):
+            for x in C.objects:
+                assert hom_functors(C, x)[1].src == opposite_cat(C)
 
 
 class TestEmbeddingAndCayley:
@@ -953,8 +962,7 @@ class TestConstructionTheorems:
             Rfam = {x: hom_functors(C, x)[0] for x in C.objects}
             Lfam = {}
             for y in C.objects:
-                _, Ry = hom_functors(C, y)
-                Lfam[y] = SetRepr(Cop, dict(Ry.on_obj), dict(Ry.on_arr), variance="co")
+                _, Lfam[y] = hom_functors(C, y)
             out = assemble_functor(Cop, C, Lfam, Rfam)
             for x in Cop.objects:
                 assert all(

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -676,3 +678,48 @@ class TestGenerated:
         assert generated([]) == set()
         assert generated([1, 2]) == {1, 2}
         assert generated([], [lambda x: x + 1], [max]) == set()
+
+
+# ---------------------------------------------------------------------------
+# copy and pickle: the immutable classes rebuild through their constructors
+
+
+def immutable_values():
+    """One value of each immutable slot class, with its lazy caches built
+    (``bits``, ``point_masks``, the poset's up-set masks)."""
+    from structa.category import from_poset, product_cat
+    from structa.group import cyclic_group
+    from structa.order import chain_poset
+    from structa.top import discrete_closure
+
+    ab = finset("a", "b")
+    ab.bits()
+    f = FinMap(ab, finset("x", "y"), {"a": "y", "b": "y"})
+    f.point_masks()
+    P = chain_poset(["a", "b", "c"])
+    P.is_chain(["a", "c"])
+    C2 = from_poset(chain_poset(["a", "b"]))
+    return [ab, f, P, cyclic_group(3), discrete_closure(ab), product_cat(C2, C2)]
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize("value", immutable_values(), ids=lambda v: type(v).__name__)
+def test_copy_and_pickle_round_trips(value, how):
+    private = [name for name in type(value).__slots__ if name.startswith("_")]
+    assert all(hasattr(value, name) for name in private)
+    out = ROUND_TRIPS[how](value)
+    assert type(out) is type(value)
+    assert out == value and hash(out) == hash(value)
+    assert all(getattr(out, name) == getattr(value, name)
+               for name in type(value).__slots__ if not name.startswith("_"))
+    # the lazy caches are rebuilt on use, not carried
+    assert not any(hasattr(out, name) for name in private)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(out, type(value).__slots__[0], None)

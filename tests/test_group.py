@@ -115,6 +115,27 @@ class TestAxioms:
         assert G.is_abelian()
         assert all(G.op[(a, a)] == G.unit for a in G.carrier)
 
+    def test_unique_solutions_and_cancellation_read_one_predicate(self):
+        # the old grp-unique-solutions predicate, kept as the reference:
+        # ax = b and ya = b each have exactly one solution, for all a, b
+        def counting(table, xs):
+            return all(
+                sum(1 for x in xs if table[(a, x)] == b) == 1
+                and sum(1 for y in xs if table[(y, a)] == b) == 1
+                for a in xs
+                for b in xs
+            )
+
+        tables = 0
+        for n in (1, 2, 3):
+            xs = ("a", "b", "c")[:n]
+            cells = list(itertools.product(xs, repeat=2))
+            for values in itertools.product(xs, repeat=n * n):
+                table = dict(zip(cells, values))
+                assert group._is_latin(table, xs) == counting(table, xs), table
+                tables += 1
+        assert tables == 1 + 2**4 + 3**9
+
     def test_power_matches_repeated_multiplication(self):
         G = cyclic_group(6)
         for i in range(6):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from structa.core import (
     FinMap,
     FinSet,
+    _family_masks,
     _join,
     fiber_union_check,
     finset,
@@ -332,6 +333,16 @@ class TestLawReportsMatchTupleDefinitions:
                 fams = ([A], [B], subsA, subsB[::-1], [])
                 assert image_calculus(f, A, B, fams) == image_calculus_ref(f, A, B, fams)
 
+    def test_family_masks_keep_the_carrier_rule(self):
+        dom, cod = finset("a", "b"), finset("x", "y", "z")
+        # [∅] and [] are families over both carriers
+        assert _family_masks(dom, cod, [FinSet()]) == ([0], [0])
+        assert _family_masks(dom, cod, []) == ([], [])
+        assert _family_masks(dom, cod, [finset("b"), dom]) == ([2, 3], None)
+        assert _family_masks(dom, cod, iter([finset("z"), FinSet()])) == (None, [4, 0])
+        with pytest.raises(CarrierMismatch, match="share a carrier"):
+            _family_masks(dom, cod, [finset("a"), finset("x")])
+
     @PROPERTY
     @given(maps(max_size=3), st.data())
     def test_fiber_union_check(self, f, data):
@@ -429,3 +440,35 @@ def test_a_wrong_image_is_a_failed_unit_not_a_traceback(monkeypatch):
     r = run_suite("functions")
     assert [c.law for c in r.failures if c.law == "unit-error"]
     assert "FAIL  unit-error" in r.render_text()
+
+
+# ``run_suite("functions")`` with the preimage dropping bit 1, as the
+# report-per-instance scan rendered it: the suite's failure path names
+# the same first failure, with its witness, in every unit
+FUNCTIONS_WITHOUT_PREIMAGE_BIT_1 = """\
+suite: suite-functions
+  PASS  fn-laws-0-0  image/preimage laws, fibers, and decompose-recompose hold on every map (42 checks)
+  PASS  fn-laws-0-1  image/preimage laws, fibers, and decompose-recompose hold on every map (76 checks)
+  PASS  fn-laws-0-2  image/preimage laws, fibers, and decompose-recompose hold on every map (198 checks)
+  PASS  fn-laws-0-3  image/preimage laws, fibers, and decompose-recompose hold on every map (634 checks)
+  PASS  fn-laws-1-0  image/preimage laws, fibers, and decompose-recompose hold on every map (0 checks)
+  FAIL  fn-laws-1-1  image/preimage laws, fibers, and decompose-recompose hold on every map (137 checks)  witness=("('img', 'img-counit-onto', (('b0',),))",)
+  FAIL  fn-laws-1-2  image/preimage laws, fibers, and decompose-recompose hold on every map (538 checks)  witness=("('img', 'img-unit', (('a0',),))",)
+  FAIL  fn-laws-1-3  image/preimage laws, fibers, and decompose-recompose hold on every map (2247 checks)  witness=("('img', 'img-unit', (('a0',),))",)
+  PASS  fn-laws-2-0  image/preimage laws, fibers, and decompose-recompose hold on every map (0 checks)
+  FAIL  fn-laws-2-1  image/preimage laws, fibers, and decompose-recompose hold on every map (242 checks)  witness=("('img', 'img-unit', (('a0',),))",)
+  FAIL  fn-laws-2-2  image/preimage laws, fibers, and decompose-recompose hold on every map (1762 checks)  witness=("('img', 'img-unit', (('a0',),))",)
+  FAIL  fn-laws-2-3  image/preimage laws, fibers, and decompose-recompose hold on every map (8748 checks)  witness=("('img', 'img-unit', (('a0',),))",)
+  PASS  fn-laws-3-0  image/preimage laws, fibers, and decompose-recompose hold on every map (0 checks)
+  FAIL  fn-laws-3-1  image/preimage laws, fibers, and decompose-recompose hold on every map (4253 checks)  witness=("('img', 'img-unit', (('a0',),))",)
+  FAIL  fn-laws-3-2  image/preimage laws, fibers, and decompose-recompose hold on every map (34856 checks)  witness=("('img', 'img-unit', (('a0',),))",)
+  FAIL  fn-laws-3-3  image/preimage laws, fibers, and decompose-recompose hold on every map (134409 checks)  witness=("('img', 'img-unit', (('a0',),))",)
+  PASS  fn-volume    the exhaustive scan performed at least 100000 individual checks
+  8 passed, 9 failed"""
+
+
+def test_a_wrong_preimage_keeps_the_suite_failure_text(monkeypatch):
+    from structa.suites import run_suite
+
+    monkeypatch.setattr(FinMap, "preimage_mask", _drop_bit(FinMap.preimage_mask, 1))
+    assert run_suite("functions").render_text() == FUNCTIONS_WITHOUT_PREIMAGE_BIT_1
