@@ -603,7 +603,35 @@ def fold(op, seq):
 
 def associativity_witness(op, xs):
     """The first triple (a, b, c) of ``xs``, in the order of ``xs``, with
-    (ab)c != a(bc) in the pair-keyed table ``op``, or None."""
+    (ab)c != a(bc) in the pair-keyed table ``op``, or None.
+
+    A passing table is certified by Light's test (Clifford & Preston,
+    *The Algebraic Theory of Semigroups* I, 1961, §1.2). Let T be the set
+    of a with (xa)y = x(ay) for all x and y. T is closed under the
+    product: for a, b in T,
+    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
+    by a, b, a and b in turn. So when the products stay in ``xs`` and a
+    set A generates ``xs``, A ⊆ T makes T all of ``xs``, which is
+    associativity. ``_greedy_generators`` picks A in O(n²), and the test
+    reads each row of a generator and each product xa once, so it checks
+    |A|·n² cells where the scan checks n³ triples. In a group each pick
+    after the first at least doubles the subgroup generated, so
+    |A| ≤ 1 + log₂ n. When a cell is missing, a product leaves ``xs`` or
+    a generator fails, the full scan runs, so a failing table gets the
+    scan's least witness."""
+    T = _index_table(op, xs)
+    if T is None:
+        return _associativity_scan(op, xs)
+    for a in _greedy_generators(T):
+        row = T[a]
+        for x, rx in zip(xs, T):
+            if T[rx[a]] != [rx[v] for v in row]:
+                return _associativity_scan(op, xs)
+    return None
+
+
+def _associativity_scan(op, xs):
+    """``associativity_witness`` by trying every triple in order: O(n³)."""
     for a in xs:
         for b in xs:
             ab = op[(a, b)]
@@ -611,6 +639,44 @@ def associativity_witness(op, xs):
                 if op[(ab, c)] != op[(a, op[(b, c)])]:
                     return (a, b, c)
     return None
+
+
+def _index_table(op, xs):
+    """The table ``op`` on ``xs`` by positions: row i holds the position
+    of xs[i]·y for each y of ``xs``. None when a cell is missing or a
+    product leaves ``xs``."""
+    pos = {x: i for i, x in enumerate(xs)}
+    try:
+        return [[pos[op[(x, y)]] for y in xs] for x in xs]
+    except KeyError:
+        return None
+
+
+def _greedy_generators(T):
+    """Positions that generate the closed position table T, picked in
+    order: a position joins unless it lies in the closure of the earlier
+    picks. The closure grows by a worklist that multiplies each new member
+    with every member found so far, on both sides, so every ordered pair
+    is multiplied once over the whole walk: O(n²)."""
+    inside = [False] * len(T)
+    found = []
+    picks = []
+    for g in range(len(T)):
+        if inside[g]:
+            continue
+        picks.append(g)
+        inside[g] = True
+        todo = [g]
+        while todo:
+            z = todo.pop()
+            found.append(z)
+            row = T[z]
+            for m in found:
+                for p in (row[m], T[m][z]):
+                    if not inside[p]:
+                        inside[p] = True
+                        todo.append(p)
+    return picks
 
 
 def two_sided_unit(op, xs):

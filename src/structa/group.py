@@ -209,10 +209,21 @@ def _perm_name(assign: dict) -> str:
 
 def permutation_group(by_name: dict) -> FinGroup:
     """The group of the permutations ``by_name`` (name → FinMap) under
-    composition: the product pq is p∘q, named by ``_perm_name``."""
+    composition: the product pq is p∘q, with the name ``_perm_name`` gives
+    it, spelled out from the ``assign`` dicts so that no product is built
+    as a ``FinMap``."""
     names = FinSet(by_name)
+    perms = [by_name[p] for p in names]
+    if any(f.dom != perms[0].dom or f.cod != perms[0].dom for f in perms):
+        # raises CompositionMismatch at the first pair, in table order, that cannot compose
+        for p, q in itertools.product(perms, repeat=2):
+            compose(p, q)
+    keys = sorted(perms[0].dom) if perms else []
+    assigns = [(p, f.assign) for p, f in zip(names, perms)]
     table = {
-        (p, q): _perm_name(compose(by_name[p], by_name[q]).assign) for p in names for q in names
+        (p, q): "(%s)" % ",".join("%s>%s" % (k, pa[qa[k]]) for k in keys)
+        for p, pa in assigns
+        for q, qa in assigns
     }
     return check_group(table, names)
 

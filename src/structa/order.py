@@ -501,6 +501,9 @@ def semilattice_report(table, carrier: FinSet) -> LawReport:
         for y in xs:
             if (x, y) not in table:
                 raise CarrierMismatch("operation table missing a cell", witness=(x, y))
+    escape = next(((x, y) for x in xs for y in xs if table[(x, y)] not in carrier), None)
+    if escape is not None:
+        raise CarrierMismatch("operation table value outside the carrier", witness=escape)
     comm = next(((x, y) for x in xs for y in xs if table[(x, y)] != table[(y, x)]), None)
     r.add("semi-comm", "x⋄y = y⋄x", comm is None, comm)
     assoc = associativity_witness(table, xs)

@@ -136,6 +136,26 @@ MUTANTS = [
         "len({table[(a, b)] for b in xs}) == n",
         "tests/test_group.py::TestAxioms::test_unique_solutions_and_cancellation_read_one_predicate",
     ),
+    (
+        "core.py",
+        "for a in _greedy_generators(T):",
+        "for a in _greedy_generators(T)[:-1]:",
+        "tests/test_core.py::TestTableWitnesses::test_a_failure_at_the_last_generator_falls_back",
+    ),
+    (
+        "core.py",
+        "        if inside[g]:\n",
+        "        if inside[g] or g == len(T) - 1:\n",
+        "tests/test_core.py::TestGreedyGenerators::test_left_zero_and_max_pick_every_element",
+    ),
+    (
+        "core.py",
+        "            if T[rx[a]] != [rx[v] for v in row]:\n"
+        "                return _associativity_scan(op, xs)\n",
+        "            if T[rx[a]] != [rx[v] for v in row]:\n"
+        "                return (x, xs[a], xs[next(y for y, v in enumerate(row) if T[rx[a]][y] != rx[v])])\n",
+        "tests/test_core.py::TestTableWitnesses::test_a_failing_generator_gives_the_scan_witness",
+    ),
 ]
 
 

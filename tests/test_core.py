@@ -17,6 +17,8 @@ from structa.core import (
     FinMap,
     FinSet,
     Partition,
+    _greedy_generators,
+    _index_table,
     all_maps,
     associativity_witness,
     check_symbol,
@@ -556,11 +558,12 @@ class TestPublicValidation:
 # ---------------------------------------------------------------------------
 # Witness searches over pair-keyed tables. Each returns the first witness
 # in the order of the carrier it is given; the references collect every
-# witness and take the first. The tables obey the law, then one cell is
-# planted with an arbitrary value.
+# witness and take the first. Most tables obey the law, and one cell may
+# then be planted with an arbitrary value; the rest are random.
 
 # position-indexed operations on a carrier of n points: each is
-# associative; cyclic and max have the unit at position 0
+# associative; cyclic and max have the unit at position 0. Walking the
+# positions in order, left-zero and max need every point as a generator.
 LAWFUL_TABLES = {
     "cyclic": lambda i, j, n: (i + j) % n,
     "max": lambda i, j, n: max(i, j),
@@ -568,14 +571,35 @@ LAWFUL_TABLES = {
     "constant": lambda i, j, n: 0,
 }
 
+# S3 as the permutations of three points, composed: a group that does not
+# commute, on six points
+S3_POINTS = list(itertools.permutations(range(3)))
+S3_PRODUCT = [[S3_POINTS.index(tuple(p[q[k]] for k in range(3))) for q in S3_POINTS]
+              for p in S3_POINTS]
+
+NAMES = ["x%d" % i for i in range(8)]
+
+
+def by_positions(xs, cell):
+    # the pair-keyed table on xs whose product at positions (i, j) is cell(i, j)
+    return {(a, b): xs[cell(i, j)] for i, a in enumerate(xs) for j, b in enumerate(xs)}
+
 
 @st.composite
 def planted_tables(draw):
-    n = draw(st.integers(1, 4))
-    xs = tuple(draw(st.permutations(["x0", "x1", "x2", "x3"][:n])))
-    law = LAWFUL_TABLES[draw(st.sampled_from(sorted(LAWFUL_TABLES)))]
-    op = {(a, b): xs[law(i, j, n)] for i, a in enumerate(xs) for j, b in enumerate(xs)}
-    op[(draw(st.sampled_from(xs)), draw(st.sampled_from(xs)))] = draw(st.sampled_from(xs))
+    # a lawful table with one cell planted or not, or a random closed magma
+    kind = draw(st.sampled_from(sorted(LAWFUL_TABLES) + ["magma", "s3"]))
+    n = 6 if kind == "s3" else draw(st.integers(1, 8))
+    xs = tuple(draw(st.permutations(NAMES[:n])))
+    if kind == "magma":
+        cells = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+        return xs, by_positions(xs, lambda i, j: cells[i * n + j])
+    if kind == "s3":
+        op = by_positions(xs, lambda i, j: S3_PRODUCT[i][j])
+    else:
+        op = by_positions(xs, lambda i, j: LAWFUL_TABLES[kind](i, j, n))
+    if draw(st.booleans()):
+        op[(draw(st.sampled_from(xs)), draw(st.sampled_from(xs)))] = draw(st.sampled_from(xs))
     return xs, op
 
 
@@ -604,6 +628,80 @@ class TestTableWitnesses:
     def test_two_sided_unit_is_the_first(self, case):
         xs, op = case
         assert two_sided_unit(op, xs) == first_unit(op, xs)
+
+    def test_lawful_tables_pass_and_s3_does_not_commute(self):
+        for n in range(1, 9):
+            xs = NAMES[:n]
+            for law in LAWFUL_TABLES.values():
+                op = by_positions(xs, lambda i, j: law(i, j, n))
+                assert associativity_witness(op, xs) is None
+        xs = NAMES[:6]
+        op = by_positions(xs, lambda i, j: S3_PRODUCT[i][j])
+        assert associativity_witness(op, xs) is None
+        assert any(op[(a, b)] != op[(b, a)] for a in xs for b in xs)
+
+    def test_a_failure_at_the_last_generator_falls_back(self):
+        # the greedy generators are a, b and c; (xa)y = x(ay) and
+        # (xb)y = x(by) hold for all x and y, and only c breaks the law
+        xs = ("a", "b", "c")
+        op = table_of(xs, "aac bbc ccb")
+        assert [xs[g] for g in _greedy_generators(_index_table(op, xs))] == ["a", "b", "c"]
+        assert associativity_witness(op, xs) == first_non_associative(op, xs) == ("a", "c", "c")
+
+    def test_a_failing_generator_gives_the_scan_witness(self):
+        # a alone generates; its first failure is at x = b, but the
+        # first failing triple in the order of xs is (a, b, b)
+        xs = ("a", "b", "c")
+        op = table_of(xs, "bca cab aac")
+        assert [xs[g] for g in _greedy_generators(_index_table(op, xs))] == ["a"]
+        assert op[(op[("b", "a")], "b")] != op[("b", op[("a", "b")])]
+        assert associativity_witness(op, xs) == first_non_associative(op, xs) == ("a", "b", "b")
+
+    def test_open_or_partial_tables_get_the_scan(self):
+        xs = ("a", "b")
+        escape = table_of(xs, "ab bz")
+        assert _index_table(escape, xs) is None
+        with pytest.raises(KeyError):
+            associativity_witness(escape, xs)
+        # the scan meets (a, a, a) before the cell that leaves the carrier
+        op = table_of(xs, "ba bz")
+        assert associativity_witness(op, xs) == ("a", "a", "a")
+        partial = table_of(xs, "ab ba")
+        del partial[("b", "b")]
+        assert _index_table(partial, xs) is None
+        assert associativity_witness({}, ()) is None
+
+
+def table_of(xs, rows):
+    # "ab ba": row x lists x·y for y in the order of xs
+    return {(x, y): v for x, row in zip(xs, rows.split()) for y, v in zip(xs, row)}
+
+
+class TestGreedyGenerators:
+    @PROPERTY
+    @given(planted_tables())
+    def test_picks_generate_and_none_is_redundant(self, case):
+        xs, op = case
+        product = lambda a, b: op[(a, b)]
+        picks = [xs[g] for g in _greedy_generators(_index_table(op, xs))]
+        assert generated(picks, binary=[product]) == set(xs)
+        for k, x in enumerate(picks):
+            assert x not in generated(picks[:k], binary=[product])
+        assert picks == [x for x in xs if x in picks]
+
+    def test_left_zero_and_max_pick_every_element(self):
+        xs = tuple(NAMES)
+        for law in (LAWFUL_TABLES["left-zero"], LAWFUL_TABLES["max"]):
+            op = by_positions(xs, lambda i, j: law(i, j, 8))
+            assert _greedy_generators(_index_table(op, xs)) == list(range(8))
+
+    def test_groups_need_few_generators(self):
+        xs = NAMES[:6]
+        op = by_positions(xs, lambda i, j: S3_PRODUCT[i][j])
+        # the unit comes first and generates nothing else
+        assert len(_greedy_generators(_index_table(op, xs))) == 3
+        cyclic = by_positions(xs, lambda i, j: (i + j) % 6)
+        assert _greedy_generators(_index_table(cyclic, xs)) == [0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from structa.core import FinMap, FinSet, classify, compose, finset
 from structa import group
 from structa.errors import (
     CarrierMismatch,
+    CompositionMismatch,
     IllDefinedQuotient,
     NotAGroup,
     NotBijective,
@@ -803,6 +804,24 @@ class TestWitnessSearches:
         N = subgroup_check(G, FinSet(name[p] for p in perms if perms[p]("1") == "1"))
         assert len(N.members) == 6
         assert normality_witness(G, N) == ("g01", "g02")
+
+    def test_permutation_group_refuses_mixed_carriers_as_compose_does(self):
+        pts = finset("1", "2", "3")
+        swap = FinMap(pts, pts, {"1": "2", "2": "1", "3": "3"})
+        shift = FinMap(finset("1", "2"), finset("1", "2"), {"1": "2", "2": "1"})
+        into = FinMap(finset("1", "2"), pts, {"1": "2", "2": "1"})
+        for by_name in ({"a": swap, "b": shift}, {"a": into}, {"a": swap, "b": into}):
+            names = sorted(by_name)
+            want = None
+            for p, q in itertools.product(names, repeat=2):
+                try:
+                    compose(by_name[p], by_name[q])
+                except CompositionMismatch as e:
+                    want = e.witness
+                    break
+            with pytest.raises(CompositionMismatch) as err:
+                permutation_group(by_name)
+            assert err.value.witness == want is not None
 
     @PROPERTY
     @given(planted_perm_sets())

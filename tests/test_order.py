@@ -41,6 +41,7 @@ from structa.order import (
     partial_map_poset,
     powerset_poset,
     semilattice_check,
+    semilattice_report,
     subset_of_name,
     zorn_maximal,
 )
@@ -396,6 +397,18 @@ class TestSemilattices:
         # units: empty set is minimum, full set maximum
         assert PW2.min_of(PW2.carrier) == "{}"
         assert PW2.max_of(PW2.carrier) == "{a,b}"
+
+    def test_table_must_stay_in_the_carrier(self):
+        carrier = finset("a", "b")
+        escape = {("a", "a"): "a", ("a", "b"): "z", ("b", "a"): "b", ("b", "b"): "b"}
+        with pytest.raises(CarrierMismatch) as e:
+            semilattice_report(escape, carrier)
+        assert e.value.witness == ("a", "b")
+        missing = {("a", "a"): "z", ("b", "a"): "b", ("b", "b"): "b"}
+        with pytest.raises(CarrierMismatch) as e:
+            semilattice_report(missing, carrier)
+        assert e.value.witness == ("a", "b")
+        assert "missing" in str(e.value)
 
     def test_group_table_not_semilattice(self):
         z2 = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "e"}
