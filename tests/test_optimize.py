@@ -36,6 +36,33 @@ for path in sorted(root.glob("*.json")) + sorted(root.glob("bad/*.json")):
     sys.stdout.write("## %s %d\\n%s--\\n%s" % (path.name, code, out.getvalue(), err.getvalue()))
 """
 
+# the same for `structa derive`: each of the six ops on every fixture, and
+# `quotient` on each group fixture with its whole carrier and with its
+# first element as the subgroup
+DERIVE_EACH = """
+import contextlib, io, os, sys
+from structa import cli
+from structa.docs import DERIVE_OPS, parse
+from structa.errors import StructaError
+from structa.suites import fixtures_dir
+root = fixtures_dir()
+os.chdir(root)
+for path in sorted(root.glob("*.json")) + sorted(root.glob("bad/*.json")):
+    name = str(path.relative_to(root))
+    runs = [[op, name] for op in sorted(DERIVE_OPS)]
+    try:
+        doc = parse(name)
+    except StructaError:
+        doc = None
+    if doc is not None and doc.kind == "group":
+        runs += [["quotient", name, *doc["carrier"]], ["quotient", name, doc["carrier"][0]]]
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["derive", *argv])
+        sys.stdout.write("## %s %d\\n%s--\\n%s" % (" ".join(argv), code, out.getvalue(), err.getvalue()))
+"""
+
 
 def run(flags, args):
     return subprocess.run(
@@ -69,4 +96,11 @@ def test_check_output_on_every_fixture_is_the_same_under_optimize():
     assert plain.returncode == 0, plain.stderr
     assert plain.stdout.count("## ") == len(list(PACKAGE.glob("fixtures/**/*.json")))
     assert plain.stdout == (GOLDEN / "check-each.txt").read_text(encoding="utf-8")
+    assert (opt.returncode, opt.stdout) == (plain.returncode, plain.stdout)
+
+
+def test_derive_output_on_every_fixture_is_the_same_under_optimize():
+    plain, opt = (run(flags, ["-c", DERIVE_EACH]) for flags in ([], ["-O"]))
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout == (GOLDEN / "derive-each.txt").read_text(encoding="utf-8")
     assert (opt.returncode, opt.stdout) == (plain.returncode, plain.stdout)
