@@ -258,6 +258,11 @@ def _build_parser():
     return p
 
 
+# built once per process: parse_args returns a fresh namespace on every
+# call and keeps no state in the parser
+_PARSER = _build_parser()
+
+
 def _seed_from(ns) -> int:
     if ns.seed is not None:
         return ns.seed
@@ -369,9 +374,8 @@ def _utf8(stream):
 def main(argv=None) -> int:
     _utf8(sys.stdout)
     _utf8(sys.stderr)
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from .core import FinMap, FinSet, check_symbol, classify
 from .errors import EmptyMemberInBase, ParseError, SchemaError, StructaError, TooLarge
@@ -73,14 +74,26 @@ def _symbol_list(v, where: str) -> list:
     return sorted(out)
 
 
+def _symbols(xs, seen: set, where: str):
+    """Check each entry of xs with ``_symbol`` and add it to ``seen``. A
+    string already in ``seen`` has passed and is skipped, so a table pays
+    the check once per distinct symbol; anything else is checked in order,
+    so the first bad entry still raises the same error."""
+    for x in xs:
+        if x.__class__ is not str or x not in seen:
+            seen.add(_symbol(x, where))
+
+
 def _tuple_list(v, n: int, where: str) -> list:
     if not isinstance(v, list):
         raise SchemaError("%s must be an array of %d-tuples" % (where, n))
     out = []
+    seen = set()
     for row in v:
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError("%s entries must be arrays of length %d" % (where, n))
-        out.append([_symbol(x, where) for x in row])
+        _symbols(row, seen, where)
+        out.append(row[:])
     return out
 
 
@@ -131,15 +144,16 @@ def _subset_list(v, carrier, where: str) -> list:
         raise SchemaError("%s must be an array of subsets" % where)
     declared = set(carrier)
     out = []
+    seen = set()
     for sub in v:
         if not isinstance(sub, list):
             raise SchemaError("%s members must be arrays of strings" % where)
-        members = [_symbol(x, where) for x in sub]
-        for x in members:
+        _symbols(sub, seen, where)
+        for x in sub:
             _declared(x, declared, where)
-        if len(set(members)) != len(members):
+        if len(set(sub)) != len(sub):
             raise SchemaError("%s member lists elements twice" % where)
-        out.append(sorted(members))
+        out.append(sorted(sub))
     canon = sorted(out)
     for i in range(1, len(canon)):
         if canon[i] == canon[i - 1]:
@@ -412,7 +426,71 @@ def parse(source: str) -> StructureDoc:
 
 
 def render(doc: StructureDoc) -> str:
-    return json.dumps(doc.payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text of a document, equal to
+    ``json.dumps(doc.payload, sort_keys=True, indent=2, ensure_ascii=False)``
+    followed by one newline. The rule, for JSON data with string keys:
+
+    - an object is ``{``, its members in sorted key order, then ``}``; a
+      member is its key, ``": "`` and its value;
+    - an array is ``[``, its entries in order, then ``]``;
+    - each member or entry starts a new line indented two spaces deeper
+      than the line of its bracket, every one but the last ends with
+      ``,``, and the closing bracket has a line at the bracket's own
+      indent; an empty array or object is ``[]`` or ``{}``;
+    - a string is quoted and escaped by ``json.encoder.encode_basestring``:
+      ``"``, ``\\`` and control characters are escaped, every other
+      character, non-ASCII included, is written as itself;
+    - any other value (an integer) is written as ``json.dumps`` writes it.
+
+    The text is built in one pass that appends its pieces to one list;
+    each distinct string and each bracket layout is made once per call.
+    """
+    out = []
+    append = out.append
+    encoded = {}
+    layouts = {}
+
+    def emit(v, depth):
+        if isinstance(v, str):
+            s = encoded.get(v)
+            if s is None:
+                s = encoded[v] = encode_basestring(v)
+            append(s)
+        elif isinstance(v, (list, dict)):
+            array = isinstance(v, list)
+            if not v:
+                append("[]" if array else "{}")
+                return
+            layout = layouts.get((depth, array))
+            if layout is None:
+                layout = layouts[depth, array] = _layout(depth, array)
+            first, comma, last = layout
+            append(first)
+            if array:
+                for x in v:
+                    emit(x, depth + 1)
+                    append(comma)
+            else:
+                for key in sorted(v):
+                    emit(key, depth + 1)
+                    append(": ")
+                    emit(v[key], depth + 1)
+                    append(comma)
+            out[-1] = last
+        else:
+            append(json.dumps(v))
+
+    emit(doc.payload, 0)
+    append("\n")
+    return "".join(out)
+
+
+def _layout(depth: int, array: bool) -> tuple:
+    """The opening, separating and closing text of a non-empty array or
+    object whose bracket is at ``depth``."""
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    opening, closing = "[]" if array else "{}"
+    return opening + inner, "," + inner, outer + closing
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +644,16 @@ def doc_poset(P) -> StructureDoc:
     }))
 
 
-def doc_table(kind: str, table: dict, carrier: FinSet) -> StructureDoc:
-    return StructureDoc(_validate({
+def _table_payload(kind: str, table: dict, carrier: FinSet) -> dict:
+    return {
         "kind": kind,
         "carrier": list(carrier.elements),
         "table": [[a, b, v] for (a, b), v in table.items()],
-    }))
+    }
+
+
+def doc_table(kind: str, table: dict, carrier: FinSet) -> StructureDoc:
+    return StructureDoc(_validate(_table_payload(kind, table, carrier)))
 
 
 def doc_group(G) -> StructureDoc:
@@ -589,10 +671,11 @@ def doc_category(C) -> StructureDoc:
 
 
 def doc_hom(h) -> StructureDoc:
+    # _v_hom validates the two nested groups, so they go in raw
     return StructureDoc(_validate({
         "kind": "hom",
-        "src": doc_group(h.src).payload,
-        "tgt": doc_group(h.tgt).payload,
+        "src": _table_payload("group", h.src.op, h.src.carrier),
+        "tgt": _table_payload("group", h.tgt.op, h.tgt.carrier),
         "map": [[x, y] for x, y in h.map.assign.items()],
     }))
 
@@ -863,7 +946,8 @@ def _d_quotient(doc, args):
     if not args:
         raise SchemaError("quotient needs the subgroup elements as arguments")
     G = _b_group(doc)
-    return doc_group(quotient(G, subgroup_check(G, FinSet(args))))
+    H = FinSet([_symbol(x, "quotient argument") for x in args])
+    return doc_group(quotient(G, subgroup_check(G, H)))
 
 
 def _d_opposite(doc, args):

@@ -156,6 +156,24 @@ MUTANTS = [
         "                return (x, xs[a], xs[next(y for y, v in enumerate(row) if T[rx[a]][y] != rx[v])])\n",
         "tests/test_core.py::TestTableWitnesses::test_a_failing_generator_gives_the_scan_witness",
     ),
+    (
+        "docs.py",
+        "seen.add(_symbol(x, where))",
+        "seen.add(x)",
+        "tests/test_docs.py::TestSymbolMemo::test_a_bad_symbol_is_refused_on_its_first_occurrence",
+    ),
+    (
+        "docs.py",
+        "for key in sorted(v):",
+        "for key in v:",
+        "tests/test_docs.py::TestRenderIsJsonDumps::test_nested_document_by_hand",
+    ),
+    (
+        "docs.py",
+        "s = encoded[v] = encode_basestring(v)",
+        "s = encoded[v] = '\"%s\"' % v",
+        "tests/test_docs.py::TestRenderIsJsonDumps::test_escaped_text_by_hand",
+    ),
 ]
 
 

@@ -83,6 +83,15 @@ class TestExitCodes:
         assert code == 1
         assert "normal" in err
 
+    @pytest.mark.parametrize("arg", ["a b", ""], ids=["space", "empty"])
+    def test_bad_quotient_argument_is_two(self, arg):
+        code, out, err = run_cli(["derive", "quotient", fx("group_z4.json"), arg])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: quotient argument: symbol must be a nonempty token "
+            "without whitespace: %r\n" % arg
+        )
+
     def test_bad_symbol_is_two(self):
         code, out, err = run_cli(["check", '{"kind": "set", "elements": ["a b"]}'])
         assert (code, out) == (2, "")
@@ -471,6 +480,51 @@ class TestSeeds:
         b = run_cli(["suite", "interchange"])
         assert a == b
         assert a[0] == 0
+
+
+class TestOneParser:
+    """main parses with one parser built at import; no call leaves state
+    in it for the next. Oracle: a fresh interpreter running the command."""
+
+    def fresh(self, args):
+        proc = run_real(args)
+        return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+    def test_check_json_then_check(self):
+        path = fx("group_z4.json")
+        assert run_cli(["check", "--json", path]) == self.fresh(["check", "--json", path])
+        assert run_cli(["check", path]) == self.fresh(["check", path])
+
+    def test_seed_flag_then_env(self, monkeypatch):
+        import structa.suites
+
+        seeds = []
+        run_suite = structa.suites.run_suite
+
+        def recording(name, seed=0):
+            seeds.append(seed)
+            return run_suite(name, seed=seed)
+
+        monkeypatch.setattr(structa.suites, "run_suite", recording)
+        assert run_cli(["suite", "cli", "--seed", "3"])[0] == 0
+        monkeypatch.setenv("STRUCTA_SEED", "5")
+        assert run_cli(["suite", "cli"])[0] == 0
+        monkeypatch.delenv("STRUCTA_SEED")
+        assert run_cli(["suite", "cli"])[0] == 0
+        assert seeds == [3, 5, 0]
+
+    def test_usage_error_then_a_valid_call(self):
+        path = fx("category_z3.json")
+        code, out, err = run_cli(["derive", "opposite"])
+        assert (code, out) == (2, "") and "required" in err
+        assert run_cli(["derive", "opposite", path]) == self.fresh(["derive", "opposite", path])
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_twice_is_the_same(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        first = run_cli(argv)
+        assert first[0] == 0 and first[1].startswith("usage: structa")
+        assert run_cli(argv) == first
 
 
 class TestFlagsWhereRead:

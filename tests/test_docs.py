@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structa.core import FinMap, FinSet, finset
+from structa.core import FinMap, FinSet, check_symbol, finset
 from structa.docs import (
     DERIVE_OPS,
     KINDS,
     StructureDoc,
+    _subset_list,
+    _tuple_list,
+    doc_hom,
     doc_category,
     doc_group,
     doc_poset,
@@ -29,6 +32,7 @@ from structa.docs import (
     to_structure,
 )
 from structa.errors import NotNormal, ParseError, SchemaError, StructaError, TooLarge
+from structa.group import cayley, cyclic_group
 from structa.suites import fixtures_dir
 
 CORPUS = sorted(fixtures_dir().glob("*.json"))
@@ -585,3 +589,186 @@ class TestGeneratedRoundTrip:
         assert_fixpoint(doc)
         for out in derived(doc):
             assert_fixpoint(out)
+
+
+# ---------------------------------------------------------------------------
+# render against json.dumps
+#
+# render writes its text in one pass; the oracle is the json module with
+# the options the canonical form names.
+
+
+def dumped(doc):
+    return json.dumps(doc.payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def assert_renders_as_json(doc):
+    assert render(doc) == dumped(doc)
+    for out in derived(doc):
+        assert render(out) == dumped(out)
+
+
+class TestRenderIsJsonDumps:
+    @PROPERTY
+    @given(payloads())
+    def test_generated_payloads(self, payload):
+        assert_renders_as_json(parse_text(json.dumps(payload)))
+
+    @PROPERTY
+    @given(relabelled_corpus())
+    def test_relabelled_corpus(self, payload):
+        assert_renders_as_json(parse_text(json.dumps(payload)))
+
+    @pytest.mark.parametrize(
+        "symbol", ['"', "\\", "\x00", "\x01", "\x7f", "é", "a\"b", "\\u0041", "💡"]
+    )
+    def test_escaping_symbols(self, symbol):
+        doc = parse_text(json.dumps({"kind": "set", "elements": [symbol, "z"]}))
+        assert_renders_as_json(doc)
+        assert parse_text(render(doc)) == doc
+
+    def test_escaped_text_by_hand(self):
+        doc = parse_text(json.dumps({"kind": "set", "elements": ['q"', "b\\", "c\x00", "é"]}))
+        assert render(doc) == (
+            '{\n  "elements": [\n    "b\\\\",\n    "c\\u0000",\n'
+            '    "q\\"",\n    "é"\n  ],\n  "kind": "set"\n}\n'
+        )
+
+    def test_empty_arrays(self):
+        for payload in (
+            {"kind": "set", "elements": []},
+            {"kind": "family", "carrier": [], "members": [[]]},
+            {"kind": "topology", "carrier": ["a"], "opens": []},
+            {"kind": "poset", "carrier": ["a"], "le": []},
+            {"kind": "group", "carrier": [], "table": []},
+        ):
+            assert_renders_as_json(parse_text(json.dumps(payload)))
+        doc = parse_text('{"kind": "family", "carrier": [], "members": [[]]}')
+        assert render(doc) == (
+            '{\n  "carrier": [],\n  "kind": "family",\n  "members": [\n    []\n  ]\n}\n'
+        )
+
+    def test_integer_fields(self):
+        for window, den in ((1, 1), (40, 6), (10**30, 7)):
+            doc = parse_text(json.dumps(
+                {"kind": "rational-window", "window": window, "den": den}))
+            assert_renders_as_json(doc)
+        assert render(doc) == (
+            '{\n  "den": 7,\n  "kind": "rational-window",\n  "window": %d\n}\n' % 10**30
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["hom_sign_s3_z2", "functor_mod2", "nattrans_lift", "action_regular_z3"]
+    )
+    def test_nested_documents(self, name):
+        assert_renders_as_json(parse(corpus(name)))
+
+    def test_nested_document_by_hand(self):
+        doc = doc_hom(cayley(cyclic_group(1)))
+        assert_renders_as_json(doc)
+        group = '{\n    "carrier": [\n      "%s"\n    ],\n    "kind": "group",\n' \
+                '    "table": [\n      [\n        "%s",\n        "%s",\n        "%s"\n' \
+                '      ]\n    ]\n  }'
+        e, p = doc["src"]["carrier"][0], doc["tgt"]["carrier"][0]
+        assert render(doc) == (
+            '{\n  "kind": "hom",\n  "map": [\n    [\n      "%s",\n      "%s"\n    ]\n  ],\n'
+            '  "src": %s,\n  "tgt": %s\n}\n' % (e, p, group % (e, e, e, e), group % (p, p, p, p))
+        )
+
+
+# ---------------------------------------------------------------------------
+# the symbol memo of _tuple_list and _subset_list
+#
+# Oracle: the lists as written before the memo, checking every entry.
+
+
+def tuple_list_reference(v, n, where):
+    if not isinstance(v, list):
+        raise SchemaError("%s must be an array of %d-tuples" % (where, n))
+    out = []
+    for row in v:
+        if not isinstance(row, list) or len(row) != n:
+            raise SchemaError("%s entries must be arrays of length %d" % (where, n))
+        out.append([check_entry(x, where) for x in row])
+    return out
+
+
+def subset_list_reference(v, carrier, where):
+    if not isinstance(v, list):
+        raise SchemaError("%s must be an array of subsets" % where)
+    out = []
+    for sub in v:
+        if not isinstance(sub, list):
+            raise SchemaError("%s members must be arrays of strings" % where)
+        members = [check_entry(x, where) for x in sub]
+        for x in members:
+            if x not in carrier:
+                raise SchemaError("undeclared symbol %r in %s" % (x, where))
+        if len(set(members)) != len(members):
+            raise SchemaError("%s member lists elements twice" % where)
+        out.append(sorted(members))
+    canon = sorted(out)
+    for i in range(1, len(canon)):
+        if canon[i] == canon[i - 1]:
+            raise SchemaError("%s lists the subset %s twice" % (where, canon[i]))
+    return canon
+
+
+def check_entry(x, where):
+    if not isinstance(x, str):
+        raise SchemaError("%s must be a string, got %r" % (where, x))
+    try:
+        return check_symbol(x)
+    except ValueError as e:
+        raise SchemaError("%s: %s" % (where, e))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SchemaError as e:
+        return "SchemaError: %s" % e
+
+
+ENTRIES = ["a", "b", "é", "a b", "", "\ud800", 1, None, ["a"], {"a": "b"}]
+
+
+class TestSymbolMemo:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [["a", "b"], ["a b", "a"]],  # a bad symbol on its first occurrence
+            [["a", "b"], ["b", "a"], ["a", "a b"], ["a b", "a"]],  # and again
+            [["a", "a b"], ["a", "a"]],  # inside the first row
+            [["a", "b"], ["a", 1]],  # a non-string entry
+            [["a", "b"], ["a", ["a"]]],  # an unhashable one
+            [["a", "b"], ["b", "a"], ["a"]],  # a malformed row after good rows
+            [["a", "b"], ["b", "a"], "ab"],
+            [["a", "b"], ["a", "\ud800"]],
+        ],
+    )
+    def test_errors_and_precedence_are_unchanged(self, rows):
+        expected = outcome(tuple_list_reference, rows, 2, "map")
+        assert expected.startswith("SchemaError")
+        assert outcome(_tuple_list, rows, 2, "map") == expected
+
+    def test_a_bad_symbol_is_refused_on_its_first_occurrence(self):
+        with pytest.raises(SchemaError, match=r"^table: symbol must be .*'a b'$"):
+            _tuple_list([["a", "a", "a"], ["a", "a b", "a"]], 3, "table")
+        with pytest.raises(SchemaError, match=r"^members: symbol must be .*'a b'$"):
+            _subset_list([["a"], ["a b"]], ["a"], "members")
+
+    @PROPERTY
+    @given(st.lists(st.one_of(st.lists(st.sampled_from(ENTRIES), max_size=3),
+                              st.sampled_from(ENTRIES)), max_size=6))
+    def test_both_lists_match_the_unmemoized_check(self, rows):
+        for n in (2, 3):
+            assert outcome(_tuple_list, rows, n, "t") == outcome(tuple_list_reference, rows, n, "t")
+        carrier = ["a", "b", "é"]
+        assert (outcome(_subset_list, rows, carrier, "m")
+                == outcome(subset_list_reference, rows, carrier, "m"))
+
+    def test_rows_are_copies(self):
+        rows = [["a", "b"], ["b", "a"]]
+        out = _tuple_list(rows, 2, "map")
+        assert out == rows and all(o is not r for o, r in zip(out, rows))
