@@ -940,20 +940,29 @@ def functor_category(C: FinCat, D: FinCat) -> FinCat:
     return cat
 
 
-def hcompose(alpha: NatTransData, tau: NatTransData) -> NatTransData:
-    """α∘τ for τ: F→G in Cat(C,D) and α: J→K in Cat(D,E), by the formula
-    (α∘τ)_x = α_{Gx} ∘ J τ_x. The other defining formula, K τ_x ∘ α_{Fx},
-    is compared with it by the interchange suite's ``ic-volume`` law."""
+def _hcompose_components(alpha: NatTransData, tau: NatTransData) -> dict:
+    """The components of α∘τ for τ: F→G in Cat(C,D) and α: J→K in
+    Cat(D,E), by the formula (α∘τ)_x = α_{Gx} ∘ J τ_x, without the
+    composite functors J∘F and K∘G that ``hcompose`` adds."""
     F, G = tau.F, tau.G
-    J, K = alpha.F, alpha.G
+    J = alpha.F
     if F.tgt != J.src:
         raise Mismatch("horizontal composition needs matching middle category")
     E = J.tgt
-    comp = {
+    return {
         x: E.compose(alpha.component[G.on_obj[x]], J.on_arr[tau.component[x]])
         for x in F.src.objects
     }
-    return NatTransData(compose_functors(J, F), compose_functors(K, G), comp)
+
+
+def hcompose(alpha: NatTransData, tau: NatTransData) -> NatTransData:
+    """α∘τ: J∘F → K∘G, with the components of ``_hcompose_components``.
+    The other defining formula, K τ_x ∘ α_{Fx}, is compared with them by
+    the interchange suite's ``ic-volume`` law."""
+    comp = _hcompose_components(alpha, tau)
+    return NatTransData(
+        compose_functors(alpha.F, tau.F), compose_functors(alpha.G, tau.G), comp
+    )
 
 
 def interchange_check(
@@ -1150,7 +1159,13 @@ def yoneda(C: FinCat, a, F: SetRepr) -> dict:
     F a with inverse x ↦ τ_x, where τ_x c(f) = F f(x). F must be a
     functor on C: R_x is one on C^op and raises ``Mismatch`` unless
     C^op = C."""
-    nat_set = enumerate_nat_trans(_covariant_hom(C, a), F)
+    return _yoneda(C, a, _covariant_hom(C, a), F)
+
+
+def _yoneda(C: FinCat, a, La: SetRepr, F: SetRepr) -> dict:
+    """``yoneda(C, a, F)`` for a caller that already holds L_a, the
+    checked ``_covariant_hom(C, a)``."""
+    nat_set = enumerate_nat_trans(La, F)
     names = FinSet("n%d" % i for i in range(len(nat_set)))
     by_name = {"n%d" % i: n for i, n in enumerate(nat_set)}
     one = C.identity[a]

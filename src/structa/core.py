@@ -451,13 +451,14 @@ def _fold(masks, full: int, h, h_full: int) -> tuple:
     return union, inter, h_union, h_inter
 
 
-def _image_laws(f: FinMap, c: dict, a: int, b: int, families) -> list:
+def _image_laws(f: FinMap, c: dict, a: int, b: int, families, img, pre) -> list:
     """The image/preimage laws of f as (law id, passed) pairs in report
     order, for the ``dom`` mask a, the ``cod`` mask b and families from
-    ``_family_masks``; ``c`` is ``classify(f)``. Each law compares two
-    separately computed sides. No ``Check`` is built."""
-    img = f.image_mask
-    pre = f.preimage_mask
+    ``_family_masks``; ``c`` is ``classify(f)``. ``img`` and ``pre`` give
+    the image of a ``dom`` mask and the preimage of a ``cod`` mask:
+    ``f.image_mask`` and ``f.preimage_mask``, or lookups in tables of
+    them. Each law compares two separately computed sides. No ``Check``
+    is built."""
     full_dom = (1 << len(f.dom.elements)) - 1
     full_cod = (1 << len(f.cod.elements)) - 1
     fa = img(a)
@@ -512,7 +513,7 @@ def image_calculus(f: FinMap, A: FinSet, B: FinSet, families=()) -> LawReport:
     fams = [_family_masks(f.dom, f.cod, fam) for fam in families]
     sides = {"A": A.elements, "B": B.elements}
     r = LawReport("image-calculus")
-    for law, passed in _image_laws(f, classify(f), a, b, fams):
+    for law, passed in _image_laws(f, classify(f), a, b, fams, f.image_mask, f.preimage_mask):
         statement, names = _IMAGE_LAWS[law]
         r.add(law, statement, passed, tuple(sides[n] for n in names))
     return r

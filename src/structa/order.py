@@ -11,7 +11,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FinMap, FinSet, all_maps, associativity_witness, classify, finset, set_of
+from .core import (
+    FinMap,
+    FinSet,
+    all_maps,
+    associativity_witness,
+    classify,
+    finset,
+    set_of,
+    subset_masks,
+)
 from .errors import (
     BadStructure,
     CarrierMismatch,
@@ -121,34 +130,59 @@ class Poset:
         return Poset._trusted(self.carrier, {(y, x) for x, y in self.pairs})
 
     def upper_bounds(self, A: FinSet) -> FinSet:
-        pairs = self.pairs
-        return FinSet._ordered(
-            tuple(u for u in self.carrier.elements if all((a, u) in pairs for a in A))
-        )
+        return set_of(self.carrier, self._common(A, self._masks()[0]))
 
     def lower_bounds(self, A: FinSet) -> FinSet:
-        pairs = self.pairs
-        return FinSet._ordered(
-            tuple(l for l in self.carrier.elements if all((l, a) in pairs for a in A))
-        )
+        return set_of(self.carrier, self._common(A, self._masks()[1]))
 
     def max_of(self, A: FinSet):
-        for m in A:
-            if all(self.le(a, m) for a in A):
-                return m
-        return None
+        return self._extreme(self._mask(A), self._masks()[1])
 
     def min_of(self, A: FinSet):
-        for m in A:
-            if all(self.le(m, a) for a in A):
-                return m
-        return None
+        return self._extreme(self._mask(A), self._masks()[0])
 
     def sup(self, A: FinSet):
-        return self.min_of(self.upper_bounds(A))
+        up = self._masks()[0]
+        return self._extreme(self._common(A, up), up)
 
     def inf(self, A: FinSet):
-        return self.max_of(self.lower_bounds(A))
+        down = self._masks()[1]
+        return self._extreme(self._common(A, down), down)
+
+    def _mask(self, A) -> int:
+        """The mask of A. CarrierMismatch names the first member of A
+        outside the carrier."""
+        bits = self.carrier.bits()
+        m = 0
+        for a in A:
+            b = bits.get(a)
+            if b is None:
+                raise CarrierMismatch("subset outside the carrier", witness=(a,))
+            m |= b
+        return m
+
+    def _common(self, A, sets: dict) -> int:
+        """The mask of the points lying in ``sets[a]`` for every a in A:
+        the upper bounds of A when ``sets`` are the up-sets, the lower
+        bounds when they are the down-sets. CarrierMismatch names the
+        first member of A outside the carrier."""
+        m = (1 << len(self.carrier.elements)) - 1
+        for a in A:
+            s = sets.get(a)
+            if s is None:
+                raise CarrierMismatch("subset outside the carrier", witness=(a,))
+            m &= s
+        return m
+
+    def _extreme(self, m: int, sets):
+        """The point x of the mask m whose ``sets[x]`` holds all of m, or
+        None: the least point of m when ``sets`` are the up-sets, the
+        greatest when they are the down-sets. By antisymmetry there is at
+        most one."""
+        for x, b in self.carrier.bits().items():
+            if b & m and sets[x] & m == m:
+                return x
+        return None
 
     def _masks(self) -> tuple:
         """(up, down): each element's up-set and down-set as a mask over
@@ -168,12 +202,7 @@ class Poset:
         """The mask of ``elems``, or None when they are not a chain: every
         member's up-set or down-set holds each of them. CarrierMismatch
         names the first member outside the carrier."""
-        bits = self.carrier.bits()
-        m = 0
-        for x in elems:
-            if x not in bits:
-                raise CarrierMismatch("subset outside the carrier", witness=(x,))
-            m |= bits[x]
+        m = self._mask(elems)
         up, down = self._masks()
         return m if all((up[x] | down[x]) & m == m for x in elems) else None
 
@@ -386,18 +415,28 @@ def extend_chain(P: Poset, chain) -> "TotalChain":
     return TotalChain(P, P.sort_chain(set_of(P.carrier, m)))
 
 
-def zorn_maximal(P: Poset):
-    """A maximal element, as the top of a greedily maximalized chain.
+def _zorn_chain(P: Poset) -> tuple:
+    """(chain, top): the greedy maximal chain ``extend_chain(P, [])`` and
+    its greatest member, which is a maximal element of P. A point above
+    the top would be comparable with every member of the chain, so the
+    greedy pass would have taken it.
 
     Precondition (checked): every chain has an upper bound. On a finite
     carrier only the empty chain of the empty poset has none. Proof: a
     non-empty finite chain has a maximum, which bounds it; the empty
     chain is bounded by every point, so by any point of a non-empty
-    carrier. The tests compare this with the scan over all subsets."""
+    carrier."""
     if len(P.carrier) == 0:
         raise UnboundedChain("a chain with no upper bound", witness=())
     chain = extend_chain(P, [])
-    return chain.elements[-1]
+    return chain, chain.elements[-1]
+
+
+def zorn_maximal(P: Poset):
+    """A maximal element, as the top of a greedily maximalized chain
+    (``_zorn_chain``). The tests compare this with the scan over all
+    subsets."""
+    return _zorn_chain(P)[1]
 
 
 @dataclass(frozen=True)
@@ -419,12 +458,14 @@ class LatticeTables:
 
 
 def lattice_from_poset(P: Poset) -> LatticeTables:
-    """Join/meet tables from pairwise sups/infs; fails if any is missing."""
+    """Join/meet tables from pairwise sups/infs, read off the up-set and
+    down-set masks; fails if any is missing."""
+    up, down = P._masks()
     join, meet = {}, {}
     for x in P.carrier:
         for y in P.carrier:
-            s = P.sup(finset(x, y))
-            i = P.inf(finset(x, y))
+            s = P._extreme(up[x] & up[y], up)
+            i = P._extreme(down[x] & down[y], down)
             if s is None or i is None:
                 raise NotALattice("a pair without sup or inf", witness=(x, y))
             join[(x, y)] = s
@@ -480,15 +521,24 @@ def lattice_laws(lt: LatticeTables) -> LawReport:
             for z in xs
         ),
     )
-    sups = {a: P.sup(a) for a in P.carrier.subsets()}
+    # the sup of every subset, indexed by its mask: a mask's upper bounds
+    # are those of the mask without its lowest bit, met with that bit's up-set
+    up = P._masks()[0]
+    up_of_bit = {b: up[x] for x, b in P.carrier.bits().items()}
+    subs = subset_masks(P.carrier)
+    upper = [(1 << len(xs)) - 1] * len(subs)
+    for a in range(1, len(subs)):
+        low = a & -a
+        upper[a] = upper[a ^ low] & up_of_bit[low]
+    sups = [P._extreme(u, up) for u in upper]
     r.add(
         "lat-finite-sup",
         "sup of a union is the join of the sups",
         all(
-            sups[a.union(b)] == join[(sa, sb)]
-            for a, sa in sups.items()
-            for b, sb in sups.items()
-            if sa is not None and sb is not None and sups[a.union(b)] is not None
+            sups[a | b] == join[(sups[a], sups[b])]
+            for a in subs
+            for b in subs
+            if sups[a] is not None and sups[b] is not None and sups[a | b] is not None
         ),
     )
     return r

@@ -73,10 +73,28 @@ def _mask_table(op: ClosureOp) -> list:
     return table
 
 
-def closure_laws(op: ClosureOp) -> LawReport:
-    """The lenient law set shared by both constructions: empty set,
-    extensivity, monotonicity, idempotence, and the closed-family
-    theorems.
+# law id -> statement, in report order; the two strict laws come last
+_CLOSURE_LAWS = {
+    "clx-empty": "the empty set is closed",
+    "clx-extensive": "every set sits inside its closure",
+    "clx-monotone": "closure preserves inclusion",
+    "clx-idempotent": "closing twice adds nothing",
+    "clx-closed-union": "finite unions of closed sets are closed",
+    "clx-closed-inter": "intersections of closed sets are closed",
+    "cls-additive": "closure of a union is the union of closures",
+    "cls-points": "singletons are their own closures",
+}
+
+
+def _closure_laws(subs: list, cl: list, strict: bool) -> list:
+    """The closure laws of the mask table ``cl`` as (law id, witness)
+    pairs in the order of ``_CLOSURE_LAWS``: the lenient laws, then, when
+    ``strict``, ``cls-additive`` and ``cls-points``. ``subs`` lists the
+    carrier's subset masks in ``subsets()`` order, and every scan follows
+    it, so each witness is the first counterexample, as masks; a point is
+    given as its singleton's mask. A passing law has the witness None, a
+    failing law that names no counterexample has (). No ``Check`` or
+    ``FinSet`` is built.
 
     ``clx-closed-inter`` scans pairs of closed sets only. That decides
     closure under every non-empty finite intersection: if the closed
@@ -84,62 +102,58 @@ def closure_laws(op: ClosureOp) -> LawReport:
     a1 ∩ … ∩ ak = (a1 ∩ … ∩ ak-1) ∩ ak is closed for every k ≥ 1. So the
     verdict equals that of the scan over all combinations, which the
     tests keep as a reference."""
-    return _closure_laws(op.carrier, _mask_table(op))
-
-
-def _closure_laws(carrier: FinSet, cl: list) -> LawReport:
-    """``closure_laws`` on the mask table ``cl``, scanning the subsets in
-    ``subsets()`` order, so each witness is the first."""
-    def name(m):
-        return set_of(carrier, m).name()
-
-    subs = subset_masks(carrier)
-    r = LawReport("closure-laws")
-    r.add("clx-empty", "the empty set is closed", cl[0] == 0)
-    bad = next(((name(a),) for a in subs if a & ~cl[a]), None)
-    r.add("clx-extensive", "every set sits inside its closure", bad is None, bad)
+    laws = [("clx-empty", None if cl[0] == 0 else ())]
+    bad = next(((a,) for a in subs if a & ~cl[a]), None)
+    laws.append(("clx-extensive", bad))
     bad = next(
-        (
-            (name(a), name(b))
-            for a in subs
-            for b in subs
-            if not a & ~b and cl[a] & ~cl[b]
-        ),
-        None,
+        ((a, b) for a in subs for b in subs if not a & ~b and cl[a] & ~cl[b]), None
     )
-    r.add("clx-monotone", "closure preserves inclusion", bad is None, bad)
-    bad = next(((name(a),) for a in subs if cl[cl[a]] != cl[a]), None)
-    r.add("clx-idempotent", "closing twice adds nothing", bad is None, bad)
+    laws.append(("clx-monotone", bad))
+    bad = next(((a,) for a in subs if cl[cl[a]] != cl[a]), None)
+    laws.append(("clx-idempotent", bad))
     closed = [a for a in subs if cl[a] == a]
     bad = unclosed_pair(closed, operator.or_)
     if bad is not None:
-        bad = (name(closed[bad[0]]), name(closed[bad[1]]))
-    r.add("clx-closed-union", "finite unions of closed sets are closed", bad is None, bad)
-    inter_ok = unclosed_pair(closed, operator.and_) is None
-    r.add("clx-closed-inter", "intersections of closed sets are closed", inter_ok)
+        bad = (closed[bad[0]], closed[bad[1]])
+    laws.append(("clx-closed-union", bad))
+    bad = unclosed_pair(closed, operator.and_)
+    laws.append(("clx-closed-inter", None if bad is None else ()))
+    if strict:
+        bad = next(((a, b) for a in subs for b in subs if cl[a | b] != cl[a] | cl[b]), None)
+        laws.append(("cls-additive", bad))
+        # subs holds 2^n masks, and the n singletons follow the empty set
+        points = subs[1 : len(subs).bit_length()]
+        bad = next(((p,) for p in points if cl[p] != p), None)
+        laws.append(("cls-points", bad))
+    return laws
+
+
+def _closure_report(name: str, op: ClosureOp, strict: bool) -> LawReport:
+    """The kernel's verdicts on ``op`` as a report, each witness named:
+    a subset by its name, the point of ``cls-points`` by itself."""
+    carrier = op.carrier
+    r = LawReport(name)
+    for law, bad in _closure_laws(subset_masks(carrier), _mask_table(op), strict):
+        if bad:
+            if law == "cls-points":
+                bad = set_of(carrier, bad[0]).elements
+            else:
+                bad = tuple(set_of(carrier, m).name() for m in bad)
+        r.add(law, _CLOSURE_LAWS[law], bad is None, bad)
     return r
+
+
+def closure_laws(op: ClosureOp) -> LawReport:
+    """The lenient law set shared by both constructions: empty set,
+    extensivity, monotonicity, idempotence, and the closed-family
+    theorems."""
+    return _closure_report("closure-laws", op, strict=False)
 
 
 def closure_check(op: ClosureOp) -> LawReport:
     """The strict functor-style axioms: unit and union preservation,
     point fixing, idempotence, plus the derived laws."""
-    carrier = op.carrier
-    cl = _mask_table(op)
-    r = LawReport("closure-strict", _closure_laws(carrier, cl).checks)
-    subs = subset_masks(carrier)
-    bad = next(
-        (
-            (set_of(carrier, a).name(), set_of(carrier, b).name())
-            for a in subs
-            for b in subs
-            if cl[a | b] != cl[a] | cl[b]
-        ),
-        None,
-    )
-    r.add("cls-additive", "closure of a union is the union of closures", bad is None, bad)
-    bad = next(((x,) for x, bit in carrier.bits().items() if cl[bit] != bit), None)
-    r.add("cls-points", "singletons are their own closures", bad is None, bad)
-    return r
+    return _closure_report("closure-strict", op, strict=True)
 
 
 def closure_from_closed(carrier: FinSet, C: Family) -> ClosureOp:

@@ -174,6 +174,40 @@ MUTANTS = [
         "s = encoded[v] = '\"%s\"' % v",
         "tests/test_docs.py::TestRenderIsJsonDumps::test_escaped_text_by_hand",
     ),
+    (
+        "top.py",
+        'laws.append(("cls-additive", bad))',
+        'laws.append(("cls-additive", None))',
+        "tests/test_masks.py::TestSuiteFastPaths::test_closure_kernel_on_a_planted_cell",
+    ),
+    (
+        "suites.py",
+        "list(map(f.image_mask, range(1 << len(f.dom.elements)))),",
+        "list(map(f.preimage_mask, range(1 << len(f.dom.elements)))),",
+        "tests/test_masks.py::TestSuiteFastPaths::test_image_tables_match_the_mask_methods",
+    ),
+    (
+        "order.py",
+        "return chain, chain.elements[-1]",
+        "return chain, chain.elements[0]",
+        "tests/test_order.py::TestChainsAndZorn::test_zorn_maximal_is_the_top_of_the_chain_helper",
+    ),
+    (
+        "order.py",
+        "        up = self._masks()[0]\n"
+        "        return self._extreme(self._common(A, up), up)",
+        "        up = self._masks()[1]\n"
+        "        return self._extreme(self._common(A, up), up)",
+        "tests/test_order.py::TestBoundsOnMasks::"
+        "test_match_the_pair_scans_on_every_poset_up_to_four_points",
+    ),
+    (
+        "category.py",
+        "x: E.compose(alpha.component[G.on_obj[x]], J.on_arr[tau.component[x]])",
+        "x: alpha.component[G.on_obj[x]]",
+        "tests/test_category.py::TestHorizontalComposition::"
+        "test_component_helper_is_hcompose_without_functors[Z2-Z2-Z2]",
+    ),
 ]
 
 

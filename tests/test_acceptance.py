@@ -53,3 +53,13 @@ def test_acceptance_criterion(number, name, capsys):
 
 def test_all_criteria_covered():
     assert [name for _, name in CRITERIA] == list(SUITES)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name", ["interchange", "topology"])
+def test_sampled_suites_print_the_seed_0_golden_file(name, seed):
+    # their sampled grids and closure tables change with the seed, but
+    # every sample passes, so the report is that of seed 0; this pins the
+    # sampling loops at seed 7 as well
+    golden = (GOLDEN / ("suite-%s.txt" % name)).read_text(encoding="utf-8")
+    assert SUITES[name](seed=seed).render_text() + "\n" == golden

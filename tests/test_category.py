@@ -604,6 +604,30 @@ class TestHorizontalComposition:
         ]
         return vert_cd, vert_de
 
+    @pytest.mark.parametrize(
+        "C, D, E",
+        [(C2, C2, C3), (C2, C3, C2), (Z2, Z2, Z2), (Z2, Z3, Z3)],
+        ids=["C2-C2-C3", "C2-C3-C2", "Z2-Z2-Z2", "Z2-Z3-Z3"],
+    )
+    def test_component_helper_is_hcompose_without_functors(self, C, D, E):
+        from structa.category import _hcompose_components, compose_functors
+
+        nats_cd = functor_category(C, D).meta["nats"].values()
+        nats_de = functor_category(D, E).meta["nats"].values()
+        for alpha in nats_de:
+            for tau in nats_cd:
+                comp = _hcompose_components(alpha, tau)
+                out = hcompose(alpha, tau)
+                assert comp == out.component
+                assert (out.F, out.G) == (
+                    compose_functors(alpha.F, tau.F), compose_functors(alpha.G, tau.G))
+                # the formula α_{Gx} ∘ J τ_x, written out
+                J = alpha.F
+                assert comp == {
+                    x: J.tgt.compose(alpha.component[tau.G.on_obj[x]], J.on_arr[tau.component[x]])
+                    for x in tau.F.src.objects
+                }
+
     def test_hcompose_with_identity(self):
         FC = functor_category(C2, C2)
         one = identity_nat(identity_functor(C2))

@@ -326,14 +326,11 @@ class TestRealStreams:
 
 
 def alpha_only(alpha, tau):
-    """A wrong horizontal composite, (α∘τ)_x = α_{Gx}: not composable
-    where α_{Gx} ∘ J τ_x would be."""
-    from structa.category import NatTransData, compose_functors
-
-    return NatTransData(
-        compose_functors(alpha.F, tau.F), compose_functors(alpha.G, tau.G),
-        {x: alpha.component[tau.G.on_obj[x]] for x in tau.F.src.objects},
-    )
+    """The components of a wrong horizontal composite, (α∘τ)_x = α_{Gx}:
+    not composable where α_{Gx} ∘ J τ_x would be. It stands in for
+    ``category._hcompose_components``, which both ``hcompose`` and the
+    suite's formula check read."""
+    return {x: alpha.component[tau.G.on_obj[x]] for x in tau.F.src.objects}
 
 
 class TestUnitErrors:
@@ -343,7 +340,7 @@ class TestUnitErrors:
     def test_error_inside_a_unit_is_a_fail_line(self, monkeypatch):
         from structa import category
 
-        monkeypatch.setattr(category, "hcompose", alpha_only)
+        monkeypatch.setattr(category, "_hcompose_components", alpha_only)
         code, out, err = run_cli(["suite", "interchange"])
         assert (code, err) == (1, "")
         # the fourth unit, interchange[1,1,1], has one object and raises nothing
@@ -354,14 +351,14 @@ class TestUnitErrors:
     def test_volume_sees_a_wrong_formula_on_a_non_thin_category(self, monkeypatch):
         from structa import category
 
-        hcompose = category.hcompose
+        components = category._hcompose_components
 
         def wrong_on_one_object(alpha, tau):
             # only where the wrong formula raises nothing, so every unit samples its grids
             one = len(tau.F.src.objects) == 1
-            return (alpha_only if one else hcompose)(alpha, tau)
+            return (alpha_only if one else components)(alpha, tau)
 
-        monkeypatch.setattr(category, "hcompose", wrong_on_one_object)
+        monkeypatch.setattr(category, "_hcompose_components", wrong_on_one_object)
         code, out, err = run_cli(["suite", "interchange"])
         assert (code, err) == (1, "")
         assert self.fail_lines(out) == [["FAIL", "ic-volume"]]

@@ -19,6 +19,7 @@ from structa.core import (
     FinSet,
     _family_masks,
     _join,
+    all_maps,
     fiber_union_check,
     finset,
     image_calculus,
@@ -35,9 +36,10 @@ from structa.settools import (
     filter_base_witness,
     filter_ops,
     generate_filter,
+    inter_of,
     is_filter,
 )
-from structa.top import ClosureOp, closure_check, closure_laws
+from structa.top import ClosureOp, _closure_laws, closure_check, closure_laws
 
 # mixed case, digits and non-ASCII, so the canonical order is not alphabetical
 ALPHABET = ["a", "b", "c", "d", "B", "Z", "10", "9", "é", "{a,b}"]
@@ -305,6 +307,86 @@ class TestMapKernel:
             assert f.image_mask(m) == mask_of(f.cod, image_ref(f, set_of(f.dom, m)))
         for m in range(2 ** len(f.cod)):
             assert f.preimage_mask(m) == mask_of(f.dom, preimage_ref(f, set_of(f.cod, m)))
+
+
+def kernel_checks(C, laws):
+    """The closure kernel's (law, witness) pairs as (law, passed, witness)
+    triples, each mask named as ``closure_check`` names it."""
+    out = []
+    for law, bad in laws:
+        if bad is not None:
+            if law == "cls-points":
+                bad = tuple(set_of(C, m).elements[0] for m in bad)
+            else:
+                bad = tuple(set_of(C, m).name() for m in bad)
+        out.append((law, bad is None, bad))
+    return out
+
+
+def report_checks(rep):
+    return [(c.law, c.passed, c.witness) for c in rep.checks]
+
+
+class TestSuiteFastPaths:
+    def test_image_tables_match_the_mask_methods(self):
+        from structa.suites import _image_tables
+
+        for m in range(4):
+            for n in range(4):
+                dom = FinSet("a%d" % i for i in range(m))
+                cod = FinSet("b%d" % i for i in range(n))
+                for f in all_maps(dom, cod):
+                    images, preimages = _image_tables(f)
+                    assert images == [f.image_mask(a) for a in range(2 ** m)], f
+                    assert preimages == [f.preimage_mask(b) for b in range(2 ** n)], f
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_closure_kernel_on_every_table_tp_strict_three_samples(self, seed):
+        # the sampling loop of suite topology's tp-strict-three, with each
+        # table also built as the ClosureOp the loop no longer builds
+        import random
+
+        from structa.suites import _strict_passes
+
+        C = finset("a", "b", "c")
+        subs = subset_masks(C)
+        rng = random.Random(seed + 13)
+        sampled = 0
+        for _ in range(2000):
+            cl = list(range(len(subs)))
+            A = rng.choice(subs)
+            B = rng.choice(subs)
+            cl[A] = B
+            if A == B:
+                continue
+            op = ClosureOp(C, {set_of(C, m): set_of(C, cl[m]) for m in subs})
+            rep = closure_check(op)
+            assert kernel_checks(C, _closure_laws(subs, cl, strict=True)) == report_checks(rep)
+            assert _strict_passes(subs, cl) == rep.passed
+            sampled += 1
+        assert sampled > 1500
+
+    @PROPERTY
+    @given(small_carriers, st.data())
+    def test_closure_kernel_on_a_planted_cell(self, C, data):
+        # a lawful closure, the meet of the enclosing members of a family
+        # that holds the carrier, with one cell replaced
+        subs = list(C.subsets())
+        fam = data.draw(st.lists(st.sampled_from(subs), max_size=4)) + [C]
+        table = {A: inter_of((D for D in fam if A <= D), C) for A in subs}
+        table[data.draw(st.sampled_from(subs))] = data.draw(st.sampled_from(subs))
+        op = ClosureOp(C, table)
+        masks = subset_masks(C)
+        cl = [0] * len(masks)
+        for A, B in table.items():
+            cl[mask_of(C, A)] = mask_of(C, B)
+        for strict, wrapper, reference in (
+            (False, closure_laws, closure_laws_ref),
+            (True, closure_check, closure_check_ref),
+        ):
+            found = kernel_checks(C, _closure_laws(masks, cl, strict))
+            assert found == report_checks(wrapper(op))
+            assert found == report_checks(reference(op))
 
 
 class TestLawReportsMatchTupleDefinitions:

@@ -213,6 +213,89 @@ class TestBounds:
         assert bounds(P, finset())["sup"] is None
 
 
+# the pair-set scans that the mask forms of the bound methods replaced
+
+
+def reference_upper_bounds(P, A):
+    return FinSet(u for u in P.carrier if all((a, u) in P.pairs for a in A))
+
+
+def reference_lower_bounds(P, A):
+    return FinSet(v for v in P.carrier if all((v, a) in P.pairs for a in A))
+
+
+def reference_max(P, A):
+    return next((m for m in A if all((a, m) in P.pairs for a in A)), None)
+
+
+def reference_min(P, A):
+    return next((m for m in A if all((m, a) in P.pairs for a in A)), None)
+
+
+def small_posets():
+    for n in range(5):
+        yield from enumerate_posets(FinSet("p%d" % i for i in range(n)))
+
+
+class TestBoundsOnMasks:
+    def test_match_the_pair_scans_on_every_poset_up_to_four_points(self):
+        for P in small_posets():
+            for A in P.carrier.subsets():
+                upper = reference_upper_bounds(P, A)
+                lower = reference_lower_bounds(P, A)
+                assert P.upper_bounds(A) == upper, (P, A)
+                assert P.lower_bounds(A) == lower, (P, A)
+                assert P.sup(A) == reference_min(P, upper), (P, A)
+                assert P.inf(A) == reference_max(P, lower), (P, A)
+                assert P.max_of(A) == reference_max(P, A), (P, A)
+                assert P.min_of(A) == reference_min(P, A), (P, A)
+
+    def test_lattice_tables_match_the_pairwise_scans(self):
+        for P in small_posets():
+            xs = P.carrier.elements
+            sups = {(x, y): reference_min(P, reference_upper_bounds(P, finset(x, y)))
+                    for x in xs for y in xs}
+            infs = {(x, y): reference_max(P, reference_lower_bounds(P, finset(x, y)))
+                    for x in xs for y in xs}
+            if None in sups.values() or None in infs.values():
+                with pytest.raises(NotALattice):
+                    lattice_from_poset(P)
+                continue
+            lt = lattice_from_poset(P)
+            assert (lt.join, lt.meet) == (sups, infs), P
+
+    def test_finite_sup_matches_the_union_scan(self):
+        # on every lattice up to four points, and with each join cell replaced
+        for P in small_posets():
+            try:
+                lt = lattice_from_poset(P)
+            except NotALattice:
+                continue
+            xs = P.carrier.elements
+            tables = [lt.join] + [
+                {**lt.join, (x, y): z} for x in xs for y in xs for z in xs if z != lt.join[(x, y)]
+            ]
+            for join in tables:
+                sups = {a: reference_min(P, reference_upper_bounds(P, a)) for a in P.carrier.subsets()}
+                expected = all(
+                    sups[a.union(b)] == join[(sa, sb)]
+                    for a, sa in sups.items()
+                    for b, sb in sups.items()
+                    if sa is not None and sb is not None and sups[a.union(b)] is not None
+                )
+                rep = lattice_laws(LatticeTables(P, join, lt.meet))
+                assert rep["lat-finite-sup"].passed == expected, (P, join)
+
+    @pytest.mark.parametrize(
+        "method", ["upper_bounds", "lower_bounds", "sup", "inf", "max_of", "min_of"]
+    )
+    def test_member_outside_the_carrier(self, method):
+        P = chain_poset(["a", "b", "c"])
+        with pytest.raises(CarrierMismatch) as e:
+            getattr(P, method)(finset("a", "y", "z"))
+        assert e.value.witness == ("y",)
+
+
 class TestDirected:
     def test_chain_directed(self):
         assert is_directed(CHAIN3, CHAIN3.carrier)
@@ -276,6 +359,16 @@ class TestChainsAndZorn:
                 except UnboundedChain as e:
                     raised = e.witness
                 assert raised == unbounded, P
+
+    def test_zorn_maximal_is_the_top_of_the_chain_helper(self):
+        from structa.order import _zorn_chain
+
+        for P in small_posets():
+            if len(P.carrier) == 0:
+                continue
+            chain, top = _zorn_chain(P)
+            assert chain == extend_chain(P, [])
+            assert top == chain.elements[-1] == zorn_maximal(P), P
 
     def test_zorn_exhaustive_small(self):
         carrier = finset("a", "b", "c", "d")
