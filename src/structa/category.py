@@ -3,7 +3,10 @@
 Arrows are first-class named entities: two distinct names may be
 observationally equal (composition cannot tell them apart) and the
 checker reports that instead of silently quotienting. Composition
-tables are stored in full, so associativity is a finite scan.
+tables are stored in full, and ``cat-assoc`` reads the one associativity
+kernel, ``core.associativity_witness``: a total table, as in a
+one-object category, is certified by Light's test, and any other gets a
+scan that skips each pair without a cell.
 
 The module carries the whole functor calculus: opposites, products,
 bridges and natural transformations, vertical/horizontal composition
@@ -36,6 +39,7 @@ from .core import (
     FinSet,
     Partition,
     all_maps,
+    associativity_witness,
     check_symbol,
     classify,
     compose,
@@ -228,20 +232,9 @@ def check_category(C: FinCat, require_unit: bool = True) -> LawReport:
                 None,
             )
         r.add("cat-unit", "every object has a two-sided unit arrow", bad is None, bad)
-    bad = next(
-        (
-            (h, g, f)
-            for h in names
-            for g in names
-            for f in names
-            if C.tgt[f] == C.src[g]
-            and C.tgt[g] == C.src[h]
-            and (h, C.comp.get((g, f))) in C.comp
-            and (C.comp.get((h, g)), f) in C.comp
-            and C.comp[(h, C.comp[(g, f)])] != C.comp[(C.comp[(h, g)], f)]
-        ),
-        None,
-    )
+    # comp[(h, g)] = h∘g is the product hg: the witness is the first
+    # (h, g, f) in name order with (h∘g)∘f != h∘(g∘f), all four defined
+    bad = associativity_witness(C.comp, names)
     r.add("cat-assoc", "composition is associative on every composable triple", bad is None, bad)
     collapsed = [cl for cl in arrow_equality_classes(C) if len(cl) > 1]
     if collapsed:
@@ -255,8 +248,8 @@ def check_category(C: FinCat, require_unit: bool = True) -> LawReport:
     return r
 
 
-def _require_cat(C: FinCat, require_unit: bool = True) -> FinCat:
-    check_category(C, require_unit=require_unit).require()
+def _require_cat(C: FinCat) -> FinCat:
+    check_category(C).require()
     return C
 
 
@@ -972,10 +965,12 @@ def interchange_check(
     tau: NatTransData,
 ) -> LawReport:
     """(β·α)∘(σ·τ) = (β∘σ)·(α∘τ) on a 2×2 grid: τ: F→G, σ: G→H in
-    Cat(C,D); α: J→K, β: K→L in Cat(D,E)."""
+    Cat(C,D); α: J→K, β: K→L in Cat(D,E). Both sides run from J∘F to
+    L∘H by construction, so only their components are compared."""
     r = LawReport("interchange")
-    lhs = hcompose(vcompose(beta, alpha), vcompose(sigma, tau))
-    rhs = vcompose(hcompose(beta, sigma), hcompose(alpha, tau))
+    lhs = _hcompose_components(vcompose(beta, alpha), vcompose(sigma, tau))
+    left, right = _hcompose_components(beta, sigma), _hcompose_components(alpha, tau)
+    rhs = {x: alpha.F.tgt.compose(left[x], right[x]) for x in tau.F.src.objects}
     r.add(
         "ic-interchange",
         "vertical-then-horizontal equals horizontal-then-vertical",

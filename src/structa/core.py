@@ -301,7 +301,9 @@ _set_points = FinMap._points.__set__
 
 @dataclass(frozen=True)
 class Partition:
-    """Pairwise-disjoint nonempty blocks covering a carrier."""
+    """Pairwise-disjoint nonempty blocks covering a carrier. ``block_of``
+    reads an element → block index that is not a field, so equality,
+    hashing and repr ignore it."""
 
     carrier: FinSet
     blocks: tuple
@@ -317,12 +319,13 @@ class Partition:
         if sorted(seen) != list(self.carrier):
             bad = next(x for x in self.carrier if seen.count(x) != 1)
             raise BadStructure("blocks must be disjoint and cover the carrier", witness=(bad,))
+        object.__setattr__(self, "_index", {x: b for b in self.blocks for x in b})
 
     def block_of(self, x: Symbol) -> FinSet:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise CarrierMismatch("element outside the carrier", witness=(x,))
+        try:
+            return self._index[x]
+        except (KeyError, TypeError):  # TypeError: unhashable, so no symbol
+            raise CarrierMismatch("element outside the carrier", witness=(x,)) from None
 
 
 @dataclass(frozen=True)
@@ -604,53 +607,57 @@ def fold(op, seq):
 
 def associativity_witness(op, xs):
     """The first triple (a, b, c) of ``xs``, in the order of ``xs``, with
-    (ab)c != a(bc) in the pair-keyed table ``op``, or None.
+    (ab)c != a(bc) in the pair-keyed table ``op``, or None. A product is
+    undefined when its cell is missing or its value lies outside ``xs``,
+    and a triple counts only when ab, bc, (ab)c and a(bc) are defined.
 
-    A passing table is certified by Light's test (Clifford & Preston,
-    *The Algebraic Theory of Semigroups* I, 1961, §1.2). Let T be the set
-    of a with (xa)y = x(ay) for all x and y. T is closed under the
-    product: for a, b in T,
+    A table with no undefined product is certified by Light's test
+    (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961,
+    §1.2). Let T be the set of a with (xa)y = x(ay) for all x and y. T is
+    closed under the product: for a, b in T,
     (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
-    by a, b, a and b in turn. So when the products stay in ``xs`` and a
-    set A generates ``xs``, A ⊆ T makes T all of ``xs``, which is
-    associativity. ``_greedy_generators`` picks A in O(n²), and the test
-    reads each row of a generator and each product xa once, so it checks
-    |A|·n² cells where the scan checks n³ triples. In a group each pick
-    after the first at least doubles the subgroup generated, so
-    |A| ≤ 1 + log₂ n. When a cell is missing, a product leaves ``xs`` or
-    a generator fails, the full scan runs, so a failing table gets the
-    scan's least witness."""
+    by a, b, a and b in turn. So when a set A generates ``xs``, A ⊆ T
+    makes T all of ``xs``, which is associativity. ``_greedy_generators``
+    picks A in O(n²), and the test reads each row of a generator and each
+    product xa once, so it checks |A|·n² cells where the scan checks n³
+    triples. In a group each pick after the first at least doubles the
+    subgroup generated, so |A| ≤ 1 + log₂ n. Any other table, and a table
+    whose generator fails, gets the scan, and so the scan's least
+    witness."""
     T = _index_table(op, xs)
-    if T is None:
-        return _associativity_scan(op, xs)
+    if any(None in row for row in T):
+        return _associativity_scan(T, xs)
     for a in _greedy_generators(T):
         row = T[a]
         for x, rx in zip(xs, T):
             if T[rx[a]] != [rx[v] for v in row]:
-                return _associativity_scan(op, xs)
+                return _associativity_scan(T, xs)
     return None
 
 
-def _associativity_scan(op, xs):
-    """``associativity_witness`` by trying every triple in order: O(n³)."""
-    for a in xs:
-        for b in xs:
-            ab = op[(a, b)]
-            for c in xs:
-                if op[(ab, c)] != op[(a, op[(b, c)])]:
-                    return (a, b, c)
+def _associativity_scan(T, xs):
+    """``associativity_witness`` by trying every triple in order on the
+    position table T: O(n³). An undefined ab skips its inner loop."""
+    for a, row in enumerate(T):
+        for b, ab in enumerate(row):
+            if ab is None:
+                continue
+            left = T[ab]
+            for c, bc in enumerate(T[b]):
+                if bc is not None:
+                    lhs, rhs = left[c], row[bc]
+                    if lhs != rhs and lhs is not None and rhs is not None:
+                        return (xs[a], xs[b], xs[c])
     return None
 
 
 def _index_table(op, xs):
     """The table ``op`` on ``xs`` by positions: row i holds the position
-    of xs[i]·y for each y of ``xs``. None when a cell is missing or a
-    product leaves ``xs``."""
+    of xs[i]·y for each y of ``xs``, or None where that product is
+    undefined: its cell is missing or its value lies outside ``xs``."""
     pos = {x: i for i, x in enumerate(xs)}
-    try:
-        return [[pos[op[(x, y)]] for y in xs] for x in xs]
-    except KeyError:
-        return None
+    undefined = object()
+    return [[pos.get(op.get((x, y), undefined)) for y in xs] for x in xs]
 
 
 def _greedy_generators(T):

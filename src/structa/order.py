@@ -216,6 +216,12 @@ class Poset:
         m = self._chain_mask(elems)
         if m is None:
             raise BadStructure("subset is not a chain", witness=tuple(sorted(elems)))
+        return self._ascending(elems, m)
+
+    def _ascending(self, elems, m: int) -> tuple:
+        """The members ``elems`` of the chain with mask m, unchecked, from
+        least to greatest: each is placed by how many members lie at or
+        below it, and in a chain these counts differ."""
         down = self._masks()[1]
         return tuple(sorted(elems, key=lambda x: (down[x] & m).bit_count()))
 
@@ -404,15 +410,17 @@ def extend_chain(P: Poset, chain) -> "TotalChain":
     A candidate c joins when everything in the chain is comparable with
     it. The chain only grows, so a candidate refused once stays refused,
     and one pass over the carrier gives what restarting the scan after
-    each addition would."""
+    each addition would. The grown mask is a chain by construction, so
+    its members are sorted without a second check."""
     m = P._chain_mask(list(chain))
     if m is None:
         raise BadStructure("input is not a chain")
     up, down = P._masks()
-    for c, b in P.carrier.bits().items():
+    bits = P.carrier.bits()
+    for c, b in bits.items():
         if (up[c] | down[c]) & m == m:
             m |= b
-    return TotalChain(P, P.sort_chain(set_of(P.carrier, m)))
+    return TotalChain(P, P._ascending([c for c, b in bits.items() if b & m], m))
 
 
 def _zorn_chain(P: Poset) -> tuple:

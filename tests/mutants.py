@@ -151,10 +151,28 @@ MUTANTS = [
     (
         "core.py",
         "            if T[rx[a]] != [rx[v] for v in row]:\n"
-        "                return _associativity_scan(op, xs)\n",
+        "                return _associativity_scan(T, xs)\n",
         "            if T[rx[a]] != [rx[v] for v in row]:\n"
         "                return (x, xs[a], xs[next(y for y, v in enumerate(row) if T[rx[a]][y] != rx[v])])\n",
         "tests/test_core.py::TestTableWitnesses::test_a_failing_generator_gives_the_scan_witness",
+    ),
+    (
+        "core.py",
+        "if lhs != rhs and lhs is not None and rhs is not None:",
+        "if lhs != rhs:",
+        "tests/test_category.py::TestOneAssociativityKernel::test_partial_tables_match_the_category_scan",
+    ),
+    (
+        "core.py",
+        "if any(None in row for row in T):",
+        "if any(None in row for row in T[:-1]):",
+        "tests/test_core.py::TestTableWitnesses::test_an_undefined_cell_never_reaches_the_generators",
+    ),
+    (
+        "category.py",
+        "bad = associativity_witness(C.comp, names)",
+        "bad = None",
+        "tests/test_category.py::TestCheckCategory::test_broken_associativity_witnessed",
     ),
     (
         "docs.py",

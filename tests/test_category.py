@@ -11,6 +11,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structa.category import (
     FinCat,
@@ -62,7 +64,7 @@ from structa.category import (
     yoneda,
     yoneda_embedding,
 )
-from structa.core import FinMap, FinSet, compose, finset, inverse
+from structa.core import FinMap, FinSet, associativity_witness, compose, finset, inverse
 from structa.errors import (
     BadStructure,
     CarrierMismatch,
@@ -73,11 +75,12 @@ from structa.errors import (
     VarianceError,
 )
 from structa.group import cayley as group_cayley
-from structa.group import cyclic_group, enumerate_homs, symmetric_group_3
+from structa.group import cyclic_group, enumerate_groups, enumerate_homs, symmetric_group_3
 from structa.order import (
     Poset,
     chain_poset,
     diamond_poset,
+    enumerate_posets,
     monotone_maps,
     powerset_poset,
 )
@@ -175,6 +178,89 @@ class TestCheckCategory:
     def test_shipped_categories_are_discernible(self):
         for C in (C2, C3, Z2, Z3, discrete(finset("a", "b"))):
             assert all(len(cl) == 1 for cl in arrow_equality_classes(C))
+
+    def test_cells_for_non_composable_pairs_are_scanned(self):
+        # f: a→b with f∘f = 1b and f∘1b = 1a tabulated although neither pair
+        # composes; cat-comp-total fails, and cat-assoc reads those cells
+        # as products: (f∘f)∘f = 1b∘f = f but f∘(f∘f) = f∘1b = 1a
+        comp = {**C2.comp, ("(a<=b)", "(a<=b)"): "(b<=b)", ("(a<=b)", "(b<=b)"): "(a<=a)"}
+        C = FinCat(C2.objects, C2.arrows, C2.identity, comp)
+        rep = check_category(C)
+        assert not rep["cat-comp-total"].passed
+        assert rep["cat-assoc"].witness == ("(a<=b)", "(a<=b)", "(a<=b)")
+        assert category_scan(C.comp, C.arrow_names, composable_in(C)) is None
+
+
+# ---------------------------------------------------------------------------
+# cat-assoc reads core.associativity_witness. The reference is the scan that
+# check_category ran before: the first (h, g, f) in name order whose pairs
+# compose and whose two sides are tabulated and differ. For a table whose
+# cells are the composable pairs, the kernel gives the same witness.
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+POSET_CATS = [
+    from_poset(P) for n in range(4) for P in enumerate_posets(finset(*"abc"[:n]))
+]
+GROUP_CATS = [from_group(G) for n in range(1, 5) for G in enumerate_groups(n)]
+
+
+def composable_in(C):
+    return lambda g, f: C.tgt[f] == C.src[g]
+
+
+def category_scan(comp, names, composable):
+    return next(
+        (
+            (h, g, f)
+            for h in names
+            for g in names
+            for f in names
+            if composable(g, f)
+            and composable(h, g)
+            and (h, comp.get((g, f))) in comp
+            and (comp.get((h, g)), f) in comp
+            and comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]
+        ),
+        None,
+    )
+
+
+@st.composite
+def partial_tables(draw):
+    # a poset or group category with one cell replaced, or a random table
+    # whose cells are missing, leave the names, or stay among them. A cell
+    # that leaves the names is undefined, so the reference scans the table
+    # without it.
+    kind = draw(st.sampled_from(["poset", "group", "random"]))
+    if kind == "random":
+        names = tuple("pqrst"[: draw(st.integers(0, 5))])
+        comp = {}
+        for key in itertools.product(names, repeat=2):
+            v = draw(st.sampled_from((None, "z") + names))
+            if v is not None:
+                comp[key] = v
+        defined = {k: v for k, v in comp.items() if v in names}
+        return None, comp, names, defined, lambda g, f: (g, f) in defined
+    C = draw(st.sampled_from(POSET_CATS if kind == "poset" else GROUP_CATS))
+    comp = dict(C.comp)
+    if comp:
+        comp[draw(st.sampled_from(sorted(comp)))] = draw(st.sampled_from(C.arrow_names))
+    C = FinCat(C.objects, C.arrows, C.identity, comp)
+    return C, C.comp, C.arrow_names, C.comp, composable_in(C)
+
+
+class TestOneAssociativityKernel:
+    @PROPERTY
+    @given(partial_tables())
+    def test_partial_tables_match_the_category_scan(self, case):
+        C, comp, names, defined, composable = case
+        expected = category_scan(defined, names, composable)
+        assert associativity_witness(comp, names) == expected
+        if C is not None:
+            rep = check_category(C)
+            assert rep["cat-assoc"].passed == (expected is None)
+            assert rep["cat-assoc"].witness == expected
 
 
 class TestConstructors:

@@ -658,18 +658,41 @@ class TestTableWitnesses:
         assert associativity_witness(op, xs) == first_non_associative(op, xs) == ("a", "b", "b")
 
     def test_open_or_partial_tables_get_the_scan(self):
+        # a missing cell, or a value outside xs, is an undefined product,
+        # and a triple counts only when ab, bc, (ab)c and a(bc) are defined
         xs = ("a", "b")
         escape = table_of(xs, "ab bz")
-        assert _index_table(escape, xs) is None
-        with pytest.raises(KeyError):
-            associativity_witness(escape, xs)
+        assert _index_table(escape, xs) == [[0, 1], [1, None]]
+        assert associativity_witness(escape, xs) is None
         # the scan meets (a, a, a) before the cell that leaves the carrier
         op = table_of(xs, "ba bz")
         assert associativity_witness(op, xs) == ("a", "a", "a")
         partial = table_of(xs, "ab ba")
         del partial[("b", "b")]
-        assert _index_table(partial, xs) is None
+        assert _index_table(partial, xs) == [[0, 1], [1, None]]
+        assert associativity_witness(partial, xs) is None
+        # aa is undefined, so every triple before (b, a, b) meets it, and
+        # (b, a, b) is the first with all four products defined
+        skip = table_of(xs, "zb aa")
+        assert associativity_witness(skip, xs) == ("b", "a", "b")
         assert associativity_witness({}, ()) is None
+
+    def test_an_undefined_cell_never_reaches_the_generators(self, monkeypatch):
+        seen = []
+        greedy = _greedy_generators
+        monkeypatch.setattr(
+            "structa.core._greedy_generators", lambda T: seen.append(T) or greedy(T))
+        xs = NAMES[:6]
+        s3 = by_positions(xs, lambda i, j: S3_PRODUCT[i][j])
+        assert associativity_witness(s3, xs) is None
+        assert len(seen) == 1
+        # the category a → b: each pair that does not compose has no cell
+        chain = {("1a", "1a"): "1a", ("1b", "1b"): "1b", ("f", "1a"): "f", ("1b", "f"): "f"}
+        escape = table_of(("a", "b"), "ab bz")
+        del s3[(xs[1], xs[2])]
+        for op, names in ((chain, ("1a", "1b", "f")), (escape, ("a", "b")), (s3, xs)):
+            assert associativity_witness(op, names) is None
+        assert len(seen) == 1
 
 
 def table_of(xs, rows):
