@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from .core import (
     FinMap,
     FinSet,
-    Partition,
     all_maps,
     associativity_witness,
     check_symbol,
@@ -51,12 +50,10 @@ from .errors import (
     CarrierMismatch,
     CompositionMismatch,
     EndpointError,
-    IncompatibleFamilies,
     Mismatch,
     NotIsomorphicRepresentations,
     NotProduct,
     TooLarge,
-    VarianceError,
 )
 from .report import LawReport
 
@@ -166,34 +163,28 @@ class FinCat:
 
 def arrow_equality_classes(C: FinCat) -> tuple:
     """Observational equality classes: parallel f, g are the same arrow
-    when f∘h = g∘h and i∘f = i∘g for every composable h, i."""
+    when f∘h = g∘h and i∘f = i∘g for every composable h, i.
 
-    def same(f, g):
-        if C.src[f] != C.src[g] or C.tgt[f] != C.tgt[g]:
-            return False
-        for h in C.arrows_into(C.src[f]):
-            if C.comp.get((f, h)) != C.comp.get((g, h)):
-                return False
-        for i in C.arrows_from(C.tgt[f]):
-            if C.comp.get((i, f)) != C.comp.get((i, g)):
-                return False
-        return True
-
-    classes = []
-    for n in C.arrow_names:
-        for cl in classes:
-            if same(cl[0], n):
-                cl.append(n)
-                break
-        else:
-            classes.append([n])
-    return tuple(tuple(cl) for cl in classes)
+    Parallel arrows see the same h and the same i, so f and g are the
+    same exactly when their signatures are equal: the source, the
+    target, the composites f∘h over ``arrows_into(source)`` and the
+    composites i∘f over ``arrows_from(target)``. The classes are the
+    signature groups, each in name order, listed by their first member."""
+    classes = {}
+    for f, s, t in C.arrows:
+        sig = (
+            s,
+            t,
+            tuple(C.comp.get((f, h)) for h in C.arrows_into(s)),
+            tuple(C.comp.get((i, f)) for i in C.arrows_from(t)),
+        )
+        classes.setdefault(sig, []).append(f)
+    return tuple(tuple(cl) for cl in classes.values())
 
 
-def check_category(C: FinCat, require_unit: bool = True) -> LawReport:
+def check_category(C: FinCat) -> LawReport:
     """Endpoint consistency, unit laws, associativity, and the
-    observational-equality warning. ``require_unit=False`` admits
-    associative (monoid-style) composition systems without identities."""
+    observational-equality warning."""
     r = LawReport("category")
     names = C.arrow_names
     composable = {
@@ -216,22 +207,21 @@ def check_category(C: FinCat, require_unit: bool = True) -> LawReport:
         None,
     )
     r.add("cat-endpoints", "g∘f runs from the source of f to the target of g", bad is None, bad)
-    if require_unit:
+    bad = next(
+        ((x,) for x in C.objects if x not in C.identity or C.ends(C.identity[x]) != (x, x)),
+        None,
+    )
+    if bad is None:
         bad = next(
-            ((x,) for x in C.objects if x not in C.identity or C.ends(C.identity[x]) != (x, x)),
+            (
+                (f,)
+                for f in names
+                if C.comp.get((f, C.identity[C.src[f]])) != f
+                or C.comp.get((C.identity[C.tgt[f]], f)) != f
+            ),
             None,
         )
-        if bad is None:
-            bad = next(
-                (
-                    (f,)
-                    for f in names
-                    if C.comp.get((f, C.identity[C.src[f]])) != f
-                    or C.comp.get((C.identity[C.tgt[f]], f)) != f
-                ),
-                None,
-            )
-        r.add("cat-unit", "every object has a two-sided unit arrow", bad is None, bad)
+    r.add("cat-unit", "every object has a two-sided unit arrow", bad is None, bad)
     # comp[(h, g)] = h∘g is the product hg: the witness is the first
     # (h, g, f) in name order with (h∘g)∘f != h∘(g∘f), all four defined
     bad = associativity_witness(C.comp, names)
@@ -296,57 +286,6 @@ def discrete(A: FinSet) -> FinCat:
 
 
 # ---------------------------------------------------------------------------
-# arrows
-
-
-def arrow_classify(C: FinCat, f) -> dict:
-    """Invertibility and cancellability flags by exhaustive search."""
-    if f not in C.src:
-        raise CarrierMismatch("unknown arrow", witness=(f,))
-    a, b = C.src[f], C.tgt[f]
-    left_inv = [l for l in C.hom(b, a) if C.comp.get((l, f)) == C.identity[a]]
-    right_inv = [r for r in C.hom(b, a) if C.comp.get((f, r)) == C.identity[b]]
-    two_sided = [g for g in left_inv if g in right_inv]
-    left_canc = all(
-        C.comp[(f, g)] != C.comp[(f, h)]
-        for x in C.objects
-        for g, h in itertools.combinations(C.hom(x, a), 2)
-    )
-    right_canc = all(
-        C.comp[(g, f)] != C.comp[(h, f)]
-        for y in C.objects
-        for g, h in itertools.combinations(C.hom(b, y), 2)
-    )
-    return {
-        "iso": bool(two_sided),
-        "left_cancellable": left_canc,
-        "right_cancellable": right_canc,
-        "left_invertible": bool(left_inv),
-        "right_invertible": bool(right_inv),
-    }
-
-
-def iso_classes(C: FinCat) -> Partition:
-    """Isomorphism of objects is an equivalence relation; the classes
-    form a partition of the objects."""
-    iso = {
-        (a, b)
-        for a in C.objects
-        for b in C.objects
-        if any(arrow_classify(C, f)["iso"] for f in C.hom(a, b))
-    }
-    blocks = []
-    seen = set()
-    for a in C.objects:
-        if a in seen:
-            continue
-        block = FinSet(b for b in C.objects if (a, b) in iso)
-        seen |= set(block)
-        blocks.append(block)
-    return Partition(C.objects, tuple(sorted(blocks, key=lambda s: s.elements)))
-
-
-# ---------------------------------------------------------------------------
 # targets and the functor laws
 
 
@@ -355,7 +294,6 @@ class _FiniteSets:
     its arrows ``FinMap``s. It offers the methods of ``FinCat`` that a
     functor's target needs, and no product structure."""
 
-    meta = {}
     unit = staticmethod(FinMap.identity)
     compose = staticmethod(compose)
     hom = staticmethod(all_maps)
@@ -517,29 +455,17 @@ def compose_functors(G: FunctorData, F: FunctorData) -> FunctorData:
     )
 
 
-def classify_functor(F: FunctorData) -> dict:
-    """Full / faithful / embedding flags via the restricted hom maps."""
-    C, D = F.src, F.tgt
-    full = True
-    faithful = True
-    for a in C.objects:
-        for b in C.objects:
-            image = [F.on_arr[n] for n in C.hom(a, b)]
-            if len(set(image)) < len(image):
-                faithful = False
-            if not set(D.hom(F.on_obj[a], F.on_obj[b])) <= set(image):
-                full = False
-    monic_obj = len(set(F.on_obj.values())) == len(F.on_obj)
-    return {"full": full, "faithful": faithful, "embedding": faithful and monic_obj}
+# the most object maps C → D that ``enumerate_functors`` will try
+_FUNCTOR_GUARD = 200000
 
 
-def enumerate_functors(C: FinCat, D: FinCat, guard: int = 200000) -> list:
+def enumerate_functors(C: FinCat, D: FinCat) -> list:
     """All functors C → D, in a deterministic order."""
     objs = list(C.objects)
     ids = set(C.identity.values())
     arrs = [n for n in C.arrow_names if n not in ids]
     total = len(D.objects) ** max(len(objs), 1)
-    if total > guard:
+    if total > _FUNCTOR_GUARD:
         raise TooLarge("functor enumeration guard exceeded", witness=(total,))
     out = []
     for combo in itertools.product(D.objects.elements, repeat=len(objs)):
@@ -560,19 +486,6 @@ def enumerate_functors(C: FinCat, D: FinCat, guard: int = 200000) -> list:
 
         backtrack(0, dict(base))
     return out
-
-
-def cats_isomorphic(C: FinCat, D: FinCat, guard: int = 200000) -> bool:
-    """Exhaustive isomorphism search: a functor bijective on objects and
-    arrows has a functorial inverse on finite data."""
-    if len(C.objects) != len(D.objects) or len(C.arrows) != len(D.arrows):
-        return False
-    for F in enumerate_functors(C, D, guard=guard):
-        obj_bij = len(set(F.on_obj.values())) == len(F.on_obj)
-        arr_bij = len(set(F.on_arr.values())) == len(F.on_arr)
-        if obj_bij and arr_bij:
-            return True
-    return len(C.arrows) == 0 and len(C.objects) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -636,19 +549,6 @@ def check_contravariant(F: FunctorData) -> LawReport:
     return _scan_functor(r, "cfun", FunctorData(F.src, opposite_cat(F.tgt), F.on_obj, F.on_arr))
 
 
-def variance_convert(F: FunctorData) -> FunctorData:
-    """Swap variance by replacing the target with its opposite. A
-    contravariant functor into D becomes covariant into D^op and back;
-    the conversion is an involution. The result needs no check of its
-    own: ``check_contravariant`` is ``check_functor`` into the opposite."""
-    co = check_functor(F)
-    if not co.passed and not check_contravariant(F).passed:
-        raise VarianceError(
-            "input is neither covariant nor contravariant", witness=co.failures[0].witness
-        )
-    return FunctorData(F.src, opposite_cat(F.tgt), dict(F.on_obj), dict(F.on_arr))
-
-
 # ---------------------------------------------------------------------------
 # products
 
@@ -687,50 +587,6 @@ def product_cat(C1: FinCat, C2: FinCat) -> FinCat:
     )
     _require_cat(P)
     return P
-
-
-def pair_functor(F: FunctorData, G: FunctorData) -> FunctorData:
-    """⟨F, G⟩ : C → D1 × D2 for functors of common domain."""
-    if F.src != G.src:
-        raise Mismatch("pair functor needs a common source")
-    return _functor_into(
-        product_cat(F.tgt, G.tgt),
-        F.src,
-        {x: _pair_name(F.on_obj[x], G.on_obj[x]) for x in F.src.objects},
-        {n: _pair_name(F.on_arr[n], G.on_arr[n]) for n in F.src.arrow_names},
-    )
-
-
-def unpair_functor(F: FunctorData):
-    """Split a functor into a product category into its components."""
-    meta = _target(F).meta
-    if "product_of" not in meta:
-        raise NotProduct("target category carries no product structure")
-    obj_pairs, arr_pairs = meta["obj_pairs"], meta["arr_pairs"]
-    return tuple(
-        _functor_into(
-            D,
-            F.src,
-            {x: obj_pairs[F.on_obj[x]][i] for x in F.src.objects},
-            {n: arr_pairs[F.on_arr[n]][i] for n in F.src.arrow_names},
-        )
-        for i, D in enumerate(meta["product_of"])
-    )
-
-
-def common_range_product(F: FunctorData, G: FunctorData) -> FunctorData:
-    """F × G : C1 × C2 → D × D for functors of common range."""
-    if F.tgt != G.tgt:
-        raise Mismatch("common-range product needs a common target")
-    src = product_cat(F.src, G.src)
-    pairs = src.meta["obj_pairs"]
-    arrs = src.meta["arr_pairs"]
-    return _functor_into(
-        product_cat(F.tgt, G.tgt),
-        src,
-        {n: _pair_name(F.on_obj[pairs[n][0]], G.on_obj[pairs[n][1]]) for n in src.objects},
-        {n: _pair_name(F.on_arr[arrs[n][0]], G.on_arr[arrs[n][1]]) for n in src.arrow_names},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -979,35 +835,6 @@ def interchange_check(
     return r
 
 
-def composition_functor(C: FinCat, D: FinCat, E: FinCat) -> FunctorData:
-    """The functor Cat(C,D) × Cat(D,E) → Cat(C,E) given by composition
-    of functors and horizontal composition of transformations."""
-    CD = functor_category(C, D)
-    DE = functor_category(D, E)
-    CE = functor_category(C, E)
-    P = product_cat(CD, DE)
-
-    def fun_key(F):
-        return tuple(sorted(F.on_obj.items())), tuple(sorted(F.on_arr.items()))
-
-    def nat_key(ends, n):
-        return ends, tuple(sorted(n.component.items()))
-
-    ce_fun = {fun_key(F): name for name, F in CE.meta["functors"].items()}
-    ce_nat = {nat_key(CE.ends(name), n): name for name, n in CE.meta["nats"].items()}
-    on_obj = {}
-    for o in P.objects:
-        a, b = P.meta["obj_pairs"][o]
-        GF = compose_functors(DE.meta["functors"][b], CD.meta["functors"][a])
-        on_obj[o] = ce_fun[fun_key(GF)]
-    on_arr = {}
-    for n in P.arrow_names:
-        t_cd, t_de = P.meta["arr_pairs"][n]
-        h = hcompose(DE.meta["nats"][t_de], CD.meta["nats"][t_cd])
-        on_arr[n] = ce_nat[nat_key(tuple(on_obj[o] for o in P.ends(n)), h)]
-    return _functor_into(CE, P, on_obj, on_arr)
-
-
 # ---------------------------------------------------------------------------
 # hom functors and the hom bifunctor
 
@@ -1095,44 +922,6 @@ def slice_nat(B, f) -> NatTransData:
     out = NatTransData(partial(x), partial(y), comps)
     check_nat(out).require()
     return out
-
-
-def assemble_functor(C1: FinCat, C2: FinCat, Lfam: dict, Rfam: dict) -> SetRepr:
-    """Build the product functor from compatible one-sided families:
-    R_x over C2 for each object x of C1, L_y over C1 for each object y
-    of C2, agreeing on objects and satisfying the commuting condition
-    L_d f ∘ R_a g = R_c g ∘ L_b f."""
-    for x in C1.objects:
-        if x not in Rfam:
-            raise IncompatibleFamilies("missing right family member", witness=(x,))
-    for y in C2.objects:
-        if y not in Lfam:
-            raise IncompatibleFamilies("missing left family member", witness=(y,))
-    for x in C1.objects:
-        for y in C2.objects:
-            if Rfam[x].on_obj[y] != Lfam[y].on_obj[x]:
-                raise IncompatibleFamilies(
-                    "families disagree on an object pair", witness=(x, y)
-                )
-    for f in C1.arrow_names:
-        a, d = C1.src[f], C1.tgt[f]
-        for g in C2.arrow_names:
-            b, c = C2.src[g], C2.tgt[g]
-            lhs = compose(Lfam[c].on_arr[f], Rfam[a].on_arr[g])
-            rhs = compose(Rfam[d].on_arr[g], Lfam[b].on_arr[f])
-            if lhs != rhs:
-                raise IncompatibleFamilies(
-                    "the commuting condition fails", witness=(f, g)
-                )
-    P = product_cat(C1, C2)
-    pairs = P.meta["obj_pairs"]
-    arrs = P.meta["arr_pairs"]
-    on_obj = {n: Rfam[pairs[n][0]].on_obj[pairs[n][1]] for n in P.objects}
-    on_arr = {}
-    for n in P.arrow_names:
-        f, g = arrs[n]
-        on_arr[n] = compose(Lfam[C2.tgt[g]].on_arr[f], Rfam[C1.src[f]].on_arr[g])
-    return _functor_into(_SETS, P, on_obj, on_arr)
 
 
 # ---------------------------------------------------------------------------

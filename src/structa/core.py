@@ -33,8 +33,6 @@ from .errors import (
     EmptyFold,
     EmptyMember,
     NotBijective,
-    NotMonic,
-    NotOnto,
 )
 from .report import LawReport
 
@@ -328,26 +326,11 @@ class Partition:
             raise CarrierMismatch("element outside the carrier", witness=(x,)) from None
 
 
-@dataclass(frozen=True)
-class EndoReport:
-    invariant_points: FinSet
-    is_once_effective: bool
-    stabilizes_at: Symbol | None
-    nilpotent_at: tuple | None  # (fixed point, first n with f^n constant)
-    iterates: tuple  # (f, f^2, ...) up to max_steps
-
-
-def compose(g: FinMap, f: FinMap, strict: bool = True) -> FinMap:
-    """g after f. Strict mode requires cod(f) = dom(g); general mode
-    restricts to the largest domain on which the composite is defined."""
-    if strict:
-        if f.cod != g.dom:
-            raise CompositionMismatch(
-                "cod(f) != dom(g)", witness=(tuple(f.cod), tuple(g.dom))
-            )
-        return FinMap(f.dom, g.cod, {x: g.assign[f.assign[x]] for x in f.dom})
-    d = FinSet._ordered(tuple(x for x in f.dom.elements if f.assign[x] in g.assign))
-    return FinMap(d, g.cod, {x: g.assign[f.assign[x]] for x in d})
+def compose(g: FinMap, f: FinMap) -> FinMap:
+    """g after f; cod(f) must be dom(g)."""
+    if f.cod != g.dom:
+        raise CompositionMismatch("cod(f) != dom(g)", witness=(tuple(f.cod), tuple(g.dom)))
+    return FinMap(f.dom, g.cod, {x: g.assign[f.assign[x]] for x in f.dom})
 
 
 def classify(f: FinMap) -> dict:
@@ -359,28 +342,6 @@ def classify(f: FinMap) -> dict:
     monic = hit.bit_count() == len(f.dom.elements)
     onto = hit == (1 << len(f.cod.elements)) - 1
     return {"monic": monic, "onto": onto, "bijective": monic and onto}
-
-
-def left_inverse(f: FinMap) -> FinMap:
-    """l with l∘f = id. Off-image values take the least domain element."""
-    c = classify(f)
-    if not c["monic"]:
-        raise NotMonic("no left inverse: map is not monic")
-    if len(f.dom) == 0:
-        raise NotMonic("empty domain admits no selection for off-image values")
-    default = f.dom.elements[0]
-    back = {f.assign[x]: x for x in f.dom}
-    return FinMap(f.cod, f.dom, {y: back.get(y, default) for y in f.cod})
-
-
-def right_inverse(f: FinMap) -> FinMap:
-    """r with f∘r = id; preimage representatives are chosen least-first."""
-    if not classify(f)["onto"]:
-        raise NotOnto("no right inverse: map is not onto")
-    least = {}
-    for x in f.dom.elements:  # ascending, so the first point of a fiber is its least
-        least.setdefault(f.assign[x], x)
-    return FinMap(f.cod, f.dom, {z: least[z] for z in f.cod})
 
 
 def inverse(f: FinMap) -> FinMap:
@@ -691,75 +652,6 @@ def two_sided_unit(op, xs):
     """The first e of ``xs`` with ea = a = ae for every a of ``xs`` in the
     pair-keyed table ``op``, or None."""
     return next((e for e in xs if all(op[(e, a)] == a == op[(a, e)] for a in xs)), None)
-
-
-def iterate(f: FinMap, n: int) -> FinMap:
-    if f.dom != f.cod:
-        raise CompositionMismatch("iteration needs an endofunction")
-    g = FinMap.identity(f.dom)
-    for _ in range(n):
-        g = compose(f, g)
-    return g
-
-
-def endo_analyze(f: FinMap, max_steps: int | None = None) -> EndoReport:
-    """Dynamics of an endofunction: invariant points, once-effectiveness,
-    stabilization and nilpotency, with the iterate sequence up to max_steps."""
-    if f.dom != f.cod:
-        raise CompositionMismatch("endo analysis needs dom = cod")
-    if max_steps is None:
-        max_steps = max(1, len(f.dom))
-    inv = FinSet._ordered(tuple(x for x in f.dom.elements if f.assign[x] == x))
-    once = f.image() <= inv
-    iterates = []
-    g = f
-    for _ in range(max_steps):
-        iterates.append(g)
-        g = compose(f, g)
-    stabilizes_at = None
-    nilpotent_at = None
-    for a in inv:
-        if all(_orbit_reaches(f, x, a) for x in f.dom):
-            stabilizes_at = a
-            break
-    for n, g in enumerate(iterates, start=1):
-        values = set(g.assign.values())
-        if len(values) == 1:
-            a = values.pop()
-            if a in inv:
-                nilpotent_at = (a, n)
-            break
-    return EndoReport(inv, once, stabilizes_at, nilpotent_at, tuple(iterates))
-
-
-def _orbit_reaches(f: FinMap, x: Symbol, a: Symbol) -> bool:
-    seen = set()
-    while x not in seen:
-        if x == a:
-            return True
-        seen.add(x)
-        x = f.assign[x]
-    return x == a
-
-
-def natural_pair_check(F: FinMap, G: FinMap, sa: FinMap, sb: FinMap) -> LawReport:
-    """Does G describe F after transforming source and target by sa, sb?"""
-    r = LawReport("natural-pair")
-    if sa.dom != F.dom or sa.cod != G.dom:
-        raise CarrierMismatch("sa must map dom F onto dom G")
-    if sb.dom != F.cod or sb.cod != G.cod:
-        raise CarrierMismatch("sb must map cod F to cod G")
-    if not classify(sa)["onto"]:
-        raise NotOnto("sa must be onto for the pair to be well posed")
-    ok = True
-    witness = None
-    for x in F.dom:
-        if G.assign[sa.assign[x]] != sb.assign[F.assign[x]]:
-            ok = False
-            witness = (x,)
-            break
-    r.add("nat-pair", "G(sa x) = sb(F x) for all x", ok, witness)
-    return r
 
 
 def select(family, rule=min) -> FinMap:

@@ -636,14 +636,6 @@ _BUILDERS = {
 # library structures -> documents
 
 
-def doc_poset(P) -> StructureDoc:
-    return StructureDoc(_validate({
-        "kind": "poset",
-        "carrier": list(P.carrier.elements),
-        "le": [[x, y] for x, y in P.pairs],
-    }))
-
-
 def _table_payload(kind: str, table: dict, carrier: FinSet) -> dict:
     return {
         "kind": kind,

@@ -18,15 +18,7 @@ class CarrierMismatch(StructaError):
 
 
 class CompositionMismatch(StructaError):
-    """Strict composition requested for maps with cod(f) != dom(g)."""
-
-
-class NotMonic(StructaError):
-    pass
-
-
-class NotOnto(StructaError):
-    pass
+    """Composition requested for maps or arrows that do not compose."""
 
 
 class NotBijective(StructaError):
@@ -54,10 +46,6 @@ class NotALattice(StructaError):
 
 
 class NotSemilattice(StructaError):
-    pass
-
-
-class NotDualPair(StructaError):
     pass
 
 
@@ -109,14 +97,6 @@ class EmptyMemberInBase(StructaError):
     pass
 
 
-class MeetingConditionFailed(StructaError):
-    pass
-
-
-class Degenerate(StructaError):
-    """The requested construction collapses on a finite carrier."""
-
-
 class NotClosedFamily(StructaError):
     pass
 
@@ -133,15 +113,7 @@ class Mismatch(StructaError):
     """Shapes of composed transformations do not line up."""
 
 
-class VarianceError(StructaError):
-    pass
-
-
 class NotProduct(StructaError):
-    pass
-
-
-class IncompatibleFamilies(StructaError):
     pass
 
 

@@ -455,21 +455,6 @@ def conjugation_map(G: FinGroup, x) -> FinMap:
     )
 
 
-def automorphisms(G: FinGroup, guard: int = 8) -> list:
-    """All automorphisms, by exhaustive bijection search (small groups)."""
-    if G.order() > guard:
-        raise TooLarge("automorphism search capped", witness=(G.order(),))
-    out = []
-    rest = [a for a in G.carrier if a != G.unit]
-    for values in itertools.permutations(rest):
-        f = FinMap(
-            G.carrier, G.carrier, {G.unit: G.unit, **dict(zip(rest, values))}
-        )
-        if hom_witness(G, G, f) is None:
-            out.append(f)
-    return out
-
-
 def inner_automorphisms(G: FinGroup) -> tuple:
     """The group of conjugation maps and the epimorphism x ↦ (a ↦ xax⁻¹)."""
     conj = {x: conjugation_map(G, x) for x in G.carrier}
@@ -477,13 +462,6 @@ def inner_automorphisms(G: FinGroup) -> tuple:
     inn = permutation_group({names[x]: conj[x] for x in G.carrier})
     onto = FinMap(G.carrier, inn.carrier, {x: names[x] for x in G.carrier})
     return inn, hom_check(G, inn, onto)
-
-
-def inner_normal_in_aut(G: FinGroup, guard: int = 8) -> bool:
-    """Inn(G) is a normal subgroup of the full automorphism group."""
-    aut = permutation_group({_perm_name(f.assign): f for f in automorphisms(G, guard)})
-    inn_members = FinSet(_perm_name(conjugation_map(G, x).assign) for x in G.carrier)
-    return is_normal(aut, subgroup_check(aut, inn_members))
 
 
 def action_check(A: GroupAction) -> LawReport:

@@ -258,16 +258,6 @@ def rat_eq(p: Rat, q: Rat) -> bool:
     return p.num * q.den == q.num * p.den
 
 
-def _gcd_oracle(a: int, b: int) -> int:
-    """Largest common divisor by exhaustive search (small inputs only)."""
-    a, b = abs(a), abs(b)
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    return max(d for d in range(1, min(a, b) + 1) if a % d == 0 and b % d == 0)
-
-
 def rat_canon(p: Rat) -> RatClass:
     """Reduced representative with a positive denominator."""
     g = math.gcd(p.num, p.den)

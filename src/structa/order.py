@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .core import (
     FinMap,
     FinSet,
-    all_maps,
     associativity_witness,
     classify,
     finset,
@@ -26,10 +25,8 @@ from .errors import (
     CarrierMismatch,
     EmptySubset,
     NotALattice,
-    NotDualPair,
     NotMonotone,
     NotSemilattice,
-    TooLarge,
     UnboundedChain,
 )
 from .report import LawReport
@@ -261,12 +258,6 @@ def powerset_poset(base: FinSet) -> Poset:
     return Poset(carrier, pairs)
 
 
-def subset_of_name(name: str) -> FinSet:
-    """Inverse of FinSet.name for powerset-poset carriers."""
-    inner = name.strip("{}")
-    return FinSet(inner.split(",")) if inner else FinSet()
-
-
 def enumerate_posets(carrier: FinSet):
     """All labeled partial orders on the carrier, lazily, in the order of
     ``itertools.product`` over one of (incomparable, <, >) per pair of
@@ -377,20 +368,6 @@ def galois_check(f: FinMap, g: FinMap, P: Poset, Q: Poset) -> LawReport:
             axioms == comparable,
         )
     return r
-
-
-def bounds(P: Poset, A: FinSet) -> dict:
-    """Upper/lower bounds, sup/inf, max/min of a subset."""
-    if not A <= P.carrier:
-        raise CarrierMismatch("subset outside the carrier")
-    return {
-        "upper": P.upper_bounds(A),
-        "lower": P.lower_bounds(A),
-        "sup": P.sup(A),
-        "inf": P.inf(A),
-        "max": P.max_of(A),
-        "min": P.min_of(A),
-    }
 
 
 def is_directed(P: Poset, A: FinSet) -> bool:
@@ -571,10 +548,6 @@ def semilattice_report(table, carrier: FinSet) -> LawReport:
     return r
 
 
-def semilattice_check(table, carrier: FinSet) -> bool:
-    return semilattice_report(table, carrier).passed
-
-
 def order_from_semilattice(table, carrier: FinSet, orientation: str = "join") -> Poset:
     """The order induced by a semilattice table: x ≤ y iff x⋄y = y
     (join orientation) or x⋄y = x (meet orientation)."""
@@ -589,35 +562,6 @@ def order_from_semilattice(table, carrier: FinSet, orientation: str = "join") ->
     else:
         raise ValueError("orientation must be 'join' or 'meet'")
     return Poset(carrier, pairs)
-
-
-def lattice_from_dual_pair(join_table, meet_table, carrier: FinSet) -> LatticeTables:
-    """Two absorbing semilattice tables determine one lattice."""
-    for table, name in ((join_table, "join"), (meet_table, "meet")):
-        if not semilattice_check(table, carrier):
-            raise NotSemilattice("the %s table is not a semilattice" % name)
-    absorb = next(
-        (
-            (x, y)
-            for x in carrier
-            for y in carrier
-            if (join_table[(x, y)] == y) != (meet_table[(x, y)] == x)
-        ),
-        None,
-    )
-    if absorb is not None:
-        raise NotDualPair("x∨y = y must match x∧y = x", witness=absorb)
-    P = order_from_semilattice(join_table, carrier, "join")
-    lt = lattice_from_poset(P)
-    if lt.join != dict(join_table) or lt.meet != dict(meet_table):
-        bad = next(
-            (x, y)
-            for x in carrier
-            for y in carrier
-            if lt.join[(x, y)] != join_table[(x, y)] or lt.meet[(x, y)] != meet_table[(x, y)]
-        )
-        raise NotDualPair("tables disagree with the induced order", witness=bad)
-    return lt
 
 
 def completeness_report(P: Poset) -> dict:
@@ -669,32 +613,6 @@ def completeness_laws(P: Poset) -> LawReport:
     return r
 
 
-def _partial_map_name(assign: dict) -> str:
-    if not assign:
-        return "[]"
-    return "[%s]" % ",".join("%s>%s" % (k, v) for k, v in sorted(assign.items()))
-
-
-def partial_map_poset(L: FinSet, bound: int = 3) -> Poset:
-    """Partial self-maps of L ordered by restriction."""
-    if len(L) > bound:
-        raise TooLarge("carrier too large for the partial-map poset", witness=(len(L),))
-    maps = []
-    for D in L.subsets():
-        for values in itertools.product(L.elements, repeat=len(D)):
-            maps.append(dict(zip(D.elements, values)))
-    names = [_partial_map_name(m) for m in maps]
-    carrier = FinSet(names)
-    by_name = dict(zip(names, maps))
-    pairs = {
-        (a, b)
-        for a in names
-        for b in names
-        if all(k in by_name[b] and by_name[b][k] == v for k, v in by_name[a].items())
-    }
-    return Poset(carrier, pairs)
-
-
 def functor_order(maps, P: Poset, Q: Poset) -> Poset:
     """The pointwise order on a list of order-preserving maps P → Q."""
     named = []
@@ -711,30 +629,3 @@ def functor_order(maps, P: Poset, Q: Poset) -> Poset:
         if all(Q.le(by_name[a](x), by_name[b](x)) for x in P.carrier)
     }
     return Poset(carrier, pairs)
-
-
-def monotone_maps(P: Poset, Q: Poset):
-    for f in all_maps(P.carrier, Q.carrier):
-        if all(
-            Q.le(f(x), f(y)) for (x, y) in P.pairs
-        ):
-            yield f
-
-
-def natural_completeness_vs_fixed_points(P: Poset, include_empty_chain: bool = False) -> tuple:
-    """Two predicates whose equivalence is a tested conjecture: every chain
-    has a sup, and every monotone endofunction has a least fixed point.
-
-    With ``include_empty_chain`` the first predicate also demands sup ∅,
-    i.e. a bottom; only then do the two provably coincide (an antichain
-    with a cyclic monotone map separates the nonempty-chain reading)."""
-    chains_ok = completeness_report(P)["naturally_complete"]
-    if include_empty_chain:
-        chains_ok = chains_ok and P.min_of(P.carrier) is not None
-    fp_ok = True
-    for f in monotone_maps(P, P):
-        inv = FinSet(x for x in P.carrier if f(x) == x)
-        if P.min_of(inv) is None:
-            fp_ok = False
-            break
-    return chains_ok, fp_ok

@@ -17,12 +17,9 @@ from functools import lru_cache, partial
 from .core import FinMap, FinSet, classify, compose, finset, generated, mask_of, set_of, subset_masks
 from .errors import (
     CarrierMismatch,
-    Degenerate,
     EmptyMemberInBase,
-    MeetingConditionFailed,
     TooLarge,
 )
-from .order import Poset, is_directed
 from .report import LawReport
 
 
@@ -49,10 +46,6 @@ class Family:
 
     def __contains__(self, s):
         return s in self.members
-
-
-def family(carrier: FinSet, *members) -> Family:
-    return Family(carrier, [FinSet(m) for m in members])
 
 
 def union_of(fam) -> FinSet:
@@ -520,22 +513,6 @@ def point_filter(carrier: FinSet, x) -> Family:
     return principal_filter(carrier, finset(x))
 
 
-def filter_ops(carrier: FinSet, fam: Family) -> dict:
-    """Base/filter flags, the generated filter, and the decomposition of
-    that filter as a union of principal filters."""
-    try:
-        gen = generate_filter(fam)
-    except EmptyMemberInBase:
-        gen = None
-    out = {"base": gen is not None, "filter": is_filter(fam), "generated": gen,
-           "principal_decomposition": None}
-    if gen is not None:
-        out["principal_decomposition"] = {
-            F.name(): principal_filter(carrier, F) for F in gen
-        }
-    return out
-
-
 @lru_cache(maxsize=None)
 def _enumerate_filters_cached(carrier: FinSet) -> tuple:
     n = len(carrier)
@@ -726,59 +703,3 @@ def ultrafilter_suite(carrier: FinSet) -> LawReport:
         absorb_ok,
     )
     return r
-
-
-def filter_transport(f: FinMap, fam: Family, direction: str = "forward") -> Family:
-    """Move a base along a map: elementwise images forward, elementwise
-    preimages backward (requiring members to meet the image)."""
-    if direction == "forward":
-        if fam.carrier != f.dom:
-            raise CarrierMismatch("base lives over the wrong carrier")
-        return Family(f.cod, [f.image(A) for A in fam.members])
-    if direction == "backward":
-        if fam.carrier != f.cod:
-            raise CarrierMismatch("base lives over the wrong carrier")
-        im = f.image()
-        for B in fam:  # canonical order, so the witness is the least
-            if not B.inter(im):
-                raise MeetingConditionFailed(
-                    "a member misses the image", witness=(B.name(),)
-                )
-        return Family(f.dom, [f.preimage(B) for B in fam.members])
-    raise ValueError("direction must be 'forward' or 'backward'")
-
-
-def cofinite_base(carrier: FinSet) -> Family:
-    """The cofinite family degenerates on a finite carrier: the empty
-    set is cofinite there."""
-    raise Degenerate(
-        "every subset of a finite carrier is finite, so the cofinite family contains the empty set",
-        witness=(carrier.name(),),
-    )
-
-
-def frechet_base(order: Poset) -> Family:
-    """Tail-complement base of a directed set; degenerate whenever some
-    tail is the whole carrier (always, on a finite directed set)."""
-    if not is_directed(order, order.carrier):
-        raise CarrierMismatch("a Fréchet base needs a directed set")
-    tails = {
-        i: FinSet(x for x in order.carrier if order.le(x, i)) for i in order.carrier
-    }
-    complements = {i: tails[i].complement_in(order.carrier) for i in order.carrier}
-    empty = next((i for i in order.carrier if not complements[i]), None)
-    if empty is not None:
-        raise Degenerate(
-            "a tail covers the carrier, so its complement is empty",
-            witness=(empty,),
-        )
-    return Family(order.carrier, complements.values())
-
-
-def elementary_filter(net: FinMap, order: Poset) -> Family:
-    """The direct image of the tail-complement filter of a net."""
-    if net.dom != order.carrier:
-        raise CarrierMismatch("the net must be indexed by the directed set")
-    base = frechet_base(order)
-    moved = filter_transport(net, base, "forward")
-    return generate_filter(moved)

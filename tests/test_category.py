@@ -1,10 +1,11 @@
 """Category module tests.
 
-Oracles: monotone-map counts from the order module for poset-category
-functors, group homomorphism counts for one-object categories,
-pointwise-order counting for natural transformations into thin
-categories, modular-arithmetic permutations for Cayley, and brute-force
-square enumeration for arrow categories.
+Oracles: monotone-map counts for poset-category functors, group
+homomorphism counts for one-object categories, pointwise-order counting
+for natural transformations into thin categories, modular-arithmetic
+permutations for Cayley, brute-force square enumeration for arrow
+categories, exhaustive inverse search for invertible arrows, and the
+pairwise comparison for observational arrow equality.
 """
 
 import itertools
@@ -20,22 +21,17 @@ from structa.category import (
     NatTransData,
     SetRepr,
     arrow_category,
-    arrow_classify,
     arrow_equality_classes,
-    assemble_functor,
     bridge_category,
     bridge_check,
-    cats_isomorphic,
     cayley,
     check_category,
     check_contravariant,
     check_functor,
     check_nat,
     check_set_functor,
-    common_range_product,
     compare_representations,
     compose_functors,
-    composition_functor,
     constant_functor,
     dagger,
     discrete,
@@ -51,28 +47,30 @@ from structa.category import (
     identity_functor,
     identity_nat,
     interchange_check,
-    iso_classes,
     opposite_cat,
     opposite_functor,
     op_universe_check,
-    pair_functor,
     product_cat,
     slice_nat,
-    unpair_functor,
-    variance_convert,
     vcompose,
     yoneda,
     yoneda_embedding,
 )
-from structa.core import FinMap, FinSet, associativity_witness, compose, finset, inverse
+from structa.core import (
+    FinMap,
+    FinSet,
+    all_maps,
+    associativity_witness,
+    compose,
+    finset,
+    inverse,
+)
 from structa.errors import (
     BadStructure,
     CarrierMismatch,
     EndpointError,
-    IncompatibleFamilies,
     Mismatch,
     NotProduct,
-    VarianceError,
 )
 from structa.group import cayley as group_cayley
 from structa.group import cyclic_group, enumerate_groups, enumerate_homs, symmetric_group_3
@@ -81,13 +79,68 @@ from structa.order import (
     chain_poset,
     diamond_poset,
     enumerate_posets,
-    monotone_maps,
     powerset_poset,
 )
 
 
 def chain_cat(labels):
     return from_poset(chain_poset(labels))
+
+
+def monotone_maps(P, Q):
+    """Every map of carriers P → Q that preserves the order."""
+    for f in all_maps(P.carrier, Q.carrier):
+        if all(Q.le(f(x), f(y)) for (x, y) in P.pairs):
+            yield f
+
+
+def arrow_classify(C, f) -> dict:
+    """Invertibility and cancellability flags of the arrow f, by
+    exhaustive search of its hom sets."""
+    if f not in C.src:
+        raise CarrierMismatch("unknown arrow", witness=(f,))
+    a, b = C.src[f], C.tgt[f]
+    left_inv = [l for l in C.hom(b, a) if C.comp.get((l, f)) == C.identity[a]]
+    right_inv = [r for r in C.hom(b, a) if C.comp.get((f, r)) == C.identity[b]]
+    two_sided = [g for g in left_inv if g in right_inv]
+    left_canc = all(
+        C.comp[(f, g)] != C.comp[(f, h)]
+        for x in C.objects
+        for g, h in itertools.combinations(C.hom(x, a), 2)
+    )
+    right_canc = all(
+        C.comp[(g, f)] != C.comp[(h, f)]
+        for y in C.objects
+        for g, h in itertools.combinations(C.hom(b, y), 2)
+    )
+    return {
+        "iso": bool(two_sided),
+        "left_cancellable": left_canc,
+        "right_cancellable": right_canc,
+        "left_invertible": bool(left_inv),
+        "right_invertible": bool(right_inv),
+    }
+
+
+def assert_isomorphism(F):
+    """F is a functor that is bijective on objects and on arrows, so its
+    inverse is a functor too: the two categories are isomorphic."""
+    assert check_functor(F).passed
+    assert sorted(F.on_obj.values()) == sorted(F.tgt.objects)
+    assert sorted(F.on_arr.values()) == sorted(F.tgt.arrow_names)
+
+
+def common_range_product(F, G):
+    """F × G : C1 × C2 → D × D for functors F, G into a common D, a
+    functor on a product whose target is a category."""
+    src = product_cat(F.src, G.src)
+    pairs, arrs = src.meta["obj_pairs"], src.meta["arr_pairs"]
+    return FunctorData(
+        src,
+        product_cat(F.tgt, G.tgt),
+        {n: "(%s,%s)" % (F.on_obj[pairs[n][0]], G.on_obj[pairs[n][1]]) for n in src.objects},
+        {n: "(%s,%s)" % (F.on_arr[arrs[n][0]], G.on_arr[arrs[n][1]]) for n in src.arrow_names},
+    )
 
 
 C2 = chain_cat(["a", "b"])
@@ -157,13 +210,14 @@ class TestCheckCategory:
         rep = check_category(C)
         assert not rep["cat-comp-total"].passed
 
-    def test_require_unit_toggle(self):
+    def test_left_zero_semigroup_fails_only_the_unit_law(self):
         # a left-zero semigroup: associative but without a unit
         carrier = ["s", "t"]
         comp = {(g, f): g for g in carrier for f in carrier}
         C = FinCat(finset("x"), [(a, "x", "x") for a in carrier], {}, comp)
-        assert not check_category(C, require_unit=True).passed
-        assert check_category(C, require_unit=False).passed
+        rep = check_category(C)
+        assert [c.law for c in rep.failures] == ["cat-unit"]
+        assert rep["cat-assoc"].passed
 
     def test_observational_warning_on_unitless_parallel_arrows(self):
         C = FinCat(
@@ -171,8 +225,8 @@ class TestCheckCategory:
         )
         classes = arrow_equality_classes(C)
         assert classes == (("f", "g"),)
-        rep = check_category(C, require_unit=False)
-        assert rep.passed
+        rep = check_category(C)
+        assert rep["cat-discernible"].passed
         assert rep["cat-discernible"].statement.startswith("warning")
 
     def test_shipped_categories_are_discernible(self):
@@ -250,6 +304,68 @@ def partial_tables(draw):
     return C, C.comp, C.arrow_names, C.comp, composable_in(C)
 
 
+def pairwise_classes(C):
+    """The observational classes by comparing each arrow with the first
+    member of every class so far, as ``arrow_equality_classes`` did
+    before it grouped arrows by signature."""
+
+    def same(f, g):
+        if C.src[f] != C.src[g] or C.tgt[f] != C.tgt[g]:
+            return False
+        for h in C.arrows_into(C.src[f]):
+            if C.comp.get((f, h)) != C.comp.get((g, h)):
+                return False
+        for i in C.arrows_from(C.tgt[f]):
+            if C.comp.get((i, f)) != C.comp.get((i, g)):
+                return False
+        return True
+
+    classes = []
+    for n in C.arrow_names:
+        for cl in classes:
+            if same(cl[0], n):
+                cl.append(n)
+                break
+        else:
+            classes.append([n])
+    return tuple(tuple(cl) for cl in classes)
+
+
+@st.composite
+def observational_cases(draw):
+    # a poset or group category, or a random one-object table whose arrow
+    # d copies the row and the column of an arrow a, so that d and a fall
+    # into one class; None when nothing is planted
+    kind = draw(st.sampled_from(["poset", "group", "random"]))
+    if kind != "random":
+        return draw(st.sampled_from(POSET_CATS if kind == "poset" else GROUP_CATS)), None
+    names = tuple("pqrst"[: draw(st.integers(1, 5))])
+    comp = {k: draw(st.sampled_from(names)) for k in itertools.product(names, repeat=2)}
+    planted = None
+    if len(names) > 1 and draw(st.booleans()):
+        a, d = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        for x in names:
+            if x != d:
+                comp[(x, d)] = comp[(x, a)]
+        for y in names:
+            comp[(d, y)] = comp[(a, y)]
+        planted = (a, d)
+    C = FinCat(finset("x"), [(n, "x", "x") for n in names], {"x": names[0]}, comp)
+    return C, planted
+
+
+class TestObservationalEquality:
+    @PROPERTY
+    @given(observational_cases())
+    def test_signature_classes_match_the_pairwise_comparison(self, case):
+        C, planted = case
+        classes = arrow_equality_classes(C)
+        assert classes == pairwise_classes(C)
+        if planted is not None:
+            a, d = planted
+            assert any(a in cl and d in cl for cl in classes)
+
+
 class TestOneAssociativityKernel:
     @PROPERTY
     @given(partial_tables())
@@ -317,48 +433,8 @@ class TestArrowClassify:
         with pytest.raises(CarrierMismatch):
             arrow_classify(C2, "nope")
 
-    def test_iso_classes_groupoid(self):
-        C = two_object_groupoid()
-        part = iso_classes(C)
-        assert part.blocks == (finset("a", "b"),)
-
-    def test_iso_classes_chain_discrete(self):
-        assert iso_classes(C3).blocks == (finset("a"), finset("b"), finset("c"))
-
 
 class TestFunctors:
-    def test_identity_classification(self):
-        from structa.category import classify_functor
-
-        for C in (C2, Z3):
-            flags = classify_functor(identity_functor(C))
-            assert flags == {"full": True, "faithful": True, "embedding": True}
-
-    def test_z4_to_z2_full_not_faithful(self):
-        from structa.category import classify_functor
-
-        Z4 = from_group(cyclic_group(4))
-        on_arr = {"g%d" % i: "g%d" % (i % 2) for i in range(4)}
-        F = FunctorData(Z4, Z2, {"pt": "pt"}, on_arr)
-        assert check_functor(F).passed
-        flags = classify_functor(F)
-        assert flags["full"] and not flags["faithful"]
-
-    def test_constant_functor_faithfulness(self):
-        from structa.category import classify_functor
-
-        pt = discrete(finset("x"))
-        # collapsing a two-arrow hom set breaks faithfulness
-        F = constant_functor(Z2, pt, "x")
-        assert check_functor(F).passed
-        assert not classify_functor(F)["faithful"]
-        # a thin source can never break it: faithfulness is hom-wise
-        # injectivity and every hom set there has at most one arrow
-        D = from_poset(diamond_poset())
-        G = constant_functor(D, pt, "x")
-        assert classify_functor(G)["faithful"]
-        assert not classify_functor(G)["embedding"]
-
     def test_functor_counts_match_monotone_maps(self):
         # independent oracle: poset-category functors are exactly the
         # monotone maps
@@ -401,7 +477,9 @@ class TestOpposite:
 
     def test_chain_opposite_is_reversed_chain(self):
         reversed_chain = from_poset(chain_poset(["b", "a"]))
-        assert cats_isomorphic(opposite_cat(C2), reversed_chain)
+        flip = {n: "(%s<=%s)" % (C2.tgt[n], C2.src[n]) for n in C2.arrow_names}
+        F = FunctorData(opposite_cat(C2), reversed_chain, {x: x for x in C2.objects}, flip)
+        assert_isomorphism(F)
 
     def test_op_is_involution(self):
         for C in (C2, C3, Z3, from_poset(diamond_poset())):
@@ -429,10 +507,11 @@ class TestVariance:
         F = FunctorData(CP, CP, rev, on_arr)
         assert check_contravariant(F).passed
         assert not check_functor(F).passed
-        G = variance_convert(F)
-        assert G.tgt == opposite_cat(CP)
+        # the same data, read as a covariant functor into the opposite
+        G = FunctorData(CP, opposite_cat(CP), rev, on_arr)
         assert check_functor(G).passed
-        assert variance_convert(G) == F
+        assert not check_contravariant(G).passed
+        assert FunctorData(CP, opposite_cat(G.tgt), rev, on_arr) == F
 
     def test_complement_on_powerset(self):
         base = finset("x", "y")
@@ -445,13 +524,13 @@ class TestVariance:
         }
         F = FunctorData(CP, CP, rev, on_arr)
         assert check_contravariant(F).passed
-        assert check_functor(variance_convert(F)).passed
+        assert check_functor(FunctorData(CP, opposite_cat(CP), rev, on_arr)).passed
 
     def test_neither_variance_rejected(self):
         on_arr = {n: C2.identity["a"] for n in C2.arrow_names}
         bad = FunctorData(C2, C2, {"a": "a", "b": "b"}, on_arr)
-        with pytest.raises(VarianceError):
-            variance_convert(bad)
+        assert not check_functor(bad).passed
+        assert not check_contravariant(bad).passed
 
 
 class TestProduct:
@@ -471,46 +550,23 @@ class TestProduct:
                 if p[0] <= q[0] and p[1] <= q[1]:
                     pairs.append((p, q))
         prodP = Poset(FinSet(labels), pairs)
-        assert cats_isomorphic(product_cat(C2, C2), from_poset(prodP))
+        P = product_cat(C2, C2)
+        obj = {n: x + y for n, (x, y) in P.meta["obj_pairs"].items()}
+        arr = {
+            n: "(%s<=%s)" % (obj[P.src[n]], obj[P.tgt[n]]) for n in P.arrow_names
+        }
+        assert_isomorphism(FunctorData(P, from_poset(prodP), obj, arr))
 
     def test_product_with_point_is_isomorphic(self):
         pt = discrete(finset("x"))
-        assert cats_isomorphic(product_cat(C2, pt), C2)
+        P = product_cat(C2, pt)
+        obj = {n: x for n, (x, _) in P.meta["obj_pairs"].items()}
+        arr = {n: f for n, (f, _) in P.meta["arr_pairs"].items()}
+        assert_isomorphism(FunctorData(P, C2, obj, arr))
 
     def test_opposite_of_product(self):
         P = product_cat(C2, Z2)
         assert opposite_cat(P) == product_cat(opposite_cat(C2), opposite_cat(Z2))
-
-
-class TestPairUnpair:
-    def test_diagonal(self):
-        F = identity_functor(C2)
-        diag = pair_functor(F, F)
-        assert check_functor(diag).passed
-        f, g = unpair_functor(diag)
-        assert f == F and g == F
-
-    def test_pair_of_unpair(self):
-        F = identity_functor(C2)
-        G = constant_functor(C2, C2, "b")
-        p = pair_functor(F, G)
-        f, g = unpair_functor(p)
-        assert pair_functor(f, g) == p
-
-    def test_roundtrip_over_all_functors_into_product(self):
-        P = product_cat(C2, C2)
-        for F in enumerate_functors(C2, P):
-            f, g = unpair_functor(F)
-            assert pair_functor(f, g) == FunctorData(C2, P, F.on_obj, F.on_arr)
-
-    def test_not_product(self):
-        with pytest.raises(NotProduct):
-            unpair_functor(identity_functor(C2))
-
-    def test_set_valued_functor_is_not_a_product(self):
-        for S in (hom_functors(C2, "a")[0], hom_bifunctor(C2)):
-            with pytest.raises(NotProduct):
-                unpair_functor(S)
 
 
 class TestBifunctor:
@@ -524,8 +580,6 @@ class TestBifunctor:
         G = identity_functor(C2)
         crp = common_range_product(F, G)
         assert check_functor(crp).passed
-        p, q = unpair_functor(crp)
-        assert check_functor(p).passed and check_functor(q).passed
 
     def test_each_arrow_factors_through_its_slices(self):
         # (f, g) = (f, 1_d)∘(1_a, g) = (1_c, g)∘(f, 1_b) for f: a→c, g: b→d
@@ -759,10 +813,6 @@ class TestHorizontalComposition:
                 ):
                     assert _hcompose_formulas_agree(a, t)
 
-    def test_composition_functor(self):
-        cf = composition_functor(C2, C2, C2)
-        assert check_functor(cf).passed
-
 
 class TestHom:
     def test_discrete_hom_sets(self):
@@ -794,27 +844,6 @@ class TestSliceAssemble:
         B = hom_bifunctor(C3)
         for f in C3.arrow_names:
             assert check_nat(slice_nat(B, f)).passed
-
-    def test_assemble_reproduces_hom(self):
-        Cop = opposite_cat(C3)
-        Rfam = {x: hom_functors(C3, x)[0] for x in C3.objects}
-        Lfam = {}
-        for y in C3.objects:
-            _, Lfam[y] = hom_functors(C3, y)
-        assembled = assemble_functor(Cop, C3, Lfam, Rfam)
-        assert assembled == hom_bifunctor(C3)
-
-    def test_perturbed_family_rejected(self):
-        Cop = opposite_cat(C3)
-        Rfam = {x: hom_functors(C3, x)[0] for x in C3.objects}
-        Lfam = {}
-        for y in C3.objects:
-            _, Lfam[y] = hom_functors(C3, y)
-        bad_obj = dict(Lfam["c"].on_obj)
-        bad_obj["a"] = finset("wrong")
-        Lfam["c"] = SetRepr(Cop, bad_obj, dict(Lfam["c"].on_arr))
-        with pytest.raises(IncompatibleFamilies):
-            assemble_functor(Cop, C3, Lfam, Rfam)
 
 
 class TestYoneda:
@@ -1010,12 +1039,6 @@ class TestConstructionTheorems:
             assert all((a, a) in iso for a in C.objects)
             assert all((b, a) in iso for (a, b) in iso)
             assert all((a, c) in iso for (a, b) in iso for (b2, c) in iso if b == b2)
-            part = iso_classes(C)
-            assert all(
-                ((a, b) in iso) == (part.block_of(a) == part.block_of(b))
-                for a in C.objects
-                for b in C.objects
-            )
 
     def test_functors_preserve_isomorphisms(self):
         cats = small_catalogue()
@@ -1059,21 +1082,15 @@ class TestConstructionTheorems:
                         for x in tau.F.src.objects
                     )
 
-    def test_decomposed_bifunctor_recomposes(self):
-        Cop = opposite_cat(C2)
-        G = identity_functor(C2)
-        for F in enumerate_functors(Cop, C2):
-            B = common_range_product(F, G)
-            assert pair_functor(*unpair_functor(B)) == B
-
-    def test_assembled_functor_restricts_to_the_families(self):
+    def test_hom_bifunctor_restricts_to_the_hom_functors(self):
+        # Hom(1_x, g) is L_x(g) and Hom(f, 1_y) is R_y(f)
         for C in (C2, C3):
             Cop = opposite_cat(C)
             Rfam = {x: hom_functors(C, x)[0] for x in C.objects}
             Lfam = {}
             for y in C.objects:
                 _, Lfam[y] = hom_functors(C, y)
-            out = assemble_functor(Cop, C, Lfam, Rfam)
+            out = hom_bifunctor(C)
             for x in Cop.objects:
                 assert all(
                     out.on_arr["(%s,%s)" % (Cop.identity[x], g)] == Rfam[x].on_arr[g]
@@ -1184,8 +1201,6 @@ class TestVarianceDuality:
         assert check_functor(F).failures[0].law == "fun-arrows"
         c = check_contravariant(F)["cfun-total"]
         assert (c.passed, c.witness) == (False, ("(a<=a)",))
-        with pytest.raises(VarianceError):
-            variance_convert(F)
 
     def test_totality_witness_names_a_missing_object(self):
         F = FunctorData(C2, C2, {"b": "b"}, {n: n for n in C2.arrow_names})

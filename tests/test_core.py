@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import structa
 from structa.core import (
-    EndoReport,
     FinMap,
     FinSet,
     Partition,
@@ -25,7 +24,6 @@ from structa.core import (
     classify,
     compose,
     decompose,
-    endo_analyze,
     fiber,
     fiber_partition,
     fiber_union_check,
@@ -34,10 +32,6 @@ from structa.core import (
     generated,
     image_calculus,
     inverse,
-    iterate,
-    left_inverse,
-    natural_pair_check,
-    right_inverse,
     select,
     two_sided_unit,
 )
@@ -48,8 +42,6 @@ from structa.errors import (
     EmptyFold,
     EmptyMember,
     NotBijective,
-    NotMonic,
-    NotOnto,
 )
 from structa.order import Poset
 
@@ -146,14 +138,6 @@ class TestCompose:
             g = FinMap(carrier, carrier, {x: rng.choice(carrier.elements) for x in carrier})
             assert compose(g, f).assign == brute_compose(g, f)
 
-    def test_general_mode_restricts(self):
-        # f lands partly outside dom g; composite keeps only what g accepts
-        f = FinMap(ABC, XYZ, {"a": "x", "b": "y", "c": "z"})
-        g = FinMap(finset("x", "y"), finset("u"), {"x": "u", "y": "u"})
-        gf = compose(g, f, strict=False)
-        assert gf.dom == finset("a", "b")
-        assert gf.assign == {"a": "u", "b": "u"}
-
     def test_associativity(self):
         carrier = finset("a", "b", "c")
         maps = list(all_maps(carrier, carrier))
@@ -184,27 +168,13 @@ class TestInverses:
         swap = FinMap(finset("a", "b"), finset("a", "b"), {"a": "b", "b": "a"})
         assert inverse(swap) == swap
 
-    def test_left_inverse_selection_rule(self):
-        f = FinMap(finset("a"), finset("x", "y"), {"a": "x"})
-        l = left_inverse(f)
-        assert l.assign == {"x": "a", "y": "a"}
-        assert compose(l, f) == FinMap.identity(f.dom)
-
-    def test_right_inverse_lex_selection(self):
-        f = FinMap(finset("a", "b"), finset("z"), {"a": "z", "b": "z"})
-        r = right_inverse(f)
-        assert r.assign == {"z": "a"}
-        assert compose(f, r) == FinMap.identity(f.cod)
-
     def test_error_cases(self):
         collapse = FinMap.constant(finset("a", "b"), finset("z"), "z")
         with pytest.raises(NotBijective):
             inverse(collapse)
-        with pytest.raises(NotMonic):
-            left_inverse(collapse)
         nonsurj = FinMap(finset("a"), finset("x", "y"), {"a": "x"})
-        with pytest.raises(NotOnto):
-            right_inverse(nonsurj)
+        with pytest.raises(NotBijective):
+            inverse(nonsurj)
 
     def test_exhaustive_bijective_iff_inverse(self):
         # carriers up to size 4
@@ -339,70 +309,6 @@ class TestFold:
             assert whole == self.MAX3[(left, right)]
 
 
-class TestEndoAnalyze:
-    def test_identity(self):
-        rep = endo_analyze(FinMap.identity(ABC))
-        assert rep.invariant_points == ABC
-        assert rep.is_once_effective
-        assert rep.nilpotent_at is None  # not constant, no nilpotency
-
-    def test_collapse_to_fixed_point(self):
-        f = FinMap(finset("a", "b"), finset("a", "b"), {"a": "b", "b": "b"})
-        rep = endo_analyze(f, max_steps=4)
-        assert rep.is_once_effective
-        assert rep.stabilizes_at == "b"
-        assert rep.nilpotent_at == ("b", 1)  # f itself is constant to b
-
-    def test_two_step_nilpotent(self):
-        f = FinMap(ABC, ABC, {"a": "b", "b": "c", "c": "c"})
-        rep = endo_analyze(f)
-        assert rep.stabilizes_at == "c"
-        assert rep.nilpotent_at == ("c", 2)
-
-    def test_three_cycle(self):
-        f = FinMap(ABC, ABC, {"a": "b", "b": "c", "c": "a"})
-        rep = endo_analyze(f)
-        assert rep.invariant_points == finset()
-        assert not rep.is_once_effective
-        assert rep.stabilizes_at is None
-        assert rep.nilpotent_at is None
-
-    def test_once_effective_iterates_constant_on_image(self):
-        carrier = finset("a", "b", "c")
-        for f in all_maps(carrier, carrier):
-            rep = endo_analyze(f)
-            if rep.is_once_effective:
-                f2 = iterate(f, 2)
-                for x in f.image():
-                    assert f2.assign[x] == f.assign[x] == x
-
-
-class TestNaturalPair:
-    def test_identity_pair(self):
-        i = FinMap.identity(ABC)
-        assert natural_pair_check(i, i, i, i).passed
-
-    def test_commuting_negation(self):
-        # doubling commutes with negation on a symmetric window mod 5
-        w = FinSet(str(i) for i in range(5))
-        double = FinMap(w, w, {str(i): str(2 * i % 5) for i in range(5)})
-        neg = FinMap(w, w, {str(i): str(-i % 5) for i in range(5)})
-        assert natural_pair_check(double, double, neg, neg).passed
-
-    def test_perturbed_fails_with_witness(self):
-        i = FinMap.identity(ABC)
-        g = FinMap(ABC, ABC, {"a": "b", "b": "a", "c": "c"})
-        rep = natural_pair_check(i, g, i, i)
-        assert not rep.passed
-        assert rep.failures[0].witness == ("a",)
-
-    def test_sa_must_be_onto(self):
-        i = FinMap.identity(ABC)
-        sa = FinMap.constant(ABC, ABC, "a")
-        with pytest.raises(NotOnto):
-            natural_pair_check(i, i, sa, i)
-
-
 class TestSelect:
     def test_singletons_forced(self):
         fam = [finset("a"), finset("b")]
@@ -418,11 +324,11 @@ class TestSelect:
             select([finset()])
 
     def test_reproduces_right_inverse(self):
+        # one point of each fiber of an onto map is a right inverse of it
         f = FinMap(ABC, finset("x", "y"), {"a": "x", "b": "x", "c": "y"})
         sel = select([fiber(f, z) for z in f.cod])
-        r = right_inverse(f)
-        for z in f.cod:
-            assert r.assign[z] == sel.assign[fiber(f, z).name()]
+        r = FinMap(f.cod, f.dom, {z: sel.assign[fiber(f, z).name()] for z in f.cod})
+        assert r.assign == {"x": "a", "y": "c"}
         assert compose(f, r) == FinMap.identity(f.cod)
 
 

@@ -23,7 +23,6 @@ from structa.docs import (
     doc_hom,
     doc_category,
     doc_group,
-    doc_poset,
     parse,
     parse_text,
     render,
@@ -382,7 +381,8 @@ class TestStructures:
         from structa.order import diamond_poset
 
         P = diamond_poset()
-        assert to_structure(doc_poset(P)) == P
+        payload = {"kind": "poset", "carrier": list(P.carrier), "le": sorted(map(list, P.pairs))}
+        assert to_structure(parse_text(json.dumps(payload))) == P
         G = cyclic_group(3)
         assert to_structure(doc_group(G)) == G
         C = from_poset(P)

@@ -1,0 +1,65 @@
+"""Dead-code checks on src/structa, read from the source with ``ast``.
+
+Every module-level import is used in its module, and every class of
+``errors.py`` is raised or caught somewhere in the package, so deleting
+the last caller of a name cannot leave its import or its error class
+behind.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "structa"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def names_used(tree) -> set:
+    """Every name the module reads, with the first part of each dotted
+    name, and every name listed in ``__all__``."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = names_used(tree)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.append((alias.asname or alias.name).split(".")[0])
+    assert sorted(n for n in imported if n not in used) == []
+
+
+def handled_names(tree) -> set:
+    """The exception names that a ``raise`` or an ``except`` mentions."""
+    out = set()
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            targets.append(node.exc)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            targets.append(node.type)
+        for t in targets:
+            out |= {n.id for n in ast.walk(t) if isinstance(n, ast.Name)}
+            out |= {n.attr for n in ast.walk(t) if isinstance(n, ast.Attribute)}
+    return out
+
+
+def test_every_error_class_is_raised_or_caught():
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = [n.name for n in errors.body if isinstance(n, ast.ClassDef)]
+    handled = set()
+    for path in MODULES:
+        handled |= handled_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert classes and sorted(c for c in classes if c not in handled) == []

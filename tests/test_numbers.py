@@ -26,7 +26,6 @@ from structa.errors import BadStructure, WindowOverflow, ZeroDenominator
 from structa.order import check_order
 from structa.numbers import (
     Rat,
-    _gcd_oracle,
     build_discrete,
     dual_order_checks,
     embed_int,
@@ -97,6 +96,16 @@ def outcome(scan, *args):
 # frozen dataclass named Rat
 DataclassRat = dataclasses.make_dataclass("Rat", [("num", int), ("den", int)], frozen=True)
 
+
+
+def _gcd_oracle(a: int, b: int) -> int:
+    """Largest common divisor by exhaustive search (small inputs only)."""
+    a, b = abs(a), abs(b)
+    if a == 0:
+        return b
+    if b == 0:
+        return a
+    return max(d for d in range(1, min(a, b) + 1) if a % d == 0 and b % d == 0)
 
 class TestDiscrete:
     def test_smallest_window(self):

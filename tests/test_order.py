@@ -9,17 +9,14 @@ from structa.errors import (
     CarrierMismatch,
     EmptySubset,
     NotALattice,
-    NotDualPair,
     NotMonotone,
     NotSemilattice,
-    TooLarge,
     UnboundedChain,
 )
 from structa.order import (
     LatticeTables,
     Poset,
     antichain_poset,
-    bounds,
     chain_poset,
     check_order,
     completeness_laws,
@@ -30,25 +27,47 @@ from structa.order import (
     functor_order,
     galois_check,
     is_directed,
-    lattice_from_dual_pair,
     lattice_from_poset,
     lattice_laws,
     map_classify,
-    monotone_maps,
-    natural_completeness_vs_fixed_points,
     order_flags,
     order_from_semilattice,
-    partial_map_poset,
     powerset_poset,
-    semilattice_check,
     semilattice_report,
-    subset_of_name,
     zorn_maximal,
 )
 
 CHAIN3 = chain_poset(["0", "1", "2"])
 DIAMOND = diamond_poset()
 PW2 = powerset_poset(finset("a", "b"))
+# the subset that each element of PW2 names
+SUBSET2 = {A.name(): A for A in finset("a", "b").subsets()}
+
+
+def monotone_maps(P, Q):
+    """Every map of carriers P → Q that preserves the order."""
+    for f in all_maps(P.carrier, Q.carrier):
+        if all(Q.le(f(x), f(y)) for (x, y) in P.pairs):
+            yield f
+
+
+def natural_completeness_vs_fixed_points(P, include_empty_chain=False) -> tuple:
+    """Two predicates whose equivalence is a tested conjecture: every chain
+    has a sup, and every monotone endofunction has a least fixed point.
+
+    With ``include_empty_chain`` the first predicate also demands sup ∅,
+    i.e. a bottom; only then do the two provably coincide (an antichain
+    with a cyclic monotone map separates the nonempty-chain reading)."""
+    chains_ok = completeness_report(P)["naturally_complete"]
+    if include_empty_chain:
+        chains_ok = chains_ok and P.min_of(P.carrier) is not None
+    fp_ok = True
+    for f in monotone_maps(P, P):
+        inv = FinSet(x for x in P.carrier if f(x) == x)
+        if P.min_of(inv) is None:
+            fp_ok = False
+            break
+    return chains_ok, fp_ok
 
 
 class TestCheckOrder:
@@ -165,12 +184,8 @@ class TestGalois:
         base = finset("a", "b")
         P = powerset_poset(base)
         f = FinMap(base, base, {"a": "b", "b": "b"})
-        img = FinMap(
-            P.carrier, P.carrier, {n: f.image(subset_of_name(n)).name() for n in P.carrier}
-        )
-        pre = FinMap(
-            P.carrier, P.carrier, {n: f.preimage(subset_of_name(n)).name() for n in P.carrier}
-        )
+        img = FinMap(P.carrier, P.carrier, {n: f.image(SUBSET2[n]).name() for n in P.carrier})
+        pre = FinMap(P.carrier, P.carrier, {n: f.preimage(SUBSET2[n]).name() for n in P.carrier})
         assert galois_check(img, pre, P, P).passed
 
     def test_perturbation_fails_both_forms(self):
@@ -193,24 +208,24 @@ class TestGalois:
 
 class TestBounds:
     def test_singleton(self):
-        b = bounds(CHAIN3, finset("1"))
-        assert b["sup"] == b["inf"] == "1"
+        A = finset("1")
+        assert CHAIN3.sup(A) == CHAIN3.inf(A) == "1"
 
     def test_diamond_middle_pair(self):
-        b = bounds(DIAMOND, finset("l", "r"))
-        assert b["sup"] == "top" and b["inf"] == "bot"
+        A = finset("l", "r")
+        assert DIAMOND.sup(A) == "top" and DIAMOND.inf(A) == "bot"
 
     def test_antichain_no_sup(self):
         P = antichain_poset(["a", "b"])
-        b = bounds(P, finset("a", "b"))
-        assert b["upper"] == finset() and b["sup"] is None
+        A = finset("a", "b")
+        assert P.upper_bounds(A) == finset() and P.sup(A) is None
 
     def test_empty_subset_conventions(self):
-        assert bounds(CHAIN3, finset())["sup"] == "0"
-        assert bounds(CHAIN3, finset())["inf"] == "2"
+        assert CHAIN3.sup(finset()) == "0"
+        assert CHAIN3.inf(finset()) == "2"
         # no min/max: absent rather than erroring
         P = antichain_poset(["a", "b"])
-        assert bounds(P, finset())["sup"] is None
+        assert P.sup(finset()) is None
 
 
 # the pair-set scans that the mask forms of the bound methods replaced
@@ -447,7 +462,7 @@ class TestLattices:
         lt = lattice_from_poset(PW2)
         for m in PW2.carrier:
             for n in PW2.carrier:
-                a, b = subset_of_name(m), subset_of_name(n)
+                a, b = SUBSET2[m], SUBSET2[n]
                 assert lt.join[(m, n)] == a.union(b).name()
                 assert lt.meet[(m, n)] == a.inter(b).name()
 
@@ -480,13 +495,13 @@ class TestSemilattices:
 
     def test_max_table_induces_chain(self):
         carrier = finset("0", "1", "2")
-        assert semilattice_check(self.MAX3, carrier)
+        assert semilattice_report(self.MAX3, carrier).passed
         assert order_from_semilattice(self.MAX3, carrier, "join") == CHAIN3
 
     def test_dual_pair_on_powerset(self):
         lt = lattice_from_poset(PW2)
-        back = lattice_from_dual_pair(lt.join, lt.meet, PW2.carrier)
-        assert back.poset == PW2
+        assert order_from_semilattice(lt.join, PW2.carrier, "join") == PW2
+        assert order_from_semilattice(lt.meet, PW2.carrier, "meet") == PW2
         # units: empty set is minimum, full set maximum
         assert PW2.min_of(PW2.carrier) == "{}"
         assert PW2.max_of(PW2.carrier) == "{a,b}"
@@ -506,15 +521,17 @@ class TestSemilattices:
     def test_group_table_not_semilattice(self):
         z2 = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "e"}
         carrier = finset("e", "a")
-        assert not semilattice_check(z2, carrier)
+        assert not semilattice_report(z2, carrier).passed
         with pytest.raises(NotSemilattice):
             order_from_semilattice(z2, carrier)
 
     def test_broken_absorption_rejected(self):
+        # x∨y = y must match x∧y = x: max read as a meet orders the
+        # chain backwards, min read as a meet orders it forwards
+        carrier = finset("0", "1", "2")
         min3 = {(a, b): min(a, b) for a in "012" for b in "012"}
-        with pytest.raises(NotDualPair):
-            lattice_from_dual_pair(self.MAX3, self.MAX3, finset("0", "1", "2"))
-        assert lattice_from_dual_pair(self.MAX3, min3, finset("0", "1", "2"))
+        assert order_from_semilattice(self.MAX3, carrier, "meet") != CHAIN3
+        assert order_from_semilattice(min3, carrier, "meet") == CHAIN3
 
     def test_roundtrip_identity_small_lattices(self):
         for P in enumerate_posets(finset("a", "b", "c")):
@@ -524,7 +541,6 @@ class TestSemilattices:
                 continue
             assert order_from_semilattice(lt.join, P.carrier, "join") == P
             assert order_from_semilattice(lt.meet, P.carrier, "meet") == P
-            assert lattice_from_dual_pair(lt.join, lt.meet, P.carrier).poset == P
 
 
 class TestCompleteness:
@@ -560,33 +576,6 @@ class TestCompleteness:
         P = antichain_poset(["a", "b", "c"])
         chains_ok, fp_ok = natural_completeness_vs_fixed_points(P)
         assert chains_ok and not fp_ok
-
-
-class TestPartialMapPoset:
-    def test_single_point(self):
-        P = partial_map_poset(finset("a"))
-        assert len(P.carrier) == 2
-        assert P.min_of(P.carrier) == "[]"
-
-    def test_two_points_count(self):
-        P = partial_map_poset(finset("a", "b"))
-        assert len(P.carrier) == 9  # 1 empty + 2*2 singles + 4 total maps
-        assert P.min_of(P.carrier) == "[]"
-
-    def test_complete_and_bounded_complete(self):
-        P = partial_map_poset(finset("a", "b"))
-        flags = completeness_report(P)
-        assert flags["directed_complete"] and flags["bounded_complete"]
-
-    def test_directed_sup_is_merge(self):
-        P = partial_map_poset(finset("a", "b"))
-        fam = finset("[]", "[a>b]", "[a>b,b>a]")
-        assert is_directed(P, fam)
-        assert P.sup(fam) == "[a>b,b>a]"
-
-    def test_guard(self):
-        with pytest.raises(TooLarge):
-            partial_map_poset(finset("a", "b", "c", "d"))
 
 
 class TestFunctorOrder:

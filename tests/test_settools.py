@@ -19,29 +19,20 @@ from hypothesis import strategies as st
 from structa.core import FinMap, FinSet, finset
 from structa.errors import (
     CarrierMismatch,
-    Degenerate,
     EmptyMemberInBase,
-    MeetingConditionFailed,
     TooLarge,
 )
 from structa import settools
-from structa.order import Poset
 from structa.settools import (
     Family,
     closure_witness,
-    elementary_filter,
     enumerate_filters,
     f_backward,
     f_forward,
-    family,
     family_image_laws,
     family_images,
     filter_base_witness,
-    filter_ops,
-    filter_transport,
-    frechet_base,
     generate_filter,
-    cofinite_base,
     is_filter,
     is_filter_base,
     is_sigma_algebra,
@@ -59,6 +50,11 @@ from structa.settools import (
     ultrafilter_suite,
     union_of,
 )
+
+
+def family(carrier, *members):
+    """The family over ``carrier`` of the subsets listed as symbol lists."""
+    return Family(carrier, [FinSet(m) for m in members])
 
 
 def collapse_map():
@@ -269,9 +265,8 @@ class TestFilters:
     def test_trivial_filter(self):
         carrier = finset("a", "b", "c")
         fam = Family(carrier, [carrier])
-        out = filter_ops(carrier, fam)
-        assert out["base"] and out["filter"]
-        assert out["generated"].members == {carrier}
+        assert is_filter_base(fam) and is_filter(fam)
+        assert generate_filter(fam).members == {carrier}
 
     def test_point_filter_from_base(self):
         carrier = finset("a", "b", "c")
@@ -294,24 +289,21 @@ class TestFilters:
         # {a,b} and {a,c} meet in {a}, which holds no member; {y} and {z}
         # both miss the image {x} of the constant map
         code = (
-            "from structa.core import FinMap, finset\n"
-            "from structa.settools import family, filter_transport, generate_filter\n"
-            "base = family(finset('a', 'b', 'c', 'd'), ['a', 'b'], ['c', 'd'], ['a', 'c'], ['b', 'd'])\n"
-            "xyz = finset('x', 'y', 'z')\n"
-            "f = FinMap.constant(finset('a'), xyz, 'x')\n"
-            "for run in (lambda: generate_filter(base),\n"
-            "            lambda: filter_transport(f, family(xyz, ['z'], ['y'], ['x']), 'backward')):\n"
-            "    try:\n"
-            "        run()\n"
-            "    except Exception as e:\n"
-            "        print(e.witness)\n"
+            "from structa.core import FinSet, finset\n"
+            "from structa.settools import Family, generate_filter\n"
+            "members = [['a', 'b'], ['c', 'd'], ['a', 'c'], ['b', 'd']]\n"
+            "base = Family(finset('a', 'b', 'c', 'd'), [FinSet(m) for m in members])\n"
+            "try:\n"
+            "    generate_filter(base)\n"
+            "except Exception as e:\n"
+            "    print(e.witness)\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         for seed in range(6):
             env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed))
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                   text=True, env=env, timeout=60)
-            assert (proc.stdout, proc.stderr) == ("('{a,b}', '{a,c}')\n('{y}',)\n", ""), seed
+            assert (proc.stdout, proc.stderr) == ("('{a,b}', '{a,c}')\n", ""), seed
 
     def test_filter_count_two_points(self):
         carrier = finset("a", "b")
@@ -330,9 +322,11 @@ class TestFilters:
     def test_union_of_principal_filters(self):
         carrier = finset("a", "b", "c")
         for F in enumerate_filters(carrier):
-            out = filter_ops(carrier, F)
-            assert out["filter"]
-            assert out["principal_decomposition"] is not None
+            assert is_filter(F)
+            union = set()
+            for S in F:
+                union |= principal_filter(carrier, S).members
+            assert union == F.members
 
     def test_minimality_of_generated_filter(self):
         carrier = finset("a", "b", "c")
@@ -413,54 +407,6 @@ class TestUltrafilters:
                 assert F.members == principal_filter(carrier, bottom).members
 
 
-class TestTransport:
-    def test_identity_transport(self):
-        carrier = finset("a", "b")
-        f = FinMap.identity(carrier)
-        base = family(carrier, ["a"])
-        assert filter_transport(f, base, "forward") == base
-        assert filter_transport(f, base, "backward") == base
-
-    def test_collapse_point_filter(self):
-        f = collapse_map()
-        F = point_filter(f.dom, "a")
-        moved = filter_transport(f, F, "forward")
-        assert generate_filter(moved) == point_filter(f.cod, "x")
-
-    def test_backward_meeting_condition(self):
-        dom = finset("a")
-        f = FinMap(dom, finset("x", "y"), {"a": "x"})
-        base = family(f.cod, ["y"])
-        with pytest.raises(MeetingConditionFailed):
-            filter_transport(f, base, "backward")
-
-    def test_forward_base_stays_base(self):
-        f = collapse_map()
-        for F in enumerate_filters(f.dom):
-            moved = filter_transport(f, F, "forward")
-            assert is_filter_base(moved)
-
-
-class TestDegenerateConstructors:
-    def test_cofinite_degenerate(self):
-        with pytest.raises(Degenerate):
-            cofinite_base(finset("a", "b"))
-
-    def test_frechet_degenerate_on_finite_directed(self):
-        carrier = finset("a", "b", "c")
-        pairs = {(x, y) for x in carrier for y in carrier if x <= y}
-        chain = Poset(carrier, pairs)
-        with pytest.raises(Degenerate):
-            frechet_base(chain)
-
-    def test_elementary_filter_degenerates_with_base(self):
-        carrier = finset("a", "b")
-        chain = Poset(carrier, {("a", "a"), ("b", "b"), ("a", "b")})
-        net = FinMap(carrier, finset("x", "y"), {"a": "x", "b": "y"})
-        with pytest.raises(Degenerate):
-            elementary_filter(net, chain)
-
-
 class TestSigmaReference:
     """``sigma_generate`` (closure iteration) against the partition
     intersection in ``sigma_by_partitions``."""
@@ -521,33 +467,20 @@ class TestFilterTheorems:
                 assert is_filter(fam) == want, sorted(S.elements for S in ms)
 
     def test_filter_ops_decomposition(self):
+        # the filter a base generates is the union of the principal
+        # filters of its members, and a filter generates itself
         for carrier in (finset("a", "b"), finset("a", "b", "c")):
             for fam in all_families(carrier):
-                out = filter_ops(carrier, fam)
-                if not out["base"]:
+                if not is_filter_base(fam):
                     continue
-                gen = out["generated"]
+                gen = generate_filter(fam)
                 union = set()
-                for p in out["principal_decomposition"].values():
-                    union |= p.members
+                for S in gen:
+                    union |= principal_filter(carrier, S).members
                 assert union == gen.members
                 assert is_filter_base(gen)  # downward directed
-                if out["filter"]:
+                if is_filter(fam):
                     assert gen.members == fam.members
-
-    def test_transport_keeps_bases(self):
-        dom, cod = finset("a", "b", "c"), finset("x", "y")
-        bases_dom = [B for B in all_families(dom) if is_filter_base(B)]
-        bases_cod = [B for B in all_families(cod) if is_filter_base(B)]
-        for f in all_maps_between(dom, cod):
-            for B in bases_dom:
-                assert is_filter_base(filter_transport(f, B, "forward"))
-            for B in bases_cod:
-                try:
-                    out = filter_transport(f, B, "backward")
-                except MeetingConditionFailed:
-                    continue
-                assert is_filter_base(out)
 
 
 # ---------------------------------------------------------------------------
