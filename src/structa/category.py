@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from .core import (
     FinMap,
     FinSet,
+    Frozen,
     all_maps,
     associativity_witness,
     check_symbol,
@@ -58,11 +59,12 @@ from .errors import (
 from .report import LawReport
 
 
-class FinCat:
+class FinCat(Frozen):
     """A finite category: objects, named arrows, identities, and an
     explicit composition table ``comp[(g, f)] = g∘f``."""
 
     __slots__ = ("objects", "arrows", "src", "tgt", "identity", "comp", "meta")
+    _fields = ("objects", "arrows", "identity", "comp", "meta")
 
     def __init__(self, objects, arrows, identity, comp, meta=None):
         objects = objects if isinstance(objects, FinSet) else FinSet(objects)
@@ -93,13 +95,6 @@ class FinCat:
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "comp", comp)
         object.__setattr__(self, "meta", meta or {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinCat is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return (self.__class__, (self.objects, self.arrows, self.identity, self.comp, self.meta))
 
     def __eq__(self, other):
         return (

@@ -21,60 +21,6 @@ import sys
 from .errors import ParseError, SchemaError, StructaError, TooLarge
 from .report import LawReport
 
-FORMAT_SPEC = """\
-structa document format
-=======================
-
-A document is one JSON object (UTF-8) with a "kind" key and a fixed,
-kind-specific key set. Building blocks:
-
-  symbols   non-empty strings without whitespace or lone surrogates
-  set       array of distinct symbols, e.g. ["a", "b"]
-  subset    array of distinct symbols drawn from a declared carrier
-  pairs     array of [key, value] symbol pairs; total over its key set
-  table     array of [left, right, value] symbol triples; total over
-            left x right (a missing cell is a schema error naming it)
-  nested    a complete sub-document (object with its own "kind")
-
-Kinds and their keys:
-
-  set              elements: set
-  map              dom: set; cod: set; map: pairs dom -> cod
-  poset            carrier: set; le: array of [x, y] relation pairs
-  semilattice      carrier: set; table: total operation table
-  category         objects: set; arrows: array of [name, src, tgt];
-                   identity: pairs object -> arrow; comp: array of
-                   [g, f, g_after_f] (defined cells only)
-  functor          src: nested category; tgt: nested category;
-                   on_obj: pairs; on_arr: pairs
-  nattrans         f: nested functor; g: nested functor (parallel);
-                   component: pairs object -> target arrow
-  group            carrier: set; table: total operation table
-  hom              src: nested group; tgt: nested group; map: pairs
-  action           group: nested group; carrier: set;
-                   act: total table group-element x point -> point
-  family           carrier: set; members: array of subsets
-  filterbase       carrier: set; members: array of subsets
-  closure          carrier: set; table: array of [subset, subset]
-                   pairs, total over the power set
-  topology         carrier: set; opens: array of subsets
-  base             carrier: set; members: array of subsets
-  rational-window  window: positive integer; den: positive integer
-
-Canonical form: keys sorted, two-space indent, element lists and table
-rows sorted, one trailing newline. parse canonicalizes, so a rendered
-document round-trips byte-identically.
-
-Derive operations (structa derive <op> <file> [args]):
-
-  quotient   group + normal subgroup elements -> group
-  opposite   category -> category
-  filter     filterbase -> family (the generated filter)
-  topology   base -> topology
-  closure    topology -> closure (via the closed sets)
-  cayley     group -> hom (the regular-representation embedding)
-"""
-
 
 def _law_catalogue():
     """Every law id with its statement, collected from the ``check``
@@ -129,11 +75,12 @@ def _law_catalogue():
     f = FinMap(ab, ab, {"a": "b", "b": "a"})
     P2 = chain_poset(["a", "b"])
     C2 = from_poset(P2)
-    Z2 = cyclic_group(2)
+    Z1, Z2 = cyclic_group(1), cyclic_group(2)
     lt = lattice_from_poset(P2)
     reports = [
-        image_calculus(f, ab, ab, families=([ab], [finset("a")])),
+        image_calculus(f, ab, ab, families=([ab], [finset("a"), ab])),
         fiber_union_check(f, ab, ab),
+        fiber_union_check(FinMap.constant(ab, ab, "a"), ab, ab),
         check_order(ab, P2.pairs),
         lattice_laws(lt),
         completeness_laws(P2),
@@ -149,6 +96,7 @@ def _law_catalogue():
             identity_nat(identity_functor(C2)),
         ),
         transfer_check(hom_check(Z2, Z2, FinMap.identity(Z2.carrier)), finset("g0")),
+        transfer_check(hom_check(Z1, Z2, FinMap(Z1.carrier, Z2.carrier, {"g0": "g0"})), Z1.carrier),
         abelianization_check(Z2, cyclic_subgroup(Z2, "g0")),
         stabilizer_suite(regular_action(Z2), "g0"),
         linear_space_check(
@@ -163,6 +111,7 @@ def _law_catalogue():
         family_image_laws(f, Family(ab, [finset("a")]), Family(ab, [finset("b")])),
         set_law_suite(ab, ab, ab, Family(ab, [finset("a")])),
         nest_identities([finset("a"), ab], ab),
+        nest_identities([finset("a"), finset("b")], ab),
         refinement_laws(ab),
         ultrafilter_suite(ab),
         closure_check(discrete_closure(ab)),
@@ -208,7 +157,7 @@ def _build_parser():
     ck.add_argument("files", nargs="+", metavar="FILE")
     json_flag(ck)
     ck.add_argument(
-        "--max-size", type=int, default=None, metavar="N",
+        "--max-size", type=_positive_int, default=None, metavar="N",
         help="override enumeration guards",
     )
     jobs_flag(ck)
@@ -238,13 +187,6 @@ def _build_parser():
 # built once per process: parse_args returns a fresh namespace on every
 # call and keeps no state in the parser
 _PARSER = _build_parser()
-
-
-def _seed_from(ns) -> int:
-    if ns.seed is not None:
-        return ns.seed
-    env = os.environ.get("STRUCTA_SEED")
-    return int(env) if env else 0
 
 
 def _emit_report(name: str, report: LawReport, as_json: bool, out):
@@ -294,18 +236,29 @@ def _cmd_derive(ns, out) -> int:
 def _cmd_suite(ns, out) -> int:
     from .suites import run_suite
 
-    rep = run_suite(ns.name, seed=_seed_from(ns))
+    seed = ns.seed
+    if seed is None:
+        env = os.environ.get("STRUCTA_SEED")
+        try:
+            seed = int(env) if env else 0
+        except ValueError:
+            print("error: STRUCTA_SEED must be an integer, got %r" % env, file=sys.stderr)
+            return 2
+    rep = run_suite(ns.name, seed=seed)
     _emit_report(ns.name, rep, ns.json, out)
     return 0 if rep.passed else 1
 
 
 def _cmd_formats(ns, out) -> int:
+    # the schema is one file, shipped with the package as the fixtures are
+    with open(os.path.join(os.path.dirname(__file__), "format.md"), encoding="utf-8") as fh:
+        spec = fh.read()
     catalogue = _law_catalogue()
     if ns.json:
-        out.write(json.dumps({"schema": FORMAT_SPEC, "laws": catalogue},
+        out.write(json.dumps({"schema": spec, "laws": catalogue},
                              sort_keys=True, indent=2) + "\n")
         return 0
-    out.write(FORMAT_SPEC)
+    out.write(spec)
     out.write("\nLaw catalogue (law id: statement)\n")
     out.write("=================================\n\n")
     width = max(len(law) for law in catalogue)

@@ -2,9 +2,11 @@
 
 Symbols are plain text tokens. A ``FinSet`` is a canonically ordered,
 duplicate-free collection of symbols; a ``FinMap`` is a total function
-between two such sets. Everything is immutable and compared
-extensionally: two maps are equal when domain, codomain and assignment
-coincide.
+between two such sets. Everything is compared extensionally: two maps
+are equal when domain, codomain and assignment coincide. The value
+types of the package (``FinSet``, ``FinMap``, ``Poset``, ``FinGroup``,
+``FinCat``, ``ClosureOp``, ``Rat``) derive from ``Frozen``, which
+refuses every write and ``del`` and copies through the constructor.
 
 Public constructors validate: ``FinSet(...)`` checks every symbol and
 ``FinMap(...)`` checks totality and codomain membership. Sets derived
@@ -53,10 +55,31 @@ def check_symbol(s) -> str:
     return s
 
 
-class FinSet:
+class Frozen:
+    """Base of the immutable value types. Every write and every ``del``
+    raises; constructors write their slots past ``__setattr__``. Copies
+    and pickles rebuild through ``__init__`` from the ``_fields`` values,
+    the constructor's arguments in order, so slots that are not fields,
+    such as lazy caches, are rebuilt rather than carried."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        return (self.__class__, tuple([getattr(self, f) for f in self._fields]))
+
+
+class FinSet(Frozen):
     """An ordered, duplicate-free finite set of symbols."""
 
     __slots__ = ("elements", "_bit")
+    _fields = ("elements",)
 
     def __init__(self, elements=()):
         elems = sorted({check_symbol(e) for e in elements})
@@ -72,13 +95,6 @@ class FinSet:
         s = object.__new__(cls)
         _set_elements(s, elems)
         return s
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinSet is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return (self.__class__, (self.elements,))
 
     def __iter__(self):
         return iter(self.elements)
@@ -150,7 +166,7 @@ class FinSet:
             return bits
 
 
-# write the slots directly, past FinSet.__setattr__, which refuses all writes
+# write the slots directly, past Frozen.__setattr__, which refuses all writes
 _set_elements = FinSet.elements.__set__
 _set_bit = FinSet._bit.__set__
 
@@ -182,18 +198,19 @@ def finset(*elements) -> FinSet:
     return FinSet(elements)
 
 
-def _join(sets) -> FinSet:
+def union_of(sets) -> FinSet:
     """The union of a family of ``FinSet``s, built from their members."""
     return FinSet._ordered(tuple(sorted({x for s in sets for x in s.elements})))
 
 
-class FinMap:
+class FinMap(Frozen):
     """A total function between finite sets.
 
     On masks, the map is the tuple of its points' image bits over ``cod``,
     in ``dom`` order (``point_masks``), built on first use."""
 
     __slots__ = ("dom", "cod", "assign", "_points")
+    _fields = ("dom", "cod", "assign")
 
     def __init__(self, dom: FinSet, cod: FinSet, assign):
         assign = dict(assign)
@@ -212,13 +229,6 @@ class FinMap:
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "assign", {x: assign[x] for x in dom})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinMap is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return (self.__class__, (self.dom, self.cod, self.assign))
 
     def __call__(self, x):
         try:
@@ -663,7 +673,7 @@ def select(family, rule=min) -> FinMap:
         if len(m) == 0:
             raise EmptyMember("cannot select from an empty member")
     dom = FinSet(m.name() for m in members)
-    cod = _join(members)
+    cod = union_of(members)
     by_name = {m.name(): m for m in members}
     return FinMap(dom, cod, {n: rule(by_name[n].elements) for n in dom})
 

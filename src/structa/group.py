@@ -15,6 +15,7 @@ from functools import lru_cache
 from .core import (
     FinMap,
     FinSet,
+    Frozen,
     Partition,
     all_maps,
     associativity_witness,
@@ -39,23 +40,17 @@ from .errors import (
 from .report import LawReport
 
 
-class FinGroup:
+class FinGroup(Frozen):
     """A group given by its full multiplication table."""
 
     __slots__ = ("carrier", "op", "unit", "inv")
+    _fields = ("carrier", "op", "unit", "inv")
 
     def __init__(self, carrier: FinSet, op, unit, inv):
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "op", dict(op))
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "inv", dict(inv))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinGroup is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return (self.__class__, (self.carrier, self.op, self.unit, self.inv))
 
     def __eq__(self, other):
         return (

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
-from .core import FinMap, FinSet, classify
+from .core import FinMap, FinSet, Frozen, classify
 from .errors import BadStructure, WindowOverflow, ZeroDenominator
 from .order import Poset
 from .report import LawReport
@@ -203,25 +203,19 @@ def int_add_direct(a: ExactInt, b: ExactInt) -> ExactInt:
     return a + b
 
 
-class Rat:
+class Rat(Frozen):
     """A numerator and a nonzero denominator. Equality and hashing are
     those of the pair, so 1/2 and 2/4 differ here; ``rat_eq`` compares
-    values. Immutable: ``__init__`` writes the two slots past
-    ``__setattr__``, which refuses every write."""
+    values."""
 
     __slots__ = ("num", "den")
+    _fields = ("num", "den")
 
     def __init__(self, num: ExactInt, den: ExactInt):
         if den == 0:
             raise ZeroDenominator("a rational needs a nonzero denominator", witness=(num,))
         _set_num(self, num)
         _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Rat is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Rat is immutable")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -233,10 +227,6 @@ class Rat:
 
     def __repr__(self):
         return "Rat(num=%r, den=%r)" % (self.num, self.den)
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return (self.__class__, (self.num, self.den))
 
     def __str__(self):
         return "%d/%d" % (self.num, self.den)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .core import (
     FinMap,
     FinSet,
+    Frozen,
     associativity_witness,
     classify,
     finset,
@@ -76,10 +77,11 @@ def order_flags(carrier: FinSet, rel) -> dict:
     return {"preorder": preorder, "partial": partial, "natural": partial and ok["total"]}
 
 
-class Poset:
+class Poset(Frozen):
     """A reflexive, antisymmetric, transitive relation on a finite carrier."""
 
     __slots__ = ("carrier", "pairs", "_updown")
+    _fields = ("carrier", "pairs")
 
     def __init__(self, carrier: FinSet, pairs):
         pairs = frozenset(pairs)
@@ -95,13 +97,6 @@ class Poset:
         object.__setattr__(P, "carrier", carrier)
         object.__setattr__(P, "pairs", frozenset(pairs))
         return P
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poset is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return (self.__class__, (self.carrier, self.pairs))
 
     def __eq__(self, other):
         return (

@@ -14,7 +14,18 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .core import FinMap, FinSet, classify, compose, finset, generated, mask_of, set_of, subset_masks
+from .core import (
+    FinMap,
+    FinSet,
+    classify,
+    compose,
+    finset,
+    generated,
+    mask_of,
+    set_of,
+    subset_masks,
+    union_of,
+)
 from .errors import (
     CarrierMismatch,
     EmptyMemberInBase,
@@ -46,13 +57,6 @@ class Family:
 
     def __contains__(self, s):
         return s in self.members
-
-
-def union_of(fam) -> FinSet:
-    out = FinSet()
-    for s in fam:
-        out = out.union(s)
-    return out
 
 
 def inter_of(fam, carrier: FinSet) -> FinSet:

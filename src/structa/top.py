@@ -14,16 +14,17 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FinSet, generated, mask_of, set_of, subset_masks
+from .core import FinSet, Frozen, generated, mask_of, set_of, subset_masks, union_of
 from .errors import BadStructure, CarrierMismatch, NotClosedFamily, NotCovering
 from .report import LawReport
-from .settools import Family, closure_witness, inter_of, union_of, unclosed_pair, upward_closure
+from .settools import Family, closure_witness, inter_of, unclosed_pair, upward_closure
 
 
-class ClosureOp:
+class ClosureOp(Frozen):
     """A total table sending each subset of the carrier to a subset."""
 
     __slots__ = ("carrier", "table")
+    _fields = ("carrier", "table")
 
     def __init__(self, carrier: FinSet, table):
         table = dict(table)
@@ -34,13 +35,6 @@ class ClosureOp:
                 raise CarrierMismatch("closure value escapes the carrier", witness=(a.name(),))
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClosureOp is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return (self.__class__, (self.carrier, self.table))
 
     def __eq__(self, other):
         return (

@@ -118,8 +118,16 @@ MUTANTS = [
     ),
     (
         "core.py",
-        "return (self.__class__, (self.dom, self.cod, self.assign))",
-        "return (self.__class__, (self.dom, self.cod))",
+        "tuple([getattr(self, f) for f in self._fields])",
+        "tuple([getattr(self, f) for f in self._fields[:-1]])",
+        "tests/test_core.py::test_copy_and_pickle_round_trips",
+    ),
+    (
+        "core.py",
+        "    def __delattr__(self, name):\n"
+        "        raise AttributeError(\"%s is immutable\" % type(self).__name__)\n",
+        "    def __delattr__(self, name):\n"
+        "        object.__delattr__(self, name)\n",
         "tests/test_core.py::test_copy_and_pickle_round_trips",
     ),
     (

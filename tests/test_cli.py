@@ -22,6 +22,7 @@ from structa.suites import fixtures_dir
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
+SPEC = Path(cli.__file__).with_name("format.md")
 
 
 def run_cli(args):
@@ -135,6 +136,12 @@ class TestExitCodes:
         code, out, err = run_cli(["check", "--jobs", jobs, fx("group_z2.json")])
         assert (code, out) == (2, "")
         assert "--jobs" in err
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_max_size_below_one_is_usage_error(self, size):
+        code, out, err = run_cli(["check", "--max-size", size, fx("group_z2.json")])
+        assert (code, out) == (2, "")
+        assert "--max-size" in err
 
     def test_guard_exceeded_is_two_and_names_bound(self, tmp_path):
         doc = '{"kind": "rational-window", "window": 50, "den": 2}'
@@ -454,8 +461,9 @@ class TestFormats:
             assert law in out
 
     def test_formats_matches_shipped_docs(self):
-        root = Path(__file__).resolve().parents[1]
-        assert (root / "docs" / "format.md").read_text(encoding="utf-8") == cli.FORMAT_SPEC
+        # the schema is printed from the one copy shipped in the package
+        out = run_cli(["formats"])[1]
+        assert out.startswith(SPEC.read_text(encoding="utf-8") + "\nLaw catalogue")
 
     def test_catalogue_holds_the_document_laws(self):
         # every law that `check` prints on a shipped fixture; the files in
@@ -476,7 +484,7 @@ class TestFormats:
         code, out, _ = run_cli(["formats", "--json"])
         assert out == (GOLDEN / "formats.json").read_text(encoding="utf-8")
         payload = json.loads(out)
-        assert payload["schema"] == cli.FORMAT_SPEC
+        assert payload["schema"] == SPEC.read_text(encoding="utf-8")
         assert payload["laws"]["grp-unit"]
 
 
@@ -487,6 +495,12 @@ class TestSeeds:
         b = run_cli(["suite", "interchange"])
         assert a == b
         assert a[0] == 0
+
+    def test_non_integer_env_seed_is_usage_error(self, monkeypatch):
+        monkeypatch.setenv("STRUCTA_SEED", "abc")
+        code, out, err = run_cli(["suite", "sigma"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: STRUCTA_SEED") and err.count("\n") == 1
 
 
 class TestOneParser:

@@ -712,10 +712,11 @@ class TestGenerated:
 
 
 def immutable_values():
-    """One value of each immutable slot class, with its lazy caches built
+    """One value of each ``Frozen`` class, with its lazy caches built
     (``bits``, ``point_masks``, the poset's up-set masks)."""
     from structa.category import from_poset, product_cat
     from structa.group import cyclic_group
+    from structa.numbers import Rat
     from structa.order import chain_poset
     from structa.top import discrete_closure
 
@@ -726,7 +727,7 @@ def immutable_values():
     P = chain_poset(["a", "b", "c"])
     P.is_chain(["a", "c"])
     C2 = from_poset(chain_poset(["a", "b"]))
-    return [ab, f, P, cyclic_group(3), discrete_closure(ab), product_cat(C2, C2)]
+    return [ab, f, P, cyclic_group(3), discrete_closure(ab), product_cat(C2, C2), Rat(-1, 2)]
 
 
 ROUND_TRIPS = {
@@ -750,3 +751,7 @@ def test_copy_and_pickle_round_trips(value, how):
     assert not any(hasattr(out, name) for name in private)
     with pytest.raises(AttributeError, match="immutable"):
         setattr(out, type(value).__slots__[0], None)
+    for name in type(value)._fields:
+        with pytest.raises(AttributeError, match="^%s is immutable$" % type(value).__name__):
+            delattr(out, name)
+        assert getattr(out, name) == getattr(value, name)

@@ -1,9 +1,10 @@
-"""Dead-code checks on src/structa, read from the source with ``ast``.
+"""Hygiene checks on src/structa, read from the source with ``ast``.
 
 Every module-level import is used in its module, and every class of
 ``errors.py`` is raised or caught somewhere in the package, so deleting
 the last caller of a name cannot leave its import or its error class
-behind.
+behind. Only ``core.Frozen`` writes the immutable-value contract, and
+``structa formats`` lists every law id that a library report can emit.
 """
 
 import ast
@@ -63,3 +64,49 @@ def test_every_error_class_is_raised_or_caught():
     for path in MODULES:
         handled |= handled_names(ast.parse(path.read_text(encoding="utf-8")))
     assert classes and sorted(c for c in classes if c not in handled) == []
+
+
+FROZEN_DUNDERS = {"__setattr__", "__delattr__", "__reduce__"}
+
+
+def test_only_frozen_defines_the_immutable_value_contract():
+    defined = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name != "Frozen":
+                defined += [(path.name, node.name, f.name) for f in node.body
+                            if isinstance(f, ast.FunctionDef) and f.name in FROZEN_DUNDERS]
+    assert defined == []
+
+
+def emitted_law_ids() -> set:
+    """The literal law id of every ``.add(law, statement, passed, ...)``
+    call outside ``suites.py``, whose unit reports are not in the
+    catalogue, and the ids of the law tables that feed ``.add`` through a
+    variable."""
+    from structa.category import _FUNCTOR_LAWS
+    from structa.core import _IMAGE_LAWS
+    from structa.top import _CLOSURE_LAWS
+
+    ids = set(_IMAGE_LAWS) | set(_CLOSURE_LAWS)
+    for prefix, (_, _, comp_law, _) in _FUNCTOR_LAWS.items():
+        ids |= {prefix + "-endpoints", prefix + "-unit", comp_law}
+    for path in MODULES:
+        if path.name == "suites.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add"
+                and len(node.args) + len(node.keywords) >= 3
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                ids.add(node.args[0].value)
+    return ids
+
+
+def test_the_catalogue_lists_every_emitted_law():
+    from structa.cli import _law_catalogue
+
+    assert sorted(emitted_law_ids() - set(_law_catalogue())) == []

@@ -18,7 +18,6 @@ from structa.core import (
     FinMap,
     FinSet,
     _family_masks,
-    _join,
     all_maps,
     fiber_union_check,
     finset,
@@ -26,6 +25,7 @@ from structa.core import (
     mask_of,
     set_of,
     subset_masks,
+    union_of,
 )
 from structa.errors import CarrierMismatch, EmptyMemberInBase
 from structa.report import LawReport
@@ -126,11 +126,11 @@ def image_calculus_ref(f, A, B, families=()):
         if not (over_dom or over_cod):
             raise CarrierMismatch("family members must share a carrier of f")
         if over_dom:
-            union = _join(members)
+            union = union_of(members)
             inter = f.dom
             for m in members:
                 inter = inter.inter(m)
-            im_union = _join(image_ref(f, m) for m in members)
+            im_union = union_of(image_ref(f, m) for m in members)
             im_inter = f.cod
             for m in members:
                 im_inter = im_inter.inter(image_ref(f, m))
@@ -141,11 +141,11 @@ def image_calculus_ref(f, A, B, families=()):
                     r.add("img-inter-monic", "monic: f(⋂X) = ⋂fX",
                           image_ref(f, inter) == im_inter)
         if over_cod:
-            union = _join(members)
+            union = union_of(members)
             inter = f.cod
             for m in members:
                 inter = inter.inter(m)
-            pre_union = _join(preimage_ref(f, m) for m in members)
+            pre_union = union_of(preimage_ref(f, m) for m in members)
             pre_inter = f.dom
             for m in members:
                 pre_inter = pre_inter.inter(preimage_ref(f, m))
@@ -162,7 +162,7 @@ def image_calculus_ref(f, A, B, families=()):
 
 def fiber_union_check_ref(f, A, B):
     r = LawReport("fiber-union")
-    fibers_of_B = _join(fiber_ref(f, z) for z in B)
+    fibers_of_B = union_of(fiber_ref(f, z) for z in B)
     lhs = image_ref(f, A) == B
     rhs = A == fibers_of_B
     if classify_ref(f)["monic"] and sub_ref(B, image_ref(f)):
