@@ -708,10 +708,14 @@ _GUARDS = {
 
 def run_check(doc: StructureDoc, max_size: int | None = None) -> LawReport:
     """The law suite of the document's kind, as a report. Raises
-    TooLarge first if the document exceeds one of its kind's guards."""
+    TooLarge first if the document exceeds one of its kind's guards.
+    ``max_size``, when given, replaces every default bound and must be
+    at least 1, as ``--max-size`` must; a smaller one raises ValueError."""
+    if max_size is not None and max_size < 1:
+        raise ValueError("max_size must be at least 1, got %r" % (max_size,))
     for key, default in _GUARDS.get(doc.kind, ()):
         size = doc[key] if isinstance(doc[key], int) else len(doc[key])
-        bound = max_size or default
+        bound = default if max_size is None else max_size
         if size > bound:
             raise TooLarge(
                 "%s document exceeds the size bound (%d > %d); raise --max-size"

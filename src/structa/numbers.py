@@ -6,20 +6,24 @@ construction of addition and the recursion product are what the laws
 verify, on bounded windows, against that native arithmetic. Rationals
 are pairs with a cross-multiplication equality and a sign-split order.
 
-The checked constructions keep their steps and leave out per-step
+The checked constructions keep their steps and leave out repeated
 interpreter work: the recursion product is one native left fold over
-its |b| additions, and the window laws scan only the interval of x
-whose every step stays in the window, computed from the offsets, while
-still reading each step from the shift tables. A ``Rat`` is an
-immutable two-slot object.
+its |b| additions; the shift maps are built in order of |b|, each one
+successor step (or inverse step) past the map before it; the window
+laws scan only the interval of x whose every step stays in the window,
+computed from the offsets, as C-level ``map`` chains that still read
+each step from the shift tables; and the window's order-embedding check
+compares one up-set mask per point. A ``Rat`` is an immutable two-slot
+object.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, compress, repeat
 
 from .core import FinMap, FinSet, Frozen, classify
 from .errors import BadStructure, WindowOverflow, ZeroDenominator
@@ -45,14 +49,30 @@ class IntWindow:
 def build_discrete(N: int) -> IntWindow:
     """The window [-N, N] with its natural order and the successor map
     on [-N, N-1], checked to be an order embedding onto the shifted
-    window, together with its inverse."""
+    window, together with its inverse.
+
+    The embedding check asks, for every pair (x, y) of the interior
+    [-N, N-1], that x <= y exactly when x + 1 <= y + 1 in the poset's
+    pairs. It compares row masks over the points in numeric order: bit
+    k of up[x] is set when x <= y for the k-th point y of [-N, N], so
+    the successor moves bit k to bit k + 1, the interior is bits 0..2N-1
+    (``inner_bits``) and the shifted window bits 1..2N
+    (``shifted_bits``). For one x and the k-th point y, bit k + 1 of
+    (up[x] & inner_bits) << 1 is set exactly when y is interior and
+    x <= y, and bit k + 1 of up[x + 1] & shifted_bits exactly when y is
+    interior and x + 1 <= y + 1. Neither mask has a bit outside 1..2N,
+    so they are equal exactly when the pair test holds for x and every
+    interior y, and the 2N row tests decide the same predicate as the
+    (2N)^2 pair tests. Only a window that fails a row runs the pair
+    scan, in its order, so the witness is still its first failing
+    pair."""
     if N < 1:
         raise ValueError("the window needs at least -1, 0, 1")
     # syms[i + N] names i, so i <= j exactly when syms[i + N] comes no
     # later than syms[j + N]
     syms = [_sym(i) for i in range(-N, N + 1)]
     carrier = FinSet(syms)
-    le = ((x, y) for k, x in enumerate(syms) for y in syms[k:])
+    le = chain.from_iterable(zip(repeat(x), syms[k:]) for k, x in enumerate(syms))
     # the natural order of ints is a total order; tests run check_order on it
     poset = Poset._trusted(carrier, le)
     interior = FinSet(syms[:-1])
@@ -60,13 +80,18 @@ def build_discrete(N: int) -> IntWindow:
     succ = FinMap(interior, shifted, dict(zip(syms, syms[1:])))
     if not classify(succ)["bijective"]:
         raise BadStructure("successor must be a bijection onto the shifted window")
-    # a pair (a, b) of the interior is ordered as its successor pair
-    # (a + 1, b + 1) is
     pairs = poset.pairs
-    for x, sx in zip(syms, syms[1:]):
-        for y, sy in zip(syms, syms[1:]):
-            if ((sx, sy) in pairs) != ((x, y) in pairs):
-                raise BadStructure("successor must be an order embedding", witness=(x, y))
+    bits = [1 << k for k in range(len(syms))]
+    up = [sum(compress(bits, map(pairs.__contains__, zip(repeat(x), syms)))) for x in syms]
+    inner_bits = (1 << 2 * N) - 1
+    shifted_bits = inner_bits << 1
+    if any(((up[k] & inner_bits) << 1) != up[k + 1] & shifted_bits for k in range(2 * N)):
+        # a pair (a, b) of the interior is ordered as its successor pair
+        # (a + 1, b + 1) is
+        for x, sx in zip(syms, syms[1:]):
+            for y, sy in zip(syms, syms[1:]):
+                if ((sx, sy) in pairs) != ((x, y) in pairs):
+                    raise BadStructure("successor must be an order embedding", witness=(x, y))
     pred = FinMap(shifted, interior, {y: x for x, y in succ.assign.items()})
     return IntWindow(N, poset, succ, pred)
 
@@ -80,15 +105,29 @@ def _walk(w: IntWindow, x: str, b: int) -> str:
     return x
 
 
-def _shift_map(w: IntWindow, b: int) -> FinMap:
-    """The +b automorphism on the partial window where it stays in range,
-    built by composing successor steps (or inverse steps)."""
+def _shift_maps(w: IntWindow, m: int) -> dict:
+    """The +b automorphisms for b = 0, ±1, ..., ±m, each on the partial
+    window where it stays in range, by offset. They are built in order
+    of |b|: the map for b > 0 is the map for b - 1 followed by one
+    successor step, and the map for b < 0 is the map for b + 1 followed
+    by one inverse step, so every value is still read off the successor
+    table, with one step per point and map. The domain of the map for b
+    lies inside that of the map before it, whose values there stay in
+    the step's domain."""
     N = w.N
-    lo, hi = max(-N, -N - b), min(N, N - b)
     carrier = w.poset.carrier
-    dom = carrier.inter({_sym(i) for i in range(lo, hi + 1)})
-    cod = carrier.inter({_sym(i + b) for i in range(lo, hi + 1)})
-    return FinMap(dom, cod, {x: _walk(w, x, b) for x in dom})
+    succ, pred = w.succ.assign, w.pred.assign
+    # syms[i + N] names i
+    syms = [_sym(i) for i in range(-N, N + 1)]
+    maps = {0: FinMap(carrier, carrier, dict(zip(syms, syms)))}
+    for k in range(1, m + 1):
+        for b, back, step in ((k, maps[k - 1].assign, succ), (-k, maps[1 - k].assign, pred)):
+            # +b stays in range on n points, from position lo
+            n, lo = max(2 * N + 1 - k, 0), max(0, -b)
+            dom, cod = syms[lo : lo + n], syms[lo + b : lo + b + n]
+            assign = {x: step[back[x]] for x in dom}
+            maps[b] = FinMap(carrier.inter(assign), carrier.inter(set(cod)), assign)
+    return maps
 
 
 def int_add(a: ExactInt, b: ExactInt, N: int | None = None) -> ExactInt:
@@ -109,7 +148,7 @@ def int_group_check(N: int) -> LawReport:
     r = LawReport("int-group")
     w = build_discrete(N)
     half = N // 2
-    shifts = {b: _shift_map(w, b) for b in range(-half, half + 1)}
+    shifts = _shift_maps(w, half)
     r.add(
         "int-unit",
         "shifting by zero is the identity on the window",
@@ -162,7 +201,9 @@ def int_group_check(N: int) -> LawReport:
 # sum in the window form one interval: -N <= x + s <= N for each partial
 # sum s gives lo = max(-N - s) and hi = min(N - s), s = 0 included. So
 # each scan visits exactly the x the window guards admit, in increasing
-# order.
+# order, as a lazy chain of C-level maps: ``all`` pulls one x at a time
+# through the same lookups, in the same order, as a generator would, and
+# stops at the same x.
 
 
 def _commute(ta: dict, tb: dict, a: int, b: int, N: int) -> bool:
@@ -170,17 +211,34 @@ def _commute(ta: dict, tb: dict, a: int, b: int, N: int) -> bool:
     window."""
     lo = max(-N, -N - a, -N - b, -N - a - b)
     hi = min(N, N - a, N - b, N - a - b)
-    return all(tb[ta[x]] == ta[tb[x]] for x in range(lo, hi + 1))
+    xs = range(lo, hi + 1)
+    get_a, get_b = ta.__getitem__, tb.__getitem__
+    return all(map(operator.eq, map(get_b, map(get_a, xs)), map(get_a, map(get_b, xs))))
 
 
 def _stack(ta: dict, tb: dict, tc: dict, a: int, b: int, c: int, N: int) -> bool:
     """+a, then +b, then +c moves x by a+b+c wherever each step is
-    defined."""
+    defined.
+
+    The guards x in ta, x + a in tb and x + a + b in tc hold at every x
+    of [lo, hi] when each table's keys cover its interval, as a shift
+    table's do, so the chain reads tc[tb[ta[x]]] without them. Its True
+    is the guarded answer for any tables: the guarded scan makes the
+    same lookups at a subset of the same x. A False or a missing key is
+    decided by the guarded scan itself, so a table that misses a key
+    gets exactly the guarded verdict."""
     lo = max(-N, -N - a, -N - a - b, -N - a - b - c)
     hi = min(N, N - a, N - a - b, N - a - b - c)
+    xs = range(lo, hi + 1)
+    moved = map(tc.__getitem__, map(tb.__getitem__, map(ta.__getitem__, xs)))
+    try:
+        if all(map(operator.eq, moved, range(lo + a + b + c, hi + a + b + c + 1))):
+            return True
+    except KeyError:
+        pass
     return all(
         tc[tb[ta[x]]] == x + a + b + c
-        for x in range(lo, hi + 1)
+        for x in xs
         if x in ta and x + a in tb and x + a + b in tc
     )
 
@@ -327,20 +385,20 @@ def dual_order_checks(N: int) -> LawReport:
         "negating both lands in the same class",
         all(rat_eq(neg_both(p), p) for p in grid),
     )
-    # rows x/c against columns a/x under x/c ↦ a/x, for positive a, c
-    ok_rows = True
-    for c in range(1, N + 1):
-        row = [Rat(x, c) for x in range(1, N + 1)]
-        for a in range(1, N + 1):
-            for p1 in row:
-                for p2 in row:
-                    flipped1, flipped2 = Rat(a, p1.num), Rat(a, p2.num)
-                    if rat_le(p1, p2) != rat_le(flipped2, flipped1):
-                        ok_rows = False
+    # rows x/c against columns a/x under x/c ↦ a/x, for positive a, c;
+    # a/x depends on a and x only, so each column is built once
+    xs = range(1, N + 1)
+    cols = [[Rat(a, x) for x in xs] for a in xs]
     r.add(
         "dual-row-column",
         "row windows map contravariantly onto column windows",
-        ok_rows,
+        all(
+            rat_le(p1, p2) == rat_le(f2, f1)
+            for row in ([Rat(x, c) for x in xs] for c in xs)
+            for col in cols
+            for p1, f1 in zip(row, col)
+            for p2, f2 in zip(row, col)
+        ),
     )
     return r
 

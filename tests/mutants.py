@@ -261,6 +261,30 @@ MUTANTS = [
         "tests/test_category.py::TestObservationalEquality::"
         "test_signature_classes_match_the_pairwise_comparison",
     ),
+    (
+        "suites.py",
+        "rat_eq(rat_add(s[i][j], r), rat_add(p, s[j][k]))",
+        "rat_eq(rat_add(s[i][j], r), rat_add(s[i][j], r))",
+        "tests/test_numbers.py::TestRationalSuite::test_add_assoc_fails_on_one_wrong_sum",
+    ),
+    (
+        "suites.py",
+        "not up[j] & ~up[i]",
+        "not up[i] & ~up[j]",
+        "tests/test_numbers.py::TestRationalSuite::test_trans_reads_the_order",
+    ),
+    (
+        "numbers.py",
+        "(k, maps[k - 1].assign, succ)",
+        "(k, maps[max(k - 2, 0)].assign, succ)",
+        "tests/test_numbers.py::TestIntAdd::test_shift_maps_are_the_walked_maps",
+    ),
+    (
+        "numbers.py",
+        "up[k + 1] & shifted_bits for k in range(2 * N)",
+        "up[k + 1] & shifted_bits for k in range(2 * N - 1)",
+        "tests/test_numbers.py::TestDiscrete::test_mask_check_matches_the_pair_scan",
+    ),
 ]
 
 

@@ -287,6 +287,16 @@ class TestCheck:
         assert e.value.witness == (size, bound)
         assert run_check(doc, max_size=size).passed
 
+    @pytest.mark.parametrize("max_size", [0, -1])
+    def test_max_size_below_one_is_refused(self, max_size):
+        # before, 0 kept the default guard and -1 became the bound
+        doc = parse_text(json.dumps({"kind": "rational-window", "window": 50, "den": 2}))
+        with pytest.raises(ValueError, match="at least 1"):
+            run_check(doc, max_size=max_size)
+        small = parse_text(json.dumps({"kind": "set", "elements": self.points(2)}))
+        with pytest.raises(ValueError, match="at least 1"):
+            run_check(small, max_size=max_size)
+
     def test_set_check_ignores_the_guard(self):
         doc = parse_text(json.dumps({"kind": "set", "elements": self.points(11)}))
         assert run_check(doc).passed

@@ -3,8 +3,11 @@
 Every module-level import is used in its module, and every class of
 ``errors.py`` is raised or caught somewhere in the package, so deleting
 the last caller of a name cannot leave its import or its error class
-behind. Only ``core.Frozen`` writes the immutable-value contract, and
-``structa formats`` lists every law id that a library report can emit.
+behind. Every top-level function is reached from the CLI or the suite
+runner, or is named in ``KEPT_API``, so deleting the last caller of a
+function cannot leave it behind either. Only ``core.Frozen`` writes the
+immutable-value contract, and ``structa formats`` lists every law id
+that a library report can emit.
 """
 
 import ast
@@ -110,3 +113,85 @@ def test_the_catalogue_lists_every_emitted_law():
     from structa.cli import _law_catalogue
 
     assert sorted(emitted_law_ids() - set(_law_catalogue())) == []
+
+
+# Top-level functions that no CLI or suite path reaches and that stay on
+# purpose: documented library API, and two functions that only the
+# benchmark calls.
+KEPT_API = {
+    "category.cayley": "library API; a name-only scan mistakes docs' group.cayley for its caller",
+    "category.compare_representations": "library API",
+    "category.dagger": "library API, reached from compare_representations",
+    "category.hcompose": "library API",
+    "category.hom_bifunctor": "library API",
+    "category.slice_nat": "library API",
+    "category.yoneda": "library API",
+    "core.fold": "library API",
+    "core.inverse": "library API",
+    "core.select": "library API",
+    "docs.to_structure": "perfbench calls it; item 5 deletes it",
+    "group.power": "library API",
+    "numbers.int_add_direct": "perfbench calls it; item 5 deletes it",
+    "order.functor_order": "library API",
+    "order.zorn_maximal": "library API",
+}
+
+# the console script, and the suite runner that ``structa suite`` and
+# the package export share
+ENTRY_POINTS = [("cli", "main"), ("suites", "run_suite")]
+
+
+def reached_functions():
+    """(every top-level function as ``module.name``, the ones a fixpoint
+    scan reaches). The scan starts from the entry points and from each
+    module's top-level statements other than definitions and imports,
+    which run on import. A reached function or class reaches every
+    top-level definition that a name in its body resolves to: one of its
+    module, one a module-level ``from .m import`` brings in, or one that
+    a ``from .m import`` inside the body names."""
+    defs, aliases, todo = {}, {}, []
+    for path in MODULES:
+        mod = path.stem
+        aliases[mod] = {}
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[(mod, node.name)] = node
+            elif isinstance(node, ast.ImportFrom):
+                if node.level == 1:
+                    for a in node.names:
+                        aliases[mod][a.asname or a.name] = (node.module, a.name)
+            elif not isinstance(node, ast.Import):
+                todo.append((mod, node))
+
+    def resolve(mod, name):
+        seen = set()
+        while (mod, name) not in defs and name in aliases.get(mod, {}) and (mod, name) not in seen:
+            seen.add((mod, name))
+            mod, name = aliases[mod][name]
+        return (mod, name)
+
+    todo += [(mod, defs[(mod, name)]) for mod, name in ENTRY_POINTS]
+    reached = set(ENTRY_POINTS)
+    while todo:
+        mod, node = todo.pop()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                keys = [resolve(mod, sub.id)]
+            elif isinstance(sub, ast.ImportFrom) and sub.level == 1:
+                keys = [resolve(sub.module, a.name) for a in sub.names]
+            else:
+                continue
+            for key in keys:
+                if key in defs and key not in reached:
+                    reached.add(key)
+                    todo.append((key[0], defs[key]))
+    functions = {"%s.%s" % k for k, n in defs.items() if isinstance(n, ast.FunctionDef)}
+    return functions, {"%s.%s" % k for k in reached}
+
+
+def test_every_function_has_a_library_caller():
+    functions, reached = reached_functions()
+    assert sorted(functions - reached - set(KEPT_API)) == []
+    # the allowlist holds exactly the unreached functions, so it cannot
+    # go stale when one of them gains a caller or is deleted
+    assert sorted(functions - reached) == sorted(KEPT_API)

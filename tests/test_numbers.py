@@ -24,6 +24,7 @@ from structa import numbers
 from structa.core import FinMap, classify
 from structa.errors import BadStructure, WindowOverflow, ZeroDenominator
 from structa.order import check_order
+from structa.suites import run_suite
 from structa.numbers import (
     Rat,
     build_discrete,
@@ -84,6 +85,27 @@ def reference_stack(ta, tb, tc, a, b, c, N):
     )
 
 
+def walked_shift_map(w, b):
+    """Reference: the +b map on the partial window where it stays in
+    range, walking |b| steps from each of its points."""
+    N = w.N
+    lo, hi = max(-N, -N - b), min(N, N - b)
+    carrier = w.poset.carrier
+    dom = carrier.inter({str(i) for i in range(lo, hi + 1)})
+    cod = carrier.inter({str(i + b) for i in range(lo, hi + 1)})
+    return FinMap(dom, cod, {x: numbers._walk(w, x, b) for x in dom})
+
+
+def embedding_witness_reference(syms, pairs):
+    """Reference: build_discrete's full pair scan, giving the first
+    interior pair (x, y) ordered unlike (x + 1, y + 1), or None."""
+    for x, sx in zip(syms, syms[1:]):
+        for y, sy in zip(syms, syms[1:]):
+            if ((sx, sy) in pairs) != ((x, y) in pairs):
+                return (x, y)
+    return None
+
+
 def outcome(scan, *args):
     """A scan's verdict, or the exception class a wrong table makes it raise."""
     try:
@@ -133,6 +155,36 @@ class TestDiscrete:
             rep = check_order(P.carrier, P.pairs)
             assert rep.passed, (N, rep.failures)
 
+    def test_mask_check_matches_the_pair_scan(self, monkeypatch):
+        # planted orders: one pair dropped or added anywhere in the window,
+        # and one dropped at each end of the interior; the window is
+        # rejected exactly when the scan finds a pair, with its witness
+        real = numbers.Poset._trusted
+        for N in (1, 2, 3, 5):
+            syms = [str(i) for i in range(-N, N + 1)]
+            honest = {(x, y) for k, x in enumerate(syms) for y in syms[k:]}
+            plants = [honest - {p} for p in sorted(honest)]
+            plants += [honest | {(y, x)} for x, y in sorted(honest) if x != y]
+            plants += [honest - {(syms[0], y) for y in syms}, honest - {(x, syms[-1]) for x in syms}]
+            for planted in plants:
+                monkeypatch.setattr(
+                    numbers.Poset, "_trusted", lambda carrier, le: real(carrier, planted)
+                )
+                build_discrete.cache_clear()
+                try:
+                    build_discrete(N)
+                    got = None
+                except BadStructure as err:
+                    assert str(err).startswith("successor must be an order embedding")
+                    got = err.witness
+                finally:
+                    build_discrete.cache_clear()
+                assert got == embedding_witness_reference(syms, planted), (N, planted ^ honest)
+        monkeypatch.undo()
+        assert build_discrete(3).poset.pairs == frozenset(
+            (str(i), str(j)) for i in range(-3, 4) for j in range(i, 4)
+        )
+
     def test_broken_order_is_rejected(self, monkeypatch):
         # drop 0 <= 1: -1 <= 0 still holds, so the successor no longer
         # embeds the order
@@ -180,18 +232,28 @@ class TestIntAdd:
             b = rng.randint(-100, 100)
             assert int_add(a, b, N=201) == a + b
 
+    def test_shift_maps_are_the_walked_maps(self):
+        # every offset up to N, and past 2N where the maps are empty
+        for N in range(1, 13):
+            w = build_discrete(N)
+            for m in (N, 2 * N + 2):
+                maps = numbers._shift_maps(w, m)
+                assert sorted(maps) == list(range(-m, m + 1))
+                for b, got in maps.items():
+                    assert got == walked_shift_map(w, b), (N, b)
+
     def test_group_laws_read_the_shift_maps(self, monkeypatch):
         # +1 sends 0 to 2 instead of 1; laws that composed offsets
         # arithmetically instead of the maps would not notice
-        real = numbers._shift_map
+        real = numbers._shift_maps
 
-        def off_by_one(w, b):
-            m = real(w, b)
-            if b != 1:
-                return m
-            return FinMap(m.dom, m.cod, {**m.assign, "0": "2"})
+        def off_by_one(w, m):
+            maps = real(w, m)
+            p = maps[1]
+            maps[1] = FinMap(p.dom, p.cod, {**p.assign, "0": "2"})
+            return maps
 
-        monkeypatch.setattr(numbers, "_shift_map", off_by_one)
+        monkeypatch.setattr(numbers, "_shift_maps", off_by_one)
         rep = int_group_check(8)
         failed = {c.law for c in rep.checks if not c.passed}
         assert {"int-inverse", "int-commutative", "int-associative"} <= failed
@@ -204,8 +266,9 @@ class TestIntAdd:
         for N in range(1, 13):
             w = build_discrete(N)
             offsets = range(-N, N + 1)
+            maps = numbers._shift_maps(w, N)
             honest = {
-                d: {int(x): int(y) for x, y in numbers._shift_map(w, d).assign.items()}
+                d: {int(x): int(y) for x, y in maps[d].assign.items()}
                 for d in offsets
             }
             cases = [honest]
@@ -226,6 +289,92 @@ class TestIntAdd:
                     assert outcome(numbers._stack, *args) == outcome(
                         reference_stack, *args
                     ), (N, a, b, c)
+
+    def test_scans_match_the_references_on_tables_missing_a_key(self):
+        # every table drops its lowest, its highest or its middle key, or
+        # one table in three drops a random key over planted values; the
+        # chains must give the guarded verdict or raise where it raises
+        rng = random.Random(23)
+        for N in range(1, 8):
+            w = build_discrete(N)
+            offsets = range(-N, N + 1)
+            maps = numbers._shift_maps(w, N)
+            honest = {d: {int(x): int(y) for x, y in maps[d].assign.items()} for d in offsets}
+
+            def dropped(pick):
+                return {d: {x: y for x, y in t.items() if x != pick(sorted(t))}
+                        for d, t in honest.items()}
+
+            cases = [dropped(min), dropped(max), dropped(lambda xs: xs[len(xs) // 2])]
+            mixed = {}
+            for d, t in honest.items():
+                t = dict(t)
+                x = rng.choice(sorted(t))
+                t[x] = t[x] + rng.choice((-1, 1))
+                if rng.random() < 1 / 3:
+                    del t[rng.choice(sorted(t))]
+                mixed[d] = t
+            cases.append(mixed)
+            for t in cases:
+                for a, b in itertools.product(offsets, repeat=2):
+                    args = (t[a], t[b], a, b, N)
+                    assert outcome(numbers._commute, *args) == outcome(
+                        reference_commute, *args
+                    ), (N, a, b)
+                for a, b, c in itertools.product(offsets, repeat=3):
+                    args = (t[a], t[b], t[c], a, b, c, N)
+                    assert outcome(numbers._stack, *args) == outcome(
+                        reference_stack, *args
+                    ), (N, a, b, c)
+
+
+class TestRationalSuite:
+    """The associativity and transitivity laws of ``suite rationals``
+    read ``rat_add``, ``rat_mul`` and ``rat_le`` on every triple."""
+
+    @staticmethod
+    def verdicts(monkeypatch, name, wrong):
+        real = getattr(numbers, name)
+        monkeypatch.setattr(numbers, name, lambda p, q: wrong(real, p, q))
+        rep = run_suite("rationals")
+        return {c.law: c.passed for c in rep.checks}
+
+    def test_add_assoc_fails_on_one_wrong_sum(self, monkeypatch):
+        # 1/2 + 1/3 comes out one too large, for every pair of those values
+        def wrong(real, p, q):
+            s = real(p, q)
+            if (frac(p), frac(q)) == (Fraction(1, 2), Fraction(1, 3)):
+                return Rat(s.num + s.den, s.den)
+            return s
+
+        got = self.verdicts(monkeypatch, "rat_add", wrong)
+        assert not got["rat-add-assoc"]
+        assert got["rat-mul-assoc"]
+
+    def test_mul_assoc_fails_on_one_wrong_product(self, monkeypatch):
+        def wrong(real, p, q):
+            m = real(p, q)
+            if (frac(p), frac(q)) == (Fraction(2, 3), Fraction(-3, 5)):
+                return Rat(m.num + m.den, m.den)
+            return m
+
+        got = self.verdicts(monkeypatch, "rat_mul", wrong)
+        assert not got["rat-mul-assoc"]
+        assert got["rat-add-assoc"]
+
+    def test_trans_reads_the_order(self, monkeypatch):
+        # honest, the order is transitive; with -6 <= 6 refused it is not,
+        # since -6 <= 0 <= 6 still hold
+        assert run_suite("rationals")["rat-trans"].passed
+
+        def wrong(real, p, q):
+            if (frac(p), frac(q)) == (-6, 6):
+                return False
+            return real(p, q)
+
+        got = self.verdicts(monkeypatch, "rat_le", wrong)
+        assert not got["rat-trans"]
+        assert got["rat-antisym"]
 
 
 def test_check_output_is_the_same_under_optimize():
