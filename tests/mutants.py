@@ -94,8 +94,8 @@ MUTANTS = [
     ),
     (
         "numbers.py",
-        "if ((sx, sy) in pairs) != ((x, y) in pairs):",
-        "if False:",
+        "        if diff:\n",
+        "        if False:\n",
         "tests/test_numbers.py::TestDiscrete::test_broken_order_is_rejected",
     ),
     (
@@ -281,9 +281,21 @@ MUTANTS = [
     ),
     (
         "numbers.py",
-        "up[k + 1] & shifted_bits for k in range(2 * N)",
-        "up[k + 1] & shifted_bits for k in range(2 * N - 1)",
+        "    for k in range(2 * N):\n        diff",
+        "    for k in range(2 * N - 1):\n        diff",
         "tests/test_numbers.py::TestDiscrete::test_mask_check_matches_the_pair_scan",
+    ),
+    (
+        "numbers.py",
+        "lo = max(-N, -N - a, -N - a - b, -N - a - b - c)",
+        "lo = max(-N, -N - a, -N - a - b)",
+        "tests/test_numbers.py::TestIntAdd::test_group_laws_on_window",
+    ),
+    (
+        "numbers.py",
+        "inner_bits = (1 << 2 * N) - 1",
+        "inner_bits = (1 << 2 * N + 1) - 1",
+        "tests/test_numbers.py::TestDiscrete::test_smallest_window",
     ),
 ]
 
