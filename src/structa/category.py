@@ -32,7 +32,7 @@ f† at x is Hom(f, 1_x), and Cayley's translations are L_pt.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
 
 from .core import (
     FinMap,
@@ -182,24 +182,33 @@ def check_category(C: FinCat) -> LawReport:
     observational-equality warning."""
     r = LawReport("category")
     names = C.arrow_names
-    composable = {
-        (g, f) for g in names for f in names if C.tgt[f] == C.src[g]
-    }
-    missing = sorted(p for p in composable if p not in C.comp)
-    extra = sorted(p for p in C.comp if p not in composable)
+    src, tgt, comp = C.src, C.tgt, C.comp
+    # the table is exactly the composable pairs when each key composes
+    # and there are as many keys as pairs meeting at an object x,
+    # Σ_x |into(x)|·|from(x)|; only a failing table pays the pair scans
+    into, out = Counter(tgt.values()), Counter(src.values())
+    if all(tgt[f] == src[g] for g, f in comp) and len(comp) == sum(
+        n * out[x] for x, n in into.items()
+    ):
+        bad = None
+    else:
+        composable = {(g, f) for g in names for f in names if tgt[f] == src[g]}
+        missing = sorted(p for p in composable if p not in comp)
+        extra = sorted(p for p in comp if p not in composable)
+        bad = (missing + extra)[0]
     r.add(
         "cat-comp-total",
         "composition is defined exactly on the composable pairs",
-        not missing and not extra,
-        (missing + extra)[0] if (missing or extra) else None,
+        bad is None,
+        bad,
     )
-    bad = next(
+    bad = min(
         (
             (g, f)
-            for (g, f) in sorted(composable & set(C.comp))
-            if C.src[C.comp[(g, f)]] != C.src[f] or C.tgt[C.comp[(g, f)]] != C.tgt[g]
+            for (g, f), h in comp.items()
+            if tgt[f] == src[g] and (src[h] != src[f] or tgt[h] != tgt[g])
         ),
-        None,
+        default=None,
     )
     r.add("cat-endpoints", "g∘f runs from the source of f to the target of g", bad is None, bad)
     bad = next(
@@ -400,12 +409,8 @@ def _scan_functor(r: LawReport, prefix: str, F) -> LawReport:
 # functors
 
 
-@dataclass(frozen=True)
-class FunctorData:
-    src: FinCat
-    tgt: FinCat
-    on_obj: dict
-    on_arr: dict
+class FunctorData(Frozen):
+    __slots__ = _fields = ("src", "tgt", "on_obj", "on_arr")
 
 
 def identity_functor(C: FinCat) -> FunctorData:
@@ -588,13 +593,12 @@ def product_cat(C1: FinCat, C2: FinCat) -> FinCat:
 # set-valued functors
 
 
-@dataclass(frozen=True)
-class SetRepr:
-    """A Set-valued functor given by actual finite sets and maps."""
+class SetRepr(Frozen):
+    """A Set-valued functor given by actual finite sets and maps:
+    ``on_obj`` sends an object to a FinSet, ``on_arr`` an arrow name to
+    a FinMap."""
 
-    src: FinCat
-    on_obj: dict  # object -> FinSet
-    on_arr: dict  # arrow name -> FinMap
+    __slots__ = _fields = ("src", "on_obj", "on_arr")
 
 
 def check_set_functor(S: SetRepr) -> LawReport:
@@ -608,14 +612,11 @@ def check_set_functor(S: SetRepr) -> LawReport:
 # bridges and natural transformations
 
 
-@dataclass(frozen=True)
-class NatTransData:
+class NatTransData(Frozen):
     """A bridge between parallel functors. ``F``/``G`` are FunctorData
     or SetRepr; components are arrow names or FinMaps accordingly."""
 
-    F: object
-    G: object
-    component: dict
+    __slots__ = _fields = ("F", "G", "component")
 
 
 def identity_nat(F) -> NatTransData:

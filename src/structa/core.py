@@ -6,7 +6,17 @@ between two such sets. Everything is compared extensionally: two maps
 are equal when domain, codomain and assignment coincide. The value
 types of the package (``FinSet``, ``FinMap``, ``Poset``, ``FinGroup``,
 ``FinCat``, ``ClosureOp``, ``Rat``) derive from ``Frozen``, which
-refuses every write and ``del`` and copies through the constructor.
+refuses every write and ``del`` and copies through the constructor. So
+do the records, which declare only their fields and take ``Frozen``'s
+constructor, equality, hash and ``repr`` unless they check their
+arguments: ``Partition`` here, ``TotalChain`` and ``LatticeTables`` in
+``order``, ``IntWindow`` and ``RatClass`` in ``numbers``, ``Family`` in
+``settools``, ``Topology`` in ``top``, ``Subgroup``, ``GroupHom`` and
+``GroupAction`` in ``group``, ``FunctorData``, ``SetRepr`` and
+``NatTransData`` in ``category``, and ``StructureDoc`` in ``docs``.
+No module imports ``dataclasses``: with ``inspect`` and the code it
+generates for each class, it would be most of the import time of every
+fresh ``structa`` process.
 
 Public constructors validate: ``FinSet(...)`` checks every symbol and
 ``FinMap(...)`` checks totality and codomain membership. Sets derived
@@ -26,7 +36,6 @@ a ``FinSet`` is built only where a witness or a result needs one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     BadStructure,
@@ -56,14 +65,43 @@ def check_symbol(s) -> str:
 
 
 class Frozen:
-    """Base of the immutable value types. Every write and every ``del``
-    raises; constructors write their slots past ``__setattr__``. Copies
-    and pickles rebuild through ``__init__`` from the ``_fields`` values,
-    the constructor's arguments in order, so slots that are not fields,
-    such as lazy caches, are rebuilt rather than carried."""
+    """Base of the immutable value types and records. Every write and
+    every ``del`` raises; constructors write their slots past
+    ``__setattr__``. Copies and pickles rebuild through ``__init__`` from
+    the ``_fields`` values, the constructor's arguments in order, so slots
+    that are not fields, such as lazy caches, are rebuilt rather than
+    carried.
+
+    A record only declares its ``__slots__`` and ``_fields``: the default
+    ``__init__`` assigns the fields in order, and equality, hashing and
+    ``repr`` are those of the field tuple, as a frozen dataclass has them.
+    A value of another class is never equal, and a record with a dict
+    field is unhashable."""
 
     __slots__ = ()
     _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError("%s takes %d arguments, got %d"
+                            % (type(self).__name__, len(self._fields), len(values)))
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def _values(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -72,7 +110,7 @@ class Frozen:
         raise AttributeError("%s is immutable" % type(self).__name__)
 
     def __reduce__(self):
-        return (self.__class__, tuple([getattr(self, f) for f in self._fields]))
+        return (self.__class__, self._values())
 
 
 class FinSet(Frozen):
@@ -307,27 +345,27 @@ class FinMap(Frozen):
 _set_points = FinMap._points.__set__
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Pairwise-disjoint nonempty blocks covering a carrier. ``block_of``
     reads an element → block index that is not a field, so equality,
     hashing and repr ignore it."""
 
-    carrier: FinSet
-    blocks: tuple
+    __slots__ = ("carrier", "blocks", "_index")
+    _fields = ("carrier", "blocks")
 
-    def __post_init__(self):
+    def __init__(self, carrier: FinSet, blocks: tuple):
         seen = []
-        for i, b in enumerate(self.blocks):
+        for i, b in enumerate(blocks):
             if len(b) == 0:
                 raise BadStructure("partition blocks must be nonempty", witness=(i,))
-            if not b <= self.carrier:
+            if not b <= carrier:
                 raise CarrierMismatch("block outside the carrier")
             seen.extend(b)
-        if sorted(seen) != list(self.carrier):
-            bad = next(x for x in self.carrier if seen.count(x) != 1)
+        if sorted(seen) != list(carrier):
+            bad = next(x for x in carrier if seen.count(x) != 1)
             raise BadStructure("blocks must be disjoint and cover the carrier", witness=(bad,))
-        object.__setattr__(self, "_index", {x: b for b in self.blocks for x in b})
+        Frozen.__init__(self, carrier, blocks)
+        object.__setattr__(self, "_index", {x: b for b in blocks for x in b})
 
     def block_of(self, x: Symbol) -> FinSet:
         try:

@@ -17,20 +17,19 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 
-from .core import FinMap, FinSet, check_symbol, classify
+from .core import FinMap, FinSet, Frozen, check_symbol, classify
 from .errors import EmptyMemberInBase, ParseError, SchemaError, StructaError, TooLarge
 from .report import LawReport
 
-@dataclass(frozen=True)
-class StructureDoc:
+
+class StructureDoc(Frozen):
     """A parsed document: the canonical payload ``_validate`` returns,
     plain JSON data with its ``kind`` key. Nested documents are payload
     dicts of the same form."""
 
-    payload: dict
+    __slots__ = _fields = ("payload",)
 
     @property
     def kind(self) -> str:

@@ -9,7 +9,6 @@ trusted from the construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
@@ -75,24 +74,17 @@ class FinGroup(Frozen):
         )
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    parent: FinGroup
-    members: FinSet
+class Subgroup(Frozen):
+    __slots__ = _fields = ("parent", "members")
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    src: FinGroup
-    tgt: FinGroup
-    map: FinMap
+class GroupHom(Frozen):
+    __slots__ = _fields = ("src", "tgt", "map")
 
 
-@dataclass(frozen=True)
-class GroupAction:
-    group: FinGroup
-    carrier: FinSet
-    act: dict  # element -> bijection FinMap of carrier
+class GroupAction(Frozen):
+    # act: element -> bijection FinMap of carrier
+    __slots__ = _fields = ("group", "carrier", "act")
 
     def apply(self, g, x):
         return self.act[g](x)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, repeat
 
@@ -37,12 +36,8 @@ def _sym(i: int) -> str:
     return str(i)
 
 
-@dataclass(frozen=True)
-class IntWindow:
-    N: int
-    poset: Poset
-    succ: FinMap
-    pred: FinMap
+class IntWindow(Frozen):
+    __slots__ = _fields = ("N", "poset", "succ", "pred")
 
 
 @lru_cache(maxsize=8)
@@ -260,17 +255,6 @@ class Rat(Frozen):
         _set_num(self, num)
         _set_den(self, den)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.num, self.den) == (other.num, other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return "Rat(num=%r, den=%r)" % (self.num, self.den)
-
     def __str__(self):
         return "%d/%d" % (self.num, self.den)
 
@@ -279,12 +263,11 @@ _set_num = Rat.num.__set__
 _set_den = Rat.den.__set__
 
 
-@dataclass(frozen=True)
-class RatClass:
+class RatClass(Frozen):
     """A reduced representative with a positive denominator, as
     ``rat_canon`` builds it."""
 
-    rep: Rat
+    __slots__ = _fields = ("rep",)
 
 
 def rat_eq(p: Rat, q: Rat) -> bool:

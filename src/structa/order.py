@@ -9,7 +9,6 @@ on first use. A Hasse reduction exists only for rendering.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import (
     FinMap,
@@ -419,22 +418,18 @@ def zorn_maximal(P: Poset):
     return _zorn_chain(P)[1]
 
 
-@dataclass(frozen=True)
-class TotalChain:
-    poset: Poset
-    elements: tuple
+class TotalChain(Frozen):
+    __slots__ = _fields = ("poset", "elements")
 
-    def __post_init__(self):
-        for a, b in zip(self.elements, self.elements[1:]):
-            if not self.poset.le(a, b):
+    def __init__(self, poset: Poset, elements: tuple):
+        for a, b in zip(elements, elements[1:]):
+            if not poset.le(a, b):
                 raise BadStructure("chain elements out of order", witness=(a, b))
+        Frozen.__init__(self, poset, elements)
 
 
-@dataclass(frozen=True)
-class LatticeTables:
-    poset: Poset
-    join: dict
-    meet: dict
+class LatticeTables(Frozen):
+    __slots__ = _fields = ("poset", "join", "meet")
 
 
 def lattice_from_poset(P: Poset) -> LatticeTables:

@@ -7,7 +7,6 @@ lexicographically least witness found. Reports render deterministically
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
@@ -26,10 +25,26 @@ def _check_key(c):
     return (c.law, _witness_key(c.witness))
 
 
-@dataclass
 class LawReport:
-    suite: str
-    checks: list[Check] = field(default_factory=list)
+    """A suite name and its checks in the order they were added. Each
+    report owns its ``checks`` list, a new one unless one is given.
+    Reports with the same name and checks are equal; being mutable, a
+    report is unhashable."""
+
+    __slots__ = ("suite", "checks")
+    __hash__ = None
+
+    def __init__(self, suite: str, checks: list[Check] | None = None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.checks) == (other.suite, other.checks)
+
+    def __repr__(self):
+        return "LawReport(suite=%r, checks=%r)" % (self.suite, self.checks)
 
     def add(self, law, statement, passed, witness=None):
         """Record a check. A passed check has no witness; a failed one

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .core import (
     FinMap,
     FinSet,
+    Frozen,
     classify,
     compose,
     finset,
@@ -34,10 +34,8 @@ from .errors import (
 from .report import LawReport
 
 
-@dataclass(frozen=True)
-class Family:
-    carrier: FinSet
-    members: frozenset
+class Family(Frozen):
+    __slots__ = _fields = ("carrier", "members")
 
     def __init__(self, carrier: FinSet, members):
         members = frozenset(members)
@@ -46,8 +44,7 @@ class Family:
                 raise CarrierMismatch(
                     "family member escapes the carrier", witness=(str(m),)
                 )
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "members", members)
+        Frozen.__init__(self, carrier, members)
 
     def __iter__(self):
         return iter(sorted(self.members, key=lambda s: (len(s), s.elements)))

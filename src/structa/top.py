@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import FinSet, Frozen, generated, mask_of, set_of, subset_masks, union_of
@@ -169,10 +168,8 @@ def closure_from_closed(carrier: FinSet, C: Family) -> ClosureOp:
     return ClosureOp(carrier, table)
 
 
-@dataclass(frozen=True)
-class Topology:
-    carrier: FinSet
-    opens: Family
+class Topology(Frozen):
+    __slots__ = _fields = ("carrier", "opens")
 
 
 def check_topology(carrier: FinSet, opens: Family) -> Topology:

@@ -297,6 +297,35 @@ MUTANTS = [
         "inner_bits = (1 << 2 * N + 1) - 1",
         "tests/test_numbers.py::TestDiscrete::test_smallest_window",
     ),
+    (
+        "core.py",
+        "return self._values() == other._values()",
+        "return self._values()[:1] == other._values()[:1]",
+        "tests/test_core.py::test_records_have_the_dataclass_repr_equality_and_hash",
+    ),
+    (
+        "core.py",
+        "        if sorted(seen) != list(carrier):\n",
+        "        if False:\n",
+        "tests/test_core.py::test_partition_checks_its_blocks_in_the_constructor",
+    ),
+    (
+        "report.py",
+        "    def __init__(self, suite: str, checks: list[Check] | None = None):\n"
+        "        self.suite = suite\n"
+        "        self.checks = [] if checks is None else checks\n",
+        "    def __init__(self, suite: str, checks: list[Check] = []):\n"
+        "        self.suite = suite\n"
+        "        self.checks = checks\n",
+        "tests/test_core.py::test_law_reports_never_share_a_checks_list",
+    ),
+    (
+        "category.py",
+        "if all(tgt[f] == src[g] for g, f in comp) and len(comp) == sum(",
+        "if len(comp) == sum(",
+        "tests/test_category.py::TestCompositionTableCertificate::"
+        "test_a_missing_cell_and_a_stray_cell_keep_the_count",
+    ),
 ]
 
 

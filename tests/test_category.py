@@ -379,6 +379,83 @@ class TestOneAssociativityKernel:
             assert rep["cat-assoc"].witness == expected
 
 
+# cat-comp-total and cat-endpoints decide a passing table by counting its
+# keys; the reference is the pair scan that check_category ran on every
+# table before, and still runs on a failing one.
+
+
+def comp_scan(C):
+    """(cat-comp-total witness, cat-endpoints witness) by the sorted scans
+    over all composable pairs."""
+    names = C.arrow_names
+    composable = {(g, f) for g in names for f in names if C.tgt[f] == C.src[g]}
+    missing = sorted(p for p in composable if p not in C.comp)
+    extra = sorted(p for p in C.comp if p not in composable)
+    total = (missing + extra)[0] if (missing or extra) else None
+    ends = next(
+        (
+            (g, f)
+            for (g, f) in sorted(composable & set(C.comp))
+            if C.src[C.comp[(g, f)]] != C.src[f] or C.tgt[C.comp[(g, f)]] != C.tgt[g]
+        ),
+        None,
+    )
+    return total, ends
+
+
+@st.composite
+def comp_tables(draw):
+    # a poset or group category, or arrows with random ends among two
+    # objects and a random value on each composable pair; then a few cells
+    # dropped, added on any pair, or given any arrow as value
+    kind = draw(st.sampled_from(["poset", "group", "random"]))
+    if kind == "random":
+        objects = finset("x", "y")
+        names = "pqrs"[: draw(st.integers(0, 4))]
+        arrows = [(n, draw(st.sampled_from("xy")), draw(st.sampled_from("xy"))) for n in names]
+        ends = {n: (s, t) for n, s, t in arrows}
+        comp = {(g, f): draw(st.sampled_from(names)) for g in names for f in names
+                if ends[f][1] == ends[g][0]}
+        C = FinCat(objects, arrows, {}, comp)
+    else:
+        C = draw(st.sampled_from(POSET_CATS if kind == "poset" else GROUP_CATS))
+    names = C.arrow_names
+    comp = dict(C.comp)
+    if not names:
+        return C
+    name = st.sampled_from(names)
+    for key in draw(st.lists(st.tuples(name, name), max_size=2)):
+        comp.pop(key, None)
+    for key, value in draw(st.lists(st.tuples(st.tuples(name, name), name), max_size=2)):
+        comp[key] = value
+    return FinCat(C.objects, C.arrows, C.identity, comp)
+
+
+class TestCompositionTableCertificate:
+    @PROPERTY
+    @given(comp_tables())
+    def test_witnesses_match_the_pair_scans(self, C):
+        total, ends = comp_scan(C)
+        rep = check_category(C)
+        assert (rep["cat-comp-total"].passed, rep["cat-comp-total"].witness) == (
+            total is None, total)
+        assert (rep["cat-endpoints"].passed, rep["cat-endpoints"].witness) == (
+            ends is None, ends)
+
+    def test_a_missing_cell_and_a_stray_cell_keep_the_count(self):
+        # one composable cell dropped and one non-composable cell added: the
+        # count is right but a key does not compose, so the scan names the
+        # missing cell first
+        comp = dict(C2.comp)
+        del comp[("(b<=b)", "(a<=b)")]
+        comp[("(a<=b)", "(a<=b)")] = "(a<=b)"
+        C = FinCat(C2.objects, C2.arrows, C2.identity, comp)
+        assert len(C.comp) == len(C2.comp)
+        rep = check_category(C)
+        assert rep["cat-comp-total"].witness == ("(b<=b)", "(a<=b)")
+        assert rep["cat-endpoints"].passed
+
+
 class TestConstructors:
     def test_chain_two_has_three_arrows(self):
         assert len(C2.arrows) == 3

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import os
 import pickle
@@ -730,6 +731,49 @@ def immutable_values():
     return [ab, f, P, cyclic_group(3), discrete_closure(ab), product_cat(C2, C2), Rat(-1, 2)]
 
 
+def record_values():
+    """One value of each record class, each built by the library where it
+    builds one."""
+    from structa.category import from_poset, hom_functors, identity_functor, identity_nat
+    from structa.docs import parse_text
+    from structa.group import cyclic_group, cyclic_subgroup, hom_check, regular_action
+    from structa.numbers import Rat, build_discrete, rat_canon
+    from structa.order import TotalChain, chain_poset, lattice_from_poset
+    from structa.settools import Family
+    from structa.top import check_topology
+
+    ab = finset("a", "b")
+    P = chain_poset(["a", "b", "c"])
+    C2 = from_poset(chain_poset(["a", "b"]))
+    Z3 = cyclic_group(3)
+    return [
+        Partition(ab, (finset("a"), finset("b"))),
+        TotalChain(P, ("a", "c")),
+        lattice_from_poset(P),
+        build_discrete(1),
+        rat_canon(Rat(2, -4)),
+        Family(ab, [finset("a"), ab]),
+        check_topology(ab, Family(ab, [finset(), ab])),
+        cyclic_subgroup(Z3, "g1"),
+        hom_check(Z3, Z3, FinMap.identity(Z3.carrier)),
+        regular_action(cyclic_group(2)),
+        identity_functor(C2),
+        hom_functors(C2, "a")[0],
+        identity_nat(identity_functor(C2)),
+        parse_text('{"kind": "set", "elements": ["a", "b"]}'),
+    ]
+
+
+RECORD_CLASSES = [
+    "Partition", "TotalChain", "LatticeTables", "IntWindow", "RatClass", "Family", "Topology",
+    "Subgroup", "GroupHom", "GroupAction", "FunctorData", "SetRepr", "NatTransData",
+    "StructureDoc",
+]
+# the records with a dict field, unhashable as their frozen dataclasses were
+UNHASHABLE = {"LatticeTables", "GroupAction", "FunctorData", "SetRepr", "NatTransData",
+              "StructureDoc"}
+
+
 ROUND_TRIPS = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
@@ -738,20 +782,130 @@ ROUND_TRIPS = {
 
 
 @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
-@pytest.mark.parametrize("value", immutable_values(), ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value", immutable_values() + record_values(),
+                         ids=lambda v: type(v).__name__)
 def test_copy_and_pickle_round_trips(value, how):
     private = [name for name in type(value).__slots__ if name.startswith("_")]
     assert all(hasattr(value, name) for name in private)
     out = ROUND_TRIPS[how](value)
     assert type(out) is type(value)
-    assert out == value and hash(out) == hash(value)
+    assert out == value
+    if type(value).__name__ in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(out)
+    else:
+        assert hash(out) == hash(value)
     assert all(getattr(out, name) == getattr(value, name)
                for name in type(value).__slots__ if not name.startswith("_"))
-    # the lazy caches are rebuilt on use, not carried
-    assert not any(hasattr(out, name) for name in private)
+    if isinstance(value, Partition):
+        # the block index is built by the constructor, not on first use
+        assert private == ["_index"]
+        assert out._index == value._index and out._index is not value._index
+    else:
+        # the lazy caches are rebuilt on use, not carried
+        assert not any(hasattr(out, name) for name in private)
     with pytest.raises(AttributeError, match="immutable"):
         setattr(out, type(value).__slots__[0], None)
     for name in type(value)._fields:
         with pytest.raises(AttributeError, match="^%s is immutable$" % type(value).__name__):
             delattr(out, name)
         assert getattr(out, name) == getattr(value, name)
+
+
+def test_record_values_cover_every_record_class():
+    from structa.core import Frozen
+
+    values = record_values()
+    assert [type(v).__name__ for v in values] == RECORD_CLASSES
+    assert all(isinstance(v, Frozen) and type(v).__slots__[:len(type(v)._fields)] == type(v)._fields
+               for v in values)
+    assert all(not hasattr(v, "__dict__") for v in values)
+
+
+def dataclass_twin(value):
+    """The same field values in a frozen dataclass of the same name."""
+    cls = type(value)
+    twin = dataclasses.make_dataclass(cls.__qualname__, list(cls._fields), frozen=True)
+    return twin(*(getattr(value, f) for f in cls._fields))
+
+
+def second_values():
+    """A second value of some record classes, unequal to the first."""
+    from structa.group import cyclic_group, cyclic_subgroup
+    from structa.numbers import Rat, rat_canon
+    from structa.settools import Family
+
+    ab = finset("a", "b")
+    return [Partition(ab, (ab,)), rat_canon(Rat(1, 3)), Family(ab, [ab]),
+            cyclic_subgroup(cyclic_group(3), "g0")]
+
+
+def test_records_have_the_dataclass_repr_equality_and_hash():
+    values = record_values() + second_values()
+    twins = [dataclass_twin(v) for v in values]
+    for v, t in zip(values, twins):
+        assert repr(v) == repr(t)
+        if type(v).__name__ in UNHASHABLE:
+            for x in (v, t):
+                with pytest.raises(TypeError, match="unhashable"):
+                    hash(x)
+        else:
+            assert hash(v) == hash(t)
+    for v, t in zip(values, twins):
+        for w, u in zip(values, twins):
+            assert (v == w) == (t == u) == (v is w)
+            assert (v != w) == (t != u)
+
+
+def test_records_equal_no_tuple_and_no_record_of_another_class():
+    from structa.core import Frozen
+
+    for v in record_values():
+        fields = tuple(getattr(v, f) for f in type(v)._fields)
+        assert v != fields and v.__eq__(fields) is NotImplemented
+        # a class with the same fields and values is still another class
+        other = type("Other", (Frozen,), {"__slots__": type(v)._fields, "_fields": type(v)._fields})
+        assert v != other(*fields) and v.__eq__(other(*fields)) is NotImplemented
+        assert v != dataclass_twin(v)
+
+
+def test_record_constructor_takes_its_fields_in_order():
+    from structa.group import GroupHom, cyclic_group
+
+    Z2 = cyclic_group(2)
+    f = FinMap.identity(Z2.carrier)
+    h = GroupHom(Z2, Z2, f)
+    assert (h.src, h.tgt, h.map) == (Z2, Z2, f)
+    for args in [(Z2, Z2), (Z2, Z2, f, f)]:
+        with pytest.raises(TypeError, match="GroupHom takes 3 arguments, got %d" % len(args)):
+            GroupHom(*args)
+    with pytest.raises(AttributeError, match="^GroupHom is immutable$"):
+        h.map = f
+    with pytest.raises(AttributeError):
+        h.extra = 1
+
+
+def test_partition_checks_its_blocks_in_the_constructor():
+    ab = finset("a", "b")
+    with pytest.raises(BadStructure, match="disjoint and cover") as e:
+        Partition(ab, (finset("a"),))
+    assert e.value.witness == ("b",)
+    with pytest.raises(BadStructure, match="nonempty"):
+        Partition(ab, (finset(), ab))
+    with pytest.raises(CarrierMismatch):
+        Partition(ab, (finset("a", "c"),))
+    p = Partition(ab, (finset("a"), finset("b")))
+    assert p.block_of("b") == finset("b")
+
+
+def test_law_reports_never_share_a_checks_list():
+    from structa.report import LawReport
+
+    r, s = LawReport("r"), LawReport("s")
+    assert r.checks is not s.checks
+    r.add("law", "statement", True)
+    assert s.checks == [] and len(r.checks) == 1
+    given_checks = []
+    assert LawReport("t", given_checks).checks is given_checks
+    assert LawReport("r", list(r.checks)) == r != LawReport("s", list(r.checks))
+    assert repr(s) == "LawReport(suite='s', checks=[])"

@@ -7,10 +7,14 @@ behind. Every top-level function is reached from the CLI or the suite
 runner, or is named in ``KEPT_API``, so deleting the last caller of a
 function cannot leave it behind either. Only ``core.Frozen`` writes the
 immutable-value contract, and ``structa formats`` lists every law id
-that a library report can emit.
+that a library report can emit. Importing structa loads none of the
+standard modules that it does not need on every run.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,7 +123,7 @@ def test_the_catalogue_lists_every_emitted_law():
 # purpose: documented library API, and two functions that only the
 # benchmark calls.
 KEPT_API = {
-    "category.cayley": "library API; a name-only scan mistakes docs' group.cayley for its caller",
+    "category.cayley": "library API: README's structa.category row documents Cayley via the hom functor",
     "category.compare_representations": "library API",
     "category.dagger": "library API, reached from compare_representations",
     "category.hcompose": "library API",
@@ -194,3 +198,29 @@ def test_every_function_has_a_library_caller():
     # the allowlist holds exactly the unreached functions, so it cannot
     # go stale when one of them gains a caller or is deleted
     assert sorted(functions - reached) == sorted(KEPT_API)
+
+
+# dataclasses imports inspect (and with it ast, dis and tokenize) and
+# generates code for every class it decorates; argparse is needed only
+# once a command line is parsed. A fresh structa process pays for neither.
+NOT_ON_IMPORT = ("argparse", "dataclasses", "inspect")
+
+
+def test_importing_structa_loads_no_module_it_does_not_need():
+    # -S: no site .pth file may preload a module and hide an import
+    code = "\n".join([
+        "import sys",
+        *("import structa.%s" % p.stem for p in MODULES if p.stem != "__init__"),
+        "loaded = [m for m in %r if m in sys.modules]" % (NOT_ON_IMPORT,),
+        "assert loaded == [], loaded",
+        "from structa import cli",
+        "assert cli.main(['formats']) == 0",
+        "parser = cli._PARSER",
+        "assert parser is not None and cli.main(['formats', '--json']) == 0",
+        "assert cli._PARSER is parser",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Law catalogue" in proc.stdout
