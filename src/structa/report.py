@@ -32,7 +32,6 @@ class LawReport:
     report is unhashable."""
 
     __slots__ = ("suite", "checks")
-    __hash__ = None
 
     def __init__(self, suite: str, checks: list[Check] | None = None):
         self.suite = suite
