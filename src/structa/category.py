@@ -32,7 +32,6 @@ f† at x is Hom(f, 1_x), and Cayley's translations are L_pt.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 from .core import (
     FinMap,
@@ -183,19 +182,17 @@ def check_category(C: FinCat) -> LawReport:
     r = LawReport("category")
     names = C.arrow_names
     src, tgt, comp = C.src, C.tgt, C.comp
-    # the table is exactly the composable pairs when each key composes
-    # and there are as many keys as pairs meeting at an object x,
-    # Σ_x |into(x)|·|from(x)|; only a failing table pays the pair scans
-    into, out = Counter(tgt.values()), Counter(src.values())
-    if all(tgt[f] == src[g] for g, f in comp) and len(comp) == sum(
-        n * out[x] for x, n in into.items()
-    ):
-        bad = None
-    else:
-        composable = {(g, f) for g in names for f in names if tgt[f] == src[g]}
-        missing = sorted(p for p in composable if p not in comp)
-        extra = sorted(p for p in comp if p not in composable)
-        bad = (missing + extra)[0]
+    # one pass over the composable pairs, reached through the arrows
+    # leaving each object, and one over the table's keys
+    by_src = {}
+    for g in names:
+        by_src.setdefault(src[g], []).append(g)
+    missing = min(
+        ((g, f) for f in names for g in by_src.get(tgt[f], ()) if (g, f) not in comp),
+        default=None,
+    )
+    extra = min(((g, f) for g, f in comp if tgt[f] != src[g]), default=None)
+    bad = extra if missing is None else missing
     r.add(
         "cat-comp-total",
         "composition is defined exactly on the composable pairs",

@@ -9,15 +9,11 @@ syntax, or schema errors. Output is UTF-8 whatever the locale, and
 deterministic: byte-identical across runs. Checks run serially; every
 subcommand accepts ``--jobs N`` for compatibility, and N changes neither
 the work done nor the output.
-
-Importing this module does not import ``argparse``: the parser is built
-on the first ``main`` call and kept for the rest of the process, so a
-program that imports structa without parsing a command line does not pay
-for it.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -129,8 +125,6 @@ def _law_catalogue():
 
 
 def _positive_int(text: str) -> int:
-    import argparse
-
     try:
         n = int(text)
     except ValueError:
@@ -141,8 +135,6 @@ def _positive_int(text: str) -> int:
 
 
 def _build_parser():
-    import argparse
-
     p = argparse.ArgumentParser(
         prog="structa",
         description="exact finite structures with machine-checked laws",
@@ -192,9 +184,9 @@ def _build_parser():
     return p
 
 
-# built on the first main call and kept: parse_args returns a fresh
-# namespace on every call and keeps no state in the parser
-_PARSER = None
+# built once per process: parse_args returns a fresh namespace on every
+# call and keeps no state in the parser
+_PARSER = _build_parser()
 
 
 def _emit_report(name: str, report: LawReport, as_json: bool, out):
@@ -310,11 +302,8 @@ def _utf8(stream):
 
 
 def main(argv=None) -> int:
-    global _PARSER
     _utf8(sys.stdout)
     _utf8(sys.stderr)
-    if _PARSER is None:
-        _PARSER = _build_parser()
     try:
         ns = _PARSER.parse_args(argv)
     except SystemExit as e:

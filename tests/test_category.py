@@ -379,9 +379,9 @@ class TestOneAssociativityKernel:
             assert rep["cat-assoc"].witness == expected
 
 
-# cat-comp-total and cat-endpoints decide a passing table by counting its
-# keys; the reference is the pair scan that check_category ran on every
-# table before, and still runs on a failing one.
+# cat-comp-total and cat-endpoints read each composable pair and each
+# table key once; the reference is the sorted scan over all m² pairs of
+# arrow names that check_category ran before.
 
 
 def comp_scan(C):
@@ -431,7 +431,7 @@ def comp_tables(draw):
     return FinCat(C.objects, C.arrows, C.identity, comp)
 
 
-class TestCompositionTableCertificate:
+class TestCompositionTableScan:
     @PROPERTY
     @given(comp_tables())
     def test_witnesses_match_the_pair_scans(self, C):
@@ -441,19 +441,6 @@ class TestCompositionTableCertificate:
             total is None, total)
         assert (rep["cat-endpoints"].passed, rep["cat-endpoints"].witness) == (
             ends is None, ends)
-
-    def test_a_missing_cell_and_a_stray_cell_keep_the_count(self):
-        # one composable cell dropped and one non-composable cell added: the
-        # count is right but a key does not compose, so the scan names the
-        # missing cell first
-        comp = dict(C2.comp)
-        del comp[("(b<=b)", "(a<=b)")]
-        comp[("(a<=b)", "(a<=b)")] = "(a<=b)"
-        C = FinCat(C2.objects, C2.arrows, C2.identity, comp)
-        assert len(C.comp) == len(C2.comp)
-        rep = check_category(C)
-        assert rep["cat-comp-total"].witness == ("(b<=b)", "(a<=b)")
-        assert rep["cat-endpoints"].passed
 
 
 class TestConstructors:
