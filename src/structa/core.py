@@ -36,6 +36,7 @@ a ``FinSet`` is built only where a witness or a result needs one.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 
 from .errors import (
     BadStructure,
@@ -81,12 +82,23 @@ class Frozen:
     __slots__ = ()
     _fields = ()
 
+    def __init_subclass__(cls, **kwargs):
+        # per class, once: the field tuple read in one C call (attrgetter
+        # of a single name gives the bare value, so that one is wrapped),
+        # and each field's slot setter, so that a record costs what the
+        # dataclass code did
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields
+        get = attrgetter(*fields)
+        cls._values = (lambda self: get(self)) if len(fields) > 1 else (lambda self: (get(self),))
+        cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
+
     def __init__(self, *values):
         if len(values) != len(self._fields):
             raise TypeError("%s takes %d arguments, got %d"
                             % (type(self).__name__, len(self._fields), len(values)))
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -95,9 +107,6 @@ class Frozen:
 
     def __hash__(self):
         return hash(self._values())
-
-    def _values(self):
-        return tuple([getattr(self, f) for f in self._fields])
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(

@@ -118,8 +118,8 @@ MUTANTS = [
     ),
     (
         "core.py",
-        "tuple([getattr(self, f) for f in self._fields])",
-        "tuple([getattr(self, f) for f in self._fields[:-1]])",
+        "(lambda self: get(self)) if",
+        "(lambda self: get(self)[:-1]) if",
         "tests/test_core.py::test_copy_and_pickle_round_trips",
     ),
     (
