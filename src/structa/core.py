@@ -85,8 +85,8 @@ class Frozen:
     def __init_subclass__(cls, **kwargs):
         # per class, once: the field tuple read in one C call (attrgetter
         # of a single name gives the bare value, so that one is wrapped),
-        # and each field's slot setter, so that a record costs what the
-        # dataclass code did
+        # and each field's slot setter; equality and construction then
+        # cost about what per-class generated code costs
         super().__init_subclass__(**kwargs)
         fields = cls._fields
         get = attrgetter(*fields)
