@@ -9,6 +9,12 @@ syntax, or schema errors. Output is UTF-8 whatever the locale, and
 deterministic: byte-identical across runs. Checks run serially; every
 subcommand accepts ``--jobs N`` for compatibility, and N changes neither
 the work done nor the output.
+
+The commands import the library at call time, for the same reason the
+suites do: tests replace ``suites.run_suite`` on its module with
+monkeypatch, and perfbench's worker wraps ``cli.main`` and the ``docs``
+entry points (``parse``, ``run_check``, ``run_derive``, ``render``) the
+same way. A module-level ``from .x import f`` would bind the original.
 """
 
 from __future__ import annotations

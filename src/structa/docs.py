@@ -8,9 +8,11 @@ categories of a functor) are full sub-documents. ``parse`` canonicalizes
 on the way in, so ``render`` is a fixpoint: rendering a parsed document
 and parsing it again gives an identical document, byte for byte.
 
-``run_check`` routes a document to its kind's law suite; ``run_derive``
-builds a new document from an old one (quotient group, opposite
-category, generated filter, topology from a base, ...).
+Each kind is one ``_Kind`` row of ``_KINDS``: its key set, validator,
+builder, law checker and size guards. ``run_check`` routes a document to
+its kind's law suite; ``run_derive`` builds a new document from an old
+one (quotient group, opposite category, generated filter, topology from
+a base, ...).
 """
 
 from __future__ import annotations
@@ -170,12 +172,10 @@ def _nested(body, key, kind, where: str) -> dict:
 
 
 def _v_set(body):
-    _want_keys(body, "set", {"elements"})
     return {"elements": _symbol_list(body["elements"], "elements")}
 
 
 def _v_map(body):
-    _want_keys(body, "map", {"dom", "cod", "map"})
     dom = _symbol_list(body["dom"], "dom")
     cod = _symbol_list(body["cod"], "cod")
     rows = _tuple_list(body["map"], 2, "map")
@@ -183,7 +183,6 @@ def _v_map(body):
 
 
 def _v_poset(body):
-    _want_keys(body, "poset", {"carrier", "le"})
     carrier = _symbol_list(body["carrier"], "carrier")
     rows = _tuple_list(body["le"], 2, "le")
     declared = set(carrier)
@@ -194,8 +193,7 @@ def _v_poset(body):
     return {"carrier": carrier, "le": pairs}
 
 
-def _v_op_table(body, kind):
-    _want_keys(body, kind, {"carrier", "table"})
+def _v_op_table(body):
     carrier = _symbol_list(body["carrier"], "carrier")
     rows = _tuple_list(body["table"], 3, "table")
     return {
@@ -205,7 +203,6 @@ def _v_op_table(body, kind):
 
 
 def _v_category(body):
-    _want_keys(body, "category", {"objects", "arrows", "identity", "comp"})
     objects = _symbol_list(body["objects"], "objects")
     arrows = _tuple_list(body["arrows"], 3, "arrows")
     declared = set(objects)
@@ -239,7 +236,6 @@ def _v_category(body):
 
 
 def _v_functor(body):
-    _want_keys(body, "functor", {"src", "tgt", "on_obj", "on_arr"})
     src = _nested(body, "src", "category", "src")
     tgt = _nested(body, "tgt", "category", "tgt")
     src_arrows = [n for n, _, _ in src["arrows"]]
@@ -263,7 +259,6 @@ def _v_functor(body):
 
 
 def _v_nattrans(body):
-    _want_keys(body, "nattrans", {"f", "g", "component"})
     f = _nested(body, "f", "functor", "f")
     g = _nested(body, "g", "functor", "g")
     if f["src"] != g["src"] or f["tgt"] != g["tgt"]:
@@ -282,7 +277,6 @@ def _v_nattrans(body):
 
 
 def _v_hom(body):
-    _want_keys(body, "hom", {"src", "tgt", "map"})
     src = _nested(body, "src", "group", "src")
     tgt = _nested(body, "tgt", "group", "tgt")
     rows = _tuple_list(body["map"], 2, "map")
@@ -294,7 +288,6 @@ def _v_hom(body):
 
 
 def _v_action(body):
-    _want_keys(body, "action", {"group", "carrier", "act"})
     group = _nested(body, "group", "group", "group")
     carrier = _symbol_list(body["carrier"], "carrier")
     rows = _tuple_list(body["act"], 3, "act")
@@ -305,15 +298,13 @@ def _v_action(body):
     }
 
 
-def _v_subset_family(body, kind):
-    key = "opens" if kind == "topology" else "members"
-    _want_keys(body, kind, {"carrier", key})
+def _v_subset_family(body):
+    (key,) = _KINDS[body["kind"]].keys - {"carrier"}
     carrier = _symbol_list(body["carrier"], "carrier")
     return {"carrier": carrier, key: _subset_list(body[key], carrier, key)}
 
 
 def _v_closure(body):
-    _want_keys(body, "closure", {"carrier", "table"})
     carrier = _symbol_list(body["carrier"], "carrier")
     if not isinstance(body["table"], list):
         raise SchemaError("table must be an array of [subset, subset] pairs")
@@ -339,7 +330,6 @@ def _v_closure(body):
 
 
 def _v_rational_window(body):
-    _want_keys(body, "rational-window", {"window", "den"})
     for key in ("window", "den"):
         v = body[key]
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
@@ -347,34 +337,14 @@ def _v_rational_window(body):
     return {"window": body["window"], "den": body["den"]}
 
 
-_VALIDATORS = {
-    "set": _v_set,
-    "map": _v_map,
-    "poset": _v_poset,
-    "semilattice": lambda b: _v_op_table(b, "semilattice"),
-    "category": _v_category,
-    "functor": _v_functor,
-    "nattrans": _v_nattrans,
-    "group": lambda b: _v_op_table(b, "group"),
-    "hom": _v_hom,
-    "action": _v_action,
-    "family": lambda b: _v_subset_family(b, "family"),
-    "filterbase": lambda b: _v_subset_family(b, "filterbase"),
-    "closure": _v_closure,
-    "topology": lambda b: _v_subset_family(b, "topology"),
-    "base": lambda b: _v_subset_family(b, "base"),
-    "rational-window": _v_rational_window,
-}
-
-
-KINDS = tuple(_VALIDATORS)
-
-
 def _validate(payload: dict) -> dict:
     kind = payload.get("kind")
+    # a tuple test, since a kind that is not a string may be unhashable
     if kind not in KINDS:
         raise SchemaError("unknown kind %r; expected one of %s" % (kind, list(KINDS)))
-    return {"kind": kind, **_VALIDATORS[kind](payload)}
+    spec = _KINDS[kind]
+    _want_keys(payload, kind, spec.keys)
+    return {"kind": kind, **spec.validate(payload)}
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +469,7 @@ def _layout(depth: int, array: bool) -> tuple:
 def to_structure(doc: StructureDoc):
     """The library object a document denotes. Invalid structures raise
     the same errors the library constructors raise."""
-    build = _BUILDERS[doc.kind]
-    return build(doc)
+    return _KINDS[doc.kind].build(doc)
 
 
 def _b_set(doc):
@@ -611,26 +580,6 @@ def _b_topology(doc):
     return check_topology(carrier, Family(carrier, [FinSet(m) for m in doc["opens"]]))
 
 
-_BUILDERS = {
-    "set": _b_set,
-    "map": _b_map,
-    "poset": _b_poset,
-    "semilattice": lambda d: (_table(d), FinSet(d["carrier"])),
-    "category": _b_category,
-    "functor": _b_functor,
-    "nattrans": _b_nattrans,
-    "group": _b_group,
-    "hom": _b_hom,
-    "action": _b_action,
-    "family": _b_family,
-    "filterbase": _b_family,
-    "closure": _b_closure,
-    "topology": _b_topology,
-    "base": _b_family,
-    "rational-window": lambda d: (d["window"], d["den"]),
-}
-
-
 # ---------------------------------------------------------------------------
 # library structures -> documents
 
@@ -672,7 +621,7 @@ def doc_hom(h) -> StructureDoc:
 
 
 def doc_subsets(kind: str, carrier: FinSet, members) -> StructureDoc:
-    key = "opens" if kind == "topology" else "members"
+    (key,) = _KINDS[kind].keys - {"carrier"}
     return StructureDoc(_validate({
         "kind": kind,
         "carrier": list(carrier.elements),
@@ -692,19 +641,6 @@ def doc_closure(op) -> StructureDoc:
 # check dispatch
 
 
-# the enumeration guards per kind: (document key, default bound), applied
-# in order; --max-size replaces every default. A key's size is its length
-# (a carrier) or its value (an integer).
-_GUARDS = {
-    "family": (("carrier", 4),),
-    "filterbase": (("carrier", 5),),
-    "closure": (("carrier", 4),),
-    "topology": (("carrier", 5),),
-    "base": (("carrier", 5),),
-    "rational-window": (("window", 40), ("den", 6)),
-}
-
-
 def run_check(doc: StructureDoc, max_size: int | None = None) -> LawReport:
     """The law suite of the document's kind, as a report. Raises
     TooLarge first if the document exceeds one of its kind's guards.
@@ -712,7 +648,8 @@ def run_check(doc: StructureDoc, max_size: int | None = None) -> LawReport:
     at least 1, as ``--max-size`` must; a smaller one raises ValueError."""
     if max_size is not None and max_size < 1:
         raise ValueError("max_size must be at least 1, got %r" % (max_size,))
-    for key, default in _GUARDS.get(doc.kind, ()):
+    spec = _KINDS[doc.kind]
+    for key, default in spec.guards:
         size = doc[key] if isinstance(doc[key], int) else len(doc[key])
         bound = default if max_size is None else max_size
         if size > bound:
@@ -721,7 +658,7 @@ def run_check(doc: StructureDoc, max_size: int | None = None) -> LawReport:
                 % (doc.kind, size, bound),
                 witness=(size, bound),
             )
-    return _CHECKERS[doc.kind](doc)
+    return spec.check(doc)
 
 
 def _ck_set(doc):
@@ -911,24 +848,54 @@ def _ck_rational_window(doc):
     return r
 
 
-_CHECKERS = {
-    "set": _ck_set,
-    "map": _ck_map,
-    "poset": _ck_poset,
-    "semilattice": _ck_semilattice,
-    "category": _ck_category,
-    "functor": _ck_functor,
-    "nattrans": _ck_nattrans,
-    "group": _ck_group,
-    "hom": _ck_hom,
-    "action": _ck_action,
-    "family": _ck_family,
-    "filterbase": _ck_filterbase,
-    "closure": _ck_closure,
-    "topology": _ck_topology,
-    "base": _ck_base,
-    "rational-window": _ck_rational_window,
+# ---------------------------------------------------------------------------
+# the kinds
+
+
+class _Kind(Frozen):
+    """One document kind: the keys a payload has besides ``kind``, and
+    the functions that validate a payload with those keys, build the
+    library object and check the laws. ``guards`` are the kind's
+    enumeration guards, (document key, default bound) pairs that
+    ``run_check`` applies in order; --max-size replaces every default. A
+    key's size is its length (a carrier) or its value (an integer)."""
+
+    __slots__ = _fields = ("keys", "validate", "build", "check", "guards")
+
+    def __init__(self, keys, validate, build, check, guards=()):
+        super().__init__(frozenset(keys), validate, build, check, guards)
+
+
+_KINDS = {
+    "set": _Kind({"elements"}, _v_set, _b_set, _ck_set),
+    "map": _Kind({"dom", "cod", "map"}, _v_map, _b_map, _ck_map),
+    "poset": _Kind({"carrier", "le"}, _v_poset, _b_poset, _ck_poset),
+    "semilattice": _Kind({"carrier", "table"}, _v_op_table,
+                         lambda d: (_table(d), FinSet(d["carrier"])), _ck_semilattice),
+    "category": _Kind({"objects", "arrows", "identity", "comp"},
+                      _v_category, _b_category, _ck_category),
+    "functor": _Kind({"src", "tgt", "on_obj", "on_arr"}, _v_functor, _b_functor, _ck_functor),
+    "nattrans": _Kind({"f", "g", "component"}, _v_nattrans, _b_nattrans, _ck_nattrans),
+    "group": _Kind({"carrier", "table"}, _v_op_table, _b_group, _ck_group),
+    "hom": _Kind({"src", "tgt", "map"}, _v_hom, _b_hom, _ck_hom),
+    "action": _Kind({"group", "carrier", "act"}, _v_action, _b_action, _ck_action),
+    "family": _Kind({"carrier", "members"}, _v_subset_family, _b_family, _ck_family,
+                    (("carrier", 4),)),
+    "filterbase": _Kind({"carrier", "members"}, _v_subset_family, _b_family, _ck_filterbase,
+                        (("carrier", 5),)),
+    "closure": _Kind({"carrier", "table"}, _v_closure, _b_closure, _ck_closure,
+                     (("carrier", 4),)),
+    "topology": _Kind({"carrier", "opens"}, _v_subset_family, _b_topology, _ck_topology,
+                      (("carrier", 5),)),
+    "base": _Kind({"carrier", "members"}, _v_subset_family, _b_family, _ck_base,
+                  (("carrier", 5),)),
+    "rational-window": _Kind({"window", "den"}, _v_rational_window,
+                             lambda d: (d["window"], d["den"]), _ck_rational_window,
+                             (("window", 40), ("den", 6))),
 }
+
+
+KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------

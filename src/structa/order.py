@@ -3,7 +3,7 @@
 Orders are stored as explicit pair sets over a finite carrier, so every
 axiom is a direct scan of the pairs. The chain methods read each
 element's up-set and down-set as masks over the carrier instead, built
-on first use. A Hasse reduction exists only for rendering.
+on first use.
 """
 
 from __future__ import annotations

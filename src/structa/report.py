@@ -7,14 +7,12 @@ lexicographically least witness found. Reports render deterministically
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
+from .errors import BadStructure
 
-class Check(NamedTuple):
-    law: str
-    statement: str
-    passed: bool
-    witness: tuple | None = None
+# a law id, its statement, the verdict, and the witness of a failure
+Check = namedtuple("Check", ("law", "statement", "passed", "witness"), defaults=(None,))
 
 
 def _witness_key(w):
@@ -75,8 +73,6 @@ class LawReport:
         """Raise if any check failed; convenient for constructions."""
         bad = self.failures
         if bad:
-            from .errors import BadStructure
-
             c = bad[0]
             raise BadStructure(
                 "%s: %s failed (%s)" % (self.suite, c.law, c.statement),

@@ -4,6 +4,12 @@ Each suite is a list of independent units; a unit returns a LawReport.
 Units run serially and their reports are merged in unit order; an error
 raised inside a unit becomes a failed check of that unit. Randomized
 suites take a ``seed`` and are deterministic for a fixed seed.
+
+Each suite imports the library functions it uses inside its own body.
+Tests replace a library function on its module with monkeypatch, and a
+module-level ``from .x import f`` would bind the original, so the suite
+would not see the replacement. Error classes, which nothing replaces,
+are imported at the top.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import random
 from pathlib import Path
 
 from .core import FinMap, FinSet, all_maps, compose, decompose, finset
-from .errors import NotALattice, StructaError
+from .errors import NotALattice, NotSubgroup, SchemaError, StructaError
 from .report import LawReport
 
 
@@ -779,6 +785,7 @@ def suite_groups(seed=0) -> LawReport:
         enumerate_groups,
         enumerate_homs,
         first_iso,
+        group_axioms,
         hom_check,
         inner_automorphisms,
         is_normal,
@@ -786,9 +793,6 @@ def suite_groups(seed=0) -> LawReport:
         subgroup_check,
         symmetric_group_3,
     )
-    from .errors import NotSubgroup
-
-    from .group import group_axioms
 
     def catalog_criteria():
         out = LawReport("groups-catalog")
@@ -940,7 +944,6 @@ def suite_actions(seed=0) -> LawReport:
         cyclic_subgroup,
         is_transitive,
         stabilizer_suite,
-        subgroup_check,
         symmetric_group_3,
     )
 
@@ -1306,7 +1309,5 @@ def run_suite(name: str, seed=0, jobs=1) -> LawReport:
     """Run the named suite. ``jobs`` is accepted and ignored: suites run
     serially, and the parameter stays only because perfbench passes it."""
     if name not in SUITES:
-        from .errors import SchemaError
-
         raise SchemaError("unknown suite %r; known: %s" % (name, sorted(SUITES)))
     return SUITES[name](seed=seed)

@@ -14,7 +14,7 @@ import operator
 from functools import lru_cache
 
 from .core import FinSet, Frozen, generated, mask_of, set_of, subset_masks, union_of
-from .errors import BadStructure, CarrierMismatch, NotClosedFamily, NotCovering
+from .errors import BadStructure, CarrierMismatch, NotClosedFamily, NotCovering, TooLarge
 from .report import LawReport
 from .settools import Family, closure_witness, inter_of, unclosed_pair, upward_closure
 
@@ -322,7 +322,5 @@ def _enumerate_topologies_cached(carrier: FinSet) -> tuple:
 
 def enumerate_topologies(carrier: FinSet) -> list:
     if len(carrier) > 4:
-        from .errors import TooLarge
-
         raise TooLarge("topology enumeration capped at 4 points", witness=(len(carrier),))
     return list(_enumerate_topologies_cached(carrier))

@@ -6,8 +6,10 @@ over the shipped corpus, over generated documents of every kind and
 over the derive outputs of both.
 """
 
+import ast
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from structa.docs import (
     run_derive,
     to_structure,
 )
-from structa.errors import NotNormal, ParseError, SchemaError, StructaError, TooLarge
+from structa.errors import NotAGroup, NotNormal, ParseError, SchemaError, StructaError, TooLarge
 from structa.group import cayley, cyclic_group
 from structa.suites import fixtures_dir
 
@@ -58,8 +60,10 @@ class TestParse:
             parse_text('["kind", "set"]')
 
     def test_unknown_kind(self):
-        with pytest.raises(SchemaError, match="unknown kind"):
-            parse_text('{"kind": "widget"}')
+        # a kind that is not a string, even an unhashable one, is a schema error
+        for kind in ('"widget"', "[]", "{}", "null"):
+            with pytest.raises(SchemaError, match="unknown kind"):
+                parse_text('{"kind": %s}' % kind)
 
     def test_missing_cell_named(self):
         with pytest.raises(SchemaError, match=r"missing the cell \(a, a\)"):
@@ -417,6 +421,60 @@ class TestStructures:
         b = parse_text('{"kind": "set", "elements": ["a", "b"]}')
         assert a == b
         assert isinstance(a, StructureDoc)
+
+    def test_every_fixture_builds_to_its_kind_type(self):
+        from structa.category import FinCat, FunctorData, NatTransData
+        from structa.group import FinGroup, GroupAction, GroupHom
+        from structa.order import Poset
+        from structa.settools import Family
+        from structa.top import ClosureOp, Topology
+
+        # semilattice and rational-window have no library type
+        types = {
+            "set": FinSet, "map": FinMap, "poset": Poset, "semilattice": tuple,
+            "category": FinCat, "functor": FunctorData, "nattrans": NatTransData,
+            "group": FinGroup, "hom": GroupHom, "action": GroupAction,
+            "family": Family, "filterbase": Family, "closure": ClosureOp,
+            "topology": Topology, "base": Family, "rational-window": tuple,
+        }
+        assert tuple(types) == KINDS
+        built = set()
+        for path in CORPUS:
+            doc = parse(str(path))
+            if path.name == "group_broken.json":
+                with pytest.raises(NotAGroup):
+                    to_structure(doc)
+                continue
+            assert type(to_structure(doc)) is types[doc.kind], path.name
+            built.add(doc.kind)
+        assert sorted(built) == sorted(KINDS)
+
+
+def spec_kinds() -> dict:
+    """The "Kinds and their keys" block of format.md: each kind, in the
+    order listed, with the keys its entry names."""
+    text = (fixtures_dir().parent / "format.md").read_text(encoding="utf-8")
+    block = text.split("Kinds and their keys:\n\n", 1)[1].split("\n\n", 1)[0]
+    kinds = {}
+    for line in block.splitlines():
+        if not line.startswith("   "):
+            kind, line = line.split(None, 1)
+            kinds[kind] = set()
+        kinds[kind] |= set(re.findall(r"([a-z_]+): ", line))
+    return kinds
+
+
+def demanded_keys(kind) -> set:
+    """The key set ``parse`` names when a document of the kind has none."""
+    with pytest.raises(SchemaError) as e:
+        parse_text(json.dumps({"kind": kind}))
+    return set(ast.literal_eval(str(e.value).split("wants keys ", 1)[1].split(";")[0]))
+
+
+def test_the_format_spec_lists_every_kind_with_its_keys():
+    kinds = spec_kinds()
+    assert tuple(kinds) == KINDS
+    assert {k: demanded_keys(k) for k in KINDS} == kinds
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Hygiene checks on src/structa, read from the source with ``ast``.
 
-Every module-level import is used in its module, and every class of
+Every module-level import is used in its module, every import in a
+function body is used in that function, and every class of
 ``errors.py`` is raised or caught somewhere in the package, so deleting
 the last caller of a name cannot leave its import or its error class
 behind. Every top-level function is reached from the CLI or the suite
 runner, or is named in ``KEPT_API``, so deleting the last caller of a
 function cannot leave it behind either. Only ``core.Frozen`` writes the
 immutable-value contract, and ``structa formats`` lists every law id
-that a library report can emit. Importing structa loads neither
-``dataclasses`` nor ``inspect``.
+that a library report can emit. Importing structa loads none of
+``dataclasses``, ``inspect`` and ``typing``.
 """
 
 import ast
@@ -47,6 +48,30 @@ def test_every_module_level_import_is_used(path):
             for alias in node.names:
                 imported.append((alias.asname or alias.name).split(".")[0])
     assert sorted(n for n in imported if n not in used) == []
+
+
+def own_imports(func) -> list:
+    """The names a function's import statements bind, outside the
+    functions and classes nested in it."""
+    out, todo = [], list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_function_level_import_is_used_in_its_function(path):
+    # a nested function may use its enclosing function's import
+    unused = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef):
+            used = names_used(node)
+            unused += [(node.name, n) for n in own_imports(node) if n not in used]
+    assert sorted(unused) == []
 
 
 def handled_names(tree) -> set:
@@ -202,8 +227,9 @@ def test_every_function_has_a_library_caller():
 
 # dataclasses imports inspect (and with it ast, dis and tokenize) and
 # generates code for every class it decorates; a fresh structa process
-# pays for neither.
-NOT_ON_IMPORT = ("dataclasses", "inspect")
+# pays for neither. report.Check is a collections.namedtuple, so typing
+# stays out too.
+NOT_ON_IMPORT = ("dataclasses", "inspect", "typing")
 
 
 def test_importing_structa_loads_no_module_it_does_not_need():
