@@ -193,12 +193,7 @@ def check_category(C: FinCat) -> LawReport:
     )
     extra = min(((g, f) for g, f in comp if tgt[f] != src[g]), default=None)
     bad = extra if missing is None else missing
-    r.add(
-        "cat-comp-total",
-        "composition is defined exactly on the composable pairs",
-        bad is None,
-        bad,
-    )
+    r.add("cat-comp-total", bad is None, bad)
     bad = min(
         (
             (g, f)
@@ -207,7 +202,7 @@ def check_category(C: FinCat) -> LawReport:
         ),
         default=None,
     )
-    r.add("cat-endpoints", "g∘f runs from the source of f to the target of g", bad is None, bad)
+    r.add("cat-endpoints", bad is None, bad)
     bad = next(
         ((x,) for x in C.objects if x not in C.identity or C.ends(C.identity[x]) != (x, x)),
         None,
@@ -222,20 +217,13 @@ def check_category(C: FinCat) -> LawReport:
             ),
             None,
         )
-    r.add("cat-unit", "every object has a two-sided unit arrow", bad is None, bad)
+    r.add("cat-unit", bad is None, bad)
     # comp[(h, g)] = h∘g is the product hg: the witness is the first
     # (h, g, f) in name order with (h∘g)∘f != h∘(g∘f), all four defined
     bad = associativity_witness(C.comp, names)
-    r.add("cat-assoc", "composition is associative on every composable triple", bad is None, bad)
+    r.add("cat-assoc", bad is None, bad)
     collapsed = [cl for cl in arrow_equality_classes(C) if len(cl) > 1]
-    if collapsed:
-        stmt = (
-            "warning: distinct named arrows are observationally equal, e.g. %s"
-            % (collapsed[0][:2],)
-        )
-    else:
-        stmt = "observational arrow equality refines to named equality"
-    r.add("cat-discernible", stmt, True)
+    r.add("cat-discernible", not collapsed, collapsed[0][:2] if collapsed else None)
     return r
 
 
@@ -349,33 +337,26 @@ def _strays(names, assign: dict, inside) -> list:
     return out + sorted((k for k in assign if k not in names), key=str)
 
 
-def _check_total(r: LawReport, law: str, F) -> bool:
-    """Both component functions of F are total into its target; the
-    witness is the first offending name."""
+def _first_stray(F) -> tuple:
+    """The first name that a component function of F misses or sends
+    outside its target, as a 1-tuple; () when both are total."""
     C, T = F.src, _target(F)
     bad = _strays(C.objects, F.on_obj, T.has_object)
     bad += _strays(C.arrow_names, F.on_arr, T.has_arrow)
-    r.add(law, "both component functions are total", not bad, tuple(bad[:1]))
-    return not bad
+    return tuple(bad[:1])
 
 
-# by law prefix: the endpoint and unit statements, and the id and
-# statement of the composition law (``cfun`` scans into D^op, in D's words)
-_FUNCTOR_LAWS = {
-    "fun": ("arrows keep their endpoints under the functor",
-            "unit arrows map to unit arrows", "fun-comp", "F(g∘f) = F g ∘ F f"),
-    "cfun": ("arrows swap their endpoints",
-             "unit arrows map to unit arrows", "cfun-anticomp", "F(g∘f) = F f ∘ F g"),
-    "sr": ("arrow images connect the right carriers",
-           "unit arrows become identity maps", "sr-comp", "F(g∘f) = F g ∘ F f as set maps"),
-}
+# by law prefix, the id of the composition law; the scan also emits
+# ``<prefix>-endpoints`` and ``<prefix>-unit``. The statements are rows
+# of ``report.LAWS``, and the ``cfun`` rows speak of D though the scan
+# runs into D^op.
+_FUNCTOR_LAWS = {"fun": "fun-comp", "cfun": "cfun-anticomp", "sr": "sr-comp"}
 
 
 def _scan_functor(r: LawReport, prefix: str, F) -> LawReport:
     """The endpoint, unit and composition laws of F, whose component
     functions are total into its target. A pair of images that does not
     compose fails."""
-    ends_stmt, unit_stmt, comp_law, comp_stmt = _FUNCTOR_LAWS[prefix]
     C, T, on_obj, on_arr = F.src, _target(F), F.on_obj, F.on_arr
     bad = next(
         (
@@ -385,11 +366,11 @@ def _scan_functor(r: LawReport, prefix: str, F) -> LawReport:
         ),
         None,
     )
-    r.add(prefix + "-endpoints", ends_stmt, bad is None, bad)
+    r.add(prefix + "-endpoints", bad is None, bad)
     bad = next(
         ((x,) for x in C.objects if on_arr[C.identity[x]] != T.unit(on_obj[x])), None
     )
-    r.add(prefix + "-unit", unit_stmt, bad is None, bad)
+    r.add(prefix + "-unit", bad is None, bad)
     bad = next(
         (
             (g, f)
@@ -398,7 +379,7 @@ def _scan_functor(r: LawReport, prefix: str, F) -> LawReport:
         ),
         None,
     )
-    r.add(comp_law, comp_stmt, bad is None, bad)
+    r.add(_FUNCTOR_LAWS[prefix], bad is None, bad)
     return r
 
 
@@ -425,16 +406,8 @@ def constant_functor(C: FinCat, D: FinCat, obj) -> FunctorData:
 def check_functor(F: FunctorData) -> LawReport:
     r = LawReport("functor")
     C, D = F.src, F.tgt
-    r.add(
-        "fun-objects",
-        "the object function lands in the target objects",
-        not _strays(C.objects, F.on_obj, D.has_object),
-    )
-    r.add(
-        "fun-arrows",
-        "the arrow function lands in the target arrows",
-        not _strays(C.arrow_names, F.on_arr, D.has_arrow),
-    )
+    r.add("fun-objects", not _strays(C.objects, F.on_obj, D.has_object))
+    r.add("fun-arrows", not _strays(C.arrow_names, F.on_arr, D.has_arrow))
     if not r.passed:
         return r
     return _scan_functor(r, "fun", F)
@@ -509,9 +482,9 @@ def op_universe_check(cats, functors=()) -> LawReport:
         ((i,) for i, C in enumerate(cats) if not check_category(opposite_cat(C)).passed),
         None,
     )
-    r.add("op-category", "the opposite of a category is a category", bad is None, bad)
+    r.add("op-category", bad is None, bad)
     bad = next(((i,) for i, C in enumerate(cats) if opposite_cat(opposite_cat(C)) != C), None)
-    r.add("op-involution", "taking the opposite twice restores the category", bad is None, bad)
+    r.add("op-involution", bad is None, bad)
     functors = list(functors)
     bad = next(
         (
@@ -521,7 +494,7 @@ def op_universe_check(cats, functors=()) -> LawReport:
         ),
         None,
     )
-    r.add("op-functor", "the opposite of a functor is a functor", bad is None, bad)
+    r.add("op-functor", bad is None, bad)
     bad = None
     for i, F in enumerate(functors):
         for j, G in enumerate(functors):
@@ -533,7 +506,7 @@ def op_universe_check(cats, functors=()) -> LawReport:
                     break
         if bad:
             break
-    r.add("op-distributes", "op(G∘F) = op G ∘ op F", bad is None, bad)
+    r.add("op-distributes", bad is None, bad)
     return r
 
 
@@ -541,7 +514,9 @@ def check_contravariant(F: FunctorData) -> LawReport:
     """The reversed laws: endpoints flip and composition reverses, that
     is, the functor laws of F read into the opposite of its target."""
     r = LawReport("contravariant-functor")
-    if not _check_total(r, "cfun-total", F):
+    bad = _first_stray(F)
+    r.add("cfun-total", not bad, bad)
+    if bad:
         return r
     return _scan_functor(r, "cfun", FunctorData(F.src, opposite_cat(F.tgt), F.on_obj, F.on_arr))
 
@@ -600,7 +575,9 @@ class SetRepr(Frozen):
 
 def check_set_functor(S: SetRepr) -> LawReport:
     r = LawReport("set-functor")
-    if not _check_total(r, "sr-total", S):
+    bad = _first_stray(S)
+    r.add("sr-total", not bad, bad)
+    if bad:
         return r
     return _scan_functor(r, "sr", S)
 
@@ -652,8 +629,8 @@ def bridge_check(tau: dict, F, G) -> dict:
 def check_nat(n: NatTransData) -> LawReport:
     r = LawReport("natural-transformation")
     flags = bridge_check(n.component, n.F, n.G)
-    r.add("nt-bridge", "each component runs from F a to G a", flags["is_bridge"])
-    r.add("nt-natural", "every naturality square commutes", flags["is_natural"])
+    r.add("nt-bridge", flags["is_bridge"])
+    r.add("nt-natural", flags["is_natural"])
     return r
 
 
@@ -820,11 +797,7 @@ def interchange_check(
     lhs = _hcompose_components(vcompose(beta, alpha), vcompose(sigma, tau))
     left, right = _hcompose_components(beta, sigma), _hcompose_components(alpha, tau)
     rhs = {x: alpha.F.tgt.compose(left[x], right[x]) for x in tau.F.src.objects}
-    r.add(
-        "ic-interchange",
-        "vertical-then-horizontal equals horizontal-then-vertical",
-        lhs == rhs,
-    )
+    r.add("ic-interchange", lhs == rhs)
     return r
 
 
@@ -973,18 +946,8 @@ def yoneda_embedding(C: FinCat) -> LawReport:
             nat = [n.component for n in enumerate_nat_trans(L[a], L[b])]
             if not all(n in seen for n in nat) or len(nat) != len(seen):
                 bad_full = bad_full or (a, b)
-    r.add(
-        "ye-faithful",
-        "distinct arrows give distinct transformations",
-        bad_faithful is None,
-        bad_faithful,
-    )
-    r.add(
-        "ye-full",
-        "every transformation L_a → L_b comes from an arrow b → a",
-        bad_full is None,
-        bad_full,
-    )
+    r.add("ye-faithful", bad_faithful is None, bad_faithful)
+    r.add("ye-full", bad_full is None, bad_full)
     return r
 
 

@@ -2,7 +2,8 @@
 
 Commands: ``check`` runs a document's law suite, ``derive`` computes a
 new document from an old one, ``suite`` runs a named acceptance bundle,
-and ``formats`` prints the document schema and the law catalogue.
+and ``formats`` prints the document schema and the law catalogue: the
+rows of ``report.LAWS`` other than the suites' unit checks.
 
 Exit codes: 0 when every check passes, 1 on a failed law, 2 on usage,
 syntax, or schema errors. Output is UTF-8 whatever the locale, and
@@ -25,109 +26,7 @@ import os
 import sys
 
 from .errors import ParseError, SchemaError, StructaError, TooLarge
-from .report import LawReport
-
-
-def _law_catalogue():
-    """Every law id with its statement, collected from the ``check``
-    report of every shipped fixture and from representative reports of
-    the laws that no fixture reaches."""
-    from .core import FinMap, finset, image_calculus, fiber_union_check
-    from .category import (
-        check_contravariant,
-        check_set_functor,
-        constant_functor,
-        from_poset,
-        hom_functors,
-        identity_functor,
-        identity_nat,
-        interchange_check,
-        op_universe_check,
-        yoneda_embedding,
-    )
-    from .group import (
-        abelianization_check,
-        cyclic_group,
-        regular_action,
-        stabilizer_suite,
-        transfer_check,
-        zp_field,
-        linear_space_check,
-        cyclic_subgroup,
-        hom_check,
-    )
-    from .order import (
-        chain_poset,
-        check_order,
-        galois_check,
-        lattice_from_poset,
-        lattice_laws,
-        completeness_laws,
-    )
-    from .settools import (
-        Family,
-        family_image_laws,
-        nest_identities,
-        power_functor_check,
-        refinement_laws,
-        set_law_suite,
-        ultrafilter_suite,
-    )
-    from .top import closure_check, discrete_closure
-    from .docs import parse, run_check
-    from .suites import fixtures_dir
-
-    ab = finset("a", "b")
-    f = FinMap(ab, ab, {"a": "b", "b": "a"})
-    P2 = chain_poset(["a", "b"])
-    C2 = from_poset(P2)
-    Z1, Z2 = cyclic_group(1), cyclic_group(2)
-    lt = lattice_from_poset(P2)
-    reports = [
-        image_calculus(f, ab, ab, families=([ab], [finset("a"), ab])),
-        fiber_union_check(f, ab, ab),
-        fiber_union_check(FinMap.constant(ab, ab, "a"), ab, ab),
-        check_order(ab, P2.pairs),
-        lattice_laws(lt),
-        completeness_laws(P2),
-        galois_check(FinMap.identity(ab), FinMap.identity(ab), P2, P2),
-        check_contravariant(constant_functor(C2, C2, "a")),
-        check_set_functor(hom_functors(C2, "a")[0]),
-        op_universe_check([C2]),
-        yoneda_embedding(C2),
-        interchange_check(
-            identity_nat(identity_functor(C2)),
-            identity_nat(identity_functor(C2)),
-            identity_nat(identity_functor(C2)),
-            identity_nat(identity_functor(C2)),
-        ),
-        transfer_check(hom_check(Z2, Z2, FinMap.identity(Z2.carrier)), finset("g0")),
-        transfer_check(hom_check(Z1, Z2, FinMap(Z1.carrier, Z2.carrier, {"g0": "g0"})), Z1.carrier),
-        abelianization_check(Z2, cyclic_subgroup(Z2, "g0")),
-        stabilizer_suite(regular_action(Z2), "g0"),
-        linear_space_check(
-            zp_field(2),
-            Z2,
-            {
-                "k0": FinMap.constant(Z2.carrier, Z2.carrier, "g0"),
-                "k1": FinMap.identity(Z2.carrier),
-            },
-        ),
-        power_functor_check(f, f),
-        family_image_laws(f, Family(ab, [finset("a")]), Family(ab, [finset("b")])),
-        set_law_suite(ab, ab, ab, Family(ab, [finset("a")])),
-        nest_identities([finset("a"), ab], ab),
-        nest_identities([finset("a"), finset("b")], ab),
-        refinement_laws(ab),
-        ultrafilter_suite(ab),
-        closure_check(discrete_closure(ab)),
-        *(run_check(parse(str(p))) for p in sorted(fixtures_dir().glob("*.json"))),
-    ]
-    seen = {}
-    for rep in reports:
-        for c in rep.checks:
-            seen.setdefault(c.law, c.statement)
-    return dict(sorted(seen.items()))
+from .report import INFO, LAWS, UNIT, LawReport
 
 
 def _positive_int(text: str) -> int:
@@ -259,7 +158,13 @@ def _cmd_formats(ns, out) -> int:
     # the schema is one file, shipped with the package as the fixtures are
     with open(os.path.join(os.path.dirname(__file__), "format.md"), encoding="utf-8") as fh:
         spec = fh.read()
-    catalogue = _law_catalogue()
+    # every row but the suites' unit checks; an info row shows the text
+    # of its first observation
+    catalogue = {
+        law: text[0] if kind == INFO else text
+        for law, (kind, text) in sorted(LAWS.items())
+        if kind != UNIT
+    }
     if ns.json:
         out.write(json.dumps({"schema": spec, "laws": catalogue},
                              sort_keys=True, indent=2) + "\n")

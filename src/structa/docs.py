@@ -664,12 +664,8 @@ def run_check(doc: StructureDoc, max_size: int | None = None) -> LawReport:
 def _ck_set(doc):
     A = _b_set(doc)
     r = LawReport("set")
-    r.add("set-elements", "elements are distinct well-formed symbols", True)
-    r.add(
-        "set-subset-count",
-        "a finite set has 2^n subsets",
-        len(list(A.subsets())) == 2 ** len(A) if len(A) <= 10 else True,
-    )
+    r.add("set-elements", True)
+    r.add("set-subset-count", len(list(A.subsets())) == 2 ** len(A) if len(A) <= 10 else True)
     return r
 
 
@@ -677,12 +673,8 @@ def _ck_map(doc):
     f = _b_map(doc)
     r = LawReport("map")
     flags = classify(f)
-    r.add("map-total", "the assignment covers exactly the domain", True)
-    r.add(
-        "map-classify",
-        "monic and onto together are equivalent to bijective",
-        flags["bijective"] == (flags["monic"] and flags["onto"]),
-    )
+    r.add("map-total", True)
+    r.add("map-classify", flags["bijective"] == (flags["monic"] and flags["onto"]))
     from .core import image_calculus
 
     r.merge(image_calculus(f, f.dom, f.cod))
@@ -750,8 +742,8 @@ def _ck_hom(doc):
     src, tgt = (assemble_group(table, carrier) for table, carrier in groups)
     h = _hom(doc, src, tgt)
     bad = hom_witness(src, tgt, h.map)
-    r.add("hom-mult", "f(ab) equals f(a)f(b)", bad is None, bad)
-    r.add("hom-unit", "f sends unit to unit", h.map(h.src.unit) == h.tgt.unit)
+    r.add("hom-mult", bad is None, bad)
+    r.add("hom-unit", h.map(h.src.unit) == h.tgt.unit)
     return r
 
 
@@ -774,10 +766,8 @@ def _ck_family(doc):
     r = LawReport("family")
     # run_check has bounded the carrier already
     sigma = sigma_generate(fam.carrier, fam, guard=len(fam.carrier))
-    r.add("fam-sigma-extends", "the generated sigma-algebra contains the family",
-          fam.members <= sigma.members)
-    r.add("fam-sigma-fixed", "the generated sigma-algebra is a fixed point",
-          is_sigma_algebra(sigma))
+    r.add("fam-sigma-extends", fam.members <= sigma.members)
+    r.add("fam-sigma-fixed", is_sigma_algebra(sigma))
     return r
 
 
@@ -790,11 +780,10 @@ def _ck_filterbase(doc):
         F = generate_filter(fam)
     except EmptyMemberInBase:
         F = None
-    r.add("fb-base", "pairwise intersections swallow a member", F is not None)
+    r.add("fb-base", F is not None)
     if F is not None:
-        r.add("fb-filter", "the generated family is a filter", is_filter(F))
-        r.add("fb-extends", "the generated filter contains the base",
-              fam.members <= F.members)
+        r.add("fb-filter", is_filter(F))
+        r.add("fb-extends", fam.members <= F.members)
     return r
 
 
@@ -814,10 +803,9 @@ def _ck_topology(doc):
     try:
         T = check_topology(carrier, fam)
     except StructaError as e:
-        r.add("top-axioms", "opens contain endpoints, unions, intersections",
-              False, e.witness or (str(e),))
+        r.add("top-axioms", False, e.witness or (str(e),))
         return r
-    r.add("top-axioms", "opens contain endpoints, unions, intersections", True)
+    r.add("top-axioms", True)
     r.merge(neighborhood_laws(T))
     return r
 
@@ -830,10 +818,9 @@ def _ck_base(doc):
     try:
         out = base_ops(fam.carrier, fam)
     except StructaError as e:
-        r.add("bs-covering", "every point lies in a base member",
-              False, e.witness or (str(e),))
+        r.add("bs-covering", False, e.witness or (str(e),))
         return r
-    r.add("bs-covering", "every point lies in a base member", True)
+    r.add("bs-covering", True)
     r.merge(out["criterion"])
     return r
 

@@ -94,17 +94,17 @@ def group_axioms(table, carrier: FinSet) -> LawReport:
     r = LawReport("group-axioms")
     xs = carrier.elements
     missing = next(((a, b) for a in xs for b in xs if (a, b) not in table), None)
-    r.add("grp-total", "the table covers every pair", missing is None, missing)
+    r.add("grp-total", missing is None, missing)
     if missing is not None:
         return r
     escape = next(((a, b) for a in xs for b in xs if table[(a, b)] not in carrier), None)
-    r.add("grp-closed", "products stay in the carrier", escape is None, escape)
+    r.add("grp-closed", escape is None, escape)
     if escape is not None:
         return r
     assoc = associativity_witness(table, xs)
-    r.add("grp-assoc", "(ab)c = a(bc)", assoc is None, assoc)
+    r.add("grp-assoc", assoc is None, assoc)
     unit = two_sided_unit(table, xs)
-    r.add("grp-unit", "a two-sided unit exists", unit is not None)
+    r.add("grp-unit", unit is not None)
     if unit is None or assoc is not None:
         return r
     no_inv = next(
@@ -115,18 +115,14 @@ def group_axioms(table, carrier: FinSet) -> LawReport:
         ),
         None,
     )
-    r.add("grp-inverse", "every element has a two-sided inverse", no_inv is None, no_inv)
+    r.add("grp-inverse", no_inv is None, no_inv)
     if no_inv is not None:
         return r
     inv = {a: next(b for b in xs if table[(a, b)] == unit) for a in xs}
-    r.add(
-        "grp-inv-invol",
-        "(a⁻¹)⁻¹ = a",
-        all(inv[inv[a]] == a for a in xs),
-    )
+    r.add("grp-inv-invol", all(inv[inv[a]] == a for a in xs))
     latin = _is_latin(table, xs)
-    r.add("grp-unique-solutions", "ax = b and ya = b have unique solutions", latin)
-    r.add("grp-cancel", "ab = ac implies b = c, ba = ca implies b = c", latin)
+    r.add("grp-unique-solutions", latin)
+    r.add("grp-cancel", latin)
     return r
 
 
@@ -339,16 +335,12 @@ def commutant(G: FinGroup) -> Subgroup:
 def abelianization_check(G: FinGroup, N: Subgroup) -> LawReport:
     r = LawReport("abelianization")
     comm = commutant(G)
-    r.add("ab-quotient", "G modulo its commutant is abelian", quotient(G, comm).is_abelian())
-    if is_normal(G, N):
-        r.add(
-            "ab-minimal",
-            "G/N abelian iff the commutant lies in N",
-            quotient(G, N).is_abelian() == (comm.members <= N.members),
-            (tuple(N.members),),
-        )
-    else:
-        r.add("ab-minimal", "N must be normal for the quotient test", False, (tuple(N.members),))
+    r.add("ab-quotient", quotient(G, comm).is_abelian())
+    r.add(
+        "ab-minimal",
+        quotient(G, N).is_abelian() == (comm.members <= N.members),
+        (tuple(N.members),),
+    )
     return r
 
 
@@ -391,35 +383,21 @@ def transfer_check(h: GroupHom, H: FinSet) -> LawReport:
     img = h.map.image(H)
     try:
         img_sub = subgroup_check(h.tgt, img)
-        r.add("tr-image", "the image of a subgroup is a subgroup", True)
+        r.add("tr-image", True)
     except NotSubgroup:
-        r.add("tr-image", "the image of a subgroup is a subgroup", False, (tuple(img),))
+        r.add("tr-image", False, (tuple(img),))
         return r
     epi = classify(h.map)["onto"]
     if is_normal(h.src, sub):
         if epi:
-            r.add(
-                "tr-image-normal",
-                "an epimorphism sends normal subgroups to normal subgroups",
-                is_normal(h.tgt, img_sub),
-                (tuple(img),),
-            )
+            r.add("tr-image-normal", is_normal(h.tgt, img_sub), (tuple(img),))
         else:
-            r.add(
-                "tr-image-normal-skipped",
-                "image normality is only claimed for epimorphisms (skipped)",
-                True,
-            )
+            r.add("tr-image-normal-skipped", True)
     pre = h.map.preimage(h.map.image(H))
     pre_sub = subgroup_check(h.src, pre)
-    r.add("tr-preimage", "the preimage of a subgroup is a subgroup", True)
+    r.add("tr-preimage", True)
     if is_normal(h.tgt, img_sub):
-        r.add(
-            "tr-preimage-normal",
-            "the preimage of a normal subgroup is normal",
-            is_normal(h.src, pre_sub),
-            (tuple(pre),),
-        )
+        r.add("tr-preimage-normal", is_normal(h.src, pre_sub), (tuple(pre),))
     return r
 
 
@@ -463,20 +441,13 @@ def action_check(A: GroupAction) -> LawReport:
         for a in A.group.carrier
         for b in A.group.carrier
     )
-    r.add("act-hom", "(ab) acts as a then b composed", hom_ok)
+    r.add("act-hom", hom_ok)
     nul = FinSet(
         g for g in A.group.carrier if A.act[g] == FinMap.identity(A.carrier)
     )
-    r.add("act-nul-subgroup", "the nucleus of non-effectivity is a subgroup", True)
+    r.add("act-nul-subgroup", True)
     subgroup_check(A.group, nul)
-    transitive = is_transitive(A)
-    r.add(
-        "act-transitive-flag",
-        "every point reaches every point"
-        if transitive
-        else "not transitive (informational)",
-        True,
-    )
+    r.add("act-transitive-flag", is_transitive(A))
     return r
 
 
@@ -521,12 +492,12 @@ def stabilizer_suite(A: GroupAction, a) -> LawReport:
         raise CarrierMismatch("point outside the action carrier", witness=(a,))
     G = A.group
     inv_a = stabilizer(A, a)
-    r.add("stab-subgroup", "the stabilizer is a subgroup", True)
+    r.add("stab-subgroup", True)
     nul = action_nucleus(A)
     inter = G.carrier
     for x in A.carrier:
         inter = inter.inter(stabilizer(A, x).members)
-    r.add("stab-nucleus", "the nucleus is the intersection of all stabilizers", nul == inter)
+    r.add("stab-nucleus", nul == inter)
     if not is_transitive(A):
         raise NotTransitive("similarity items need a transitive action")
     part = cosets(G, inv_a, "left")
@@ -534,23 +505,15 @@ def stabilizer_suite(A: GroupAction, a) -> LawReport:
     transporters = {}
     for b in A.carrier:
         transporters[b] = FinSet(g for g in G.carrier if A.apply(g, a) == b)
-    r.add(
-        "stab-cosets",
-        "transporter sets are exactly the left cosets of the stabilizer",
-        set(transporters.values()) == set(names.values()),
-    )
-    r.add(
-        "stab-bijection",
-        "point ↦ transporter coset is a bijection onto the cosets",
-        len(set(transporters.values())) == len(A.carrier) == len(part.blocks),
-    )
+    r.add("stab-cosets", set(transporters.values()) == set(names.values()))
+    r.add("stab-bijection", len(set(transporters.values())) == len(A.carrier) == len(part.blocks))
     # similarity: the coset action and A are the same action up to the bijection
     CA = coset_action(G, inv_a)
     phi = {b: transporters[b].name() for b in A.carrier}
     similar = all(
         phi[A.apply(g, b)] == CA.apply(g, phi[b]) for g in G.carrier for b in A.carrier
     )
-    r.add("stab-similar", "the action is similar to the coset action", similar)
+    r.add("stab-similar", similar)
     conj = all(
         stabilizer(A, b).members
         == FinSet(
@@ -559,7 +522,7 @@ def stabilizer_suite(A: GroupAction, a) -> LawReport:
         for b in A.carrier
         for x in transporters[b]
     )
-    r.add("stab-conjugate", "stabilizers along a transporter are conjugate", conj)
+    r.add("stab-conjugate", conj)
     return r
 
 
@@ -621,13 +584,12 @@ def linear_space_check(field: dict, V: FinGroup, act: dict) -> LawReport:
     r = LawReport("linear-space")
     K = field["carrier"]
     addK, zero, one = field["add"], field["zero"], field["one"]
-    r.add("ls-abelian", "the vector group is abelian", V.is_abelian())
+    r.add("ls-abelian", V.is_abelian())
     add_group = check_group(addK, K)
-    r.add("ls-field-add", "scalars form an abelian additive group", add_group.is_abelian())
+    r.add("ls-field-add", add_group.is_abelian())
     mulK = field["mul_full"]
     r.add(
         "ls-field-distrib",
-        "scalar multiplication distributes over scalar addition",
         all(
             mulK[(a, addK[(b, c)])] == addK[(mulK[(a, b)], mulK[(a, c)])]
             for a in K
@@ -650,7 +612,7 @@ def linear_space_check(field: dict, V: FinGroup, act: dict) -> LawReport:
         for u in V.carrier
     )
     hom_form = hom_auto and hom_comp and hom_additive and act[one] == FinMap.identity(V.carrier)
-    r.add("ls-hom-form", "scalar action is an additive hom into Aut(V)", hom_form)
+    r.add("ls-hom-form", hom_form)
     # four-axiom formulation
     ax1 = all(hom_witness(V, V, act[a]) is None for a in K)
     ax2 = hom_additive
@@ -659,8 +621,8 @@ def linear_space_check(field: dict, V: FinGroup, act: dict) -> LawReport:
         act[mulK[(a, b)]](u) == act[a](act[b](u)) for a in K for b in K for u in V.carrier
     )
     four_form = ax1 and ax2 and ax3 and ax4
-    r.add("ls-axiom-form", "the four distributivity/unit/associativity axioms", four_form)
-    r.add("ls-agree", "the two formulations agree", hom_form == four_form)
+    r.add("ls-axiom-form", four_form)
+    r.add("ls-agree", hom_form == four_form)
     return r
 
 

@@ -41,11 +41,11 @@ def check_order(carrier: FinSet, rel) -> LawReport:
         if x not in carrier or y not in carrier:
             raise CarrierMismatch("relation pair outside the carrier", witness=(x, y))
     refl = next(((x,) for x in carrier if (x, x) not in rel), None)
-    r.add("refl", "x ≤ x for all x", refl is None, refl)
+    r.add("refl", refl is None, refl)
     antisym = next(
         ((x, y) for x, y in pairs if x != y and (y, x) in rel), None
     )
-    r.add("antisym", "x ≤ y and y ≤ x imply x = y", antisym is None, antisym)
+    r.add("antisym", antisym is None, antisym)
     trans = next(
         (
             (x, y, z)
@@ -55,7 +55,7 @@ def check_order(carrier: FinSet, rel) -> LawReport:
         ),
         None,
     )
-    r.add("trans", "x ≤ y and y ≤ z imply x ≤ z", trans is None, trans)
+    r.add("trans", trans is None, trans)
     total = next(
         (
             (x, y)
@@ -64,7 +64,7 @@ def check_order(carrier: FinSet, rel) -> LawReport:
         ),
         None,
     )
-    r.add("total", "every pair is comparable", total is None, total)
+    r.add("total", total is None, total)
     return r
 
 
@@ -350,17 +350,13 @@ def galois_check(f: FinMap, g: FinMap, P: Poset, Q: Poset) -> LawReport:
     comparable = all(
         (Q.le(f(p), q)) == (P.le(p, g(q))) for p in P.carrier for q in Q.carrier
     )
-    r.add("gal-monotone-f", "f preserves the order", f_mono)
-    r.add("gal-monotone-g", "g preserves the order", g_mono)
-    r.add("gal-unit", "p ≤ g(f p)", unit)
-    r.add("gal-counit", "f(g q) ≤ q", counit)
-    r.add("gal-comparable", "f p ≤ q iff p ≤ g q", comparable)
+    r.add("gal-monotone-f", f_mono)
+    r.add("gal-monotone-g", g_mono)
+    r.add("gal-unit", unit)
+    r.add("gal-counit", counit)
+    r.add("gal-comparable", comparable)
     if f_mono and g_mono:
-        r.add(
-            "gal-equivalence",
-            "axiom form and comparability form agree",
-            axioms == comparable,
-        )
+        r.add("gal-equivalence", axioms == comparable)
     return r
 
 
@@ -454,7 +450,6 @@ def lattice_laws(lt: LatticeTables) -> LawReport:
     xs = P.carrier.elements
     r.add(
         "lat-order",
-        "x ≤ y iff x∨y = y iff x∧y = x",
         all(
             P.le(x, y) == (join[(x, y)] == y) == (meet[(x, y)] == x)
             for x in xs
@@ -463,22 +458,15 @@ def lattice_laws(lt: LatticeTables) -> LawReport:
     )
     r.add(
         "lat-comm",
-        "∨ and ∧ are commutative",
         all(join[(x, y)] == join[(y, x)] and meet[(x, y)] == meet[(y, x)] for x in xs for y in xs),
     )
     r.add(
         "lat-assoc",
-        "∨ and ∧ are associative",
         associativity_witness(join, xs) is None and associativity_witness(meet, xs) is None,
     )
-    r.add(
-        "lat-idem",
-        "every element is idempotent for ∨ and ∧",
-        all(join[(x, x)] == x and meet[(x, x)] == x for x in xs),
-    )
+    r.add("lat-idem", all(join[(x, x)] == x and meet[(x, x)] == x for x in xs))
     r.add(
         "lat-absorb",
-        "x∨(x∧y) = x = x∧(x∨y)",
         all(
             join[(x, meet[(x, y)])] == x and meet[(x, join[(x, y)])] == x
             for x in xs
@@ -487,7 +475,6 @@ def lattice_laws(lt: LatticeTables) -> LawReport:
     )
     r.add(
         "lat-monotone",
-        "∨ and ∧ preserve the order in each slot",
         all(
             (not P.le(x, y))
             or (P.le(join[(x, z)], join[(y, z)]) and P.le(meet[(x, z)], meet[(y, z)]))
@@ -508,7 +495,6 @@ def lattice_laws(lt: LatticeTables) -> LawReport:
     sups = [P._extreme(u, up) for u in upper]
     r.add(
         "lat-finite-sup",
-        "sup of a union is the join of the sups",
         all(
             sups[a | b] == join[(sups[a], sups[b])]
             for a in subs
@@ -530,11 +516,11 @@ def semilattice_report(table, carrier: FinSet) -> LawReport:
     if escape is not None:
         raise CarrierMismatch("operation table value outside the carrier", witness=escape)
     comm = next(((x, y) for x in xs for y in xs if table[(x, y)] != table[(y, x)]), None)
-    r.add("semi-comm", "x⋄y = y⋄x", comm is None, comm)
+    r.add("semi-comm", comm is None, comm)
     assoc = associativity_witness(table, xs)
-    r.add("semi-assoc", "(x⋄y)⋄z = x⋄(y⋄z)", assoc is None, assoc)
+    r.add("semi-assoc", assoc is None, assoc)
     idem = next(((x,) for x in xs if table[(x, x)] != x), None)
-    r.add("semi-idem", "x⋄x = x", idem is None, idem)
+    r.add("semi-idem", idem is None, idem)
     return r
 
 
@@ -578,28 +564,19 @@ def completeness_report(P: Poset) -> dict:
 def completeness_laws(P: Poset) -> LawReport:
     r = LawReport("completeness")
     flags = completeness_report(P)
-    r.add("cmp-finite-directed", "finite posets are directed complete", flags["directed_complete"])
+    r.add("cmp-finite-directed", flags["directed_complete"])
     lower_bounded = [
         A for A in P.carrier.subsets() if len(A) > 0 and len(P.lower_bounds(A)) > 0
     ]
     lbc = all(P.inf(A) is not None for A in lower_bounded)
-    r.add(
-        "cmp-bound-duality",
-        "upper-bound complete iff lower-bound complete",
-        flags["bounded_complete"] == lbc,
-    )
+    r.add("cmp-bound-duality", flags["bounded_complete"] == lbc)
     if flags["complete_lattice"]:
         r.add(
             "cmp-inf-via-sup",
-            "inf A = sup of the lower bounds of A",
             all(P.inf(A) == P.sup(P.lower_bounds(A)) for A in P.carrier.subsets()),
         )
         op_flags = completeness_report(P.opposite())
-        r.add(
-            "cmp-both-dcpo",
-            "complete lattice: the order and its dual are directed complete",
-            flags["directed_complete"] and op_flags["directed_complete"],
-        )
+        r.add("cmp-both-dcpo", flags["directed_complete"] and op_flags["directed_complete"])
     return r
 
 

@@ -3,6 +3,10 @@
 A report is a list of named checks. A failed check carries the
 lexicographically least witness found. Reports render deterministically
 (sorted by law id, then witness) in both text and JSON form.
+
+Every law id has one row in ``LAWS``, which holds its statement, and
+``LawReport.add`` reads the statement from there. ``structa formats``
+prints the table.
 """
 
 from __future__ import annotations
@@ -13,6 +17,300 @@ from .errors import BadStructure
 
 # a law id, its statement, the verdict, and the witness of a failure
 Check = namedtuple("Check", ("law", "statement", "passed", "witness"), defaults=(None,))
+
+# The kinds of row. A law is evaluated and may fail. A check that holds
+# by construction, or a recorded skip, is added only as passed: the step
+# that enforces it raises instead of recording a failure. An info row
+# records an observation: it always passes, its verdict picks the first
+# or the second of its two texts, and a witness is written into the
+# second. A unit row is an acceptance check of a ``structa suite``
+# bundle; ``formats`` leaves these out.
+LAW, BY_CONSTRUCTION, SKIP, INFO, UNIT = "law", "by-construction", "skip", "info", "unit"
+
+# law id -> (kind, statement), grouped by the module that emits the id.
+# A family of ids has one row keyed by its pattern: ``add``'s ``ids``
+# fill the ``%`` fields of the key, and its ``counts`` fill those of the
+# statement.
+LAWS = {
+    # core
+    "img-adjoint": (LAW, "fA ⊆ B iff A ⊆ f⁻¹B"),
+    "img-unit": (LAW, "A ⊆ f⁻¹fA"),
+    "img-unit-monic": (LAW, "monic: f⁻¹fA = A"),
+    "img-counit": (LAW, "ff⁻¹B ⊆ B"),
+    "img-counit-onto": (LAW, "onto: ff⁻¹B = B"),
+    "img-restrict": (LAW, "f|A⁻¹B = A ∩ f⁻¹B"),
+    "img-union": (LAW, "f(⋃X) = ⋃fX"),
+    "img-inter": (LAW, "f(⋂X) ⊆ ⋂fX"),
+    "img-inter-monic": (LAW, "monic: f(⋂X) = ⋂fX"),
+    "pre-union": (LAW, "f⁻¹(⋃Y) = ⋃f⁻¹Y"),
+    "pre-inter": (LAW, "f⁻¹(⋂Y) = ⋂f⁻¹Y"),
+    "pre-diff": (LAW, "f⁻¹(Y0 − Y1) = f⁻¹Y0 − f⁻¹Y1"),
+    "fib-prop": (LAW, "monic: fA = B iff A = ⋃ fibers of B"),
+    "fib-prop-onedir": (LAW, "fA = B implies A ⊆ ⋃ fibers of B"),
+    # order
+    "refl": (LAW, "x ≤ x for all x"),
+    "antisym": (LAW, "x ≤ y and y ≤ x imply x = y"),
+    "trans": (LAW, "x ≤ y and y ≤ z imply x ≤ z"),
+    "total": (LAW, "every pair is comparable"),
+    "gal-monotone-f": (LAW, "f preserves the order"),
+    "gal-monotone-g": (LAW, "g preserves the order"),
+    "gal-unit": (LAW, "p ≤ g(f p)"),
+    "gal-counit": (LAW, "f(g q) ≤ q"),
+    "gal-comparable": (LAW, "f p ≤ q iff p ≤ g q"),
+    "gal-equivalence": (LAW, "axiom form and comparability form agree"),
+    "lat-order": (LAW, "x ≤ y iff x∨y = y iff x∧y = x"),
+    "lat-comm": (LAW, "∨ and ∧ are commutative"),
+    "lat-assoc": (LAW, "∨ and ∧ are associative"),
+    "lat-idem": (LAW, "every element is idempotent for ∨ and ∧"),
+    "lat-absorb": (LAW, "x∨(x∧y) = x = x∧(x∨y)"),
+    "lat-monotone": (LAW, "∨ and ∧ preserve the order in each slot"),
+    "lat-finite-sup": (LAW, "sup of a union is the join of the sups"),
+    "semi-comm": (LAW, "x⋄y = y⋄x"),
+    "semi-assoc": (LAW, "(x⋄y)⋄z = x⋄(y⋄z)"),
+    "semi-idem": (LAW, "x⋄x = x"),
+    "cmp-finite-directed": (LAW, "finite posets are directed complete"),
+    "cmp-bound-duality": (LAW, "upper-bound complete iff lower-bound complete"),
+    "cmp-inf-via-sup": (LAW, "inf A = sup of the lower bounds of A"),
+    "cmp-both-dcpo": (LAW, "complete lattice: the order and its dual are directed complete"),
+    # category
+    "cat-comp-total": (LAW, "composition is defined exactly on the composable pairs"),
+    "cat-endpoints": (LAW, "g∘f runs from the source of f to the target of g"),
+    "cat-unit": (LAW, "every object has a two-sided unit arrow"),
+    "cat-assoc": (LAW, "composition is associative on every composable triple"),
+    "cat-discernible": (INFO, (
+        "observational arrow equality refines to named equality",
+        "warning: distinct named arrows are observationally equal, e.g. %s",
+    )),
+    "fun-objects": (LAW, "the object function lands in the target objects"),
+    "fun-arrows": (LAW, "the arrow function lands in the target arrows"),
+    "fun-endpoints": (LAW, "arrows keep their endpoints under the functor"),
+    "fun-unit": (LAW, "unit arrows map to unit arrows"),
+    "fun-comp": (LAW, "F(g∘f) = F g ∘ F f"),
+    "cfun-total": (LAW, "both component functions are total"),
+    "cfun-endpoints": (LAW, "arrows swap their endpoints"),
+    "cfun-unit": (LAW, "unit arrows map to unit arrows"),
+    "cfun-anticomp": (LAW, "F(g∘f) = F f ∘ F g"),
+    "op-category": (LAW, "the opposite of a category is a category"),
+    "op-involution": (LAW, "taking the opposite twice restores the category"),
+    "op-functor": (LAW, "the opposite of a functor is a functor"),
+    "op-distributes": (LAW, "op(G∘F) = op G ∘ op F"),
+    "sr-total": (LAW, "both component functions are total"),
+    "sr-endpoints": (LAW, "arrow images connect the right carriers"),
+    "sr-unit": (LAW, "unit arrows become identity maps"),
+    "sr-comp": (LAW, "F(g∘f) = F g ∘ F f as set maps"),
+    "nt-bridge": (LAW, "each component runs from F a to G a"),
+    "nt-natural": (LAW, "every naturality square commutes"),
+    "ic-interchange": (LAW, "vertical-then-horizontal equals horizontal-then-vertical"),
+    "ye-faithful": (LAW, "distinct arrows give distinct transformations"),
+    "ye-full": (LAW, "every transformation L_a → L_b comes from an arrow b → a"),
+    # group
+    "grp-total": (LAW, "the table covers every pair"),
+    "grp-closed": (LAW, "products stay in the carrier"),
+    "grp-assoc": (LAW, "(ab)c = a(bc)"),
+    "grp-unit": (LAW, "a two-sided unit exists"),
+    "grp-inverse": (LAW, "every element has a two-sided inverse"),
+    "grp-inv-invol": (LAW, "(a⁻¹)⁻¹ = a"),
+    "grp-unique-solutions": (LAW, "ax = b and ya = b have unique solutions"),
+    "grp-cancel": (LAW, "ab = ac implies b = c, ba = ca implies b = c"),
+    "ab-quotient": (LAW, "G modulo its commutant is abelian"),
+    "ab-minimal": (LAW, "G/N abelian iff the commutant lies in N"),
+    "tr-image": (LAW, "the image of a subgroup is a subgroup"),
+    "tr-image-normal": (LAW, "an epimorphism sends normal subgroups to normal subgroups"),
+    "tr-image-normal-skipped": (SKIP, "image normality is only claimed for epimorphisms "
+                                      "(skipped)"),
+    "tr-preimage": (BY_CONSTRUCTION, "the preimage of a subgroup is a subgroup"),
+    "tr-preimage-normal": (LAW, "the preimage of a normal subgroup is normal"),
+    "act-hom": (LAW, "(ab) acts as a then b composed"),
+    "act-nul-subgroup": (BY_CONSTRUCTION, "the nucleus of non-effectivity is a subgroup"),
+    "act-transitive-flag": (INFO, (
+        "every point reaches every point",
+        "not transitive (informational)",
+    )),
+    "stab-subgroup": (BY_CONSTRUCTION, "the stabilizer is a subgroup"),
+    "stab-nucleus": (LAW, "the nucleus is the intersection of all stabilizers"),
+    "stab-cosets": (LAW, "transporter sets are exactly the left cosets of the stabilizer"),
+    "stab-bijection": (LAW, "point ↦ transporter coset is a bijection onto the cosets"),
+    "stab-similar": (LAW, "the action is similar to the coset action"),
+    "stab-conjugate": (LAW, "stabilizers along a transporter are conjugate"),
+    "ls-abelian": (LAW, "the vector group is abelian"),
+    "ls-field-add": (LAW, "scalars form an abelian additive group"),
+    "ls-field-distrib": (LAW, "scalar multiplication distributes over scalar addition"),
+    "ls-hom-form": (LAW, "scalar action is an additive hom into Aut(V)"),
+    "ls-axiom-form": (LAW, "the four distributivity/unit/associativity axioms"),
+    "ls-agree": (LAW, "the two formulations agree"),
+    # numbers
+    "int-unit": (LAW, "shifting by zero is the identity on the window"),
+    "int-inverse": (LAW, "shifting by -b undoes shifting by b"),
+    "int-commutative": (LAW, "the two stacking orders of shifts agree wherever both are defined"),
+    "int-associative": (LAW, "stacked shifts add their offsets"),
+    "int-nat-order": (LAW, "componentwise comparison of shifts mirrors a ≤ b"),
+    "dual-den-reverses": (LAW, "negating the denominator reverses the order"),
+    "dual-num-reverses": (LAW, "negating the numerator reverses the order"),
+    "dual-both-preserves": (LAW, "negating both preserves the order"),
+    "dual-involution": (LAW, "the double negation is an involution"),
+    "dual-sign-classes": (LAW, "negating both lands in the same class"),
+    "dual-row-column": (LAW, "row windows map contravariantly onto column windows"),
+    "emb-add": (LAW, "ι(a) + ι(b) equals ι(a+b)"),
+    "emb-mul": (LAW, "ι(a) · ι(b) equals ι(a·b)"),
+    "emb-order": (LAW, "ι preserves and reflects the order"),
+    "emb-monic": (LAW, "ι separates distinct integers"),
+    # settools
+    "pw-identity": (LAW, "the identity maps to the identity"),
+    "pw-composition": (LAW, "the power map of a composite is the composite of power maps"),
+    "pw-elementwise": (LAW, "each subset goes to its elementwise image"),
+    "pw-monotone": (LAW, "inclusion is preserved"),
+    "pw-meet": (LAW, "P(A∩B) = PA ∩ PB"),
+    "pw-join": (LAW, "PA ∪ PB sits inside P(A∪B)"),
+    "pw-union-recovers": (LAW, "the union of all subsets of A is A"),
+    "fi-fiber-max": (LAW, "the power-map fiber of B unions to the preimage of B"),
+    "fi-onto-direct": (LAW, "for onto f: B is in the direct family image iff the fiber union is "
+                            "in the family"),
+    "fi-backward-is-fiber": (LAW, "for onto f: the backward collection is the power-map fiber"),
+    "fi-monic-inverse": (LAW, "for monic f: A is in the inverse family image iff it is a fiber "
+                              "union over the family"),
+    "fi-forward-bound": (LAW, "the forward collection is at most the image singleton"),
+    "fi-forward-monic": (LAW, "for monic f the forward collection is exactly the image singleton"),
+    "fi-thm-direct": (LAW, "for B in the image: direct family membership matches the fiber "
+                           "union test"),
+    "fi-thm-inverse": (LAW, "for monic f: inverse family membership matches the forward "
+                            "intersection test"),
+    "sl-diff-stack": (LAW, "(A−B)−C = A−(B∪C)"),
+    "sl-diff-meet": (LAW, "A−B = A ∩ Bᶜ"),
+    "sl-distribute-meet": (LAW, "A∩(B∪C) = (A∩B)∪(A∩C)"),
+    "sl-distribute-join": (LAW, "A∪(B∩C) = (A∪B)∩(A∪C)"),
+    "sl-demorgan-union": (LAW, "the complement of a union is the intersection of complements"),
+    "sl-demorgan-inter": (LAW, "the complement of an intersection is the union of complements"),
+    "sl-decompose": (LAW, "A = (A∩B) ∪ (A−B), disjointly"),
+    "sl-decompose-union": (LAW, "A∪B splits into A−B, A∩B, B−A"),
+    "nest-inc-union": (LAW, "the nest and its disjointification share a union"),
+    "nest-inc-disjoint": (LAW, "the disjointification is pairwise disjoint"),
+    "nest-dec-telescope": (LAW, "the top of a decreasing nest is the telescoping union plus the "
+                                "last term"),
+    "nest-shape": (LAW, "the sequence is not a nest"),
+    "ref-reflexive": (LAW, "every base refines itself"),
+    "ref-transitive": (LAW, "refinement chains compose"),
+    "ref-filters-inclusion": (LAW, "on filters, refinement is containment"),
+    "ref-filters-antisym": (LAW, "on filters, mutual refinement forces equality"),
+    "ref-mutual-same-filter": (LAW, "bases refine each other exactly when they generate the "
+                                    "same filter"),
+    "ref-closure-extensive": (LAW, "a base sits inside its generated filter"),
+    "ref-closure-idempotent": (LAW, "generating twice adds nothing"),
+    "ref-closure-monotone": (LAW, "larger bases generate larger filters"),
+    "ref-minimal": (LAW, "the generated filter is the least filter containing the base"),
+    "uf-maximal": (LAW, "ultra means maximal under refinement"),
+    "uf-union-prime": (LAW, "ultra means union-prime"),
+    "uf-points": (LAW, "point filters are ultra"),
+    "uf-principal": (LAW, "every ultrafilter here is a point filter"),
+    "uf-count": (LAW, "one ultrafilter per point"),
+    "uf-union-absorb": (LAW, "a filter union is ultra exactly under the absorption theorem"),
+    # top
+    "clx-empty": (LAW, "the empty set is closed"),
+    "clx-extensive": (LAW, "every set sits inside its closure"),
+    "clx-monotone": (LAW, "closure preserves inclusion"),
+    "clx-idempotent": (LAW, "closing twice adds nothing"),
+    "clx-closed-union": (LAW, "finite unions of closed sets are closed"),
+    "clx-closed-inter": (LAW, "intersections of closed sets are closed"),
+    "cls-additive": (LAW, "closure of a union is the union of closures"),
+    "cls-points": (LAW, "singletons are their own closures"),
+    "nb-open-iff": (LAW, "a set is open exactly when it neighbors each of its points"),
+    "nb-superset": (LAW, "supersets of neighborhoods are neighborhoods"),
+    "bs-criterion-agree": (LAW, "the union form and the pointwise form of the base criterion "
+                                "agree"),
+    "bs-members-open": (LAW, "base members are open"),
+    "bs-point-base": (LAW, "a base is a point base of every point"),
+    "bs-closure-equivalence": (LAW, "closure via base neighborhoods matches closure via closed "
+                                    "sets"),
+    "bs-subbase-only": (SKIP, "the family fails the base criterion; base-only laws are skipped"),
+    # docs
+    "set-elements": (BY_CONSTRUCTION, "elements are distinct well-formed symbols"),
+    "set-subset-count": (LAW, "a finite set has 2^n subsets"),
+    "map-total": (BY_CONSTRUCTION, "the assignment covers exactly the domain"),
+    "map-classify": (LAW, "monic and onto together are equivalent to bijective"),
+    "hom-mult": (LAW, "f(ab) equals f(a)f(b)"),
+    "hom-unit": (LAW, "f sends unit to unit"),
+    "fam-sigma-extends": (LAW, "the generated sigma-algebra contains the family"),
+    "fam-sigma-fixed": (LAW, "the generated sigma-algebra is a fixed point"),
+    "fb-base": (LAW, "pairwise intersections swallow a member"),
+    "fb-filter": (LAW, "the generated family is a filter"),
+    "fb-extends": (LAW, "the generated filter contains the base"),
+    "top-axioms": (LAW, "opens contain endpoints, unions, intersections"),
+    "bs-covering": (LAW, "every point lies in a base member"),
+    # suites
+    "unit-error": (UNIT, "the unit ran without a structure error"),
+    "fn-laws-%d-%d": (UNIT, "image/preimage laws, fibers, and decompose-recompose hold on every "
+                            "map (%d checks)"),
+    "fn-volume": (UNIT, "the exhaustive scan performed at least 100000 individual checks"),
+    "cat-seeds": (UNIT, "all %d constructor-built seed categories pass the category laws"),
+    "cat-planted": (UNIT, "the associativity witness search finds the planted defect in each of "
+                          "the %d negative fixtures"),
+    "ic-grid-%d%d%d": (UNIT, "interchange holds on %d random 2x2 grids"),
+    "ic-volume": (UNIT, "at least 1000 grids were sampled and both defining formulas of "
+                        "horizontal composition agreed on every instance"),
+    "yo-count-%s": (UNIT, "|Nat(L_a, F)| equals |F a| with exact round-trip on %d "
+                          "object/functor pairs"),
+    "yo-embedding-%s": (UNIT, "the Yoneda embedding is full and faithful"),
+    "int-add-exhaustive": (UNIT, "window addition equals integer addition for all |a|,|b| <= 30"),
+    "int-add-random": (UNIT, "functor-composition addition equals integer addition on 10000 "
+                             "random pairs with |a|,|b| <= 100"),
+    "int-mul-recursion": (UNIT, "recursion product equals direct product on 10000 random pairs"),
+    "int-ring-laws": (UNIT, "distributivity, commutativity, and associativity hold on 10000 "
+                            "random triples"),
+    "rat-total": (UNIT, "any two window rationals compare"),
+    "rat-trans": (UNIT, "the order is transitive on the window"),
+    "rat-antisym": (UNIT, "mutual comparison forces equality of classes"),
+    "rat-add-assoc": (UNIT, "addition is associative on the window"),
+    "rat-add-unit": (UNIT, "zero is neutral"),
+    "rat-add-inverse": (UNIT, "negation inverts addition"),
+    "rat-add-comm": (UNIT, "addition is commutative"),
+    "rat-mul-assoc": (UNIT, "multiplication is associative on the nonzero window"),
+    "rat-mul-unit": (UNIT, "one is neutral"),
+    "rat-mul-inverse": (UNIT, "reciprocals invert multiplication"),
+    "rat-mul-comm": (UNIT, "multiplication is commutative"),
+    "rat-embed-grid": (UNIT, "the embedded integers agree with window rationals of denominator "
+                             "one"),
+    "lat-iff-%d": (UNIT, "lattice_from_poset succeeds exactly when pairwise sups and infs exist "
+                         "(%d posets, %d lattices)"),
+    "lat-roundtrip-%d": (UNIT, "the dual semilattice tables reconstruct the original order"),
+    "lat-laws-%d": (UNIT, "absorption, idempotence, and monotonicity hold on every lattice"),
+    "zorn-maximal-%d": (UNIT, "zorn_maximal returns a scan-verified maximal element on all %d "
+                              "posets"),
+    "zorn-chain-%d": (UNIT, "extend_chain output is maximal as a chain by scan"),
+    "grp-criteria": (UNIT, "subgroup and normality criteria agree on all %d subsets (%d "
+                           "subgroups) of the order <= 6 catalog"),
+    "grp-first-iso": (UNIT, "the first isomorphism theorem holds for all %d homomorphisms "
+                            "between order <= 4 catalog members"),
+    "grp-sign-hom": (UNIT, "the first isomorphism theorem holds for the sign homomorphism from "
+                           "the symmetric group on three letters"),
+    "grp-s3-commutant": (UNIT, "the commutant has order three"),
+    "grp-s3-center": (UNIT, "the center is trivial"),
+    "grp-s3-inner": (UNIT, "there are six inner automorphisms"),
+    "grp-s3-abelianization": (UNIT, "the quotient by the commutant is abelian of order two"),
+    "act-%s-laws": (UNIT, "the coset action satisfies the action laws"),
+    "act-%s-transitive": (UNIT, "the coset action is transitive"),
+    "act-%s-fixed-coset": (UNIT, "g fixes the coset xH exactly when x^-1 g x lies in H"),
+    "act-%s-nucleus": (UNIT, "the nucleus is the intersection of the conjugate subgroups"),
+    "act-letters": (UNIT, "the defining action satisfies the action laws"),
+    "act-stabilizer-similarity": (UNIT, "the action is similar to the coset action of each "
+                                        "stabilizer"),
+    "fl-principal-%d": (UNIT, "every one of the %d filters is principal over its core"),
+    "fl-minimal-%d": (UNIT, "generating from a filter returns the filter itself"),
+    "sg-all-families": (UNIT, "closure iteration equals the intersection of enclosing "
+                              "sigma-algebras for all %d families on three points"),
+    "tp-count": (UNIT, "brute force finds exactly 29 topologies on three points"),
+    "tp-closure-agree": (UNIT, "base-derived and closed-family closures are table-identical on "
+                               "every topology"),
+    "tp-strict-small": (UNIT, "exhaustively, the only strict closure model on one or two points "
+                              "is the discrete one"),
+    "tp-strict-three": (UNIT, "on three points the discrete model passes and sampled "
+                              "perturbations plus the additivity argument exclude all others"),
+    "cli-corpus": (UNIT, "all %d corpus documents round-trip through parse and render "
+                         "byte-identically"),
+    "cli-jobs": (UNIT, "report output is byte-identical across one and eight workers"),
+    "cli-exit-pass": (UNIT, "a passing document exits zero"),
+    "cli-exit-fail": (UNIT, "a failing law exits one"),
+    "cli-exit-parse": (UNIT, "a syntax error exits two"),
+    "cli-exit-schema": (UNIT, "a non-total table exits two"),
+}
 
 
 def _witness_key(w):
@@ -43,9 +341,25 @@ class LawReport:
     def __repr__(self):
         return "LawReport(suite=%r, checks=%r)" % (self.suite, self.checks)
 
-    def add(self, law, statement, passed, witness=None):
-        """Record a check. A passed check has no witness; a failed one
-        without a witness gets the empty one."""
+    def add(self, law, passed, witness=None, *, ids=(), counts=()):
+        """Record a check of ``law``, a key of ``LAWS``, with the row's
+        statement; ``ids`` fill the ``%`` fields of a family key and
+        ``counts`` those of the statement. A passed check has no
+        witness; a failed one without a witness gets the empty one. An
+        info row passes: ``passed`` picks its text and a witness goes
+        into it. An unknown id raises KeyError."""
+        row = LAWS.get(law)
+        if row is None:
+            raise KeyError("no law %r in report.LAWS" % (law,))
+        kind, statement = row
+        if kind == INFO:
+            text = statement[0] if passed else statement[1]
+            statement = text if witness is None else text % (witness,)
+            passed = True
+        if counts:
+            statement %= counts
+        if ids:
+            law %= ids
         if passed:
             witness = None
         elif witness is None:

@@ -105,25 +105,18 @@ def power_functor_check(f: FinMap, g: FinMap | None = None) -> LawReport:
     pf = power_map(f)
     r.add(
         "pw-identity",
-        "the identity maps to the identity",
         power_map(FinMap.identity(f.dom)) == FinMap.identity(FinSet(a.name() for a in f.dom.subsets())),
     )
     if g is not None:
         if g.dom != f.cod:
             raise CarrierMismatch("g must compose with f")
-        r.add(
-            "pw-composition",
-            "the power map of a composite is the composite of power maps",
-            power_map(compose(g, f)) == compose(power_map(g), power_map(f)),
-        )
+        r.add("pw-composition", power_map(compose(g, f)) == compose(power_map(g), power_map(f)))
     r.add(
         "pw-elementwise",
-        "each subset goes to its elementwise image",
         all(pf(a.name()) == FinSet(f(x) for x in a).name() for a in f.dom.subsets()),
     )
     r.add(
         "pw-monotone",
-        "inclusion is preserved",
         all(
             (not a <= b) or f.image(a) <= f.image(b)
             for a in f.dom.subsets()
@@ -140,7 +133,7 @@ def power_functor_check(f: FinMap, g: FinMap | None = None) -> LawReport:
         ),
         None,
     )
-    r.add("pw-meet", "P(A∩B) = PA ∩ PB", meet_bad is None, meet_bad)
+    r.add("pw-meet", meet_bad is None, meet_bad)
     join_bad = next(
         (
             (a.name(), b.name())
@@ -151,12 +144,8 @@ def power_functor_check(f: FinMap, g: FinMap | None = None) -> LawReport:
         ),
         None,
     )
-    r.add("pw-join", "PA ∪ PB sits inside P(A∪B)", join_bad is None, join_bad)
-    r.add(
-        "pw-union-recovers",
-        "the union of all subsets of A is A",
-        all(union_of(a.subsets()) == a for a in f.dom.subsets()),
-    )
+    r.add("pw-join", join_bad is None, join_bad)
+    r.add("pw-union-recovers", all(union_of(a.subsets()) == a for a in f.dom.subsets()))
     return r
 
 
@@ -208,12 +197,7 @@ def family_image_laws(f: FinMap, X: Family, Y: Family) -> LawReport:
         ),
         None,
     )
-    r.add(
-        "fi-fiber-max",
-        "the power-map fiber of B unions to the preimage of B",
-        bad1 is None,
-        bad1,
-    )
+    r.add("fi-fiber-max", bad1 is None, bad1)
     if flags["onto"]:
         bad2 = next(
             (
@@ -224,12 +208,7 @@ def family_image_laws(f: FinMap, X: Family, Y: Family) -> LawReport:
             ),
             None,
         )
-        r.add(
-            "fi-onto-direct",
-            "for onto f: B is in the direct family image iff the fiber union is in the family",
-            bad2 is None,
-            bad2,
-        )
+        r.add("fi-onto-direct", bad2 is None, bad2)
         bad3 = next(
             (
                 (B.name(),)
@@ -239,12 +218,7 @@ def family_image_laws(f: FinMap, X: Family, Y: Family) -> LawReport:
             ),
             None,
         )
-        r.add(
-            "fi-backward-is-fiber",
-            "for onto f: the backward collection is the power-map fiber",
-            bad3 is None,
-            bad3,
-        )
+        r.add("fi-backward-is-fiber", bad3 is None, bad3)
     # the inverse-side laws read "Range f" as the image and need
     # nonempty members; outside that the equivalence has an empty-set
     # counterexample
@@ -259,29 +233,19 @@ def family_image_laws(f: FinMap, X: Family, Y: Family) -> LawReport:
             ),
             None,
         )
-        r.add(
-            "fi-monic-inverse",
-            "for monic f: A is in the inverse family image iff it is a fiber union over the family",
-            bad4 is None,
-            bad4,
-        )
+        r.add("fi-monic-inverse", bad4 is None, bad4)
     # forward collection: always inside {f[A]}, equal for monic f
     bad5 = next(
         ((A.name(),) for A in f.dom.subsets() if not f_forward(f, A) <= {f.image(A)}),
         None,
     )
-    r.add("fi-forward-bound", "the forward collection is at most the image singleton", bad5 is None, bad5)
+    r.add("fi-forward-bound", bad5 is None, bad5)
     if flags["monic"]:
         bad6 = next(
             ((A.name(),) for A in f.dom.subsets() if f_forward(f, A) != {f.image(A)}),
             None,
         )
-        r.add(
-            "fi-forward-monic",
-            "for monic f the forward collection is exactly the image singleton",
-            bad6 is None,
-            bad6,
-        )
+        r.add("fi-forward-monic", bad6 is None, bad6)
     # theorem: for B inside the image, membership in the direct family
     # image is fiber-union membership in the family
     bad7 = next(
@@ -293,12 +257,7 @@ def family_image_laws(f: FinMap, X: Family, Y: Family) -> LawReport:
         ),
         None,
     )
-    r.add(
-        "fi-thm-direct",
-        "for B in the image: direct family membership matches the fiber union test",
-        bad7 is None,
-        bad7,
-    )
+    r.add("fi-thm-direct", bad7 is None, bad7)
     if flags["monic"]:
         bad8 = next(
             (
@@ -309,12 +268,7 @@ def family_image_laws(f: FinMap, X: Family, Y: Family) -> LawReport:
             ),
             None,
         )
-        r.add(
-            "fi-thm-inverse",
-            "for monic f: inverse family membership matches the forward intersection test",
-            bad8 is None,
-            bad8,
-        )
+        r.add("fi-thm-inverse", bad8 is None, bad8)
     return r
 
 
@@ -327,39 +281,15 @@ def set_law_suite(A: FinSet, B: FinSet, C: FinSet, X: Family) -> LawReport:
             raise CarrierMismatch("sets must live in the family's carrier")
     r = LawReport("set-laws")
     comp = lambda s: s.complement_in(carrier)
-    r.add("sl-diff-stack", "(A−B)−C = A−(B∪C)", A.diff(B).diff(C) == A.diff(B.union(C)))
-    r.add("sl-diff-meet", "A−B = A ∩ Bᶜ", A.diff(B) == A.inter(comp(B)))
-    r.add(
-        "sl-distribute-meet",
-        "A∩(B∪C) = (A∩B)∪(A∩C)",
-        A.inter(B.union(C)) == A.inter(B).union(A.inter(C)),
-    )
-    r.add(
-        "sl-distribute-join",
-        "A∪(B∩C) = (A∪B)∩(A∪C)",
-        A.union(B.inter(C)) == A.union(B).inter(A.union(C)),
-    )
-    r.add(
-        "sl-demorgan-union",
-        "the complement of a union is the intersection of complements",
-        comp(union_of(X)) == inter_of((comp(s) for s in X), carrier),
-    )
+    r.add("sl-diff-stack", A.diff(B).diff(C) == A.diff(B.union(C)))
+    r.add("sl-diff-meet", A.diff(B) == A.inter(comp(B)))
+    r.add("sl-distribute-meet", A.inter(B.union(C)) == A.inter(B).union(A.inter(C)))
+    r.add("sl-distribute-join", A.union(B.inter(C)) == A.union(B).inter(A.union(C)))
+    r.add("sl-demorgan-union", comp(union_of(X)) == inter_of((comp(s) for s in X), carrier))
     if len(X) > 0:
-        r.add(
-            "sl-demorgan-inter",
-            "the complement of an intersection is the union of complements",
-            comp(inter_of(X, carrier)) == union_of(comp(s) for s in X),
-        )
-    r.add(
-        "sl-decompose",
-        "A = (A∩B) ∪ (A−B), disjointly",
-        A == A.inter(B).union(A.diff(B)) and not A.inter(B).inter(A.diff(B)),
-    )
-    r.add(
-        "sl-decompose-union",
-        "A∪B splits into A−B, A∩B, B−A",
-        A.union(B) == A.diff(B).union(A.inter(B)).union(B.diff(A)),
-    )
+        r.add("sl-demorgan-inter", comp(inter_of(X, carrier)) == union_of(comp(s) for s in X))
+    r.add("sl-decompose", A == A.inter(B).union(A.diff(B)) and not A.inter(B).inter(A.diff(B)))
+    r.add("sl-decompose-union", A.union(B) == A.diff(B).union(A.inter(B)).union(B.diff(A)))
     increasing = [A, A.union(B), A.union(B).union(C)]
     decreasing = list(reversed(increasing))
     r.merge(nest_identities(increasing, carrier))
@@ -381,14 +311,9 @@ def nest_identities(chain, carrier: FinSet) -> LawReport:
         disjoint = [chain[0]] + [
             chain[i + 1].diff(chain[i]) for i in range(len(chain) - 1)
         ]
-        r.add(
-            "nest-inc-union",
-            "the nest and its disjointification share a union",
-            union_of(chain) == union_of(disjoint),
-        )
+        r.add("nest-inc-union", union_of(chain) == union_of(disjoint))
         r.add(
             "nest-inc-disjoint",
-            "the disjointification is pairwise disjoint",
             all(
                 not a.inter(b)
                 for a, b in itertools.combinations(disjoint, 2)
@@ -396,13 +321,9 @@ def nest_identities(chain, carrier: FinSet) -> LawReport:
         )
     if decreasing and chain:
         pieces = [chain[i].diff(chain[i + 1]) for i in range(len(chain) - 1)]
-        r.add(
-            "nest-dec-telescope",
-            "the top of a decreasing nest is the telescoping union plus the last term",
-            chain[0] == union_of(pieces).union(chain[-1]),
-        )
+        r.add("nest-dec-telescope", chain[0] == union_of(pieces).union(chain[-1]))
     if not (increasing or decreasing):
-        r.add("nest-shape", "the sequence is not a nest", False)
+        r.add("nest-shape", False)
     return r
 
 
@@ -568,10 +489,9 @@ def refinement_laws(carrier: FinSet) -> LawReport:
             if is_filter_base(fam):
                 bases.append(fam)
     prec = lambda a, b: refinement(a, b)["finer"]
-    r.add("ref-reflexive", "every base refines itself", all(prec(b, b) for b in bases))
+    r.add("ref-reflexive", all(prec(b, b) for b in bases))
     r.add(
         "ref-transitive",
-        "refinement chains compose",
         all(
             not (prec(a, b) and prec(b, c)) or prec(a, c)
             for a in bases
@@ -582,14 +502,12 @@ def refinement_laws(carrier: FinSet) -> LawReport:
     filters = enumerate_filters(carrier)
     r.add(
         "ref-filters-inclusion",
-        "on filters, refinement is containment",
         all(
             prec(F, G) == (F.members <= G.members) for F in filters for G in filters
         ),
     )
     r.add(
         "ref-filters-antisym",
-        "on filters, mutual refinement forces equality",
         all(
             not (prec(F, G) and prec(G, F)) or F == G
             for F in filters
@@ -598,7 +516,6 @@ def refinement_laws(carrier: FinSet) -> LawReport:
     )
     r.add(
         "ref-mutual-same-filter",
-        "bases refine each other exactly when they generate the same filter",
         all(
             (prec(a, b) and prec(b, a)) == (generate_filter(a) == generate_filter(b))
             for a in bases
@@ -606,19 +523,10 @@ def refinement_laws(carrier: FinSet) -> LawReport:
         ),
     )
     gens = {generate_filter(b) for b in bases}
-    r.add(
-        "ref-closure-extensive",
-        "a base sits inside its generated filter",
-        all(b.members <= generate_filter(b).members for b in bases),
-    )
-    r.add(
-        "ref-closure-idempotent",
-        "generating twice adds nothing",
-        all(generate_filter(g) == g for g in gens),
-    )
+    r.add("ref-closure-extensive", all(b.members <= generate_filter(b).members for b in bases))
+    r.add("ref-closure-idempotent", all(generate_filter(g) == g for g in gens))
     r.add(
         "ref-closure-monotone",
-        "larger bases generate larger filters",
         all(
             not prec(a, b) or generate_filter(a).members <= generate_filter(b).members
             for a in bases
@@ -628,7 +536,6 @@ def refinement_laws(carrier: FinSet) -> LawReport:
     # minimality of the generated filter
     r.add(
         "ref-minimal",
-        "the generated filter is the least filter containing the base",
         all(
             all(
                 not b.members <= F.members
@@ -662,11 +569,7 @@ def ultrafilter_suite(carrier: FinSet) -> LawReport:
         for F in filters
         if not any(F != G and F.members <= G.members for G in filters)
     ]
-    r.add(
-        "uf-maximal",
-        "ultra means maximal under refinement",
-        {F.members for F in ultras} == {F.members for F in maximal},
-    )
+    r.add("uf-maximal", {F.members for F in ultras} == {F.members for F in maximal})
     prime_ok = all(
         is_ultrafilter(F)
         == all(
@@ -677,17 +580,17 @@ def ultrafilter_suite(carrier: FinSet) -> LawReport:
         )
         for F in filters
     )
-    r.add("uf-union-prime", "ultra means union-prime", prime_ok)
+    r.add("uf-union-prime", prime_ok)
     points_ok = all(
         is_ultrafilter(point_filter(carrier, x)) for x in carrier
     )
-    r.add("uf-points", "point filters are ultra", points_ok)
+    r.add("uf-points", points_ok)
     principal_ok = all(
         any(F.members == point_filter(carrier, x).members for x in carrier)
         for F in ultras
     )
-    r.add("uf-principal", "every ultrafilter here is a point filter", principal_ok)
-    r.add("uf-count", "one ultrafilter per point", len(ultras) == len(carrier))
+    r.add("uf-principal", principal_ok)
+    r.add("uf-count", len(ultras) == len(carrier))
     absorb_ok = True
     for F in filters:
         for G in filters:
@@ -698,9 +601,5 @@ def ultrafilter_suite(carrier: FinSet) -> LawReport:
                 absorb_ok = False
             if is_ultrafilter(F) and not is_ultrafilter(U):
                 absorb_ok = False
-    r.add(
-        "uf-union-absorb",
-        "a filter union is ultra exactly under the absorption theorem",
-        absorb_ok,
-    )
+    r.add("uf-union-absorb", absorb_ok)
     return r

@@ -66,23 +66,10 @@ def _mask_table(op: ClosureOp) -> list:
     return table
 
 
-# law id -> statement, in report order; the two strict laws come last
-_CLOSURE_LAWS = {
-    "clx-empty": "the empty set is closed",
-    "clx-extensive": "every set sits inside its closure",
-    "clx-monotone": "closure preserves inclusion",
-    "clx-idempotent": "closing twice adds nothing",
-    "clx-closed-union": "finite unions of closed sets are closed",
-    "clx-closed-inter": "intersections of closed sets are closed",
-    "cls-additive": "closure of a union is the union of closures",
-    "cls-points": "singletons are their own closures",
-}
-
-
 def _closure_laws(subs: list, cl: list, strict: bool) -> list:
     """The closure laws of the mask table ``cl`` as (law id, witness)
-    pairs in the order of ``_CLOSURE_LAWS``: the lenient laws, then, when
-    ``strict``, ``cls-additive`` and ``cls-points``. ``subs`` lists the
+    pairs in report order: the six lenient laws, then, when ``strict``,
+    ``cls-additive`` and ``cls-points``. ``subs`` lists the
     carrier's subset masks in ``subsets()`` order, and every scan follows
     it, so each witness is the first counterexample, as masks; a point is
     given as its singleton's mask. A passing law has the witness None, a
@@ -132,7 +119,7 @@ def _closure_report(name: str, op: ClosureOp, strict: bool) -> LawReport:
                 bad = set_of(carrier, bad[0]).elements
             else:
                 bad = tuple(set_of(carrier, m).name() for m in bad)
-        r.add(law, _CLOSURE_LAWS[law], bad is None, bad)
+        r.add(law, bad is None, bad)
     return r
 
 
@@ -210,15 +197,9 @@ def neighborhood_laws(T: Topology) -> LawReport:
         ),
         None,
     )
-    r.add(
-        "nb-open-iff",
-        "a set is open exactly when it neighbors each of its points",
-        bad is None,
-        bad,
-    )
+    r.add("nb-open-iff", bad is None, bad)
     r.add(
         "nb-superset",
-        "supersets of neighborhoods are neighborhoods",
         all(
             all(
                 N2 in nbhd[x]
@@ -265,16 +246,8 @@ def base_ops(carrier: FinSet, B: Family) -> dict:
         for V in T.opens.members
         if len(V) > 0
     )
-    r.add(
-        "bs-criterion-agree",
-        "the union form and the pointwise form of the base criterion agree",
-        point_form == union_form,
-    )
-    r.add(
-        "bs-members-open",
-        "base members are open",
-        B.members <= T.opens.members,
-    )
+    r.add("bs-criterion-agree", point_form == union_form)
+    r.add("bs-members-open", B.members <= T.opens.members)
     table = {}
     for A in carrier.subsets():
         table[A] = FinSet(
@@ -284,24 +257,12 @@ def base_ops(carrier: FinSet, B: Family) -> dict:
         )
     cl = ClosureOp(carrier, table)
     if point_form:
-        r.add(
-            "bs-point-base",
-            "a base is a point base of every point",
-            all(point_base_check(T, x, B) for x in carrier),
-        )
+        r.add("bs-point-base", all(point_base_check(T, x, B) for x in carrier))
         closed = open_duality(T)
         from_closed = closure_from_closed(carrier, closed)
-        r.add(
-            "bs-closure-equivalence",
-            "closure via base neighborhoods matches closure via closed sets",
-            cl == from_closed,
-        )
+        r.add("bs-closure-equivalence", cl == from_closed)
     else:
-        r.add(
-            "bs-subbase-only",
-            "the family fails the base criterion; base-only laws are skipped",
-            True,
-        )
+        r.add("bs-subbase-only", True)
     return {"topology": T, "criterion": r, "closure": cl, "is_base": point_form}
 
 

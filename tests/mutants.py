@@ -319,6 +319,18 @@ MUTANTS = [
         "        self.checks = checks\n",
         "tests/test_core.py::test_law_reports_never_share_a_checks_list",
     ),
+    (
+        "report.py",
+        '            raise KeyError("no law %r in report.LAWS" % (law,))\n',
+        "            row = (LAW, law)\n",
+        "tests/test_hygiene.py::test_an_unknown_law_id_raises",
+    ),
+    (
+        "cli.py",
+        "        if kind != UNIT\n",
+        "",
+        "tests/test_cli.py::TestFormats::test_formats_prints_schema_and_catalogue",
+    ),
 ]
 
 

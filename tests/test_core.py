@@ -904,7 +904,7 @@ def test_law_reports_never_share_a_checks_list():
 
     r, s = LawReport("r"), LawReport("s")
     assert r.checks is not s.checks
-    r.add("law", "statement", True)
+    r.add("grp-unit", True)
     assert s.checks == [] and len(r.checks) == 1
     given_checks = []
     assert LawReport("t", given_checks).checks is given_checks

@@ -283,6 +283,17 @@ class TestCommutators:
                 if is_normal(G, N):
                     assert abelianization_check(G, N).passed
 
+    def test_abelianization_of_a_non_normal_subgroup_raises(self):
+        # N must be normal for G/N to exist, as quotient requires
+        G, _ = s3()
+        H = next(
+            cyclic_subgroup(G, a)
+            for a in G.carrier
+            if len(cyclic_subgroup(G, a).members) == 2
+        )
+        with pytest.raises(NotNormal):
+            abelianization_check(G, H)
+
 
 class TestHoms:
     def test_mod_reduction_is_a_hom(self):

@@ -7,8 +7,9 @@ the last caller of a name cannot leave its import or its error class
 behind. Every top-level function is reached from the CLI or the suite
 runner, or is named in ``KEPT_API``, so deleting the last caller of a
 function cannot leave it behind either. Only ``core.Frozen`` writes the
-immutable-value contract, and ``structa formats`` lists every law id
-that a library report can emit. Importing structa loads none of
+immutable-value contract. The ids that ``LawReport.add`` calls emit
+are exactly the rows of ``report.LAWS``, and each row's kind agrees with
+the verdicts its call sites pass. Importing structa loads none of
 ``dataclasses``, ``inspect`` and ``typing``.
 """
 
@@ -111,37 +112,97 @@ def test_only_frozen_defines_the_immutable_value_contract():
     assert defined == []
 
 
-def emitted_law_ids() -> set:
-    """The literal law id of every ``.add(law, statement, passed, ...)``
-    call outside ``suites.py``, whose unit reports are not in the
-    catalogue, and the ids of the law tables that feed ``.add`` through a
-    variable."""
+def law_sites() -> list:
+    """(module file, law id, verdict node) for every ``LawReport.add``
+    call: an ``.add`` with a verdict argument. A literal id is itself; a
+    computed one stands for each id of the family table it reads: the
+    image laws of ``core``, the closure laws of ``top`` (the ids its
+    kernel returns) and the functor scan of ``category``."""
     from structa.category import _FUNCTOR_LAWS
     from structa.core import _IMAGE_LAWS
-    from structa.top import _CLOSURE_LAWS
+    from structa.top import _closure_laws
 
-    ids = set(_IMAGE_LAWS) | set(_CLOSURE_LAWS)
-    for prefix, (_, _, comp_law, _) in _FUNCTOR_LAWS.items():
-        ids |= {prefix + "-endpoints", prefix + "-unit", comp_law}
+    families = {
+        "core.py": sorted(_IMAGE_LAWS),
+        # the identity closure on one point, with the strict laws
+        "top.py": [law for law, _ in _closure_laws([0, 1], [0, 1], strict=True)],
+        "category.py": [law for prefix, comp in sorted(_FUNCTOR_LAWS.items())
+                        for law in (prefix + "-endpoints", prefix + "-unit", comp)],
+    }
+    sites = []
     for path in MODULES:
-        if path.name == "suites.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (
+            if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "add"
-                and len(node.args) + len(node.keywords) >= 3
-                and isinstance(node.args[0], ast.Constant)
+                and len(node.args) >= 2
             ):
-                ids.add(node.args[0].value)
-    return ids
+                continue
+            law, verdict = node.args[0], node.args[1]
+            if isinstance(law, ast.Constant):
+                sites.append((path.name, law.value, verdict))
+            else:
+                assert path.name in families, (path.name, node.lineno)
+                sites += [(path.name, fed, verdict) for fed in families[path.name]]
+    return sites
 
 
-def test_the_catalogue_lists_every_emitted_law():
-    from structa.cli import _law_catalogue
+def test_every_emitted_law_has_a_row_and_every_row_is_emitted():
+    from structa.report import LAWS
 
-    assert sorted(emitted_law_ids() - set(_law_catalogue())) == []
+    emitted = {law for _, law, _ in law_sites()}
+    assert sorted(emitted - set(LAWS)) == []
+    assert sorted(set(LAWS) - emitted) == []
+
+
+def test_each_row_is_added_as_its_kind_says():
+    # a check that holds by construction, or a skip, is added only as
+    # passed; a law can fail at one call site at least; the unit rows
+    # are the acceptance checks that the suites add
+    from structa.report import BY_CONSTRUCTION, LAW, LAWS, SKIP, UNIT
+
+    verdicts, modules = {}, {}
+    for module, law, verdict in law_sites():
+        literal = isinstance(verdict, ast.Constant) and verdict.value is True
+        verdicts.setdefault(law, set()).add(literal)
+        modules.setdefault(law, set()).add(module)
+    kinds = {law: kind for law, (kind, _) in LAWS.items()}
+    assert sorted(law for law, kind in kinds.items()
+                  if kind in (BY_CONSTRUCTION, SKIP) and verdicts[law] != {True}) == []
+    assert sorted(law for law, kind in kinds.items()
+                  if kind == LAW and False not in verdicts[law]) == []
+    assert sorted(law for law, kind in kinds.items()
+                  if (kind == UNIT) != (modules[law] == {"suites.py"})) == []
+
+
+def test_an_unknown_law_id_raises():
+    # a real raise, so that python -O keeps it
+    from structa.report import LawReport
+
+    r = LawReport("s")
+    for law in ("no-such-law", "fn-laws-1-1", "ab-minimal "):
+        with pytest.raises(KeyError, match="report.LAWS"):
+            r.add(law, True)
+    assert r.checks == []
+
+
+def test_formats_adds_no_check(monkeypatch, capsys):
+    # formats prints the table; it builds no report to find the statements
+    from structa import cli
+    from structa.report import LawReport
+
+    calls, add = [], LawReport.add
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(LawReport, "add", counted)
+    assert cli.main(["formats"]) == 0
+    assert cli.main(["formats", "--json"]) == 0
+    assert "Law catalogue" in capsys.readouterr().out
+    assert calls == []
 
 
 # Top-level functions that no CLI or suite path reaches and that stay on
@@ -149,20 +210,57 @@ def test_the_catalogue_lists_every_emitted_law():
 # benchmark calls.
 KEPT_API = {
     "category.cayley": "library API: README's structa.category row documents Cayley via the hom functor",
+    "category.check_contravariant":
+        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
     "category.compare_representations": "library API",
+    "category.compose_functors": "library API, reached from hcompose and op_universe_check",
+    "category.constant_functor": "library API",
     "category.dagger": "library API, reached from compare_representations",
     "category.hcompose": "library API",
     "category.hom_bifunctor": "library API",
+    "category.hom_functors": "library API",
+    "category.identity_functor": "library API",
+    "category.op_universe_check":
+        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
+    "category.opposite_functor": "library API, reached from op_universe_check",
     "category.slice_nat": "library API",
     "category.yoneda": "library API",
     "core.fold": "library API",
     "core.inverse": "library API",
     "core.select": "library API",
     "docs.to_structure": "perfbench calls it; item 5 deletes it",
+    "group.linear_space_check":
+        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
     "group.power": "library API",
+    "group.transfer_check":
+        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
+    "group.zp_field": "library API",
     "numbers.int_add_direct": "perfbench calls it; item 5 deletes it",
+    "order.completeness_laws":
+        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
+    "order.completeness_report": "library API, reached from completeness_laws",
     "order.functor_order": "library API",
+    "order.galois_check":
+        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
+    "order.is_directed": "library API, reached from completeness_report",
+    "order.map_classify": "library API, reached from functor_order and galois_check",
     "order.zorn_maximal": "library API",
+    "settools.f_backward": "library API, reached from family_image_laws",
+    "settools.f_forward": "library API, reached from family_image_laws",
+    "settools.family_image_laws":
+        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
+    "settools.family_images": "library API, reached from family_image_laws",
+    "settools.is_filter_base": "library API, reached from refinement_laws",
+    "settools.nest_identities":
+        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
+    "settools.power_functor_check":
+        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
+    "settools.power_map": "library API, reached from family_image_laws and power_functor_check",
+    "settools.refinement": "library API, reached from refinement_laws",
+    "settools.refinement_laws":
+        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
+    "settools.set_law_suite":
+        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
 }
 
 # the console script, and the suite runner that ``structa suite`` and

@@ -107,18 +107,16 @@ def image_calculus_ref(f, A, B, families=()):
     r = LawReport("image-calculus")
     c = classify_ref(f)
     fA = image_ref(f, A)
-    r.add("img-adjoint", "fA ⊆ B iff A ⊆ f⁻¹B",
-          sub_ref(fA, B) == sub_ref(A, preimage_ref(f, B)), (tuple(A), tuple(B)))
-    r.add("img-unit", "A ⊆ f⁻¹fA", sub_ref(A, preimage_ref(f, fA)), (tuple(A),))
+    r.add("img-adjoint", sub_ref(fA, B) == sub_ref(A, preimage_ref(f, B)), (tuple(A), tuple(B)))
+    r.add("img-unit", sub_ref(A, preimage_ref(f, fA)), (tuple(A),))
     if c["monic"]:
-        r.add("img-unit-monic", "monic: f⁻¹fA = A", preimage_ref(f, fA) == A, (tuple(A),))
-    r.add("img-counit", "ff⁻¹B ⊆ B", sub_ref(image_ref(f, preimage_ref(f, B)), B), (tuple(B),))
+        r.add("img-unit-monic", preimage_ref(f, fA) == A, (tuple(A),))
+    r.add("img-counit", sub_ref(image_ref(f, preimage_ref(f, B)), B), (tuple(B),))
     if c["onto"]:
-        r.add("img-counit-onto", "onto: ff⁻¹B = B",
-              image_ref(f, preimage_ref(f, B)) == B, (tuple(B),))
+        r.add("img-counit-onto", image_ref(f, preimage_ref(f, B)) == B, (tuple(B),))
     restricted = FinMap(A, f.cod, {x: f.assign[x] for x in A})
-    r.add("img-restrict", "f|A⁻¹B = A ∩ f⁻¹B",
-          preimage_ref(restricted, B) == A.inter(preimage_ref(f, B)), (tuple(A), tuple(B)))
+    r.add("img-restrict", preimage_ref(restricted, B) == A.inter(preimage_ref(f, B)),
+          (tuple(A), tuple(B)))
     for fam in families:
         members = list(fam)
         over_dom = all(sub_ref(m, f.dom) for m in members)
@@ -134,12 +132,11 @@ def image_calculus_ref(f, A, B, families=()):
             im_inter = f.cod
             for m in members:
                 im_inter = im_inter.inter(image_ref(f, m))
-            r.add("img-union", "f(⋃X) = ⋃fX", image_ref(f, union) == im_union)
+            r.add("img-union", image_ref(f, union) == im_union)
             if members:
-                r.add("img-inter", "f(⋂X) ⊆ ⋂fX", sub_ref(image_ref(f, inter), im_inter))
+                r.add("img-inter", sub_ref(image_ref(f, inter), im_inter))
                 if c["monic"]:
-                    r.add("img-inter-monic", "monic: f(⋂X) = ⋂fX",
-                          image_ref(f, inter) == im_inter)
+                    r.add("img-inter-monic", image_ref(f, inter) == im_inter)
         if over_cod:
             union = union_of(members)
             inter = f.cod
@@ -149,13 +146,12 @@ def image_calculus_ref(f, A, B, families=()):
             pre_inter = f.dom
             for m in members:
                 pre_inter = pre_inter.inter(preimage_ref(f, m))
-            r.add("pre-union", "f⁻¹(⋃Y) = ⋃f⁻¹Y", preimage_ref(f, union) == pre_union)
+            r.add("pre-union", preimage_ref(f, union) == pre_union)
             if members:
-                r.add("pre-inter", "f⁻¹(⋂Y) = ⋂f⁻¹Y", preimage_ref(f, inter) == pre_inter)
+                r.add("pre-inter", preimage_ref(f, inter) == pre_inter)
             if len(members) >= 2:
                 m0, m1 = members[0], members[1]
-                r.add("pre-diff", "f⁻¹(Y0 − Y1) = f⁻¹Y0 − f⁻¹Y1",
-                      preimage_ref(f, m0.diff(m1))
+                r.add("pre-diff", preimage_ref(f, m0.diff(m1))
                       == preimage_ref(f, m0).diff(preimage_ref(f, m1)))
     return r
 
@@ -166,11 +162,9 @@ def fiber_union_check_ref(f, A, B):
     lhs = image_ref(f, A) == B
     rhs = A == fibers_of_B
     if classify_ref(f)["monic"] and sub_ref(B, image_ref(f)):
-        r.add("fib-prop", "monic: fA = B iff A = ⋃ fibers of B", lhs == rhs,
-              (tuple(A), tuple(B)))
+        r.add("fib-prop", lhs == rhs, (tuple(A), tuple(B)))
     else:
-        r.add("fib-prop-onedir", "fA = B implies A ⊆ ⋃ fibers of B",
-              (not lhs) or sub_ref(A, fibers_of_B), (tuple(A), tuple(B)))
+        r.add("fib-prop-onedir", (not lhs) or sub_ref(A, fibers_of_B), (tuple(A), tuple(B)))
     return r
 
 
@@ -187,19 +181,19 @@ def closure_witness_ref(fam, op):
 def closure_laws_ref(op):
     r = LawReport("closure-laws")
     subs = list(op.carrier.subsets())
-    r.add("clx-empty", "the empty set is closed", op(FinSet()) == FinSet())
+    r.add("clx-empty", op(FinSet()) == FinSet())
     bad = next(((A.name(),) for A in subs if not sub_ref(A, op(A))), None)
-    r.add("clx-extensive", "every set sits inside its closure", bad is None, bad)
+    r.add("clx-extensive", bad is None, bad)
     bad = next(((A.name(), B.name()) for A in subs for B in subs
                 if sub_ref(A, B) and not sub_ref(op(A), op(B))), None)
-    r.add("clx-monotone", "closure preserves inclusion", bad is None, bad)
+    r.add("clx-monotone", bad is None, bad)
     bad = next(((A.name(),) for A in subs if op(op(A)) != op(A)), None)
-    r.add("clx-idempotent", "closing twice adds nothing", bad is None, bad)
+    r.add("clx-idempotent", bad is None, bad)
     closed = Family(op.carrier, [A for A in op.table if op.table[A] == A])
     bad = closure_witness_ref(closed, FinSet.union)
-    r.add("clx-closed-union", "finite unions of closed sets are closed", bad is None, bad)
+    r.add("clx-closed-union", bad is None, bad)
     inter_ok = closure_witness_ref(closed, FinSet.inter) is None
-    r.add("clx-closed-inter", "intersections of closed sets are closed", inter_ok)
+    r.add("clx-closed-inter", inter_ok)
     return r
 
 
@@ -208,9 +202,9 @@ def closure_check_ref(op):
     subs = list(op.carrier.subsets())
     bad = next(((A.name(), B.name()) for A in subs for B in subs
                 if op(A.union(B)) != op(A).union(op(B))), None)
-    r.add("cls-additive", "closure of a union is the union of closures", bad is None, bad)
+    r.add("cls-additive", bad is None, bad)
     bad = next(((x,) for x in op.carrier if op(finset(x)) != finset(x)), None)
-    r.add("cls-points", "singletons are their own closures", bad is None, bad)
+    r.add("cls-points", bad is None, bad)
     return r
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import structa
+from structa.suites import SUITES
 
 PACKAGE = Path(structa.__file__).parent
 ENV = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
@@ -81,13 +82,18 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["sigma", "groups", "topology", "categories", "yoneda", "interchange", "functions", "actions"],
-)
+@pytest.mark.parametrize("name", list(SUITES))
 def test_suite_output_is_the_same_under_optimize(name):
     plain, opt = (run(flags, ["-m", "structa.cli", "suite", name]) for flags in ([], ["-O"]))
     assert plain.returncode == 0, plain.stderr
+    assert (opt.returncode, opt.stdout) == (plain.returncode, plain.stdout)
+
+
+@pytest.mark.parametrize("args, golden", [([], "formats.txt"), (["--json"], "formats.json")])
+def test_formats_output_is_the_same_under_optimize(args, golden):
+    plain, opt = (run(flags, ["-m", "structa.cli", "formats", *args]) for flags in ([], ["-O"]))
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
     assert (opt.returncode, opt.stdout) == (plain.returncode, plain.stdout)
 
 
