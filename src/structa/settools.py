@@ -439,25 +439,37 @@ def point_filter(carrier: FinSet, x) -> Family:
 def _enumerate_filters_cached(carrier: FinSet) -> tuple:
     n = len(carrier)
     if n <= 4:
-        # a family is a mask over the subsets, bit i for subs[i]; the
-        # empty set is subs[0], so a family with bit 0 has an empty member
+        # A family is a mask over the subsets, bit i for subs[i], and the
+        # families come in ascending mask order. A search decides the
+        # subsets from the last down, out before in, which is that order.
+        # A subset may join only once every one-point superset has joined;
+        # those come later in subs, so they are decided already. The leaves
+        # are then exactly the up-closed families; subs[0] is the empty
+        # set, which stays out, and a filter is a nonempty leaf closed
+        # under intersection.
         subs = list(carrier.subsets())
         masks = subset_masks(carrier)
         pos = {m: i for i, m in enumerate(masks)}
-        ups = [sum(1 << j for j, t in enumerate(masks) if not s & ~t) for s in masks]
+        bits = carrier.bits().values()
+        ones = [sum(1 << pos[s | b] for b in bits if not s & b) for s in masks]
         filters = []
-        for fmask in range(2, 2 ** len(subs), 2):
-            members = [i for i in range(len(subs)) if fmask >> i & 1]
-            if any(ups[i] & ~fmask for i in members):
-                continue
-            if all(
-                fmask >> pos[masks[i] & masks[j]] & 1 for i in members for j in members
-            ):
-                filters.append(Family(carrier, [subs[i] for i in members]))
+
+        def grow(i, fmask):
+            if i == 0:
+                members = [j for j in range(len(masks)) if fmask >> j & 1]
+                if members and unclosed_pair([masks[j] for j in members], operator.and_) is None:
+                    filters.append(Family(carrier, [subs[j] for j in members]))
+                return
+            grow(i - 1, fmask)
+            if not ones[i] & ~fmask:
+                grow(i - 1, fmask | 1 << i)
+
+        grow(len(masks) - 1, 0)
         return tuple(filters)
     if n == 5:
-        # principal representation; the fact that every filter on a
-        # finite carrier is principal is brute-verified at sizes <= 4
+        # principal representation: every filter on a finite carrier is
+        # principal, as the tests check against the exhaustive up-set
+        # search above at sizes <= 4
         return tuple(
             principal_filter(carrier, S) for S in carrier.subsets() if len(S) > 0
         )

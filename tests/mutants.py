@@ -63,9 +63,21 @@ MUTANTS = [
     ),
     (
         "order.py",
-        "reach(z) & decided[z] & ~up[z]",
-        "reach(z) & ~up[z]",
+        "                    if not a & ~bounds[b]:\n",
+        "                    if True:\n",
         "tests/test_order.py::TestEnumeratePosets::test_pruned_search_matches_the_filtered_reference",
+    ),
+    (
+        "order.py",
+        "[d << 1 | a >> i & 1 for i, d in enumerate(down)]",
+        "[d << 1 | b >> i & 1 for i, d in enumerate(down)]",
+        "tests/test_order.py::TestEnumeratePosets::test_handed_over_masks_are_the_masks_of_the_pairs",
+    ),
+    (
+        "settools.py",
+        "            if not ones[i] & ~fmask:\n",
+        "            if True:\n",
+        "tests/test_masks.py::TestLawReportsMatchTupleDefinitions::test_filter_enumeration[3]",
     ),
     (
         "order.py",
@@ -324,6 +336,13 @@ MUTANTS = [
         '            raise KeyError("no law %r in report.LAWS" % (law,))\n',
         "            row = (LAW, law)\n",
         "tests/test_hygiene.py::test_an_unknown_law_id_raises",
+    ),
+    (
+        "docs.py",
+        "    return sorted(out)\n\n\ndef _symbols",
+        "    return out\n\n\ndef _symbols",
+        "tests/test_cli.py::TestOrderInvariance::"
+        "test_check_ignores_the_order_of_every_set[nattrans_identity.json]",
     ),
     (
         "cli.py",

@@ -9,6 +9,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -198,6 +199,54 @@ class TestDeterminism:
         b = run_cli(["suite", "sigma", "--jobs", "8"])
         assert a == b
         assert a[0] == 0
+
+
+def parseable_fixtures():
+    """The fixture paths, relative to the fixtures directory, whose bytes
+    parse as JSON."""
+    root = fixtures_dir()
+    out = []
+    for path in sorted(root.glob("*.json")) + sorted(root.glob("bad/*.json")):
+        try:
+            json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:
+            continue
+        out.append(str(path.relative_to(root)))
+    return out
+
+
+def shuffled(value, rng, key=None):
+    """A copy of a document in which every array the format reads as a set
+    is in a new order: symbol sets, relation and table rows, arrows and
+    subset families, and the elements of each member subset. The entries
+    of a row keep their places, since a row is a tuple."""
+    if isinstance(value, dict):
+        return {k: shuffled(v, rng, k) for k, v in value.items()}
+    if not isinstance(value, list):
+        return value
+    out = list(value)
+    if key in ("members", "opens"):
+        out = [rng.sample(m, len(m)) for m in out]
+    rng.shuffle(out)
+    return out
+
+
+class TestOrderInvariance:
+    """README promises the least witness in canonical order, so the report
+    of ``check`` cannot depend on the order in which a document lists a
+    set."""
+
+    @pytest.mark.parametrize("name", parseable_fixtures())
+    def test_check_ignores_the_order_of_every_set(self, name, tmp_path, monkeypatch):
+        source = json.loads((fixtures_dir() / name).read_text(encoding="utf-8"))
+        monkeypatch.chdir(fixtures_dir())
+        expected = run_cli(["check", name])
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        for seed in range(3):
+            doc = shuffled(source, random.Random(seed))
+            (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+            assert run_cli(["check", name]) == expected, seed
 
 
 class TestSeveralFiles:

@@ -111,8 +111,15 @@ class TestEnumeratePosets:
             assert list(enumerate_posets(carrier)) == list(reference_posets(carrier)), n
 
     def test_is_a_lazy_generator(self):
-        # a list of all 4,231 posets on 5 points would raise peak memory
+        # on 5 points it holds the 219 orders on 4 points as masks and
+        # yields the 4,231 posets one at a time; a list of them all would
+        # raise peak memory
         assert isinstance(enumerate_posets(finset("a", "b")), types.GeneratorType)
+
+    def test_handed_over_masks_are_the_masks_of_the_pairs(self):
+        for n in range(6):
+            for P in enumerate_posets(FinSet("e%d" % i for i in range(n))):
+                assert P._masks() == Poset._trusted(P.carrier, P.pairs)._masks()
 
 
 def reference_posets(carrier):

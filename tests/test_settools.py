@@ -310,7 +310,8 @@ class TestFilters:
         assert len(enumerate_filters(carrier)) == 3
 
     def test_filter_enumeration_matches_principal_catalogue(self):
-        for carrier in (finset("a"), finset("a", "b"), finset("a", "b", "c")):
+        for carrier in (finset("a"), finset("a", "b"), finset("a", "b", "c"),
+                        finset("a", "b", "c", "d")):
             filters = enumerate_filters(carrier)
             principals = {
                 principal_filter(carrier, S).members
