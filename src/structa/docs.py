@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain
 from json.encoder import encode_basestring
 
 from .core import FinMap, FinSet, Frozen, check_symbol, classify
@@ -29,7 +30,12 @@ from .report import LawReport
 class StructureDoc(Frozen):
     """A parsed document: the canonical payload ``_validate`` returns,
     plain JSON data with its ``kind`` key. Nested documents are payload
-    dicts of the same form."""
+    dicts of the same form.
+
+    The builders trust the payload: its symbol lists are sorted,
+    duplicate-free and checked, and they become sets without being
+    checked again. Make documents with ``parse`` or the ``doc_*``
+    functions, not from a payload that ``_validate`` has not returned."""
 
     __slots__ = _fields = ("payload",)
 
@@ -86,8 +92,15 @@ def _symbols(xs, seen: set, where: str):
 
 
 def _tuple_list(v, n: int, where: str) -> list:
+    """Copies of the rows of v, each an array of n symbols.
+
+    The rows are certified first: every row a list of length n, and every
+    distinct entry a symbol. Only when that fails does the loop below run,
+    in order, so that it raises at the first bad row or entry."""
     if not isinstance(v, list):
         raise SchemaError("%s must be an array of %d-tuples" % (where, n))
+    if _rows_of_symbols(v, n):
+        return list(map(list.copy, v))
     out = []
     seen = set()
     for row in v:
@@ -98,6 +111,25 @@ def _tuple_list(v, n: int, where: str) -> list:
     return out
 
 
+def _rows_of_symbols(v, n: int) -> bool:
+    """Whether each entry of v is a list of n symbols."""
+    for row in v:
+        if row.__class__ is not list or len(row) != n:
+            return False
+    try:
+        distinct = set(chain.from_iterable(v))
+    except TypeError:  # an unhashable entry
+        return False
+    for x in distinct:
+        if x.__class__ is not str:
+            return False
+        try:
+            check_symbol(x)
+        except ValueError:
+            return False
+    return True
+
+
 def _declared(x, declared: set, where: str):
     if x not in declared:
         raise SchemaError("undeclared symbol %r in %s" % (x, where))
@@ -105,8 +137,25 @@ def _declared(x, declared: set, where: str):
 
 
 def _total_table(rows, left, right, values, where: str) -> list:
-    """Rows [a, b, v] with (a, b) covering left x right exactly once."""
+    """Rows [a, b, v] with (a, b) covering left x right exactly once,
+    sorted.
+
+    The passing case is decided first by a certificate of set operations:
+    every row symbol is declared, no cell (a, b) repeats, and there are
+    |left|·|right| cells. Distinct declared cells, as many as left x right
+    has, are all of left x right, so the table is total. When the
+    certificate fails, the ordered scan below runs, which raises at the
+    first undeclared symbol, repeated cell or missing cell, in the order
+    it always did; so the error a bad table gets does not change."""
     left_set, right_set, value_set = set(left), set(right), set(values)
+    cells = {(a, b): v for a, b, v in rows}
+    if (
+        len(cells) == len(rows) == len(left_set) * len(right_set)
+        and left_set.issuperset([a for a, _ in cells])
+        and right_set.issuperset([b for _, b in cells])
+        and value_set.issuperset(cells.values())
+    ):
+        return sorted(rows)
     seen = {}
     for a, b, v in rows:
         _declared(a, left_set, where)
@@ -125,8 +174,18 @@ def _total_table(rows, left, right, values, where: str) -> list:
 
 
 def _total_pairs(rows, keys, values, where: str) -> list:
-    """Rows [k, v] with k covering ``keys`` exactly once."""
+    """Rows [k, v] with k covering ``keys`` exactly once, sorted. As in
+    ``_total_table``, a certificate (every symbol declared, no key
+    repeated, |keys| rows) decides the passing case before the ordered
+    scan."""
     key_set, value_set = set(keys), set(values)
+    cells = dict(rows)
+    if (
+        len(cells) == len(rows) == len(key_set)
+        and key_set.issuperset(cells)
+        and value_set.issuperset(cells.values())
+    ):
+        return sorted(rows)
     seen = {}
     for k, v in rows:
         _declared(k, key_set, where)
@@ -411,37 +470,49 @@ def render(doc: StructureDoc) -> str:
       character, non-ASCII included, is written as itself;
     - any other value (an integer) is written as ``json.dumps`` writes it.
 
-    The text is built in one pass that appends its pieces to one list;
-    each distinct string and each bracket layout is made once per call.
+    The text is built in one pass that appends its pieces to one list.
+    An array writes its string entries, and the string entries of its
+    non-empty array entries (the rows of a table), in its own loop, with
+    no ``emit`` call per string; any other entry goes through ``emit``.
+    Strings are escaped in one place, ``_Escaped``, once per distinct
+    string, and each bracket layout is made once per call. No row is
+    joined into one string first: that raised peak memory.
     """
     out = []
     append = out.append
-    encoded = {}
-    layouts = {}
+    enc = _Escaped()
+    layouts = _Layouts()
 
     def emit(v, depth):
         if isinstance(v, str):
-            s = encoded.get(v)
-            if s is None:
-                s = encoded[v] = encode_basestring(v)
-            append(s)
+            append(enc[v])
         elif isinstance(v, (list, dict)):
             array = isinstance(v, list)
             if not v:
                 append("[]" if array else "{}")
                 return
-            layout = layouts.get((depth, array))
-            if layout is None:
-                layout = layouts[depth, array] = _layout(depth, array)
-            first, comma, last = layout
+            first, comma, last = layouts[depth, array]
             append(first)
             if array:
+                row_first, row_comma, row_last = layouts[depth + 1, True]
                 for x in v:
-                    emit(x, depth + 1)
+                    if x.__class__ is str:
+                        append(enc[x])
+                    elif x.__class__ is list and x:
+                        append(row_first)
+                        for y in x:
+                            if y.__class__ is str:
+                                append(enc[y])
+                            else:
+                                emit(y, depth + 2)
+                            append(row_comma)
+                        out[-1] = row_last
+                    else:
+                        emit(x, depth + 1)
                     append(comma)
             else:
                 for key in sorted(v):
-                    emit(key, depth + 1)
+                    append(enc[key])
                     append(": ")
                     emit(v[key], depth + 1)
                     append(comma)
@@ -454,12 +525,30 @@ def render(doc: StructureDoc) -> str:
     return "".join(out)
 
 
-def _layout(depth: int, array: bool) -> tuple:
+class _Escaped(dict):
+    """Each string's quoted JSON text, made by ``encode_basestring`` on
+    the first lookup of the string: the one place ``render`` escapes."""
+
+    __slots__ = ()
+
+    def __missing__(self, s):
+        text = self[s] = encode_basestring(s)
+        return text
+
+
+class _Layouts(dict):
     """The opening, separating and closing text of a non-empty array or
-    object whose bracket is at ``depth``."""
-    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    opening, closing = "[]" if array else "{}"
-    return opening + inner, "," + inner, outer + closing
+    object, keyed by the depth of its bracket and whether it is an array;
+    made on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        depth, array = key
+        inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        opening, closing = "[]" if array else "{}"
+        layout = self[key] = (opening + inner, "," + inner, outer + closing)
+        return layout
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +561,26 @@ def to_structure(doc: StructureDoc):
     return _KINDS[doc.kind].build(doc)
 
 
+def _set(elements) -> FinSet:
+    """The set of a symbol list of a validated payload: it is sorted,
+    duplicate-free and checked already, so it is not checked again."""
+    return FinSet._ordered(tuple(elements))
+
+
 def _b_set(doc):
-    return FinSet(doc["elements"])
+    return _set(doc["elements"])
 
 
 def _b_map(doc):
     return FinMap(
-        FinSet(doc["dom"]), FinSet(doc["cod"]), {k: v for k, v in doc["map"]}
+        _set(doc["dom"]), _set(doc["cod"]), {k: v for k, v in doc["map"]}
     )
 
 
 def _b_poset(doc):
     from .order import Poset
 
-    return Poset(FinSet(doc["carrier"]), {(x, y) for x, y in doc["le"]})
+    return Poset(_set(doc["carrier"]), {(x, y) for x, y in doc["le"]})
 
 
 def _table(doc):
@@ -495,14 +590,14 @@ def _table(doc):
 def _b_group(doc):
     from .group import check_group
 
-    return check_group(_table(doc), FinSet(doc["carrier"]))
+    return check_group(_table(doc), _set(doc["carrier"]))
 
 
 def _b_category(doc):
     from .category import FinCat
 
     return FinCat(
-        doc["objects"],
+        _set(doc["objects"]),
         [tuple(a) for a in doc["arrows"]],
         {x: n for x, n in doc["identity"]},
         {(g, f): v for g, f, v in doc["comp"]},
@@ -548,7 +643,7 @@ def _b_action(doc):
 def _action(doc, G):
     from .group import GroupAction
 
-    carrier = FinSet(doc["carrier"])
+    carrier = _set(doc["carrier"])
     table = {(g, x): y for g, x, y in doc["act"]}
     act = {
         g: FinMap(carrier, carrier, {x: table[(g, x)] for x in carrier})
@@ -560,15 +655,15 @@ def _action(doc, G):
 def _b_family(doc):
     from .settools import Family
 
-    return Family(FinSet(doc["carrier"]), [FinSet(m) for m in doc["members"]])
+    return Family(_set(doc["carrier"]), [_set(m) for m in doc["members"]])
 
 
 def _b_closure(doc):
     from .top import ClosureOp
 
     return ClosureOp(
-        FinSet(doc["carrier"]),
-        {FinSet(k): FinSet(v) for k, v in doc["table"]},
+        _set(doc["carrier"]),
+        {_set(k): _set(v) for k, v in doc["table"]},
     )
 
 
@@ -576,8 +671,8 @@ def _b_topology(doc):
     from .settools import Family
     from .top import check_topology
 
-    carrier = FinSet(doc["carrier"])
-    return check_topology(carrier, Family(carrier, [FinSet(m) for m in doc["opens"]]))
+    carrier = _set(doc["carrier"])
+    return check_topology(carrier, Family(carrier, [_set(m) for m in doc["opens"]]))
 
 
 # ---------------------------------------------------------------------------

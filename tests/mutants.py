@@ -200,9 +200,27 @@ MUTANTS = [
     ),
     (
         "docs.py",
-        "s = encoded[v] = encode_basestring(v)",
-        "s = encoded[v] = '\"%s\"' % v",
+        "text = self[s] = encode_basestring(s)",
+        "text = self[s] = '\"%s\"' % s",
         "tests/test_docs.py::TestRenderIsJsonDumps::test_escaped_text_by_hand",
+    ),
+    (
+        "docs.py",
+        "len(cells) == len(rows) == len(left_set) * len(right_set)",
+        "len(cells) == len(rows)",
+        "tests/test_docs.py::TestTableCertificate::test_every_bad_fixture[missing_cell.json]",
+    ),
+    (
+        "docs.py",
+        "                            append(row_comma)\n",
+        "",
+        "tests/test_docs.py::TestRenderOfAnyJson::test_rows_with_nested_entries_by_hand",
+    ),
+    (
+        "docs.py",
+        "            check_symbol(x)\n",
+        "            pass\n",
+        "tests/test_docs.py::TestSymbolMemo::test_a_bad_symbol_is_refused_on_its_first_occurrence",
     ),
     (
         "top.py",

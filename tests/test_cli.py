@@ -10,6 +10,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,6 +248,70 @@ class TestOrderInvariance:
             doc = shuffled(source, random.Random(seed))
             (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
             assert run_cli(["check", name]) == expected, seed
+
+
+def symbols_of(value, key=None):
+    """Every symbol of a document: the strings of its arrays."""
+    if isinstance(value, dict):
+        return set().union(*(symbols_of(v, k) for k, v in value.items()))
+    if isinstance(value, list):
+        return set().union(*(symbols_of(x) for x in value))
+    return {value} if isinstance(value, str) and key != "kind" else set()
+
+
+def relabelled(value, names, key=None):
+    """A copy of a document with each symbol renamed through ``names``."""
+    if isinstance(value, dict):
+        return {k: relabelled(v, names, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [relabelled(x, names) for x in value]
+    return names[value] if isinstance(value, str) and key != "kind" else value
+
+
+def renamed_witness(entry, names):
+    """A witness entry of a ``check --json`` report after the renaming: a
+    symbol, or a set written as one string ``{x,y}``."""
+    if entry in names:
+        return names[entry]
+    if entry.startswith("{") and entry.endswith("}") and len(entry) > 2:
+        return "{%s}" % ",".join(names[x] for x in entry[1:-1].split(","))
+    return entry
+
+
+def renamed_message(text, names):
+    """An error line after the renaming; its symbols stand between spaces,
+    parentheses, commas and quotes."""
+    return re.sub(r"[^\s(),'\[\]]+", lambda m: names.get(m.group(), m.group()), text)
+
+
+class TestRelabelling:
+    """Rename every symbol of a document by a map that keeps their sort
+    order. The least witness in canonical order is then the renamed least
+    witness, so ``check --json`` reports the same checks with renamed
+    witnesses, the same error line up to the renaming, and the same exit
+    code. The ``bad/`` fixtures take the ordered fallback of the
+    validators, so their first error is pinned too."""
+
+    @pytest.mark.parametrize("name", parseable_fixtures())
+    def test_check_follows_an_order_preserving_renaming(self, name, tmp_path, monkeypatch):
+        source = json.loads((fixtures_dir() / name).read_text(encoding="utf-8"))
+        # "s000" < "s001" < ... in the symbols' own order; sorted() is that order
+        names = {x: "s%03d" % i for i, x in enumerate(sorted(symbols_of(source)))}
+        monkeypatch.chdir(fixtures_dir())
+        code, out, err = run_cli(["check", "--json", name])
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(json.dumps(relabelled(source, names)), encoding="utf-8")
+        code2, out2, err2 = run_cli(["check", "--json", name])
+        assert (code2, err2) == (code, renamed_message(err, names))
+        if code == 2:
+            assert out == out2 == ""
+            return
+        expected = json.loads(out)
+        for check in expected["checks"]:
+            if "witness" in check:
+                check["witness"] = [renamed_witness(x, names) for x in check["witness"]]
+        assert json.loads(out2) == expected
 
 
 class TestSeveralFiles:

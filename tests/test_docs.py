@@ -15,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structa import docs
 from structa.core import FinMap, FinSet, check_symbol, finset
 from structa.docs import (
     DERIVE_OPS,
     KINDS,
     StructureDoc,
     _subset_list,
+    _total_pairs,
+    _total_table,
     _tuple_list,
     doc_hom,
     doc_category,
@@ -744,6 +747,41 @@ class TestRenderIsJsonDumps:
         )
 
 
+def json_values(depth):
+    """Arbitrary JSON data nested at most ``depth`` deep, not a document:
+    arrays mix strings, integers, empty arrays, objects and rows of such
+    entries, so that the row path of ``render`` meets every entry it must
+    hand on."""
+    text = st.sampled_from(TEXTS)
+    leaf = st.one_of(text, st.integers(-10**20, 10**20), st.booleans(), st.none(),
+                     st.just([]), st.just({}))
+    if depth == 0:
+        return leaf
+    inner = json_values(depth - 1)
+    return st.one_of(
+        leaf,
+        st.lists(inner, max_size=4),
+        st.lists(st.lists(inner, max_size=3), max_size=3),  # rows
+        st.dictionaries(text, inner, max_size=3),
+    )
+
+
+TEXTS = ["", "a", "b c", "kind", '"', "\\", "\x00", "\x1f", "\x7f", "é", "\u2028", "\ud800", "💡"]
+
+
+class TestRenderOfAnyJson:
+    @PROPERTY
+    @given(st.dictionaries(st.sampled_from(TEXTS), json_values(2), max_size=4))
+    def test_render_is_json_dumps(self, payload):
+        expected = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert render(StructureDoc(payload)) == expected
+
+    def test_rows_with_nested_entries_by_hand(self):
+        payload = {"r": [["a", 1, [], ["b", {"k": "v"}]], [], "c", [None, "d"]]}
+        expected = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert render(StructureDoc(payload)) == expected
+
+
 # ---------------------------------------------------------------------------
 # the symbol memo of _tuple_list and _subset_list
 #
@@ -840,3 +878,153 @@ class TestSymbolMemo:
         rows = [["a", "b"], ["b", "a"]]
         out = _tuple_list(rows, 2, "map")
         assert out == rows and all(o is not r for o, r in zip(out, rows))
+
+
+# ---------------------------------------------------------------------------
+# the table certificates of _total_table and _total_pairs
+#
+# Oracle: the ordered scans as written before the certificate. A
+# certificate may only decide the passing case; every other table must
+# get the scan's rows or the scan's first error.
+
+
+def total_table_reference(rows, left, right, values, where):
+    left_set, right_set, value_set = set(left), set(right), set(values)
+    seen = {}
+    for a, b, v in rows:
+        for x, declared in ((a, left_set), (b, right_set), (v, value_set)):
+            if x not in declared:
+                raise SchemaError("undeclared symbol %r in %s" % (x, where))
+        if (a, b) in seen:
+            raise SchemaError("%s defines the cell (%s, %s) twice" % (where, a, b))
+        seen[(a, b)] = v
+    for a in left:
+        for b in right:
+            if (a, b) not in seen:
+                raise SchemaError("%s is not total: missing the cell (%s, %s)" % (where, a, b))
+    return sorted([a, b, v] for (a, b), v in seen.items())
+
+
+def total_pairs_reference(rows, keys, values, where):
+    key_set, value_set = set(keys), set(values)
+    seen = {}
+    for k, v in rows:
+        for x, declared in ((k, key_set), (v, value_set)):
+            if x not in declared:
+                raise SchemaError("undeclared symbol %r in %s" % (x, where))
+        if k in seen:
+            raise SchemaError("%s assigns %r twice" % (where, k))
+        seen[k] = v
+    for k in keys:
+        if k not in seen:
+            raise SchemaError("%s is not total: no value for %r" % (where, k))
+    return sorted([k, v] for k, v in seen.items())
+
+
+def copies(rows):
+    return [list(r) for r in rows]
+
+
+def assert_table_like_reference(rows, left, right, values):
+    expected = outcome(total_table_reference, copies(rows), left, right, values, "t")
+    assert outcome(_total_table, copies(rows), left, right, values, "t") == expected
+    return expected
+
+
+def assert_pairs_like_reference(rows, keys, values):
+    expected = outcome(total_pairs_reference, copies(rows), keys, values, "m")
+    assert outcome(_total_pairs, copies(rows), keys, values, "m") == expected
+    return expected
+
+
+Z3 = ["a", "b", "c"]
+Z3_TABLE = [[x, y, Z3[(i + j) % 3]] for i, x in enumerate(Z3) for j, y in enumerate(Z3)]
+
+
+@st.composite
+def near_total_tables(draw):
+    """(left, right, rows): a total table on left x right in a shuffled
+    order, then up to two edits, each of which drops a row, repeats one or
+    puts another symbol, maybe an undeclared one, into one entry."""
+    side = st.lists(st.sampled_from(Z3), max_size=3, unique=True)
+    left, right = draw(side), draw(side)
+    rows = draw(st.permutations(
+        [[a, b, draw(st.sampled_from(Z3))] for a in left for b in right]))
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "put"]))
+        if edit == "drop":
+            del rows[i]
+        elif edit == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+        else:
+            rows[i][draw(st.integers(0, 2))] = draw(st.sampled_from(Z3 + ["z"]))
+    return left, right, rows
+
+
+class TestTableCertificate:
+    def test_a_total_table_passes_sorted(self):
+        assert assert_table_like_reference(Z3_TABLE[::-1], Z3, Z3, Z3) == Z3_TABLE
+        assert assert_pairs_like_reference([["b", "a"], ["a", "c"]], ["a", "b"], Z3) == [
+            ["a", "c"], ["b", "a"]]
+
+    def test_one_cell_repeated_and_one_missing(self):
+        # as many rows as cells, so the count alone cannot tell
+        rows = copies(Z3_TABLE)
+        rows[4] = ["a", "a", "b"]
+        assert assert_table_like_reference(rows, Z3, Z3, Z3) == (
+            "SchemaError: t defines the cell (a, a) twice")
+        rows = copies(Z3_TABLE)
+        rows[8] = ["c", "b", "a"]
+        assert assert_table_like_reference(rows, Z3, Z3, Z3) == (
+            "SchemaError: t defines the cell (c, b) twice")
+        assert assert_pairs_like_reference([["a", "a"], ["a", "b"]], ["a", "b"], Z3) == (
+            "SchemaError: m assigns 'a' twice")
+
+    def test_an_undeclared_value(self):
+        rows = copies(Z3_TABLE)
+        rows[5][2] = "z"
+        assert assert_table_like_reference(rows, Z3, Z3, Z3) == (
+            "SchemaError: undeclared symbol 'z' in t")
+        assert assert_pairs_like_reference([["a", "z"], ["b", "a"]], ["a", "b"], Z3) == (
+            "SchemaError: undeclared symbol 'z' in m")
+
+    def test_an_undeclared_row_symbol(self):
+        for col in (0, 1):
+            rows = copies(Z3_TABLE)
+            rows[7][col] = "z"
+            assert assert_table_like_reference(rows, Z3, Z3, Z3) == (
+                "SchemaError: undeclared symbol 'z' in t")
+        assert assert_pairs_like_reference([["a", "a"], ["z", "a"]], ["a", "b"], Z3) == (
+            "SchemaError: undeclared symbol 'z' in m")
+
+    def test_the_first_error_wins_over_a_later_one(self):
+        rows = copies(Z3_TABLE)
+        rows[2] = ["a", "b", "b"]  # the cell (a, b) twice, (a, c) missing
+        rows[6][2] = "z"  # and later an undeclared value
+        assert assert_table_like_reference(rows, Z3, Z3, Z3) == (
+            "SchemaError: t defines the cell (a, b) twice")
+
+    @pytest.mark.parametrize("path", sorted(fixtures_dir().glob("bad/*.json")),
+                             ids=lambda p: p.name)
+    def test_every_bad_fixture(self, path, monkeypatch):
+        def parsed():
+            try:
+                return parse(str(path))
+            except StructaError as e:
+                return "%s: %s" % (type(e).__name__, e)
+
+        expected_bad = parsed()
+        assert isinstance(expected_bad, str)
+        monkeypatch.setattr(docs, "_total_table", total_table_reference)
+        monkeypatch.setattr(docs, "_total_pairs", total_pairs_reference)
+        assert parsed() == expected_bad
+
+    @PROPERTY
+    @given(near_total_tables())
+    def test_tables_match_the_ordered_scan(self, table):
+        left, right, rows = table
+        assert_table_like_reference(rows, left, right, Z3)
+        assert_pairs_like_reference([r[::2] for r in rows], left, Z3)
