@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 
+from . import group
 from .core import (
     FinMap,
     FinSet,
@@ -955,11 +956,9 @@ def cayley(G) -> "GroupHom":
     """Cayley's theorem through the hom functor of the one-object
     category: L_pt sends each element to its left translation, and those
     translations form an isomorphic transformation group."""
-    from .group import _permutation_image
-
     C = from_group(G)
     L = _covariant_hom(C, next(iter(C.objects)))
-    return _permutation_image(G, {g: L.on_arr[g] for g in G.carrier})
+    return group._permutation_image(G, {g: L.on_arr[g] for g in G.carrier})
 
 
 def compare_representations(C: FinCat, F: SetRepr, rep1, rep2):

@@ -10,12 +10,6 @@ syntax, or schema errors. Output is UTF-8 whatever the locale, and
 deterministic: byte-identical across runs. Checks run serially; every
 subcommand accepts ``--jobs N`` for compatibility, and N changes neither
 the work done nor the output.
-
-The commands import the library at call time, for the same reason the
-suites do: tests replace ``suites.run_suite`` on its module with
-monkeypatch, and perfbench's worker wraps ``cli.main`` and the ``docs``
-entry points (``parse``, ``run_check``, ``run_derive``, ``render``) the
-same way. A module-level ``from .x import f`` would bind the original.
 """
 
 from __future__ import annotations
@@ -25,6 +19,7 @@ import json
 import os
 import sys
 
+from . import docs, suites
 from .errors import ParseError, SchemaError, StructaError, TooLarge
 from .report import INFO, LAWS, UNIT, LawReport
 
@@ -106,15 +101,13 @@ def _cmd_check(ns, out) -> int:
     """Check each file in order. A file that cannot be checked gets one
     stderr line naming it; the others still report, and the exit code
     is the worst one."""
-    from .docs import is_literal, parse, run_check
-
     code = 0
     for path in ns.files:
         try:
-            rep = run_check(parse(path), max_size=ns.max_size)
+            rep = docs.run_check(docs.parse(path), max_size=ns.max_size)
         except StructaError as e:
             out.flush()  # keep stdout and stderr in file order when merged
-            code = max(code, _report_error(e, None if is_literal(path) else path))
+            code = max(code, _report_error(e, None if docs.is_literal(path) else path))
             continue
         _emit_report(path, rep, ns.json, out)
         code = max(code, 0 if rep.passed else 1)
@@ -122,10 +115,8 @@ def _cmd_check(ns, out) -> int:
 
 
 def _cmd_derive(ns, out) -> int:
-    from .docs import parse, render, run_derive
-
-    doc = run_derive(parse(ns.file), ns.op, ns.args)
-    text = render(doc)
+    doc = docs.run_derive(docs.parse(ns.file), ns.op, ns.args)
+    text = docs.render(doc)
     if ns.output:
         try:
             with open(ns.output, "w", encoding="utf-8") as fh:
@@ -139,8 +130,6 @@ def _cmd_derive(ns, out) -> int:
 
 
 def _cmd_suite(ns, out) -> int:
-    from .suites import run_suite
-
     seed = ns.seed
     if seed is None:
         env = os.environ.get("STRUCTA_SEED")
@@ -149,7 +138,7 @@ def _cmd_suite(ns, out) -> int:
         except ValueError:
             print("error: STRUCTA_SEED must be an integer, got %r" % env, file=sys.stderr)
             return 2
-    rep = run_suite(ns.name, seed=seed)
+    rep = suites.run_suite(ns.name, seed=seed)
     _emit_report(ns.name, rep, ns.json, out)
     return 0 if rep.passed else 1
 

@@ -22,6 +22,7 @@ from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring
 
+from . import category, core, group, numbers, order, settools, top
 from .core import FinMap, FinSet, Frozen, check_symbol, classify
 from .errors import EmptyMemberInBase, ParseError, SchemaError, StructaError, TooLarge
 from .report import LawReport
@@ -347,13 +348,13 @@ def _v_hom(body):
 
 
 def _v_action(body):
-    group = _nested(body, "group", "group", "group")
+    acting = _nested(body, "group", "group", "group")
     carrier = _symbol_list(body["carrier"], "carrier")
     rows = _tuple_list(body["act"], 3, "act")
     return {
-        "group": group,
+        "group": acting,
         "carrier": carrier,
-        "act": _total_table(rows, group["carrier"], carrier, carrier, "act"),
+        "act": _total_table(rows, acting["carrier"], carrier, carrier, "act"),
     }
 
 
@@ -578,9 +579,7 @@ def _b_map(doc):
 
 
 def _b_poset(doc):
-    from .order import Poset
-
-    return Poset(_set(doc["carrier"]), {(x, y) for x, y in doc["le"]})
+    return order.Poset(_set(doc["carrier"]), {(x, y) for x, y in doc["le"]})
 
 
 def _table(doc):
@@ -588,15 +587,11 @@ def _table(doc):
 
 
 def _b_group(doc):
-    from .group import check_group
-
-    return check_group(_table(doc), _set(doc["carrier"]))
+    return group.check_group(_table(doc), _set(doc["carrier"]))
 
 
 def _b_category(doc):
-    from .category import FinCat
-
-    return FinCat(
+    return category.FinCat(
         _set(doc["objects"]),
         [tuple(a) for a in doc["arrows"]],
         {x: n for x, n in doc["identity"]},
@@ -605,9 +600,7 @@ def _b_category(doc):
 
 
 def _b_functor(doc):
-    from .category import FunctorData
-
-    return FunctorData(
+    return category.FunctorData(
         _b_category(doc["src"]),
         _b_category(doc["tgt"]),
         {k: v for k, v in doc["on_obj"]},
@@ -616,9 +609,7 @@ def _b_functor(doc):
 
 
 def _b_nattrans(doc):
-    from .category import NatTransData
-
-    return NatTransData(
+    return category.NatTransData(
         _b_functor(doc["f"]),
         _b_functor(doc["g"]),
         {k: v for k, v in doc["component"]},
@@ -630,10 +621,8 @@ def _b_hom(doc):
 
 
 def _hom(doc, src, tgt):
-    from .group import GroupHom
-
     f = FinMap(src.carrier, tgt.carrier, {k: v for k, v in doc["map"]})
-    return GroupHom(src, tgt, f)
+    return group.GroupHom(src, tgt, f)
 
 
 def _b_action(doc):
@@ -641,38 +630,29 @@ def _b_action(doc):
 
 
 def _action(doc, G):
-    from .group import GroupAction
-
     carrier = _set(doc["carrier"])
     table = {(g, x): y for g, x, y in doc["act"]}
     act = {
         g: FinMap(carrier, carrier, {x: table[(g, x)] for x in carrier})
         for g in G.carrier
     }
-    return GroupAction(G, carrier, act)
+    return group.GroupAction(G, carrier, act)
 
 
 def _b_family(doc):
-    from .settools import Family
-
-    return Family(_set(doc["carrier"]), [_set(m) for m in doc["members"]])
+    return settools.Family(_set(doc["carrier"]), [_set(m) for m in doc["members"]])
 
 
 def _b_closure(doc):
-    from .top import ClosureOp
-
-    return ClosureOp(
+    return top.ClosureOp(
         _set(doc["carrier"]),
         {_set(k): _set(v) for k, v in doc["table"]},
     )
 
 
 def _b_topology(doc):
-    from .settools import Family
-    from .top import check_topology
-
     carrier = _set(doc["carrier"])
-    return check_topology(carrier, Family(carrier, [_set(m) for m in doc["opens"]]))
+    return top.check_topology(carrier, settools.Family(carrier, [_set(m) for m in doc["opens"]]))
 
 
 # ---------------------------------------------------------------------------
@@ -770,148 +750,119 @@ def _ck_map(doc):
     flags = classify(f)
     r.add("map-total", True)
     r.add("map-classify", flags["bijective"] == (flags["monic"] and flags["onto"]))
-    from .core import image_calculus
-
-    r.merge(image_calculus(f, f.dom, f.cod))
+    r.merge(core.image_calculus(f, f.dom, f.cod))
     return r
 
 
 def _ck_poset(doc):
-    from .order import check_order
-
-    rep = check_order(FinSet(doc["carrier"]), {(x, y) for x, y in doc["le"]})
+    rep = order.check_order(FinSet(doc["carrier"]), {(x, y) for x, y in doc["le"]})
     # totality distinguishes natural orders; it is not a poset law
     out = LawReport(rep.suite, [c for c in rep.checks if c.law != "total"])
     return out
 
 
 def _ck_semilattice(doc):
-    from .order import semilattice_report
-
-    return semilattice_report(_table(doc), FinSet(doc["carrier"]))
+    return order.semilattice_report(_table(doc), FinSet(doc["carrier"]))
 
 
 def _ck_category(doc):
-    from .category import check_category
-
-    return check_category(_b_category(doc))
+    return category.check_category(_b_category(doc))
 
 
 def _ck_functor(doc):
-    from .category import check_category, check_functor
-
     F = _b_functor(doc)
     r = LawReport("functor")
-    r.merge(check_category(F.src))
-    r.merge(check_category(F.tgt))
-    r.merge(check_functor(F))
+    r.merge(category.check_category(F.src))
+    r.merge(category.check_category(F.tgt))
+    r.merge(category.check_functor(F))
     return r
 
 
 def _ck_nattrans(doc):
-    from .category import check_functor, check_nat
-
     n = _b_nattrans(doc)
     r = LawReport("nattrans")
-    r.merge(check_functor(n.F))
-    r.merge(check_functor(n.G))
-    r.merge(check_nat(n))
+    r.merge(category.check_functor(n.F))
+    r.merge(category.check_functor(n.G))
+    r.merge(category.check_nat(n))
     return r
 
 
 def _ck_group(doc):
-    from .group import group_axioms
-
-    return group_axioms(_table(doc), FinSet(doc["carrier"]))
+    return group.group_axioms(_table(doc), FinSet(doc["carrier"]))
 
 
 def _ck_hom(doc):
-    from .group import assemble_group, group_axioms, hom_witness
-
     r = LawReport("hom")
     groups = [(_table(doc[k]), FinSet(doc[k]["carrier"])) for k in ("src", "tgt")]
     for table, carrier in groups:
-        r.merge(group_axioms(table, carrier))
+        r.merge(group.group_axioms(table, carrier))
     if not r.passed:
         return r
-    src, tgt = (assemble_group(table, carrier) for table, carrier in groups)
+    src, tgt = (group.assemble_group(table, carrier) for table, carrier in groups)
     h = _hom(doc, src, tgt)
-    bad = hom_witness(src, tgt, h.map)
+    bad = group.hom_witness(src, tgt, h.map)
     r.add("hom-mult", bad is None, bad)
     r.add("hom-unit", h.map(h.src.unit) == h.tgt.unit)
     return r
 
 
 def _ck_action(doc):
-    from .group import action_check, assemble_group, group_axioms
-
     r = LawReport("action")
     table, carrier = _table(doc["group"]), FinSet(doc["group"]["carrier"])
-    r.merge(group_axioms(table, carrier))
+    r.merge(group.group_axioms(table, carrier))
     if not r.passed:
         return r
-    r.merge(action_check(_action(doc, assemble_group(table, carrier))))
+    r.merge(group.action_check(_action(doc, group.assemble_group(table, carrier))))
     return r
 
 
 def _ck_family(doc):
-    from .settools import is_sigma_algebra, sigma_generate
-
     fam = _b_family(doc)
     r = LawReport("family")
     # run_check has bounded the carrier already
-    sigma = sigma_generate(fam.carrier, fam, guard=len(fam.carrier))
+    sigma = settools.sigma_generate(fam.carrier, fam, guard=len(fam.carrier))
     r.add("fam-sigma-extends", fam.members <= sigma.members)
-    r.add("fam-sigma-fixed", is_sigma_algebra(sigma))
+    r.add("fam-sigma-fixed", settools.is_sigma_algebra(sigma))
     return r
 
 
 def _ck_filterbase(doc):
-    from .settools import generate_filter, is_filter
-
     fam = _b_family(doc)
     r = LawReport("filterbase")
     try:
-        F = generate_filter(fam)
+        F = settools.generate_filter(fam)
     except EmptyMemberInBase:
         F = None
     r.add("fb-base", F is not None)
     if F is not None:
-        r.add("fb-filter", is_filter(F))
+        r.add("fb-filter", settools.is_filter(F))
         r.add("fb-extends", fam.members <= F.members)
     return r
 
 
 def _ck_closure(doc):
-    from .top import closure_laws
-
-    return closure_laws(_b_closure(doc))
+    return top.closure_laws(_b_closure(doc))
 
 
 def _ck_topology(doc):
-    from .settools import Family
-    from .top import check_topology, neighborhood_laws
-
     carrier = FinSet(doc["carrier"])
-    fam = Family(carrier, [FinSet(m) for m in doc["opens"]])
+    fam = settools.Family(carrier, [FinSet(m) for m in doc["opens"]])
     r = LawReport("topology")
     try:
-        T = check_topology(carrier, fam)
+        T = top.check_topology(carrier, fam)
     except StructaError as e:
         r.add("top-axioms", False, e.witness or (str(e),))
         return r
     r.add("top-axioms", True)
-    r.merge(neighborhood_laws(T))
+    r.merge(top.neighborhood_laws(T))
     return r
 
 
 def _ck_base(doc):
-    from .top import base_ops
-
     fam = _b_family(doc)
     r = LawReport("base")
     try:
-        out = base_ops(fam.carrier, fam)
+        out = top.base_ops(fam.carrier, fam)
     except StructaError as e:
         r.add("bs-covering", False, e.witness or (str(e),))
         return r
@@ -921,12 +872,10 @@ def _ck_base(doc):
 
 
 def _ck_rational_window(doc):
-    from .numbers import dual_order_checks, embedding_check, int_group_check
-
     r = LawReport("rational-window")
-    r.merge(int_group_check(doc["window"]))
-    r.merge(dual_order_checks(doc["den"]))
-    r.merge(embedding_check(doc["den"]))
+    r.merge(numbers.int_group_check(doc["window"]))
+    r.merge(numbers.dual_order_checks(doc["den"]))
+    r.merge(numbers.embedding_check(doc["den"]))
     return r
 
 
@@ -985,47 +934,35 @@ KINDS = tuple(_KINDS)
 
 
 def _d_quotient(doc, args):
-    from .group import quotient, subgroup_check
-
     if not args:
         raise SchemaError("quotient needs the subgroup elements as arguments")
     G = _b_group(doc)
     H = FinSet([_symbol(x, "quotient argument") for x in args])
-    return doc_group(quotient(G, subgroup_check(G, H)))
+    return doc_group(group.quotient(G, group.subgroup_check(G, H)))
 
 
 def _d_opposite(doc, args):
-    from .category import opposite_cat
-
-    return doc_category(opposite_cat(_b_category(doc)))
+    return doc_category(category.opposite_cat(_b_category(doc)))
 
 
 def _d_filter(doc, args):
-    from .settools import generate_filter
-
     return doc_subsets("family", FinSet(doc["carrier"]),
-                       generate_filter(_b_family(doc)).members)
+                       settools.generate_filter(_b_family(doc)).members)
 
 
 def _d_topology(doc, args):
-    from .top import base_ops
-
     fam = _b_family(doc)
-    T = base_ops(fam.carrier, fam)["topology"]
+    T = top.base_ops(fam.carrier, fam)["topology"]
     return doc_subsets("topology", T.carrier, T.opens.members)
 
 
 def _d_closure(doc, args):
-    from .top import closure_from_closed, open_duality
-
     T = _b_topology(doc)
-    return doc_closure(closure_from_closed(T.carrier, open_duality(T)))
+    return doc_closure(top.closure_from_closed(T.carrier, top.open_duality(T)))
 
 
 def _d_cayley(doc, args):
-    from .group import cayley
-
-    return doc_hom(cayley(_b_group(doc)))
+    return doc_hom(group.cayley(_b_group(doc)))
 
 
 DERIVE_OPS = {

@@ -4,12 +4,6 @@ Each suite is a list of independent units; a unit returns a LawReport.
 Units run serially and their reports are merged in unit order; an error
 raised inside a unit becomes a failed check of that unit. Randomized
 suites take a ``seed`` and are deterministic for a fixed seed.
-
-Each suite imports the library functions it uses inside its own body.
-Tests replace a library function on its module with monkeypatch, and a
-module-level ``from .x import f`` would bind the original, so the suite
-would not see the replacement. Error classes, which nothing replaces,
-are imported at the top.
 """
 
 from __future__ import annotations
@@ -19,6 +13,7 @@ import operator
 import random
 from pathlib import Path
 
+from . import category, core, docs, group, numbers, order, settools, top
 from .core import FinMap, FinSet, all_maps, compose, decompose, finset
 from .errors import NotALattice, NotSubgroup, SchemaError, StructaError
 from .report import LawReport
@@ -57,9 +52,6 @@ def _image_tables(f: FinMap) -> tuple:
 
 
 def suite_functions(seed=0) -> LawReport:
-    from .core import _family_masks, _image_laws, classify, mask_of
-    from .core import fiber_union_check, image_calculus
-
     doms = [FinSet("a%d" % i for i in range(m)) for m in range(4)]
     cods = [FinSet("b%d" % i for i in range(n)) for n in range(4)]
     passed_of = operator.itemgetter(1)
@@ -67,8 +59,8 @@ def suite_functions(seed=0) -> LawReport:
 
     def unit_for(dom, cod):
         def instance(tag, A, B, *families):
-            masks = [_family_masks(dom, cod, fam) for fam in families]
-            return tag, A, B, families, mask_of(dom, A), mask_of(cod, B), masks
+            masks = [core._family_masks(dom, cod, fam) for fam in families]
+            return tag, A, B, families, core.mask_of(dom, A), core.mask_of(cod, B), masks
 
         def unit():
             checks = 0
@@ -86,19 +78,19 @@ def suite_functions(seed=0) -> LawReport:
                 if compose(incl, compose(bij, p)) != f:
                     failures.append(("decompose", f))
                 checks += 1
-                c = classify(f)
+                c = core.classify(f)
                 # each image and preimage is computed once per map
                 images, preimages = _image_tables(f)
                 img, pre = images.__getitem__, preimages.__getitem__
                 for tag, A, B, families, a, b, masks in scan:
-                    laws = _image_laws(f, c, a, b, masks, img, pre)
+                    laws = core._image_laws(f, c, a, b, masks, img, pre)
                     checks += len(laws)
                     # only a failing instance gets a report, for its witnesses
                     if not all(map(passed_of, laws)):
-                        rep = image_calculus(f, A, B, families)
+                        rep = core.image_calculus(f, A, B, families)
                         failures.extend((tag, x.law, x.witness) for x in rep.failures)
                     if tag == "img":
-                        rep = fiber_union_check(f, A, B)
+                        rep = core.fiber_union_check(f, A, B)
                         checks += len(rep.checks)
                         failures.extend(("fib", x.law, x.witness) for x in rep.failures)
             volumes.append(checks)
@@ -126,49 +118,39 @@ def suite_functions(seed=0) -> LawReport:
 
 
 def _seed_categories():
-    from .category import (
-        arrow_category,
-        bridge_category,
-        discrete,
-        from_group,
-        from_poset,
-        functor_category,
-        opposite_cat,
-        product_cat,
-    )
-    from .group import cyclic_group, klein_four, symmetric_group_3
-    from .order import antichain_poset, chain_poset, diamond_poset, powerset_poset
-
-    chains = {n: from_poset(chain_poset(["c%d" % i for i in range(n)])) for n in (1, 2, 3, 4)}
+    chains = {
+        n: category.from_poset(order.chain_poset(["c%d" % i for i in range(n)]))
+        for n in (1, 2, 3, 4)
+    }
     seeds = [("chain-%d" % n, C) for n, C in chains.items()]
-    seeds.append(("diamond", from_poset(diamond_poset())))
-    seeds.append(("antichain-3", from_poset(antichain_poset(["x", "y", "z"]))))
-    seeds.append(("powerset-2", from_poset(powerset_poset(finset("a", "b")))))
+    seeds.append(("diamond", category.from_poset(order.diamond_poset())))
+    seeds.append(("antichain-3", category.from_poset(order.antichain_poset(["x", "y", "z"]))))
+    seeds.append(("powerset-2", category.from_poset(order.powerset_poset(finset("a", "b")))))
     for n in (1, 2, 3, 4):
-        G = cyclic_group(n)
-        seeds.append(("cyclic-%d" % n, from_group(G.op, G.carrier)))
-    K = klein_four()
-    seeds.append(("klein", from_group(K.op, K.carrier)))
-    S3, _ = symmetric_group_3()
-    seeds.append(("sym-3", from_group(S3.op, S3.carrier)))
-    seeds.append(("discrete-3", discrete(finset("u", "v", "w"))))
+        G = group.cyclic_group(n)
+        seeds.append(("cyclic-%d" % n, category.from_group(G.op, G.carrier)))
+    K = group.klein_four()
+    seeds.append(("klein", category.from_group(K.op, K.carrier)))
+    S3, _ = group.symmetric_group_3()
+    seeds.append(("sym-3", category.from_group(S3.op, S3.carrier)))
+    seeds.append(("discrete-3", category.discrete(finset("u", "v", "w"))))
     C2 = chains[2]
-    G2 = cyclic_group(2)
-    Z2 = from_group(G2.op, G2.carrier)
-    seeds.append(("product-c2-c2", product_cat(C2, C2)))
-    seeds.append(("product-c2-z2", product_cat(C2, Z2)))
-    seeds.append(("opposite-diamond", opposite_cat(from_poset(diamond_poset()))))
-    seeds.append(("functor-cat-c2-c2", functor_category(C2, C2)))
-    seeds.append(("functor-cat-c2-c3", functor_category(C2, chains[3])))
+    G2 = group.cyclic_group(2)
+    Z2 = category.from_group(G2.op, G2.carrier)
+    seeds.append(("product-c2-c2", category.product_cat(C2, C2)))
+    seeds.append(("product-c2-z2", category.product_cat(C2, Z2)))
+    diamond = category.from_poset(order.diamond_poset())
+    seeds.append(("opposite-diamond", category.opposite_cat(diamond)))
+    seeds.append(("functor-cat-c2-c2", category.functor_category(C2, C2)))
+    seeds.append(("functor-cat-c2-c3", category.functor_category(C2, chains[3])))
     # a bridge between two monotone maps chain2 -> chain3, and an arrow category
-    from .category import FunctorData
-
     C3 = chains[3]
-    lo = FunctorData(C2, C3, {"c0": "c0", "c1": "c1"}, _poset_on_arr(C2, C3, {"c0": "c0", "c1": "c1"}))
-    hi = FunctorData(C2, C3, {"c0": "c1", "c1": "c2"}, _poset_on_arr(C2, C3, {"c0": "c1", "c1": "c2"}))
+    same, shift = {"c0": "c0", "c1": "c1"}, {"c0": "c1", "c1": "c2"}
+    lo = category.FunctorData(C2, C3, same, _poset_on_arr(C2, C3, same))
+    hi = category.FunctorData(C2, C3, shift, _poset_on_arr(C2, C3, shift))
     tau = {x: C3.hom(lo.on_obj[x], hi.on_obj[x])[0] for x in C2.objects}
-    seeds.append(("bridge-c2-c3", bridge_category(tau, lo, hi)))
-    seeds.append(("arrow-cat-c2-c2", arrow_category(lo, lo)))
+    seeds.append(("bridge-c2-c3", category.bridge_category(tau, lo, hi)))
+    seeds.append(("arrow-cat-c2-c2", category.arrow_category(lo, lo)))
     return seeds
 
 
@@ -179,13 +161,10 @@ def _poset_on_arr(C, D, on_obj):
 
 
 def suite_categories(seed=0) -> LawReport:
-    from .category import check_category
-    from .docs import parse, run_check
-
     def positives():
         seeds = _seed_categories()
         out = LawReport("categories-positive")
-        bad = [name for name, C in seeds if not check_category(C).passed]
+        bad = [name for name, C in seeds if not category.check_category(C).passed]
         out.add(
             "cat-seeds",
             len(seeds) >= 20 and not bad,
@@ -199,7 +178,7 @@ def suite_categories(seed=0) -> LawReport:
         paths = sorted(fixtures_dir().glob("category_neg_assoc_*.json"))
         found = []
         for p in paths:
-            rep = run_check(parse(str(p)))
+            rep = docs.run_check(docs.parse(str(p)))
             c = rep["cat-assoc"]
             found.append((p.name, (not c.passed) and c.witness is not None))
         out.add(
@@ -222,10 +201,8 @@ def _hcompose_formulas_agree(alpha, tau) -> bool:
     for τ: F→G and α: J→K) agree at every object x with the other
     defining formula, K τ_x ∘ α_{Fx}. Only the components are compared,
     so the composite functors are not built."""
-    from .category import _hcompose_components
-
     E, K = alpha.F.tgt, alpha.G
-    comp = _hcompose_components(alpha, tau)
+    comp = category._hcompose_components(alpha, tau)
     return all(
         comp[x]
         == E.compose(K.on_arr[tau.component[x]], alpha.component[tau.F.on_obj[x]])
@@ -234,14 +211,10 @@ def _hcompose_formulas_agree(alpha, tau) -> bool:
 
 
 def suite_interchange(seed=0) -> LawReport:
-    from .category import from_group, from_poset, functor_category, interchange_check, vcompose
-    from .group import cyclic_group
-    from .order import chain_poset
-
-    C2 = from_poset(chain_poset(["c0", "c1"]))
-    C3 = from_poset(chain_poset(["c0", "c1", "c2"]))
+    C2 = category.from_poset(order.chain_poset(["c0", "c1"]))
+    C3 = category.from_poset(order.chain_poset(["c0", "c1", "c2"]))
     # one object, so not thin: the two formulas of hcompose can differ here
-    Z2 = from_group(cyclic_group(2))
+    Z2 = category.from_group(group.cyclic_group(2))
 
     def vertical_pairs(FC):
         return [
@@ -256,19 +229,19 @@ def suite_interchange(seed=0) -> LawReport:
     def unit_for(C, D, E, sub_seed):
         def unit():
             rng = random.Random(sub_seed)
-            vert_cd = vertical_pairs(functor_category(C, D))
-            vert_de = vertical_pairs(functor_category(D, E))
+            vert_cd = vertical_pairs(category.functor_category(C, D))
+            vert_de = vertical_pairs(category.functor_category(D, E))
             total, bad = 0, 0
             formulas_ok = True
             for _ in range(400):
                 sigma, tau = rng.choice(vert_cd)
                 beta, alpha = rng.choice(vert_de)
-                if not interchange_check(alpha, beta, sigma, tau).passed:
+                if not category.interchange_check(alpha, beta, sigma, tau).passed:
                     bad += 1
                 formulas_ok = formulas_ok and all(
                     _hcompose_formulas_agree(a, t)
                     for a, t in (
-                        (vcompose(beta, alpha), vcompose(sigma, tau)),
+                        (category.vcompose(beta, alpha), category.vcompose(sigma, tau)),
                         (beta, sigma),
                         (alpha, tau),
                     )
@@ -301,18 +274,15 @@ def suite_interchange(seed=0) -> LawReport:
 
 
 def _yoneda_corpus():
-    from .category import FinCat, from_group, from_poset
-    from .group import cyclic_group
-    from .order import chain_poset
-
     cats = []
     for n in (1, 2, 3, 4):
-        cats.append(("chain-%d" % n, from_poset(chain_poset(["c%d" % i for i in range(n)]))))
+        chain = order.chain_poset(["c%d" % i for i in range(n)])
+        cats.append(("chain-%d" % n, category.from_poset(chain)))
     for n in (1, 2, 3, 4):
-        G = cyclic_group(n)
-        cats.append(("cyclic-%d" % n, from_group(G.op, G.carrier)))
+        G = group.cyclic_group(n)
+        cats.append(("cyclic-%d" % n, category.from_group(G.op, G.carrier)))
     # hand-built: the parallel pair with a cap
-    pp = FinCat(
+    pp = category.FinCat(
         ["x", "y", "z"],
         [
             ("1x", "x", "x"), ("1y", "y", "y"), ("1z", "z", "z"),
@@ -330,7 +300,7 @@ def _yoneda_corpus():
     )
     cats.append(("parallel-pair", pp))
     # hand-built: a chain with an idempotent endomorphism at the bottom
-    idem = FinCat(
+    idem = category.FinCat(
         ["a", "b", "c"],
         [
             ("1a", "a", "a"), ("1b", "b", "b"), ("1c", "c", "c"),
@@ -369,15 +339,14 @@ def _yoneda_round_trip(C, a, F, res) -> bool:
     x ↦ τ_x, with τ_x c(f) = F f(x), hits exactly the transformation
     that φ sends to x. Every transformation in ``res`` runs from L_a to
     F, so τ_x is matched by its components."""
-    from .category import hom_set
-    from .core import classify
-
     phi, by_name = res["phi"], res["by_name"]
-    if not classify(phi)["bijective"]:
+    if not core.classify(phi)["bijective"]:
         return False
     for x in F.on_obj[a]:
         tau_x = {
-            c: FinMap(hom_set(C, a, c), F.on_obj[c], {f: F.on_arr[f](x) for f in C.hom(a, c)})
+            c: FinMap(
+                category.hom_set(C, a, c), F.on_obj[c], {f: F.on_arr[f](x) for f in C.hom(a, c)}
+            )
             for c in C.objects
         }
         match = [name for name, n in by_name.items() if n.component == tau_x]
@@ -387,23 +356,21 @@ def _yoneda_round_trip(C, a, F, res) -> bool:
 
 
 def suite_yoneda(seed=0) -> LawReport:
-    from .category import _covariant_hom, _yoneda, yoneda_embedding
-
     def unit_for(name, C):
         def unit():
             out = LawReport("yoneda[%s]" % name)
             pairs = 0
             ok = True
-            Ls = {x: _covariant_hom(C, x) for x in sorted(C.objects)}
+            Ls = {x: category._covariant_hom(C, x) for x in sorted(C.objects)}
             for a in sorted(C.objects):
                 for L in Ls.values():
-                    res = _yoneda(C, a, Ls[a], L)
+                    res = category._yoneda(C, a, Ls[a], L)
                     pairs += 1
                     count_ok = len(res["nat_set"]) == len(L.on_obj[a])
                     if not (count_ok and _yoneda_round_trip(C, a, L, res)):
                         ok = False
             out.add("yo-count-%s", ok, ids=(name,), counts=(pairs,))
-            emb = yoneda_embedding(C)
+            emb = category.yoneda_embedding(C)
             out.add("yo-embedding-%s", emb.passed, ids=(name,))
             return out
 
@@ -418,15 +385,13 @@ def suite_yoneda(seed=0) -> LawReport:
 
 
 def suite_integers(seed=0) -> LawReport:
-    from .numbers import _shift_maps, _sym, build_discrete, int_add, int_mul
-
     def exhaustive():
         out = LawReport("integers-exhaustive")
         bad = sum(
             1
             for a in range(-30, 31)
             for b in range(-30, 31)
-            if int_add(a, b, N=61) != a + b
+            if numbers.int_add(a, b, N=61) != a + b
         )
         out.add("int-add-exhaustive", bad == 0, (bad,) if bad else None)
         return out
@@ -434,18 +399,18 @@ def suite_integers(seed=0) -> LawReport:
     def randomized():
         out = LawReport("integers-random")
         rng = random.Random(seed + 5)
-        shifts = _shift_maps(build_discrete(201), 100)
+        shifts = numbers._shift_maps(numbers.build_discrete(201), 100)
         bad = 0
         for _ in range(10000):
             a = rng.randint(-100, 100)
             b = rng.randint(-100, 100)
-            if int(shifts[b](_sym(a))) != a + b:
+            if int(shifts[b](numbers._sym(a))) != a + b:
                 bad += 1
         # the packaged entry point agrees on a subsample
         for _ in range(500):
             a = rng.randint(-100, 100)
             b = rng.randint(-100, 100)
-            if int_add(a, b, N=201) != a + b:
+            if numbers.int_add(a, b, N=201) != a + b:
                 bad += 1
         out.add("int-add-random", bad == 0, (bad,) if bad else None)
         return out
@@ -457,7 +422,7 @@ def suite_integers(seed=0) -> LawReport:
         for _ in range(10000):
             a = rng.randint(-100, 100)
             b = rng.randint(-100, 100)
-            if int_mul(a, b) != a * b:
+            if numbers.int_mul(a, b) != a * b:
                 bad += 1
         out.add("int-mul-recursion", bad == 0, (bad,) if bad else None)
         return out
@@ -465,14 +430,15 @@ def suite_integers(seed=0) -> LawReport:
     def laws():
         out = LawReport("integers-laws")
         rng = random.Random(seed + 7)
+        mul = numbers.int_mul
         bad = 0
         for _ in range(10000):
             a, b, c = (rng.randint(-50, 50) for _ in range(3))
-            if int_mul(a, b + c) != int_mul(a, b) + int_mul(a, c):
+            if mul(a, b + c) != mul(a, b) + mul(a, c):
                 bad += 1
-            if int_mul(a, b) != int_mul(b, a):
+            if mul(a, b) != mul(b, a):
                 bad += 1
-            if int_mul(int_mul(a, b), c) != int_mul(a, int_mul(b, c)):
+            if mul(mul(a, b), c) != mul(a, mul(b, c)):
                 bad += 1
         out.add("int-ring-laws", bad == 0, (bad,) if bad else None)
         return out
@@ -485,37 +451,24 @@ def suite_integers(seed=0) -> LawReport:
 
 
 def suite_rationals(seed=0) -> LawReport:
-    from .numbers import (
-        Rat,
-        embed_int,
-        embedding_check,
-        rat_add,
-        rat_canon,
-        rat_eq,
-        rat_inv,
-        rat_le,
-        rat_mul,
-        rat_neg,
-    )
-
     grid = [
-        Rat(n, d)
+        numbers.Rat(n, d)
         for n in range(-6, 7)
         for d in list(range(-6, 0)) + list(range(1, 7))
     ]
     reps = {}
     for p in grid:
-        reps.setdefault(rat_canon(p), p)
+        reps.setdefault(numbers.rat_canon(p), p)
     classes = sorted(reps.values(), key=lambda p: (p.num, p.den))
 
     def order_laws():
         out = LawReport("rationals-order")
         total_ok = all(
-            rat_le(p, q) or rat_le(q, p) for p in grid for q in grid
+            numbers.rat_le(p, q) or numbers.rat_le(q, p) for p in grid for q in grid
         )
         out.add("rat-total", total_ok)
         le = {
-            (i, j): rat_le(p, q)
+            (i, j): numbers.rat_le(p, q)
             for i, p in enumerate(classes)
             for j, q in enumerate(classes)
         }
@@ -537,50 +490,70 @@ def suite_rationals(seed=0) -> LawReport:
 
     def additive_group():
         out = LawReport("rationals-add")
-        zero = Rat(0, 1)
+        zero = numbers.Rat(0, 1)
         # each pair's sum once; a triple then adds twice, (p + q) + r and
         # p + (q + r), reading p + q and q + r off s
-        s = [[rat_add(p, q) for q in classes] for p in classes]
+        s = [[numbers.rat_add(p, q) for q in classes] for p in classes]
         assoc = all(
-            rat_eq(rat_add(s[i][j], r), rat_add(p, s[j][k]))
+            numbers.rat_eq(numbers.rat_add(s[i][j], r), numbers.rat_add(p, s[j][k]))
             for i, p in enumerate(classes)
             for j in range(len(classes))
             for k, r in enumerate(classes)
         )
         out.add("rat-add-assoc", assoc)
-        out.add("rat-add-unit", all(rat_eq(rat_add(p, zero), p) for p in classes))
-        out.add("rat-add-inverse", all(rat_eq(rat_add(p, rat_neg(p)), zero) for p in classes))
+        out.add("rat-add-unit", all(numbers.rat_eq(numbers.rat_add(p, zero), p) for p in classes))
+        out.add(
+            "rat-add-inverse",
+            all(numbers.rat_eq(numbers.rat_add(p, numbers.rat_neg(p)), zero) for p in classes),
+        )
         out.add(
             "rat-add-comm",
-            all(rat_eq(rat_add(p, q), rat_add(q, p)) for p in classes for q in classes),
+            all(
+                numbers.rat_eq(numbers.rat_add(p, q), numbers.rat_add(q, p))
+                for p in classes
+                for q in classes
+            ),
         )
         return out
 
     def multiplicative_group():
         out = LawReport("rationals-mul")
-        one = Rat(1, 1)
+        one = numbers.Rat(1, 1)
         nz = [p for p in classes if p.num != 0]
         # each pair's product once, as for rat-add-assoc
-        m = [[rat_mul(p, q) for q in nz] for p in nz]
+        m = [[numbers.rat_mul(p, q) for q in nz] for p in nz]
         out.add(
             "rat-mul-assoc",
             all(
-                rat_eq(rat_mul(m[i][j], r), rat_mul(p, m[j][k]))
+                numbers.rat_eq(numbers.rat_mul(m[i][j], r), numbers.rat_mul(p, m[j][k]))
                 for i, p in enumerate(nz)
                 for j in range(len(nz))
                 for k, r in enumerate(nz)
             ),
         )
-        out.add("rat-mul-unit", all(rat_eq(rat_mul(p, one), p) for p in nz))
-        out.add("rat-mul-inverse", all(rat_eq(rat_mul(p, rat_inv(p)), one) for p in nz))
-        out.add("rat-mul-comm", all(rat_eq(rat_mul(p, q), rat_mul(q, p)) for p in nz for q in nz))
+        out.add("rat-mul-unit", all(numbers.rat_eq(numbers.rat_mul(p, one), p) for p in nz))
+        out.add(
+            "rat-mul-inverse",
+            all(numbers.rat_eq(numbers.rat_mul(p, numbers.rat_inv(p)), one) for p in nz),
+        )
+        out.add(
+            "rat-mul-comm",
+            all(
+                numbers.rat_eq(numbers.rat_mul(p, q), numbers.rat_mul(q, p))
+                for p in nz
+                for q in nz
+            ),
+        )
         return out
 
     def embedding():
         out = LawReport("rationals-embedding")
-        rep = embedding_check(6)
+        rep = numbers.embedding_check(6)
         out.merge(rep)
-        out.add("rat-embed-grid", all(rat_eq(embed_int(a), Rat(a, 1)) for a in range(-6, 7)))
+        out.add(
+            "rat-embed-grid",
+            all(numbers.rat_eq(numbers.embed_int(a), numbers.Rat(a, 1)) for a in range(-6, 7)),
+        )
         return out
 
     return _run_units(
@@ -594,20 +567,13 @@ def suite_rationals(seed=0) -> LawReport:
 
 
 def suite_lattices(seed=0) -> LawReport:
-    from .order import (
-        enumerate_posets,
-        lattice_from_poset,
-        lattice_laws,
-        order_from_semilattice,
-    )
-
     def unit_for(n):
         def unit():
             carrier = FinSet("x%d" % i for i in range(n))
             out = LawReport("lattices[%d]" % n)
             total, lattices = 0, 0
             ok_iff, ok_round, ok_laws = True, True, True
-            for P in enumerate_posets(carrier):
+            for P in order.enumerate_posets(carrier):
                 total += 1
                 pairwise = all(
                     P.sup(finset(x, y)) is not None
@@ -616,7 +582,7 @@ def suite_lattices(seed=0) -> LawReport:
                     for y in carrier
                 )
                 try:
-                    lt = lattice_from_poset(P)
+                    lt = order.lattice_from_poset(P)
                 except NotALattice:
                     lt = None
                 if (lt is not None) != pairwise:
@@ -624,11 +590,11 @@ def suite_lattices(seed=0) -> LawReport:
                 if lt is None:
                     continue
                 lattices += 1
-                if order_from_semilattice(lt.join, carrier, "join") != P:
+                if order.order_from_semilattice(lt.join, carrier, "join") != P:
                     ok_round = False
-                if order_from_semilattice(lt.meet, carrier, "meet") != P:
+                if order.order_from_semilattice(lt.meet, carrier, "meet") != P:
                     ok_round = False
-                if not lattice_laws(lt).passed:
+                if not order.lattice_laws(lt).passed:
                     ok_laws = False
             out.add("lat-iff-%d", ok_iff, ids=(n,), counts=(total, lattices))
             out.add("lat-roundtrip-%d", ok_round, ids=(n,))
@@ -645,18 +611,16 @@ def suite_lattices(seed=0) -> LawReport:
 
 
 def suite_zorn(seed=0) -> LawReport:
-    from .order import _zorn_chain, enumerate_posets
-
     def unit_for(n):
         def unit():
             carrier = FinSet("x%d" % i for i in range(n))
             out = LawReport("zorn[%d]" % n)
             total = 0
             ok_max, ok_chain = True, True
-            for P in enumerate_posets(carrier):
+            for P in order.enumerate_posets(carrier):
                 total += 1
                 # one greedy chain serves both laws: its top is zorn_maximal(P)
-                chain, m = _zorn_chain(P)
+                chain, m = order._zorn_chain(P)
                 if any(P.le(m, y) and m != y for y in carrier):
                     ok_max = False
                 elems = set(chain.elements)
@@ -679,31 +643,11 @@ def suite_zorn(seed=0) -> LawReport:
 
 
 def suite_groups(seed=0) -> LawReport:
-    from .core import classify
-    from .group import (
-        abelianization_check,
-        as_group,
-        center,
-        commutant,
-        cosets,
-        cyclic_group,
-        enumerate_groups,
-        enumerate_homs,
-        first_iso,
-        group_axioms,
-        hom_check,
-        inner_automorphisms,
-        is_normal,
-        kernel,
-        subgroup_check,
-        symmetric_group_3,
-    )
-
     def catalog_criteria():
         out = LawReport("groups-catalog")
         total_subsets, subgroups = 0, 0
         agree = True
-        catalog = [G for n in range(1, 7) for G in enumerate_groups(n)]
+        catalog = [G for n in range(1, 7) for G in group.enumerate_groups(n)]
         for G in catalog:
             for sub in G.carrier.subsets():
                 if len(sub) == 0:
@@ -711,7 +655,7 @@ def suite_groups(seed=0) -> LawReport:
                 total_subsets += 1
                 # criterion 1: closure + unit + inverses (subgroup_check)
                 try:
-                    H = subgroup_check(G, sub)
+                    H = group.subgroup_check(G, sub)
                     by_axioms = True
                 except NotSubgroup:
                     by_axioms = False
@@ -726,7 +670,7 @@ def suite_groups(seed=0) -> LawReport:
                     for b in sub
                     if G.op[(a, b)] in sub
                 }
-                by_table = len(restricted) == len(sub) ** 2 and group_axioms(
+                by_table = len(restricted) == len(sub) ** 2 and group.group_axioms(
                     restricted, sub
                 ).passed
                 if not (by_axioms == by_division == by_table):
@@ -735,7 +679,7 @@ def suite_groups(seed=0) -> LawReport:
                     subgroups += 1
                     # normality criteria: conjugation closure, coset
                     # equality, and conjugate-set equality
-                    n1 = is_normal(G, H)
+                    n1 = group.is_normal(G, H)
                     n2 = all(
                         {G.op[(g, h)] for h in sub}
                         == {G.op[(h, g)] for h in sub}
@@ -754,28 +698,28 @@ def suite_groups(seed=0) -> LawReport:
         """The induced map G/ker h -> Im h is a bijective homomorphism
         through which h factors."""
         try:
-            iso = first_iso(h)
+            iso = group.first_iso(h)
         except StructaError:
             return False
-        block = {x: b.name() for b in cosets(h.src, kernel(h)).blocks for x in b}
-        return classify(iso.map)["bijective"] and all(
+        block = {x: b.name() for b in group.cosets(h.src, group.kernel(h)).blocks for x in b}
+        return core.classify(iso.map)["bijective"] and all(
             iso.map(block[x]) == h.map(x) for x in h.src.carrier
         )
 
     def first_iso_sweep():
         out = LawReport("groups-first-iso")
-        catalog = [G for n in range(1, 5) for G in enumerate_groups(n)]
+        catalog = [G for n in range(1, 5) for G in group.enumerate_groups(n)]
         homs = 0
         ok = True
         for G in catalog:
             for H in catalog:
-                for h in enumerate_homs(G, H):
+                for h in group.enumerate_homs(G, H):
                     homs += 1
                     if not first_iso_holds(h):
                         ok = False
         out.add("grp-first-iso", ok, counts=(homs,))
-        S3, perms = symmetric_group_3()
-        Z2 = cyclic_group(2)
+        S3, perms = group.symmetric_group_3()
+        Z2 = group.cyclic_group(2)
 
         def parity(p):
             letters = sorted(p.dom.elements)
@@ -788,21 +732,21 @@ def suite_groups(seed=0) -> LawReport:
             return "g0" if inversions % 2 == 0 else "g1"
 
         f = FinMap(S3.carrier, Z2.carrier, {x: parity(perms[x]) for x in S3.carrier})
-        sign_ok = first_iso_holds(hom_check(S3, Z2, f))
+        sign_ok = first_iso_holds(group.hom_check(S3, Z2, f))
         out.add("grp-sign-hom", sign_ok)
         return out
 
     def s3_facts():
         out = LawReport("groups-s3")
-        S3, _ = symmetric_group_3()
-        D = commutant(S3)
+        S3, _ = group.symmetric_group_3()
+        D = group.commutant(S3)
         out.add("grp-s3-commutant", len(D.members) == 3)
-        Z = center(S3)
+        Z = group.center(S3)
         out.add("grp-s3-center", Z.members == finset(S3.unit))
-        inner, _ = inner_automorphisms(S3)
+        inner, _ = group.inner_automorphisms(S3)
         out.add("grp-s3-inner", inner.order() == 6)
-        rep = abelianization_check(S3, D)
-        q = as_group(D)  # touch the subgroup-as-group view
+        rep = group.abelianization_check(S3, D)
+        q = group.as_group(D)  # touch the subgroup-as-group view
         out.add(
             "grp-s3-abelianization",
             rep.passed and len(S3.carrier) // len(D.members) == 2 and q.order() == 3,
@@ -817,18 +761,7 @@ def suite_groups(seed=0) -> LawReport:
 
 
 def suite_actions(seed=0) -> LawReport:
-    from .group import (
-        action_check,
-        action_nucleus,
-        coset_action,
-        cosets,
-        cyclic_subgroup,
-        is_transitive,
-        stabilizer_suite,
-        symmetric_group_3,
-    )
-
-    S3, perms = symmetric_group_3()
+    S3, perms = group.symmetric_group_3()
 
     def coset_shapes():
         out = LawReport("actions-cosets")
@@ -841,13 +774,13 @@ def suite_actions(seed=0) -> LawReport:
             if g != S3.unit and S3.op[(g, g)] != S3.unit
         )
         for label, gen in (("order-2", order2), ("order-3", order3)):
-            H = cyclic_subgroup(S3, gen)
-            A = coset_action(S3, H)
-            rep = action_check(A)
+            H = group.cyclic_subgroup(S3, gen)
+            A = group.coset_action(S3, H)
+            rep = group.action_check(A)
             out.add("act-%s-laws", rep.passed, ids=(label,))
-            out.add("act-%s-transitive", is_transitive(A), ids=(label,))
+            out.add("act-%s-transitive", group.is_transitive(A), ids=(label,))
             fixed_ok = True
-            blocks = cosets(S3, H, side="left")
+            blocks = group.cosets(S3, H, side="left")
             for g in S3.carrier:
                 for block in blocks.blocks:
                     name = block.name()
@@ -859,7 +792,7 @@ def suite_actions(seed=0) -> LawReport:
                     if fixes != criterion:
                         fixed_ok = False
             out.add("act-%s-fixed-coset", fixed_ok, ids=(label,))
-            nucleus = action_nucleus(A)
+            nucleus = group.action_nucleus(A)
             conj_core = FinSet(
                 h
                 for h in S3.carrier
@@ -875,14 +808,12 @@ def suite_actions(seed=0) -> LawReport:
         out = LawReport("actions-stabilizers")
         # S3 acting on the three letters it permutes
         letters = finset("1", "2", "3")
-        from .group import GroupAction
-
-        A = GroupAction(S3, letters, {g: perms[g] for g in S3.carrier})
-        ok = action_check(A).passed
+        A = group.GroupAction(S3, letters, {g: perms[g] for g in S3.carrier})
+        ok = group.action_check(A).passed
         out.add("act-letters", ok)
         sim_ok = True
         for a in letters:
-            rep = stabilizer_suite(A, a)
+            rep = group.stabilizer_suite(A, a)
             if not rep.passed:
                 sim_ok = False
         out.add("act-stabilizer-similarity", sim_ok)
@@ -896,26 +827,18 @@ def suite_actions(seed=0) -> LawReport:
 
 
 def suite_filters(seed=0) -> LawReport:
-    from .settools import (
-        enumerate_filters,
-        generate_filter,
-        inter_of,
-        principal_filter,
-        ultrafilter_suite,
-    )
-
     def unit_for(n):
         def unit():
             carrier = FinSet("p%d" % i for i in range(1, n + 1))
             out = LawReport("filters[%d]" % n)
-            out.merge(ultrafilter_suite(carrier))
-            filters = enumerate_filters(carrier)
+            out.merge(settools.ultrafilter_suite(carrier))
+            filters = settools.enumerate_filters(carrier)
             minimal_ok, principal_ok = True, True
             for F in filters:
-                core = inter_of(F.members, carrier)
-                if F.members != principal_filter(carrier, core).members:
+                meet = settools.inter_of(F.members, carrier)
+                if F.members != settools.principal_filter(carrier, meet).members:
                     principal_ok = False
-                gen = generate_filter(F)
+                gen = settools.generate_filter(F)
                 if gen.members != F.members:
                     minimal_ok = False
             out.add("fl-principal-%d", principal_ok, ids=(n,), counts=(len(filters),))
@@ -932,8 +855,6 @@ def suite_filters(seed=0) -> LawReport:
 
 
 def suite_sigma(seed=0) -> LawReport:
-    from .settools import Family, sigma_by_partitions, sigma_generate
-
     def unit():
         carrier = finset("a", "b", "c")
         subs = [s for s in carrier.subsets()]
@@ -943,8 +864,9 @@ def suite_sigma(seed=0) -> LawReport:
         for k in range(len(subs) + 1):
             for combo in itertools.combinations(subs, k):
                 total += 1
-                fam = Family(carrier, combo)
-                if sigma_generate(carrier, fam) != sigma_by_partitions(carrier, fam):
+                fam = settools.Family(carrier, combo)
+                generated = settools.sigma_generate(carrier, fam)
+                if generated != settools.sigma_by_partitions(carrier, fam):
                     ok = False
         out.add("sg-all-families", ok, counts=(total,))
         return out
@@ -958,35 +880,21 @@ def suite_sigma(seed=0) -> LawReport:
 
 def _strict_passes(subs: list, cl: list) -> bool:
     """The mask table ``cl`` passes every strict closure law."""
-    from .top import _closure_laws
-
-    return all(bad is None for _, bad in _closure_laws(subs, cl, strict=True))
+    return all(bad is None for _, bad in top._closure_laws(subs, cl, strict=True))
 
 
 def suite_topology(seed=0) -> LawReport:
-    from .core import subset_masks
-    from .settools import Family
-    from .top import (
-        base_ops,
-        check_topology,
-        closure_check,
-        closure_from_closed,
-        discrete_closure,
-        enumerate_topologies,
-        open_duality,
-    )
-
     def count_and_equivalence():
         out = LawReport("topology-29")
         carrier = finset("a", "b", "c")
-        tops = enumerate_topologies(carrier)
+        tops = top.enumerate_topologies(carrier)
         out.add("tp-count", len(tops) == 29, (len(tops),))
         ok = True
         for fam in tops:
-            T = check_topology(carrier, fam)
-            B = Family(carrier, [s for s in fam.members if len(s) > 0])
-            via_base = base_ops(carrier, B)["closure"]
-            via_closed = closure_from_closed(carrier, open_duality(T))
+            T = top.check_topology(carrier, fam)
+            B = settools.Family(carrier, [s for s in fam.members if len(s) > 0])
+            via_base = top.base_ops(carrier, B)["closure"]
+            via_closed = top.closure_from_closed(carrier, top.open_duality(T))
             if via_base != via_closed:
                 ok = False
         out.add("tp-closure-agree", ok)
@@ -998,7 +906,7 @@ def suite_topology(seed=0) -> LawReport:
         out = LawReport("topology-strict")
         ok_small = True
         for labels in (("a",), ("a", "b")):
-            subs = subset_masks(finset(*labels))
+            subs = core.subset_masks(finset(*labels))
             winners = 0
             for values in itertools.product(subs, repeat=len(subs)):
                 cl = [0] * len(subs)
@@ -1012,9 +920,9 @@ def suite_topology(seed=0) -> LawReport:
                 ok_small = False
         out.add("tp-strict-small", ok_small)
         carrier = finset("a", "b", "c")
-        ok3 = closure_check(discrete_closure(carrier)).passed
+        ok3 = top.closure_check(top.discrete_closure(carrier)).passed
         rng = random.Random(seed + 13)
-        subs = subset_masks(carrier)
+        subs = core.subset_masks(carrier)
         for _ in range(2000):
             cl = list(range(len(subs)))
             A = rng.choice(subs)
@@ -1046,8 +954,10 @@ def suite_cli(seed=0) -> LawReport:
     import contextlib
     import io
 
+    # the one library import in a body: ``python -m structa.cli`` runs
+    # cli.py as __main__, and runpy warns on stderr when ``import
+    # structa`` has already loaded structa.cli
     from . import cli
-    from .docs import parse_text, render
 
     def roundtrip():
         out = LawReport("cli-roundtrip")
@@ -1055,7 +965,7 @@ def suite_cli(seed=0) -> LawReport:
         bad = []
         for p in paths:
             text = p.read_text(encoding="utf-8")
-            if render(parse_text(text)) != text:
+            if docs.render(docs.parse_text(text)) != text:
                 bad.append(p.name)
         out.add(
             "cli-corpus",

@@ -293,8 +293,8 @@ MUTANTS = [
     ),
     (
         "suites.py",
-        "rat_eq(rat_add(s[i][j], r), rat_add(p, s[j][k]))",
-        "rat_eq(rat_add(s[i][j], r), rat_add(s[i][j], r))",
+        "numbers.rat_eq(numbers.rat_add(s[i][j], r), numbers.rat_add(p, s[j][k]))",
+        "numbers.rat_eq(numbers.rat_add(s[i][j], r), numbers.rat_add(s[i][j], r))",
         "tests/test_numbers.py::TestRationalSuite::test_add_assoc_fails_on_one_wrong_sum",
     ),
     (
@@ -367,6 +367,12 @@ MUTANTS = [
         "        if kind != UNIT\n",
         "",
         "tests/test_cli.py::TestFormats::test_formats_prints_schema_and_catalogue",
+    ),
+    (
+        "group.py",
+        "    return normality_witness(G, N) is None\n",
+        "    return True\n",
+        "tests/test_group.py::TestQuotients::test_non_normal_subgroup_rejected",
     ),
 ]
 

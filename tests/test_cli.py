@@ -290,7 +290,8 @@ class TestRelabelling:
     witness, so ``check --json`` reports the same checks with renamed
     witnesses, the same error line up to the renaming, and the same exit
     code. The ``bad/`` fixtures take the ordered fallback of the
-    validators, so their first error is pinned too."""
+    validators, so their first error is pinned too. Under any bijection,
+    the exit code and the verdict of each law stay the same."""
 
     @pytest.mark.parametrize("name", parseable_fixtures())
     def test_check_follows_an_order_preserving_renaming(self, name, tmp_path, monkeypatch):
@@ -312,6 +313,26 @@ class TestRelabelling:
             if "witness" in check:
                 check["witness"] = [renamed_witness(x, names) for x in check["witness"]]
         assert json.loads(out2) == expected
+
+    @pytest.mark.parametrize("name", parseable_fixtures())
+    def test_verdicts_follow_any_renaming(self, name, tmp_path, monkeypatch):
+        # a bijection that does not keep the sort order may change which
+        # witness is least, but not which laws hold
+        source = json.loads((fixtures_dir() / name).read_text(encoding="utf-8"))
+        symbols = sorted(symbols_of(source))
+        monkeypatch.chdir(fixtures_dir())
+        code, out, _ = run_cli(["check", "--json", name])
+        verdicts = [(c["law"], c["passed"]) for c in json.loads(out)["checks"]] if out else []
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        for seed in range(3):
+            targets = ["s%03d" % i for i in range(len(symbols))]
+            random.Random(seed).shuffle(targets)
+            renamed = relabelled(source, dict(zip(symbols, targets)))
+            (tmp_path / name).write_text(json.dumps(renamed), encoding="utf-8")
+            code2, out2, _ = run_cli(["check", "--json", name])
+            got = [(c["law"], c["passed"]) for c in json.loads(out2)["checks"]] if out2 else []
+            assert (code2, got) == (code, verdicts), seed
 
 
 class TestSeveralFiles:

@@ -1,7 +1,10 @@
 """Hygiene checks on src/structa, read from the source with ``ast``.
 
 Every module-level import is used in its module, every import in a
-function body is used in that function, and every class of
+function body is used in that function, no function body but one
+imports a structa module (the library is imported at the top, module by
+module, and called through the module, so a function replaced on its
+module is seen at the call), and every class of
 ``errors.py`` is raised or caught somewhere in the package, so deleting
 the last caller of a name cannot leave its import or its error class
 behind. Every top-level function is reached from the CLI or the suite
@@ -73,6 +76,37 @@ def test_every_function_level_import_is_used_in_its_function(path):
             used = names_used(node)
             unused += [(node.name, n) for n in own_imports(node) if n not in used]
     assert sorted(unused) == []
+
+
+# (module file, function, the module it imports). ``python -m
+# structa.cli`` runs cli.py as __main__, and runpy warns on stderr when
+# ``import structa`` has already loaded structa.cli; so the cli suite,
+# which calls cli.main, imports cli when it runs.
+CALL_TIME_IMPORTS = [("suites.py", "suite_cli", "cli")]
+
+
+def structa_modules(node) -> list:
+    """The structa modules an import statement imports from or imports:
+    ``from .x import f``, ``from . import x`` or ``import structa.x``."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        return [node.module] if node.module else [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module]
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    else:
+        return []
+    return [n for n in names if n.split(".")[0] == "structa"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_function_imports_a_structa_module(path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef):
+            found += [(path.name, node.name, m)
+                      for sub in ast.walk(node) for m in structa_modules(sub)]
+    assert found == [row for row in CALL_TIME_IMPORTS if row[0] == path.name]
 
 
 def handled_names(tree) -> set:
@@ -274,20 +308,23 @@ def reached_functions():
     module's top-level statements other than definitions and imports,
     which run on import. A reached function or class reaches every
     top-level definition that a name in its body resolves to: one of its
-    module, one a module-level ``from .m import`` brings in, or one that
-    a ``from .m import`` inside the body names."""
-    defs, aliases, todo = {}, {}, []
+    module, or one a module-level ``from .m import`` brings in. It also
+    reaches ``m.f`` for a module ``m`` that ``from . import m`` brings
+    in."""
+    defs, aliases, modules, todo = {}, {}, {}, []
     for path in MODULES:
         mod = path.stem
-        aliases[mod] = {}
+        aliases[mod], modules[mod] = {}, {}
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[(mod, node.name)] = node
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 1:
-                    for a in node.names:
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        modules[mod][a.asname or a.name] = a.name
+                    else:
                         aliases[mod][a.asname or a.name] = (node.module, a.name)
-            elif not isinstance(node, ast.Import):
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 todo.append((mod, node))
 
     def resolve(mod, name):
@@ -303,15 +340,18 @@ def reached_functions():
         mod, node = todo.pop()
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                keys = [resolve(mod, sub.id)]
-            elif isinstance(sub, ast.ImportFrom) and sub.level == 1:
-                keys = [resolve(sub.module, a.name) for a in sub.names]
+                key = resolve(mod, sub.id)
+            elif (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id in modules[mod]
+            ):
+                key = resolve(modules[mod][sub.value.id], sub.attr)
             else:
                 continue
-            for key in keys:
-                if key in defs and key not in reached:
-                    reached.add(key)
-                    todo.append((key[0], defs[key]))
+            if key in defs and key not in reached:
+                reached.add(key)
+                todo.append((key[0], defs[key]))
     functions = {"%s.%s" % k for k, n in defs.items() if isinstance(n, ast.FunctionDef)}
     return functions, {"%s.%s" % k for k in reached}
 
