@@ -61,23 +61,35 @@ from .report import LawReport
 
 class FinCat(Frozen):
     """A finite category: objects, named arrows, identities, and an
-    explicit composition table ``comp[(g, f)] = g∘f``."""
+    explicit composition table ``comp[(g, f)] = g∘f``.
 
-    __slots__ = ("objects", "arrows", "src", "tgt", "identity", "comp", "meta")
+    ``__init__`` indexes the arrows once, in the loop that fills ``src``
+    and ``tgt``: ``arrow_names``, and the arrows by source, by target and
+    by (source, target), each a tuple of names in canonical order, so
+    ``arrows_from``, ``arrows_into`` and ``hom`` are lookups. Like ``src``
+    and ``tgt``, the indexes are slots, not fields: they follow from the
+    arrows, so equality, hashing and repr ignore them, and copies and
+    pickles rebuild them through ``__init__``."""
+
+    __slots__ = ("objects", "arrows", "src", "tgt", "identity", "comp", "meta",
+                 "arrow_names", "_from", "_into", "_hom")
     _fields = ("objects", "arrows", "identity", "comp", "meta")
 
     def __init__(self, objects, arrows, identity, comp, meta=None):
         objects = objects if isinstance(objects, FinSet) else FinSet(objects)
         arrs = tuple(sorted((check_symbol(n), s, t) for (n, s, t) in arrows))
-        names = [n for n, _, _ in arrs]
+        names = tuple(n for n, _, _ in arrs)
         if len(set(names)) != len(names):
             dup = sorted(n for n in set(names) if names.count(n) > 1)
             raise BadStructure("duplicate arrow names", witness=tuple(dup))
-        src, tgt = {}, {}
+        src, tgt, out, into, hom = {}, {}, {}, {}, {}
         for n, s, t in arrs:
             if s not in objects or t not in objects:
                 raise CarrierMismatch("arrow endpoint outside the objects", witness=(n, s, t))
             src[n], tgt[n] = s, t
+            out.setdefault(s, []).append(n)
+            into.setdefault(t, []).append(n)
+            hom.setdefault((s, t), []).append(n)
         identity = dict(identity)
         for x, n in identity.items():
             if x not in objects:
@@ -95,6 +107,10 @@ class FinCat(Frozen):
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "comp", comp)
         object.__setattr__(self, "meta", meta or {})
+        object.__setattr__(self, "arrow_names", names)
+        object.__setattr__(self, "_from", {s: tuple(ns) for s, ns in out.items()})
+        object.__setattr__(self, "_into", {t: tuple(ns) for t, ns in into.items()})
+        object.__setattr__(self, "_hom", {st: tuple(ns) for st, ns in hom.items()})
 
     def __eq__(self, other):
         return (
@@ -118,23 +134,20 @@ class FinCat(Frozen):
     def __repr__(self):
         return "FinCat(%d objects, %d arrows)" % (len(self.objects), len(self.arrows))
 
-    @property
-    def arrow_names(self):
-        return tuple(n for n, _, _ in self.arrows)
-
     def hom(self, a, b):
         """Arrow names from a to b, in canonical order."""
-        return tuple(n for n in self.arrow_names if self.src[n] == a and self.tgt[n] == b)
+        return self._hom.get((a, b), ())
 
     def arrows_from(self, a):
-        return tuple(n for n in self.arrow_names if self.src[n] == a)
+        return self._from.get(a, ())
 
     def arrows_into(self, b):
-        return tuple(n for n in self.arrow_names if self.tgt[n] == b)
+        return self._into.get(b, ())
 
     def compose(self, g, f):
         """g∘f; the pair must be composable and tabulated."""
-        if self.tgt.get(f) != self.src.get(g):
+        s = self.src.get(g)
+        if s is None or self.tgt.get(f) != s:
             raise CompositionMismatch("arrows are not composable", witness=(g, f))
         try:
             return self.comp[(g, f)]
@@ -185,11 +198,8 @@ def check_category(C: FinCat) -> LawReport:
     src, tgt, comp = C.src, C.tgt, C.comp
     # one pass over the composable pairs, reached through the arrows
     # leaving each object, and one over the table's keys
-    by_src = {}
-    for g in names:
-        by_src.setdefault(src[g], []).append(g)
     missing = min(
-        ((g, f) for f in names for g in by_src.get(tgt[f], ()) if (g, f) not in comp),
+        ((g, f) for f in names for g in C.arrows_from(tgt[f]) if (g, f) not in comp),
         default=None,
     )
     extra = min(((g, f) for g, f in comp if tgt[f] != src[g]), default=None)
@@ -655,18 +665,16 @@ def bridge_category(tau: dict, F: FunctorData, G: FunctorData) -> FinCat:
     comp = {}
     for (g, f), v in C.comp.items():
         comp[("t(%s)" % g, "t(%s)" % f)] = "t(%s)" % v
+    cat = FinCat(objects, arrows, identity, comp)
     # component collisions may create composable pairs with no source
     # counterpart; the structure is then not a category
     names = [n for n, _, _ in arrows]
-    srcs = {n: tau[C.src[f]] for n, f in zip(names, C.arrow_names)}
-    tgts = {n: tau[C.tgt[f]] for n, f in zip(names, C.arrow_names)}
     for g in names:
         for f in names:
-            if tgts[f] == srcs[g] and (g, f) not in comp:
+            if cat.tgt[f] == cat.src[g] and (g, f) not in comp:
                 raise BadStructure(
                     "component collision leaves composition undefined", witness=(g, f)
                 )
-    cat = FinCat(objects, arrows, identity, comp)
     _require_cat(cat)
     T = _functor_into(cat, C, dict(tau), {f: "t(%s)" % f for f in C.arrow_names})
     return FinCat(objects, arrows, identity, comp, meta={"functor": T})
@@ -744,20 +752,11 @@ def functor_category(C: FinCat, D: FinCat) -> FinCat:
         for k1, (i1, j1, n1) in enumerate(nats)
         if j1 == i2
     }
-    cat = FinCat(
-        FinSet(fname),
-        arrows,
-        identity,
-        comp,
-        meta={
-            "functors": dict(zip(fname, funs)),
-            "nats": {"t%d" % k: n for k, (_, _, n) in enumerate(nats)},
-            "src": C,
-            "tgt": D,
-        },
-    )
-    _require_cat(cat)
-    return cat
+    meta = {
+        "functors": dict(zip(fname, funs)),
+        "nats": {"t%d" % k: n for k, (_, _, n) in enumerate(nats)},
+    }
+    return _require_cat(FinCat(FinSet(fname), arrows, identity, comp, meta))
 
 
 def _hcompose_components(alpha: NatTransData, tau: NatTransData) -> dict:
@@ -1030,11 +1029,4 @@ def arrow_category(F: FunctorData, G: FunctorData) -> FinCat:
                 h = obj_data[p1][2]
                 h2 = obj_data[q2][2]
                 comp[(n2, n1)] = "[%s|%s|%s>%s]" % (u, v, h, h2)
-    cat = FinCat(
-        FinSet(objs),
-        arrows,
-        identity,
-        comp,
-        meta={"objects": obj_data, "squares": arr_data},
-    )
-    return _require_cat(cat)
+    return _require_cat(FinCat(FinSet(objs), arrows, identity, comp))

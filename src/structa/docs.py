@@ -377,7 +377,7 @@ def _v_closure(body):
         if key in seen:
             raise SchemaError("table defines the cell {%s} twice" % ", ".join(key))
         seen[key] = val
-    full = FinSet(carrier).subsets()
+    full = _set(carrier).subsets()
     for sub in full:
         if tuple(sub.elements) not in seen:
             raise SchemaError(
@@ -755,14 +755,14 @@ def _ck_map(doc):
 
 
 def _ck_poset(doc):
-    rep = order.check_order(FinSet(doc["carrier"]), {(x, y) for x, y in doc["le"]})
+    rep = order.check_order(_set(doc["carrier"]), {(x, y) for x, y in doc["le"]})
     # totality distinguishes natural orders; it is not a poset law
     out = LawReport(rep.suite, [c for c in rep.checks if c.law != "total"])
     return out
 
 
 def _ck_semilattice(doc):
-    return order.semilattice_report(_table(doc), FinSet(doc["carrier"]))
+    return order.semilattice_report(_table(doc), _set(doc["carrier"]))
 
 
 def _ck_category(doc):
@@ -788,12 +788,12 @@ def _ck_nattrans(doc):
 
 
 def _ck_group(doc):
-    return group.group_axioms(_table(doc), FinSet(doc["carrier"]))
+    return group.group_axioms(_table(doc), _set(doc["carrier"]))
 
 
 def _ck_hom(doc):
     r = LawReport("hom")
-    groups = [(_table(doc[k]), FinSet(doc[k]["carrier"])) for k in ("src", "tgt")]
+    groups = [(_table(doc[k]), _set(doc[k]["carrier"])) for k in ("src", "tgt")]
     for table, carrier in groups:
         r.merge(group.group_axioms(table, carrier))
     if not r.passed:
@@ -808,7 +808,7 @@ def _ck_hom(doc):
 
 def _ck_action(doc):
     r = LawReport("action")
-    table, carrier = _table(doc["group"]), FinSet(doc["group"]["carrier"])
+    table, carrier = _table(doc["group"]), _set(doc["group"]["carrier"])
     r.merge(group.group_axioms(table, carrier))
     if not r.passed:
         return r
@@ -845,8 +845,8 @@ def _ck_closure(doc):
 
 
 def _ck_topology(doc):
-    carrier = FinSet(doc["carrier"])
-    fam = settools.Family(carrier, [FinSet(m) for m in doc["opens"]])
+    carrier = _set(doc["carrier"])
+    fam = settools.Family(carrier, [_set(m) for m in doc["opens"]])
     r = LawReport("topology")
     try:
         T = top.check_topology(carrier, fam)
@@ -902,7 +902,7 @@ _KINDS = {
     "map": _Kind({"dom", "cod", "map"}, _v_map, _b_map, _ck_map),
     "poset": _Kind({"carrier", "le"}, _v_poset, _b_poset, _ck_poset),
     "semilattice": _Kind({"carrier", "table"}, _v_op_table,
-                         lambda d: (_table(d), FinSet(d["carrier"])), _ck_semilattice),
+                         lambda d: (_table(d), _set(d["carrier"])), _ck_semilattice),
     "category": _Kind({"objects", "arrows", "identity", "comp"},
                       _v_category, _b_category, _ck_category),
     "functor": _Kind({"src", "tgt", "on_obj", "on_arr"}, _v_functor, _b_functor, _ck_functor),
@@ -946,7 +946,7 @@ def _d_opposite(doc, args):
 
 
 def _d_filter(doc, args):
-    return doc_subsets("family", FinSet(doc["carrier"]),
+    return doc_subsets("family", _set(doc["carrier"]),
                        settools.generate_filter(_b_family(doc)).members)
 
 

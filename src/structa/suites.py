@@ -217,12 +217,10 @@ def suite_interchange(seed=0) -> LawReport:
     Z2 = category.from_group(group.cyclic_group(2))
 
     def vertical_pairs(FC):
-        return [
-            (FC.meta["nats"][s], FC.meta["nats"][t])
-            for s in FC.arrow_names
-            for t in FC.arrow_names
-            if FC.meta["nats"][s].F == FC.meta["nats"][t].G
-        ]
+        # (σ, τ) with τ into the source of σ: one name per functor, so
+        # these are the pairs with σ.F == τ.G, in name order
+        nats = FC.meta["nats"]
+        return [(nats[s], nats[t]) for s in FC.arrow_names for t in FC.arrows_into(FC.src[s])]
 
     grids = []  # per unit: grids sampled, and whether both formulas agreed
 

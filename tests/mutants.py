@@ -374,6 +374,12 @@ MUTANTS = [
         "    return True\n",
         "tests/test_group.py::TestQuotients::test_non_normal_subgroup_rejected",
     ),
+    (
+        "category.py",
+        "{s: tuple(ns) for s, ns in out.items()}",
+        "{s: tuple(n for n in ns if n != names[0]) for s, ns in out.items()}",
+        "tests/test_category.py::TestArrowIndexes::test_indexes_match_the_scans[fixtures]",
+    ),
 ]
 
 

@@ -8,18 +8,22 @@ categories, exhaustive inverse search for invertible arrows, and the
 pairwise comparison for observational arrow equality.
 """
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structa import docs, suites
 from structa.category import (
     FinCat,
     FunctorData,
     NatTransData,
     SetRepr,
+    _composite,
     arrow_category,
     arrow_equality_classes,
     bridge_category,
@@ -68,6 +72,7 @@ from structa.core import (
 from structa.errors import (
     BadStructure,
     CarrierMismatch,
+    CompositionMismatch,
     EndpointError,
     Mismatch,
     NotProduct,
@@ -1436,3 +1441,100 @@ def test_embedding_of_a_non_associative_table_raises(i):
         yoneda_embedding(C)
     assert str(err.value).startswith("set-functor: sr-comp failed")
     assert err.value.witness == NEG_ASSOC_WITNESSES[i]
+
+
+# ---------------------------------------------------------------------------
+# FinCat indexes its arrows once; the reference is the scan over every arrow
+# that arrow_names, arrows_from, arrows_into and hom made on each call
+
+
+def reference_indexes(C):
+    """arrow_names, and arrows_from, arrows_into and hom at every object
+    and pair of objects, each by a scan of all arrows in name order."""
+    names = tuple(n for n, _, _ in C.arrows)
+    return (
+        names,
+        {x: tuple(n for n in names if C.src[n] == x) for x in C.objects},
+        {x: tuple(n for n in names if C.tgt[n] == x) for x in C.objects},
+        {
+            (a, b): tuple(n for n in names if C.src[n] == a and C.tgt[n] == b)
+            for a in C.objects
+            for b in C.objects
+        },
+    )
+
+
+def indexes(C):
+    return (
+        C.arrow_names,
+        {x: C.arrows_from(x) for x in C.objects},
+        {x: C.arrows_into(x) for x in C.objects},
+        {(a, b): C.hom(a, b) for a in C.objects for b in C.objects},
+    )
+
+
+def fixture_categories():
+    """(id, category) for every category a fixture builds: category
+    documents, and the source and target of functor and natural
+    transformation documents."""
+    out = []
+    for path in sorted(suites.fixtures_dir().glob("*.json")):
+        doc = docs.parse(str(path))
+        if doc.kind not in ("category", "functor", "nattrans"):
+            continue
+        built = docs._KINDS[doc.kind].build(doc)
+        if doc.kind == "category":
+            out.append((path.name, built))
+        elif doc.kind == "functor":
+            out += [(path.name + ":src", built.src), (path.name + ":tgt", built.tgt)]
+        elif doc.kind == "nattrans":
+            out += [(path.name + ":F.src", built.F.src), (path.name + ":F.tgt", built.F.tgt),
+                    (path.name + ":G.src", built.G.src), (path.name + ":G.tgt", built.G.tgt)]
+    return out
+
+
+def suite_categories():
+    return [("seed:" + name, C) for name, C in suites._seed_categories()] + [
+        ("yoneda:" + name, C) for name, C in suites._yoneda_corpus()
+    ]
+
+
+# built inside the tests, so that a broken index fails a test, not collection
+INDEX_CORPORA = {
+    "fixtures": fixture_categories,
+    "suites": suite_categories,
+    "opposites": lambda: [("op:" + name, opposite_cat(C)) for name, C in suite_categories()],
+}
+
+
+class TestArrowIndexes:
+    def test_the_fixture_corpus_covers_every_kind(self):
+        ids = [name for name, _ in fixture_categories()]
+        assert "category_chain2.json" in ids
+        assert "functor_mod2.json:tgt" in ids
+        assert "nattrans_lift.json:G.src" in ids
+
+    @pytest.mark.parametrize("corpus", sorted(INDEX_CORPORA))
+    def test_indexes_match_the_scans(self, corpus):
+        for name, C in INDEX_CORPORA[corpus]():
+            want = reference_indexes(C)
+            for out in (C, copy.copy(C), pickle.loads(pickle.dumps(C))):
+                assert indexes(out) == want, name
+                assert out.arrows_from("nope") == out.arrows_into("nope") == (), name
+                assert out.hom("nope", C.objects.elements[0]) == (), name
+
+    def test_indexes_are_not_fields(self):
+        assert FinCat._fields == ("objects", "arrows", "identity", "comp", "meta")
+        C = chain_cat(["a", "b", "c"])
+        twin = copy.copy(C)
+        for slot in ("arrow_names", "_from", "_into", "_hom"):
+            object.__setattr__(twin, slot, ())
+        assert twin == C
+        assert hash(twin) == hash(C)
+        assert repr(twin) == repr(C)
+
+    def test_compose_of_two_non_arrows_is_not_composable(self):
+        C = chain_cat(["a", "b"])
+        with pytest.raises(CompositionMismatch, match="^arrows are not composable$"):
+            C.compose("nope", "nada")
+        assert _composite(C, "nope", "nada") is None

@@ -776,6 +776,10 @@ UNHASHABLE = {"LatticeTables", "GroupAction", "FunctorData", "SetRepr", "NatTran
               "StructureDoc"}
 
 
+# the private slots that a constructor fills, each an index of the fields
+BUILT_INDEXES = {"Partition": ["_index"], "FinCat": ["_from", "_into", "_hom"]}
+
+
 ROUND_TRIPS = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
@@ -798,10 +802,11 @@ def test_copy_and_pickle_round_trips(value, how):
         assert hash(out) == hash(value)
     assert all(getattr(out, name) == getattr(value, name)
                for name in type(value).__slots__ if not name.startswith("_"))
-    if isinstance(value, Partition):
-        # the block index is built by the constructor, not on first use
-        assert private == ["_index"]
-        assert out._index == value._index and out._index is not value._index
+    if type(value).__name__ in BUILT_INDEXES:
+        # the indexes are built by the constructor, not on first use
+        assert private == BUILT_INDEXES[type(value).__name__]
+        assert all(getattr(out, name) == getattr(value, name)
+                   and getattr(out, name) is not getattr(value, name) for name in private)
     else:
         # the lazy caches are rebuilt on use, not carried
         assert not any(hasattr(out, name) for name in private)
