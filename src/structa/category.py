@@ -21,8 +21,8 @@ that Yoneda's bijection is computed, never symbolic. Both targets offer
 the same methods (``ends``, ``unit``, ``compose``, ``hom``,
 ``has_object``, ``has_arrow``), so each law is one scan for either
 target. There is no variance flag: a contravariant functor C → D is a
-functor C → D^op, or C^op → D (Mac Lane, §II.2), and R_x is a
-``SetRepr`` on C^op.
+functor C → D^op, or C^op → D (Mac Lane, §II.2), so ``check_functor``
+into D^op checks it, and R_x is a ``SetRepr`` on C^op.
 
 One formula gives every hom map: Hom(f, g) is h ↦ g∘h∘f for f: a→c and
 g: b→d. L_x(f) is Hom(1_x, f), R_x(f) is Hom(f, 1_x), the component of
@@ -357,17 +357,10 @@ def _first_stray(F) -> tuple:
     return tuple(bad[:1])
 
 
-# by law prefix, the id of the composition law; the scan also emits
-# ``<prefix>-endpoints`` and ``<prefix>-unit``. The statements are rows
-# of ``report.LAWS``, and the ``cfun`` rows speak of D though the scan
-# runs into D^op.
-_FUNCTOR_LAWS = {"fun": "fun-comp", "cfun": "cfun-anticomp", "sr": "sr-comp"}
-
-
 def _scan_functor(r: LawReport, prefix: str, F) -> LawReport:
-    """The endpoint, unit and composition laws of F, whose component
-    functions are total into its target. A pair of images that does not
-    compose fails."""
+    """The laws ``<prefix>-endpoints``, ``-unit`` and ``-comp`` of F,
+    whose component functions are total into its target. A pair of
+    images that does not compose fails."""
     C, T, on_obj, on_arr = F.src, _target(F), F.on_obj, F.on_arr
     bad = next(
         (
@@ -390,7 +383,7 @@ def _scan_functor(r: LawReport, prefix: str, F) -> LawReport:
         ),
         None,
     )
-    r.add(_FUNCTOR_LAWS[prefix], bad is None, bad)
+    r.add(prefix + "-comp", bad is None, bad)
     return r
 
 
@@ -470,7 +463,7 @@ def enumerate_functors(C: FinCat, D: FinCat) -> list:
 
 
 # ---------------------------------------------------------------------------
-# opposites and variance
+# opposites
 
 
 def opposite_cat(C: FinCat) -> FinCat:
@@ -478,58 +471,6 @@ def opposite_cat(C: FinCat) -> FinCat:
     arrows = [(n, C.tgt[n], C.src[n]) for n in C.arrow_names]
     comp = {(f, g): v for (g, f), v in C.comp.items()}
     return FinCat(C.objects, arrows, dict(C.identity), comp)
-
-
-def opposite_functor(F: FunctorData) -> FunctorData:
-    return FunctorData(
-        opposite_cat(F.src), opposite_cat(F.tgt), dict(F.on_obj), dict(F.on_arr)
-    )
-
-
-def op_universe_check(cats, functors=()) -> LawReport:
-    """op is an involution and distributes over functor composition."""
-    r = LawReport("op-universe")
-    bad = next(
-        ((i,) for i, C in enumerate(cats) if not check_category(opposite_cat(C)).passed),
-        None,
-    )
-    r.add("op-category", bad is None, bad)
-    bad = next(((i,) for i, C in enumerate(cats) if opposite_cat(opposite_cat(C)) != C), None)
-    r.add("op-involution", bad is None, bad)
-    functors = list(functors)
-    bad = next(
-        (
-            (i,)
-            for i, F in enumerate(functors)
-            if not check_functor(opposite_functor(F)).passed
-        ),
-        None,
-    )
-    r.add("op-functor", bad is None, bad)
-    bad = None
-    for i, F in enumerate(functors):
-        for j, G in enumerate(functors):
-            if F.tgt == G.src:
-                lhs = opposite_functor(compose_functors(G, F))
-                rhs = compose_functors(opposite_functor(G), opposite_functor(F))
-                if lhs != rhs:
-                    bad = (i, j)
-                    break
-        if bad:
-            break
-    r.add("op-distributes", bad is None, bad)
-    return r
-
-
-def check_contravariant(F: FunctorData) -> LawReport:
-    """The reversed laws: endpoints flip and composition reverses, that
-    is, the functor laws of F read into the opposite of its target."""
-    r = LawReport("contravariant-functor")
-    bad = _first_stray(F)
-    r.add("cfun-total", not bad, bad)
-    if bad:
-        return r
-    return _scan_functor(r, "cfun", FunctorData(F.src, opposite_cat(F.tgt), F.on_obj, F.on_arr))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +588,8 @@ def check_nat(n: NatTransData) -> LawReport:
 
 def bridge_category(tau: dict, F: FunctorData, G: FunctorData) -> FinCat:
     """The category whose objects are the component arrows and whose
-    arrows are images of the source arrows; composition is inherited."""
+    arrows are images of the source arrows; composition is inherited.
+    The functor a ↦ τ_a, f ↦ t(f) into it is checked, not returned."""
     flags = bridge_check(tau, F, G)
     if not flags["is_bridge"]:
         raise EndpointError("not a bridge: a component has wrong endpoints")
@@ -676,8 +618,8 @@ def bridge_category(tau: dict, F: FunctorData, G: FunctorData) -> FinCat:
                     "component collision leaves composition undefined", witness=(g, f)
                 )
     _require_cat(cat)
-    T = _functor_into(cat, C, dict(tau), {f: "t(%s)" % f for f in C.arrow_names})
-    return FinCat(objects, arrows, identity, comp, meta={"functor": T})
+    _functor_into(cat, C, tau, {f: "t(%s)" % f for f in C.arrow_names})
+    return cat
 
 
 def vcompose(sigma: NatTransData, tau: NatTransData) -> NatTransData:

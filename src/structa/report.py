@@ -86,14 +86,6 @@ LAWS = {
     "fun-endpoints": (LAW, "arrows keep their endpoints under the functor"),
     "fun-unit": (LAW, "unit arrows map to unit arrows"),
     "fun-comp": (LAW, "F(g∘f) = F g ∘ F f"),
-    "cfun-total": (LAW, "both component functions are total"),
-    "cfun-endpoints": (LAW, "arrows swap their endpoints"),
-    "cfun-unit": (LAW, "unit arrows map to unit arrows"),
-    "cfun-anticomp": (LAW, "F(g∘f) = F f ∘ F g"),
-    "op-category": (LAW, "the opposite of a category is a category"),
-    "op-involution": (LAW, "taking the opposite twice restores the category"),
-    "op-functor": (LAW, "the opposite of a functor is a functor"),
-    "op-distributes": (LAW, "op(G∘F) = op G ∘ op F"),
     "sr-total": (LAW, "both component functions are total"),
     "sr-endpoints": (LAW, "arrow images connect the right carriers"),
     "sr-unit": (LAW, "unit arrows become identity maps"),

@@ -124,8 +124,8 @@ MUTANTS = [
     ),
     (
         "category.py",
-        '_scan_functor(r, "cfun", FunctorData(F.src, opposite_cat(F.tgt),',
-        '_scan_functor(r, "cfun", FunctorData(F.src, F.tgt,',
+        "for (g, f), v in sorted(C.comp.items())\n",
+        "for (g, f), v in sorted(C.comp.items(), reverse=True)\n",
         "tests/test_category.py::TestVarianceDuality::test_seed_functors_and_planted_defects",
     ),
     (
