@@ -410,8 +410,10 @@ def constant_functor(C: FinCat, D: FinCat, obj) -> FunctorData:
 def check_functor(F: FunctorData) -> LawReport:
     r = LawReport("functor")
     C, D = F.src, F.tgt
-    r.add("fun-objects", not _strays(C.objects, F.on_obj, D.has_object))
-    r.add("fun-arrows", not _strays(C.arrow_names, F.on_arr, D.has_arrow))
+    bad = tuple(_strays(C.objects, F.on_obj, D.has_object)[:1])
+    r.add("fun-objects", not bad, bad)
+    bad = tuple(_strays(C.arrow_names, F.on_arr, D.has_arrow)[:1])
+    r.add("fun-arrows", not bad, bad)
     if not r.passed:
         return r
     return _scan_functor(r, "fun", F)

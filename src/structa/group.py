@@ -376,31 +376,6 @@ def image_subgroup(h: GroupHom) -> Subgroup:
     return subgroup_check(h.tgt, h.map.image())
 
 
-def transfer_check(h: GroupHom, H: FinSet) -> LawReport:
-    """How subgroups and normal subgroups move along a homomorphism."""
-    r = LawReport("hom-transfer")
-    sub = subgroup_check(h.src, H)
-    img = h.map.image(H)
-    try:
-        img_sub = subgroup_check(h.tgt, img)
-        r.add("tr-image", True)
-    except NotSubgroup:
-        r.add("tr-image", False, (tuple(img),))
-        return r
-    epi = classify(h.map)["onto"]
-    if is_normal(h.src, sub):
-        if epi:
-            r.add("tr-image-normal", is_normal(h.tgt, img_sub), (tuple(img),))
-        else:
-            r.add("tr-image-normal-skipped", True)
-    pre = h.map.preimage(h.map.image(H))
-    pre_sub = subgroup_check(h.src, pre)
-    r.add("tr-preimage", True)
-    if is_normal(h.tgt, img_sub):
-        r.add("tr-preimage-normal", is_normal(h.src, pre_sub), (tuple(pre),))
-    return r
-
-
 def first_iso(h: GroupHom) -> GroupHom:
     """The induced homomorphism from G/ker h to Im h, sending each coset
     to the value of h at one of its members. The groups suite's

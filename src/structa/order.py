@@ -595,25 +595,6 @@ def completeness_report(P: Poset) -> dict:
     }
 
 
-def completeness_laws(P: Poset) -> LawReport:
-    r = LawReport("completeness")
-    flags = completeness_report(P)
-    r.add("cmp-finite-directed", flags["directed_complete"])
-    lower_bounded = [
-        A for A in P.carrier.subsets() if len(A) > 0 and len(P.lower_bounds(A)) > 0
-    ]
-    lbc = all(P.inf(A) is not None for A in lower_bounded)
-    r.add("cmp-bound-duality", flags["bounded_complete"] == lbc)
-    if flags["complete_lattice"]:
-        r.add(
-            "cmp-inf-via-sup",
-            all(P.inf(A) == P.sup(P.lower_bounds(A)) for A in P.carrier.subsets()),
-        )
-        op_flags = completeness_report(P.opposite())
-        r.add("cmp-both-dcpo", flags["directed_complete"] and op_flags["directed_complete"])
-    return r
-
-
 def functor_order(maps, P: Poset, Q: Poset) -> Poset:
     """The pointwise order on a list of order-preserving maps P → Q."""
     named = []

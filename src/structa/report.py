@@ -68,10 +68,6 @@ LAWS = {
     "semi-comm": (LAW, "x⋄y = y⋄x"),
     "semi-assoc": (LAW, "(x⋄y)⋄z = x⋄(y⋄z)"),
     "semi-idem": (LAW, "x⋄x = x"),
-    "cmp-finite-directed": (LAW, "finite posets are directed complete"),
-    "cmp-bound-duality": (LAW, "upper-bound complete iff lower-bound complete"),
-    "cmp-inf-via-sup": (LAW, "inf A = sup of the lower bounds of A"),
-    "cmp-both-dcpo": (LAW, "complete lattice: the order and its dual are directed complete"),
     # category
     "cat-comp-total": (LAW, "composition is defined exactly on the composable pairs"),
     "cat-endpoints": (LAW, "g∘f runs from the source of f to the target of g"),
@@ -106,12 +102,6 @@ LAWS = {
     "grp-cancel": (LAW, "ab = ac implies b = c, ba = ca implies b = c"),
     "ab-quotient": (LAW, "G modulo its commutant is abelian"),
     "ab-minimal": (LAW, "G/N abelian iff the commutant lies in N"),
-    "tr-image": (LAW, "the image of a subgroup is a subgroup"),
-    "tr-image-normal": (LAW, "an epimorphism sends normal subgroups to normal subgroups"),
-    "tr-image-normal-skipped": (SKIP, "image normality is only claimed for epimorphisms "
-                                      "(skipped)"),
-    "tr-preimage": (BY_CONSTRUCTION, "the preimage of a subgroup is a subgroup"),
-    "tr-preimage-normal": (LAW, "the preimage of a normal subgroup is normal"),
     "act-hom": (LAW, "(ab) acts as a then b composed"),
     "act-nul-subgroup": (BY_CONSTRUCTION, "the nucleus of non-effectivity is a subgroup"),
     "act-transitive-flag": (INFO, (
@@ -166,29 +156,6 @@ LAWS = {
                            "union test"),
     "fi-thm-inverse": (LAW, "for monic f: inverse family membership matches the forward "
                             "intersection test"),
-    "sl-diff-stack": (LAW, "(A−B)−C = A−(B∪C)"),
-    "sl-diff-meet": (LAW, "A−B = A ∩ Bᶜ"),
-    "sl-distribute-meet": (LAW, "A∩(B∪C) = (A∩B)∪(A∩C)"),
-    "sl-distribute-join": (LAW, "A∪(B∩C) = (A∪B)∩(A∪C)"),
-    "sl-demorgan-union": (LAW, "the complement of a union is the intersection of complements"),
-    "sl-demorgan-inter": (LAW, "the complement of an intersection is the union of complements"),
-    "sl-decompose": (LAW, "A = (A∩B) ∪ (A−B), disjointly"),
-    "sl-decompose-union": (LAW, "A∪B splits into A−B, A∩B, B−A"),
-    "nest-inc-union": (LAW, "the nest and its disjointification share a union"),
-    "nest-inc-disjoint": (LAW, "the disjointification is pairwise disjoint"),
-    "nest-dec-telescope": (LAW, "the top of a decreasing nest is the telescoping union plus the "
-                                "last term"),
-    "nest-shape": (LAW, "the sequence is not a nest"),
-    "ref-reflexive": (LAW, "every base refines itself"),
-    "ref-transitive": (LAW, "refinement chains compose"),
-    "ref-filters-inclusion": (LAW, "on filters, refinement is containment"),
-    "ref-filters-antisym": (LAW, "on filters, mutual refinement forces equality"),
-    "ref-mutual-same-filter": (LAW, "bases refine each other exactly when they generate the "
-                                    "same filter"),
-    "ref-closure-extensive": (LAW, "a base sits inside its generated filter"),
-    "ref-closure-idempotent": (LAW, "generating twice adds nothing"),
-    "ref-closure-monotone": (LAW, "larger bases generate larger filters"),
-    "ref-minimal": (LAW, "the generated filter is the least filter containing the base"),
     "uf-maximal": (LAW, "ultra means maximal under refinement"),
     "uf-union-prime": (LAW, "ultra means union-prime"),
     "uf-points": (LAW, "point filters are ultra"),

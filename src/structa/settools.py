@@ -1,6 +1,5 @@
-"""Families of subsets: the power functor, family images, set-algebra
-law suites, sigma-algebra generation, and filter theory on finite
-carriers.
+"""Families of subsets: the power functor, family images, sigma-algebra
+generation, and filter theory on finite carriers.
 
 Subsets are FinSet values; a Family is a set of subsets of a fixed
 carrier. Filters use upward closure throughout (a point filter is the
@@ -272,61 +271,6 @@ def family_image_laws(f: FinMap, X: Family, Y: Family) -> LawReport:
     return r
 
 
-def set_law_suite(A: FinSet, B: FinSet, C: FinSet, X: Family) -> LawReport:
-    """Difference, distribution, DeMorgan, decomposition, and truncated
-    nest identities over a common carrier."""
-    carrier = X.carrier
-    for s in (A, B, C):
-        if not s <= carrier:
-            raise CarrierMismatch("sets must live in the family's carrier")
-    r = LawReport("set-laws")
-    comp = lambda s: s.complement_in(carrier)
-    r.add("sl-diff-stack", A.diff(B).diff(C) == A.diff(B.union(C)))
-    r.add("sl-diff-meet", A.diff(B) == A.inter(comp(B)))
-    r.add("sl-distribute-meet", A.inter(B.union(C)) == A.inter(B).union(A.inter(C)))
-    r.add("sl-distribute-join", A.union(B.inter(C)) == A.union(B).inter(A.union(C)))
-    r.add("sl-demorgan-union", comp(union_of(X)) == inter_of((comp(s) for s in X), carrier))
-    if len(X) > 0:
-        r.add("sl-demorgan-inter", comp(inter_of(X, carrier)) == union_of(comp(s) for s in X))
-    r.add("sl-decompose", A == A.inter(B).union(A.diff(B)) and not A.inter(B).inter(A.diff(B)))
-    r.add("sl-decompose-union", A.union(B) == A.diff(B).union(A.inter(B)).union(B.diff(A)))
-    increasing = [A, A.union(B), A.union(B).union(C)]
-    decreasing = list(reversed(increasing))
-    r.merge(nest_identities(increasing, carrier))
-    r.merge(nest_identities(decreasing, carrier))
-    return r
-
-
-def nest_identities(chain, carrier: FinSet) -> LawReport:
-    """Disjointification of an increasing nest, and the truncated
-    telescoping identity of a decreasing nest."""
-    r = LawReport("nest")
-    chain = list(chain)
-    for s in chain:
-        if not s <= carrier:
-            raise CarrierMismatch("nest member escapes the carrier")
-    increasing = all(chain[i] <= chain[i + 1] for i in range(len(chain) - 1))
-    decreasing = all(chain[i + 1] <= chain[i] for i in range(len(chain) - 1))
-    if increasing:
-        disjoint = [chain[0]] + [
-            chain[i + 1].diff(chain[i]) for i in range(len(chain) - 1)
-        ]
-        r.add("nest-inc-union", union_of(chain) == union_of(disjoint))
-        r.add(
-            "nest-inc-disjoint",
-            all(
-                not a.inter(b)
-                for a, b in itertools.combinations(disjoint, 2)
-            ),
-        )
-    if decreasing and chain:
-        pieces = [chain[i].diff(chain[i + 1]) for i in range(len(chain) - 1)]
-        r.add("nest-dec-telescope", chain[0] == union_of(pieces).union(chain[-1]))
-    if not (increasing or decreasing):
-        r.add("nest-shape", False)
-    return r
-
-
 def is_sigma_algebra(fam: Family) -> bool:
     ms = fam.members
     return (
@@ -478,86 +422,6 @@ def _enumerate_filters_cached(carrier: FinSet) -> tuple:
 
 def enumerate_filters(carrier: FinSet) -> list:
     return list(_enumerate_filters_cached(carrier))
-
-
-def refinement(B1: Family, B2: Family) -> dict:
-    """Whether B2 refines B1: every member of B1 contains a member of B2."""
-    if B1.carrier != B2.carrier:
-        raise CarrierMismatch("bases live over different carriers")
-    finer = all(any(c <= b for c in B2.members) for b in B1.members)
-    return {"finer": finer}
-
-
-def refinement_laws(carrier: FinSet) -> LawReport:
-    """Preorder/partial-order structure of refinement, by enumeration."""
-    if len(carrier) > 3:
-        raise TooLarge("refinement enumeration capped at 3 points", witness=(len(carrier),))
-    r = LawReport("refinement")
-    subs = [s for s in carrier.subsets() if len(s) > 0]
-    bases = []
-    for k in range(1, len(subs) + 1):
-        for combo in itertools.combinations(subs, k):
-            fam = Family(carrier, combo)
-            if is_filter_base(fam):
-                bases.append(fam)
-    prec = lambda a, b: refinement(a, b)["finer"]
-    r.add("ref-reflexive", all(prec(b, b) for b in bases))
-    r.add(
-        "ref-transitive",
-        all(
-            not (prec(a, b) and prec(b, c)) or prec(a, c)
-            for a in bases
-            for b in bases
-            for c in bases
-        ),
-    )
-    filters = enumerate_filters(carrier)
-    r.add(
-        "ref-filters-inclusion",
-        all(
-            prec(F, G) == (F.members <= G.members) for F in filters for G in filters
-        ),
-    )
-    r.add(
-        "ref-filters-antisym",
-        all(
-            not (prec(F, G) and prec(G, F)) or F == G
-            for F in filters
-            for G in filters
-        ),
-    )
-    r.add(
-        "ref-mutual-same-filter",
-        all(
-            (prec(a, b) and prec(b, a)) == (generate_filter(a) == generate_filter(b))
-            for a in bases
-            for b in bases
-        ),
-    )
-    gens = {generate_filter(b) for b in bases}
-    r.add("ref-closure-extensive", all(b.members <= generate_filter(b).members for b in bases))
-    r.add("ref-closure-idempotent", all(generate_filter(g) == g for g in gens))
-    r.add(
-        "ref-closure-monotone",
-        all(
-            not prec(a, b) or generate_filter(a).members <= generate_filter(b).members
-            for a in bases
-            for b in bases
-        ),
-    )
-    # minimality of the generated filter
-    r.add(
-        "ref-minimal",
-        all(
-            all(
-                not b.members <= F.members
-                or generate_filter(b).members <= F.members
-                for F in filters
-            )
-            for b in bases
-        ),
-    )
-    return r
 
 
 def is_ultrafilter(fam: Family) -> bool:

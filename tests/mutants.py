@@ -269,6 +269,12 @@ MUTANTS = [
         "tests/test_category.py::TestVarianceDuality::test_value_outside_the_target_fails_totality",
     ),
     (
+        "category.py",
+        'r.add("fun-arrows", not bad, bad)',
+        'r.add("fun-arrows", not bad)',
+        "tests/test_category.py::TestVarianceDuality::test_value_outside_the_target_fails_totality",
+    ),
+    (
         "core.py",
         "            if m & 1:\n"
         "                out |= p\n",

@@ -1282,6 +1282,10 @@ class TestVarianceDuality:
         for D in (C2, opposite_cat(C2)):
             r = check_functor(FunctorData(C2, D, on_obj, on_arr))
             assert [c.law for c in r.failures] == ["fun-arrows"]
+            assert r["fun-arrows"].witness == (C2.arrow_names[0],)
+        r = check_functor(FunctorData(C2, C2, {"b": "b"}, on_arr))
+        assert {c.law: c.witness for c in r.failures} == {
+            "fun-objects": ("a",), "fun-arrows": (C2.arrow_names[0],)}
 
     def test_totality_witness_names_a_missing_object(self):
         L, _ = hom_functors(C2, "b")

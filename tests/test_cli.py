@@ -723,8 +723,8 @@ def test_a_failed_check_without_a_witness_renders_the_empty_one():
     from structa.report import LawReport
 
     r = LawReport("s")
-    r.add("nest-shape", False)
+    r.add("grp-unit", False)
     r.add("refl", True, ("dropped",))
     assert [c.witness for c in r.checks] == [(), None]
-    assert "FAIL  nest-shape  the sequence is not a nest  witness=()" in r.render_text()
+    assert "FAIL  grp-unit  a two-sided unit exists  witness=()" in r.render_text()
     assert [c.get("witness") for c in r.to_json()["checks"]] == [[], None]

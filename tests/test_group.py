@@ -61,7 +61,6 @@ from structa.group import (
     stabilizer_suite,
     subgroup_check,
     symmetric_group_3,
-    transfer_check,
     zp_field,
 )
 from structa.group import Subgroup, _perm_name, conjugation_map
@@ -376,13 +375,21 @@ class TestHoms:
             for p in S.carrier
         }
         h = hom_check(S, Z2, FinMap(S.carrier, Z2.carrier, sign))
+        assert h.map.image() == Z2.carrier
         for k in range(1, 7):
             for members in itertools.combinations(S.carrier.elements, k):
                 try:
-                    subgroup_check(S, FinSet(members))
+                    H = subgroup_check(S, FinSet(members))
                 except NotSubgroup:
                     continue
-                assert transfer_check(h, FinSet(members)).passed
+                # the image of a subgroup is a subgroup, normal when H is,
+                # since h is onto; the preimage of a normal subgroup is normal
+                img = subgroup_check(Z2, h.map.image(H.members))
+                if is_normal(S, H):
+                    assert is_normal(Z2, img)
+                pre = subgroup_check(S, h.map.preimage(img.members))
+                if is_normal(Z2, img):
+                    assert is_normal(S, pre)
 
 
 class TestAutomorphisms:
