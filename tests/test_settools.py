@@ -352,23 +352,38 @@ class TestFilters:
             assert union == F.members
 
     def test_minimality_of_generated_filter(self):
-        # on every base over ≤3 points: the generated filter is the least
-        # filter that holds the base, and a base b that refines a base a
-        # (each member of a holds a member of b) generates a larger filter
+        # on every base over ≤3 points the generated filter is the least
+        # filter that holds the base
         for carrier in (finset("a"), finset("a", "b"), finset("a", "b", "c")):
             filters = enumerate_filters(carrier)
-            bases = [fam for fam in all_families(carrier) if is_filter_base(fam)]
-            for b in bases:
+            for b in (fam for fam in all_families(carrier) if is_filter_base(fam)):
                 gen = generate_filter(b)
                 for F in filters:
                     if b.members <= F.members:
                         assert gen.members <= F.members
-                for a in bases:
-                    if all(any(c <= s for c in b.members) for s in a.members):
-                        assert generate_filter(a).members <= gen.members
+
+
+def refines(a, b):
+    """Base ``b`` refines base ``a``: each member of ``a`` holds a member of ``b``."""
+    return all(any(c <= s for c in b.members) for s in a.members)
 
 
 class TestRefinement:
+    def test_laws_up_to_three_points(self):
+        # refinement of bases is the inclusion order of the generated filters:
+        # a finer base generates a larger filter, mutual refinement means the
+        # same filter, and on filters refinement is plain inclusion
+        for carrier in (finset("a"), finset("a", "b"), finset("a", "b", "c")):
+            bases = [fam for fam in all_families(carrier) if is_filter_base(fam)]
+            for a in bases:
+                for b in bases:
+                    assert refines(a, b) == (
+                        generate_filter(a).members <= generate_filter(b).members
+                    )
+            for F in enumerate_filters(carrier):
+                for G in enumerate_filters(carrier):
+                    assert refines(F, G) == (F.members <= G.members)
+
     def test_equivalent_bases(self):
         carrier = finset("a", "b", "c")
         b1 = family(carrier, ["a"], ["a", "b"])
