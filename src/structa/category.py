@@ -63,9 +63,10 @@ class FinCat(Frozen):
     """A finite category: objects, named arrows, identities, and an
     explicit composition table ``comp[(g, f)] = g∘f``.
 
-    ``__init__`` indexes the arrows once, in the loop that fills ``src``
-    and ``tgt``: ``arrow_names``, and the arrows by source, by target and
-    by (source, target), each a tuple of names in canonical order, so
+    ``_fill`` indexes the arrows once, for ``__init__`` and for
+    ``_trusted``, in the loop that fills ``src`` and ``tgt``:
+    ``arrow_names``, and the arrows by source, by target and by (source,
+    target), each a tuple of names in canonical order, so
     ``arrows_from``, ``arrows_into`` and ``hom`` are lookups. Like ``src``
     and ``tgt``, the indexes are slots, not fields: they follow from the
     arrows, so equality, hashing and repr ignore them, and copies and
@@ -82,31 +83,48 @@ class FinCat(Frozen):
         if len(set(names)) != len(names):
             dup = sorted(n for n in set(names) if names.count(n) > 1)
             raise BadStructure("duplicate arrow names", witness=tuple(dup))
-        src, tgt, out, into, hom = {}, {}, {}, {}, {}
         for n, s, t in arrs:
             if s not in objects or t not in objects:
                 raise CarrierMismatch("arrow endpoint outside the objects", witness=(n, s, t))
-            src[n], tgt[n] = s, t
-            out.setdefault(s, []).append(n)
-            into.setdefault(t, []).append(n)
-            hom.setdefault((s, t), []).append(n)
+        known = set(names)
         identity = dict(identity)
         for x, n in identity.items():
             if x not in objects:
                 raise CarrierMismatch("identity assigned to a non-object", witness=(x,))
-            if n not in src:
+            if n not in known:
                 raise CarrierMismatch("identity is not an arrow", witness=(x, n))
         comp = dict(comp)
         for (g, f), v in comp.items():
-            if g not in src or f not in src or v not in src:
+            if g not in known or f not in known or v not in known:
                 raise CarrierMismatch("composition table mentions a non-arrow", witness=(g, f))
+        self._fill(objects, arrs, identity, comp, meta or {})
+
+    @classmethod
+    def _trusted(cls, objects: FinSet, arrows: tuple, identity: dict, comp: dict) -> "FinCat":
+        """The category of validated parts, unchecked: the caller
+        guarantees that ``arrows`` is a sorted tuple of (name, source,
+        target) triples with distinct checked names and endpoints in
+        ``objects``, that ``identity`` sends objects to arrows and that
+        ``comp`` mentions only arrows: every check ``__init__`` makes."""
+        C = object.__new__(cls)
+        C._fill(objects, arrows, identity, comp, {})
+        return C
+
+    def _fill(self, objects, arrs, identity, comp, meta):
+        src, tgt, out, into, hom = {}, {}, {}, {}, {}
+        for n, s, t in arrs:
+            src[n], tgt[n] = s, t
+            out.setdefault(s, []).append(n)
+            into.setdefault(t, []).append(n)
+            hom.setdefault((s, t), []).append(n)
+        names = tuple(src)
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "arrows", arrs)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "tgt", tgt)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "comp", comp)
-        object.__setattr__(self, "meta", meta or {})
+        object.__setattr__(self, "meta", meta)
         object.__setattr__(self, "arrow_names", names)
         object.__setattr__(self, "_from", {s: tuple(ns) for s, ns in out.items()})
         object.__setattr__(self, "_into", {t: tuple(ns) for t, ns in into.items()})

@@ -591,9 +591,11 @@ def _b_group(doc):
 
 
 def _b_category(doc):
-    return category.FinCat(
+    # _v_category has checked the symbols, sorted the arrows, and found the
+    # names distinct and every endpoint, identity and cell declared
+    return category.FinCat._trusted(
         _set(doc["objects"]),
-        [tuple(a) for a in doc["arrows"]],
+        tuple(map(tuple, doc["arrows"])),
         {x: n for x, n in doc["identity"]},
         {(g, f): v for g, f, v in doc["comp"]},
     )

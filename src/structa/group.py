@@ -193,8 +193,10 @@ def _perm_name(assign: dict) -> str:
 def permutation_group(by_name: dict) -> FinGroup:
     """The group of the permutations ``by_name`` (name → FinMap) under
     composition: the product pq is p∘q, with the name ``_perm_name`` gives
-    it, spelled out from the ``assign`` dicts so that no product is built
-    as a ``FinMap``."""
+    it. ``_based_table`` names every product when its certificate holds;
+    otherwise each product is spelled out from the ``assign`` dicts, so
+    that no product is built as a ``FinMap`` and ``check_group`` meets the
+    first escape in table order."""
     names = FinSet(by_name)
     perms = [by_name[p] for p in names]
     if any(f.dom != perms[0].dom or f.cod != perms[0].dom for f in perms):
@@ -202,13 +204,84 @@ def permutation_group(by_name: dict) -> FinGroup:
         for p, q in itertools.product(perms, repeat=2):
             compose(p, q)
     keys = sorted(perms[0].dom) if perms else []
-    assigns = [(p, f.assign) for p, f in zip(names, perms)]
-    table = {
-        (p, q): "(%s)" % ",".join("%s>%s" % (k, pa[qa[k]]) for k in keys)
-        for p, pa in assigns
-        for q, qa in assigns
-    }
+    table = _based_table(names.elements, perms, keys)
+    if table is None:
+        assigns = [(p, f.assign) for p, f in zip(names, perms)]
+        table = {
+            (p, q): "(%s)" % ",".join("%s>%s" % (k, pa[qa[k]]) for k in keys)
+            for p, pa in assigns
+            for q, qa in assigns
+        }
     return check_group(table, names)
+
+
+def _based_table(names, perms, keys):
+    """The table ``permutation_group`` spells out, found through a base
+    and generators (Sims, "Computational methods in the study of
+    permutation groups", 1970; Seress, *Permutation Group Algorithms*,
+    2003, ch. 4), or None when the certificate below fails.
+
+    P is the set of maps ``perms`` of the points ``keys``, named by
+    ``names``; an image is the tuple of a map's values in ``keys`` order.
+    1. Every name is ``_perm_name`` of its map, so distinct names are
+       distinct maps and the name of a map in P is its spelling.
+    2. The base B is the shortest prefix of ``keys`` on which the images
+       of P are pairwise distinct. It exists by 1, since B = ``keys``
+       tells distinct maps apart, and |B| = 1 for a regular
+       representation. So at most one element of P has given images on B.
+    3. The identity is in P.
+    4. Generators S are picked in name order: a map joins S unless the
+       walk has reached it. The walk multiplies every reached r by every
+       s in S, once per pair, and compares r∘s on all points with the one
+       element of P that has the same images on B; a miss means r∘s lies
+       outside P. The walk starts at the identity and every pick is
+       reached as id∘s, so in the end every element of P is reached, and
+       P·S ⊆ P: |P|·|S| products of n points. In a group each pick at
+       least doubles the subgroup reached, so |S| ≤ 1 + log₂ |P|.
+    5. Every q in P is reached as id∘s₁∘…∘s_m, so for p in P each
+       p∘s₁∘…∘s_k lies in P by induction on k, and p∘q lies in P. Then
+       p∘q is the one element of P whose images on B are p(q(b)), found
+       from q's images on B in O(|B|), and its name is the spelling of
+       p∘q: the table equals the spelled-out one, cell for cell, in the
+       same (p, q) order. A set that fails 1, 3 or 4 gets the spelled-out
+       table and so the first error ``check_group`` finds in it."""
+    if any(p != _perm_name(f.assign) for p, f in zip(names, perms)):
+        return None
+    assigns = [f.assign for f in perms]
+    images = [[a[k] for k in keys] for a in assigns]
+    m = 0
+    while len({tuple(img[:m]) for img in images}) < len(images):
+        m += 1
+    heads = [img[:m] for img in images]
+    by_base = {tuple(h): i for i, h in enumerate(heads)}
+    e = by_base.get(tuple(keys[:m]))
+    if e is None or images[e] != keys:
+        return None
+    reached = [False] * len(images)
+    reached[e] = True
+    walk = [e]
+    gens = []
+    for g in range(len(images)):
+        if reached[g]:
+            continue
+        gens.append(g)
+        todo = [(r, g) for r in walk]
+        while todo:
+            r, s = todo.pop()
+            ra = assigns[r]
+            rs = [ra[x] for x in images[s]]
+            t = by_base.get(tuple(rs[:m]))
+            if t is None or images[t] != rs:
+                return None
+            if not reached[t]:
+                reached[t] = True
+                walk.append(t)
+                todo.extend((t, s2) for s2 in gens)
+    return {
+        (p, q): names[by_base[tuple([pa[x] for x in h])]]
+        for p, pa in zip(names, assigns)
+        for q, h in zip(names, heads)
+    }
 
 
 def bijection_group(carrier: FinSet) -> tuple:

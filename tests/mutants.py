@@ -386,6 +386,25 @@ MUTANTS = [
         "{s: tuple(n for n in ns if n != names[0]) for s, ns in out.items()}",
         "tests/test_category.py::TestArrowIndexes::test_indexes_match_the_scans[fixtures]",
     ),
+    (
+        "group.py",
+        "    while len({tuple(img[:m]) for img in images}) < len(images):\n",
+        "    while len({tuple(img[:m + 1]) for img in images}) < len(images):\n",
+        "tests/test_group.py::TestCayleyNaming::test_bijection_groups_on_up_to_four_points",
+    ),
+    (
+        "group.py",
+        "todo.extend((t, s2) for s2 in gens)",
+        "todo.extend((t, s2) for s2 in gens[:-1])",
+        "tests/test_group.py::TestCayleyNaming::"
+        "test_planted_perm_sets_are_certified_or_get_the_spelled_error",
+    ),
+    (
+        "group.py",
+        "    if any(p != _perm_name(f.assign) for p, f in zip(names, perms)):\n        return None\n",
+        "",
+        "tests/test_group.py::TestCayleyNaming::test_names_that_are_not_spellings_get_the_spelled_error",
+    ),
 ]
 
 

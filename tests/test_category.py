@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structa import docs, suites
+from structa import category, cli, docs, suites
 from structa.category import (
     FinCat,
     FunctorData,
@@ -1408,8 +1408,6 @@ class TestHomFunctorsBuiltOnce:
     @pytest.fixture
     def checks(self, monkeypatch):
         """The set-functor checks made while the test runs."""
-        import structa.category as category
-
         made = []
         real = category.check_set_functor
 
@@ -1549,6 +1547,22 @@ class TestArrowIndexes:
         assert twin == C
         assert hash(twin) == hash(C)
         assert repr(twin) == repr(C)
+
+    def test_documents_build_what_the_validating_constructor_builds(self):
+        for name, C in fixture_categories():
+            again = FinCat(C.objects, C.arrows, C.identity, C.comp)
+            assert C == again, name
+            assert indexes(C) == indexes(again), name
+
+    def test_checking_documents_checks_no_arrow_name_again(self, monkeypatch, capsys):
+        # the category payload's validation has checked every arrow name
+        calls = []
+        check_symbol = category.check_symbol
+        monkeypatch.setattr(category, "check_symbol", lambda s: calls.append(s) or check_symbol(s))
+        for path in sorted(suites.fixtures_dir().glob("**/*.json")):
+            cli.main(["check", str(path)])
+        capsys.readouterr()
+        assert calls == []
 
     def test_compose_of_two_non_arrows_is_not_composable(self):
         C = chain_cat(["a", "b"])

@@ -753,14 +753,24 @@ def first_non_normal(G, N):
 S3_PERMS = s3()[1]
 
 
-@st.composite
-def planted_perm_sets(draw):
+def s3_subgroups():
     # the subgroups of S3 are its cyclic subgroups and S3, which is not abelian
     S3 = s3()[0]
-    lawful = [cyclic_subgroup(S3, x).members for x in S3.carrier] + [S3.carrier]
-    names = set(draw(st.sampled_from(lawful)))
-    names ^= {draw(st.sampled_from((None,) + S3.carrier.elements))} - {None}
+    return [cyclic_subgroup(S3, x).members for x in S3.carrier] + [S3.carrier]
+
+
+@st.composite
+def planted_perm_sets(draw):
+    names = set(draw(st.sampled_from(s3_subgroups())))
+    names ^= {draw(st.sampled_from((None,) + s3()[0].carrier.elements))} - {None}
     return {p: S3_PERMS[p] for p in names}
+
+
+def every_planted_perm_set():
+    """Each set ``planted_perm_sets`` can draw, once."""
+    sets = {frozenset(H) ^ ({x} - {None})
+            for H in s3_subgroups() for x in (None,) + tuple(S3_PERMS)}
+    return [{p: S3_PERMS[p] for p in sorted(names)} for names in sorted(sets, key=sorted)]
 
 
 def composite_name(p, q):
@@ -838,3 +848,98 @@ class TestWitnessSearches:
             assert err.value.witness == escapes[0]
         else:
             assert permutation_group(by_name).op == products
+
+
+# ---------------------------------------------------------------------------
+# Cayley images named by a base and generators, against the spelled-out loop
+# that names each product over every point.
+
+
+def spelled_table(by_name):
+    names = sorted(by_name)
+    keys = sorted(by_name[names[0]].dom) if names else []
+    assigns = [(p, by_name[p].assign) for p in names]
+    return {
+        (p, q): "(%s)" % ",".join("%s>%s" % (k, pa[qa[k]]) for k in keys)
+        for p, pa in assigns
+        for q, qa in assigns
+    }
+
+
+def based_table(by_name):
+    names = sorted(by_name)
+    perms = [by_name[p] for p in names]
+    return group._based_table(tuple(names), perms, sorted(perms[0].dom) if perms else [])
+
+
+def by_perm_name(maps):
+    return {_perm_name(f.assign): f for f in maps}
+
+
+def dihedral_group(k):
+    """The symmetries of the k-gon: rotations r_i and reflections s_i."""
+    xs = ["r%d" % i for i in range(k)] + ["s%d" % i for i in range(k)]
+
+    def mul(a, b):
+        i, j = int(a[1:]), int(b[1:])
+        if a[0] == "r":
+            return ("r%d" if b[0] == "r" else "s%d") % ((i + j) % k)
+        return ("s%d" if b[0] == "r" else "r%d") % ((i - j) % k)
+
+    return check_group({(a, b): mul(a, b) for a in xs for b in xs}, FinSet(xs))
+
+
+class TestCayleyNaming:
+    def assert_certified(self, by_name):
+        want = spelled_table(by_name)
+        assert based_table(by_name) == want
+        assert list(permutation_group(by_name).op.items()) == list(want.items())
+
+    def assert_spelled_error(self, by_name):
+        """No certificate, and the error and witness of the spelled table."""
+        assert based_table(by_name) is None
+        with pytest.raises(NotAGroup) as want:
+            check_group(spelled_table(by_name), FinSet(by_name))
+        with pytest.raises(NotAGroup) as err:
+            permutation_group(by_name)
+        assert (str(err.value), err.value.witness) == (str(want.value), want.value.witness)
+
+    def test_bijection_groups_on_up_to_four_points(self):
+        # the one empty permutation, and S4, whose base needs three points
+        for k in range(5):
+            self.assert_certified(bijection_group(FinSet(str(i) for i in range(1, k + 1)))[1])
+
+    def test_regular_images_of_the_catalogue_and_the_derived_groups(self):
+        groups = catalog() + [dihedral_group(n // 2) if n % 2 == 0 and n >= 6 else cyclic_group(n)
+                              for n in range(2, 49)]
+        for G in groups:
+            self.assert_certified(by_perm_name(regular_action(G).act.values()))
+
+    def test_inner_automorphisms_of_the_catalogue(self):
+        for G in catalog():
+            self.assert_certified(by_perm_name(conjugation_map(G, x) for x in G.carrier))
+
+    def test_names_that_are_not_spellings_get_the_spelled_error(self):
+        perms = [S3_PERMS[p] for p in sorted(S3_PERMS)]
+        self.assert_spelled_error(dict(zip("abcdef", perms)))
+
+    def test_a_set_without_the_identity_gets_the_spelled_error(self):
+        unit = s3()[0].unit
+        self.assert_spelled_error({p: f for p, f in S3_PERMS.items() if p != unit})
+
+    def test_planted_perm_sets_are_certified_or_get_the_spelled_error(self):
+        for by_name in every_planted_perm_set():
+            products = spelled_table(by_name)
+            if by_name and all(r in by_name for r in products.values()):
+                self.assert_certified(by_name)
+            else:
+                self.assert_spelled_error(by_name)
+
+    def test_a_closed_monoid_is_certified_and_then_fails_as_a_group(self):
+        pts = finset("1", "2")
+        by_name = by_perm_name([FinMap(pts, pts, {"1": "1", "2": "2"}),
+                                FinMap(pts, pts, {"1": "1", "2": "1"})])
+        assert based_table(by_name) == spelled_table(by_name)
+        with pytest.raises(NotAGroup) as err:
+            permutation_group(by_name)
+        assert err.value.witness == ("(1>1,2>1)",)
