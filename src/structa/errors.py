@@ -65,10 +65,6 @@ class NotNormal(StructaError):
     pass
 
 
-class IllDefinedQuotient(StructaError):
-    pass
-
-
 class NotHomomorphism(StructaError):
     pass
 

@@ -137,25 +137,6 @@ LAWS = {
     "emb-order": (LAW, "ι preserves and reflects the order"),
     "emb-monic": (LAW, "ι separates distinct integers"),
     # settools
-    "pw-identity": (LAW, "the identity maps to the identity"),
-    "pw-composition": (LAW, "the power map of a composite is the composite of power maps"),
-    "pw-elementwise": (LAW, "each subset goes to its elementwise image"),
-    "pw-monotone": (LAW, "inclusion is preserved"),
-    "pw-meet": (LAW, "P(A∩B) = PA ∩ PB"),
-    "pw-join": (LAW, "PA ∪ PB sits inside P(A∪B)"),
-    "pw-union-recovers": (LAW, "the union of all subsets of A is A"),
-    "fi-fiber-max": (LAW, "the power-map fiber of B unions to the preimage of B"),
-    "fi-onto-direct": (LAW, "for onto f: B is in the direct family image iff the fiber union is "
-                            "in the family"),
-    "fi-backward-is-fiber": (LAW, "for onto f: the backward collection is the power-map fiber"),
-    "fi-monic-inverse": (LAW, "for monic f: A is in the inverse family image iff it is a fiber "
-                              "union over the family"),
-    "fi-forward-bound": (LAW, "the forward collection is at most the image singleton"),
-    "fi-forward-monic": (LAW, "for monic f the forward collection is exactly the image singleton"),
-    "fi-thm-direct": (LAW, "for B in the image: direct family membership matches the fiber "
-                           "union test"),
-    "fi-thm-inverse": (LAW, "for monic f: inverse family membership matches the forward "
-                            "intersection test"),
     "uf-maximal": (LAW, "ultra means maximal under refinement"),
     "uf-union-prime": (LAW, "ultra means union-prime"),
     "uf-points": (LAW, "point filters are ultra"),

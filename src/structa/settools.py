@@ -1,5 +1,5 @@
-"""Families of subsets: the power functor, family images, sigma-algebra
-generation, and filter theory on finite carriers.
+"""Families of subsets: closure witnesses, sigma-algebra generation, and
+filter theory on finite carriers.
 
 Subsets are FinSet values; a Family is a set of subsets of a fixed
 carrier. Filters use upward closure throughout (a point filter is the
@@ -13,11 +13,8 @@ import operator
 from functools import lru_cache, partial
 
 from .core import (
-    FinMap,
     FinSet,
     Frozen,
-    classify,
-    compose,
     finset,
     generated,
     mask_of,
@@ -87,188 +84,6 @@ def closure_witness(fam: Family, op):
     ms = list(fam)
     bad = unclosed_pair([mask_of(fam.carrier, m) for m in ms], _MASK_OPS[op])
     return None if bad is None else (ms[bad[0]].name(), ms[bad[1]].name())
-
-
-def power_map(f: FinMap) -> FinMap:
-    """The arrow function of the power functor: subsets map to images."""
-    dom = FinSet(a.name() for a in f.dom.subsets())
-    cod = FinSet(b.name() for b in f.cod.subsets())
-    assign = {a.name(): f.image(a).name() for a in f.dom.subsets()}
-    return FinMap(dom, cod, assign)
-
-
-def power_functor_check(f: FinMap, g: FinMap | None = None) -> LawReport:
-    """Functor laws for the power construction, plus the object-level
-    power-set identities."""
-    r = LawReport("power-functor")
-    pf = power_map(f)
-    r.add(
-        "pw-identity",
-        power_map(FinMap.identity(f.dom)) == FinMap.identity(FinSet(a.name() for a in f.dom.subsets())),
-    )
-    if g is not None:
-        if g.dom != f.cod:
-            raise CarrierMismatch("g must compose with f")
-        r.add("pw-composition", power_map(compose(g, f)) == compose(power_map(g), power_map(f)))
-    r.add(
-        "pw-elementwise",
-        all(pf(a.name()) == FinSet(f(x) for x in a).name() for a in f.dom.subsets()),
-    )
-    r.add(
-        "pw-monotone",
-        all(
-            (not a <= b) or f.image(a) <= f.image(b)
-            for a in f.dom.subsets()
-            for b in f.dom.subsets()
-        ),
-    )
-    meet_bad = next(
-        (
-            (a.name(), b.name())
-            for a in f.dom.subsets()
-            for b in f.dom.subsets()
-            if {x.name() for x in a.inter(b).subsets()}
-            != {x.name() for x in a.subsets()} & {x.name() for x in b.subsets()}
-        ),
-        None,
-    )
-    r.add("pw-meet", meet_bad is None, meet_bad)
-    join_bad = next(
-        (
-            (a.name(), b.name())
-            for a in f.dom.subsets()
-            for b in f.dom.subsets()
-            if not {x.name() for x in a.subsets()} | {x.name() for x in b.subsets()}
-            <= {x.name() for x in a.union(b).subsets()}
-        ),
-        None,
-    )
-    r.add("pw-join", join_bad is None, join_bad)
-    r.add("pw-union-recovers", all(union_of(a.subsets()) == a for a in f.dom.subsets()))
-    return r
-
-
-def f_forward(f: FinMap, A: FinSet):
-    """All subsets of the image whose preimage is exactly A."""
-    if not A <= f.dom:
-        raise CarrierMismatch("A must be a subset of the domain")
-    im = f.image()
-    return {Y for Y in im.subsets() if f.preimage(Y) == A}
-
-
-def f_backward(f: FinMap, B: FinSet):
-    """All subsets of the domain whose image is exactly B."""
-    if not B <= f.cod:
-        raise CarrierMismatch("B must be a subset of the codomain")
-    return {X for X in f.dom.subsets() if f.image(X) == B}
-
-
-def family_images(f: FinMap, X: Family, Y: Family) -> dict:
-    """The four family-image notions along a map."""
-    if X.carrier != f.dom or Y.carrier != f.cod:
-        raise CarrierMismatch("families must live over the map's carriers")
-    return {
-        "family_direct": Family(
-            f.cod, [B for B in f.cod.subsets() if f.preimage(B) in X.members]
-        ),
-        "family_inverse": Family(
-            f.dom, [A for A in f.dom.subsets() if f.image(A) in Y.members]
-        ),
-        "direct": Family(f.cod, [f.image(A) for A in X.members]),
-        "inverse": Family(f.dom, [f.preimage(B) for B in Y.members]),
-    }
-
-
-def family_image_laws(f: FinMap, X: Family, Y: Family) -> LawReport:
-    """The fiber lemmas and the two image-family equivalences."""
-    r = LawReport("family-images")
-    images = family_images(f, X, Y)
-    pf = power_map(f)
-    im = f.image()
-    flags = classify(f)
-    # lemma: for B in the image of the power map, the fiber of B under
-    # the power map has maximum f⁻¹B
-    bad1 = next(
-        (
-            (B.name(),)
-            for B in im.subsets()
-            if union_of(f_backward(f, B)) != f.preimage(B)
-        ),
-        None,
-    )
-    r.add("fi-fiber-max", bad1 is None, bad1)
-    if flags["onto"]:
-        bad2 = next(
-            (
-                (B.name(),)
-                for B in f.cod.subsets()
-                if (B in images["family_direct"].members)
-                != (union_of(f_backward(f, B)) in X.members)
-            ),
-            None,
-        )
-        r.add("fi-onto-direct", bad2 is None, bad2)
-        bad3 = next(
-            (
-                (B.name(),)
-                for B in f.cod.subsets()
-                if f_backward(f, B)
-                != {A for A in f.dom.subsets() if pf(A.name()) == B.name()}
-            ),
-            None,
-        )
-        r.add("fi-backward-is-fiber", bad3 is None, bad3)
-    # the inverse-side laws read "Range f" as the image and need
-    # nonempty members; outside that the equivalence has an empty-set
-    # counterexample
-    y_admissible = all(len(Bm) > 0 and Bm <= im for Bm in Y.members)
-    if flags["monic"] and y_admissible:
-        bad4 = next(
-            (
-                (A.name(),)
-                for A in f.dom.subsets()
-                if (A in images["family_inverse"].members)
-                != any(A == union_of(f_backward(f, Bm)) for Bm in Y.members)
-            ),
-            None,
-        )
-        r.add("fi-monic-inverse", bad4 is None, bad4)
-    # forward collection: always inside {f[A]}, equal for monic f
-    bad5 = next(
-        ((A.name(),) for A in f.dom.subsets() if not f_forward(f, A) <= {f.image(A)}),
-        None,
-    )
-    r.add("fi-forward-bound", bad5 is None, bad5)
-    if flags["monic"]:
-        bad6 = next(
-            ((A.name(),) for A in f.dom.subsets() if f_forward(f, A) != {f.image(A)}),
-            None,
-        )
-        r.add("fi-forward-monic", bad6 is None, bad6)
-    # theorem: for B inside the image, membership in the direct family
-    # image is fiber-union membership in the family
-    bad7 = next(
-        (
-            (B.name(),)
-            for B in im.subsets()
-            if (B in images["family_direct"].members)
-            != (union_of(f_backward(f, B)) in X.members)
-        ),
-        None,
-    )
-    r.add("fi-thm-direct", bad7 is None, bad7)
-    if flags["monic"]:
-        bad8 = next(
-            (
-                (A.name(),)
-                for A in f.dom.subsets()
-                if (A in images["family_inverse"].members)
-                != (inter_of(f_forward(f, A), f.cod) in Y.members)
-            ),
-            None,
-        )
-        r.add("fi-thm-inverse", bad8 is None, bad8)
-    return r
 
 
 def is_sigma_algebra(fam: Family) -> bool:

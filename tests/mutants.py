@@ -405,6 +405,13 @@ MUTANTS = [
         "",
         "tests/test_group.py::TestCayleyNaming::test_names_that_are_not_spellings_get_the_spelled_error",
     ),
+    (
+        "group.py",
+        "G.op[(A.elements[0], B.elements[0])]",
+        "G.op[(A.elements[0], A.elements[0])]",
+        "tests/test_group.py::TestQuotients::"
+        "test_one_representative_per_coset_gives_the_all_representatives_table",
+    ),
 ]
 
 

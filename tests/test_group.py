@@ -15,7 +15,6 @@ from structa import group
 from structa.errors import (
     CarrierMismatch,
     CompositionMismatch,
-    IllDefinedQuotient,
     NotAGroup,
     NotBijective,
     NotHomomorphism,
@@ -221,17 +220,27 @@ class TestQuotients:
         with pytest.raises(NotNormal):
             quotient(G, H)
 
-    def test_ill_defined_witness_shape(self):
+    def test_non_normal_quotient_names_the_least_witness(self):
         G, _ = s3()
         H = next(
             cyclic_subgroup(G, a)
             for a in G.carrier
             if len(cyclic_subgroup(G, a).members) == 2
         )
-        try:
+        bad = sorted((x, n) for x in G.carrier for n in H.members
+                     if G.op[(G.op[(x, n)], G.inv[x])] not in H.members)
+        with pytest.raises(NotNormal) as err:
             quotient(G, H)
-        except NotNormal as e:
-            assert e.witness is not None
+        assert err.value.witness == bad[0] == ("(1>2,2>1,3>3)", "(1>1,2>3,3>2)")
+
+    def test_one_representative_per_coset_gives_the_all_representatives_table(self):
+        groups = catalog() + [bijection_group(finset("1", "2", "3", "4"))[0], cyclic_group(12)]
+        cases = [(G, N) for G in groups for N in normal_subgroups(G)]
+        # 22 in the catalogue, then {e}, V4, A4 and S4, and one per divisor of 12
+        assert len(cases) == 32
+        for G, N in cases:
+            want = all_representatives_table(G, N)
+            assert list(quotient(G, N).op.items()) == list(want.items())
 
     def test_left_right_cosets_agree_iff_normal(self):
         G, _ = s3()
@@ -245,6 +254,34 @@ class TestQuotients:
                     cosets(G, H, "right").blocks
                 )
                 assert same == is_normal(G, H)
+
+
+def normal_subgroups(G):
+    """The subgroups that are unions of conjugacy classes."""
+    classes = {FinSet(G.op[(G.op[(g, x)], G.inv[g])] for g in G.carrier) for x in G.carrier}
+    others = sorted((c for c in classes if G.unit not in c), key=lambda c: c.elements)
+    out = []
+    for k in range(len(others) + 1):
+        for combo in itertools.combinations(others, k):
+            try:
+                out.append(subgroup_check(G, FinSet([G.unit, *(x for c in combo for x in c)])))
+            except NotSubgroup:
+                pass
+    return out
+
+
+def all_representatives_table(G, N):
+    """The quotient's table, each product block read from every pair of
+    representatives of its two cosets, which must agree."""
+    part = cosets(G, N, "right")
+    names = {b: b.name() for b in part.blocks}
+    table = {}
+    for A in part.blocks:
+        for B in part.blocks:
+            products = {part.block_of(G.op[(a, b)]) for a in A for b in B}
+            assert len(products) == 1
+            table[(names[A], names[B])] = names[products.pop()]
+    return table
 
 
 class TestCommutators:

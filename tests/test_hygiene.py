@@ -245,11 +245,6 @@ def test_formats_adds_no_check(monkeypatch, capsys):
 # missing. A checker that gains a command leaves this list; no id may
 # join it.
 NEVER_ADDED = {
-    "settools.family_image_laws runs in no command; fi-fiber-max holds for "
-    "every map, where fib-prop is the monic case": (
-        "fi-backward-is-fiber", "fi-fiber-max", "fi-forward-bound", "fi-forward-monic",
-        "fi-monic-inverse", "fi-onto-direct", "fi-thm-direct", "fi-thm-inverse",
-    ),
     "order.galois_check runs in no command": (
         "gal-comparable", "gal-counit", "gal-equivalence", "gal-monotone-f",
         "gal-monotone-g", "gal-unit",
@@ -261,11 +256,6 @@ NEVER_ADDED = {
     "group.linear_space_check runs in no command": (
         "ls-abelian", "ls-agree", "ls-axiom-form", "ls-field-add", "ls-field-distrib",
         "ls-hom-form",
-    ),
-    "settools.power_functor_check runs in no command; the functor laws of P "
-    "and the power-set identities restate no law of core._image_laws": (
-        "pw-composition", "pw-elementwise", "pw-identity", "pw-join", "pw-meet",
-        "pw-monotone", "pw-union-recovers",
     ),
 }
 
@@ -323,15 +313,7 @@ KEPT_API = {
     "order.is_directed": "library API, reached from completeness_report",
     "order.map_classify": "library API, reached from functor_order and galois_check",
     "order.zorn_maximal": "library API",
-    "settools.f_backward": "library API, reached from family_image_laws",
-    "settools.f_forward": "library API, reached from family_image_laws",
-    "settools.family_image_laws":
-        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
-    "settools.family_images": "library API, reached from family_image_laws",
     "settools.is_filter_base": "library API",
-    "settools.power_functor_check":
-        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
-    "settools.power_map": "library API, reached from family_image_laws and power_functor_check",
 }
 
 
