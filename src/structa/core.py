@@ -637,7 +637,12 @@ def associativity_witness(op, xs):
     subgroup generated, so |A| ≤ 1 + log₂ n. Any other table, and a table
     whose generator fails, gets the scan, and so the scan's least
     witness."""
-    T = _index_table(op, xs)
+    return _light_witness(_index_table(op, xs), xs)
+
+
+def _light_witness(T, xs):
+    """``associativity_witness`` on the position table T of
+    ``_index_table``, for a caller that has built it already."""
     if any(None in row for row in T):
         return _associativity_scan(T, xs)
     for a in _greedy_generators(T):

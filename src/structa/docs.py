@@ -796,11 +796,11 @@ def _ck_group(doc):
 def _ck_hom(doc):
     r = LawReport("hom")
     groups = [(_table(doc[k]), _set(doc[k]["carrier"])) for k in ("src", "tgt")]
-    for table, carrier in groups:
-        r.merge(group.group_axioms(table, carrier))
+    (src_rep, src), (tgt_rep, tgt) = (group.axioms_and_group(t, c) for t, c in groups)
+    r.merge(src_rep)
+    r.merge(tgt_rep)
     if not r.passed:
         return r
-    src, tgt = (group.assemble_group(table, carrier) for table, carrier in groups)
     h = _hom(doc, src, tgt)
     bad = group.hom_witness(src, tgt, h.map)
     r.add("hom-mult", bad is None, bad)
@@ -810,11 +810,11 @@ def _ck_hom(doc):
 
 def _ck_action(doc):
     r = LawReport("action")
-    table, carrier = _table(doc["group"]), _set(doc["group"]["carrier"])
-    r.merge(group.group_axioms(table, carrier))
-    if not r.passed:
+    rep, G = group.axioms_and_group(_table(doc["group"]), _set(doc["group"]["carrier"]))
+    r.merge(rep)
+    if G is None:
         return r
-    r.merge(group.action_check(_action(doc, group.assemble_group(table, carrier))))
+    r.merge(group.action_check(_action(doc, G)))
     return r
 
 

@@ -2,8 +2,12 @@
 commutator machinery, actions, and scalar-action (linear space) checks.
 
 Groups are explicit multiplication tables over symbol carriers; every
-table a construction builds is re-verified by ``check_group``'s scan
-rather than trusted from the construction.
+table a construction builds is re-verified by ``check_group`` rather than
+trusted from the construction. The group axioms read one position table,
+``core._index_table``: Light's test decides associativity on it, and the
+unit, the inverses and the Latin-square test read its rows and columns.
+The same pass names the unit and the inverses of the group it builds.
+An action's maps are compared by their value lists in domain order.
 """
 
 from __future__ import annotations
@@ -16,13 +20,14 @@ from .core import (
     FinSet,
     Frozen,
     Partition,
+    _index_table,
+    _light_witness,
     all_maps,
     associativity_witness,
     classify,
     compose,
     finset,
     generated,
-    two_sided_unit,
 )
 from .errors import (
     CarrierMismatch,
@@ -90,70 +95,81 @@ class GroupAction(Frozen):
 
 
 def group_axioms(table, carrier: FinSet) -> LawReport:
+    return axioms_and_group(table, carrier)[0]
+
+
+def axioms_and_group(table, carrier: FinSet) -> tuple:
+    """The ``grp-*`` report of the pair-keyed ``table`` on ``carrier``,
+    and the group it is when every law passed, else None.
+
+    The laws read the position table T of ``core._index_table``, built
+    once. A table with an undefined cell, or with an unhashable value,
+    gets the ordered ``grp-total`` and ``grp-closed`` scans instead, one
+    of which fails with its first witness. Otherwise both pass, and
+    ``grp-assoc`` is Light's test on T. The unit e is the first position
+    whose row and column are 0, 1, …, n-1. The inverse of a is the first
+    b with ab = e, which must also give ba = e: in a monoid a two-sided
+    inverse is the only right inverse. The same pass names the unit and
+    the inverses of the group it returns."""
     r = LawReport("group-axioms")
     xs = carrier.elements
-    missing = next(((a, b) for a in xs for b in xs if (a, b) not in table), None)
-    r.add("grp-total", missing is None, missing)
-    if missing is not None:
-        return r
-    escape = next(((a, b) for a in xs for b in xs if table[(a, b)] not in carrier), None)
-    r.add("grp-closed", escape is None, escape)
-    if escape is not None:
-        return r
-    assoc = associativity_witness(table, xs)
+    try:
+        T = _index_table(table, xs)
+    except TypeError:  # an unhashable value, which lies outside the carrier
+        T = None
+    if T is None or any(None in row for row in T):
+        missing = next(((a, b) for a in xs for b in xs if (a, b) not in table), None)
+        r.add("grp-total", missing is None, missing)
+        if missing is None:
+            escape = next(((a, b) for a in xs for b in xs if table[(a, b)] not in carrier), None)
+            r.add("grp-closed", escape is None, escape)
+        return r, None
+    r.add("grp-total", True)
+    r.add("grp-closed", True)
+    assoc = _light_witness(T, xs)
     r.add("grp-assoc", assoc is None, assoc)
-    unit = two_sided_unit(table, xs)
-    r.add("grp-unit", unit is not None)
-    if unit is None or assoc is not None:
-        return r
-    no_inv = next(
-        (
-            (a,)
-            for a in xs
-            if not any(table[(a, b)] == unit == table[(b, a)] for b in xs)
-        ),
+    ident = list(range(len(xs)))
+    e = next(
+        (i for i, row in enumerate(T) if row == ident and all(t[i] == k for k, t in enumerate(T))),
         None,
     )
-    r.add("grp-inverse", no_inv is None, no_inv)
-    if no_inv is not None:
-        return r
-    inv = {a: next(b for b in xs if table[(a, b)] == unit) for a in xs}
-    r.add("grp-inv-invol", all(inv[inv[a]] == a for a in xs))
-    latin = _is_latin(table, xs)
+    r.add("grp-unit", e is not None)
+    if e is None or assoc is not None:
+        return r, None
+    inv = []
+    for a, row in enumerate(T):
+        b = row.index(e) if e in row else None
+        if b is None or T[b][a] != e:
+            r.add("grp-inverse", False, (xs[a],))
+            return r, None
+        inv.append(b)
+    r.add("grp-inverse", True)
+    r.add("grp-inv-invol", all(inv[b] == a for a, b in enumerate(inv)))
+    latin = _is_latin_square(T)
     r.add("grp-unique-solutions", latin)
     r.add("grp-cancel", latin)
-    return r
+    if not r.passed:
+        return r, None
+    return r, FinGroup(carrier, table, xs[e], {xs[a]: xs[b] for a, b in enumerate(inv)})
 
 
-def _is_latin(table, xs) -> bool:
-    """Each row and each column of the closed table holds len(xs) distinct
-    values: both ``grp-unique-solutions`` and ``grp-cancel``. The table is
-    closed, so x ↦ ax maps the finite carrier into itself, and every b has
-    exactly one solution of ax = b iff that map is onto, iff it is
-    one-to-one, iff row a holds len(xs) distinct values; ya = b and
-    column a likewise."""
-    n = len(xs)
-    return all(
-        len({table[(a, b)] for b in xs}) == n and len({table[(b, a)] for b in xs}) == n
-        for a in xs
-    )
+def _is_latin_square(T) -> bool:
+    """Each row and each column of the closed position table T holds n
+    distinct positions: both ``grp-unique-solutions`` and ``grp-cancel``.
+    Row a is the map x ↦ ax of the finite carrier into itself, so every b
+    has exactly one solution of ax = b iff that map is onto, iff it is
+    one-to-one, iff row a holds n distinct positions; ya = b and column a
+    likewise."""
+    n = len(T)
+    return all(len(set(row)) == n for row in T) and all(len(set(col)) == n for col in zip(*T))
 
 
 def check_group(table, carrier: FinSet) -> FinGroup:
-    rep = group_axioms(table, carrier)
-    if not rep.passed:
+    rep, G = axioms_and_group(table, carrier)
+    if G is None:
         c = rep.failures[0]
         raise NotAGroup("group axiom failed: %s" % c.law, witness=c.witness)
-    return assemble_group(table, carrier)
-
-
-def assemble_group(table, carrier: FinSet) -> FinGroup:
-    """The group of a table whose ``group_axioms`` report passed: it
-    looks up the unit and the inverses, and checks nothing."""
-    xs = carrier.elements
-    unit = two_sided_unit(table, xs)
-    inv = {a: next(b for b in xs if table[(a, b)] == unit) for a in xs}
-    return FinGroup(carrier, table, unit, inv)
+    return G
 
 
 def power(G: FinGroup, a, n: int):
@@ -473,37 +489,48 @@ def inner_automorphisms(G: FinGroup) -> tuple:
 
 
 def action_check(A: GroupAction) -> LawReport:
+    """The ``act-*`` report of A, whose maps must be bijections of its
+    carrier. ``act-hom`` compares the values of act[a]∘act[b] with those
+    of act[ab], for each (a, b) in carrier order: a FinMap keeps its
+    values in domain order, so two self-maps of the carrier are equal iff
+    their value lists are. A failing ``act-hom`` names its first pair and
+    ends the report, since the nucleus is a subgroup only for a
+    homomorphism."""
     r = LawReport("group-action")
     for g, f in A.act.items():
         if f.dom != A.carrier or f.cod != A.carrier:
             raise NotAction("action maps must be self-maps of the carrier", witness=(g,))
         if not classify(f)["bijective"]:
             raise NotAction("action image is not a bijection", witness=(g,))
-    hom_ok = all(
-        compose(A.act[a], A.act[b]) == A.act[A.group.op[(a, b)]]
-        for a in A.group.carrier
-        for b in A.group.carrier
+    values = {g: list(f.assign.values()) for g, f in A.act.items()}
+    bad = next(
+        (
+            (a, b)
+            for a in A.group.carrier
+            for b in A.group.carrier
+            if list(map(A.act[a].assign.__getitem__, values[b])) != values[A.group.op[(a, b)]]
+        ),
+        None,
     )
-    r.add("act-hom", hom_ok)
-    nul = FinSet(
-        g for g in A.group.carrier if A.act[g] == FinMap.identity(A.carrier)
-    )
+    r.add("act-hom", bad is None, bad)
+    if bad is not None:
+        return r
     r.add("act-nul-subgroup", True)
-    subgroup_check(A.group, nul)
+    subgroup_check(A.group, action_nucleus(A))
     r.add("act-transitive-flag", is_transitive(A))
     return r
 
 
 def action_nucleus(A: GroupAction) -> FinSet:
-    return FinSet(g for g in A.group.carrier if A.act[g] == FinMap.identity(A.carrier))
+    identity = FinMap.identity(A.carrier)
+    return FinSet(g for g in A.group.carrier if A.act[g] == identity)
 
 
 def is_transitive(A: GroupAction) -> bool:
-    return all(
-        any(A.apply(g, x) == y for g in A.group.carrier)
-        for x in A.carrier
-        for y in A.carrier
-    )
+    """Every point reaches every point: the carrier lies inside the orbit
+    {gx : g in the group} of each point x."""
+    maps = [A.act[g] for g in A.group.carrier]
+    return all({f(x) for f in maps}.issuperset(A.carrier.elements) for x in A.carrier)
 
 
 def coset_action(G: FinGroup, H: Subgroup) -> GroupAction:

@@ -144,8 +144,8 @@ MUTANTS = [
     ),
     (
         "group.py",
-        "len({table[(a, b)] for b in xs}) == n and len({table[(b, a)] for b in xs}) == n",
-        "len({table[(a, b)] for b in xs}) == n",
+        " and all(len(set(col)) == n for col in zip(*T))",
+        "",
         "tests/test_group.py::TestAxioms::test_unique_solutions_and_cancellation_read_one_predicate",
     ),
     (
@@ -411,6 +411,24 @@ MUTANTS = [
         "G.op[(A.elements[0], A.elements[0])]",
         "tests/test_group.py::TestQuotients::"
         "test_one_representative_per_coset_gives_the_all_representatives_table",
+    ),
+    (
+        "group.py",
+        "if row == ident and all(t[i] == k for k, t in enumerate(T))",
+        "if row == ident",
+        "tests/test_group.py::TestPositionTable::test_every_table_on_three_symbols_and_its_broken_cells",
+    ),
+    (
+        "group.py",
+        "    if T is None or any(None in row for row in T):\n",
+        "    if T is None:\n",
+        "tests/test_group.py::TestPositionTable::test_every_table_on_three_symbols_and_its_broken_cells",
+    ),
+    (
+        "group.py",
+        "list(map(A.act[a].assign.__getitem__, values[b])) != values[A.group.op[(a, b)]]",
+        "list(map(A.act[a].assign.__getitem__, values[b][:1])) != values[A.group.op[(a, b)]][:1]",
+        "tests/test_group.py::TestActionValueLists::test_every_assignment_of_self_maps_for_z2_and_z3",
     ),
 ]
 

@@ -155,6 +155,29 @@ class TestExitCodes:
         code, _, _ = run_cli(["check", "--max-size", "60", str(tmp)])
         assert code == 0
 
+    # Z2 = {e, a} acting on {x, y} by bijections that break (ab)x = a(bx):
+    # the act-hom failure is a FAIL line with its first pair, not the
+    # subgroup error of a nucleus that is no subgroup
+    @pytest.mark.parametrize("e_acts, a_acts", [("swap", "id"), ("swap", "swap")])
+    def test_action_that_is_no_homomorphism_fails_act_hom(self, tmp_path, e_acts, a_acts):
+        maps = {"swap": {"x": "y", "y": "x"}, "id": {"x": "x", "y": "y"}}
+        doc = {
+            "kind": "action",
+            "carrier": ["x", "y"],
+            "group": {"kind": "group", "carrier": ["a", "e"], "table": [
+                ["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"], ["a", "a", "e"]]},
+            "act": [[g, x, maps[m][x]] for g, m in (("e", e_acts), ("a", a_acts)) for x in "xy"],
+        }
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(["check", str(path)])
+        assert (code, err) == (1, "")
+        fails = [line.split() for line in out.splitlines() if line.startswith("  FAIL")]
+        assert fails == [["FAIL", "act-hom", "(ab)", "acts", "as", "a", "then", "b", "composed",
+                          "witness=('a',", "'a')"]]
+        assert "act-nul-subgroup" not in out
+        assert out.endswith("  8 passed, 1 failed\n")
+
 
 # every fixture, and each with a few bytes spliced in
 FIXTURE_BYTES = [p.read_bytes() for p in sorted(fixtures_dir().glob("**/*.json"))]

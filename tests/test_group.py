@@ -10,16 +10,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structa.core import FinMap, FinSet, classify, compose, finset
+from structa.core import (
+    FinMap,
+    FinSet,
+    _index_table,
+    all_maps,
+    associativity_witness,
+    classify,
+    compose,
+    finset,
+    two_sided_unit,
+)
 from structa import group
 from structa.errors import (
     CarrierMismatch,
     CompositionMismatch,
     NotAGroup,
     NotBijective,
+    NotAction,
     NotHomomorphism,
     NotNormal,
     NotSubgroup,
+    StructaError,
     TooLarge,
 )
 from structa.group import (
@@ -63,6 +75,7 @@ from structa.group import (
     zp_field,
 )
 from structa.group import Subgroup, _perm_name, conjugation_map
+from structa.report import LawReport
 
 
 def s3():
@@ -129,7 +142,8 @@ class TestAxioms:
             cells = list(itertools.product(xs, repeat=2))
             for values in itertools.product(xs, repeat=n * n):
                 table = dict(zip(cells, values))
-                assert group._is_latin(table, xs) == counting(table, xs), table
+                latin = group._is_latin_square(_index_table(table, xs))
+                assert latin == counting(table, xs), table
                 tables += 1
         assert tables == 1 + 2**4 + 3**9
 
@@ -980,3 +994,196 @@ class TestCayleyNaming:
         with pytest.raises(NotAGroup) as err:
             permutation_group(by_name)
         assert err.value.witness == ("(1>1,2>1)",)
+
+
+# ---------------------------------------------------------------------------
+# The group axioms on one position table, against the spelled-out scans
+# over the pair-keyed table that they replaced.
+
+
+def spelled_axioms(table, carrier):
+    r = LawReport("group-axioms")
+    xs = carrier.elements
+    missing = next(((a, b) for a in xs for b in xs if (a, b) not in table), None)
+    r.add("grp-total", missing is None, missing)
+    if missing is not None:
+        return r
+    escape = next(((a, b) for a in xs for b in xs if table[(a, b)] not in carrier), None)
+    r.add("grp-closed", escape is None, escape)
+    if escape is not None:
+        return r
+    assoc = associativity_witness(table, xs)
+    r.add("grp-assoc", assoc is None, assoc)
+    unit = two_sided_unit(table, xs)
+    r.add("grp-unit", unit is not None)
+    if unit is None or assoc is not None:
+        return r
+    no_inv = next(
+        ((a,) for a in xs if not any(table[(a, b)] == unit == table[(b, a)] for b in xs)),
+        None,
+    )
+    r.add("grp-inverse", no_inv is None, no_inv)
+    if no_inv is not None:
+        return r
+    inv = {a: next(b for b in xs if table[(a, b)] == unit) for a in xs}
+    r.add("grp-inv-invol", all(inv[inv[a]] == a for a in xs))
+    n = len(xs)
+    latin = all(
+        len({table[(a, b)] for b in xs}) == n and len({table[(b, a)] for b in xs}) == n
+        for a in xs
+    )
+    r.add("grp-unique-solutions", latin)
+    r.add("grp-cancel", latin)
+    return r
+
+
+def assembled(table, carrier):
+    """The unit and inverses that the group of a passing table had."""
+    xs = carrier.elements
+    unit = two_sided_unit(table, xs)
+    return unit, {a: next(b for b in xs if table[(a, b)] == unit) for a in xs}
+
+
+def verdicts(rep):
+    return [(c.law, c.passed, c.witness) for c in rep.checks]
+
+
+def broken_cells(table):
+    """The table with its first or last cell dropped, set to a symbol
+    outside the carrier, or set to an unhashable value."""
+    cells = list(table)
+    for cell in (cells[0], cells[-1]):
+        yield {k: v for k, v in table.items() if k != cell}
+        yield {**table, cell: "z"}
+        yield {**table, cell: ["a"]}
+
+
+def every_small_table():
+    """(table, carrier) for each of the 19,701 tables over at most three
+    symbols, each followed by its broken copies."""
+    for n in range(4):
+        xs = ("a", "b", "c")[:n]
+        cells = list(itertools.product(xs, repeat=2))
+        for values in itertools.product(xs, repeat=n * n):
+            table = dict(zip(cells, values))
+            yield table, FinSet(xs)
+            if table:
+                for broken in broken_cells(table):
+                    yield broken, FinSet(xs)
+
+
+class TestPositionTable:
+    def assert_spelled(self, table, carrier):
+        want = spelled_axioms(table, carrier)
+        rep, G = group.axioms_and_group(table, carrier)
+        assert verdicts(rep) == verdicts(want), table
+        if want.passed:
+            unit, inv = assembled(table, carrier)
+            assert (G.unit, list(G.inv.items())) == (unit, list(inv.items()))
+            assert check_group(table, carrier) == G
+        else:
+            assert G is None
+        return want.passed
+
+    def test_every_table_on_three_symbols_and_its_broken_cells(self):
+        counted = [self.assert_spelled(t, c) for t, c in every_small_table()]
+        assert len(counted) == 19701 + 6 * 19700
+        # the labelled groups: n!/|Aut| on n symbols, so 1 + 2 + 3
+        assert sum(counted) == 6
+
+    def test_catalogue_cyclic_and_dihedral_groups(self):
+        groups = catalog() + [cyclic_group(n) for n in range(1, 49)]
+        groups += [dihedral_group(k) for k in range(3, 25)]
+        for G in groups:
+            assert self.assert_spelled(G.op, G.carrier)
+            # the first cell takes the last cell's value: no longer a group
+            first, last = list(G.op)[0], list(G.op)[-1]
+            if G.op[first] != G.op[last]:
+                assert not self.assert_spelled({**G.op, first: G.op[last]}, G.carrier)
+            for broken in broken_cells(G.op):
+                assert not self.assert_spelled(broken, G.carrier)
+
+
+# ---------------------------------------------------------------------------
+# Actions on value lists, against act-hom by composed FinMaps and
+# transitivity by a search for each pair of points.
+
+
+def spelled_transitive(A):
+    return all(
+        any(A.apply(g, x) == y for g in A.group.carrier)
+        for x in A.carrier
+        for y in A.carrier
+    )
+
+
+def spelled_action_check(A):
+    r = LawReport("group-action")
+    for g, f in A.act.items():
+        if f.dom != A.carrier or f.cod != A.carrier:
+            raise NotAction("action maps must be self-maps of the carrier", witness=(g,))
+        if not classify(f)["bijective"]:
+            raise NotAction("action image is not a bijection", witness=(g,))
+    bad = next(
+        (
+            (a, b)
+            for a in A.group.carrier
+            for b in A.group.carrier
+            if compose(A.act[a], A.act[b]) != A.act[A.group.op[(a, b)]]
+        ),
+        None,
+    )
+    r.add("act-hom", bad is None, bad)
+    if bad is not None:
+        return r
+    nul = FinSet(g for g in A.group.carrier if A.act[g] == FinMap.identity(A.carrier))
+    r.add("act-nul-subgroup", True)
+    subgroup_check(A.group, nul)
+    r.add("act-transitive-flag", spelled_transitive(A))
+    return r
+
+
+def outcome(check, A):
+    """The checks of the report, statements included, or the error."""
+    try:
+        return check(A).checks
+    except StructaError as e:
+        return (type(e), str(e), e.witness)
+
+
+class TestActionValueLists:
+    def assert_spelled(self, A):
+        want = outcome(spelled_action_check, A)
+        assert outcome(action_check, A) == want, A
+        transitive = is_transitive(A)
+        assert transitive == spelled_transitive(A)
+        return want, transitive
+
+    def test_every_assignment_of_self_maps_for_z2_and_z3(self):
+        seen = set()
+        for n in (2, 3):
+            G = cyclic_group(n)
+            for k in (2, 3):
+                pts = FinSet(["x", "y", "z"][:k])
+                maps = list(all_maps(pts, pts))
+                for chosen in itertools.product(maps, repeat=n):
+                    A = GroupAction(G, pts, dict(zip(G.carrier, chosen)))
+                    want, transitive = self.assert_spelled(A)
+                    if isinstance(want, tuple):
+                        seen.add(want[0])
+                    else:
+                        seen.add((want[0].passed, len(want), transitive))
+        # every path is met: a map that is no bijection, a failing act-hom,
+        # and an action that is transitive or not
+        assert seen == {NotAction, (False, 1, False), (False, 1, True),
+                        (True, 3, False), (True, 3, True)}
+
+    def test_the_actions_suite_corpus(self):
+        G, perms = s3()
+        actions = [GroupAction(G, finset("1", "2", "3"), {g: perms[g] for g in G.carrier})]
+        for H in all_subgroups(G):
+            actions.append(coset_action(G, H))
+        for K in catalog():
+            actions.append(regular_action(K))
+        for A in actions:
+            assert self.assert_spelled(A)[0][0].passed
