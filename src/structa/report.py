@@ -20,7 +20,9 @@ Check = namedtuple("Check", ("law", "statement", "passed", "witness"), defaults=
 
 # The kinds of row. A law is evaluated and may fail. A check that holds
 # by construction, or a recorded skip, is added only as passed: the step
-# that enforces it raises instead of recording a failure. An info row
+# that enforces it raises instead of recording a failure. A
+# by-construction row may also be a theorem of earlier rows that passed
+# in the same report, and is then not evaluated. An info row
 # records an observation: it always passes, its verdict picks the first
 # or the second of its two texts, and a witness is written into the
 # second. A unit row is an acceptance check of a ``structa suite``
@@ -97,9 +99,9 @@ LAWS = {
     "grp-assoc": (LAW, "(ab)c = a(bc)"),
     "grp-unit": (LAW, "a two-sided unit exists"),
     "grp-inverse": (LAW, "every element has a two-sided inverse"),
-    "grp-inv-invol": (LAW, "(a⁻¹)⁻¹ = a"),
-    "grp-unique-solutions": (LAW, "ax = b and ya = b have unique solutions"),
-    "grp-cancel": (LAW, "ab = ac implies b = c, ba = ca implies b = c"),
+    "grp-inv-invol": (BY_CONSTRUCTION, "(a⁻¹)⁻¹ = a"),
+    "grp-unique-solutions": (BY_CONSTRUCTION, "ax = b and ya = b have unique solutions"),
+    "grp-cancel": (BY_CONSTRUCTION, "ab = ac implies b = c, ba = ca implies b = c"),
     "ab-quotient": (LAW, "G modulo its commutant is abelian"),
     "ab-minimal": (LAW, "G/N abelian iff the commutant lies in N"),
     "act-hom": (LAW, "(ab) acts as a then b composed"),
@@ -165,7 +167,7 @@ LAWS = {
     "set-elements": (BY_CONSTRUCTION, "elements are distinct well-formed symbols"),
     "set-subset-count": (LAW, "a finite set has 2^n subsets"),
     "map-total": (BY_CONSTRUCTION, "the assignment covers exactly the domain"),
-    "map-classify": (LAW, "monic and onto together are equivalent to bijective"),
+    "map-classify": (BY_CONSTRUCTION, "monic and onto together are equivalent to bijective"),
     "hom-mult": (LAW, "f(ab) equals f(a)f(b)"),
     "hom-unit": (LAW, "f sends unit to unit"),
     "fam-sigma-extends": (LAW, "the generated sigma-algebra contains the family"),

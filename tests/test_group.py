@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from structa.core import (
     FinMap,
     FinSet,
-    _index_table,
     all_maps,
     associativity_witness,
     classify,
@@ -126,8 +125,10 @@ class TestAxioms:
         assert all(G.op[(a, a)] == G.unit for a in G.carrier)
 
     def test_unique_solutions_and_cancellation_read_one_predicate(self):
-        # the old grp-unique-solutions predicate, kept as the reference:
-        # ax = b and ya = b each have exactly one solution, for all a, b
+        # grp-unique-solutions and grp-cancel are recorded, not computed,
+        # on a table that passed the axioms before them; the old predicate
+        # is the reference: ax = b and ya = b each have exactly one
+        # solution, for all a, b, on every group the axioms return
         def counting(table, xs):
             return all(
                 sum(1 for x in xs if table[(a, x)] == b) == 1
@@ -136,16 +137,21 @@ class TestAxioms:
                 for b in xs
             )
 
-        tables = 0
+        tables = groups = 0
         for n in (1, 2, 3):
             xs = ("a", "b", "c")[:n]
             cells = list(itertools.product(xs, repeat=2))
             for values in itertools.product(xs, repeat=n * n):
                 table = dict(zip(cells, values))
-                latin = group._is_latin_square(_index_table(table, xs))
-                assert latin == counting(table, xs), table
+                G = group.axioms_and_group(table, FinSet(xs))[1]
+                if G is not None:
+                    assert counting(table, xs), table
+                    assert all(G.inv[G.inv[a]] == a for a in xs), table
+                    groups += 1
                 tables += 1
         assert tables == 1 + 2**4 + 3**9
+        # the labelled groups: n!/|Aut| on n symbols, so 1 + 2 + 3
+        assert groups == 6
 
     def test_power_matches_repeated_multiplication(self):
         G = cyclic_group(6)
@@ -510,6 +516,16 @@ class TestActions:
             rep = stabilizer_suite(A, point)
             assert rep.passed, rep.render_text()
             assert len(stabilizer(A, point).members) == 2
+
+    def test_a_map_into_another_set_is_no_action(self):
+        # the domain is the carrier, the codomain is not
+        G = cyclic_group(2)
+        pts, other = finset("x", "y"), finset("x", "y", "z")
+        act = {g: FinMap.identity(pts) for g in G.carrier}
+        act["g1"] = FinMap(pts, other, {"x": "y", "y": "x"})
+        with pytest.raises(NotAction, match="self-maps") as info:
+            action_check(GroupAction(G, pts, act))
+        assert info.value.witness == ("g1",)
 
     def test_orbit_stabilizer_count(self):
         G, perms = s3()

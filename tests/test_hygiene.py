@@ -14,11 +14,14 @@ immutable-value contract. The ids that ``LawReport.add`` calls emit
 are exactly the rows of ``report.LAWS``, and each row's kind agrees with
 the verdicts its call sites pass. The catalogue ids that no suite and no
 ``check`` of a fixture adds are a pinned list, each family with its
-reason. Importing structa loads none of
-``dataclasses``, ``inspect`` and ``typing``.
+reason. Each by-construction row that is a theorem of earlier rows is
+added after those rows passed, in the same report. Importing structa
+loads none of ``dataclasses``, ``inspect`` and ``typing``.
 """
 
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -260,26 +263,68 @@ NEVER_ADDED = {
 }
 
 
-def test_the_catalogue_ids_that_no_command_adds_are_the_pinned_ones(monkeypatch, capsys):
+@pytest.fixture(scope="module")
+def every_add():
+    """(report, law id, verdict) for each ``LawReport.add`` call that the
+    suites at seed 0 and ``check`` on every fixture make, in call order.
+    Each report is held, so no two of them share an ``id``."""
     from structa import cli, suites
-    from structa.report import LAWS, UNIT, LawReport
+    from structa.report import LawReport
 
-    added, add = set(), LawReport.add
+    calls, add = [], LawReport.add
 
-    def recorded(self, law, *args, **kwargs):
-        added.add(law)
-        return add(self, law, *args, **kwargs)
+    def recorded(self, law, passed, *args, **kwargs):
+        calls.append((self, law, passed))
+        return add(self, law, passed, *args, **kwargs)
 
-    monkeypatch.setattr(LawReport, "add", recorded)
-    for name in suites.SUITES:
-        suites.run_suite(name, seed=0)
-    for path in sorted(suites.fixtures_dir().glob("**/*.json")):
-        cli.main(["check", str(path)])
-    capsys.readouterr()
+    with pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        patch.setattr(LawReport, "add", recorded)
+        for name in suites.SUITES:
+            suites.run_suite(name, seed=0)
+        for path in sorted(suites.fixtures_dir().glob("**/*.json")):
+            cli.main(["check", str(path)])
+    return calls
+
+
+def test_the_catalogue_ids_that_no_command_adds_are_the_pinned_ones(every_add):
+    from structa.report import LAWS, UNIT
+
+    added = {law for _, law, _ in every_add}
     never = {law for law, (kind, _) in LAWS.items() if kind != UNIT} - added
     pinned = [law for ids in NEVER_ADDED.values() for law in ids]
     assert len(pinned) == len(set(pinned))
     assert sorted(never) == sorted(pinned)
+
+
+# The by-construction rows that are theorems of earlier rows of their
+# report, each with those rows: a checker adds it, unevaluated, only
+# once its premises have passed in the same report.
+GROUP_AXIOMS = ("grp-assoc", "grp-unit", "grp-inverse")
+PREMISES = {
+    "grp-inv-invol": GROUP_AXIOMS,
+    "grp-unique-solutions": GROUP_AXIOMS,
+    "grp-cancel": GROUP_AXIOMS,
+    # the nucleus is the kernel of the homomorphism g -> act[g]
+    "act-nul-subgroup": ("act-hom",),
+}
+
+
+def test_each_theorem_row_follows_its_premises_in_its_report(every_add):
+    from structa.report import BY_CONSTRUCTION, LAWS
+
+    assert sorted(law for law in PREMISES if LAWS[law][0] != BY_CONSTRUCTION) == []
+    passed, unmet, seen = {}, [], set()
+    for report, law, verdict in every_add:
+        earlier = passed.setdefault(id(report), set())
+        if law in PREMISES:
+            seen.add(law)
+            unmet += [(law, p) for p in PREMISES[law] if p not in earlier]
+        if verdict:
+            earlier.add(law)
+    assert unmet == []
+    # not vacuous: every theorem row is reached
+    assert sorted(seen) == sorted(PREMISES)
 
 
 # Top-level functions that no CLI or suite path reaches and that stay on
