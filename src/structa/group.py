@@ -554,9 +554,12 @@ def stabilizer_suite(A: GroupAction, a) -> LawReport:
     inv_a = stabilizer(A, a)
     r.add("stab-subgroup", True)
     nul = action_nucleus(A)
+    # in carrier order, so the first point whose fixers are no subgroup
+    # raises first; stab-conjugate reuses them
+    stabs = {x: stabilizer(A, x).members for x in A.carrier}
     inter = G.carrier
-    for x in A.carrier:
-        inter = inter.inter(stabilizer(A, x).members)
+    for members in stabs.values():
+        inter = inter.inter(members)
     r.add("stab-nucleus", nul == inter)
     if not is_transitive(A):
         raise NotTransitive("similarity items need a transitive action")
@@ -575,7 +578,7 @@ def stabilizer_suite(A: GroupAction, a) -> LawReport:
     )
     r.add("stab-similar", similar)
     conj = all(
-        stabilizer(A, b).members
+        stabs[b]
         == FinSet(
             G.op[(G.op[(x, s)], G.inv[x])] for s in inv_a.members
         )

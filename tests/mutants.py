@@ -329,7 +329,25 @@ MUTANTS = [
         "numbers.py",
         "lo = max(-N, -N - a, -N - a - b, -N - a - b - c)",
         "lo = max(-N, -N - a, -N - a - b)",
-        "tests/test_numbers.py::TestIntAdd::test_group_laws_on_window",
+        "tests/test_numbers.py::TestIntAdd::test_group_laws_read_the_shift_maps",
+    ),
+    (
+        "group.py",
+        "        stabs[b]\n",
+        "        stabilizer(A, b).members\n",
+        "tests/test_group.py::TestActions::test_stabilizer_suite_builds_each_stabilizer_once",
+    ),
+    (
+        "numbers.py",
+        "tb == {x: x + b for x in",
+        "tb == {x: x - b for x in",
+        "tests/test_numbers.py::TestIntAdd::test_honest_windows_pass_on_the_certificate",
+    ),
+    (
+        "numbers.py",
+        "    if _translates(t, le, N):\n",
+        "    if True:\n",
+        "tests/test_numbers.py::TestIntAdd::test_group_laws_read_the_shift_maps",
     ),
     (
         "numbers.py",

@@ -75,6 +75,7 @@ from structa.group import (
 )
 from structa.group import Subgroup, _perm_name, conjugation_map
 from structa.report import LawReport
+from structa.suites import run_suite
 
 
 def s3():
@@ -516,6 +517,28 @@ class TestActions:
             rep = stabilizer_suite(A, point)
             assert rep.passed, rep.render_text()
             assert len(stabilizer(A, point).members) == 2
+
+    def test_stabilizer_suite_builds_each_stabilizer_once(self, monkeypatch):
+        # once for the given point, then once per point of the carrier
+        real_stabilizer, real_suite = group.stabilizer, group.stabilizer_suite
+        calls, per_suite = [], []
+
+        def counting(A, a):
+            calls.append(a)
+            return real_stabilizer(A, a)
+
+        def suite(A, a):
+            before = len(calls)
+            rep = real_suite(A, a)
+            per_suite.append((len(calls) - before, len(A.carrier)))
+            return rep
+
+        monkeypatch.setattr(group, "stabilizer", counting)
+        monkeypatch.setattr(group, "stabilizer_suite", suite)
+        assert run_suite("actions", seed=0).passed
+        # S3 on its 3 letters, one suite per letter
+        assert len(per_suite) == 3
+        assert all(n <= size + 1 for n, size in per_suite), per_suite
 
     def test_a_map_into_another_set_is_no_action(self):
         # the domain is the carrier, the codomain is not

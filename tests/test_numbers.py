@@ -106,6 +106,10 @@ def embedding_witness_reference(syms, pairs):
     return None
 
 
+# the int-group laws after int-unit, in the order int_group_check adds them
+SCANNED = ["int-inverse", "int-commutative", "int-associative", "int-nat-order"]
+
+
 def outcome(scan, *args):
     """A scan's verdict, or the exception class a wrong table makes it raise."""
     try:
@@ -259,6 +263,60 @@ class TestIntAdd:
         failed = {c.law for c in rep.checks if not c.passed}
         assert {"int-inverse", "int-commutative", "int-associative"} <= failed
         assert rep["int-unit"].passed
+
+    def test_honest_windows_pass_on_the_certificate(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scanned an honest window")
+
+        monkeypatch.setattr(numbers, "_commute", no_scan)
+        monkeypatch.setattr(numbers, "_stack", no_scan)
+        for N in [*range(1, 13), 40]:
+            rep = int_group_check(N)
+            assert rep.passed, (N, rep.render_text())
+            assert [c.law for c in rep.checks] == ["int-unit", *SCANNED]
+
+    def test_a_failed_certificate_gives_the_scan_verdicts(self, monkeypatch):
+        # each shift table holds one wrong value at the low end of its
+        # domain, or each at the high end; or the order lacks 0 <= 1
+        real_maps, real_build = numbers._shift_maps, numbers.build_discrete
+
+        def planted(end):
+            def shift_maps(w, m):
+                maps = real_maps(w, m)
+                for d, p in maps.items():
+                    x = end(p.assign, key=int)
+                    y = int(p.assign[x])
+                    value = str(y + 1 if y < w.N else y - 1)
+                    maps[d] = FinMap(p.dom, w.poset.carrier, {**p.assign, x: value})
+                return maps
+
+            monkeypatch.setattr(numbers, "_shift_maps", shift_maps)
+
+        def no_zero_one():
+            # build_discrete refuses that order, so the window is assembled
+            # from the honest one
+            def window(N):
+                w = real_build(N)
+                poset = numbers.Poset._trusted(w.poset.carrier, w.poset.pairs - {("0", "1")})
+                return numbers.IntWindow(N, poset, w.succ, w.pred)
+
+            monkeypatch.setattr(numbers, "build_discrete", window)
+
+        for plant in (lambda: planted(min), lambda: planted(max), no_zero_one):
+            plant()
+            for N in range(1, 13):
+                w = numbers.build_discrete(N)
+                maps = numbers._shift_maps(w, N // 2)
+                t = {b: {int(x): int(y) for x, y in m.assign.items()} for b, m in maps.items()}
+                le = {(int(x), int(y)) for x, y in w.poset.pairs}
+                assert not numbers._translates(t, le, N), N
+                want = outcome(numbers._scan_laws, t, le, N)
+                got = outcome(int_group_check, N)
+                if want is not KeyError:
+                    want = list(zip(SCANNED, want))
+                    got = [(c.law, c.passed) for c in got.checks[1:]]
+                assert got == want, N
+            monkeypatch.undo()
 
     def test_scans_match_the_guarded_references(self):
         # every pair and triple of offsets |d| <= N, on the honest shift
