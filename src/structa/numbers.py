@@ -15,8 +15,11 @@ is x ↦ x + b on its interval and the window's order is that of ints,
 checked in O(N²); only when it fails do they scan, and then only the
 interval of x whose every step stays in the window, computed from the
 offsets, as C-level ``map`` chains that still read each step from the
-shift tables; and the window's order-embedding check compares one
-up-set mask per point. A ``Rat`` is an immutable two-slot object.
+shift tables; the window's order-embedding check compares one
+up-set mask per point; and the sign dualities of the rationals read one
+table of ``rat_le`` on each ordered pair of their grid, each sign
+involution being a permutation of the grid's positions. A ``Rat`` is an
+immutable two-slot object.
 """
 
 from __future__ import annotations
@@ -356,46 +359,62 @@ def embed_int(a: ExactInt) -> Rat:
     return Rat(a, 1)
 
 
+def _le_table(grid: list) -> list:
+    """``rat_le`` on each ordered pair of the grid, once: row i is the
+    tuple of rat_le(grid[i], q) over q in grid order."""
+    return [tuple(map(rat_le, repeat(p), grid)) for p in grid]
+
+
 def dual_order_checks(N: int) -> LawReport:
     """Row/column duality and the three sign involutions on a window of
-    rationals."""
+    rationals.
+
+    Every ``rat_le`` comparison is read off one table L of the grid
+    (``_le_table``), with L[i][j] = rat_le(grid[i], grid[j]) and T its
+    transpose. Negating the numerator, the denominator or both keeps
+    |a| <= N and 0 < |c| <= N, so each involution is a permutation s of
+    the grid's positions. It reverses the order when L[i][j] equals
+    L[s[j]][s[i]] = T[s[i]][s[j]] for all i, j, that is when row i of L
+    equals row s[i] of T read at the positions s; it preserves it when
+    row i of L equals row s[i] of L read at s. For positive a, c and x
+    the points x/c and a/x are grid points too, so ``dual-row-column``
+    reads the same table.
+
+    The table gives the verdicts of comparing the pairs one call at a
+    time. Each row is added as a boolean with no witness, so only
+    whether every compared pair agrees matters, not which pair is seen
+    first. ``rat_le`` is a function of the ints of its two arguments,
+    and the table calls it on every ordered pair of the grid, so each
+    cell is the value the call it replaces would return. Every verdict
+    is therefore the same for any ``rat_le`` that returns a bool, a
+    wrong one included. It costs ((2N + 1)·2N)² calls, where comparing
+    the pairs one at a time cost six times as many and 2N⁴ more."""
     r = LawReport("dual-orders")
     grid = [Rat(a, c) for a in range(-N, N + 1) for c in range(-N, N + 1) if c != 0]
-    neg_den = lambda p: Rat(p.num, -p.den)
-    neg_num = lambda p: Rat(-p.num, p.den)
+    L = _le_table(grid)
+    T = list(zip(*L))
+    at = {(p.num, p.den): i for i, p in enumerate(grid)}
+
+    def read(table, idx):
+        # row idx[i] of table at the positions idx, for each i; one
+        # position reads bare cells, on both sides of a comparison alike
+        if not idx:
+            return []
+        return list(map(operator.itemgetter(*idx), map(table.__getitem__, idx)))
+
+    r.add("dual-den-reverses", L == read(T, [at[p.num, -p.den] for p in grid]))
+    r.add("dual-num-reverses", L == read(T, [at[-p.num, p.den] for p in grid]))
+    r.add("dual-both-preserves", L == read(L, [at[-p.num, -p.den] for p in grid]))
     neg_both = lambda p: Rat(-p.num, -p.den)
-    # each grid point with its image, built once rather than once per pair
-    den_flip = [(p, neg_den(p)) for p in grid]
-    num_flip = [(p, neg_num(p)) for p in grid]
-    both_flip = [(p, neg_both(p)) for p in grid]
-    r.add(
-        "dual-den-reverses",
-        all(rat_le(p, q) == rat_le(fq, fp) for p, fp in den_flip for q, fq in den_flip),
-    )
-    r.add(
-        "dual-num-reverses",
-        all(rat_le(p, q) == rat_le(fq, fp) for p, fp in num_flip for q, fq in num_flip),
-    )
-    r.add(
-        "dual-both-preserves",
-        all(rat_le(p, q) == rat_le(fp, fq) for p, fp in both_flip for q, fq in both_flip),
-    )
     r.add("dual-involution", all(neg_both(neg_both(p)) == p for p in grid))
     r.add("dual-sign-classes", all(rat_eq(neg_both(p), p) for p in grid))
-    # rows x/c against columns a/x under x/c ↦ a/x, for positive a, c;
-    # a/x depends on a and x only, so each column is built once
+    # rows x/c against columns a/x under x/c ↦ a/x, for positive a, c:
+    # rat_le(x1/c, x2/c) == rat_le(a/x2, a/x1) for all x1, x2, so row
+    # x1/c of L read at the row c equals row a/x1 of T read at column a
     xs = range(1, N + 1)
-    cols = [[Rat(a, x) for x in xs] for a in xs]
-    r.add(
-        "dual-row-column",
-        all(
-            rat_le(p1, p2) == rat_le(f2, f1)
-            for row in ([Rat(x, c) for x in xs] for c in xs)
-            for col in cols
-            for p1, f1 in zip(row, col)
-            for p2, f2 in zip(row, col)
-        ),
-    )
+    rows = [read(L, [at[x, c] for x in xs]) for c in xs]
+    cols = [read(T, [at[a, x] for x in xs]) for a in xs]
+    r.add("dual-row-column", all(row == col for row in rows for col in cols))
     return r
 
 

@@ -351,6 +351,31 @@ MUTANTS = [
     ),
     (
         "numbers.py",
+        "L == read(T, [at[p.num, -p.den] for p in grid])",
+        "L == read(L, [at[p.num, -p.den] for p in grid])",
+        "tests/test_numbers.py::TestDualTable::test_verdicts_match_the_pairwise_comparisons[honest]",
+    ),
+    (
+        "numbers.py",
+        "L == read(T, [at[-p.num, p.den] for p in grid])",
+        "L == read(T, [at[p.num, -p.den] for p in grid])",
+        "tests/test_numbers.py::TestDualTable::"
+        "test_verdicts_match_the_pairwise_comparisons[den-sign-blind]",
+    ),
+    (
+        "numbers.py",
+        "cols = [read(T, [at[a, x] for x in xs]) for a in xs]",
+        "cols = [read(L, [at[a, x] for x in xs]) for a in xs]",
+        "tests/test_numbers.py::TestDualTable::test_verdicts_match_the_pairwise_comparisons[honest]",
+    ),
+    (
+        "suites.py",
+        "for row, col in zip(L, zip(*L))",
+        "for row, col in zip(L, L)",
+        "tests/test_numbers.py::TestRationalSuite::test_total_reads_the_order_on_every_grid_pair",
+    ),
+    (
+        "numbers.py",
         "inner_bits = (1 << 2 * N) - 1",
         "inner_bits = (1 << 2 * N + 1) - 1",
         "tests/test_numbers.py::TestDiscrete::test_smallest_window",

@@ -24,6 +24,7 @@ from structa import numbers
 from structa.core import FinMap, classify
 from structa.errors import BadStructure, WindowOverflow, ZeroDenominator
 from structa.order import check_order
+from structa.report import LawReport
 from structa.suites import run_suite
 from structa.numbers import (
     Rat,
@@ -397,6 +398,21 @@ class TestRationalSuite:
         assert not got["rat-trans"]
         assert got["rat-antisym"]
 
+    def test_total_reads_the_order_on_every_grid_pair(self, monkeypatch):
+        # 1/2 and 2/3 are not the first points of their classes (-3/-6 and
+        # -4/-6 are), so refusing them both ways breaks totality only
+        honest = {c.law: c.passed for c in run_suite("rationals").checks}
+        assert honest["rat-total"]
+
+        def wrong(real, p, q):
+            if {(p.num, p.den), (q.num, q.den)} == {(1, 2), (2, 3)}:
+                return False
+            return real(p, q)
+
+        got = self.verdicts(monkeypatch, "rat_le", wrong)
+        assert not got["rat-total"]
+        assert got == {**honest, "rat-total": False}
+
 
 def test_check_output_is_the_same_under_optimize():
     fixture = Path(structa.__file__).parent / "fixtures" / "ratwindow_small.json"
@@ -659,3 +675,105 @@ class TestEmbeddingAndDuality:
             for c in range(1, 6):
                 p = Rat(a, c)
                 assert Rat(-(-p.num), -(-p.den)) == p
+
+
+# ---------------------------------------------------------------------------
+# The sign dualities on one rat_le table, against the pairwise comparisons.
+
+
+def pairwise_dual_order_checks(N):
+    """Reference: the six dual rows with ``rat_le`` called on each compared
+    pair, looked up on the module at call time."""
+    le = numbers.rat_le
+    r = LawReport("dual-orders")
+    grid = [Rat(a, c) for a in range(-N, N + 1) for c in range(-N, N + 1) if c != 0]
+    neg_den = lambda p: Rat(p.num, -p.den)
+    neg_num = lambda p: Rat(-p.num, p.den)
+    neg_both = lambda p: Rat(-p.num, -p.den)
+    pairs = list(itertools.product(grid, repeat=2))
+    r.add("dual-den-reverses", all(le(p, q) == le(neg_den(q), neg_den(p)) for p, q in pairs))
+    r.add("dual-num-reverses", all(le(p, q) == le(neg_num(q), neg_num(p)) for p, q in pairs))
+    r.add("dual-both-preserves", all(le(p, q) == le(neg_both(p), neg_both(q)) for p, q in pairs))
+    r.add("dual-involution", all(neg_both(neg_both(p)) == p for p in grid))
+    r.add("dual-sign-classes", all(rat_eq(neg_both(p), p) for p in grid))
+    xs = range(1, N + 1)
+    r.add(
+        "dual-row-column",
+        all(
+            le(Rat(x1, c), Rat(x2, c)) == le(Rat(a, x2), Rat(a, x1))
+            for c in xs
+            for a in xs
+            for x1 in xs
+            for x2 in xs
+        ),
+    )
+    return r
+
+
+def flipped_at(p0, q0):
+    """rat_le with the one ordered pair (p0, q0) answered wrongly."""
+    def le(p, q):
+        a, c, b, d = p.num, p.den, q.num, q.den
+        right = a * d <= b * c if c * d > 0 else b * c <= a * d
+        return right != ((a, c, b, d) == (p0.num, p0.den, q0.num, q0.den))
+    return le
+
+
+def den_sign_blind(p, q):
+    """rat_le reading a/c as a/|c|."""
+    return p.num * abs(q.den) <= q.num * abs(p.den)
+
+
+def strict(p, q):
+    """rat_le with < in place of <=."""
+    a, c, b, d = p.num, p.den, q.num, q.den
+    return a * d < b * c if c * d > 0 else b * c < a * d
+
+
+SIGN_ROWS = ["dual-den-reverses", "dual-num-reverses", "dual-both-preserves"]
+
+# each planted rat_le with the rows it fails at N = 6, so the parity covers
+# failing rows too: a flipped pair breaks all three sign rows, a/|c| the two
+# that negate a denominator, and < is as dual as <=
+PLANTED_LE = {
+    "honest": (rat_le, []),
+    "flipped-1/2-2/3": (flipped_at(Rat(1, 2), Rat(2, 3)), SIGN_ROWS),
+    "flipped-1/-2-1/3": (flipped_at(Rat(1, -2), Rat(1, 3)), SIGN_ROWS),
+    "den-sign-blind": (den_sign_blind, ["dual-den-reverses", "dual-both-preserves"]),
+    "strict": (strict, []),
+}
+
+
+class TestDualTable:
+    @pytest.mark.parametrize("name", list(PLANTED_LE))
+    def test_verdicts_match_the_pairwise_comparisons(self, monkeypatch, name):
+        le, failing = PLANTED_LE[name]
+        monkeypatch.setattr(numbers, "rat_le", le)
+        for N in range(1, 7):
+            want = [(c.law, c.passed) for c in pairwise_dual_order_checks(N).checks]
+            got = [(c.law, c.passed) for c in dual_order_checks(N).checks]
+            assert got == want, (name, N)
+        assert [law for law, passed in got if not passed] == failing
+
+    @staticmethod
+    def counted_calls(monkeypatch, run):
+        calls = []
+
+        def counting(p, q):
+            calls.append(None)
+            return rat_le(p, q)
+
+        monkeypatch.setattr(numbers, "rat_le", counting)
+        run()
+        return len(calls)
+
+    def test_each_ordered_pair_of_the_grid_is_compared_once(self, monkeypatch):
+        for N in range(1, 7):
+            n = self.counted_calls(monkeypatch, lambda: dual_order_checks(N))
+            assert n == ((2 * N + 1) * 2 * N) ** 2, N
+        assert n == 24336
+
+    def test_suite_rationals_reads_one_table(self, monkeypatch):
+        # the 156-point grid's table and embedding_check(6)'s 13 × 13 pairs
+        n = self.counted_calls(monkeypatch, lambda: run_suite("rationals", seed=0))
+        assert n == 156 ** 2 + 13 * 13 == 24505
