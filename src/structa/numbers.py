@@ -18,8 +18,11 @@ offsets, as C-level ``map`` chains that still read each step from the
 shift tables; the window's order-embedding check compares one
 up-set mask per point; and the sign dualities of the rationals read one
 table of ``rat_le`` on each ordered pair of their grid, each sign
-involution being a permutation of the grid's positions. A ``Rat`` is an
-immutable two-slot object.
+involution being a permutation of the grid's positions. The
+associativity of a rational operation combines each distinct partial
+result, by its ints, with every element once on either side, and
+compares the triples from those rows. A ``Rat`` is an immutable
+two-slot object.
 """
 
 from __future__ import annotations
@@ -363,6 +366,44 @@ def _le_table(grid: list) -> list:
     """``rat_le`` on each ordered pair of the grid, once: row i is the
     tuple of rat_le(grid[i], q) over q in grid order."""
     return [tuple(map(rat_le, repeat(p), grid)) for p in grid]
+
+
+def _assoc_holds(elems: list, table: list, op) -> bool:
+    """Whether op(op(p, q), r) and op(p, op(q, r)) are ``rat_eq`` for
+    every triple of elems, where table[i][j] = op(elems[i], elems[j]).
+
+    Each distinct partial result x_u, keyed by its ints, is combined
+    with every r once, left[u][k] = op(x_u, elems[k]), and every p with
+    it once, right[i][u] = op(elems[i], x_u). With at[i][j] the position
+    of the ints of table[i][j], the triple (i, j, k) compares
+    left[at[i][j]][k] with right[i][at[j][k]]. The comparisons run in
+    (i, j, k) order as C-level ``map`` chains: the rows left[at[i][j]]
+    on one side, and right[i] read at the positions at[j] on the other.
+
+    This gives the verdict of calling op twice on every triple. Let op
+    and ``rat_eq`` be functions of the ints of their arguments, op
+    return a value without raising and ``rat_eq`` return a bool. x_u
+    has the ints of table[i][j], so left[at[i][j]][k] has those of the
+    op(table[i][j], elems[k]) the triple computed, and right[i][at[j][k]]
+    those of its op(elems[i], table[j][k]). So ``rat_eq`` returns for
+    every triple what it returned before, and the conjunction is the
+    same; the law carries no witness, so only the conjunction matters.
+    It costs 2·n·d calls of op for d distinct partial results, where the
+    triples cost 2·n³. ``rat_eq`` is looked up on the module at call
+    time; the caller passes op as it looks it up."""
+    key = operator.attrgetter("num", "den")
+    # a cell for each distinct pair of ints, in order of first occurrence,
+    # and at[i][j] the position of table[i][j]'s ints among them
+    reps = {key(x): x for x in chain.from_iterable(table)}
+    pos = {k: u for u, k in enumerate(reps)}
+    at = [[pos[key(x)] for x in row] for row in table]
+    left = [list(map(op, repeat(x), elems)) for x in reps.values()]
+    right = [list(map(op, repeat(p), reps.values())) for p in elems]
+    lefts = chain.from_iterable(map(left.__getitem__, chain.from_iterable(at)))
+    rights = chain.from_iterable(
+        chain.from_iterable(map(map, repeat(row.__getitem__), at)) for row in right
+    )
+    return all(map(rat_eq, lefts, rights))
 
 
 def dual_order_checks(N: int) -> LawReport:

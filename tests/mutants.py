@@ -302,10 +302,30 @@ MUTANTS = [
         "test_signature_classes_match_the_pairwise_comparison",
     ),
     (
-        "suites.py",
-        "numbers.rat_eq(numbers.rat_add(s[i][j], r), numbers.rat_add(p, s[j][k]))",
-        "numbers.rat_eq(numbers.rat_add(s[i][j], r), numbers.rat_add(s[i][j], r))",
+        "numbers.py",
+        "    return all(map(rat_eq, lefts, rights))\n",
+        "    return all(map(rat_eq, lefts,\n"
+        "                   chain.from_iterable(map(left.__getitem__, chain.from_iterable(at)))))\n",
         "tests/test_numbers.py::TestRationalSuite::test_add_assoc_fails_on_one_wrong_sum",
+    ),
+    (
+        "numbers.py",
+        'key = operator.attrgetter("num", "den")',
+        'key = operator.attrgetter("num")',
+        "tests/test_numbers.py::TestRationalGroupLaws::test_verdicts_match_the_triple_scans[add-honest]",
+    ),
+    (
+        "suites.py",
+        "flat(s), flat(zip(*s))",
+        "flat(s), flat(s)",
+        "tests/test_numbers.py::TestRationalSuite::test_add_assoc_fails_on_one_wrong_sum",
+    ),
+    (
+        "suites.py",
+        "if ab != mul(b, a):",
+        "if ab != ab:",
+        "tests/test_numbers.py::TestIntegerRingLaws::"
+        "test_verdict_and_witness_match_the_nine_call_loop[0]",
     ),
     (
         "suites.py",

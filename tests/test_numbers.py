@@ -372,6 +372,8 @@ class TestRationalSuite:
         got = self.verdicts(monkeypatch, "rat_add", wrong)
         assert not got["rat-add-assoc"]
         assert got["rat-mul-assoc"]
+        # 1/3 + 1/2 is right, so the sum is not commutative either
+        assert not got["rat-add-comm"]
 
     def test_mul_assoc_fails_on_one_wrong_product(self, monkeypatch):
         def wrong(real, p, q):
@@ -383,6 +385,7 @@ class TestRationalSuite:
         got = self.verdicts(monkeypatch, "rat_mul", wrong)
         assert not got["rat-mul-assoc"]
         assert got["rat-add-assoc"]
+        assert not got["rat-mul-comm"]
 
     def test_trans_reads_the_order(self, monkeypatch):
         # honest, the order is transitive; with -6 <= 6 refused it is not,
@@ -777,3 +780,173 @@ class TestDualTable:
         # the 156-point grid's table and embedding_check(6)'s 13 × 13 pairs
         n = self.counted_calls(monkeypatch, lambda: run_suite("rationals", seed=0))
         assert n == 156 ** 2 + 13 * 13 == 24505
+
+
+# ---------------------------------------------------------------------------
+# The rational group laws once per distinct partial result, against the
+# triple scans, and the integer ring laws with a·b computed once.
+
+
+def triple_group_laws(name):
+    """Reference: the four (law, passed) rows of ``suite rationals``' unit
+    for ``rat_add`` or ``rat_mul``, with the operation called twice on
+    every triple and on both orders of every pair, looked up on the module
+    at call time."""
+    op, eq = getattr(numbers, name), numbers.rat_eq
+    grid = [Rat(n, d) for n in range(-6, 7) for d in list(range(-6, 0)) + list(range(1, 7))]
+    reps = {}
+    for p in grid:
+        reps.setdefault(rat_canon(p), p)
+    elems = sorted(reps.values(), key=lambda p: (p.num, p.den))
+    if name == "rat_add":
+        law, unit, inverse = "add", Rat(0, 1), rat_neg
+    else:
+        law, unit, inverse = "mul", Rat(1, 1), rat_inv
+        elems = [p for p in elems if p.num != 0]
+    return [
+        ("rat-%s-assoc" % law, triple_assoc(elems, op)),
+        ("rat-%s-unit" % law, all(eq(op(p, unit), p) for p in elems)),
+        ("rat-%s-inverse" % law, all(eq(op(p, inverse(p)), unit) for p in elems)),
+        ("rat-%s-comm" % law, all(eq(op(p, q), op(q, p)) for p in elems for q in elems)),
+    ]
+
+
+def triple_assoc(elems, op):
+    """Reference: op(op(p, q), r) against op(p, op(q, r)) on every triple."""
+    eq = numbers.rat_eq
+    return all(eq(op(op(p, q), r), op(p, op(q, r))) for p in elems for q in elems for r in elems)
+
+
+def wrong_at(real, hit):
+    """real, with the result one too large wherever hit(p, q) holds."""
+    def op(p, q):
+        v = real(p, q)
+        return Rat(v.num + v.den, v.den) if hit(p, q) else v
+    return op
+
+
+# (-3/-6) + (-4/-6) and (-3/-6)·(-4/-6), as the table writes them: 42/36
+# and 12/36 are no class of the grid, so only a partial result meets them
+PLANTED_OPS = {
+    "add-honest": ("rat_add", rat_add, []),
+    "add-1/2+1/3": (
+        "rat_add",
+        wrong_at(rat_add, lambda p, q: (frac(p), frac(q)) == (Fraction(1, 2), Fraction(1, 3))),
+        ["rat-add-assoc", "rat-add-comm"],
+    ),
+    "add-42/36-left": (
+        "rat_add",
+        wrong_at(rat_add, lambda p, q: (p.num, p.den) == (42, 36)),
+        ["rat-add-assoc"],
+    ),
+    "add-42/36-right": (
+        "rat_add",
+        wrong_at(rat_add, lambda p, q: (q.num, q.den) == (42, 36)),
+        ["rat-add-assoc"],
+    ),
+    "add-as-sub": (
+        "rat_add",
+        lambda p, q: Rat(p.num * q.den - q.num * p.den, p.den * q.den),
+        ["rat-add-assoc", "rat-add-inverse", "rat-add-comm"],
+    ),
+    "mul-honest": ("rat_mul", rat_mul, []),
+    "mul-2/3*-3/5": (
+        "rat_mul",
+        wrong_at(rat_mul, lambda p, q: (frac(p), frac(q)) == (Fraction(2, 3), Fraction(-3, 5))),
+        ["rat-mul-assoc", "rat-mul-comm"],
+    ),
+    "mul-12/36-left": (
+        "rat_mul",
+        wrong_at(rat_mul, lambda p, q: (p.num, p.den) == (12, 36)),
+        ["rat-mul-assoc"],
+    ),
+    "mul-as-p*p*q": (
+        "rat_mul",
+        lambda p, q: Rat(p.num * p.num * q.num, p.den * p.den * q.den),
+        ["rat-mul-assoc", "rat-mul-unit", "rat-mul-inverse", "rat-mul-comm"],
+    ),
+}
+
+
+class TestRationalGroupLaws:
+    @pytest.mark.parametrize("case", list(PLANTED_OPS))
+    def test_verdicts_match_the_triple_scans(self, monkeypatch, case):
+        name, op, failing = PLANTED_OPS[case]
+        monkeypatch.setattr(numbers, name, op)
+        want = triple_group_laws(name)
+        laws = {law for law, _ in want}
+        rep = run_suite("rationals", seed=0)
+        got = [(c.law, c.passed) for c in rep.checks if c.law in laws]
+        assert got == want
+        assert [law for law, passed in got if not passed] == failing
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_short_lists_match_the_triple_scan(self, n):
+        # the empty list, a one-element list with its 1 × 1 table, and longer
+        elems = [Rat(1, 2), Rat(-2, 3), Rat(3, -4), Rat(2, 4)][:n]
+        wrong = wrong_at(rat_add, lambda p, q: (p.num, p.den) == (2, 4))
+        for op in (rat_add, rat_mul, wrong, lambda p, q: Rat(p.num - q.num, p.den)):
+            table = [[op(p, q) for q in elems] for p in elems]
+            assert numbers._assoc_holds(elems, table, op) == triple_assoc(elems, op), (n, op)
+        assert numbers._assoc_holds([Rat(1, 2)], [[Rat(1, 1)]], rat_add)
+        assert not numbers._assoc_holds([Rat(2, 4)], [[wrong(Rat(2, 4), Rat(2, 4))]], wrong)
+
+    @staticmethod
+    def counted_calls(monkeypatch, suite, names):
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, real):
+            def f(*args):
+                calls[name] += 1
+                return real(*args)
+            return f
+
+        for name in names:
+            monkeypatch.setattr(numbers, name, counting(name, getattr(numbers, name)))
+        run_suite(suite, seed=0)
+        return calls
+
+    def test_each_distinct_partial_result_is_combined_once(self, monkeypatch):
+        # addition: 47² cells, 852 distinct sums each combined with the 47
+        # classes on both sides, unit and inverse, and embedding_check(6)'s
+        # 13²; multiplication likewise with 46 classes and 410 products.
+        # rat_eq still compares every triple and every pair.
+        calls = self.counted_calls(monkeypatch, "rationals", ["rat_add", "rat_mul", "rat_eq"])
+        assert calls["rat_add"] == 47 ** 2 + 2 * 47 * 852 + 2 * 47 + 169 == 82560
+        assert calls["rat_mul"] == 46 ** 2 + 2 * 46 * 410 + 2 * 46 + 169 == 40097
+        assert calls["rat_eq"] == 206190
+
+    def test_suite_integers_multiplies_a_and_b_once(self, monkeypatch):
+        # int-mul-recursion's 10,000 products and 7 per ring-law sample
+        calls = self.counted_calls(monkeypatch, "integers", ["int_mul"])
+        assert calls["int_mul"] == 10000 + 7 * 10000 == 80000
+
+
+def nine_call_ring_laws(seed):
+    """Reference: ``suite integers``' ring-law count with int_mul called
+    nine times per sample, looked up on the module at call time."""
+    rng = random.Random(seed + 7)
+    mul = numbers.int_mul
+    bad = 0
+    for _ in range(10000):
+        a, b, c = (rng.randint(-50, 50) for _ in range(3))
+        if mul(a, b + c) != mul(a, b) + mul(a, c):
+            bad += 1
+        if mul(a, b) != mul(b, a):
+            bad += 1
+        if mul(mul(a, b), c) != mul(a, mul(b, c)):
+            bad += 1
+    return bad == 0, (bad,) if bad else None
+
+
+class TestIntegerRingLaws:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_verdict_and_witness_match_the_nine_call_loop(self, monkeypatch, seed):
+        rep = run_suite("integers", seed=seed)["int-ring-laws"]
+        assert (rep.passed, rep.witness) == nine_call_ring_laws(seed) == (True, None)
+        # 3·4 comes out one too large; 4·3 is right
+        monkeypatch.setattr(numbers, "int_mul", lambda a, b: int_mul(a, b) + ((a, b) == (3, 4)))
+        rep = run_suite("integers", seed=seed)["int-ring-laws"]
+        want = nine_call_ring_laws(seed)
+        assert not want[0]
+        assert (rep.passed, rep.witness) == want
