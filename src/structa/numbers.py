@@ -9,7 +9,8 @@ are pairs with a cross-multiplication equality and a sign-split order.
 The checked constructions keep their steps and leave out repeated
 interpreter work: the recursion product is one native left fold over
 its |b| additions; the shift maps are built in order of |b|, each one
-successor step (or inverse step) past the map before it; the window
+successor step (or inverse step) past the map before it, on carriers
+that are the previous map's less one point, found by bisection; the window
 laws follow from one translation certificate, that every shift table
 is x ↦ x + b on its interval and the window's order is that of ints,
 checked in O(N²); only when it fails do they scan, and then only the
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain, compress, repeat
 
@@ -115,21 +117,39 @@ def _shift_maps(w: IntWindow, m: int) -> dict:
     by one inverse step, so every value is still read off the successor
     table, with one step per point and map. The domain of the map for b
     lies inside that of the map before it, whose values there stay in
-    the step's domain."""
+    the step's domain.
+
+    +k maps [-N, N - k] onto [-N + k, N] and -k maps them back, so the
+    two carriers of step k are those of step k - 1 less one point each:
+    N - k + 1, which +k moves past N, and -N + k - 1, which -k moves
+    past -N. Both are found by bisection in the sorted element tuple.
+    ``FinMap`` still checks each assignment against its carriers."""
     N = w.N
     carrier = w.poset.carrier
     succ, pred = w.succ.assign, w.pred.assign
     # syms[i + N] names i
     syms = [_sym(i) for i in range(-N, N + 1)]
     maps = {0: FinMap(carrier, carrier, dict(zip(syms, syms)))}
+    # +k maps left onto right; -k maps right onto left
+    left = right = carrier
     for k in range(1, m + 1):
-        for b, back, step in ((k, maps[k - 1].assign, succ), (-k, maps[1 - k].assign, pred)):
+        if k <= 2 * N + 1:  # past it, both carriers are empty
+            left, right = _less(left, syms[2 * N + 1 - k]), _less(right, syms[k - 1])
+        for b, back, step, dom, cod in (
+            (k, maps[k - 1].assign, succ, left, right),
+            (-k, maps[1 - k].assign, pred, right, left),
+        ):
             # +b stays in range on n points, from position lo
             n, lo = max(2 * N + 1 - k, 0), max(0, -b)
-            dom, cod = syms[lo : lo + n], syms[lo + b : lo + b + n]
-            assign = {x: step[back[x]] for x in dom}
-            maps[b] = FinMap(carrier.inter(assign), carrier.inter(set(cod)), assign)
+            maps[b] = FinMap(dom, cod, {x: step[back[x]] for x in syms[lo : lo + n]})
     return maps
+
+
+def _less(s: FinSet, x: str) -> FinSet:
+    """The set s without its element x."""
+    e = s.elements
+    i = bisect_left(e, x)
+    return FinSet._ordered(e[:i] + e[i + 1 :])
 
 
 def int_add(a: ExactInt, b: ExactInt, N: int | None = None) -> ExactInt:

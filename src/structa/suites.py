@@ -37,6 +37,50 @@ def _run_units(name: str, units) -> LawReport:
     return r
 
 
+# Mersenne Twister words per getrandbits call of _randints, and draws
+# per chunk of _samples: the suites' sampling memory stays bounded
+_BLOCK = 3000
+
+
+def _randints(rng: random.Random, lo: int, hi: int):
+    """An endless iterator of the values ``rng.randint(lo, hi)`` gives,
+    in the same order; -128 <= lo <= hi <= 127 and hi - lo < 255.
+
+    ``randint`` draws ``getrandbits(k)``, k the bit length of the span
+    hi - lo + 1, until it is below the span, and ``getrandbits(k)`` for
+    k <= 32 is the top k bits of one 32-bit Mersenne Twister word.
+    ``getrandbits(32 * _BLOCK)`` is the next ``_BLOCK`` words, the first
+    in its lowest bits, so byte 4i + 3 of its little-endian bytes is the
+    top byte of word i, and the top k <= 8 bits of the word are that
+    byte >> (8 - k). One ``bytes.translate`` deletes the top bytes whose
+    k bits reach the span and maps the rest to lo + (byte >> (8 - k)) as
+    signed bytes. The rng runs up to a block ahead of the values read;
+    every unit that samples owns its rng."""
+    span = hi - lo + 1
+    if not (-128 <= lo <= hi <= 127 and span < 256):
+        raise ValueError("the values must fit in a signed byte, the span in a byte")
+    drop = 8 - span.bit_length()
+    value = bytes((lo + (t >> drop)) & 0xFF for t in range(256))
+    reject = bytes(t for t in range(256) if t >> drop >= span)
+
+    def next_block(_):
+        top = rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK, "little")[3::4]
+        return memoryview(top.translate(value, reject)).cast("b")
+
+    return itertools.chain.from_iterable(map(next_block, itertools.repeat(None)))
+
+
+def _samples(draws, width: int, count: int):
+    """``count`` samples of ``width`` consecutive draws each, in chunks of
+    at most ``_BLOCK`` draws; each chunk is ``width`` lists, the first
+    draws of its samples, then their second draws, and so on."""
+    while count > 0:
+        n = min(_BLOCK // width, count)
+        xs = list(itertools.islice(draws, width * n))
+        yield [xs[i::width] for i in range(width)]
+        count -= n
+
+
 # ---------------------------------------------------------------------------
 # 1. function calculus
 
@@ -383,6 +427,18 @@ def suite_yoneda(seed=0) -> LawReport:
 
 
 def suite_integers(seed=0) -> LawReport:
+    """The successor-window sum and the recursion product against native
+    ``+`` and ``*``: exhaustively on [-30, 30]², then on random samples,
+    each unit with its own ``random.Random``.
+
+    The samples are those of ``rng.randint``, drawn by ``_randints`` in
+    blocks. Each sampled unit counts its failing lines as C-level
+    ``map`` chains over chunks of its samples, so its count is the
+    per-sample loop's. The ring laws read a·b, b·a, a·c and b·c from one
+    ``int_mul`` table on [-50, 50]² and call it per sample only on
+    a·(b + c), (a·b)·c and a·(b·c), whose arguments may leave it."""
+    ne, add = operator.ne, operator.add
+
     def exhaustive():
         out = LawReport("integers-exhaustive")
         bad = sum(
@@ -396,51 +452,48 @@ def suite_integers(seed=0) -> LawReport:
 
     def randomized():
         out = LawReport("integers-random")
-        rng = random.Random(seed + 5)
+        draws = _randints(random.Random(seed + 5), -100, 100)
         shifts = numbers._shift_maps(numbers.build_discrete(201), 100)
         bad = 0
-        for _ in range(10000):
-            a = rng.randint(-100, 100)
-            b = rng.randint(-100, 100)
-            if int(shifts[b](numbers._sym(a))) != a + b:
-                bad += 1
+        for a, b in _samples(draws, 2, 10000):
+            moved = map(FinMap.__call__, map(shifts.__getitem__, b), map(numbers._sym, a))
+            bad += sum(map(ne, map(int, moved), map(add, a, b)))
         # the packaged entry point agrees on a subsample
-        for _ in range(500):
-            a = rng.randint(-100, 100)
-            b = rng.randint(-100, 100)
-            if numbers.int_add(a, b, N=201) != a + b:
-                bad += 1
+        for a, b in _samples(draws, 2, 500):
+            bad += sum(map(ne, map(numbers.int_add, a, b, itertools.repeat(201)), map(add, a, b)))
         out.add("int-add-random", bad == 0, (bad,) if bad else None)
         return out
 
     def products():
         out = LawReport("integers-product")
-        rng = random.Random(seed + 6)
+        draws = _randints(random.Random(seed + 6), -100, 100)
         bad = 0
-        for _ in range(10000):
-            a = rng.randint(-100, 100)
-            b = rng.randint(-100, 100)
-            if numbers.int_mul(a, b) != a * b:
-                bad += 1
+        for a, b in _samples(draws, 2, 10000):
+            bad += sum(map(ne, map(numbers.int_mul, a, b), map(operator.mul, a, b)))
         out.add("int-mul-recursion", bad == 0, (bad,) if bad else None)
         return out
 
     def laws():
         out = LawReport("integers-laws")
-        rng = random.Random(seed + 7)
+        draws = _randints(random.Random(seed + 7), -50, 50)
         mul = numbers.int_mul
+        # int_mul once on each pair of [-50, 50], x·y at row x + 50 and
+        # column y + 50. int_mul is a function of its ints that returns on
+        # these pairs, so a cell is the product each line would compute:
+        # a·b for all three laws, b·a, a·c and b·c
+        grid = range(-50, 51)
+        table = [[mul(x, y) for y in grid] for x in grid]
+        at = (50).__add__
+
+        def cells(xs, ys):
+            return map(list.__getitem__, map(table.__getitem__, map(at, xs)), map(at, ys))
+
         bad = 0
-        for _ in range(10000):
-            a, b, c = (rng.randint(-50, 50) for _ in range(3))
-            # a·b once for all three laws; int_mul is a function of its
-            # ints, so each line counts as it did with its own product
-            ab = mul(a, b)
-            if mul(a, b + c) != ab + mul(a, c):
-                bad += 1
-            if ab != mul(b, a):
-                bad += 1
-            if mul(ab, c) != mul(a, mul(b, c)):
-                bad += 1
+        for a, b, c in _samples(draws, 3, 10000):
+            ab = list(cells(a, b))
+            bad += sum(map(ne, map(mul, a, map(add, b, c)), map(add, ab, cells(a, c))))
+            bad += sum(map(ne, ab, cells(b, a)))
+            bad += sum(map(ne, map(mul, ab, c), map(mul, a, cells(b, c))))
         out.add("int-ring-laws", bad == 0, (bad,) if bad else None)
         return out
 

@@ -322,8 +322,8 @@ MUTANTS = [
     ),
     (
         "suites.py",
-        "if ab != mul(b, a):",
-        "if ab != ab:",
+        "bad += sum(map(ne, ab, cells(b, a)))",
+        "bad += sum(map(ne, ab, ab))",
         "tests/test_numbers.py::TestIntegerRingLaws::"
         "test_verdict_and_witness_match_the_nine_call_loop[0]",
     ),
@@ -335,8 +335,8 @@ MUTANTS = [
     ),
     (
         "numbers.py",
-        "(k, maps[k - 1].assign, succ)",
-        "(k, maps[max(k - 2, 0)].assign, succ)",
+        "(k, maps[k - 1].assign, succ, left, right)",
+        "(k, maps[max(k - 2, 0)].assign, succ, left, right)",
         "tests/test_numbers.py::TestIntAdd::test_shift_maps_are_the_walked_maps",
     ),
     (
@@ -502,6 +502,30 @@ MUTANTS = [
         "if f.dom != A.carrier or f.cod != A.carrier:",
         "if f.dom != A.carrier and f.cod != A.carrier:",
         "tests/test_group.py::TestActions::test_a_map_into_another_set_is_no_action",
+    ),
+    (
+        "suites.py",
+        "drop = 8 - span.bit_length()",
+        "drop = 7 - span.bit_length()",
+        "tests/test_numbers.py::TestSampler::test_draws_what_randint_draws[0--50-50]",
+    ),
+    (
+        "suites.py",
+        "if t >> drop >= span)",
+        "if t >> drop > span)",
+        "tests/test_numbers.py::TestSampler::test_draws_what_randint_draws[0--100-100]",
+    ),
+    (
+        "suites.py",
+        "at = (50).__add__",
+        "at = (49).__add__",
+        "tests/test_numbers.py::TestIntegerUnits::test_verdicts_and_witnesses_match_the_loops[honest-0]",
+    ),
+    (
+        "numbers.py",
+        "_less(left, syms[2 * N + 1 - k])",
+        "_less(left, syms[k - 1])",
+        "tests/test_numbers.py::TestShiftMapCarriers::test_carriers_are_the_inter_scans",
     ),
 ]
 

@@ -22,10 +22,10 @@ import pytest
 import structa
 from structa import numbers
 from structa.core import FinMap, classify
-from structa.errors import BadStructure, WindowOverflow, ZeroDenominator
+from structa.errors import BadStructure, CarrierMismatch, WindowOverflow, ZeroDenominator
 from structa.order import check_order
 from structa.report import LawReport
-from structa.suites import run_suite
+from structa.suites import _BLOCK, _randints, run_suite
 from structa.numbers import (
     Rat,
     build_discrete,
@@ -917,9 +917,11 @@ class TestRationalGroupLaws:
         assert calls["rat_eq"] == 206190
 
     def test_suite_integers_multiplies_a_and_b_once(self, monkeypatch):
-        # int-mul-recursion's 10,000 products and 7 per ring-law sample
+        # the ring laws' table of a·b on [-50, 50]², 101² = 10,201 cells,
+        # which gives a·b, b·a, a·c and b·c; int-mul-recursion's 10,000
+        # products; and per ring-law sample a·(b + c), (a·b)·c and a·(b·c)
         calls = self.counted_calls(monkeypatch, "integers", ["int_mul"])
-        assert calls["int_mul"] == 10000 + 7 * 10000 == 80000
+        assert calls["int_mul"] == 101 ** 2 + 10000 + 3 * 10000 == 50201
 
 
 def nine_call_ring_laws(seed):
@@ -950,3 +952,229 @@ class TestIntegerRingLaws:
         want = nine_call_ring_laws(seed)
         assert not want[0]
         assert (rep.passed, rep.witness) == want
+
+
+class TestSampler:
+    @staticmethod
+    def randints(seed, lo, hi, n):
+        return list(itertools.islice(_randints(random.Random(seed), lo, hi), n))
+
+    @staticmethod
+    def reference(seed, lo, hi, n):
+        rng = random.Random(seed)
+        return [rng.randint(lo, hi) for _ in range(n)]
+
+    @pytest.mark.parametrize("lo, hi", [(-100, 100), (-50, 50)])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 6, 7])
+    def test_draws_what_randint_draws(self, seed, lo, hi):
+        # 30,000 draws read about 38,000 words, 13 blocks; 7,001 ends
+        # inside one
+        for n in (30000, 7001):
+            assert self.randints(seed, lo, hi, n) == self.reference(seed, lo, hi, n), n
+
+    @pytest.mark.parametrize("lo, hi", [(-100, 100), (-50, 50)])
+    def test_a_rejection_on_a_block_boundary(self, lo, hi):
+        # a seed whose last word of the first block is rejected, and one
+        # whose first word of the second is; randint draws again either way
+        span = hi - lo + 1
+        drop = 32 - span.bit_length()
+
+        def rejected(seed, i):
+            rng = random.Random(seed)
+            words = [rng.getrandbits(32) for _ in range(i + 1)]
+            return words[i] >> drop >= span
+
+        for i in (_BLOCK - 1, _BLOCK):
+            seed = next(s for s in range(100) if rejected(s, i))
+            n = _BLOCK + 100
+            assert self.randints(seed, lo, hi, n) == self.reference(seed, lo, hi, n), i
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 4), (-128, 126), (-127, 127)])
+    def test_other_spans(self, lo, hi):
+        # one value, two, and the widest spans a signed byte holds
+        assert self.randints(9, lo, hi, 7001) == self.reference(9, lo, hi, 7001)
+
+    @pytest.mark.parametrize("lo, hi", [(-129, 0), (0, 128), (-128, 127), (1, 0)])
+    def test_spans_past_a_signed_byte_are_refused(self, lo, hi):
+        # every value a signed byte, and the span 255 or less
+        with pytest.raises(ValueError):
+            _randints(random.Random(0), lo, hi)
+
+    def test_suite_integers_calls_no_randint(self, monkeypatch):
+        calls = []
+        real = random.Random.randint
+
+        def counting(self, a, b):
+            calls.append((a, b))
+            return real(self, a, b)
+
+        monkeypatch.setattr(random.Random, "randint", counting)
+        rep = run_suite("integers", seed=0)
+        assert rep.passed
+        assert calls == []
+
+
+def loop_integer_units(seed):
+    """Reference: ``suite integers``' four units as one loop each, with
+    every draw from ``randint`` and every call made per sample, looked up
+    on the module at call time. {law: (passed, witness)}."""
+    out = {}
+
+    def add(law, bad):
+        out[law] = (bad == 0, (bad,) if bad else None)
+
+    bad = sum(
+        1
+        for a in range(-30, 31)
+        for b in range(-30, 31)
+        if numbers.int_add(a, b, N=61) != a + b
+    )
+    add("int-add-exhaustive", bad)
+
+    rng = random.Random(seed + 5)
+    shifts = numbers._shift_maps(numbers.build_discrete(201), 100)
+    bad = 0
+    for _ in range(10000):
+        a = rng.randint(-100, 100)
+        b = rng.randint(-100, 100)
+        if int(shifts[b](numbers._sym(a))) != a + b:
+            bad += 1
+    for _ in range(500):
+        a = rng.randint(-100, 100)
+        b = rng.randint(-100, 100)
+        if numbers.int_add(a, b, N=201) != a + b:
+            bad += 1
+    add("int-add-random", bad)
+
+    rng = random.Random(seed + 6)
+    bad = 0
+    for _ in range(10000):
+        a = rng.randint(-100, 100)
+        b = rng.randint(-100, 100)
+        if numbers.int_mul(a, b) != a * b:
+            bad += 1
+    add("int-mul-recursion", bad)
+
+    rng = random.Random(seed + 7)
+    mul = numbers.int_mul
+    bad = 0
+    for _ in range(10000):
+        a, b, c = (rng.randint(-50, 50) for _ in range(3))
+        ab = mul(a, b)
+        if mul(a, b + c) != ab + mul(a, c):
+            bad += 1
+        if ab != mul(b, a):
+            bad += 1
+        if mul(ab, c) != mul(a, mul(b, c)):
+            bad += 1
+    add("int-ring-laws", bad)
+    return out
+
+
+def wrong_on(real, pairs):
+    """``real``, one too large on each of the argument pairs."""
+    return lambda a, b: real(a, b) + ((a, b) in pairs)
+
+
+def first_ring_law_sample_off_the_grid(seed):
+    """(a, b·c) for the first ring-law sample with |b·c| > 50."""
+    rng = random.Random(seed + 7)
+    while True:
+        a, b, c = (rng.randint(-50, 50) for _ in range(3))
+        if abs(b * c) > 50:
+            return a, b * c
+
+
+def first_subsample_pair(seed):
+    """The first (a, b) of ``int-add-random``'s 500-pair subsample."""
+    rng = random.Random(seed + 5)
+    for _ in range(20000):
+        rng.randint(-100, 100)
+    return rng.randint(-100, 100), rng.randint(-100, 100)
+
+
+def plant_integer_fault(monkeypatch, fault, seed):
+    """Plant ``fault`` on the numbers module; the laws it must fail,
+    among others it may."""
+    if fault == "mul-on-the-grid":
+        monkeypatch.setattr(numbers, "int_mul", wrong_on(int_mul, {(3, 4)}))
+        return {"int-ring-laws"}
+    if fault == "mul-off-the-grid":
+        pair = first_ring_law_sample_off_the_grid(seed)
+        monkeypatch.setattr(numbers, "int_mul", wrong_on(int_mul, {pair}))
+        return {"int-ring-laws"}
+    if fault == "shift-map-cell":
+        # the first shift-map sample's cell sends a to a wrong point of
+        # the codomain
+        rng = random.Random(seed + 5)
+        a, b = str(rng.randint(-100, 100)), rng.randint(-100, 100)
+        real = numbers._shift_maps
+
+        def one_wrong_cell(w, m):
+            maps = real(w, m)
+            f = maps[b]
+            y = next(y for y in f.cod if y != f.assign[a])
+            maps[b] = FinMap(f.dom, f.cod, {**f.assign, a: y})
+            return maps
+
+        monkeypatch.setattr(numbers, "_shift_maps", one_wrong_cell)
+        return {"int-add-random"}
+    if fault == "add-on-the-subsample":
+        pair = first_subsample_pair(seed)
+        monkeypatch.setattr(
+            numbers, "int_add", lambda a, b, N=None: int_add(a, b, N) + ((a, b) == pair)
+        )
+        return {"int-add-random"}
+    assert fault == "honest"
+    return set()
+
+
+class TestIntegerUnits:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "fault",
+        ["honest", "mul-on-the-grid", "mul-off-the-grid", "shift-map-cell", "add-on-the-subsample"],
+    )
+    def test_verdicts_and_witnesses_match_the_loops(self, monkeypatch, fault, seed):
+        failing = plant_integer_fault(monkeypatch, fault, seed)
+        want = loop_integer_units(seed)
+        rep = run_suite("integers", seed=seed)
+        got = {c.law: (c.passed, c.witness) for c in rep.checks}
+        assert got == want
+        failed = {law for law, (passed, _) in got.items() if not passed}
+        assert failing <= failed
+        assert bool(failed) == (fault != "honest")
+
+
+def inter_carriers(w, b):
+    """Reference: the carriers of the +b map as ``FinSet.inter`` scans of
+    the window's carrier."""
+    N = w.N
+    lo, hi = max(-N, -N - b), min(N, N - b)
+    carrier = w.poset.carrier
+    dom = carrier.inter({str(i) for i in range(lo, hi + 1)})
+    return dom, carrier.inter({str(i + b) for i in range(lo, hi + 1)})
+
+
+class TestShiftMapCarriers:
+    def test_carriers_are_the_inter_scans(self):
+        for N in range(1, 13):
+            w = build_discrete(N)
+            # the callers ask for m <= N; from m = 2N + 1 on, the maps
+            # past ±2N are empty
+            for m in range(2 * N + 3):
+                for b, f in numbers._shift_maps(w, m).items():
+                    assert (f.dom, f.cod) == inter_carriers(w, b), (N, m, b)
+                    assert (f.dom.elements, f.cod.elements) == tuple(
+                        s.elements for s in inter_carriers(w, b)
+                    )
+
+    @pytest.mark.parametrize("x", ["-3", "0", "2"])
+    def test_a_wrong_successor_is_refused(self, x):
+        # the successor sends x to -4, which no +1 map reaches
+        w = build_discrete(4)
+        succ = FinMap(w.succ.dom, w.poset.carrier, {**w.succ.assign, x: "-4"})
+        bent = numbers.IntWindow(w.N, w.poset, succ, w.pred)
+        with pytest.raises(CarrierMismatch) as e:
+            numbers._shift_maps(bent, 2)
+        assert e.value.witness == (x, "-4")
