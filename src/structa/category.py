@@ -26,14 +26,14 @@ into D^op checks it, and R_x is a ``SetRepr`` on C^op.
 
 One formula gives every hom map: Hom(f, g) is h ↦ g∘h∘f for f: a→c and
 g: b→d. L_x(f) is Hom(1_x, f), R_x(f) is Hom(f, 1_x), the component of
-f† at x is Hom(f, 1_x), and Cayley's translations are L_pt.
+f† at x is Hom(f, 1_x), and on the one-object category of a group
+L_pt gives the left translations.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from . import group
 from .core import (
     FinMap,
     FinSet,
@@ -911,15 +911,6 @@ def yoneda_embedding(C: FinCat) -> LawReport:
     r.add("ye-faithful", bad_faithful is None, bad_faithful)
     r.add("ye-full", bad_full is None, bad_full)
     return r
-
-
-def cayley(G) -> "GroupHom":
-    """Cayley's theorem through the hom functor of the one-object
-    category: L_pt sends each element to its left translation, and those
-    translations form an isomorphic transformation group."""
-    C = from_group(G)
-    L = _covariant_hom(C, next(iter(C.objects)))
-    return group._permutation_image(G, {g: L.on_arr[g] for g in G.carrier})
 
 
 def compare_representations(C: FinCat, F: SetRepr, rep1, rep2):

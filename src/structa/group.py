@@ -1,5 +1,5 @@
 """Cayley-table groups: subgroups, cosets, quotients, homomorphisms,
-commutator machinery, actions, and scalar-action (linear space) checks.
+commutator machinery and actions.
 
 Groups are explicit multiplication tables over symbol carriers; every
 table a construction builds is re-verified by ``check_group`` rather than
@@ -616,77 +616,6 @@ def cayley(G: FinGroup) -> GroupHom:
     """An isomorphism onto a transformation group of the carrier: each
     element goes to its left translation."""
     return _permutation_image(G, regular_action(G).act)
-
-
-def zp_field(p: int) -> dict:
-    """The prime field Z_p: addition table, multiplicative group on the
-    nonzero part, and the names of zero and one."""
-    names = ["k%d" % i for i in range(p)]
-    add = {(names[i], names[j]): names[(i + j) % p] for i in range(p) for j in range(p)}
-    mul_nonzero = {
-        (names[i], names[j]): names[i * j % p]
-        for i in range(1, p)
-        for j in range(1, p)
-    }
-    mul_group = check_group(mul_nonzero, FinSet(names[1:]))
-    return {
-        "carrier": FinSet(names),
-        "add": add,
-        "mul_group": mul_group,
-        "zero": names[0],
-        "one": names[1],
-        "mul_full": {
-            (names[i], names[j]): names[i * j % p] for i in range(p) for j in range(p)
-        },
-    }
-
-
-def linear_space_check(field: dict, V: FinGroup, act: dict) -> LawReport:
-    """Scalar action of a field on an abelian group, via both the
-    homomorphism formulation and the four-axiom formulation."""
-    r = LawReport("linear-space")
-    K = field["carrier"]
-    addK, zero, one = field["add"], field["zero"], field["one"]
-    r.add("ls-abelian", V.is_abelian())
-    add_group = check_group(addK, K)
-    r.add("ls-field-add", add_group.is_abelian())
-    mulK = field["mul_full"]
-    r.add(
-        "ls-field-distrib",
-        all(
-            mulK[(a, addK[(b, c)])] == addK[(mulK[(a, b)], mulK[(a, c)])]
-            for a in K
-            for b in K
-            for c in K
-        ),
-    )
-    # homomorphism formulation
-    nonzero = [a for a in K if a != zero]
-    hom_auto = all(
-        classify(act[a])["bijective"] and hom_witness(V, V, act[a]) is None for a in nonzero
-    )
-    hom_comp = all(
-        act[mulK[(a, b)]] == compose(act[a], act[b]) for a in nonzero for b in nonzero
-    )
-    hom_additive = all(
-        act[addK[(a, b)]](u) == V.op[(act[a](u), act[b](u))]
-        for a in K
-        for b in K
-        for u in V.carrier
-    )
-    hom_form = hom_auto and hom_comp and hom_additive and act[one] == FinMap.identity(V.carrier)
-    r.add("ls-hom-form", hom_form)
-    # four-axiom formulation
-    ax1 = all(hom_witness(V, V, act[a]) is None for a in K)
-    ax2 = hom_additive
-    ax3 = act[one] == FinMap.identity(V.carrier)
-    ax4 = all(
-        act[mulK[(a, b)]](u) == act[a](act[b](u)) for a in K for b in K for u in V.carrier
-    )
-    four_form = ax1 and ax2 and ax3 and ax4
-    r.add("ls-axiom-form", four_form)
-    r.add("ls-agree", hom_form == four_form)
-    return r
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Posets, chains, Galois connections, lattices and completeness.
+"""Posets, chains, lattices and completeness.
 
 Orders are stored as explicit pair sets over a finite carrier, so every
 axiom is a direct scan of the pairs. The chain methods read each
@@ -11,11 +11,9 @@ from __future__ import annotations
 import itertools
 
 from .core import (
-    FinMap,
     FinSet,
     Frozen,
     associativity_witness,
-    classify,
     finset,
     set_of,
     subset_masks,
@@ -340,60 +338,6 @@ def _extensions(n: int):
                 )
 
 
-def map_classify(f: FinMap, P: Poset, Q: Poset) -> dict:
-    """Order-theoretic classification of f: carrier(P) → carrier(Q)."""
-    if f.dom != P.carrier or f.cod != Q.carrier:
-        raise CarrierMismatch("map does not connect the two carriers")
-    pairs = [(x, y) for x in P.carrier for y in P.carrier]
-    preserving = all(Q.le(f(x), f(y)) for x, y in pairs if P.le(x, y))
-    reversing = all(Q.le(f(y), f(x)) for x, y in pairs if P.le(x, y))
-    embedding = all(P.le(x, y) == Q.le(f(x), f(y)) for x, y in pairs)
-    bij = classify(f)["bijective"]
-    order_bijective = embedding and bij
-    if embedding and not classify(f)["monic"]:
-        raise BadStructure("an order embedding must be monic")
-    flags = {
-        "preserving": preserving,
-        "reversing": reversing,
-        "embedding": embedding,
-        "order_bijective": order_bijective,
-    }
-    # the same map between the dual orders preserves iff it preserved before
-    Pop, Qop = P.opposite(), Q.opposite()
-    dual = {
-        "preserving": all(Qop.le(f(x), f(y)) for x, y in pairs if Pop.le(x, y)),
-        "order_bijective": bij
-        and all(Pop.le(x, y) == Qop.le(f(x), f(y)) for x, y in pairs),
-    }
-    flags["dual"] = dual
-    return flags
-
-
-def galois_check(f: FinMap, g: FinMap, P: Poset, Q: Poset) -> LawReport:
-    """Verify both formulations of a Galois connection and their equivalence."""
-    r = LawReport("galois")
-    if f.dom != P.carrier or f.cod != Q.carrier:
-        raise CarrierMismatch("f must map P into Q")
-    if g.dom != Q.carrier or g.cod != P.carrier:
-        raise CarrierMismatch("g must map Q into P")
-    f_mono = map_classify(f, P, Q)["preserving"]
-    g_mono = map_classify(g, Q, P)["preserving"]
-    unit = all(P.le(p, g(f(p))) for p in P.carrier)
-    counit = all(Q.le(f(g(q)), q) for q in Q.carrier)
-    axioms = f_mono and g_mono and unit and counit
-    comparable = all(
-        (Q.le(f(p), q)) == (P.le(p, g(q))) for p in P.carrier for q in Q.carrier
-    )
-    r.add("gal-monotone-f", f_mono)
-    r.add("gal-monotone-g", g_mono)
-    r.add("gal-unit", unit)
-    r.add("gal-counit", counit)
-    r.add("gal-comparable", comparable)
-    if f_mono and g_mono:
-        r.add("gal-equivalence", axioms == comparable)
-    return r
-
-
 def is_directed(P: Poset, A: FinSet) -> bool:
     """Every pair of members has an upper bound in A. On a finite set this
     is the same as every nonempty subset having one; the order tests
@@ -599,7 +543,9 @@ def functor_order(maps, P: Poset, Q: Poset) -> Poset:
     """The pointwise order on a list of order-preserving maps P → Q."""
     named = []
     for i, f in enumerate(maps):
-        if not map_classify(f, P, Q)["preserving"]:
+        if f.dom != P.carrier or f.cod != Q.carrier:
+            raise CarrierMismatch("map does not connect the two carriers")
+        if not all(Q.le(f(x), f(y)) for x, y in P.pairs):
             raise NotMonotone("map %d does not preserve the order" % i, witness=(i,))
         named.append(("m%d" % i, f))
     carrier = FinSet(n for n, _ in named)

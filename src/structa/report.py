@@ -54,12 +54,6 @@ LAWS = {
     "antisym": (LAW, "x ≤ y and y ≤ x imply x = y"),
     "trans": (LAW, "x ≤ y and y ≤ z imply x ≤ z"),
     "total": (LAW, "every pair is comparable"),
-    "gal-monotone-f": (LAW, "f preserves the order"),
-    "gal-monotone-g": (LAW, "g preserves the order"),
-    "gal-unit": (LAW, "p ≤ g(f p)"),
-    "gal-counit": (LAW, "f(g q) ≤ q"),
-    "gal-comparable": (LAW, "f p ≤ q iff p ≤ g q"),
-    "gal-equivalence": (LAW, "axiom form and comparability form agree"),
     "lat-order": (LAW, "x ≤ y iff x∨y = y iff x∧y = x"),
     "lat-comm": (LAW, "∨ and ∧ are commutative"),
     "lat-assoc": (LAW, "∨ and ∧ are associative"),
@@ -116,12 +110,6 @@ LAWS = {
     "stab-bijection": (LAW, "point ↦ transporter coset is a bijection onto the cosets"),
     "stab-similar": (LAW, "the action is similar to the coset action"),
     "stab-conjugate": (LAW, "stabilizers along a transporter are conjugate"),
-    "ls-abelian": (LAW, "the vector group is abelian"),
-    "ls-field-add": (LAW, "scalars form an abelian additive group"),
-    "ls-field-distrib": (LAW, "scalar multiplication distributes over scalar addition"),
-    "ls-hom-form": (LAW, "scalar action is an additive hom into Aut(V)"),
-    "ls-axiom-form": (LAW, "the four distributivity/unit/associativity axioms"),
-    "ls-agree": (LAW, "the two formulations agree"),
     # numbers
     "int-unit": (LAW, "shifting by zero is the identity on the window"),
     "int-inverse": (LAW, "shifting by -b undoes shifting by b"),

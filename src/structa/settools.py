@@ -151,13 +151,6 @@ def filter_base_witness(fam: Family):
     return None
 
 
-def is_filter_base(fam: Family) -> bool:
-    ms = fam.members
-    if not ms or any(len(s) == 0 for s in ms):
-        return False
-    return filter_base_witness(fam) is None
-
-
 def upward_closure(carrier: FinSet, masks) -> Family:
     """The subsets of ``carrier`` above some mask in ``masks``: ``generated``
     under adding one point, m ↦ m | bit for each point's bit."""

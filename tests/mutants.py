@@ -39,12 +39,6 @@ MUTANTS = [
         "tests/test_category.py::TestSliceAssemble::test_slice_natural",
     ),
     (
-        "order.py",
-        "Pop, Qop = P.opposite(), Q.opposite()",
-        "Pop, Qop = P, Q.opposite()",
-        "tests/test_order.py::TestMapClassify::test_dual_flags_classify_the_map_between_the_dual_orders",
-    ),
-    (
         "group.py",
         "G.op[(G.op[(x, n)], G.inv[x])]",
         "G.op[(G.op[(G.inv[x], n)], x)]",
@@ -526,6 +520,54 @@ MUTANTS = [
         "_less(left, syms[2 * N + 1 - k])",
         "_less(left, syms[k - 1])",
         "tests/test_numbers.py::TestShiftMapCarriers::test_carriers_are_the_inter_scans",
+    ),
+    (
+        "order.py",
+        "if f.dom != P.carrier or f.cod != Q.carrier:",
+        "if f.dom != P.carrier:",
+        "tests/test_order.py::TestFunctorOrder::test_a_map_off_the_carriers_is_refused",
+    ),
+    (
+        "suites.py",
+        "ok_laws = False",
+        "pass",
+        "tests/test_order.py::TestLattices::test_lattice_laws_unit_fails_when_a_lattice_fails_its_laws",
+    ),
+    (
+        "suites.py",
+        "ok_max = False",
+        "pass",
+        "tests/test_order.py::TestChainsAndZorn::test_zorn_maximal_unit_fails_when_the_top_is_not_maximal",
+    ),
+    (
+        "suites.py",
+        "fixed_ok = False",
+        "pass",
+        "tests/test_group.py::TestActions::test_fixed_coset_unit_fails_when_the_action_fixes_every_coset",
+    ),
+    (
+        "suites.py",
+        "principal_ok = False",
+        "pass",
+        "tests/test_settools.py::TestFilterTheorems::test_principal_unit_fails_when_the_meet_is_wrong",
+    ),
+    (
+        "docs.py",
+        '        r.add("top-axioms", False, e.witness or (str(e),))\n        return r\n',
+        "        return r\n",
+        "tests/test_cli.py::TestFailedPremises::test_a_topology_that_fails_its_axioms",
+    ),
+    (
+        "docs.py",
+        "    if not r.passed:\n        return r\n    h = _hom(doc, src, tgt)\n",
+        "    h = _hom(doc, src, tgt)\n",
+        "tests/test_cli.py::TestFailedPremises::test_a_hom_whose_source_table_fails",
+    ),
+    (
+        "docs.py",
+        "    if G is None:\n        return r\n    r.merge(group.action_check(",
+        "    r.merge(group.action_check(",
+        "tests/test_cli.py::TestFailedPremises::test_an_action_whose_group_table_fails",
     ),
 ]
 

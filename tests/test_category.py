@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structa import category, cli, docs, suites
+from structa import category, cli, docs, group, suites
 from structa.category import (
     FinCat,
     FunctorData,
@@ -28,7 +28,6 @@ from structa.category import (
     arrow_equality_classes,
     bridge_category,
     bridge_check,
-    cayley,
     check_category,
     check_functor,
     check_nat,
@@ -74,7 +73,6 @@ from structa.errors import (
     Mismatch,
     NotProduct,
 )
-from structa.group import cayley as group_cayley
 from structa.group import cyclic_group, enumerate_groups, enumerate_homs, symmetric_group_3
 from structa.order import (
     Poset,
@@ -959,6 +957,16 @@ class TestYoneda:
                 assert hom_functors(C, x)[1].src == opposite_cat(C)
 
 
+def cayley(G):
+    """Cayley's theorem through the hom functor of the one-object
+    category: L_pt sends each element to its left translation, and those
+    translations form an isomorphic transformation group. The reference
+    for ``group.cayley``, which ``derive cayley`` runs."""
+    C = from_group(G)
+    L, _ = hom_functors(C, next(iter(C.objects)))
+    return group._permutation_image(G, {g: L.on_arr[g] for g in G.carrier})
+
+
 class TestEmbeddingAndCayley:
     def test_discrete_embedding(self):
         assert yoneda_embedding(discrete(finset("a", "b"))).passed
@@ -991,7 +999,7 @@ class TestEmbeddingAndCayley:
     def test_cayley_matches_group_module(self):
         for n in (2, 3, 4):
             G = cyclic_group(n)
-            assert cayley(G) == group_cayley(G)
+            assert cayley(G) == group.cayley(G)
 
     def test_cayley_table_transfers(self):
         S3, _ = symmetric_group_3()
@@ -1395,7 +1403,6 @@ class TestOneHomFormula:
                 assert all(L.on_arr[g] == act[g] for g in G.carrier)
 
     def test_cayley_rejects_colliding_permutation_names(self, monkeypatch):
-        from structa import group
         from structa.errors import NotBijective
 
         monkeypatch.setattr(group, "_perm_name", lambda assign: "(same)")

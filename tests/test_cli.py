@@ -358,6 +358,64 @@ class TestRelabelling:
             assert (code2, got) == (code, verdicts), seed
 
 
+class TestFailedPremises:
+    """A document whose underlying structure fails its axioms gets those
+    rows and no further law: the early returns of ``check``."""
+
+    BROKEN = json.loads((fixtures_dir() / "group_broken.json").read_text(encoding="utf-8"))
+
+    def check(self, tmp_path, monkeypatch, doc):
+        monkeypatch.chdir(tmp_path)
+        Path("doc.json").write_text(json.dumps(doc), encoding="utf-8")
+        return run_cli(["check", "doc.json"])
+
+    def test_a_topology_that_fails_its_axioms(self, tmp_path, monkeypatch):
+        doc = {"kind": "topology", "carrier": ["a", "b"], "opens": [[], ["a"], ["b"]]}
+        assert self.check(tmp_path, monkeypatch, doc) == (1, (
+            "== doc.json\n"
+            "suite: topology\n"
+            "  FAIL  top-axioms  opens contain endpoints, unions, intersections"
+            "  witness=('the empty set and the carrier must be open',)\n"
+            "  0 passed, 1 failed\n"
+        ), "")
+
+    def test_a_hom_whose_source_table_fails(self, tmp_path, monkeypatch):
+        # the target, a group on one point, passes every group row
+        one = {"kind": "group", "carrier": ["u"], "table": [["u", "u", "u"]]}
+        doc = {"kind": "hom", "src": self.BROKEN, "tgt": one,
+               "map": [[x, "u"] for x in self.BROKEN["carrier"]]}
+        assert self.check(tmp_path, monkeypatch, doc) == (1, (
+            "== doc.json\n"
+            "suite: hom\n"
+            "  PASS  grp-assoc             (ab)c = a(bc)\n"
+            "  FAIL  grp-assoc             (ab)c = a(bc)  witness=('a', 'a', 'b')\n"
+            "  PASS  grp-cancel            ab = ac implies b = c, ba = ca implies b = c\n"
+            "  PASS  grp-closed            products stay in the carrier\n"
+            "  PASS  grp-closed            products stay in the carrier\n"
+            "  PASS  grp-inv-invol         (a⁻¹)⁻¹ = a\n"
+            "  PASS  grp-inverse           every element has a two-sided inverse\n"
+            "  PASS  grp-total             the table covers every pair\n"
+            "  PASS  grp-total             the table covers every pair\n"
+            "  PASS  grp-unique-solutions  ax = b and ya = b have unique solutions\n"
+            "  PASS  grp-unit              a two-sided unit exists\n"
+            "  PASS  grp-unit              a two-sided unit exists\n"
+            "  11 passed, 1 failed\n"
+        ), "")
+
+    def test_an_action_whose_group_table_fails(self, tmp_path, monkeypatch):
+        doc = {"kind": "action", "group": self.BROKEN, "carrier": ["p"],
+               "act": [[g, "p", "p"] for g in self.BROKEN["carrier"]]}
+        assert self.check(tmp_path, monkeypatch, doc) == (1, (
+            "== doc.json\n"
+            "suite: action\n"
+            "  FAIL  grp-assoc   (ab)c = a(bc)  witness=('a', 'a', 'b')\n"
+            "  PASS  grp-closed  products stay in the carrier\n"
+            "  PASS  grp-total   the table covers every pair\n"
+            "  PASS  grp-unit    a two-sided unit exists\n"
+            "  3 passed, 1 failed\n"
+        ), "")
+
+
 class TestSeveralFiles:
     def test_bad_file_does_not_hide_good_reports(self):
         good, bad = fx("group_z4.json"), fx("bad/missing_cell.json")

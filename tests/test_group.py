@@ -61,7 +61,6 @@ from structa.group import (
     is_transitive,
     kernel,
     klein_four,
-    linear_space_check,
     normality_witness,
     permutation_group,
     power,
@@ -71,7 +70,6 @@ from structa.group import (
     stabilizer_suite,
     subgroup_check,
     symmetric_group_3,
-    zp_field,
 )
 from structa.group import Subgroup, _perm_name, conjugation_map
 from structa.report import LawReport
@@ -481,6 +479,18 @@ class TestCayley:
 
 
 class TestActions:
+    def test_fixed_coset_unit_fails_when_the_action_fixes_every_coset(self, monkeypatch):
+        # with every g fixing every point, g fixes xH also where x^-1 g x
+        # lies outside H
+        monkeypatch.setattr(group.GroupAction, "apply", lambda self, g, x: x)
+        marks = {line.split()[1]: line.split()[0]
+                 for line in run_suite("actions").render_text().splitlines()[1:-1]}
+        assert {law: marks[law] for law in marks if law.startswith("act-order-")} == {
+            "act-order-%d-%s" % (k, law): "FAIL" if law == "fixed-coset" else "PASS"
+            for k in (2, 3)
+            for law in ("fixed-coset", "laws", "nucleus", "transitive")
+        }
+
     def test_regular_action_is_transitive_and_effective(self):
         G, _ = s3()
         A = regular_action(G)
@@ -556,45 +566,6 @@ class TestActions:
         A = GroupAction(G, carrier, {p: perms[p] for p in G.carrier})
         for point in carrier:
             assert len(stabilizer(A, point).members) * len(carrier) == G.order()
-
-
-class TestLinearSpace:
-    def test_f2_acting_on_klein_four(self):
-        field = zp_field(2)
-        V = klein_four()
-        act = {
-            "k0": FinMap.constant(V.carrier, V.carrier, V.unit),
-            "k1": FinMap.identity(V.carrier),
-        }
-        rep = linear_space_check(field, V, act)
-        assert rep.passed, rep.render_text()
-
-    def test_f3_acting_on_z3(self):
-        field = zp_field(3)
-        V = cyclic_group(3)
-        act = {
-            "k%d" % a: FinMap(
-                V.carrier, V.carrier, {"g%d" % i: "g%d" % (a * i % 3) for i in range(3)}
-            )
-            for a in range(3)
-        }
-        rep = linear_space_check(field, V, act)
-        assert rep.passed, rep.render_text()
-
-    def test_bad_scalar_action_fails(self):
-        field = zp_field(3)
-        V = cyclic_group(3)
-        act = {
-            "k%d" % a: FinMap(
-                V.carrier, V.carrier, {"g%d" % i: "g%d" % (a * i % 3) for i in range(3)}
-            )
-            for a in range(3)
-        }
-        # break associativity of the scalar action
-        act["k2"] = FinMap.identity(V.carrier)
-        rep = linear_space_check(field, V, act)
-        assert not rep.passed
-        assert rep["ls-agree"].passed  # both formulations fail together
 
 
 class TestEnumeration:

@@ -15,12 +15,15 @@ are exactly the rows of ``report.LAWS``, and each row's kind agrees with
 the verdicts its call sites pass. The catalogue ids that no suite and no
 ``check`` of a fixture adds are a pinned list, each family with its
 reason. Each by-construction row that is a theorem of earlier rows is
-added after those rows passed, in the same report. Importing structa
-loads none of ``dataclasses``, ``inspect`` and ``typing``.
+added after those rows passed, in the same report. Each row of
+``tests/mutants.py`` names a fragment found once in its module and a
+test that exists. Importing structa loads none of ``dataclasses``,
+``inspect`` and ``typing``.
 """
 
 import ast
 import contextlib
+import importlib.util
 import io
 import os
 import subprocess
@@ -29,7 +32,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "structa"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "structa"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -245,20 +249,12 @@ def test_formats_adds_no_check(monkeypatch, capsys):
 
 # The catalogue ids (the rows that ``formats`` prints) that no suite at
 # seed 0 and no ``check`` of a fixture adds, by the reason each family is
-# missing. A checker that gains a command leaves this list; no id may
-# join it.
+# missing. A family that a command comes to add leaves this list; no id
+# may join it.
 NEVER_ADDED = {
-    "order.galois_check runs in no command": (
-        "gal-comparable", "gal-counit", "gal-equivalence", "gal-monotone-f",
-        "gal-monotone-g", "gal-unit",
-    ),
     "suite functions evaluates these through core._image_laws but adds a "
     "row only for an instance that fails": (
         "img-inter", "img-inter-monic", "img-union", "pre-diff", "pre-inter", "pre-union",
-    ),
-    "group.linear_space_check runs in no command": (
-        "ls-abelian", "ls-agree", "ls-axiom-form", "ls-field-add", "ls-field-distrib",
-        "ls-hom-form",
     ),
 }
 
@@ -328,10 +324,9 @@ def test_each_theorem_row_follows_its_premises_in_its_report(every_add):
 
 
 # Top-level functions that no CLI or suite path reaches and that stay on
-# purpose: documented library API, and two functions that only the
-# benchmark calls.
+# purpose: documented library API, one function that a printed law
+# statement names, and two functions that only the benchmark calls.
 KEPT_API = {
-    "category.cayley": "library API: README's structa.category row documents Cayley via the hom functor",
     "category.compare_representations": "library API",
     "category.compose_functors": "library API, reached from hcompose",
     "category.constant_functor": "library API",
@@ -346,31 +341,39 @@ KEPT_API = {
     "core.inverse": "library API",
     "core.select": "library API",
     "docs.to_structure": "perfbench calls it; item 5 deletes it",
-    "group.linear_space_check":
-        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
     "group.power": "library API",
-    "group.zp_field": "library API",
     "numbers.int_add_direct": "perfbench calls it; item 5 deletes it",
     "order.completeness_report": "library API",
     "order.functor_order": "library API",
-    "order.galois_check":
-        "library API: no document kind or suite runs it, and its law ids are rows of report.LAWS",
     "order.is_directed": "library API, reached from completeness_report",
-    "order.map_classify": "library API, reached from functor_order and galois_check",
-    "order.zorn_maximal": "library API",
-    "settools.is_filter_base": "library API",
+    "order.zorn_maximal":
+        "the printed statement of zorn-maximal-%d names it; suite zorn reads _zorn_chain",
 }
 
 
-def test_the_checkers_that_no_command_runs_are_the_never_added_families():
-    # each KEPT_API checker that no command runs names a NEVER_ADDED
-    # family, and each such family names a KEPT_API checker, so neither
-    # list can shrink without the other
-    checkers = {name for name, why in KEPT_API.items()
-                if "no document kind or suite runs it" in why}
-    families = {why.split(" runs in no command")[0] for why in NEVER_ADDED
-                if " runs in no command" in why}
-    assert sorted(checkers) == sorted(families)
+def test_each_mutant_row_has_one_fragment_and_names_a_test_that_exists():
+    # checks tests/mutants.py's rows without running them, so a row that
+    # a deletion made stale fails here, not only on the full gate
+    spec = importlib.util.spec_from_file_location("mutants", TESTS / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    stale = []
+    for module, fragment, _, node in mutants.MUTANTS:
+        found = (SRC / module).read_text(encoding="utf-8").count(fragment)
+        if found != 1:
+            stale.append((node, module, "fragment found %d times" % found))
+        path, *names = node.split("::")
+        names[-1] = names[-1].split("[")[0]
+        body = ast.parse((TESTS.parent / path).read_text(encoding="utf-8")).body
+        for name in names:
+            defs = [n for n in body
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name]
+            if not defs:
+                stale.append((node, path, "no %s" % name))
+                break
+            body = defs[0].body
+    assert mutants.MUTANTS
+    assert stale == []
 
 
 # the console script, and the suite runner that ``structa suite`` and

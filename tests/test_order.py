@@ -3,6 +3,7 @@ import types
 
 import pytest
 
+from structa import order
 from structa.core import FinMap, FinSet, all_maps, finset
 from structa.errors import (
     BadStructure,
@@ -24,17 +25,16 @@ from structa.order import (
     enumerate_posets,
     extend_chain,
     functor_order,
-    galois_check,
     is_directed,
     lattice_from_poset,
     lattice_laws,
-    map_classify,
     order_flags,
     order_from_semilattice,
     powerset_poset,
     semilattice_report,
     zorn_maximal,
 )
+from structa.suites import run_suite
 
 CHAIN3 = chain_poset(["0", "1", "2"])
 DIAMOND = diamond_poset()
@@ -67,6 +67,11 @@ def natural_completeness_vs_fixed_points(P, include_empty_chain=False) -> tuple:
             fp_ok = False
             break
     return chains_ok, fp_ok
+
+
+def printed_marks(rep) -> dict:
+    """Law id -> "PASS" or "FAIL", as the report's text prints them."""
+    return {line.split()[1]: line.split()[0] for line in rep.render_text().splitlines()[1:-1]}
 
 
 class TestCheckOrder:
@@ -135,81 +140,6 @@ def reference_posets(carrier):
                 rel.add((y, x))
         if all((x, z) in rel for (x, y) in rel for z in elems if (y, z) in rel):
             yield Poset(carrier, rel)
-
-
-class TestMapClassify:
-    def test_identity_on_chain(self):
-        f = FinMap.identity(CHAIN3.carrier)
-        flags = map_classify(f, CHAIN3, CHAIN3)
-        assert flags["order_bijective"]
-
-    def test_negation_reverses(self):
-        # negation on the window [-2, 2]
-        w = ["n2", "n1", "z0", "p1", "p2"]
-        P = chain_poset(w)
-        neg = FinMap(P.carrier, P.carrier, dict(zip(w, reversed(w))))
-        flags = map_classify(neg, P, P)
-        assert flags["reversing"] and not flags["preserving"]
-        # reversing bijection into the dual is an order bijection
-        assert map_classify(neg, P, P.opposite())["order_bijective"]
-
-    def test_halving_preserves_not_embeds(self):
-        P = chain_poset(["0", "1", "2", "3"])
-        half = FinMap(P.carrier, P.carrier, {"0": "0", "1": "0", "2": "1", "3": "1"})
-        flags = map_classify(half, P, P)
-        assert flags["preserving"] and not flags["embedding"]
-
-    def test_dual_invariance_of_order_bijectivity(self):
-        for P in (CHAIN3, DIAMOND):
-            for f in all_maps(P.carrier, P.carrier):
-                flags = map_classify(f, P, P)
-                assert flags["order_bijective"] == flags["dual"]["order_bijective"]
-
-    def test_dual_flags_classify_the_map_between_the_dual_orders(self):
-        posets = [
-            P
-            for n in range(4)
-            for P in enumerate_posets(FinSet("p%d" % i for i in range(n)))
-        ]
-        for P in posets:
-            for Q in posets:
-                for f in all_maps(P.carrier, Q.carrier):
-                    ref = map_classify(f, P.opposite(), Q.opposite())
-                    assert map_classify(f, P, Q)["dual"] == {
-                        "preserving": ref["preserving"],
-                        "order_bijective": ref["order_bijective"],
-                    }
-
-
-class TestGalois:
-    def test_identity_adjunction(self):
-        i = FinMap.identity(CHAIN3.carrier)
-        assert galois_check(i, i, CHAIN3, CHAIN3).passed
-
-    def test_image_preimage_adjunction(self):
-        base = finset("a", "b")
-        P = powerset_poset(base)
-        f = FinMap(base, base, {"a": "b", "b": "b"})
-        img = FinMap(P.carrier, P.carrier, {n: f.image(SUBSET2[n]).name() for n in P.carrier})
-        pre = FinMap(P.carrier, P.carrier, {n: f.preimage(SUBSET2[n]).name() for n in P.carrier})
-        assert galois_check(img, pre, P, P).passed
-
-    def test_perturbation_fails_both_forms(self):
-        i = FinMap.identity(CHAIN3.carrier)
-        g = FinMap(CHAIN3.carrier, CHAIN3.carrier, {"0": "0", "1": "0", "2": "2"})
-        rep = galois_check(i, g, CHAIN3, CHAIN3)
-        assert not rep["gal-unit"].passed or not rep["gal-counit"].passed
-        assert not rep["gal-comparable"].passed
-        assert rep["gal-equivalence"].passed  # both forms fail together
-
-    def test_equivalence_exhaustive_small(self):
-        # all monotone pairs over posets on <= 3 elements (spec scale <= 4 in acceptance)
-        carrier = finset("a", "b", "c")
-        for P in enumerate_posets(carrier):
-            monos = list(monotone_maps(P, P))
-            for f in monos:
-                for g in monos:
-                    assert galois_check(f, g, P, P)["gal-equivalence"].passed
 
 
 class TestBounds:
@@ -348,6 +278,22 @@ class TestDirected:
 
 
 class TestChainsAndZorn:
+    def test_zorn_maximal_unit_fails_when_the_top_is_not_maximal(self, monkeypatch):
+        # the bottom of the greedy chain is maximal only on one point
+        real = order._zorn_chain
+
+        def bottom(P):
+            chain, _ = real(P)
+            return chain, chain.elements[0]
+
+        monkeypatch.setattr(order, "_zorn_chain", bottom)
+        marks = printed_marks(run_suite("zorn"))
+        assert marks == {
+            "zorn-maximal-1": "PASS",
+            **{"zorn-maximal-%d" % n: "FAIL" for n in (2, 3, 4, 5)},
+            **{"zorn-chain-%d" % n: "PASS" for n in (1, 2, 3, 4, 5)},
+        }
+
     def test_maximal_chain_unchanged(self):
         c = extend_chain(CHAIN3, ["0", "1", "2"])
         assert c.elements == ("0", "1", "2")
@@ -459,6 +405,23 @@ def reference_extend_chain(P, c):
 
 
 class TestLattices:
+    def test_lattice_laws_unit_fails_when_a_lattice_fails_its_laws(self, monkeypatch):
+        # a fault planted in the lattices on four points fails only unit 4
+        real = order.lattice_laws
+
+        def broken(lt):
+            rep = real(lt)
+            if len(lt.poset.carrier) == 4:
+                rep.add("lat-comm", False)
+            return rep
+
+        monkeypatch.setattr(order, "lattice_laws", broken)
+        marks = printed_marks(run_suite("lattices"))
+        assert {law: marks[law] for law in marks if law.startswith("lat-laws-")} == {
+            "lat-laws-1": "PASS", "lat-laws-2": "PASS", "lat-laws-3": "PASS",
+            "lat-laws-4": "FAIL",
+        }
+
     def test_chain_join_is_max(self):
         lt = lattice_from_poset(CHAIN3)
         assert lt.join[("0", "2")] == "2"
@@ -619,6 +582,20 @@ class TestFunctorOrder:
         k = FinMap(c, c, {"0": "0", "1": "2", "2": "2"})
         P = functor_order([h, k], CHAIN3, CHAIN3)
         assert not P.le("m0", "m1") and not P.le("m1", "m0")
+
+    def test_a_map_off_the_carriers_is_refused(self):
+        c, d = CHAIN3.carrier, DIAMOND.carrier
+        ok = FinMap.identity(c)
+        for bad in (FinMap.constant(d, c, "0"), FinMap.constant(c, d, d.elements[0])):
+            with pytest.raises(CarrierMismatch):
+                functor_order([ok, bad], CHAIN3, CHAIN3)
+
+    def test_the_first_map_that_is_not_monotone_is_the_witness(self):
+        c = CHAIN3.carrier
+        down = FinMap(c, c, {"0": "2", "1": "1", "2": "0"})
+        with pytest.raises(NotMonotone) as err:
+            functor_order([FinMap.identity(c), down, down], CHAIN3, CHAIN3)
+        assert err.value.witness == (1,)
 
 
 class TestSupCharacterizationOnChains:

@@ -31,7 +31,6 @@ from structa.settools import (
     generate_filter,
     inter_of,
     is_filter,
-    is_filter_base,
     is_sigma_algebra,
     is_ultrafilter,
     point_filter,
@@ -52,6 +51,17 @@ def collapse_map():
     dom = finset("a", "b", "c")
     cod = finset("x", "y")
     return FinMap(dom, cod, {"a": "x", "b": "x", "c": "y"})
+
+
+def is_filter_base(fam):
+    """A nonempty family of nonempty members in which each pair's
+    intersection holds a member: the reference for the families that
+    ``generate_filter`` accepts, which ``check`` of a filterbase document
+    reads."""
+    ms = fam.members
+    if not ms or any(len(s) == 0 for s in ms):
+        return False
+    return filter_base_witness(fam) is None
 
 
 def all_families(carrier):
@@ -517,6 +527,31 @@ class TestSigmaReference:
 
 
 class TestFilterTheorems:
+    def test_principal_unit_fails_when_the_meet_is_wrong(self, monkeypatch):
+        # with the carrier as every filter's meet, only the filter {carrier}
+        # is its principal filter, and that is every filter on one point
+        from structa.suites import run_suite
+
+        monkeypatch.setattr(settools, "inter_of", lambda fam, carrier: carrier)
+        marks = {line.split()[1]: line.split()[0]
+                 for line in run_suite("filters").render_text().splitlines()[1:-1]}
+        assert {law: marks[law] for law in marks if law.startswith("fl-")} == {
+            "fl-principal-1": "PASS",
+            **{"fl-principal-%d" % n: "FAIL" for n in (2, 3, 4)},
+            **{"fl-minimal-%d" % n: "PASS" for n in (1, 2, 3, 4)},
+        }
+
+    def test_generate_filter_accepts_exactly_the_filter_bases(self):
+        for carrier in (finset("a"), finset("a", "b"), finset("a", "b", "c")):
+            for fam in all_families(carrier):
+                try:
+                    generate_filter(fam)
+                except EmptyMemberInBase:
+                    accepted = False
+                else:
+                    accepted = True
+                assert accepted == is_filter_base(fam), fam
+
     def test_generated_filters_are_filters(self):
         # and generating a filter is extensive and idempotent
         for carrier in (finset("a"), finset("a", "b"), finset("a", "b", "c")):
