@@ -8,12 +8,10 @@ kernel, ``core.associativity_witness``: a total table, as in a
 one-object category, is certified by Light's test, and any other gets a
 scan that skips each pair without a cell.
 
-The module carries the whole functor calculus: opposites, products,
-bridges and natural transformations, vertical/horizontal composition
-with the interchange law, Hom functors, the Yoneda lemma and embedding,
-representable functors, and arrow categories. A bifunctor C1 × C2 → T,
-contravariant in its first slot, is a functor on C1^op × C2 (Mac Lane,
-§II.3), and ``slice_nat`` reads the product structure of its source.
+The module carries the functor calculus: opposites, products, bridges
+and natural transformations, vertical/horizontal composition with the
+interchange law, Hom functors, the Yoneda lemma and embedding, and arrow
+categories.
 
 A functor runs into a ``FinCat`` (``FunctorData``) or into finite sets
 (``SetRepr``), whose values are actual ``FinSet``/``FinMap`` data, so
@@ -25,9 +23,8 @@ functor C → D^op, or C^op → D (Mac Lane, §II.2), so ``check_functor``
 into D^op checks it, and R_x is a ``SetRepr`` on C^op.
 
 One formula gives every hom map: Hom(f, g) is h ↦ g∘h∘f for f: a→c and
-g: b→d. L_x(f) is Hom(1_x, f), R_x(f) is Hom(f, 1_x), the component of
-f† at x is Hom(f, 1_x), and on the one-object category of a group
-L_pt gives the left translations.
+g: b→d. L_x(f) is Hom(1_x, f), R_x(f) is Hom(f, 1_x), and on the
+one-object category of a group L_pt gives the left translations.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from .core import (
     all_maps,
     associativity_witness,
     check_symbol,
-    classify,
     compose,
     finset,
     two_sided_unit,
@@ -52,8 +48,6 @@ from .errors import (
     CompositionMismatch,
     EndpointError,
     Mismatch,
-    NotIsomorphicRepresentations,
-    NotProduct,
     TooLarge,
 )
 from .report import LawReport
@@ -417,14 +411,6 @@ def identity_functor(C: FinCat) -> FunctorData:
     return FunctorData(C, C, {x: x for x in C.objects}, {n: n for n in C.arrow_names})
 
 
-def constant_functor(C: FinCat, D: FinCat, obj) -> FunctorData:
-    if obj not in D.objects:
-        raise CarrierMismatch("constant value is not an object", witness=(obj,))
-    return FunctorData(
-        C, D, {x: obj for x in C.objects}, {n: D.identity[obj] for n in C.arrow_names}
-    )
-
-
 def check_functor(F: FunctorData) -> LawReport:
     r = LawReport("functor")
     C, D = F.src, F.tgt
@@ -503,16 +489,11 @@ def _pair_name(l, r):
 
 def product_cat(C1: FinCat, C2: FinCat) -> FinCat:
     objects = [_pair_name(x, y) for x in C1.objects for y in C2.objects]
-    obj_pairs = {
-        _pair_name(x, y): (x, y) for x in C1.objects for y in C2.objects
-    }
-    arrows = []
-    arr_pairs = {}
-    for f in C1.arrow_names:
-        for g in C2.arrow_names:
-            n = _pair_name(f, g)
-            arrows.append((n, _pair_name(C1.src[f], C2.src[g]), _pair_name(C1.tgt[f], C2.tgt[g])))
-            arr_pairs[n] = (f, g)
+    arrows = [
+        (_pair_name(f, g), _pair_name(C1.src[f], C2.src[g]), _pair_name(C1.tgt[f], C2.tgt[g]))
+        for f in C1.arrow_names
+        for g in C2.arrow_names
+    ]
     identity = {
         _pair_name(x, y): _pair_name(C1.identity[x], C2.identity[y])
         for x in C1.objects
@@ -522,15 +503,7 @@ def product_cat(C1: FinCat, C2: FinCat) -> FinCat:
     for (g1, f1), v1 in C1.comp.items():
         for (g2, f2), v2 in C2.comp.items():
             comp[(_pair_name(g1, g2), _pair_name(f1, f2))] = _pair_name(v1, v2)
-    P = FinCat(
-        FinSet(objects),
-        arrows,
-        identity,
-        comp,
-        meta={"product_of": (C1, C2), "obj_pairs": obj_pairs, "arr_pairs": arr_pairs},
-    )
-    _require_cat(P)
-    return P
+    return _require_cat(FinCat(FinSet(objects), arrows, identity, comp))
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +695,12 @@ def functor_category(C: FinCat, D: FinCat) -> FinCat:
 
 
 def _hcompose_components(alpha: NatTransData, tau: NatTransData) -> dict:
-    """The components of α∘τ for τ: F→G in Cat(C,D) and α: J→K in
-    Cat(D,E), by the formula (α∘τ)_x = α_{Gx} ∘ J τ_x, without the
-    composite functors J∘F and K∘G that ``hcompose`` adds."""
+    """The components of the horizontal composite α∘τ: J∘F → K∘G, for
+    τ: F→G in Cat(C,D) and α: J→K in Cat(D,E), by the formula
+    (α∘τ)_x = α_{Gx} ∘ J τ_x. The composite functors are not built: the
+    callers compare components. The other defining formula,
+    K τ_x ∘ α_{Fx}, is compared with these by the interchange suite's
+    ``ic-volume`` law."""
     F, G = tau.F, tau.G
     J = alpha.F
     if F.tgt != J.src:
@@ -734,16 +710,6 @@ def _hcompose_components(alpha: NatTransData, tau: NatTransData) -> dict:
         x: E.compose(alpha.component[G.on_obj[x]], J.on_arr[tau.component[x]])
         for x in F.src.objects
     }
-
-
-def hcompose(alpha: NatTransData, tau: NatTransData) -> NatTransData:
-    """α∘τ: J∘F → K∘G, with the components of ``_hcompose_components``.
-    The other defining formula, K τ_x ∘ α_{Fx}, is compared with them by
-    the interchange suite's ``ic-volume`` law."""
-    comp = _hcompose_components(alpha, tau)
-    return NatTransData(
-        compose_functors(alpha.F, tau.F), compose_functors(alpha.G, tau.G), comp
-    )
 
 
 def interchange_check(
@@ -764,7 +730,7 @@ def interchange_check(
 
 
 # ---------------------------------------------------------------------------
-# hom functors and the hom bifunctor
+# hom functors
 
 
 def hom_set(C: FinCat, a, b) -> FinSet:
@@ -773,8 +739,8 @@ def hom_set(C: FinCat, a, b) -> FinSet:
 
 def _hom(C: FinCat, f, g) -> FinMap:
     """Hom(f, g) for f: a→c and g: b→d: the map h ↦ g∘h∘f from
-    Hom(c, b) to Hom(a, d). The hom functors, the hom bifunctor and f†
-    are all slices of it."""
+    Hom(c, b) to Hom(a, d). The hom functors and the arrows f† of the
+    Yoneda embedding are slices of it."""
     (a, c), (b, d) = C.ends(f), C.ends(g)
     dom = hom_set(C, c, b)
     return FinMap(dom, hom_set(C, a, d), {h: C.comp[(C.comp[(g, h)], f)] for h in dom})
@@ -808,90 +774,29 @@ def hom_functors(C: FinCat, x):
     return L, R
 
 
-def hom_bifunctor(C: FinCat) -> SetRepr:
-    """Hom on C^op × C: (a, b) ↦ {a→b}, (f, g) ↦ Hom(f, g) = (g ∘ − ∘ f).
-    In C^op × C, (h, i)∘(f, g) is (f∘h, i∘g), so the functor laws are the
-    bifunctor laws."""
-    P = product_cat(opposite_cat(C), C)
-    pairs, arrs = P.meta["obj_pairs"], P.meta["arr_pairs"]
-    return _functor_into(
-        _SETS,
-        P,
-        {n: hom_set(C, *pairs[n]) for n in P.objects},
-        {n: _hom(C, *arrs[n]) for n in P.arrow_names},
-    )
-
-
-# ---------------------------------------------------------------------------
-# bifunctors: functors on a product category
-
-
-def slice_nat(B, f) -> NatTransData:
-    """Slicing a functor B on a product C1 × C2 at f: x→y of C1 gives the
-    natural transformation B(x, −) → B(y, −) with components B(f, 1_z)."""
-    meta = B.src.meta
-    if "product_of" not in meta:
-        raise NotProduct("source category carries no product structure")
-    C1, C2 = meta["product_of"]
-    if f not in C1.src:
-        raise CarrierMismatch("unknown arrow", witness=(f,))
-
-    def partial(x):
-        one = C1.identity[x]
-        return _functor_into(
-            _target(B),
-            C2,
-            {z: B.on_obj[_pair_name(x, z)] for z in C2.objects},
-            {g: B.on_arr[_pair_name(one, g)] for g in C2.arrow_names},
-        )
-
-    x, y = C1.ends(f)
-    comps = {z: B.on_arr[_pair_name(f, C2.identity[z])] for z in C2.objects}
-    out = NatTransData(partial(x), partial(y), comps)
-    check_nat(out).require()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Yoneda
 
 
-def dagger(C: FinCat, f) -> NatTransData:
-    """f†: L_c → L_a for f: a→c, with components Hom(f, 1_x) = (−∘f)."""
-    a, c = C.ends(f)
-    La, Lc = _covariant_hom(C, a), _covariant_hom(C, c)
-    out = NatTransData(Lc, La, {x: _hom(C, f, C.identity[x]) for x in C.objects})
-    check_nat(out).require()
-    return out
-
-
-def yoneda(C: FinCat, a, F: SetRepr) -> dict:
-    """Nat(L_a, F) enumerated exhaustively, with φ(τ) = τ_a(1_a). The
-    Yoneda suite's ``yo-count`` laws check that φ is a bijection onto
-    F a with inverse x ↦ τ_x, where τ_x c(f) = F f(x). F must be a
-    functor on C: R_x is one on C^op and raises ``Mismatch`` unless
-    C^op = C."""
-    return _yoneda(C, a, _covariant_hom(C, a), F)
-
-
-def _yoneda(C: FinCat, a, La: SetRepr, F: SetRepr) -> dict:
-    """``yoneda(C, a, F)`` for a caller that already holds L_a, the
-    checked ``_covariant_hom(C, a)``."""
-    nat_set = enumerate_nat_trans(La, F)
-    names = FinSet("n%d" % i for i in range(len(nat_set)))
-    by_name = {"n%d" % i: n for i, n in enumerate(nat_set)}
+def yoneda(C: FinCat, a, La: SetRepr, F: SetRepr) -> dict:
+    """Nat(L_a, F) enumerated exhaustively, as ``by_name`` (each
+    transformation once, under its name n0, n1, ...), and φ(τ) = τ_a(1_a)
+    on those names. ``La`` is L_a, the checked ``_covariant_hom(C, a)``,
+    which a caller builds once for every F. The Yoneda suite's
+    ``yo-count`` laws check that φ is a bijection onto F a with inverse
+    x ↦ τ_x, where τ_x c(f) = F f(x). F must be a functor on C: R_x is
+    one on C^op and raises ``Mismatch`` unless C^op = C."""
+    by_name = {"n%d" % i: n for i, n in enumerate(enumerate_nat_trans(La, F))}
+    names = FinSet(by_name)
     one = C.identity[a]
-    phi = FinMap(
-        names,
-        F.on_obj[a],
-        {name: by_name[name].component[a](one) for name in names},
-    )
-    return {"nat_set": nat_set, "phi": phi, "by_name": by_name}
+    phi = FinMap(names, F.on_obj[a], {name: by_name[name].component[a](one) for name in names})
+    return {"phi": phi, "by_name": by_name}
 
 
 def yoneda_embedding(C: FinCat) -> LawReport:
-    """f ↦ f† is a bijection Hom(b, a) → Nat(L_a, L_b) for every pair:
-    the embedding into the functor category is full and faithful. Each
+    """f ↦ f† is a bijection Hom(b, a) → Nat(L_a, L_b) for every pair,
+    where f† for f: b→a has components Hom(f, 1_x) = (−∘f): the
+    embedding into the functor category is full and faithful. Each
     L_x is built once, and f† is compared with Nat(L_a, L_b) by its
     components. f† need not be checked natural: distinct f†, as many as
     Nat(L_a, L_b) and including it, are exactly it, so an unnatural f†
@@ -911,29 +816,6 @@ def yoneda_embedding(C: FinCat) -> LawReport:
     r.add("ye-faithful", bad_faithful is None, bad_faithful)
     r.add("ye-full", bad_full is None, bad_full)
     return r
-
-
-def compare_representations(C: FinCat, F: SetRepr, rep1, rep2):
-    """Two representations (x, β) and (y, γ) of F are linked by a unique
-    isomorphism f: x→y with γ = β · f†; this returns the first arrow
-    in hom order with γ = β · f†."""
-    x, beta = rep1
-    y, gamma = rep2
-    for z, nt in ((x, beta), (y, gamma)):
-        if not check_nat(nt).passed:
-            raise BadStructure("not a representation: transformation is not natural", witness=(z,))
-        if not all(classify(m)["bijective"] for m in nt.component.values()):
-            raise BadStructure(
-                "not a representation: a component is not bijective", witness=(z,)
-            )
-    for f in C.hom(x, y):
-        d = dagger(C, f)
-        composed = {
-            c: compose(beta.component[c], d.component[c]) for c in C.objects
-        }
-        if composed == dict(gamma.component):
-            return f
-    raise NotIsomorphicRepresentations("no arrow links the representations")
 
 
 # ---------------------------------------------------------------------------

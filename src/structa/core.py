@@ -42,8 +42,6 @@ from .errors import (
     BadStructure,
     CarrierMismatch,
     CompositionMismatch,
-    EmptyFold,
-    EmptyMember,
     NotBijective,
 )
 from .report import LawReport
@@ -601,23 +599,6 @@ def generated(seed, unary=(), binary=()) -> set:
     return out
 
 
-def fold(op, seq):
-    """Left fold of a binary table over a nonempty symbol sequence.
-
-    Returns the total and the sequence of partial results."""
-    seq = list(seq)
-    if not seq:
-        raise EmptyFold("fold of an empty sequence")
-    acc = seq[0]
-    partials = [acc]
-    for x in seq[1:]:
-        if (acc, x) not in op:
-            raise CarrierMismatch("operation table missing a cell", witness=(acc, x))
-        acc = op[(acc, x)]
-        partials.append(acc)
-    return acc, tuple(partials)
-
-
 def associativity_witness(op, xs):
     """The first triple (a, b, c) of ``xs``, in the order of ``xs``, with
     (ab)c != a(bc) in the pair-keyed table ``op``, or None. A product is
@@ -709,20 +690,6 @@ def two_sided_unit(op, xs):
     """The first e of ``xs`` with ea = a = ae for every a of ``xs`` in the
     pair-keyed table ``op``, or None."""
     return next((e for e in xs if all(op[(e, a)] == a == op[(a, e)] for a in xs)), None)
-
-
-def select(family, rule=min) -> FinMap:
-    """A deterministic selection function: one element from each member.
-
-    The domain carries member names (``FinSet.name``)."""
-    members = sorted(set(family), key=lambda m: m.elements)
-    for m in members:
-        if len(m) == 0:
-            raise EmptyMember("cannot select from an empty member")
-    dom = FinSet(m.name() for m in members)
-    cod = union_of(members)
-    by_name = {m.name(): m for m in members}
-    return FinMap(dom, cod, {n: rule(by_name[n].elements) for n in dom})
 
 
 def all_maps(dom: FinSet, cod: FinSet):

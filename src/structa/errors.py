@@ -25,18 +25,6 @@ class NotBijective(StructaError):
     pass
 
 
-class EmptyFold(StructaError):
-    pass
-
-
-class EmptyMember(StructaError):
-    """A selection was requested from a family with an empty member."""
-
-
-class EmptySubset(StructaError):
-    pass
-
-
 class UnboundedChain(StructaError):
     """Maximal-element search precondition failed: a chain has no upper bound."""
 
@@ -107,14 +95,6 @@ class EndpointError(StructaError):
 
 class Mismatch(StructaError):
     """Shapes of composed transformations do not line up."""
-
-
-class NotProduct(StructaError):
-    pass
-
-
-class NotIsomorphicRepresentations(StructaError):
-    pass
 
 
 class BadStructure(StructaError):

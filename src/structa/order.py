@@ -1,4 +1,4 @@
-"""Posets, chains, lattices and completeness.
+"""Posets, chains and lattices.
 
 Orders are stored as explicit pair sets over a finite carrier, so every
 axiom is a direct scan of the pairs. The chain methods read each
@@ -21,7 +21,6 @@ from .core import (
 from .errors import (
     BadStructure,
     CarrierMismatch,
-    EmptySubset,
     NotALattice,
     NotMonotone,
     NotSemilattice,
@@ -338,17 +337,6 @@ def _extensions(n: int):
                 )
 
 
-def is_directed(P: Poset, A: FinSet) -> bool:
-    """Every pair of members has an upper bound in A. On a finite set this
-    is the same as every nonempty subset having one; the order tests
-    check the two criteria against each other."""
-    if len(A) == 0:
-        raise EmptySubset("directedness is defined for nonempty subsets")
-    return all(
-        any(P.le(x, z) and P.le(y, z) for z in A) for x in A for y in A
-    )
-
-
 def extend_chain(P: Poset, chain) -> "TotalChain":
     """Greedily (lexicographic candidate order) grow a chain until maximal.
 
@@ -516,27 +504,6 @@ def order_from_semilattice(table, carrier: FinSet, orientation: str = "join") ->
     else:
         raise ValueError("orientation must be 'join' or 'meet'")
     return Poset(carrier, pairs)
-
-
-def completeness_report(P: Poset) -> dict:
-    """Completeness taxonomy, each predicate by direct enumeration."""
-    subsets = list(P.carrier.subsets())
-    nonempty = [A for A in subsets if len(A) > 0]
-    directed = [A for A in nonempty if is_directed(P, A)]
-    chains = [A for A in nonempty if P.is_chain(A)]
-    bounded = [A for A in nonempty if len(P.upper_bounds(A)) > 0]
-    has_sup = lambda A: P.sup(A) is not None
-    has_inf = lambda A: P.inf(A) is not None
-    directed_sups = all(has_sup(A) for A in directed)
-    chain_sups = all(has_sup(A) for A in chains)
-    return {
-        "directed_complete": directed_sups,
-        "complete_partial_order": directed_sups and P.min_of(P.carrier) is not None,
-        "naturally_complete": chain_sups,
-        "IS_complete": chain_sups,
-        "bounded_complete": all(has_sup(A) for A in bounded),
-        "complete_lattice": all(has_sup(A) and has_inf(A) for A in subsets),
-    }
 
 
 def functor_order(maps, P: Poset, Q: Poset) -> Poset:

@@ -241,7 +241,8 @@ def suite_categories(seed=0) -> LawReport:
 
 
 def _hcompose_formulas_agree(alpha, tau) -> bool:
-    """The components of ``hcompose(α, τ)`` (the formula α_{Gx} ∘ J τ_x,
+    """The components of the horizontal composite α∘τ that
+    ``category._hcompose_components`` gives (the formula α_{Gx} ∘ J τ_x,
     for τ: F→G and α: J→K) agree at every object x with the other
     defining formula, K τ_x ∘ α_{Fx}. Only the components are compared,
     so the composite functors are not built."""
@@ -257,7 +258,7 @@ def _hcompose_formulas_agree(alpha, tau) -> bool:
 def suite_interchange(seed=0) -> LawReport:
     C2 = category.from_poset(order.chain_poset(["c0", "c1"]))
     C3 = category.from_poset(order.chain_poset(["c0", "c1", "c2"]))
-    # one object, so not thin: the two formulas of hcompose can differ here
+    # one object, so not thin: the two formulas of α∘τ can differ here
     Z2 = category.from_group(group.cyclic_group(2))
 
     def vertical_pairs(FC):
@@ -377,10 +378,11 @@ def _complete_comp(objects, partial, endpoints):
 
 
 def _yoneda_round_trip(C, a, F, res) -> bool:
-    """φ from ``yoneda(C, a, F)`` is a bijection onto F a, and the inverse
-    x ↦ τ_x, with τ_x c(f) = F f(x), hits exactly the transformation
-    that φ sends to x. Every transformation in ``res`` runs from L_a to
-    F, so τ_x is matched by its components."""
+    """φ from ``yoneda(C, a, L_a, F)`` is a bijection onto F a, and the
+    inverse x ↦ τ_x, with τ_x c(f) = F f(x), hits exactly the
+    transformation that φ sends to x. Every transformation in
+    ``res["by_name"]`` runs from L_a to F, so τ_x is matched by its
+    components."""
     phi, by_name = res["phi"], res["by_name"]
     if not core.classify(phi)["bijective"]:
         return False
@@ -406,9 +408,9 @@ def suite_yoneda(seed=0) -> LawReport:
             Ls = {x: category._covariant_hom(C, x) for x in sorted(C.objects)}
             for a in sorted(C.objects):
                 for L in Ls.values():
-                    res = category._yoneda(C, a, Ls[a], L)
+                    res = category.yoneda(C, a, Ls[a], L)
                     pairs += 1
-                    count_ok = len(res["nat_set"]) == len(L.on_obj[a])
+                    count_ok = len(res["by_name"]) == len(L.on_obj[a])
                     if not (count_ok and _yoneda_round_trip(C, a, L, res)):
                         ok = False
             out.add("yo-count-%s", ok, ids=(name,), counts=(pairs,))

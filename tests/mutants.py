@@ -27,18 +27,6 @@ SRC = ROOT / "src" / "structa"
 # (module, fragment, replacement, pytest node that must fail)
 MUTANTS = [
     (
-        "category.py",
-        "{n: _hom(C, *arrs[n]) for n in P.arrow_names}",
-        "{n: _hom(C, *arrs[n][::-1]) for n in P.arrow_names}",
-        "tests/test_category.py::TestOneHomFormula::test_hom_bifunctor_and_dagger_are_hom",
-    ),
-    (
-        "category.py",
-        "NatTransData(partial(x), partial(y), comps)",
-        "NatTransData(partial(y), partial(x), comps)",
-        "tests/test_category.py::TestSliceAssemble::test_slice_natural",
-    ),
-    (
         "group.py",
         "G.op[(G.op[(x, n)], G.inv[x])]",
         "G.op[(G.op[(G.inv[x], n)], x)]",
@@ -252,13 +240,13 @@ MUTANTS = [
         "x: E.compose(alpha.component[G.on_obj[x]], J.on_arr[tau.component[x]])",
         "x: alpha.component[G.on_obj[x]]",
         "tests/test_category.py::TestHorizontalComposition::"
-        "test_component_helper_is_hcompose_without_functors[Z2-Z2-Z2]",
+        "test_formulas_agree_on_non_thin_categories[Z2-Z2-Z2]",
     ),
     (
         "category.py",
         "{h: C.comp[(C.comp[(g, h)], f)] for h in dom}",
         "{h: C.comp[(C.comp[(f, h)], g)] for h in dom}",
-        "tests/test_category.py::TestOneHomFormula::test_hom_bifunctor_and_dagger_are_hom",
+        "tests/test_category.py::TestOneHomFormula::test_hom_functors_are_slices_of_hom",
     ),
     (
         "category.py",
@@ -568,6 +556,20 @@ MUTANTS = [
         "    if G is None:\n        return r\n    r.merge(group.action_check(",
         "    r.merge(group.action_check(",
         "tests/test_cli.py::TestFailedPremises::test_an_action_whose_group_table_fails",
+    ),
+    (
+        "docs.py",
+        "if not isinstance(v, int) or isinstance(v, bool) or v < 1:",
+        "if not isinstance(v, int) or v < 1:",
+        "tests/test_cli.py::TestSchemaErrors::test_a_spoiled_document_is_one_error_line[window-true]",
+    ),
+    (
+        "docs.py",
+        "        if (g, f) in seen:\n"
+        '            raise SchemaError("comp defines the cell (%s, %s) twice" % (g, f))\n',
+        "",
+        "tests/test_cli.py::TestSchemaErrors::test_a_spoiled_document_is_one_error_line"
+        "[comp-cell-twice]",
     ),
 ]
 

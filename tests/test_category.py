@@ -24,6 +24,7 @@ from structa.category import (
     NatTransData,
     SetRepr,
     _composite,
+    _hcompose_components,
     arrow_category,
     arrow_equality_classes,
     bridge_category,
@@ -32,18 +33,13 @@ from structa.category import (
     check_functor,
     check_nat,
     check_set_functor,
-    compare_representations,
     compose_functors,
-    constant_functor,
-    dagger,
     discrete,
     enumerate_functors,
     enumerate_nat_trans,
     from_group,
     from_poset,
     functor_category,
-    hcompose,
-    hom_bifunctor,
     hom_functors,
     hom_set,
     identity_functor,
@@ -51,7 +47,6 @@ from structa.category import (
     interchange_check,
     opposite_cat,
     product_cat,
-    slice_nat,
     vcompose,
     yoneda,
     yoneda_embedding,
@@ -61,6 +56,7 @@ from structa.core import (
     FinSet,
     all_maps,
     associativity_witness,
+    classify,
     compose,
     finset,
     inverse,
@@ -71,7 +67,6 @@ from structa.errors import (
     CompositionMismatch,
     EndpointError,
     Mismatch,
-    NotProduct,
 )
 from structa.group import cyclic_group, enumerate_groups, enumerate_homs, symmetric_group_3
 from structa.order import (
@@ -130,16 +125,50 @@ def assert_isomorphism(F):
     assert sorted(F.on_arr.values()) == sorted(F.tgt.arrow_names)
 
 
+def product_pairs(C1, C2):
+    """(objects, arrows) of ``product_cat(C1, C2)``: each name mapped to
+    its pair of components."""
+    objs = {"(%s,%s)" % (x, y): (x, y) for x in C1.objects for y in C2.objects}
+    arrs = {"(%s,%s)" % (f, g): (f, g) for f in C1.arrow_names for g in C2.arrow_names}
+    return objs, arrs
+
+
 def common_range_product(F, G):
     """F × G : C1 × C2 → D × D for functors F, G into a common D, a
     functor on a product whose target is a category."""
     src = product_cat(F.src, G.src)
-    pairs, arrs = src.meta["obj_pairs"], src.meta["arr_pairs"]
+    pairs, arrs = product_pairs(F.src, G.src)
     return FunctorData(
         src,
         product_cat(F.tgt, G.tgt),
         {n: "(%s,%s)" % (F.on_obj[pairs[n][0]], G.on_obj[pairs[n][1]]) for n in src.objects},
         {n: "(%s,%s)" % (F.on_arr[arrs[n][0]], G.on_arr[arrs[n][1]]) for n in src.arrow_names},
+    )
+
+
+def hom_bifunctor(C):
+    """Hom on C^op × C, from the one hom formula ``category._hom``:
+    (a, b) ↦ {a→b}, (f, g) ↦ Hom(f, g) = (g ∘ − ∘ f). In C^op × C,
+    (h, i)∘(f, g) is (f∘h, i∘g), so its functor laws are the bifunctor
+    laws. Unchecked, so that a test can plant a defect in it."""
+    Cop = opposite_cat(C)
+    objs, arrs = product_pairs(Cop, C)
+    return SetRepr(
+        product_cat(Cop, C),
+        {n: hom_set(C, *objs[n]) for n in objs},
+        {n: category._hom(C, *arrs[n]) for n in arrs},
+    )
+
+
+def dagger(C, f):
+    """f†: L_c → L_a for f: a→c, with components Hom(f, 1_x) = (−∘f):
+    the slice of the Hom bifunctor at f, and the arrow that the Yoneda
+    embedding assigns to f. Unchecked."""
+    a, c = C.ends(f)
+    return NatTransData(
+        hom_functors(C, c)[0],
+        hom_functors(C, a)[0],
+        {x: category._hom(C, f, C.identity[x]) for x in C.objects},
     )
 
 
@@ -618,7 +647,7 @@ class TestProduct:
                     pairs.append((p, q))
         prodP = Poset(FinSet(labels), pairs)
         P = product_cat(C2, C2)
-        obj = {n: x + y for n, (x, y) in P.meta["obj_pairs"].items()}
+        obj = {n: x + y for n, (x, y) in product_pairs(C2, C2)[0].items()}
         arr = {
             n: "(%s<=%s)" % (obj[P.src[n]], obj[P.tgt[n]]) for n in P.arrow_names
         }
@@ -627,8 +656,9 @@ class TestProduct:
     def test_product_with_point_is_isomorphic(self):
         pt = discrete(finset("x"))
         P = product_cat(C2, pt)
-        obj = {n: x for n, (x, _) in P.meta["obj_pairs"].items()}
-        arr = {n: f for n, (f, _) in P.meta["arr_pairs"].items()}
+        objs, arrs = product_pairs(C2, pt)
+        obj = {n: x for n, (x, _) in objs.items()}
+        arr = {n: f for n, (f, _) in arrs.items()}
         assert_isomorphism(FunctorData(P, C2, obj, arr))
 
     def test_opposite_of_product(self):
@@ -650,10 +680,9 @@ class TestBifunctor:
 
     def test_each_arrow_factors_through_its_slices(self):
         # (f, g) = (f, 1_d)∘(1_a, g) = (1_c, g)∘(f, 1_b) for f: a→c, g: b→d
-        def check(B, compose_in_target):
-            A1, A2 = B.src.meta["product_of"]
+        def check(B, A1, A2, compose_in_target):
             one1, one2 = A1.identity, A2.identity
-            for n, (f, g) in B.src.meta["arr_pairs"].items():
+            for n, (f, g) in product_pairs(A1, A2)[1].items():
                 (a, c), (b, d) = A1.ends(f), A2.ends(g)
                 first = compose_in_target(
                     B.on_arr["(%s,%s)" % (f, one2[d])], B.on_arr["(%s,%s)" % (one1[a], g)]
@@ -664,28 +693,11 @@ class TestBifunctor:
                 assert first == B.on_arr[n] == second, n
 
         for _, C in hom_corpus():
-            check(hom_bifunctor(C), compose)
+            check(hom_bifunctor(C), opposite_cat(C), C, compose)
         G = identity_functor(C2)
         for F in enumerate_functors(opposite_cat(C2), C2):
             crp = common_range_product(F, G)
-            check(crp, crp.tgt.compose)
-
-    def test_slices_of_a_common_range_product_are_natural(self):
-        Cop = opposite_cat(C2)
-        G = identity_functor(C2)
-        for F in enumerate_functors(Cop, C2):
-            crp = common_range_product(F, G)
-            for f in Cop.arrow_names:
-                nt = slice_nat(crp, f)
-                assert check_nat(nt).passed
-                assert nt.F.src == C2 and nt.F.tgt == crp.tgt
-
-    def test_slice_of_a_functor_on_no_product_raises(self):
-        with pytest.raises(NotProduct):
-            slice_nat(identity_functor(C2), C2.arrow_names[0])
-        L, _ = hom_functors(C2, "a")
-        with pytest.raises(NotProduct):
-            slice_nat(L, C2.arrow_names[0])
+            check(crp, F.src, G.src, crp.tgt.compose)
 
 
 class TestBridges:
@@ -735,7 +747,7 @@ class TestBridges:
     def test_bridge_category_collision_rejected(self):
         D2 = discrete(finset("p", "q"))
         pt = discrete(finset("x"))
-        F = constant_functor(D2, pt, "x")
+        F = FunctorData(D2, pt, {"p": "x", "q": "x"}, {n: "id(x)" for n in D2.arrow_names})
         tau = {"p": "id(x)", "q": "id(x)"}
         # both components collapse onto one object; the images of the
         # two source identities become parallel arrows with no defined
@@ -816,17 +828,16 @@ class TestHorizontalComposition:
         ids=["C2-C2-C3", "C2-C3-C2", "Z2-Z2-Z2", "Z2-Z3-Z3"],
     )
     def test_component_helper_is_hcompose_without_functors(self, C, D, E):
-        from structa.category import _hcompose_components, compose_functors
-
+        # with the composite functors J∘F and K∘G, the components are a
+        # natural transformation, the horizontal composite α∘τ
         nats_cd = functor_category(C, D).meta["nats"].values()
         nats_de = functor_category(D, E).meta["nats"].values()
         for alpha in nats_de:
             for tau in nats_cd:
                 comp = _hcompose_components(alpha, tau)
-                out = hcompose(alpha, tau)
-                assert comp == out.component
-                assert (out.F, out.G) == (
-                    compose_functors(alpha.F, tau.F), compose_functors(alpha.G, tau.G))
+                out = NatTransData(
+                    compose_functors(alpha.F, tau.F), compose_functors(alpha.G, tau.G), comp)
+                assert check_nat(out).passed
                 # the formula α_{Gx} ∘ J τ_x, written out
                 J = alpha.F
                 assert comp == {
@@ -838,8 +849,7 @@ class TestHorizontalComposition:
         FC = functor_category(C2, C2)
         one = identity_nat(identity_functor(C2))
         for tau in FC.meta["nats"].values():
-            out = hcompose(tau, one)
-            assert out.component == tau.component
+            assert _hcompose_components(tau, one) == tau.component
 
     def test_interchange_fuzz(self):
         rng = random.Random(5)
@@ -899,17 +909,18 @@ class TestHom:
 
 
 class TestSliceAssemble:
+    """f†, the slice of the Hom bifunctor at f, is natural, and the
+    identity transformation at an identity arrow."""
+
     def test_slice_at_identity_is_identity(self):
-        B = hom_bifunctor(C3)
-        nt = slice_nat(B, C3.identity["b"])
+        nt = dagger(C3, C3.identity["b"])
         assert all(
             m == FinMap.identity(m.dom) for m in nt.component.values()
         )
 
     def test_slice_natural(self):
-        B = hom_bifunctor(C3)
         for f in C3.arrow_names:
-            assert check_nat(slice_nat(B, f)).passed
+            assert check_nat(dagger(C3, f)).passed
 
 
 class TestYoneda:
@@ -917,28 +928,28 @@ class TestYoneda:
         for C in (C2, C3, Z3):
             for a in C.objects:
                 La, _ = hom_functors(C, a)
-                out = yoneda(C, a, La)
-                assert len(out["nat_set"]) == len(hom_set(C, a, a))
+                out = yoneda(C, a, La, La)
+                assert len(out["by_name"]) == len(hom_set(C, a, a))
 
     def test_chain_bottom(self):
         La, _ = hom_functors(C3, "a")
-        out = yoneda(C3, "a", La)
-        assert len(out["nat_set"]) == 1
+        out = yoneda(C3, "a", La, La)
+        assert len(out["by_name"]) == 1
 
     def test_group_case(self):
         Le, _ = hom_functors(Z3, "pt")
-        out = yoneda(Z3, "pt", Le)
-        assert len(out["nat_set"]) == 3
+        out = yoneda(Z3, "pt", Le, Le)
+        assert len(out["by_name"]) == 3
         assert sorted(out["phi"].assign.values()) == ["g0", "g1", "g2"]
 
     def test_bijection_over_universe(self):
         # |Nat(L_a, F)| = |F a| for every object and every hom functor
         for C in (C3, Z2):
-            functors = [hom_functors(C, x)[0] for x in C.objects]
+            functors = {x: hom_functors(C, x)[0] for x in C.objects}
             for a in C.objects:
-                for F in functors:
-                    out = yoneda(C, a, F)
-                    assert len(out["nat_set"]) == len(F.on_obj[a])
+                for F in functors.values():
+                    out = yoneda(C, a, functors[a], F)
+                    assert len(out["by_name"]) == len(F.on_obj[a])
                     # φ is a bijection both ways
                     inv = inverse(out["phi"])
                     assert all(
@@ -947,9 +958,9 @@ class TestYoneda:
 
     def test_contravariant_hom_functor_is_refused(self):
         # R_a is a functor on C3^op, and C3^op is not C3
-        _, Ra = hom_functors(C3, "a")
+        La, Ra = hom_functors(C3, "a")
         with pytest.raises(Mismatch):
-            yoneda(C3, "a", Ra)
+            yoneda(C3, "a", La, Ra)
 
     def test_contravariant_hom_functor_lives_on_the_opposite(self):
         for C in (C2, C3, Z3):
@@ -1010,28 +1021,28 @@ class TestEmbeddingAndCayley:
 
 
 class TestRepresentations:
+    """A representation of F is an object x with a natural isomorphism
+    L_x → F; for F = L_a, f† links the representations (a, 1) and
+    (b, f†) for an isomorphism f: a→b."""
+
     def test_self_comparison_is_identity(self):
         La, _ = hom_functors(Z3, "pt")
-        beta = identity_nat(La)
-        f = compare_representations(Z3, La, ("pt", beta), ("pt", beta))
-        assert f == Z3.identity["pt"]
+        assert dagger(Z3, Z3.identity["pt"]) == identity_nat(La)
 
     def test_groupoid_connecting_iso(self):
         C = two_object_groupoid()
-        La, _ = hom_functors(C, "a")
-        beta = identity_nat(La)
         gamma = dagger(C, "u")  # L_b -> L_a, a natural iso
-        f = compare_representations(C, La, ("a", beta), ("b", gamma))
-        assert f == "u"
-        assert arrow_classify(C, f)["iso"]
+        assert check_nat(gamma).passed
+        assert all(classify(m)["bijective"] for m in gamma.component.values())
+        assert arrow_classify(C, "u")["iso"]
 
     def test_non_representation_rejected(self):
         Le, _ = hom_functors(Z3, "pt")
-        # a constant component cannot be bijective on a 3-element hom set
+        # a constant component is not bijective on a 3-element hom set,
+        # and not natural: g ∘ g0 = g is not g0 for g ≠ g0
         comps = {"pt": FinMap.constant(Le.on_obj["pt"], Le.on_obj["pt"], "g0")}
-        bad = NatTransData(Le, Le, comps)
-        with pytest.raises(BadStructure):
-            compare_representations(Z3, Le, ("pt", bad), ("pt", identity_nat(Le)))
+        assert not classify(comps["pt"])["bijective"]
+        assert not check_nat(NatTransData(Le, Le, comps)).passed
 
 
 class TestArrowCategory:
@@ -1061,7 +1072,7 @@ class TestArrowCategory:
 
     def test_mixed_sources(self):
         F = identity_functor(C2)
-        G = constant_functor(C2, C2, "b")
+        G = FunctorData(C2, C2, {x: "b" for x in C2.objects}, {n: "(b<=b)" for n in C2.arrow_names})
         cat = arrow_category(F, G)
         assert check_category(cat).passed
 
@@ -1148,12 +1159,14 @@ class TestConstructionTheorems:
             nats_de = functor_category(D, E).meta["nats"].values()
             for alpha in nats_de:
                 for tau in nats_cd:
-                    out = hcompose(alpha, tau)
+                    comp = _hcompose_components(alpha, tau)
+                    out = NatTransData(
+                        compose_functors(alpha.F, tau.F), compose_functors(alpha.G, tau.G), comp)
                     assert check_nat(out).passed
                     # the second defining formula: K τ_x ∘ α_{Fx}
                     K = alpha.G
                     assert all(
-                        out.component[x]
+                        comp[x]
                         == K.tgt.compose(K.on_arr[tau.component[x]], alpha.component[tau.F.on_obj[x]])
                         for x in tau.F.src.objects
                     )
@@ -1182,16 +1195,16 @@ class TestConstructionTheorems:
         from structa.suites import _yoneda_round_trip
 
         for C in (C3, Z2, Z3, two_object_groupoid()):
+            L = {x: hom_functors(C, x)[0] for x in C.objects}
             for a in C.objects:
-                for x in C.objects:
-                    F, _ = hom_functors(C, x)
-                    assert _yoneda_round_trip(C, a, F, yoneda(C, a, F))
+                for F in L.values():
+                    assert _yoneda_round_trip(C, a, F, yoneda(C, a, L[a], F))
 
     def test_yoneda_round_trip_rejects_a_wrong_phi(self):
         from structa.suites import _yoneda_round_trip
 
         F, _ = hom_functors(Z3, "pt")
-        res = yoneda(Z3, "pt", F)
+        res = yoneda(Z3, "pt", F, F)
         phi = res["phi"]
         shift = {"g0": "g1", "g1": "g2", "g2": "g0"}
         wrong = FinMap(phi.dom, phi.cod, {n: shift[phi(n)] for n in phi.dom})
@@ -1219,7 +1232,6 @@ class TestConstructionTheorems:
                 ]
                 assert len(links) == 1
                 assert arrow_classify(C, links[0])["iso"]
-                assert compare_representations(C, La, (x, beta), (y, gamma)) == links[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1386,12 +1398,13 @@ class TestOneHomFormula:
 
     def test_hom_bifunctor_and_dagger_are_hom(self):
         for name, C in hom_corpus():
-            B = hom_bifunctor(C)
-            for n, m in B.on_arr.items():
-                f, g = B.src.meta["arr_pairs"][n]
+            arrs = product_pairs(opposite_cat(C), C)[1]
+            for n, m in hom_bifunctor(C).on_arr.items():
+                f, g = arrs[n]
                 assert m == reference_hom(C, f, g), (name, f, g)
             for f in C.arrow_names:
-                assert dagger(C, f) == slice_nat(B, f), (name, f)
+                want = {x: reference_hom(C, f, C.identity[x]) for x in C.objects}
+                assert dagger(C, f).component == want, (name, f)
 
     def test_cayley_translations_are_the_regular_action(self):
         from structa.group import enumerate_groups, regular_action

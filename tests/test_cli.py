@@ -416,6 +416,47 @@ class TestFailedPremises:
         ), "")
 
 
+# one-object documents that pass `check`, each spoiled below in one place
+CATEGORY = {"kind": "category", "objects": ["a"], "arrows": [["1a", "a", "a"]],
+            "identity": [["a", "1a"]], "comp": [["1a", "1a", "1a"]]}
+CLOSURE = {"kind": "closure", "carrier": ["a"], "table": [[[], []], [["a"], ["a"]]]}
+WINDOW = {"kind": "rational-window", "window": 2, "den": 1}
+FUNCTOR = {"kind": "functor", "src": CATEGORY, "tgt": CATEGORY,
+           "on_obj": [["a", "a"]], "on_arr": [["1a", "1a"]]}
+
+SCHEMA_ERRORS = {
+    "arrow-named-twice": ({**CATEGORY, "arrows": [["1a", "a", "a"], ["1a", "a", "a"]]},
+                          "arrows declares duplicate names ['1a']"),
+    "comp-cell-twice": ({**CATEGORY, "comp": [["1a", "1a", "1a"], ["1a", "1a", "1a"]]},
+                        "comp defines the cell (1a, 1a) twice"),
+    "table-not-array": ({**CLOSURE, "table": {}},
+                        "table must be an array of [subset, subset] pairs"),
+    "row-not-pair": ({**CLOSURE, "table": [[[], []], [["a"]]]},
+                     "table entries must be [subset, subset] pairs"),
+    "cell-twice": ({**CLOSURE, "table": [[[], []], [["a"], ["a"]], [["a"], ["a"]]]},
+                   "table defines the cell {a} twice"),
+    "missing-cell": ({**CLOSURE, "table": [[[], []]]},
+                     "table is not total: missing the cell {a}"),
+    "window-0": ({**WINDOW, "window": 0}, "window must be a positive integer"),
+    "window-true": ({**WINDOW, "window": True}, "window must be a positive integer"),
+    "window-string": ({**WINDOW, "window": "3"}, "window must be a positive integer"),
+    "window-float": ({**WINDOW, "window": 3.0}, "window must be a positive integer"),
+    "src-not-object": ({**FUNCTOR, "src": []}, "src must be a nested 'category' document"),
+    "src-wrong-kind": ({**FUNCTOR, "src": CLOSURE}, "src must have kind 'category'"),
+}
+
+
+class TestSchemaErrors:
+    def test_the_unspoiled_documents_pass(self):
+        for doc in (CATEGORY, CLOSURE, WINDOW, FUNCTOR):
+            assert run_cli(["check", json.dumps(doc)])[0] == 0, doc["kind"]
+
+    @pytest.mark.parametrize("case", sorted(SCHEMA_ERRORS))
+    def test_a_spoiled_document_is_one_error_line(self, case):
+        doc, message = SCHEMA_ERRORS[case]
+        assert run_cli(["check", json.dumps(doc)]) == (2, "", "error: %s\n" % message)
+
+
 class TestSeveralFiles:
     def test_bad_file_does_not_hide_good_reports(self):
         good, bad = fx("group_z4.json"), fx("bad/missing_cell.json")
@@ -551,8 +592,8 @@ class TestRealStreams:
 def alpha_only(alpha, tau):
     """The components of a wrong horizontal composite, (α∘τ)_x = α_{Gx}:
     not composable where α_{Gx} ∘ J τ_x would be. It stands in for
-    ``category._hcompose_components``, which both ``hcompose`` and the
-    suite's formula check read."""
+    ``category._hcompose_components``, which both ``interchange_check``
+    and the suite's formula check read."""
     return {x: alpha.component[tau.G.on_obj[x]] for x in tau.F.src.objects}
 
 

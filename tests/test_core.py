@@ -29,19 +29,15 @@ from structa.core import (
     fiber_partition,
     fiber_union_check,
     finset,
-    fold,
     generated,
     image_calculus,
     inverse,
-    select,
     two_sided_unit,
 )
 from structa.errors import (
     BadStructure,
     CarrierMismatch,
     CompositionMismatch,
-    EmptyFold,
-    EmptyMember,
     NotBijective,
 )
 from structa.order import Poset
@@ -276,59 +272,12 @@ class TestDecompose:
                 assert compose(incl, compose(bij, p)) == f
 
 
-class TestFold:
-    MAX3 = {
-        (a, b): max(a, b) for a in ("1", "2", "3") for b in ("1", "2", "3")
-    }
-
-    def test_singleton(self):
-        assert fold(self.MAX3, ["2"]) == ("2", ("2",))
-
-    def test_max_chain(self):
-        total, partials = fold(self.MAX3, ["1", "3", "2"])
-        assert total == "3"
-        assert partials == ("1", "3", "3")
-
-    def test_power_as_repeated_multiply(self):
-        # Z3 as strings 0,1,2 under addition; folding [1,1,1] is 1+1+1
-        add = {(str(a), str(b)): str((a + b) % 3) for a in range(3) for b in range(3)}
-        total, _ = fold(add, ["1", "1", "1"])
-        assert total == "0"
-
-    def test_empty_errors(self):
-        with pytest.raises(EmptyFold):
-            fold(self.MAX3, [])
-
-    def test_concat_associativity(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            s = [rng.choice("123") for _ in range(rng.randint(1, 4))]
-            t = [rng.choice("123") for _ in range(rng.randint(1, 4))]
-            whole, _ = fold(self.MAX3, s + t)
-            left, _ = fold(self.MAX3, s)
-            right, _ = fold(self.MAX3, t)
-            assert whole == self.MAX3[(left, right)]
-
-
 class TestSelect:
-    def test_singletons_forced(self):
-        fam = [finset("a"), finset("b")]
-        sel = select(fam)
-        assert sel.assign == {"{a}": "a", "{b}": "b"}
-
-    def test_lexicographic_rule(self):
-        sel = select([finset("a", "b"), finset("b", "c")])
-        assert sel.assign == {"{a,b}": "a", "{b,c}": "b"}
-
-    def test_empty_member(self):
-        with pytest.raises(EmptyMember):
-            select([finset()])
-
     def test_reproduces_right_inverse(self):
-        # one point of each fiber of an onto map is a right inverse of it
+        # one point of each fiber of an onto map, here the least, is a
+        # right inverse of it
         f = FinMap(ABC, finset("x", "y"), {"a": "x", "b": "x", "c": "y"})
-        sel = select([fiber(f, z) for z in f.cod])
-        r = FinMap(f.cod, f.dom, {z: sel.assign[fiber(f, z).name()] for z in f.cod})
+        r = FinMap(f.cod, f.dom, {z: fiber(f, z).elements[0] for z in f.cod})
         assert r.assign == {"x": "a", "y": "c"}
         assert compose(f, r) == FinMap.identity(f.cod)
 

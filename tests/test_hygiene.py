@@ -8,8 +8,10 @@ module is seen at the call), and every class of
 ``errors.py`` is raised or caught somewhere in the package, so deleting
 the last caller of a name cannot leave its import or its error class
 behind. Every top-level function is reached from the CLI or the suite
-runner, or is named in ``KEPT_API``, so deleting the last caller of a
-function cannot leave it behind either. Only ``core.Frozen`` writes the
+runner, or is named in ``KEPT_API`` with a reason of a fixed form (a
+quote of the paper, a kept caller, the ROADMAP item that deletes it, or
+the printed law statement that names it), so deleting the last caller of
+a function cannot leave it behind either. Only ``core.Frozen`` writes the
 immutable-value contract. The ids that ``LawReport.add`` calls emit
 are exactly the rows of ``report.LAWS``, and each row's kind agrees with
 the verdicts its call sites pass. The catalogue ids that no suite and no
@@ -26,6 +28,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -324,31 +327,70 @@ def test_each_theorem_row_follows_its_premises_in_its_report(every_add):
 
 
 # Top-level functions that no CLI or suite path reaches and that stay on
-# purpose: documented library API, one function that a printed law
-# statement names, and two functions that only the benchmark calls.
+# purpose, each with its reason in one of the forms that
+# ``test_each_kept_function_gives_a_reason_of_a_fixed_form`` accepts.
 KEPT_API = {
-    "category.compare_representations": "library API",
-    "category.compose_functors": "library API, reached from hcompose",
-    "category.constant_functor": "library API",
-    "category.dagger": "library API, reached from compare_representations",
-    "category.hcompose": "library API",
-    "category.hom_bifunctor": "library API",
-    "category.hom_functors": "library API",
-    "category.identity_functor": "library API",
-    "category.slice_nat": "library API",
-    "category.yoneda": "library API",
-    "core.fold": "library API",
-    "core.inverse": "library API",
-    "core.select": "library API",
-    "docs.to_structure": "perfbench calls it; item 5 deletes it",
-    "group.power": "library API",
-    "numbers.int_add_direct": "perfbench calls it; item 5 deletes it",
-    "order.completeness_report": "library API",
-    "order.functor_order": "library API",
-    "order.is_directed": "library API, reached from completeness_report",
-    "order.zorn_maximal":
-        "the printed statement of zorn-maximal-%d names it; suite zorn reads _zorn_chain",
+    # the ordered group of functors: its operation and its unit
+    "category.compose_functors": 'paper: "an ordered group of functors"',
+    # L_pt is Cayley's embedding of a group into its permutations
+    "category.hom_functors": 'paper: "as guaranteed by Cayley\'s Theorem"',
+    "category.identity_functor": 'paper: "an ordered group of functors"',
+    # the inverse of the isomorphism
+    "core.inverse": 'paper: "an isomorphism from the group of integers"',
+    # only perfbench calls these two
+    "docs.to_structure": "item 5 deletes it",
+    # n ↦ aⁿ
+    "group.power": 'paper: "an isomorphism from the group of integers into the group of '
+                   'automorphisms"',
+    "numbers.int_add_direct": "item 5 deletes it",
+    "order.functor_order":
+        'paper: "an ordered group of functors with a natural transformation between any two"',
+    # suite zorn reads _zorn_chain; moving this would change a printed line
+    "order.zorn_maximal": "statement of zorn-maximal-%d",
 }
+
+# the four forms of a KEPT_API reason
+REASON_FORMS = (
+    re.compile(r'paper: "(?P<quote>[^"]+)"'),
+    re.compile(r"reached from (?P<kept>\S+)"),
+    re.compile(r"item (?P<item>\d+) deletes it"),
+    re.compile(r"statement of (?P<law>\S+)"),
+)
+
+
+def reason_faults(name, reason, paper, items, laws) -> list:
+    """Why ``reason`` is not a valid reason for keeping ``name``: [] when
+    it takes one of the four forms and what it cites holds."""
+    match = next(filter(None, (form.fullmatch(reason) for form in REASON_FORMS)), None)
+    if match is None:
+        return ["%s: no fixed form" % name]
+    cited = match.groupdict()
+    if "quote" in cited and cited["quote"] not in paper:
+        return ["%s: the quote is not in PAPER.md" % name]
+    if "kept" in cited and cited["kept"] not in KEPT_API:
+        return ["%s: %s is not kept" % (name, cited["kept"])]
+    if "item" in cited and cited["item"] not in items:
+        return ["%s: ROADMAP.md has no item %s" % (name, cited["item"])]
+    if "law" in cited and name.split(".")[1] not in laws.get(cited["law"], (None, ""))[1]:
+        return ["%s: the statement of %s does not name it" % (name, cited["law"])]
+    return []
+
+
+def test_each_kept_function_gives_a_reason_of_a_fixed_form():
+    from structa.report import LAWS
+
+    paper = (TESTS.parent / "PAPER.md").read_text(encoding="utf-8")
+    roadmap = (TESTS.parent / "ROADMAP.md").read_text(encoding="utf-8")
+    items = set(re.findall(r"^### (\d+)\.", roadmap, re.MULTILINE))
+    faults = []
+    for name, reason in sorted(KEPT_API.items()):
+        faults += reason_faults(name, reason, paper, items, LAWS)
+    assert faults == []
+    # and a reason of no form, or citing what does not hold, fails
+    for reason in ("library API", 'paper: "a group of sets"', "reached from core.fold",
+                   "item 99 deletes it", "statement of ab-minimal-%d",
+                   'paper: "an ordered group of functors" and more'):
+        assert reason_faults("order.zorn_maximal", reason, paper, items, LAWS), reason
 
 
 def test_each_mutant_row_has_one_fragment_and_names_a_test_that_exists():

@@ -8,7 +8,6 @@ from structa.core import FinMap, FinSet, all_maps, finset
 from structa.errors import (
     BadStructure,
     CarrierMismatch,
-    EmptySubset,
     NotALattice,
     NotMonotone,
     NotSemilattice,
@@ -20,12 +19,10 @@ from structa.order import (
     antichain_poset,
     chain_poset,
     check_order,
-    completeness_report,
     diamond_poset,
     enumerate_posets,
     extend_chain,
     functor_order,
-    is_directed,
     lattice_from_poset,
     lattice_laws,
     order_flags,
@@ -50,6 +47,25 @@ def monotone_maps(P, Q):
             yield f
 
 
+def pairwise_directed(P, A) -> bool:
+    """Every pair of members of A has an upper bound in A."""
+    return all(any(P.le(x, z) and P.le(y, z) for z in A) for x in A for y in A)
+
+
+def completeness_flags(P) -> dict:
+    """The completeness taxonomy of P, each predicate by enumeration of
+    the subsets of its carrier, read from ``Poset.sup`` and ``Poset.inf``."""
+    subsets = list(P.carrier.subsets())
+    nonempty = [A for A in subsets if len(A) > 0]
+    has_sup = lambda A: P.sup(A) is not None
+    return {
+        "directed_complete": all(has_sup(A) for A in nonempty if pairwise_directed(P, A)),
+        "naturally_complete": all(has_sup(A) for A in nonempty if P.is_chain(A)),
+        "bounded_complete": all(has_sup(A) for A in nonempty if len(P.upper_bounds(A)) > 0),
+        "complete_lattice": all(has_sup(A) and P.inf(A) is not None for A in subsets),
+    }
+
+
 def natural_completeness_vs_fixed_points(P, include_empty_chain=False) -> tuple:
     """Two predicates whose equivalence is a tested conjecture: every chain
     has a sup, and every monotone endofunction has a least fixed point.
@@ -57,7 +73,7 @@ def natural_completeness_vs_fixed_points(P, include_empty_chain=False) -> tuple:
     With ``include_empty_chain`` the first predicate also demands sup ∅,
     i.e. a bottom; only then do the two provably coincide (an antichain
     with a cyclic monotone map separates the nonempty-chain reading)."""
-    chains_ok = completeness_report(P)["naturally_complete"]
+    chains_ok = completeness_flags(P)["naturally_complete"]
     if include_empty_chain:
         chains_ok = chains_ok and P.min_of(P.carrier) is not None
     fp_ok = True
@@ -248,19 +264,21 @@ class TestBoundsOnMasks:
 
 
 class TestDirected:
+    """A finite nonempty subset is directed exactly when it has a greatest
+    element, the one ``Poset.max_of`` finds."""
+
     def test_chain_directed(self):
-        assert is_directed(CHAIN3, CHAIN3.carrier)
+        assert pairwise_directed(CHAIN3, CHAIN3.carrier)
+        assert CHAIN3.max_of(CHAIN3.carrier) == "2"
 
     def test_powerset_directed(self):
-        assert is_directed(PW2, PW2.carrier)
+        assert pairwise_directed(PW2, PW2.carrier)
+        assert PW2.max_of(PW2.carrier) == finset("a", "b").name()
 
     def test_antichain_not_directed(self):
         P = antichain_poset(["a", "b"])
-        assert not is_directed(P, P.carrier)
-
-    def test_empty_errors(self):
-        with pytest.raises(EmptySubset):
-            is_directed(CHAIN3, finset())
+        assert not pairwise_directed(P, P.carrier)
+        assert P.max_of(P.carrier) is None
 
     def test_pairwise_criterion_matches_finite_subsets(self):
         # reference: every nonempty finite subset has an upper bound in A
@@ -274,7 +292,7 @@ class TestDirected:
                         for sub in A.subsets()
                         if len(sub) > 0
                     )
-                    assert is_directed(P, A) == by_subsets
+                    assert pairwise_directed(P, A) == by_subsets == (P.max_of(A) is not None)
 
 
 class TestChainsAndZorn:
@@ -516,31 +534,31 @@ def assert_completeness_theorems(P):
     """A finite poset is directed complete, and upper-bound complete iff
     lower-bound complete. A complete lattice has inf A = sup of the lower
     bounds of A, and its dual is directed complete too."""
-    flags = completeness_report(P)
+    flags = completeness_flags(P)
     assert flags["directed_complete"]
     subsets = list(P.carrier.subsets())
     lower_bounded = [A for A in subsets if len(A) > 0 and len(P.lower_bounds(A)) > 0]
     assert flags["bounded_complete"] == all(P.inf(A) is not None for A in lower_bounded)
     if flags["complete_lattice"]:
         assert all(P.inf(A) == P.sup(P.lower_bounds(A)) for A in subsets)
-        assert completeness_report(P.opposite())["directed_complete"]
+        assert completeness_flags(P.opposite())["directed_complete"]
 
 
 class TestCompleteness:
     def test_powerset_complete_lattice(self):
-        flags = completeness_report(PW2)
+        flags = completeness_flags(PW2)
         assert flags["complete_lattice"]
         assert_completeness_theorems(PW2)
 
     def test_antichain_directed_complete_but_no_lattice(self):
         P = antichain_poset(["a", "b"])
-        flags = completeness_report(P)
+        flags = completeness_flags(P)
         assert flags["directed_complete"]
         assert not flags["complete_lattice"]
 
     def test_chain_all_flags(self):
         assert all(
-            v for k, v in completeness_report(CHAIN3).items()
+            v for k, v in completeness_flags(CHAIN3).items()
         )
 
     def test_laws_hold_exhaustively_small(self):
