@@ -299,10 +299,6 @@ class FinMap(Frozen):
     def identity(cls, carrier: FinSet) -> "FinMap":
         return cls(carrier, carrier, {x: x for x in carrier})
 
-    @classmethod
-    def constant(cls, dom: FinSet, cod: FinSet, value: Symbol) -> "FinMap":
-        return cls(dom, cod, {x: value for x in dom})
-
     def point_masks(self) -> tuple:
         """The image bit over ``cod`` of each point of ``dom``, in ``dom`` order."""
         try:
@@ -341,12 +337,6 @@ class FinMap(Frozen):
             if m is None:
                 raise CarrierMismatch("image argument not a subset of the domain")
         return set_of(self.cod, self.image_mask(m))
-
-    def preimage(self, subset: FinSet) -> FinSet:
-        m = mask_of(self.cod, subset)
-        if m is None:
-            raise CarrierMismatch("preimage argument not a subset of the codomain")
-        return set_of(self.dom, self.preimage_mask(m))
 
 
 _set_points = FinMap._points.__set__

@@ -1,9 +1,9 @@
 """Posets, chains and lattices.
 
 Orders are stored as explicit pair sets over a finite carrier, so every
-axiom is a direct scan of the pairs. The chain methods read each
-element's up-set and down-set as masks over the carrier instead, built
-on first use.
+axiom is a direct scan of the pairs. ``Poset.sup`` and ``Poset.inf``,
+the chain functions and the lattice tables read each element's up-set
+and down-set as masks over the carrier instead, built on first use.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .core import (
     Frozen,
     associativity_witness,
     finset,
-    set_of,
     subset_masks,
 )
 from .errors import (
@@ -118,21 +117,6 @@ class Poset(Frozen):
     def comparable(self, x, y) -> bool:
         return self.le(x, y) or self.le(y, x)
 
-    def opposite(self) -> "Poset":
-        return Poset._trusted(self.carrier, {(y, x) for x, y in self.pairs})
-
-    def upper_bounds(self, A: FinSet) -> FinSet:
-        return set_of(self.carrier, self._common(A, self._masks()[0]))
-
-    def lower_bounds(self, A: FinSet) -> FinSet:
-        return set_of(self.carrier, self._common(A, self._masks()[1]))
-
-    def max_of(self, A: FinSet):
-        return self._extreme(self._mask(A), self._masks()[1])
-
-    def min_of(self, A: FinSet):
-        return self._extreme(self._mask(A), self._masks()[0])
-
     def sup(self, A: FinSet):
         up = self._masks()[0]
         return self._extreme(self._common(A, up), up)
@@ -197,18 +181,6 @@ class Poset(Frozen):
         m = self._mask(elems)
         up, down = self._masks()
         return m if all((up[x] | down[x]) & m == m for x in elems) else None
-
-    def is_chain(self, A) -> bool:
-        return self._chain_mask(list(A)) is not None
-
-    def sort_chain(self, A) -> tuple:
-        """The members of the chain ``A`` from least to greatest, each
-        placed by how many members of ``A`` lie at or below it."""
-        elems = list(A)
-        m = self._chain_mask(elems)
-        if m is None:
-            raise BadStructure("subset is not a chain", witness=tuple(sorted(elems)))
-        return self._ascending(elems, m)
 
     def _ascending(self, elems, m: int) -> tuple:
         """The members ``elems`` of the chain with mask m, unchecked, from

@@ -965,14 +965,6 @@ def suite_topology(seed=0) -> LawReport:
                 continue
             if _strict_passes(subs, cl):
                 ok3 = False
-        # constructive argument: point fixing pins singletons, additivity
-        # then pins every other value as the union of its singletons
-        for A in carrier.subsets():
-            if len(A) > 1:
-                parts = [finset(x) for x in A]
-                union = FinSet(x for p in parts for x in p)
-                if union != A:
-                    ok3 = False
         out.add("tp-strict-three", ok3)
         return out
 

@@ -48,9 +48,6 @@ class ClosureOp(Frozen):
     def __call__(self, A: FinSet) -> FinSet:
         return self.table[A]
 
-    def closed_sets(self) -> Family:
-        return Family(self.carrier, [A for A in self.table if self.table[A] == A])
-
 
 def discrete_closure(carrier: FinSet) -> ClosureOp:
     return ClosureOp(carrier, {A: A for A in carrier.subsets()})
@@ -162,8 +159,9 @@ class Topology(Frozen):
 def check_topology(carrier: FinSet, opens: Family) -> Topology:
     if opens.carrier != carrier:
         raise CarrierMismatch("open family lives over a different carrier")
-    if FinSet() not in opens or carrier not in opens:
-        raise BadStructure("the empty set and the carrier must be open")
+    shut = next((s for s in (FinSet(), carrier) if s not in opens), None)
+    if shut is not None:
+        raise BadStructure("the empty set and the carrier must be open", witness=(shut.name(),))
     bad = closure_witness(opens, FinSet.union)
     if bad is not None:
         raise BadStructure("opens are not union closed", witness=bad)

@@ -541,7 +541,7 @@ MUTANTS = [
     ),
     (
         "docs.py",
-        '        r.add("top-axioms", False, e.witness or (str(e),))\n        return r\n',
+        '        r.add("top-axioms", False, e.witness)\n        return r\n',
         "        return r\n",
         "tests/test_cli.py::TestFailedPremises::test_a_topology_that_fails_its_axioms",
     ),

@@ -1040,7 +1040,8 @@ class TestRepresentations:
         Le, _ = hom_functors(Z3, "pt")
         # a constant component is not bijective on a 3-element hom set,
         # and not natural: g ∘ g0 = g is not g0 for g ≠ g0
-        comps = {"pt": FinMap.constant(Le.on_obj["pt"], Le.on_obj["pt"], "g0")}
+        hom = Le.on_obj["pt"]
+        comps = {"pt": FinMap(hom, hom, dict.fromkeys(hom, "g0"))}
         assert not classify(comps["pt"])["bijective"]
         assert not check_nat(NatTransData(Le, Le, comps)).passed
 

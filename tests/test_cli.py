@@ -375,7 +375,7 @@ class TestFailedPremises:
             "== doc.json\n"
             "suite: topology\n"
             "  FAIL  top-axioms  opens contain endpoints, unions, intersections"
-            "  witness=('the empty set and the carrier must be open',)\n"
+            "  witness=('{a,b}',)\n"
             "  0 passed, 1 failed\n"
         ), "")
 

@@ -443,7 +443,7 @@ class TestHoms:
                 img = subgroup_check(Z2, h.map.image(H.members))
                 if is_normal(S, H):
                     assert is_normal(Z2, img)
-                pre = subgroup_check(S, h.map.preimage(img.members))
+                pre = subgroup_check(S, FinSet(x for x in S.carrier if h.map(x) in img.members))
                 if is_normal(Z2, img):
                     assert is_normal(S, pre)
 

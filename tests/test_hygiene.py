@@ -1,4 +1,5 @@
-"""Hygiene checks on src/structa, read from the source with ``ast``.
+"""Hygiene checks on src/structa, read from the source with ``ast`` and
+from one traced run of the commands.
 
 Every module-level import is used in its module, every import in a
 function body is used in that function, no function body but one
@@ -7,26 +8,28 @@ module, and called through the module, so a function replaced on its
 module is seen at the call), and every class of
 ``errors.py`` is raised or caught somewhere in the package, so deleting
 the last caller of a name cannot leave its import or its error class
-behind. Every top-level function is reached from the CLI or the suite
-runner, or is named in ``KEPT_API`` with a reason of a fixed form (a
-quote of the paper, a kept caller, the ROADMAP item that deletes it, or
-the printed law statement that names it), so deleting the last caller of
-a function cannot leave it behind either. Only ``core.Frozen`` writes the
+behind. One run of the commands in a fresh interpreter, under a profile
+hook, records which functions they call and which laws they add. Every
+``def`` but a dunder (function, method or nested function) is called by
+that run, or is named in ``KEPT_API`` with a reason of a fixed form (a
+quote of the paper, a kept caller, the function whose failure alone
+reaches it, the ROADMAP item that deletes it, or the printed law
+statement that names it), so deleting the last caller of a function
+cannot leave it behind either. Only ``core.Frozen`` writes the
 immutable-value contract. The ids that ``LawReport.add`` calls emit
 are exactly the rows of ``report.LAWS``, and each row's kind agrees with
-the verdicts its call sites pass. The catalogue ids that no suite and no
-``check`` of a fixture adds are a pinned list, each family with its
-reason. Each by-construction row that is a theorem of earlier rows is
-added after those rows passed, in the same report. Each row of
+the verdicts its call sites pass. The catalogue ids that no command of
+the run adds are a pinned list, each family with its reason. Each
+by-construction row that is a theorem of earlier rows is added after
+those rows passed, in the same report. Each row of
 ``tests/mutants.py`` names a fragment found once in its module and a
 test that exists. Importing structa loads none of ``dataclasses``,
 ``inspect`` and ``typing``.
 """
 
 import ast
-import contextlib
 import importlib.util
-import io
+import json
 import os
 import re
 import subprocess
@@ -250,10 +253,9 @@ def test_formats_adds_no_check(monkeypatch, capsys):
     assert calls == []
 
 
-# The catalogue ids (the rows that ``formats`` prints) that no suite at
-# seed 0 and no ``check`` of a fixture adds, by the reason each family is
-# missing. A family that a command comes to add leaves this list; no id
-# may join it.
+# The catalogue ids (the rows that ``formats`` prints) that no command of
+# ``TRACED_RUN`` adds, by the reason each family is missing. A family
+# that a command comes to add leaves this list; no id may join it.
 NEVER_ADDED = {
     "suite functions evaluates these through core._image_laws but adds a "
     "row only for an instance that fails": (
@@ -262,34 +264,92 @@ NEVER_ADDED = {
 }
 
 
+# One run of the commands in a fresh interpreter: every suite at seed 0
+# and ``suite sigma --json``, ``formats`` in text and JSON, ``check`` on
+# every fixture and one ``check --json``, every derive op on every
+# fixture and the two ``quotient`` forms of each group fixture, and two
+# usage errors. The profile hook is set before structa is imported, so a
+# call made on import counts. The script prints, as JSON, the package
+# directory, (module, first line) of each package code object that ran,
+# and (report, law id, verdict) for each ``LawReport.add`` call, in call
+# order, with a report given as its index.
+TRACED_RUN = """
+import contextlib, io, json, os, sys
+
+code_objects = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        code_objects.add(frame.f_code)
+
+
+sys.setprofile(profile)
+import structa
+from structa import cli, docs, suites
+from structa.report import LawReport
+
+package = os.path.dirname(structa.__file__)
+root = os.path.join(package, "fixtures")
+fixtures = [os.path.join(root, n) for n in sorted(os.listdir(root)) if n.endswith(".json")]
+fixtures += [os.path.join(root, "bad", n) for n in sorted(os.listdir(os.path.join(root, "bad")))]
+runs = [["suite", name, "--seed", "0"] for name in suites.SUITES]
+runs += [["suite", "sigma", "--seed", "0", "--json"], ["formats"], ["formats", "--json"]]
+runs += [["check", path] for path in fixtures] + [["check", "--json", fixtures[0]]]
+for path in fixtures:
+    runs += [["derive", op, path] for op in sorted(docs.DERIVE_OPS)]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError:
+        continue
+    if doc.get("kind") == "group":
+        runs += [["derive", "quotient", path, *doc["carrier"]],
+                 ["derive", "quotient", path, doc["carrier"][0]]]
+runs += [["nope"], ["suite", "nope"]]
+
+# each report is held, so no two of them share an id
+reports, adds, add = {}, [], LawReport.add
+
+
+def recorded(self, law, passed, *args, **kwargs):
+    adds.append((reports.setdefault(id(self), (len(reports), self))[0], law, bool(passed)))
+    return add(self, law, passed, *args, **kwargs)
+
+
+LawReport.add = recorded
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in runs:
+        cli.main(argv)
+sys.setprofile(None)
+called = {(os.path.basename(c.co_filename)[:-3], c.co_firstlineno)
+          for c in code_objects if os.path.dirname(c.co_filename) == package}
+json.dump({"package": package, "called": sorted(called), "adds": adds}, sys.stdout)
+"""
+
+
 @pytest.fixture(scope="module")
-def every_add():
-    """(report, law id, verdict) for each ``LawReport.add`` call that the
-    suites at seed 0 and ``check`` on every fixture make, in call order.
-    Each report is held, so no two of them share an ``id``."""
-    from structa import cli, suites
-    from structa.report import LawReport
+def traced_run():
+    """What ``TRACED_RUN`` prints, with ``package`` a ``Path`` and
+    ``called`` a set. The fresh interpreter imports the structa that
+    these tests import, such as a mutated copy first on ``PYTHONPATH``."""
+    import structa
 
-    calls, add = [], LawReport.add
-
-    def recorded(self, law, passed, *args, **kwargs):
-        calls.append((self, law, passed))
-        return add(self, law, passed, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch, \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        patch.setattr(LawReport, "add", recorded)
-        for name in suites.SUITES:
-            suites.run_suite(name, seed=0)
-        for path in sorted(suites.fixtures_dir().glob("**/*.json")):
-            cli.main(["check", str(path)])
-    return calls
+    package = Path(structa.__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert Path(run["package"]).resolve() == package
+    return dict(run, package=package, called={tuple(c) for c in run["called"]})
 
 
-def test_the_catalogue_ids_that_no_command_adds_are_the_pinned_ones(every_add):
+def test_the_catalogue_ids_that_no_command_adds_are_the_pinned_ones(traced_run):
     from structa.report import LAWS, UNIT
 
-    added = {law for _, law, _ in every_add}
+    added = {law for _, law, _ in traced_run["adds"]}
     never = {law for law, (kind, _) in LAWS.items() if kind != UNIT} - added
     pinned = [law for ids in NEVER_ADDED.values() for law in ids]
     assert len(pinned) == len(set(pinned))
@@ -309,13 +369,13 @@ PREMISES = {
 }
 
 
-def test_each_theorem_row_follows_its_premises_in_its_report(every_add):
+def test_each_theorem_row_follows_its_premises_in_its_report(traced_run):
     from structa.report import BY_CONSTRUCTION, LAWS
 
     assert sorted(law for law in PREMISES if LAWS[law][0] != BY_CONSTRUCTION) == []
     passed, unmet, seen = {}, [], set()
-    for report, law, verdict in every_add:
-        earlier = passed.setdefault(id(report), set())
+    for report, law, verdict in traced_run["adds"]:
+        earlier = passed.setdefault(report, set())
         if law in PREMISES:
             seen.add(law)
             unmet += [(law, p) for p in PREMISES[law] if p not in earlier]
@@ -326,7 +386,7 @@ def test_each_theorem_row_follows_its_premises_in_its_report(every_add):
     assert sorted(seen) == sorted(PREMISES)
 
 
-# Top-level functions that no CLI or suite path reaches and that stay on
+# The defs that no command of ``TRACED_RUN`` calls and that stay on
 # purpose, each with its reason in one of the forms that
 # ``test_each_kept_function_gives_a_reason_of_a_fixed_form`` accepts.
 KEPT_API = {
@@ -337,11 +397,18 @@ KEPT_API = {
     "category.identity_functor": 'paper: "an ordered group of functors"',
     # the inverse of the isomorphism
     "core.inverse": 'paper: "an isomorphism from the group of integers"',
+    "docs._b_action": "reached from docs.to_structure",
+    "docs._b_hom": "reached from docs.to_structure",
+    "docs._b_poset": "reached from docs.to_structure",
     # only perfbench calls these two
     "docs.to_structure": "item 5 deletes it",
     # n ↦ aⁿ
     "group.power": 'paper: "an isomorphism from the group of integers into the group of '
                    'automorphisms"',
+    "numbers._commute": "reached from numbers._scan_laws",
+    # the scans of a window whose shift tables are not translations
+    "numbers._scan_laws": "fault-only: numbers._translates",
+    "numbers._stack": "reached from numbers._scan_laws",
     "numbers.int_add_direct": "item 5 deletes it",
     "order.functor_order":
         'paper: "an ordered group of functors with a natural transformation between any two"',
@@ -349,18 +416,53 @@ KEPT_API = {
     "order.zorn_maximal": "statement of zorn-maximal-%d",
 }
 
-# the four forms of a KEPT_API reason
+# the five forms of a KEPT_API reason
 REASON_FORMS = (
     re.compile(r'paper: "(?P<quote>[^"]+)"'),
     re.compile(r"reached from (?P<kept>\S+)"),
+    re.compile(r"fault-only: (?P<failing>\S+)"),
     re.compile(r"item (?P<item>\d+) deletes it"),
     re.compile(r"statement of (?P<law>\S+)"),
 )
 
 
-def reason_faults(name, reason, paper, items, laws) -> list:
+def defined_functions(package) -> dict:
+    """``module.qualname`` of every def of the package but a dunder, by
+    (module, first line). A method is ``module.Class.name`` and a nested
+    function ``module.outer.<locals>.name``, as ``__qualname__`` reads.
+    The first line is a code object's: the first decorator's line for a
+    decorated def. (``co_qualname`` would need no such match, but it
+    needs Python 3.11.)"""
+    out = {}
+
+    def visit(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    out[(module, first)] = "%s.%s%s" % (module, prefix, child.name)
+                visit(module, child, "%s%s.<locals>." % (prefix, child.name))
+            elif isinstance(child, ast.ClassDef):
+                visit(module, child, "%s%s." % (prefix, child.name))
+            else:
+                visit(module, child, prefix)
+
+    for path in sorted(package.glob("*.py")):
+        visit(path.stem, ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def reach(traced_run) -> tuple:
+    """(every def of the package but a dunder, the ones the run called),
+    each as ``module.qualname``."""
+    defs = defined_functions(traced_run["package"])
+    called = {name for key, name in defs.items() if key in traced_run["called"]}
+    return set(defs.values()), called
+
+
+def reason_faults(name, reason, paper, items, laws, defined, called) -> list:
     """Why ``reason`` is not a valid reason for keeping ``name``: [] when
-    it takes one of the four forms and what it cites holds."""
+    it takes one of the five forms and what it cites holds."""
     match = next(filter(None, (form.fullmatch(reason) for form in REASON_FORMS)), None)
     if match is None:
         return ["%s: no fixed form" % name]
@@ -369,28 +471,42 @@ def reason_faults(name, reason, paper, items, laws) -> list:
         return ["%s: the quote is not in PAPER.md" % name]
     if "kept" in cited and cited["kept"] not in KEPT_API:
         return ["%s: %s is not kept" % (name, cited["kept"])]
+    if "failing" in cited and cited["failing"] not in defined:
+        return ["%s: there is no %s" % (name, cited["failing"])]
+    if "failing" in cited and cited["failing"] not in called:
+        return ["%s: the run never calls %s" % (name, cited["failing"])]
     if "item" in cited and cited["item"] not in items:
         return ["%s: ROADMAP.md has no item %s" % (name, cited["item"])]
-    if "law" in cited and name.split(".")[1] not in laws.get(cited["law"], (None, ""))[1]:
+    if "law" in cited and name.split(".")[-1] not in laws.get(cited["law"], (None, ""))[1]:
         return ["%s: the statement of %s does not name it" % (name, cited["law"])]
     return []
 
 
-def test_each_kept_function_gives_a_reason_of_a_fixed_form():
+def test_every_function_has_a_library_caller(traced_run):
+    defined, called = reach(traced_run)
+    # the allowlist holds exactly the defs that the run never calls, so
+    # it cannot go stale when one of them gains a caller or is deleted
+    assert sorted(defined - called - set(KEPT_API)) == []
+    assert sorted(set(KEPT_API) - (defined - called)) == []
+
+
+def test_each_kept_function_gives_a_reason_of_a_fixed_form(traced_run):
     from structa.report import LAWS
 
     paper = (TESTS.parent / "PAPER.md").read_text(encoding="utf-8")
     roadmap = (TESTS.parent / "ROADMAP.md").read_text(encoding="utf-8")
     items = set(re.findall(r"^### (\d+)\.", roadmap, re.MULTILINE))
+    cites = (paper, items, LAWS, *reach(traced_run))
     faults = []
     for name, reason in sorted(KEPT_API.items()):
-        faults += reason_faults(name, reason, paper, items, LAWS)
+        faults += reason_faults(name, reason, *cites)
     assert faults == []
     # and a reason of no form, or citing what does not hold, fails
     for reason in ("library API", 'paper: "a group of sets"', "reached from core.fold",
                    "item 99 deletes it", "statement of ab-minimal-%d",
-                   'paper: "an ordered group of functors" and more'):
-        assert reason_faults("order.zorn_maximal", reason, paper, items, LAWS), reason
+                   'paper: "an ordered group of functors" and more',
+                   "fault-only: numbers._no_such_function", "fault-only: docs.to_structure"):
+        assert reason_faults("order.zorn_maximal", reason, *cites), reason
 
 
 def test_each_mutant_row_has_one_fragment_and_names_a_test_that_exists():
@@ -416,72 +532,6 @@ def test_each_mutant_row_has_one_fragment_and_names_a_test_that_exists():
             body = defs[0].body
     assert mutants.MUTANTS
     assert stale == []
-
-
-# the console script, and the suite runner that ``structa suite`` and
-# the package export share
-ENTRY_POINTS = [("cli", "main"), ("suites", "run_suite")]
-
-
-def reached_functions():
-    """(every top-level function as ``module.name``, the ones a fixpoint
-    scan reaches). The scan starts from the entry points and from each
-    module's top-level statements other than definitions and imports,
-    which run on import. A reached function or class reaches every
-    top-level definition that a name in its body resolves to: one of its
-    module, or one a module-level ``from .m import`` brings in. It also
-    reaches ``m.f`` for a module ``m`` that ``from . import m`` brings
-    in."""
-    defs, aliases, modules, todo = {}, {}, {}, []
-    for path in MODULES:
-        mod = path.stem
-        aliases[mod], modules[mod] = {}, {}
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs[(mod, node.name)] = node
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
-                for a in node.names:
-                    if node.module is None:
-                        modules[mod][a.asname or a.name] = a.name
-                    else:
-                        aliases[mod][a.asname or a.name] = (node.module, a.name)
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                todo.append((mod, node))
-
-    def resolve(mod, name):
-        seen = set()
-        while (mod, name) not in defs and name in aliases.get(mod, {}) and (mod, name) not in seen:
-            seen.add((mod, name))
-            mod, name = aliases[mod][name]
-        return (mod, name)
-
-    todo += [(mod, defs[(mod, name)]) for mod, name in ENTRY_POINTS]
-    reached = set(ENTRY_POINTS)
-    while todo:
-        mod, node = todo.pop()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                key = resolve(mod, sub.id)
-            elif (
-                isinstance(sub, ast.Attribute)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id in modules[mod]
-            ):
-                key = resolve(modules[mod][sub.value.id], sub.attr)
-            else:
-                continue
-            if key in defs and key not in reached:
-                reached.add(key)
-                todo.append((key[0], defs[key]))
-    functions = {"%s.%s" % k for k, n in defs.items() if isinstance(n, ast.FunctionDef)}
-    return functions, {"%s.%s" % k for k in reached}
-
-
-def test_every_function_has_a_library_caller():
-    functions, reached = reached_functions()
-    # the allowlist holds exactly the unreached functions, so it cannot
-    # go stale when one of them gains a caller or is deleted
-    assert sorted(functions - reached) == sorted(KEPT_API)
 
 
 # dataclasses imports inspect (and with it ast, dis and tokenize) and

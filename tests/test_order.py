@@ -52,6 +52,11 @@ def pairwise_directed(P, A) -> bool:
     return all(any(P.le(x, z) and P.le(y, z) for z in A) for x in A for y in A)
 
 
+def opposite(P):
+    """P with its order reversed."""
+    return Poset(P.carrier, {(y, x) for x, y in P.pairs})
+
+
 def completeness_flags(P) -> dict:
     """The completeness taxonomy of P, each predicate by enumeration of
     the subsets of its carrier, read from ``Poset.sup`` and ``Poset.inf``."""
@@ -60,8 +65,9 @@ def completeness_flags(P) -> dict:
     has_sup = lambda A: P.sup(A) is not None
     return {
         "directed_complete": all(has_sup(A) for A in nonempty if pairwise_directed(P, A)),
-        "naturally_complete": all(has_sup(A) for A in nonempty if P.is_chain(A)),
-        "bounded_complete": all(has_sup(A) for A in nonempty if len(P.upper_bounds(A)) > 0),
+        "naturally_complete": all(has_sup(A) for A in nonempty if reference_is_chain(P, A)),
+        "bounded_complete": all(has_sup(A) for A in nonempty
+                                if len(reference_upper_bounds(P, A)) > 0),
         "complete_lattice": all(has_sup(A) and P.inf(A) is not None for A in subsets),
     }
 
@@ -75,11 +81,11 @@ def natural_completeness_vs_fixed_points(P, include_empty_chain=False) -> tuple:
     with a cyclic monotone map separates the nonempty-chain reading)."""
     chains_ok = completeness_flags(P)["naturally_complete"]
     if include_empty_chain:
-        chains_ok = chains_ok and P.min_of(P.carrier) is not None
+        chains_ok = chains_ok and reference_min(P, P.carrier) is not None
     fp_ok = True
     for f in monotone_maps(P, P):
         inv = FinSet(x for x in P.carrier if f(x) == x)
-        if P.min_of(inv) is None:
+        if reference_min(P, inv) is None:
             fp_ok = False
             break
     return chains_ok, fp_ok
@@ -170,7 +176,7 @@ class TestBounds:
     def test_antichain_no_sup(self):
         P = antichain_poset(["a", "b"])
         A = finset("a", "b")
-        assert P.upper_bounds(A) == finset() and P.sup(A) is None
+        assert reference_upper_bounds(P, A) == finset() and P.sup(A) is None
 
     def test_empty_subset_conventions(self):
         assert CHAIN3.sup(finset()) == "0"
@@ -210,12 +216,8 @@ class TestBoundsOnMasks:
             for A in P.carrier.subsets():
                 upper = reference_upper_bounds(P, A)
                 lower = reference_lower_bounds(P, A)
-                assert P.upper_bounds(A) == upper, (P, A)
-                assert P.lower_bounds(A) == lower, (P, A)
                 assert P.sup(A) == reference_min(P, upper), (P, A)
                 assert P.inf(A) == reference_max(P, lower), (P, A)
-                assert P.max_of(A) == reference_max(P, A), (P, A)
-                assert P.min_of(A) == reference_min(P, A), (P, A)
 
     def test_lattice_tables_match_the_pairwise_scans(self):
         for P in small_posets():
@@ -253,9 +255,7 @@ class TestBoundsOnMasks:
                 rep = lattice_laws(LatticeTables(P, join, lt.meet))
                 assert rep["lat-finite-sup"].passed == expected, (P, join)
 
-    @pytest.mark.parametrize(
-        "method", ["upper_bounds", "lower_bounds", "sup", "inf", "max_of", "min_of"]
-    )
+    @pytest.mark.parametrize("method", ["sup", "inf"])
     def test_member_outside_the_carrier(self, method):
         P = chain_poset(["a", "b", "c"])
         with pytest.raises(CarrierMismatch) as e:
@@ -265,20 +265,20 @@ class TestBoundsOnMasks:
 
 class TestDirected:
     """A finite nonempty subset is directed exactly when it has a greatest
-    element, the one ``Poset.max_of`` finds."""
+    element."""
 
     def test_chain_directed(self):
         assert pairwise_directed(CHAIN3, CHAIN3.carrier)
-        assert CHAIN3.max_of(CHAIN3.carrier) == "2"
+        assert reference_max(CHAIN3, CHAIN3.carrier) == "2"
 
     def test_powerset_directed(self):
         assert pairwise_directed(PW2, PW2.carrier)
-        assert PW2.max_of(PW2.carrier) == finset("a", "b").name()
+        assert reference_max(PW2, PW2.carrier) == finset("a", "b").name()
 
     def test_antichain_not_directed(self):
         P = antichain_poset(["a", "b"])
         assert not pairwise_directed(P, P.carrier)
-        assert P.max_of(P.carrier) is None
+        assert reference_max(P, P.carrier) is None
 
     def test_pairwise_criterion_matches_finite_subsets(self):
         # reference: every nonempty finite subset has an upper bound in A
@@ -292,7 +292,8 @@ class TestDirected:
                         for sub in A.subsets()
                         if len(sub) > 0
                     )
-                    assert pairwise_directed(P, A) == by_subsets == (P.max_of(A) is not None)
+                    greatest = reference_max(P, A)
+                    assert pairwise_directed(P, A) == by_subsets == (greatest is not None)
 
 
 class TestChainsAndZorn:
@@ -334,7 +335,7 @@ class TestChainsAndZorn:
                     (
                         tuple(sub)
                         for sub in P.carrier.subsets()
-                        if P.is_chain(sub) and len(P.upper_bounds(sub)) == 0
+                        if reference_is_chain(P, sub) and len(reference_upper_bounds(P, sub)) == 0
                     ),
                     None,
                 )
@@ -366,23 +367,16 @@ class TestChainsAndZorn:
             for P in enumerate_posets(FinSet("p%d" % i for i in range(n))):
                 for sub in P.carrier.subsets():
                     c = list(sub)
-                    chain = reference_is_chain(P, c)
-                    assert P.is_chain(c) == chain, (P, c)
-                    if not chain:
+                    if not reference_is_chain(P, c):
                         with pytest.raises(BadStructure):
                             extend_chain(P, c)
                         continue
-                    assert P.sort_chain(c) == reference_sort_chain(P, c), (P, c)
                     assert extend_chain(P, c).elements == reference_extend_chain(P, c), (P, c)
 
     def test_member_outside_the_carrier(self):
-        for call in (
-            lambda: extend_chain(DIAMOND, ["zz"]),
-            lambda: DIAMOND.sort_chain(["zz"]),
-            lambda: DIAMOND.is_chain(["bot", "zz"]),
-        ):
+        for chain in (["zz"], ["bot", "zz"]):
             with pytest.raises(CarrierMismatch) as e:
-                call()
+                extend_chain(DIAMOND, chain)
             assert e.value.witness == ("zz",)
 
     def test_extend_chain_is_maximal(self):
@@ -490,8 +484,8 @@ class TestSemilattices:
         assert order_from_semilattice(lt.join, PW2.carrier, "join") == PW2
         assert order_from_semilattice(lt.meet, PW2.carrier, "meet") == PW2
         # units: empty set is minimum, full set maximum
-        assert PW2.min_of(PW2.carrier) == "{}"
-        assert PW2.max_of(PW2.carrier) == "{a,b}"
+        assert reference_min(PW2, PW2.carrier) == "{}"
+        assert reference_max(PW2, PW2.carrier) == "{a,b}"
 
     def test_table_must_stay_in_the_carrier(self):
         carrier = finset("a", "b")
@@ -537,11 +531,11 @@ def assert_completeness_theorems(P):
     flags = completeness_flags(P)
     assert flags["directed_complete"]
     subsets = list(P.carrier.subsets())
-    lower_bounded = [A for A in subsets if len(A) > 0 and len(P.lower_bounds(A)) > 0]
+    lower_bounded = [A for A in subsets if len(A) > 0 and len(reference_lower_bounds(P, A)) > 0]
     assert flags["bounded_complete"] == all(P.inf(A) is not None for A in lower_bounded)
     if flags["complete_lattice"]:
-        assert all(P.inf(A) == P.sup(P.lower_bounds(A)) for A in subsets)
-        assert completeness_flags(P.opposite())["directed_complete"]
+        assert all(P.inf(A) == P.sup(reference_lower_bounds(P, A)) for A in subsets)
+        assert completeness_flags(opposite(P))["directed_complete"]
 
 
 class TestCompleteness:
@@ -586,7 +580,8 @@ class TestFunctorOrder:
 
     def test_constant_bottom_below_id_below_top(self):
         c = CHAIN3.carrier
-        maps = [FinMap.constant(c, c, "0"), FinMap.identity(c), FinMap.constant(c, c, "2")]
+        bottom, top = (FinMap(c, c, dict.fromkeys(c, y)) for y in ("0", "2"))
+        maps = [bottom, FinMap.identity(c), top]
         P = functor_order(maps, CHAIN3, CHAIN3)
         assert P.le("m0", "m1") and P.le("m1", "m2") and not P.le("m2", "m0")
 
@@ -604,7 +599,8 @@ class TestFunctorOrder:
     def test_a_map_off_the_carriers_is_refused(self):
         c, d = CHAIN3.carrier, DIAMOND.carrier
         ok = FinMap.identity(c)
-        for bad in (FinMap.constant(d, c, "0"), FinMap.constant(c, d, d.elements[0])):
+        for bad in (FinMap(d, c, dict.fromkeys(d, "0")),
+                    FinMap(c, d, dict.fromkeys(c, d.elements[0]))):
             with pytest.raises(CarrierMismatch):
                 functor_order([ok, bad], CHAIN3, CHAIN3)
 

@@ -82,6 +82,11 @@ def power_table(f):
     return {a.name(): f.image(a).name() for a in f.dom.subsets()}
 
 
+def preimage(f, B):
+    """The points of ``f.dom`` that f sends into B."""
+    return FinSet(x for x in f.dom if f(x) in B)
+
+
 def backward(f, B):
     """The subsets of the domain whose image is exactly B."""
     return {X for X in f.dom.subsets() if f.image(X) == B}
@@ -89,7 +94,7 @@ def backward(f, B):
 
 def forward(f, A):
     """The subsets of the image whose preimage is exactly A."""
-    return {Y for Y in f.image().subsets() if f.preimage(Y) == A}
+    return {Y for Y in f.image().subsets() if preimage(f, Y) == A}
 
 
 def assert_power_functor_theorems(f, g=None):
@@ -117,13 +122,13 @@ def assert_family_image_theorems(f, X, Y):
     family X over its domain and Y over its codomain."""
     flags = classify(f)
     im = f.image()
-    direct = {B for B in f.cod.subsets() if f.preimage(B) in X.members}
+    direct = {B for B in f.cod.subsets() if preimage(f, B) in X.members}
     inverse = {A for A in f.dom.subsets() if f.image(A) in Y.members}
     for B in im.subsets():
         # the fiber of B under P unions to f⁻¹B, and B is in the direct
         # family image iff that union is in X; for onto f, B ranges over
         # every subset of the codomain
-        assert union_of(backward(f, B)) == f.preimage(B)
+        assert union_of(backward(f, B)) == preimage(f, B)
         assert (B in direct) == (union_of(backward(f, B)) in X.members)
     for A in f.dom.subsets():
         assert forward(f, A) <= {f.image(A)}
@@ -182,7 +187,7 @@ class TestFamilyImages:
         f = FinMap(dom, finset("x", "y"), {"a": "x", "b": "y"})
         X = Family(dom, [finset("a")])
         direct = Family(f.cod, [f.image(A) for A in X.members])
-        family_direct = Family(f.cod, [B for B in f.cod.subsets() if f.preimage(B) in X.members])
+        family_direct = Family(f.cod, [B for B in f.cod.subsets() if preimage(f, B) in X.members])
         assert direct.members == family_direct.members == {finset("x")}
 
     def test_backward_of_point_is_power_fiber(self):

@@ -56,9 +56,14 @@ def closure_with_closed_sets(carrier, fam):
     return ClosureOp(carrier, table)
 
 
+def closed_sets(op):
+    """The fixed points of the closure, as a family."""
+    return Family(op.carrier, [A for A in op.table if op(A) == A])
+
+
 def closed_under_all_intersections(op):
     """Reference for clx-closed-inter: every non-empty combination."""
-    closed = op.closed_sets()
+    closed = closed_sets(op)
     ms = list(closed)
     return all(
         inter_of(combo, op.carrier) in closed
@@ -74,7 +79,7 @@ class TestClosedIntersectionReference:
         for k in range(len(subs) + 1):
             for fam in itertools.combinations(subs, k):
                 op = closure_with_closed_sets(carrier, set(fam))
-                assert op.closed_sets().members == frozenset(fam)
+                assert closed_sets(op).members == frozenset(fam)
                 got = closure_laws(op)["clx-closed-inter"].passed
                 assert got == closed_under_all_intersections(op), fam
 
@@ -160,7 +165,7 @@ class TestClosureFromClosed:
                 carrier, [s.complement_in(carrier) for s in T.members]
             )
             op = closure_from_closed(carrier, closed)
-            assert op.closed_sets().members == closed.members
+            assert closed_sets(op).members == closed.members
             assert closure_laws(op).passed
 
     def test_not_intersection_closed_rejected(self):
@@ -196,6 +201,14 @@ class TestTopology:
         )
         with pytest.raises(BadStructure):
             check_topology(carrier, opens)
+
+    def test_the_first_endpoint_that_is_not_open_is_the_witness(self):
+        # the empty set first, then the carrier
+        carrier = finset("a", "b")
+        for members, shut in (([finset("a")], "{}"), ([FinSet(), finset("a")], "{a,b}")):
+            with pytest.raises(BadStructure) as e:
+                check_topology(carrier, Family(carrier, members))
+            assert e.value.witness == (shut,)
 
     def test_open_duality_both_ways(self):
         for T in enumerate_topologies(finset("a", "b", "c")):
@@ -375,4 +388,4 @@ class TestConstructionTheorems:
                 op = closure_from_closed(carrier, closed)
                 rep = closure_laws(op)
                 assert rep.passed, rep.render_text()
-                assert op.closed_sets().members == closed.members
+                assert closed_sets(op).members == closed.members
