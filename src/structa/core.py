@@ -36,7 +36,7 @@ a ``FinSet`` is built only where a witness or a result needs one.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter
+from operator import and_, attrgetter, eq, invert, or_
 
 from .errors import (
     BadStructure,
@@ -432,6 +432,8 @@ _IMAGE_LAWS = {
     "pre-union": (),
     "pre-inter": (),
     "pre-diff": (),
+    "fib-prop": ("A", "B"),
+    "fib-prop-onedir": ("A", "B"),
 }
 
 
@@ -449,71 +451,155 @@ def _family_masks(dom: FinSet, cod: FinSet, members) -> tuple:
     return (dom_masks if over_dom else None), (cod_masks if over_cod else None)
 
 
-def _fold(masks, full: int, h, h_full: int) -> tuple:
-    """⋃ and ⋂ of ``masks`` (over ``full``), and of their images under h (over ``h_full``)."""
-    union, inter, h_union, h_inter = 0, full, 0, h_full
-    for m in masks:
-        union |= m
-        inter &= m
-        hm = h(m)
-        h_union |= hm
-        h_inter &= hm
-    return union, inter, h_union, h_inter
+def _image_scan(full_dom: int, full_cod: int, instances, fibre: int = 0) -> tuple:
+    """The columns that ``_image_laws`` reads, for instances (a, b,
+    families): a ``dom`` mask, a ``cod`` mask and families from
+    ``_family_masks``, over carriers whose full masks are ``full_dom``
+    and ``full_cod``. The image laws cover every instance and the fibre
+    law the first ``fibre``.
+
+    Returns ((a column, b column), family columns, (a column, b column)
+    of the fibre law). A family column gathers, over one carrier, the
+    j-th families of the instances that have j-th families of one size:
+    (over ``dom``, the indices of their instances, one column per
+    member, the column of their unions and that of their intersections).
+    None of it depends on a map, so a scan serves every map between the
+    two carriers."""
+    A = [a for a, _, _ in instances]
+    B = [b for _, b, _ in instances]
+    grouped = {}
+    for i, (_, _, families) in enumerate(instances):
+        for j, sides in enumerate(families):
+            for over_dom, masks in zip((True, False), sides):
+                if masks is not None:
+                    grouped.setdefault((j, over_dom, len(masks)), []).append((i, masks))
+    columns = []
+    for (_, over_dom, _), rows in grouped.items():
+        members = [list(col) for col in zip(*(masks for _, masks in rows))]
+        unions, inters = _fold(members, len(rows), full_dom if over_dom else full_cod)
+        columns.append((over_dom, [i for i, _ in rows], members, unions, inters))
+    return (A, B), columns, (A[:fibre], B[:fibre])
 
 
-def _image_laws(f: FinMap, c: dict, a: int, b: int, families, img, pre) -> list:
-    """The image/preimage laws of f as (law id, passed) pairs in report
-    order, for the ``dom`` mask a, the ``cod`` mask b and families from
-    ``_family_masks``; ``c`` is ``classify(f)``. ``img`` and ``pre`` give
-    the image of a ``dom`` mask and the preimage of a ``cod`` mask:
-    ``f.image_mask`` and ``f.preimage_mask``, or lookups in tables of
-    them. Each law compares two separately computed sides. No ``Check``
-    is built."""
+def _fold(columns, n: int, full: int) -> tuple:
+    """Row by row, the union and the intersection (within ``full``) of n
+    rows of masks given as columns, one column per member."""
+    union, inter = [0] * n, [full] * n
+    for col in columns:
+        union = list(map(or_, union, col))
+        inter = list(map(and_, inter, col))
+    return union, inter
+
+
+def _first_difference(left: list, right: list):
+    """The first index at which two columns of one length differ, or None."""
+    if left == right:
+        return None
+    return next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)
+
+
+def _image_laws(f: FinMap, c: dict, scan, img, pre) -> list:
+    """The image/preimage and fibre laws of f on the instances of a scan
+    from ``_image_scan``, each law in one pass over mask columns; ``c``
+    is ``classify(f)``. ``img`` and ``pre`` give the image of a ``dom``
+    mask and the preimage of a ``cod`` mask: ``f.image_mask`` and
+    ``f.preimage_mask``, or lookups in tables of them. Each law compares
+    two separately computed sides, as two columns that agree on every
+    instance where it holds. No ``Check`` is built.
+
+    Returns one (law id, index of the first instance that fails it or
+    None, number of cases) per law with a case, in report order: the
+    laws on (A, B), each family column's laws, then the fibre law. On a
+    one-instance scan these are the rows of one report. The cases are a
+    function of the scan and ``c`` alone: per instance 4 + monic + onto;
+    per ``dom`` family 1 + [non-empty]·(1 + monic); per ``cod`` family
+    1 + [non-empty] + [at least 2 members]; and one per fibre instance."""
+    (A, B), families, (fibre_A, fibre_B) = scan
+    out = []
+
+    def law(name, left, right, at=None):
+        first = _first_difference(left, right)
+        if first is not None and at is not None:
+            first = at[first]
+        out.append((name, first, len(left)))
+
     full_dom = (1 << len(f.dom.elements)) - 1
     full_cod = (1 << len(f.cod.elements)) - 1
-    fa = img(a)
-    pb = pre(b)
-    pfa = pre(fa)
-    fpb = img(pb)
-    laws = [("img-adjoint", (not fa & ~b) == (not a & ~pb)), ("img-unit", not a & ~pfa)]
-    if c["monic"]:
-        laws.append(("img-unit-monic", pfa == a))
-    laws.append(("img-counit", not fpb & ~b))
-    if c["onto"]:
-        laws.append(("img-counit-onto", fpb == b))
-    # f|A⁻¹B: the points of A, and only those, whose image lies in B
-    restricted = 0
-    bit = 1
-    for p in f.point_masks():
-        if a & bit and p & b:
-            restricted |= bit
-        bit <<= 1
-    laws.append(("img-restrict", restricted == a & pb))
-    for dom_masks, cod_masks in families:
-        if dom_masks is not None:
-            union, inter, im_union, im_inter = _fold(dom_masks, full_dom, img, full_cod)
-            laws.append(("img-union", img(union) == im_union))
-            if dom_masks:
-                f_inter = img(inter)
-                laws.append(("img-inter", not f_inter & ~im_inter))
+    if A:
+        FA = list(map(img, A))
+        PB = list(map(pre, B))
+        PFA = list(map(pre, FA))
+        FPB = list(map(img, PB))
+        law("img-adjoint", list(map(eq, map(or_, FA, B), B)), list(map(eq, map(or_, A, PB), PB)))
+        law("img-unit", list(map(or_, A, PFA)), PFA)
+        if c["monic"]:
+            law("img-unit-monic", PFA, A)
+        law("img-counit", list(map(or_, FPB, B)), B)
+        if c["onto"]:
+            law("img-counit-onto", FPB, B)
+        # f|A⁻¹B: the points of A, and only those, whose image lies in B
+        lands = {}
+        for b in set(B):
+            hit, bit = 0, 1
+            for p in f.point_masks():
+                if p & b:
+                    hit |= bit
+                bit <<= 1
+            lands[b] = hit
+        law("img-restrict", list(map(and_, A, map(lands.__getitem__, B))), list(map(and_, A, PB)))
+    for over_dom, at, members, unions, inters in families:
+        h, h_full = (img, full_cod) if over_dom else (pre, full_dom)
+        hs = [list(map(h, m)) for m in members]
+        h_union, h_inter = _fold(hs, len(at), h_full)
+        if over_dom:
+            law("img-union", list(map(img, unions)), h_union, at)
+            if members:
+                f_inter = list(map(img, inters))
+                law("img-inter", list(map(or_, f_inter, h_inter)), h_inter, at)
                 if c["monic"]:
-                    laws.append(("img-inter-monic", f_inter == im_inter))
-        if cod_masks is not None:
-            union, inter, pre_union, pre_inter = _fold(cod_masks, full_cod, pre, full_dom)
-            laws.append(("pre-union", pre(union) == pre_union))
-            if cod_masks:
-                laws.append(("pre-inter", pre(inter) == pre_inter))
-            if len(cod_masks) >= 2:
-                m0, m1 = cod_masks[0], cod_masks[1]
-                laws.append(("pre-diff", pre(m0 & ~m1) == pre(m0) & ~pre(m1)))
-    return laws
+                    law("img-inter-monic", f_inter, h_inter, at)
+        else:
+            law("pre-union", list(map(pre, unions)), h_union, at)
+            if members:
+                law("pre-inter", list(map(pre, inters)), h_inter, at)
+            if len(members) >= 2:
+                diffs = map(and_, members[0], map(invert, members[1]))
+                pre_diffs = map(and_, hs[0], map(invert, hs[1]))
+                law("pre-diff", list(map(pre, diffs)), list(pre_diffs), at)
+    if fibre_A:
+        # fA = B against A = ⋃ fibers of B: both ways for monic f and B
+        # inside Im f; otherwise fibers are only meaningful for image
+        # points, and the claim is one direction
+        fibres = {}
+        for b in set(fibre_B):
+            union = 0
+            for z in f.cod.bits().values():
+                if z & b:
+                    union |= _fiber_mask(f, z)
+            fibres[b] = union
+        image = img(full_dom) if c["monic"] else None
+        both, one = [], []
+        for i, (a, b, fa) in enumerate(zip(fibre_A, fibre_B, map(img, fibre_A))):
+            lhs, fib = fa == b, fibres[b]
+            if c["monic"] and not b & ~image:
+                both.append((i, lhs, a == fib))
+            else:
+                # fA = B implies A ⊆ ⋃ fibers: with A ⊆ them, fA = B is unchanged
+                one.append((i, lhs and not a & ~fib, lhs))
+        for name, rows in (("fib-prop", both), ("fib-prop-onedir", one)):
+            if rows:
+                at, left, right = map(list, zip(*rows))
+                law(name, left, right, at)
+    return out
 
 
 def image_calculus(f: FinMap, A: FinSet, B: FinSet, families=()) -> LawReport:
     """Evaluate the image/preimage law set for subsets A ⊆ dom, B ⊆ cod
-    and any number of subset families (over dom or cod): the verdicts of
-    ``_image_laws`` as a report, each failure named by the witness that
-    ``_IMAGE_LAWS`` gives its law."""
+    and any number of subset families (over dom or cod): ``_image_laws``
+    on the one instance (A, B, families), each failure named by the
+    witness that ``_IMAGE_LAWS`` gives its law. Its rows are the
+    instance's cases: 4 + monic + onto, and for each family those that
+    ``_image_laws`` counts for it over each carrier it lies in."""
     a = mask_of(f.dom, A)
     if a is None:
         raise CarrierMismatch("A must be a subset of the domain")
@@ -521,18 +607,17 @@ def image_calculus(f: FinMap, A: FinSet, B: FinSet, families=()) -> LawReport:
     if b is None:
         raise CarrierMismatch("B must be a subset of the codomain")
     fams = [_family_masks(f.dom, f.cod, fam) for fam in families]
-    sides = {"A": A.elements, "B": B.elements}
-    r = LawReport("image-calculus")
-    for law, passed in _image_laws(f, classify(f), a, b, fams, f.image_mask, f.preimage_mask):
-        r.add(law, passed, tuple(sides[n] for n in _IMAGE_LAWS[law]))
-    return r
+    full_dom, full_cod = (1 << len(f.dom.elements)) - 1, (1 << len(f.cod.elements)) - 1
+    scan = _image_scan(full_dom, full_cod, [(a, b, fams)])
+    return _one_instance_report("image-calculus", f, scan, {"A": A.elements, "B": B.elements})
 
 
 def fiber_union_check(f: FinMap, A: FinSet, B: FinSet) -> LawReport:
     """For monic f and B inside the image: fA = B iff A is the union of
     the fibers of B. Fibers are only meaningful for image points, so
-    points of B outside Im f reduce the claim to one direction."""
-    r = LawReport("fiber-union")
+    points of B outside Im f reduce the claim to one direction. This is
+    ``_image_laws``'s fibre law on the one instance (A, B): one row,
+    ``fib-prop`` or ``fib-prop-onedir``."""
     b = mask_of(f.cod, B)
     if b is None:
         z = next(z for z in B.elements if z not in f.cod)
@@ -540,17 +625,16 @@ def fiber_union_check(f: FinMap, A: FinSet, B: FinSet) -> LawReport:
     a = mask_of(f.dom, A)
     if a is None:
         raise CarrierMismatch("image argument not a subset of the domain")
-    fibers_of_B = 0
-    for z in f.cod.bits().values():
-        if z & b:
-            fibers_of_B |= _fiber_mask(f, z)
-    fa = f.image_mask(a)
-    lhs = fa == b
-    rhs = a == fibers_of_B
-    if classify(f)["monic"] and not b & ~f.image_mask((1 << len(f.dom.elements)) - 1):
-        r.add("fib-prop", lhs == rhs, (A.elements, B.elements))
-    else:
-        r.add("fib-prop-onedir", (not lhs) or not a & ~fibers_of_B, (A.elements, B.elements))
+    scan = ([], []), [], ([a], [b])
+    return _one_instance_report("fiber-union", f, scan, {"A": A.elements, "B": B.elements})
+
+
+def _one_instance_report(name: str, f: FinMap, scan, sides: dict) -> LawReport:
+    """The report of ``_image_laws`` on a one-instance scan, with the
+    mask methods of f; ``sides`` names A and B for the witnesses."""
+    r = LawReport(name)
+    for law, failed_at, _ in _image_laws(f, classify(f), scan, f.image_mask, f.preimage_mask):
+        r.add(law, failed_at is None, tuple(sides[n] for n in _IMAGE_LAWS[law]))
     return r
 
 

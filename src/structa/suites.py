@@ -95,54 +95,76 @@ def _image_tables(f: FinMap) -> tuple:
     )
 
 
+def _function_scan(dom: FinSet, cod: FinSet) -> tuple:
+    """(instances, scan) of ``suite functions`` on maps dom → cod. An
+    instance is (tag, a, b, families), a family (over ``dom``, its member
+    masks): ``img`` for every A ⊆ dom and B ⊆ cod with the families [A]
+    and [B], then ``img-fam`` and ``pre-fam`` for every pair of subsets
+    of dom or of cod, and ``img-fam3`` for every triple of subsets of a
+    three-point dom, each with A = dom and B = cod. The scan is
+    ``core._image_scan`` of them, with the fibre law on the ``img``
+    instances. The carriers share no point, so a family lies over both
+    exactly when its members are all empty."""
+    subsA, subsB = core.subset_masks(dom), core.subset_masks(cod)
+    full_a, full_b = subsA[-1], subsB[-1]
+    product = itertools.product
+    instances = [("img", a, b, ((True, (a,)), (False, (b,)))) for a in subsA for b in subsB]
+    instances += [("img-fam", full_a, full_b, ((True, X),)) for X in product(subsA, repeat=2)]
+    instances += [("pre-fam", full_a, full_b, ((False, Y),)) for Y in product(subsB, repeat=2)]
+    if len(dom) == 3:
+        instances += [("img-fam3", full_a, full_b, ((True, X),)) for X in product(subsA, repeat=3)]
+    columns = [
+        (a, b, [(ms if over_dom or not any(ms) else None,
+                 ms if not over_dom or not any(ms) else None) for over_dom, ms in families])
+        for _, a, b, families in instances
+    ]
+    return instances, core._image_scan(full_a, full_b, columns, fibre=len(subsA) * len(subsB))
+
+
+def _first_failure(f: FinMap, instance) -> tuple:
+    """The first failure of one instance of ``_function_scan``, as the
+    suite names it: its image laws' report, then for ``img`` its fibre
+    law's."""
+    tag, a, b, families = instance
+    A, B = core.set_of(f.dom, a), core.set_of(f.cod, b)
+    fams = [[core.set_of(f.dom if over_dom else f.cod, m) for m in ms] for over_dom, ms in families]
+    failures = [(tag, x.law, x.witness) for x in core.image_calculus(f, A, B, fams).failures]
+    if tag == "img":
+        failures += [("fib", x.law, x.witness) for x in core.fiber_union_check(f, A, B).failures]
+    return failures[0]
+
+
 def suite_functions(seed=0) -> LawReport:
     doms = [FinSet("a%d" % i for i in range(m)) for m in range(4)]
     cods = [FinSet("b%d" % i for i in range(n)) for n in range(4)]
-    passed_of = operator.itemgetter(1)
     volumes = []  # per unit: the individual checks performed
 
     def unit_for(dom, cod):
-        def instance(tag, A, B, *families):
-            masks = [core._family_masks(dom, cod, fam) for fam in families]
-            return tag, A, B, families, core.mask_of(dom, A), core.mask_of(cod, B), masks
-
         def unit():
+            maps = list(all_maps(dom, cod))
+            # one scan serves every map; with no map there is none to build
+            instances, scan = _function_scan(dom, cod) if maps else ((), None)
             checks = 0
-            failures = []
-            subsA = list(dom.subsets())
-            subsB = list(cod.subsets())
-            product = itertools.product
-            scan = [instance("img", A, B, [A], [B]) for A in subsA for B in subsB]
-            scan += [instance("img-fam", dom, cod, X) for X in product(subsA, repeat=2)]
-            scan += [instance("pre-fam", dom, cod, Y) for Y in product(subsB, repeat=2)]
-            if len(dom) == 3:
-                scan += [instance("img-fam3", dom, cod, X) for X in product(subsA, repeat=3)]
-            for f in all_maps(dom, cod):
+            failure = None
+            for f in maps:
                 p, bij, incl = decompose(f)
-                if compose(incl, compose(bij, p)) != f:
-                    failures.append(("decompose", f))
-                checks += 1
-                c = core.classify(f)
+                if compose(incl, compose(bij, p)) != f and failure is None:
+                    failure = ("decompose", f)
                 # each image and preimage is computed once per map
                 images, preimages = _image_tables(f)
-                img, pre = images.__getitem__, preimages.__getitem__
-                for tag, A, B, families, a, b, masks in scan:
-                    laws = core._image_laws(f, c, a, b, masks, img, pre)
-                    checks += len(laws)
-                    # only a failing instance gets a report, for its witnesses
-                    if not all(map(passed_of, laws)):
-                        rep = core.image_calculus(f, A, B, families)
-                        failures.extend((tag, x.law, x.witness) for x in rep.failures)
-                    if tag == "img":
-                        rep = core.fiber_union_check(f, A, B)
-                        checks += len(rep.checks)
-                        failures.extend(("fib", x.law, x.witness) for x in rep.failures)
+                laws = core._image_laws(f, core.classify(f), scan, images.__getitem__,
+                                        preimages.__getitem__)
+                checks += 1 + sum(cases for _, _, cases in laws)
+                failed = [i for _, i, _ in laws if i is not None]
+                # only the first failing instance gets a report, for its witness
+                if failed and failure is None:
+                    failure = _first_failure(f, instances[min(failed)])
             volumes.append(checks)
             out = LawReport("functions[%d,%d]" % (len(dom), len(cod)))
             out.add(
                 "fn-laws-%d-%d",
-                not failures,
-                tuple(str(x) for x in failures[:1]) or None,
+                failure is None,
+                None if failure is None else (str(failure),),
                 ids=(len(dom), len(cod)),
                 counts=(checks,),
             )

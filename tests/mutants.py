@@ -95,13 +95,13 @@ MUTANTS = [
     ),
     (
         "core.py",
-        "pre(m0 & ~m1) == pre(m0) & ~pre(m1)",
-        "pre(m1 & ~m0) == pre(m0) & ~pre(m1)",
+        "diffs = map(and_, members[0], map(invert, members[1]))",
+        "diffs = map(and_, members[1], map(invert, members[0]))",
         "tests/test_masks.py::TestLawReportsMatchTupleDefinitions::test_image_calculus_exhaustive_two_points",
     ),
     (
         "suites.py",
-        '            scan += [instance("pre-fam", dom, cod, Y) for Y in product(subsB, repeat=2)]\n',
+        '    instances += [("pre-fam", full_a, full_b, ((False, Y),)) for Y in product(subsB, repeat=2)]\n',
         "",
         "tests/test_acceptance.py::test_acceptance_criterion[01-functions]",
     ),
@@ -570,6 +570,56 @@ MUTANTS = [
         "",
         "tests/test_cli.py::TestSchemaErrors::test_a_spoiled_document_is_one_error_line"
         "[comp-cell-twice]",
+    ),
+    # the column kernel of the image laws
+    (
+        "core.py",
+        "return next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)",
+        "return [i for i, (x, y) in enumerate(zip(left, right)) if x != y][-1]",
+        "tests/test_masks.py::TestImageLawColumns::"
+        "test_a_law_failing_on_many_instances_names_the_first",
+    ),
+    (
+        "core.py",
+        '                if c["monic"]:\n'
+        '                    law("img-inter-monic", f_inter, h_inter, at)\n',
+        "                if True:\n"
+        '                    law("img-inter-monic", f_inter, h_inter, at)\n',
+        "tests/test_masks.py::TestImageLawColumns::"
+        "test_the_suite_scan_matches_the_per_instance_reference[3-2]",
+    ),
+    (
+        "core.py",
+        "list(map(and_, A, map(lands.__getitem__, B)))",
+        "list(map(lands.__getitem__, B))",
+        "tests/test_masks.py::TestImageLawColumns::"
+        "test_the_suite_scan_matches_the_per_instance_reference[2-2]",
+    ),
+    (
+        "core.py",
+        'if c["monic"] and not b & ~image:',
+        'if c["monic"]:',
+        "tests/test_masks.py::TestImageLawColumns::"
+        "test_the_suite_scan_matches_the_per_instance_reference[2-3]",
+    ),
+    (
+        "core.py",
+        "lhs, fib = fa == b, fibres[b]",
+        "lhs, fib = fa == b, pre(b)",
+        "tests/test_masks.py::test_a_planted_fault_prints_the_reference_line[fiber_mask-2-2]",
+    ),
+    (
+        "suites.py",
+        "failure = _first_failure(f, instances[min(failed)])",
+        "failure = _first_failure(f, instances[max(failed)])",
+        "tests/test_masks.py::test_a_planted_fault_prints_the_reference_line[image_mask-2-2]",
+    ),
+    # a module that a fresh structa process must not load
+    (
+        "report.py",
+        "from collections import namedtuple\n",
+        "import inspect  # noqa: F401\nfrom collections import namedtuple\n",
+        "tests/test_hygiene.py::test_importing_structa_loads_no_module_it_does_not_need",
     ),
 ]
 

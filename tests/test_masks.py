@@ -4,8 +4,12 @@ The subset laws of core, top and settools run on bit masks over a
 carrier's element index. Oracles: the tuple definitions they replaced,
 kept here as references, on random carriers, maps, families and closure
 tables (including tables that are no closure operator, so that failing
-laws and their first witnesses are compared too). Mutation tests make
-the mask image and preimage drop one bit and require the laws to fail.
+laws and their first witnesses are compared too). The column kernel of
+the image and fibre laws is compared with the per-instance kernel it
+replaced, kept here too, on every instance of ``suite functions`` over
+every map between carriers of 0-3 points, with and without a planted
+fault. Mutation tests make the mask image and preimage drop one bit and
+require the laws to fail.
 """
 
 import itertools
@@ -14,11 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structa import core
 from structa.core import (
+    _IMAGE_LAWS,
     FinMap,
     FinSet,
     _family_masks,
+    _image_laws,
+    _image_scan,
     all_maps,
+    classify,
+    compose,
+    decompose,
     fiber_union_check,
     finset,
     image_calculus,
@@ -166,6 +177,75 @@ def fiber_union_check_ref(f, A, B):
     else:
         r.add("fib-prop-onedir", (not lhs) or sub_ref(A, fibers_of_B), (tuple(A), tuple(B)))
     return r
+
+
+def _fold_ref(masks, full, h, h_full):
+    union, inter, h_union, h_inter = 0, full, 0, h_full
+    for m in masks:
+        union |= m
+        inter &= m
+        hm = h(m)
+        h_union |= hm
+        h_inter &= hm
+    return union, inter, h_union, h_inter
+
+
+def image_laws_per_instance(f, c, a, b, families, img, pre):
+    """The image/preimage laws of f on one instance, as (law id, passed)
+    pairs in report order: the per-instance kernel that the column kernel
+    ``core._image_laws`` replaced."""
+    full_dom = (1 << len(f.dom.elements)) - 1
+    full_cod = (1 << len(f.cod.elements)) - 1
+    fa = img(a)
+    pb = pre(b)
+    pfa = pre(fa)
+    fpb = img(pb)
+    laws = [("img-adjoint", (not fa & ~b) == (not a & ~pb)), ("img-unit", not a & ~pfa)]
+    if c["monic"]:
+        laws.append(("img-unit-monic", pfa == a))
+    laws.append(("img-counit", not fpb & ~b))
+    if c["onto"]:
+        laws.append(("img-counit-onto", fpb == b))
+    restricted = 0
+    bit = 1
+    for p in f.point_masks():
+        if a & bit and p & b:
+            restricted |= bit
+        bit <<= 1
+    laws.append(("img-restrict", restricted == a & pb))
+    for dom_masks, cod_masks in families:
+        if dom_masks is not None:
+            union, inter, im_union, im_inter = _fold_ref(dom_masks, full_dom, img, full_cod)
+            laws.append(("img-union", img(union) == im_union))
+            if dom_masks:
+                f_inter = img(inter)
+                laws.append(("img-inter", not f_inter & ~im_inter))
+                if c["monic"]:
+                    laws.append(("img-inter-monic", f_inter == im_inter))
+        if cod_masks is not None:
+            union, inter, pre_union, pre_inter = _fold_ref(cod_masks, full_cod, pre, full_dom)
+            laws.append(("pre-union", pre(union) == pre_union))
+            if cod_masks:
+                laws.append(("pre-inter", pre(inter) == pre_inter))
+            if len(cod_masks) >= 2:
+                m0, m1 = cod_masks[0], cod_masks[1]
+                laws.append(("pre-diff", pre(m0 & ~m1) == pre(m0) & ~pre(m1)))
+    return laws
+
+
+def fiber_union_per_instance(f, a, b, img):
+    """The fibre law of f on one instance, as one (law id, passed) pair:
+    the per-instance check that the column kernel replaced. It reads the
+    fibers through ``core._fiber_mask``, so a fault planted there shows."""
+    fibers_of_B = 0
+    for z in f.cod.bits().values():
+        if z & b:
+            fibers_of_B |= core._fiber_mask(f, z)
+    lhs = img(a) == b
+    rhs = a == fibers_of_B
+    if classify(f)["monic"] and not b & ~img((1 << len(f.dom.elements)) - 1):
+        return "fib-prop", lhs == rhs
+    return "fib-prop-onedir", (not lhs) or not a & ~fibers_of_B
 
 
 def canonical(fam):
@@ -497,6 +577,215 @@ class TestLawReportsMatchTupleDefinitions:
         except EmptyMemberInBase:
             generated = None
         assert generated == (Family(C, upward_ref(fam)) if base else None)
+
+
+# ---------------------------------------------------------------------------
+# The column kernel of suite functions against the per-instance references
+
+
+def carrier_pair(m, n):
+    return FinSet("a%d" % i for i in range(m)), FinSet("b%d" % i for i in range(n))
+
+
+def suite_instances(dom, cod):
+    """The instances of ``suite functions`` as sets, (tag, A, B,
+    families), in the order of its scan."""
+    subsA, subsB = list(dom.subsets()), list(cod.subsets())
+    product = itertools.product
+    out = [("img", A, B, ([A], [B])) for A in subsA for B in subsB]
+    out += [("img-fam", dom, cod, (X,)) for X in product(subsA, repeat=2)]
+    out += [("pre-fam", dom, cod, (Y,)) for Y in product(subsB, repeat=2)]
+    if len(dom) == 3:
+        out += [("img-fam3", dom, cod, (X,)) for X in product(subsA, repeat=3)]
+    return out
+
+
+def instance_masks(f, instance):
+    _, A, B, families = instance
+    return (mask_of(f.dom, A), mask_of(f.cod, B),
+            [_family_masks(f.dom, f.cod, fam) for fam in families])
+
+
+def scan_of(f, instances):
+    """``_image_scan`` of instances given as sets, with the fibre law on
+    the ``img`` ones, which come first."""
+    fibre = sum(tag == "img" for tag, _, _, _ in instances)
+    return _image_scan((1 << len(f.dom)) - 1, (1 << len(f.cod)) - 1,
+                       [instance_masks(f, x) for x in instances], fibre)
+
+
+def reference_laws(f, instance, img, pre):
+    """The (law id, passed) pairs of one instance, image laws first."""
+    a, b, families = instance_masks(f, instance)
+    laws = image_laws_per_instance(f, classify(f), a, b, families, img, pre)
+    if instance[0] == "img":
+        laws.append(fiber_union_per_instance(f, a, b, img))
+    return laws
+
+
+def by_law(rows):
+    """law id -> [index of the first failing instance or None, cases], from
+    (law id, first failing index or None, cases) rows."""
+    out = {}
+    for law, first, cases in rows:
+        row = out.setdefault(law, [None, 0])
+        row[1] += cases
+        if first is not None and (row[0] is None or first < row[0]):
+            row[0] = first
+    return out
+
+
+def reference_by_law(f, instances, img, pre):
+    rows = []
+    for i, x in enumerate(instances):
+        rows += [(law, None if passed else i, 1) for law, passed in reference_laws(f, x, img, pre)]
+    return by_law(rows)
+
+
+def kernel_verdicts(f, instance, img, pre):
+    """The (law id, passed) pairs of ``_image_laws`` on the instance alone."""
+    rows = _image_laws(f, classify(f), scan_of(f, [instance]), img, pre)
+    assert all(cases == 1 for _, _, cases in rows)
+    return [(law, first is None) for law, first, _ in rows]
+
+
+@pytest.fixture(scope="module")
+def functions_counts():
+    """fn-laws-m-n -> the count ``suite functions`` prints."""
+    from structa.suites import run_suite
+
+    return {c.law: int(c.statement.rsplit("(", 1)[1].split()[0])
+            for c in run_suite("functions").checks if c.law.startswith("fn-laws-")}
+
+
+class TestImageLawColumns:
+    @pytest.mark.parametrize("m,n", list(itertools.product(range(4), repeat=2)))
+    def test_the_suite_scan_matches_the_per_instance_reference(self, m, n, functions_counts):
+        from structa.suites import _function_scan, _image_tables
+
+        dom, cod = carrier_pair(m, n)
+        instances = suite_instances(dom, cod)
+        tagged, scan = _function_scan(dom, cod)
+        assert [(tag, a, b) for tag, a, b, _ in tagged] == [
+            (tag, mask_of(dom, A), mask_of(cod, B)) for tag, A, B, _ in instances]
+        count = 0
+        for f in all_maps(dom, cod):
+            images, preimages = _image_tables(f)
+            rows = _image_laws(f, classify(f), scan, images.__getitem__, preimages.__getitem__)
+            assert by_law(rows) == reference_by_law(f, instances, f.image_mask, f.preimage_mask)
+            count += 1 + sum(cases for _, _, cases in rows)
+            for x in instances:
+                assert kernel_verdicts(f, x, f.image_mask, f.preimage_mask) == \
+                    reference_laws(f, x, f.image_mask, f.preimage_mask), (f, x)
+        assert count == functions_counts["fn-laws-%d-%d" % (m, n)]
+
+    @pytest.mark.parametrize("table", ["images", "preimages"])
+    @pytest.mark.parametrize("tag", ["img", "img-fam", "pre-fam", "img-fam3"])
+    def test_a_planted_cell_fails_the_same_instances_and_laws(self, tag, table):
+        # one wrong cell of the image or preimage table, read by the
+        # instances of one kind alone; every cell of every map from three
+        # points to two, each cell once off by its lowest bit
+        from structa.suites import _image_tables
+
+        dom, cod = carrier_pair(3, 2)
+        instances = [x for x in suite_instances(dom, cod) if x[0] == tag]
+        failing = set()
+        for f in all_maps(dom, cod):
+            scan = scan_of(f, instances)
+            tables = dict(zip(("images", "preimages"), _image_tables(f)))
+            for cell in range(len(tables[table])):
+                planted = dict(tables, **{table: list(tables[table])})
+                planted[table][cell] ^= 1
+                img, pre = planted["images"].__getitem__, planted["preimages"].__getitem__
+                found = by_law(_image_laws(f, classify(f), scan, img, pre))
+                assert found == reference_by_law(f, instances, img, pre), (f, cell)
+                failing |= {law for law, (first, _) in found.items() if first is not None}
+                # for one cell per map, each instance alone as well
+                if cell == 1:
+                    for x in instances:
+                        assert kernel_verdicts(f, x, img, pre) == reference_laws(f, x, img, pre)
+        assert failing
+
+    def test_a_law_failing_on_many_instances_names_the_first(self):
+        dom, cod = carrier_pair(2, 2)
+        f = FinMap(dom, cod, {"a0": "b0", "a1": "b1"})
+        instances = suite_instances(dom, cod)
+        # the image of {a0, a1} loses b0, so img-union fails on each pair
+        # of subsets with union {a0, a1} that has a0 in a smaller member
+        images = [f.image_mask(a) for a in range(4)]
+        images[3] = 2
+        img = images.__getitem__
+        found = by_law(_image_laws(f, classify(f), scan_of(f, instances), img, f.preimage_mask))
+        assert found == reference_by_law(f, instances, img, f.preimage_mask)
+        union_fails = [i for i, x in enumerate(instances)
+                       if ("img-union", False) in reference_laws(f, x, img, f.preimage_mask)]
+        assert len(union_fails) > 1
+        assert found["img-union"][0] == union_fails[0]
+
+
+# (m, n, the map's values, what is planted): one wrong image or preimage
+# cell, read by every kind of instance, or fibers swapped on a bijection,
+# which decompose and the image laws never see
+PLANTED = [
+    (2, 2, ("b0", "b1"), "image_mask", 1, 3),
+    (3, 2, ("b0", "b1", "b1"), "image_mask", 5, 1),
+    (3, 3, ("b1", "b0", "b2"), "preimage_mask", 1, 6),
+    (2, 3, ("b2", "b2"), "preimage_mask", 4, 1),
+    (2, 2, ("b0", "b1"), "_fiber_mask", None, None),
+]
+
+
+def functions_line_ref(m, n):
+    """The ``fn-laws-m-n`` line of ``suite functions`` from the
+    per-instance references, as the report-per-instance scan rendered it."""
+    dom, cod = carrier_pair(m, n)
+    instances = suite_instances(dom, cod)
+    checks, failures = 0, []
+    for f in all_maps(dom, cod):
+        p, bij, incl = decompose(f)
+        if compose(incl, compose(bij, p)) != f:
+            failures.append(("decompose", f))
+        checks += 1
+        for x in instances:
+            tag, A, B, _ = x
+            sides = {"A": A.elements, "B": B.elements}
+            for law, passed in reference_laws(f, x, f.image_mask, f.preimage_mask):
+                checks += 1
+                if not passed:
+                    source = "fib" if law.startswith("fib") else tag
+                    failures.append((source, law, tuple(sides[s] for s in _IMAGE_LAWS[law])))
+    r = LawReport("functions")
+    r.add("fn-laws-%d-%d", not failures, tuple(str(x) for x in failures[:1]) or None,
+          ids=(m, n), counts=(checks,))
+    return r.render_text().splitlines()[1]
+
+
+@pytest.mark.parametrize("m,n,values,name,cell,wrong", PLANTED,
+                         ids=["%s-%d-%d" % (x[3].strip("_"), x[0], x[1]) for x in PLANTED])
+def test_a_planted_fault_prints_the_reference_line(monkeypatch, m, n, values, name, cell, wrong):
+    from structa.suites import run_suite
+
+    dom, cod = carrier_pair(m, n)
+    target = FinMap(dom, cod, dict(zip(dom.elements, values)))
+    if name == "_fiber_mask":
+        real = core._fiber_mask
+
+        def planted(f, z):
+            return real(f, 3 - z if f == target and z in (1, 2) else z)
+
+        monkeypatch.setattr(core, name, planted)
+    else:
+        real = getattr(FinMap, name)
+
+        def planted(self, mask):
+            return wrong if self == target and mask == cell else real(self, mask)
+
+        monkeypatch.setattr(FinMap, name, planted)
+    expected = functions_line_ref(m, n)
+    assert expected.startswith("  FAIL  fn-laws-%d-%d " % (m, n))
+    lines = run_suite("functions").render_text().splitlines()
+    assert [x for x in lines if " fn-laws-%d-%d " % (m, n) in x] == [expected]
+    assert sum("FAIL" in x for x in lines) == 1
 
 
 # ---------------------------------------------------------------------------
