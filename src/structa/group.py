@@ -622,85 +622,132 @@ def enumerate_groups(n: int) -> tuple:
     """All groups of order n up to isomorphism, from raw table enumeration;
     ``()`` for n < 1, since no group has an empty carrier.
 
-    Backtracks over Latin squares with a fixed unit, cutting a branch as
-    soon as a triple whose four products are all filled breaks
-    associativity, then dedupes by exhaustive relabeling. A cut drops only
-    tables that would fail, so the leaves come in the order of a plain
-    Latin-square search that keeps the associative ones.
+    Backtracks over Latin squares with unit 0, filling the cells (i, j),
+    i, j ≥ 1, in row order and trying the values in increasing order. A
+    value is cut as soon as a triple whose four products are all filled
+    breaks associativity. A cut drops only tables that would fail, so the
+    leaves come in the order of a plain Latin-square search that keeps
+    the associative ones. Each leaf is then matched against the
+    representatives kept so far by ``_tables_isomorphic``.
+
+    The table t is flat with stride m = n + 1: t[a·m + b] = ab, and n
+    marks a blank cell. Row n and column n are all n, so a product that
+    reads a blank reads n again, and a triple with a blank product never
+    clashes. ``where[a][x]`` is the b with ab = x, or n; it lists the at
+    most n filled cells holding x, one per row.
 
     A leaf is associative without a second scan. A triple (a, b, c)
     reads four cells: ab, bc, (ab)c and a(bc). If none of a, b, c is the
-    unit, ab is a searched cell, and ``_breaks_assoc_at`` tests the
-    triple when the last of its four cells is filled, whichever of the
-    four places that cell takes; at a leaf every cell is filled. A
-    triple with the unit in it holds on the fixed unit row and column.
-    ``check_group`` verifies each representative again."""
+    unit, ab is a searched cell, and the triple is tested when the last
+    of its four cells is filled, with that cell at (i, j) and value v:
+    - as ab: (a, b) = (i, j), c any;
+    - as bc: (b, c) = (i, j), a any;
+    - as (ab)c: ab = i and c = j, so (a, b) is a cell holding i;
+    - as a(bc): a = i and bc = j, so (b, c) is a cell holding j.
+    The last two read ``where`` in column i and j, 2n cells at most. At a
+    leaf every cell is filled. A triple with the unit in it holds on the
+    fixed unit row and column. ``check_group`` verifies each
+    representative again."""
     if n > 6:
         raise TooLarge("table enumeration capped at order 6", witness=(n,))
     if n < 1:
         return ()
     names = ["g%d" % i for i in range(n)]
     xs = range(n)
+    m = n + 1
+    t = [n] * (m * m)
+    where = [[n] * n for _ in xs]
+    for x in xs:
+        t[x] = t[x * m] = x
+        where[0][x] = x
+        where[x][x] = 0
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    # cells are filled in row order, so a cell reads only filled cells
-    table = {**{(0, i): i for i in xs}, **{(i, 0): i for i in xs}}
+    column = [1 << j for j in xs]  # the values in column j, as bits
     found = []
+
+    def breaks(i, j, v):
+        # the triples whose last filled cell is (i, j) = v
+        ri, rj, rv = i * m, j * m, v * m
+        for x in xs:
+            left, right = t[rv + x], t[ri + t[rj + x]]  # (ij)x, i(jx)
+            if left != right and left < n and right < n:
+                return True
+            rx = x * m
+            left, right = t[t[rx + i] * m + j], t[rx + v]  # (xi)j, x(ij)
+            if left != right and left < n and right < n:
+                return True
+            wx = where[x]
+            right = t[rx + t[wx[i] * m + j]]  # (xb)j = ij with xb = i, x(bj)
+            if right != v and right < n:
+                return True
+            left = t[t[ri + x] * m + wx[j]]  # (ix)b, i(xb) = ij with xb = j
+            if left != v and left < n:
+                return True
+        return False
 
     def place(k):
         if k == len(cells):
-            found.append(dict(table))
+            found.append([t[a * m + b] for a in xs for b in xs])
             return
         i, j = cells[k]
-        used = {table[(i, c)] for c in range(j)} | {table[(r, j)] for r in range(i)}
+        cell, row = i * m + j, where[i]
         for v in xs:
-            if v not in used:
-                table[(i, j)] = v
-                if not _breaks_assoc_at(table, xs, i, j):
+            if row[v] == n and not column[j] >> v & 1:
+                t[cell] = v
+                row[v] = j
+                if not breaks(i, j, v):
+                    column[j] |= 1 << v
                     place(k + 1)
-                del table[(i, j)]
+                    column[j] ^= 1 << v
+                row[v] = n
+        t[cell] = n
 
     place(0)
     reps = []
-    for t in found:
-        if not any(_tables_isomorphic(t, r, n) for r in reps):
-            reps.append(t)
+    for t1 in found:
+        if not any(_tables_isomorphic(t1, r, n) for r in reps):
+            reps.append(t1)
     out = []
-    for t in reps:
-        op = {(names[i], names[j]): names[t[(i, j)]] for i in xs for j in xs}
+    for r in reps:
+        op = {(names[a], names[b]): names[r[a * n + b]] for a in xs for b in xs}
         out.append(check_group(op, FinSet(names)))
     return tuple(out)
 
 
-def _breaks_assoc_at(t, xs, i, j) -> bool:
-    """Whether the partial table ``t`` has a triple (a, b, c) with cell
-    (i, j) as ab, bc, (ab)c or a(bc), all four products filled, and
-    (ab)c != a(bc). An unfilled cell reads as None, and so does any
-    product of it, since no key holds None."""
-    get = t.get
-    ij = t[(i, j)]
-    for c in xs:
-        if _clash(get((ij, c)), get((i, get((j, c))))):  # (ij)c, i(jc)
-            return True
-        if _clash(get((get((c, i)), j)), get((c, ij))):  # (ci)j, c(ij)
-            return True
-    for (a, b), ab in t.items():
-        if ab == i and _clash(ij, get((a, get((b, j))))):  # (ab)j, a(bj)
-            return True
-        if ab == j and _clash(get((get((i, a)), b)), ij):  # (ia)b, i(ab)
-            return True
-    return False
+def _element_orders(t, n):
+    """The order of each element of the group table t, flat with stride
+    n and unit 0."""
+    out = []
+    for a in range(n):
+        k, x = 1, a
+        while x:
+            x, k = t[x * n + a], k + 1
+        out.append(k)
+    return out
 
 
-def _clash(left, right) -> bool:
-    return left is not None and right is not None and left != right
-
-
-def _tables_isomorphic(t1, t2, n):
-    for perm in itertools.permutations(range(1, n)):
-        p = (0,) + perm
-        if all(
-            p[t1[(a, b)]] == t2[(p[a], p[b])] for a in range(n) for b in range(n)
-        ):
+def _tables_isomorphic(t1, t2, n) -> bool:
+    """Whether a relabelling p of 0..n-1 has p(t1[a, b]) = t2[p(a), p(b)]
+    for all a, b; t1 and t2 are group tables, flat with stride n and unit
+    0. Only the p that send each element of t1 to one of the same order
+    in t2 are tried. That keeps every such p: p is an isomorphism, so
+    p(0) = 0 and p(aᵏ) = p(a)ᵏ, and as p is injective, aᵏ = 0 exactly
+    when p(a)ᵏ = 0. When the two tables do not have the same number of
+    elements of each order, none is tried."""
+    o1, o2 = _element_orders(t1, n), _element_orders(t2, n)
+    classes = {}
+    for a, k in enumerate(o1):
+        classes.setdefault(k, []).append(a)
+    images = [[b for b in range(n) if o2[b] == k] for k in classes]
+    if any(len(img) != len(src) for img, src in zip(images, classes.values())):
+        return False
+    cells = [(a, b) for a in range(n) for b in range(n)]
+    p = [0] * n
+    for choice in itertools.product(*map(itertools.permutations, images)):
+        for src, img in zip(classes.values(), choice):
+            for a, b in zip(src, img):
+                p[a] = b
+        if all(p[t1[a * n + b]] == t2[p[a] * n + p[b]] for a, b in cells):
             return True
     return False
 

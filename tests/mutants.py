@@ -40,8 +40,10 @@ MUTANTS = [
     ),
     (
         "group.py",
-        "return left is not None and right is not None and left != right",
-        "return left != right",
+        "left, right = t[rv + x], t[ri + t[rj + x]]  # (ij)x, i(jx)\n"
+        "            if left != right and left < n and right < n:\n",
+        "left, right = t[rv + x], t[ri + t[rj + x]]  # (ij)x, i(jx)\n"
+        "            if left != right:\n",
         "tests/test_group.py::TestEnumeration::test_pruned_search_matches_the_filtered_reference",
     ),
     (
@@ -613,6 +615,25 @@ MUTANTS = [
         "failure = _first_failure(f, instances[min(failed)])",
         "failure = _first_failure(f, instances[max(failed)])",
         "tests/test_masks.py::test_a_planted_fault_prints_the_reference_line[image_mask-2-2]",
+    ),
+    (
+        "group.py",
+        "images = [[b for b in range(n) if o2[b] == k] for k in classes]",
+        "images = [[b for b in range(n) if o2[b] != k] for k in classes]",
+        "tests/test_group.py::TestEnumeration::test_group_counts_up_to_iso",
+    ),
+    (
+        "group.py",
+        "                row[v] = n\n",
+        "",
+        "tests/test_group.py::TestEnumeration::test_pruned_search_matches_the_filtered_reference",
+    ),
+    (
+        "suites.py",
+        "                    bad += k\n",
+        "                    bad += 1\n",
+        "tests/test_category.py::TestInterchangeSuiteCounts::"
+        "test_a_failing_grid_counts_once_per_sample[0]",
     ),
     # a module that a fresh structa process must not load
     (

@@ -76,6 +76,7 @@ from structa.order import (
     enumerate_posets,
     powerset_poset,
 )
+from structa.report import LawReport
 
 
 def chain_cat(labels):
@@ -888,6 +889,54 @@ class TestHorizontalComposition:
                     (alpha, tau),
                 ):
                     assert _hcompose_formulas_agree(a, t)
+
+
+
+class TestInterchangeSuiteCounts:
+    """``suite interchange`` evaluates each distinct grid once and counts
+    it once per draw. A fake ``interchange_check`` fails every grid whose
+    σ is the σ of the last vertical pair of its Cat(C, D); the failure
+    count each ``ic-grid-*`` row prints must equal the samples with that
+    σ, counted by replaying the unit's draws in a plain loop."""
+
+    def replayed_counts(self, seed, chosen):
+        C2 = from_poset(chain_poset(["c0", "c1"]))
+        C3 = from_poset(chain_poset(["c0", "c1", "c2"]))
+        Z2 = from_group(cyclic_group(2))
+        counts = {}
+        for i, (C, D, E) in enumerate([(C2, C2, C2), (C2, C2, C3), (C2, C3, C2), (Z2, Z2, Z2)]):
+            vert_cd, vert_de = TestHorizontalComposition().grids(C, D, E)
+            chosen.append(vert_cd[-1][0])
+            rng = random.Random(seed * 1000 + i)
+            bad, distinct = 0, set()
+            for _ in range(400):
+                vertical, horizontal = rng.choice(vert_cd), rng.choice(vert_de)
+                if vertical[0] == chosen[-1]:
+                    bad += 1
+                    distinct.add((id(vertical), id(horizontal)))
+            # some failing grid is drawn twice, so a count per distinct
+            # grid would print another number
+            assert 0 < len(distinct) < bad < 400
+            counts["ic-grid-%d%d%d" % tuple(len(X.objects) for X in (C, D, E))] = bad
+        return counts
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_failing_grid_counts_once_per_sample(self, seed, monkeypatch):
+        chosen = []
+        want = self.replayed_counts(seed, chosen)
+        real = category.interchange_check
+
+        def failing_on_chosen(alpha, beta, sigma, tau):
+            if sigma in chosen:
+                out = LawReport("interchange")
+                out.add("ic-interchange", False)
+                return out
+            return real(alpha, beta, sigma, tau)
+
+        monkeypatch.setattr(category, "interchange_check", failing_on_chosen)
+        rep = suites.suite_interchange(seed)
+        got = {c.law: c.witness for c in rep.checks if c.law.startswith("ic-grid-")}
+        assert got == {law: (k,) for law, k in want.items()}
 
 
 class TestHom:

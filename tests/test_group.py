@@ -601,11 +601,10 @@ class TestEnumeration:
             assert got == reference_groups(n), n
 
 
-def reference_groups(n):
-    """The groups of order n as (carrier, op), by the unpruned search:
-    fill every Latin square with a fixed unit, keep the associative ones,
-    and dedupe by relabeling."""
-    names = ["g%d" % i for i in range(n)]
+def reference_leaves(n):
+    """The leaves of the unpruned search, as pair-keyed tables on 0..n-1:
+    every Latin square with unit 0 that is associative, in the order of
+    a row-order fill that tries the values in increasing order."""
     xs = range(n)
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
     table = {**{(0, i): i for i in xs}, **{(i, 0): i for i in xs}}
@@ -629,14 +628,62 @@ def reference_groups(n):
                 place(k + 1)
 
     place(0)
+    return found
+
+
+def reference_isomorphic(t1, t2, n):
+    """Whether some relabelling that fixes 0 carries the pair-keyed table
+    t1 onto t2, tried over all (n-1)! of them."""
+    for perm in itertools.permutations(range(1, n)):
+        p = (0,) + perm
+        if all(
+            p[t1[(a, b)]] == t2[(p[a], p[b])] for a in range(n) for b in range(n)
+        ):
+            return True
+    return False
+
+
+def flat(t, n):
+    return [t[(a, b)] for a in range(n) for b in range(n)]
+
+
+def reference_groups(n):
+    """The groups of order n as (carrier, op), by the unpruned search,
+    deduped by the relabelling scan: each leaf that matches no earlier
+    representative is one."""
+    names = ["g%d" % i for i in range(n)]
+    xs = range(n)
     reps = []
-    for t in found:
-        if not any(group._tables_isomorphic(t, r, n) for r in reps):
+    for t in reference_leaves(n):
+        if not any(reference_isomorphic(t, r, n) for r in reps):
             reps.append(t)
     return [
         (FinSet(names), {(names[i], names[j]): names[t[(i, j)]] for i in xs for j in xs})
         for t in reps
     ]
+
+
+class TestIsomorphismByElementOrders:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_agrees_with_the_relabelling_scan_on_every_pair_of_leaves(self, n):
+        leaves = reference_leaves(n)
+        tables = [flat(t, n) for t in leaves]
+        verdicts = set()
+        for t1, f1 in zip(leaves, tables):
+            for t2, f2 in zip(leaves, tables):
+                want = reference_isomorphic(t1, t2, n)
+                assert group._tables_isomorphic(f1, f2, n) == want, (t1, t2)
+                verdicts.add(want)
+        # both verdicts occur where there are two groups of order n
+        assert verdicts == ({True, False} if n != 5 else {True})
+
+    def test_element_orders_of_the_cyclic_and_klein_tables(self):
+        z6 = [(a + b) % 6 for a in range(6) for b in range(6)]
+        v4 = [a ^ b for a in range(4) for b in range(4)]
+        assert group._element_orders(z6, 6) == [1, 6, 3, 2, 3, 6]
+        assert group._element_orders(v4, 4) == [1, 2, 2, 2]
+        assert not group._tables_isomorphic(
+            [(a + b) % 4 for a in range(4) for b in range(4)], v4, 4)
 
 
 # Theorems about the library's constructions, checked over the catalogue
